@@ -173,8 +173,10 @@ def parse_input(text: str) -> InputDocument:
         _expect(isinstance(raw_div, dict), path, "expected an object")
         unknown = set(raw_div) - _DIVISOR_KEYS
         _expect(not unknown, path, f"unknown keys: {sorted(unknown)}")
+        raw_rays = raw_div.get("rays", {})
+        _expect(isinstance(raw_rays, dict), f"{path}.rays", "expected an object of coefficients")
         rays = {}
-        for key, value in raw_div.get("rays", {}).items():
+        for key, value in raw_rays.items():
             try:
                 gen = tuple(int(part) for part in key.split(","))
             except ValueError:
@@ -186,8 +188,10 @@ def parse_input(text: str) -> InputDocument:
             )
             _expect(isinstance(value, int) and not isinstance(value, bool), f"{path}.rays", "coefficients must be integers")
             rays[gen] = value
+        raw_colours = raw_div.get("colours", {})
+        _expect(isinstance(raw_colours, dict), f"{path}.colours", "expected an object of coefficients")
         colours = {}
-        for key, value in raw_div.get("colours", {}).items():
+        for key, value in raw_colours.items():
             _expect(
                 isinstance(key, str) and key in colour_labels,
                 f"{path}.colours",
@@ -280,17 +284,13 @@ def execute(command: str, doc: InputDocument, *, divisor: Optional[str] = None,
             cone: Optional[int] = None, target: Optional[InputDocument] = None) -> tuple[int, str]:
     """Run one command against a parsed document; returns (exit_code, text)."""
     fan, datum = doc.fan, doc.datum
-    if command == "validate":
-        report = validate_coloured_fan(fan)
-        if report.valid:
-            lines = [f"coloured fan with {len(fan.cones)} members: valid"]
-            return 0, _report(lines, {"valid": True, "violations": []})
-        lines = ["invalid coloured fan:"] + [f"  - {v}" for v in report.violations]
-        return 1, _report(lines, {"valid": False, "violations": list(report.violations)})
-
     invalid = _require_valid(fan)
     if invalid is not None:
         return 1, invalid
+
+    if command == "validate":
+        lines = [f"coloured fan with {len(fan.cones)} members: valid"]
+        return 0, _report(lines, {"valid": True, "violations": []})
 
     if command == "orbits":
         table = orbit_table(fan, datum)
@@ -415,9 +415,9 @@ def execute(command: str, doc: InputDocument, *, divisor: Optional[str] = None,
         return 0, _report(lines, payload)
 
     if command == "smooth":
-        rep = classify_variety(fan, datum)
         regs = regularity_report(fan, datum)
-        lines = [f"smooth: {str(rep.is_smooth).lower()}"]
+        smooth = all(r.smooth for r in regs)
+        lines = [f"smooth: {str(smooth).lower()}"]
         rows = []
         for r in regs:
             lines.append(
@@ -434,7 +434,7 @@ def execute(command: str, doc: InputDocument, *, divisor: Optional[str] = None,
                     "diagnostic": r.diagnostic,
                 }
             )
-        return 0, _report(lines, {"smooth": rep.is_smooth, "cones": rows})
+        return 0, _report(lines, {"smooth": smooth, "cones": rows})
 
     if command == "decolour":
         from .dictionary import decolouration

@@ -17,15 +17,13 @@ from typing import Optional
 from .intlin import (
     IntMatrix,
     invariant_factors,
-    kernel_basis,
     rank,
-    reduce_mod_lattice,
     saturate,
-    solve_integer_affine,
 )
 from .polyhedra import (
     Cone,
     PlainFan,
+    _through_lineality_quotient,
     covered_by,
     dual_cone,
     fan_is_complete,
@@ -485,16 +483,9 @@ def weight_monoid_generators(sigma: ColouredCone, datum: HorosphericalDatum) -> 
     lin = dual.lineality_basis()
     if not lin:
         return hilbert_basis(dual)
-    n = dual.ambient_rank
-    lin_matrix = IntMatrix.from_columns(lin, rows=n)
-    proj_rows = kernel_basis(lin_matrix.transpose())
-    q = IntMatrix.from_rows([list(r) for r in proj_rows], cols=n)
-    imaged = [v for v in (q.apply(g) for g in dual.generators) if any(v)]
-    pointed = Cone.from_generators(q.rows, imaged)
-    lifted = []
-    for h in hilbert_basis(pointed):
-        sol = solve_integer_affine(q, h)
-        assert sol is not None
-        lifted.append(reduce_mod_lattice(sol[0], lin_matrix))
-    out = {tuple(b) for b in lin} | {tuple(-x for x in b) for b in lin} | set(lifted)
-    return sorted(out)
+    return _through_lineality_quotient(
+        dual.generators,
+        lin,
+        dual.ambient_rank,
+        lambda images, d: hilbert_basis(Cone.from_generators(d, images)),
+    )

@@ -26,7 +26,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer_affine,
 )
-from .polyhedra import PlainFan, dot, fan_is_complete
+from .polyhedra import PlainFan, dot, fan_is_complete, intersect
 from .horo import ColouredFan, HorosphericalDatum
 from .rootsys import pairing, positive_roots
 from .dictionary import _require_lattice
@@ -218,8 +218,6 @@ def _cartier_system(fan: ColouredFan) -> tuple[IntMatrix, IntMatrix, list[int]]:
             value_row(slot, ray.generators[0], gens.index(ray.generators[0]))
         for root in sorted(cc.colours):
             value_row(slot, fan.lattice.point(root), len(gens) + roots.index(root))
-    from .polyhedra import intersect
-
     for si, sj in itertools.combinations(range(len(max_idx)), 2):
         shared = intersect(fan.cones[max_idx[si]].cone, fan.cones[max_idx[sj]].cone)
         for u in shared.generators:
@@ -278,9 +276,8 @@ class PicardResult:
     report: ExactSequenceReport
 
 
-def _cartier_lattice(fan: ColouredFan) -> IntMatrix:
-    """Canonical basis of the lattice of Cartier B^- -invariant divisors."""
-    a, b, _ = _cartier_system(fan)
+def _cartier_lattice(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    """Canonical basis of the lattice of Cartier B^- -invariant divisors, from `_cartier_system`."""
     width_d = b.cols
     width_x = a.cols
     combined_cols = []
@@ -305,7 +302,8 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
     """
     _require_lattice(fan, datum)
     r = fan.lattice.rank
-    cartier = _cartier_lattice(fan)
+    a, b, max_idx = _cartier_system(fan)
+    cartier = _cartier_lattice(a, b)
     principal = _principal_matrix(fan)
     coeff_cols = []
     for j in range(principal.cols):
@@ -314,7 +312,6 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
         coeff_cols.append(coords)
     pic = cokernel(IntMatrix.from_columns(coeff_cols, rows=cartier.cols))
 
-    a, b, max_idx = _cartier_system(fan)
     compat_rows = [a.row(i) for i in range(a.rows) if not any(b.row(i))]
     compat = IntMatrix.from_rows([list(row) for row in compat_rows], cols=a.cols)
     plf_basis = kernel_basis(compat)

@@ -1,8 +1,9 @@
 """Rational polyhedral cones and plain fans, all exact.
 
-A cone is stored by canonical primitive generators; the inequality
-description (its dual generators) is computed on demand through one
-double-description engine and cached.  Cones may be non-pointed and
+A cone is stored by canonical primitive generators and its inequality
+description (its dual generators); one double-description engine yields both
+when a cone is canonicalised, and faces, built from generator subsets, get
+their inequalities on first use.  Cones may be non-pointed and
 non-full-dimensional: the inequality description then carries the span
 equalities as +/- pairs, and the generator description carries a lineality
 basis as +/- pairs.  Ranks here are tiny, so every conversion is done by
@@ -21,6 +22,7 @@ from .intlin import (
     kernel_basis,
     rank,
     reduce_mod_lattice,
+    saturate,
     solve_integer_affine,
     vector_gcd,
 )
@@ -30,6 +32,10 @@ Vector = tuple[int, ...]
 
 class NotPointedError(ValueError):
     """Raised when an operation requires a strongly convex cone."""
+
+
+class LatticeLiftError(ArithmeticError):
+    """A vector has no integer preimage where lattice theory guarantees one."""
 
 
 def primitive(v: Sequence[int]) -> Vector:
@@ -45,16 +51,6 @@ def _unit_vectors(n: int) -> list[Vector]:
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-def _span_basis(vectors: Sequence[Vector], n: int) -> IntMatrix:
-    """Canonical basis of the saturated lattice Span_Q(vectors) ∩ Z^n."""
-    perp = kernel_basis(IntMatrix.from_rows(list(vectors), cols=n))
-    if not perp:
-        return IntMatrix.identity(n)
-    return IntMatrix.from_columns(
-        kernel_basis(IntMatrix.from_columns(perp, rows=n).transpose()), rows=n
-    )
 
 
 def _in_coordinates(vectors: Sequence[Vector], basis: IntMatrix) -> list[Vector]:
@@ -97,7 +93,7 @@ def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
     vecs = [tuple(v) for v in vectors if any(v)]
     if not vecs:
         return sorted(u for e in _unit_vectors(n) for u in (e, tuple(-x for x in e)))
-    span = _span_basis(vecs, n)
+    span = saturate(IntMatrix.from_columns(vecs, rows=n))
     d = span.cols
     perp = kernel_basis(span.transpose())  # basis of the dual's lineality lattice
     coords = _in_coordinates(vecs, span)
@@ -108,7 +104,7 @@ def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
     for hp in facets:
         sol = solve_integer_affine(lift, hp)
         if sol is None:
-            raise AssertionError("saturated span lattice must lift covectors")
+            raise LatticeLiftError("saturated span lattice must lift covectors")
         out.add(reduce_mod_lattice(sol[0], perp_matrix))
     for p in perp:
         out.add(tuple(p))
@@ -121,8 +117,8 @@ class Cone:
     """Rational polyhedral cone in canonical form.
 
     Equal cones (as subsets of R^n) have equal generator tuples; equality and
-    hashing are therefore structural.  The inequality description is cached
-    write-once after first use.
+    hashing are therefore structural.  `from_generators` stores the normals
+    it computes in a write-once slot outside both; other cones fill it on use.
     """
 
     ambient_rank: int
@@ -135,7 +131,10 @@ class Cone:
         if any(len(g) != ambient_rank for g in gens):
             raise ValueError("generator has wrong dimension")
         gens = [g for g in gens if any(g)]
-        return Cone(ambient_rank, _canonical_generators(gens, ambient_rank))
+        if not gens:
+            return Cone(ambient_rank, ())
+        canonical, normals = _canonical_generators(gens, ambient_rank)
+        return Cone(ambient_rank, canonical, [normals])
 
     @staticmethod
     def from_inequalities(ambient_rank: int, normals: Iterable[Sequence[int]]) -> "Cone":
@@ -179,34 +178,39 @@ class Cone:
         return tuple(sum(g[i] for g in self.generators) for i in range(self.ambient_rank))
 
 
-def _canonical_generators(gens: list[Vector], n: int) -> tuple[Vector, ...]:
-    if not gens:
-        return ()
-    normals = dual_generators(gens, n)
+def _canonical_generators(gens: list[Vector], n: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
+    """Canonical generators and inequality description of Cone(gens), gens nonzero."""
+    normals = tuple(dual_generators(gens, n))
     lin = kernel_basis(IntMatrix.from_rows(normals, cols=n))
     if not lin:
-        return _extreme_rays(gens, normals, n)
+        return _extreme_rays(gens, normals, n), normals
+    canonical = _through_lineality_quotient(
+        gens, lin, n, lambda images, d: _extreme_rays(images, dual_generators(images, d), d)
+    )
+    return tuple(canonical), normals
+
+
+def _through_lineality_quotient(gens: Sequence[Vector], lin: list[Vector], n: int, pointed) -> list[Vector]:
+    """Answer for a cone with lineality lattice L (basis `lin`) from its pointed quotient.
+
+    `pointed(images, d)` gets the nonzero images of `gens` in Z^n / L = Z^d;
+    its vectors are lifted to canonical representatives modulo L and joined
+    by the +/- basis of L.
+    """
     lin_matrix = IntMatrix.from_columns(lin, rows=n)
-    proj_rows = kernel_basis(lin_matrix.transpose())
-    q = IntMatrix.from_rows([list(r) for r in proj_rows], cols=n)
-    imaged = [g for g in (q.apply(v) for v in gens) if any(g)]
-    quotient_rays = []
-    if imaged:
-        qnormals = dual_generators(imaged, q.rows)
-        quotient_rays = _extreme_rays(imaged, qnormals, q.rows)
-    out: set[Vector] = set()
-    for b in lin:
-        out.add(tuple(b))
-        out.add(tuple(-x for x in b))
-    for r in quotient_rays:
-        sol = solve_integer_affine(q, r)
-        if sol is None:
-            raise AssertionError("quotient map by a saturated lattice is surjective")
-        out.add(reduce_mod_lattice(sol[0], lin_matrix))
-    return tuple(sorted(out))
+    q = IntMatrix.from_rows(kernel_basis(lin_matrix.transpose()), cols=n)
+    images = [w for w in (q.apply(g) for g in gens) if any(w)]
+    out = {tuple(b) for b in lin} | {tuple(-x for x in b) for b in lin}
+    if images:
+        for w in pointed(images, q.rows):
+            sol = solve_integer_affine(q, w)
+            if sol is None:
+                raise LatticeLiftError("the quotient map by a saturated lattice is surjective")
+            out.add(reduce_mod_lattice(sol[0], lin_matrix))
+    return sorted(out)
 
 
-def _extreme_rays(gens: list[Vector], normals: list[Vector], n: int) -> tuple[Vector, ...]:
+def _extreme_rays(gens: list[Vector], normals: Sequence[Vector], n: int) -> tuple[Vector, ...]:
     rays: set[Vector] = set()
     for g in gens:
         active = [h for h in normals if dot(h, g) == 0]
@@ -218,19 +222,24 @@ def _extreme_rays(gens: list[Vector], normals: list[Vector], n: int) -> tuple[Ve
 
 def dual_cone(sigma: Cone) -> Cone:
     """The dual cone {m : <m, u> >= 0 for all u in sigma}."""
-    return Cone.from_generators(sigma.ambient_rank, dual_generators(sigma.generators, sigma.ambient_rank))
+    return Cone.from_generators(sigma.ambient_rank, sigma.facet_normals())
 
 
 def faces(sigma: Cone) -> list[Cone]:
-    """All faces of sigma (including sigma and its minimal face), by dimension."""
+    """All faces of sigma (including sigma and its minimal face), by dimension.
+
+    Each face is built from its incidence subset of sigma's generators, which
+    is already its canonical generator tuple.
+    """
     gens = sigma.generators
+    full = frozenset(gens)
     facet_sets: list[frozenset[Vector]] = []
     for h in sigma.facet_normals():
         on = frozenset(g for g in gens if dot(h, g) == 0)
-        if on != frozenset(gens):
+        if on != full:
             facet_sets.append(on)
-    collected = {frozenset(gens)}
-    frontier = {frozenset(gens)}
+    collected = {full}
+    frontier = {full}
     while frontier:
         nxt = set()
         for s in frontier:
@@ -240,7 +249,7 @@ def faces(sigma: Cone) -> list[Cone]:
                     collected.add(t)
                     nxt.add(t)
         frontier = nxt
-    out = {Cone.from_generators(sigma.ambient_rank, sorted(s)) for s in collected}
+    out = [sigma if s == full else Cone(sigma.ambient_rank, tuple(sorted(s))) for s in collected]
     return sorted(out, key=lambda c: (c.dim(), c.generators))
 
 
@@ -252,8 +261,8 @@ def is_face_of(tau: Cone, sigma: Cone) -> bool:
         return False
     point = tau.relative_interior_point()
     active = [h for h in sigma.facet_normals() if dot(h, point) == 0]
-    smallest = [g for g in sigma.generators if all(dot(h, g) == 0 for h in active)]
-    return Cone.from_generators(sigma.ambient_rank, smallest) == tau
+    smallest = tuple(g for g in sigma.generators if all(dot(h, g) == 0 for h in active))
+    return smallest == tau.generators
 
 
 def intersect(a: Cone, b: Cone) -> Cone:
@@ -311,7 +320,7 @@ def hilbert_basis(sigma: Cone) -> list[Vector]:
     if not sigma.generators:
         return []
     n = sigma.ambient_rank
-    span = _span_basis(sigma.generators, n)
+    span = saturate(IntMatrix.from_columns(sigma.generators, rows=n))
     d = span.cols
     coords = _in_coordinates(sigma.generators, span)
     normals = dual_generators(coords, d)

@@ -101,6 +101,28 @@ class TestParseInput:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "divisor, path",
+        [({"rays": [[1, 1]]}, "divisors.d.rays"), ({"colours": ["a1"]}, "divisors.d.colours")],
+    )
+    def test_divisor_coefficients_not_an_object(self, divisor, path, tmp_path, capsys):
+        text = json.dumps(
+            {
+                "group": "A2",
+                "I": [],
+                "M": [[1, 0], [0, 1]],
+                "fan": [{"generators": [[1, 1]], "colours": []}],
+                "divisors": {"d": divisor},
+            }
+        )
+        with pytest.raises(ParseError, match="expected an object") as info:
+            parse_input(text)
+        assert info.value.path == path
+        document = tmp_path / "doc.json"
+        document.write_text(text)
+        assert main(["validate", str(document)]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {path}:")
+
     def test_round_trip_idempotent(self):
         once = serialize(parse_input(CLASS_GROUP_DOC))
         twice = serialize(parse_input(once))

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horofan.polyhedra import (
     Cone,
@@ -14,6 +16,7 @@ from horofan.polyhedra import (
     covered_by,
     dot,
     dual_cone,
+    dual_generators,
     faces,
     fan_is_complete,
     hilbert_basis,
@@ -309,3 +312,65 @@ def test_canonical_form_removes_redundant_generators():
     c = Cone.from_generators(2, [(1, 0), (1, 1), (0, 1), (2, 2)])
     assert c.generators == ((0, 1), (1, 0))
     assert c == cone2(E2, E1)
+
+
+# Differential checks: cones keep the normals canonicalisation computed, faces
+# are built from incidence subsets and face tests compare generators directly.
+# `Cone.from_generators` and `dual_generators` on a cone's generators stay the
+# reference for all three.
+
+DIFFERENTIAL = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+@st.composite
+def small_cones(draw):
+    """Rank 2-4 cones from up to five small generators, half with a lineality line."""
+    n = draw(st.integers(2, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * n)
+    gens = draw(st.lists(vector, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        line = draw(vector)
+        gens += [line, tuple(-x for x in line)]
+    return Cone.from_generators(n, gens)
+
+
+def is_face_of_reference(tau, sigma):
+    """The face test that re-canonicalises the smallest face containing tau."""
+    n = sigma.ambient_rank
+    normals = dual_generators(sigma.generators, n)
+    if tau.ambient_rank != n or any(dot(h, g) < 0 for h in normals for g in tau.generators):
+        return False
+    point = tau.relative_interior_point()
+    active = [h for h in normals if dot(h, point) == 0]
+    smallest = [g for g in sigma.generators if all(dot(h, g) == 0 for h in active)]
+    return Cone.from_generators(n, smallest) == tau
+
+
+class TestDescriptionsAgainstCanonicalisation:
+    @DIFFERENTIAL
+    @given(small_cones())
+    def test_faces_are_canonical(self, sigma):
+        n = sigma.ambient_rank
+        for f in faces(sigma):
+            assert f.generators == Cone.from_generators(n, f.generators).generators
+
+    @DIFFERENTIAL
+    @given(small_cones())
+    def test_facet_normals_equal_dual_generators(self, sigma):
+        n = sigma.ambient_rank
+        for c in [sigma, dual_cone(sigma)] + faces(sigma):
+            assert c.facet_normals() == tuple(dual_generators(c.generators, n))
+
+    @DIFFERENTIAL
+    @given(small_cones(), st.data())
+    def test_is_face_of_matches_reference(self, sigma, data):
+        n = sigma.ambient_rank
+        size = len(sigma.generators)
+        keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        other = data.draw(st.lists(st.tuples(*[st.integers(-2, 2)] * n), max_size=3))
+        candidates = faces(sigma) + [
+            Cone.from_generators(n, [g for g, k in zip(sigma.generators, keep) if k]),
+            intersect(sigma, Cone.from_generators(n, other)),
+        ]
+        for tau in candidates:
+            assert is_face_of(tau, sigma) == is_face_of_reference(tau, sigma)

@@ -42,6 +42,7 @@ from .horo import (
     HorosphericalDatum,
     InvalidDatumError,
     build_coloured_lattice,
+    coloured_cone_key,
     coloured_lattice_map,
     trivial_coloured_cone,
     validate_coloured_fan,
@@ -210,9 +211,7 @@ def serialize(doc: InputDocument) -> str:
     descriptor = "x".join(f"{letter}{rank}" for letter, rank in group.components)
     labels = fan.lattice.labels()
     cones = []
-    for cc in sorted(
-        fan.cones, key=lambda c: (c.dim(), c.cone.generators, sorted(c.colours))
-    ):
+    for cc in sorted(fan.cones, key=coloured_cone_key):
         if cc.dim() == 0 and not cc.colours:
             continue  # the trivial coloured cone is implied
         cones.append(

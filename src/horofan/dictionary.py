@@ -17,7 +17,6 @@ from typing import Optional
 from .intlin import (
     IntMatrix,
     invariant_factors,
-    rank,
     saturate,
 )
 from .polyhedra import (
@@ -38,6 +37,7 @@ from .horo import (
     HorosphericalDatum,
     build_coloured_lattice,
     close_under_coloured_faces,
+    coloured_cone_key,
     is_coloured_face,
     quotient_coloured_lattice,
     trivial_coloured_cone,
@@ -139,9 +139,7 @@ def orbit_closure(
             quotient.lattice.rank, [quotient.projection.apply(g) for g in cc.cone.generators]
         )
         cones.append(ColouredCone(image, frozenset(cc.colours - tau.colours)))
-    ordered = tuple(
-        sorted(set(cones), key=lambda cc: (cc.dim(), cc.cone.generators, sorted(cc.colours)))
-    )
+    ordered = tuple(sorted(set(cones), key=coloured_cone_key))
     return ColouredFan(quotient.lattice, ordered), quotient.datum
 
 
@@ -169,8 +167,9 @@ def regularity_report(fan: ColouredFan, datum: HorosphericalDatum) -> list[ConeR
     for idx, cc in enumerate(fan.cones):
         multiset = _regularity_multiset(fan.lattice, cc)
         m = IntMatrix.from_columns(list(multiset), rows=fan.lattice.rank)
-        simplicial = rank(m) == len(multiset)
-        regular = simplicial and all(d == 1 for d in invariant_factors(m))
+        factors = invariant_factors(m)  # one per unit of rank(m)
+        simplicial = len(factors) == len(multiset)
+        regular = simplicial and all(d == 1 for d in factors)
         dynkin_ok, dynkin_why = colour_smoothness_check(
             datum.group, datum.parabolic, cc.colours
         )
@@ -355,14 +354,14 @@ def morphism_check(
 def decolouration(fan: ColouredFan) -> ColouredFan:
     """The same underlying fan with every colour set erased."""
     stripped = {ColouredCone(cc.cone, frozenset()) for cc in fan.cones}
-    ordered = tuple(sorted(stripped, key=lambda cc: (cc.dim(), cc.cone.generators)))
+    ordered = tuple(sorted(stripped, key=coloured_cone_key))
     return ColouredFan(fan.lattice, ordered)
 
 
 def open_toroidal_subfan(fan: ColouredFan) -> ColouredFan:
     """Sub-coloured fan of the trivial cone and the non-coloured rays."""
     keep = [trivial_coloured_cone(fan.lattice)] + fan.non_coloured_rays()
-    ordered = tuple(sorted(set(keep), key=lambda cc: (cc.dim(), cc.cone.generators)))
+    ordered = tuple(sorted(set(keep), key=coloured_cone_key))
     return ColouredFan(fan.lattice, ordered)
 
 

@@ -139,12 +139,12 @@ def class_group(fan: ColouredFan, datum: HorosphericalDatum) -> ClassGroupResult
     """Cl(X) as the cokernel of the principal-divisor map N^vee -> Div_{B^-}."""
     _require_lattice(fan, datum)
     p = _principal_matrix(fan)
-    group = cokernel(p)
     u, d, _ = smith_normal_form(p)
     n = min(d.rows, d.cols)
     diag = [d.at(i, i) for i in range(n)] + [0] * (d.rows - n)
     free_rows = [i for i in range(d.rows) if diag[i] == 0]
     torsion_rows = [i for i in range(d.rows) if diag[i] > 1]
+    group = AbelianGroup(len(free_rows), tuple(diag[i] for i in torsion_rows))
     classes = []
     for idx, name in enumerate(_divisor_names(fan)):
         basis_vector = tuple(1 if t == idx else 0 for t in range(d.rows))
@@ -158,7 +158,7 @@ def class_group(fan: ColouredFan, datum: HorosphericalDatum) -> ClassGroupResult
                 ),
             )
         )
-    left_exact = rank(p) == fan.lattice.rank
+    left_exact = d.rows - len(free_rows) == fan.lattice.rank  # rank(p): nonzero diagonal entries
     return ClassGroupResult(group, tuple(classes), left_exact)
 
 
@@ -338,7 +338,6 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
     plf_mod_lf = cokernel(IntMatrix.from_columns(coords_cols, rows=plf_matrix.cols))
 
     support_gens = [g for cc in fan.cones for g in cc.cone.generators]
-    span_rank = rank(IntMatrix.from_rows([list(g) for g in support_gens], cols=r)) if support_gens else 0
     span_perp = kernel_basis(IntMatrix.from_rows([list(g) for g in support_gens], cols=r))
     unused = sorted(fan.lattice.colour_roots() - fan.colour_set())
     image_rows = [[dot(m, fan.lattice.point(root)) for root in unused] for m in span_perp]
@@ -346,7 +345,7 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
         rank(IntMatrix.from_rows(image_rows, cols=len(unused))) if image_rows else 0
     )
     report = ExactSequenceReport(
-        span_perp_rank=r - span_rank,
+        span_perp_rank=len(span_perp),
         unused_colour_count=len(unused),
         span_perp_image_rank=span_perp_image_rank,
         plf_rank=plf_mod_lf.free_rank,

@@ -24,9 +24,9 @@ from typing import Iterable, Sequence
 from .intlin import (
     IntMatrix,
     column_hermite,
-    hermite_normal_form,
     kernel_basis,
     lattice_coordinates,
+    left_unimodular_equivalent,
     rank,
     saturate,
     solve_integer_affine,
@@ -141,6 +141,11 @@ class ColouredCone:
         return self.cone.dim()
 
 
+def coloured_cone_key(cc: ColouredCone) -> tuple:
+    """Canonical member order of coloured fans: small cones first."""
+    return (cc.dim(), cc.cone.generators, sorted(cc.colours))
+
+
 @dataclass(frozen=True)
 class ColouredFan:
     """Finite collection of strongly convex coloured cones on a coloured lattice."""
@@ -248,9 +253,7 @@ def close_under_coloured_faces(
         seen.add(cc)
         for f in coloured_faces(lattice, cc):
             seen.add(f)
-    return tuple(
-        sorted(seen, key=lambda cc: (cc.dim(), cc.cone.generators, sorted(cc.colours)))
-    )
+    return tuple(sorted(seen, key=coloured_cone_key))
 
 
 def coloured_fan(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> ColouredFan:
@@ -409,7 +412,7 @@ def homogeneous_spaces_isomorphic(a: HorosphericalDatum, b: HorosphericalDatum) 
     roots = sorted(la.colour_roots())
     ma = IntMatrix.from_columns([la.point(r) for r in roots], rows=a.lattice_rank)
     mb = IntMatrix.from_columns([lb.point(r) for r in roots], rows=b.lattice_rank)
-    return hermite_normal_form(ma)[0] == hermite_normal_form(mb)[0]
+    return left_unimodular_equivalent(ma, mb)
 
 
 _LABEL = re.compile(r"^(?:(\d+)\.)?a(\d+)$")

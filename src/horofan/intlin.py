@@ -5,6 +5,14 @@ saturation, and finitely generated abelian groups presented by invariant
 factors.  Everything here is pure and exact: no floating point, no modular
 shortcuts.  Matrices are immutable and row-major; empty matrices (0 rows or
 0 columns) are legal everywhere.
+
+One row-echelon routine, `_echelonise`, answers the lattice questions: the
+Hermite form and its transform (`hermite_normal_form`), ranks, column bases
+(`column_hermite`), unimodular equivalence, and kernels (`kernel_basis`
+echelonises [m^T | I] and reads the kernel off the rows whose left block
+vanished).  The Smith form is computed only where its diagonal or its
+transforms are the answer: invariant factors and cokernels, and integer
+solving (`solve_integer_affine`).
 """
 
 from __future__ import annotations
@@ -147,49 +155,47 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
-class _Work:
-    """Mutable row-list workspace shared by the normal-form routines."""
+def _beside_identity(m: IntMatrix) -> list[list[int]]:
+    """The rows of [m | I]: row operations on them record their transform in I."""
+    return [list(m.row(i)) + [int(i == j) for j in range(m.rows)] for i in range(m.rows)]
 
-    def __init__(self, m: IntMatrix):
-        self.a = m.row_list()
-        self.rows = m.rows
-        self.cols = m.cols
 
-    def freeze(self) -> IntMatrix:
-        return IntMatrix.from_rows(self.a, cols=self.cols)
+def _echelonise(a: list[list[int]], cols: int) -> int:
+    """Bring the row list `a` to row Hermite form in its first `cols` columns.
 
-    def swap_rows(self, i: int, j: int) -> None:
-        self.a[i], self.a[j] = self.a[j], self.a[i]
-
-    def negate_row(self, i: int) -> None:
-        self.a[i] = [-x for x in self.a[i]]
-
-    def add_row(self, dst: int, src: int, factor: int) -> None:
-        self.a[dst] = [x + factor * y for x, y in zip(self.a[dst], self.a[src])]
-
-    def combine_rows(self, i: int, j: int, p: int, q: int, r: int, s: int) -> None:
-        # rows (i, j) <- (p*row_i + q*row_j, r*row_i + s*row_j); p*s - q*r = ±1
-        ri, rj = self.a[i], self.a[j]
-        self.a[i] = [p * x + q * y for x, y in zip(ri, rj)]
-        self.a[j] = [r * x + s * y for x, y in zip(ri, rj)]
-
-    def swap_cols(self, i: int, j: int) -> None:
-        for row in self.a:
-            row[i], row[j] = row[j], row[i]
-
-    def negate_col(self, i: int) -> None:
-        for row in self.a:
-            row[i] = -row[i]
-
-    def add_col(self, dst: int, src: int, factor: int) -> None:
-        for row in self.a:
-            row[dst] += factor * row[src]
-
-    def combine_cols(self, i: int, j: int, p: int, q: int, r: int, s: int) -> None:
-        for row in self.a:
-            x, y = row[i], row[j]
-            row[i] = p * x + q * y
-            row[j] = r * x + s * y
+    Works in place and returns the pivot count.  Rows are combined whole, so
+    any columns past `cols` carry the row transform along.
+    """
+    piv_row = 0
+    for col in range(cols):
+        if piv_row == len(a):
+            break
+        # gcd out the entries of this column at and below piv_row
+        first = next((i for i in range(piv_row, len(a)) if a[i][col] != 0), None)
+        if first is None:
+            continue
+        if first != piv_row:
+            a[piv_row], a[first] = a[first], a[piv_row]
+        for i in range(piv_row + 1, len(a)):
+            b = a[i][col]
+            if b == 0:
+                continue
+            top = a[piv_row][col]
+            g, x, y = _xgcd(top, b)
+            r, s = -(b // g), top // g
+            ri, rj = a[piv_row], a[i]
+            a[piv_row] = [x * e + y * f for e, f in zip(ri, rj)]
+            a[i] = [r * e + s * f for e, f in zip(ri, rj)]
+        if a[piv_row][col] < 0:
+            a[piv_row] = [-e for e in a[piv_row]]
+        d = a[piv_row][col]
+        pivot = a[piv_row]
+        for i in range(piv_row):
+            q = a[i][col] // d
+            if q:
+                a[i] = [e - q * f for e, f in zip(a[i], pivot)]
+        piv_row += 1
+    return piv_row
 
 
 def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
@@ -199,41 +205,11 @@ def hermite_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
     positive pivots and every entry above a pivot reduced into [0, pivot).
     H is the unique such representative of the left-GL_n(Z) orbit of m.
     """
-    h = _Work(m)
-    u = _Work(IntMatrix.identity(m.rows))
-    piv_row = 0
-    pivots: list[tuple[int, int]] = []
-    for col in range(m.cols):
-        # gcd out the entries of this column at and below piv_row
-        nz = [i for i in range(piv_row, m.rows) if h.a[i][col] != 0]
-        if not nz:
-            continue
-        if nz[0] != piv_row:
-            h.swap_rows(piv_row, nz[0])
-            u.swap_rows(piv_row, nz[0])
-        for i in range(piv_row + 1, m.rows):
-            if h.a[i][col] == 0:
-                continue
-            a, b = h.a[piv_row][col], h.a[i][col]
-            g, x, y = _xgcd(a, b)
-            p, q = x, y
-            r, s = -(b // g), a // g
-            h.combine_rows(piv_row, i, p, q, r, s)
-            u.combine_rows(piv_row, i, p, q, r, s)
-        if h.a[piv_row][col] < 0:
-            h.negate_row(piv_row)
-            u.negate_row(piv_row)
-        d = h.a[piv_row][col]
-        for i in range(piv_row):
-            q = h.a[i][col] // d
-            if q:
-                h.add_row(i, piv_row, -q)
-                u.add_row(i, piv_row, -q)
-        pivots.append((piv_row, col))
-        piv_row += 1
-        if piv_row == m.rows:
-            break
-    return h.freeze(), u.freeze()
+    a = _beside_identity(m)
+    _echelonise(a, m.cols)
+    h = IntMatrix.from_rows([row[: m.cols] for row in a], cols=m.cols)
+    u = IntMatrix.from_rows([row[m.cols :] for row in a], cols=m.rows)
+    return h, u
 
 
 def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -242,90 +218,79 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     U and V are unimodular and D is diagonal with a divisibility chain
     d_1 | d_2 | ... on its nonnegative diagonal.
     """
-    d = _Work(m)
-    u = _Work(IntMatrix.identity(m.rows))
-    v = _Work(IntMatrix.identity(m.cols))
+    rows, cols = m.rows, m.cols
+    # the block matrix [[m, I], [I, 0]]: whole-row operations on the first
+    # `rows` rows carry U along, whole-column operations on the first `cols`
+    # columns carry V along
+    a = _beside_identity(m) + [[int(i == j) for j in range(cols)] + [0] * rows for i in range(cols)]
 
     def row_step(t: int) -> bool:
         changed = False
-        for i in range(t + 1, m.rows):
-            if d.a[i][t] == 0:
+        for i in range(t + 1, rows):
+            top, b = a[t][t], a[i][t]
+            if b == 0:
                 continue
-            a, b = d.a[t][t], d.a[i][t]
-            if b % a == 0:
-                q = b // a
-                d.add_row(i, t, -q)
-                u.add_row(i, t, -q)
+            if b % top == 0:
+                q = b // top
+                a[i] = [e - q * f for e, f in zip(a[i], a[t])]
             else:
-                g, x, y = _xgcd(a, b)
-                d.combine_rows(t, i, x, y, -(b // g), a // g)
-                u.combine_rows(t, i, x, y, -(b // g), a // g)
+                g, x, y = _xgcd(top, b)
+                r, s = -(b // g), top // g
+                rt, ri = a[t], a[i]
+                a[t] = [x * e + y * f for e, f in zip(rt, ri)]
+                a[i] = [r * e + s * f for e, f in zip(rt, ri)]
                 changed = True
         return changed
 
     def col_step(t: int) -> bool:
         changed = False
-        for j in range(t + 1, m.cols):
-            if d.a[t][j] == 0:
+        for j in range(t + 1, cols):
+            top, b = a[t][t], a[t][j]
+            if b == 0:
                 continue
-            a, b = d.a[t][t], d.a[t][j]
-            if b % a == 0:
-                q = b // a
-                d.add_col(j, t, -q)
-                v.add_col(j, t, -q)
+            if b % top == 0:
+                q = b // top
+                for row in a:
+                    row[j] -= q * row[t]
             else:
-                g, x, y = _xgcd(a, b)
-                d.combine_cols(t, j, x, y, -(b // g), a // g)
-                v.combine_cols(t, j, x, y, -(b // g), a // g)
+                g, x, y = _xgcd(top, b)
+                r, s = -(b // g), top // g
+                for row in a:
+                    e, f = row[t], row[j]
+                    row[t], row[j] = x * e + y * f, r * e + s * f
                 changed = True
         return changed
 
-    n = min(m.rows, m.cols)
-    for t in range(n):
-        # move a nonzero entry of the trailing block to (t, t)
-        pos = None
-        best = None
-        for i in range(t, m.rows):
-            for j in range(t, m.cols):
-                e = abs(d.a[i][j])
-                if e and (best is None or e < best):
-                    best, pos = e, (i, j)
-        if pos is None:
+    for t in range(min(rows, cols)):
+        # move a smallest nonzero entry of the trailing block to (t, t)
+        entries = [(abs(a[i][j]), i, j) for i in range(t, rows) for j in range(t, cols) if a[i][j]]
+        if not entries:
             break
-        if pos[0] != t:
-            d.swap_rows(t, pos[0])
-            u.swap_rows(t, pos[0])
-        if pos[1] != t:
-            d.swap_cols(t, pos[1])
-            v.swap_cols(t, pos[1])
+        _, i, j = min(entries)
+        a[t], a[i] = a[i], a[t]
+        for row in a:
+            row[t], row[j] = row[j], row[t]
         while True:
-            r = row_step(t)
-            c = col_step(t)
-            if not (r or c):
-                # both the row and the column are clear; enforce divisibility
-                if d.a[t][t] != 0:
-                    offender = None
-                    for i in range(t + 1, m.rows):
-                        for j in range(t + 1, m.cols):
-                            if d.a[i][j] % d.a[t][t] != 0:
-                                offender = i
-                                break
-                        if offender is not None:
-                            break
-                    if offender is not None:
-                        d.add_row(t, offender, 1)
-                        u.add_row(t, offender, 1)
-                        continue
+            changed = row_step(t)
+            if col_step(t) or changed:
+                continue
+            # row and column are clear; enforce divisibility of the trailing block
+            offender = next(
+                (i for i in range(t + 1, rows) if any(a[i][j] % a[t][t] for j in range(t + 1, cols))), None
+            )
+            if offender is None:
                 break
-        if d.a[t][t] < 0:
-            d.negate_row(t)
-            u.negate_row(t)
-    return u.freeze(), d.freeze(), v.freeze()
+            a[t] = [e + f for e, f in zip(a[t], a[offender])]
+        if a[t][t] < 0:
+            a[t] = [-e for e in a[t]]
+    u = IntMatrix.from_rows([row[cols:] for row in a[:rows]], cols=rows)
+    d = IntMatrix.from_rows([row[:cols] for row in a[:rows]], cols=cols)
+    v = IntMatrix.from_rows([row[:cols] for row in a[rows:]], cols=cols)
+    return u, d, v
 
 
 def rank(m: IntMatrix) -> int:
-    h, _ = hermite_normal_form(m)
-    return sum(1 for i in range(h.rows) if any(h.row(i)))
+    return _echelonise(m.row_list(), m.cols)
 
 
 def determinant(m: IntMatrix) -> int:
@@ -396,14 +361,15 @@ def solve_integer_affine(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vecto
 
 
 def kernel_basis(m: IntMatrix) -> list[Vector]:
-    """Canonical basis of {x in Z^cols : m*x = 0} (a saturated sublattice)."""
-    _, d, v = smith_normal_form(m)
-    n = min(m.rows, m.cols)
-    r = sum(1 for i in range(n) if d.at(i, i) != 0)
-    cols = [v.column(j) for j in range(r, m.cols)]
-    if not cols:
-        return []
-    return column_hermite(IntMatrix.from_columns(cols, rows=m.cols)).columns()
+    """Canonical basis of {x in Z^cols : m*x = 0} (a saturated sublattice).
+
+    Echelonising [m^T | I] over all its columns leaves [U*m^T | U].  The rows
+    whose left block vanished come last; their right blocks span the kernel
+    and, echelonised too, are its column Hermite form.
+    """
+    a = _beside_identity(m.transpose())
+    _echelonise(a, m.rows + m.cols)
+    return [tuple(row[m.rows :]) for row in a if not any(row[: m.rows])]
 
 
 def column_hermite(m: IntMatrix) -> IntMatrix:
@@ -411,9 +377,9 @@ def column_hermite(m: IntMatrix) -> IntMatrix:
 
     Zero columns are dropped, so the result's columns are a basis.
     """
-    h, _ = hermite_normal_form(m.transpose())
-    cols = [h.row(i) for i in range(h.rows) if any(h.row(i))]
-    return IntMatrix.from_columns(cols, rows=m.rows)
+    a = m.transpose().row_list()
+    r = _echelonise(a, m.rows)
+    return IntMatrix.from_columns(a[:r], rows=m.rows)
 
 
 def saturate(m: IntMatrix) -> IntMatrix:
@@ -430,7 +396,10 @@ def left_unimodular_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
     """Whether U*a = b for some unimodular U (equal canonical Hermite forms)."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         return False
-    return hermite_normal_form(a)[0] == hermite_normal_form(b)[0]
+    ra, rb = a.row_list(), b.row_list()
+    _echelonise(ra, a.cols)
+    _echelonise(rb, b.cols)
+    return ra == rb
 
 
 def lattice_coordinates(v: Sequence[int], basis: IntMatrix) -> Optional[Vector]:

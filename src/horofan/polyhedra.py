@@ -68,10 +68,8 @@ def _facet_normals_fulldim(vectors: Sequence[Vector], d: int) -> list[Vector]:
     normals: set[Vector] = set()
     vecs = list(dict.fromkeys(vectors))
     for subset in itertools.combinations(vecs, d - 1):
-        m = IntMatrix.from_rows(list(subset), cols=d)
-        if rank(m) != d - 1:
-            continue
-        ker = kernel_basis(m)
+        # a (d-1) x d matrix has a rank-one kernel exactly when its rank is d-1
+        ker = kernel_basis(IntMatrix.from_rows(list(subset), cols=d))
         if len(ker) != 1:
             continue
         h = primitive(ker[0])
@@ -93,9 +91,10 @@ def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
     vecs = [tuple(v) for v in vectors if any(v)]
     if not vecs:
         return sorted(u for e in _unit_vectors(n) for u in (e, tuple(-x for x in e)))
-    span = saturate(IntMatrix.from_columns(vecs, rows=n))
+    # the dual's lineality lattice, and from it the saturated span (as `saturate` does)
+    perp = kernel_basis(IntMatrix.from_rows(vecs, cols=n))
+    span = IntMatrix.from_columns(kernel_basis(IntMatrix.from_rows(perp, cols=n)), rows=n)
     d = span.cols
-    perp = kernel_basis(span.transpose())  # basis of the dual's lineality lattice
     coords = _in_coordinates(vecs, span)
     facets = _facet_normals_fulldim(coords, d) if d > 0 else []
     lift = span.transpose()
@@ -138,8 +137,11 @@ class Cone:
 
     @staticmethod
     def from_inequalities(ambient_rank: int, normals: Iterable[Sequence[int]]) -> "Cone":
+        # dual_generators already returns the canonical generator tuple
         hs = [tuple(int(x) for x in h) for h in normals]
-        return Cone.from_generators(ambient_rank, dual_generators(hs, ambient_rank))
+        if any(len(h) != ambient_rank for h in hs):
+            raise ValueError("normal has wrong dimension")
+        return Cone(ambient_rank, tuple(dual_generators(hs, ambient_rank)))
 
     @staticmethod
     def zero(ambient_rank: int) -> "Cone":

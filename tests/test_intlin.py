@@ -28,6 +28,30 @@ def random_matrix(rng, rows, cols, lo=-6, hi=6):
     return IntMatrix.from_rows([[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)], cols=cols)
 
 
+def lattice_samples(seed, count=80):
+    """Matrices up to 5 x 5 with entries up to +/-40, empty shapes included;
+    about a third get a last row dependent on the first two, so ranks drop."""
+    rng = random.Random(seed)
+    out = [IntMatrix.zero(0, 0), IntMatrix.zero(0, 3), IntMatrix.zero(3, 0), IntMatrix.zero(2, 4)]
+    for _ in range(count):
+        rows, cols = rng.randint(0, 5), rng.randint(0, 5)
+        hi = rng.choice([2, 6, 40])
+        a = [[rng.randint(-hi, hi) for _ in range(cols)] for _ in range(rows)]
+        if rows >= 2 and rng.random() < 0.35:
+            k = rng.randint(-3, 3)
+            a[-1] = [x + k * y for x, y in zip(a[0], a[1])]
+        out.append(IntMatrix.from_rows(a, cols=cols))
+    return out
+
+
+def kernel_via_smith(m):
+    """The Smith route: columns of V past the rank, put in column Hermite form."""
+    _, d, v = smith_normal_form(m)
+    r = sum(1 for x in d.diagonal() if x != 0)
+    cols = [v.column(j) for j in range(r, m.cols)]
+    return column_hermite(IntMatrix.from_columns(cols, rows=m.cols)).columns() if cols else []
+
+
 def assert_snf_contract(m):
     u, d, v = smith_normal_form(m)
     assert is_unimodular(u)
@@ -86,8 +110,8 @@ class TestHermiteNormalForm:
 
     def test_idempotent_and_reduced(self):
         rng = random.Random(7)
-        for _ in range(100):
-            m = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
+        samples = [random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(100)]
+        for m in samples + lattice_samples(8):
             h, u = hermite_normal_form(m)
             assert is_unimodular(u)
             assert u.mul(m) == h
@@ -213,12 +237,28 @@ class TestSaturate:
 class TestKernelAndReduction:
     def test_kernel_vectors_annihilate(self):
         rng = random.Random(53)
-        for _ in range(60):
-            m = random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4))
+        samples = [random_matrix(rng, rng.randint(0, 4), rng.randint(0, 4)) for _ in range(60)]
+        for m in samples + lattice_samples(54):
             ker = kernel_basis(m)
             assert len(ker) == m.cols - rank(m)
             for v in ker:
                 assert m.apply(v) == (0,) * m.rows
+
+    @pytest.mark.parametrize("seed", [81, 82, 83])
+    def test_kernel_matches_smith_route(self, seed):
+        for m in lattice_samples(seed):
+            assert kernel_basis(m) == kernel_via_smith(m)
+
+    def test_kernel_is_fixed_by_column_hermite(self):
+        for m in lattice_samples(84):
+            ker = kernel_basis(m)
+            if ker:
+                assert column_hermite(IntMatrix.from_columns(ker, rows=m.cols)).columns() == ker
+
+    def test_rank_counts_nonzero_hermite_rows(self):
+        for m in lattice_samples(85):
+            h, _ = hermite_normal_form(m)
+            assert rank(m) == sum(1 for i in range(h.rows) if any(h.row(i)))
 
     def test_reduce_mod_lattice_canonical(self):
         basis = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)

@@ -346,7 +346,28 @@ def is_face_of_reference(tau, sigma):
     return Cone.from_generators(n, smallest) == tau
 
 
+@st.composite
+def inequality_sets(draw):
+    """Rank 1-4 inequality lists, some with +/- pairs (equalities) and zero rows."""
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-2, 2)] * n)
+    hs = draw(st.lists(vector, max_size=5))
+    if hs and draw(st.booleans()):
+        h = draw(st.sampled_from(hs))
+        hs.append(tuple(-x for x in h))
+    if draw(st.booleans()):
+        hs.append((0,) * n)
+    return n, hs
+
+
 class TestDescriptionsAgainstCanonicalisation:
+    @DIFFERENTIAL
+    @given(inequality_sets())
+    def test_from_inequalities_is_canonical(self, data):
+        n, hs = data
+        cone = Cone.from_inequalities(n, hs)
+        assert cone.generators == Cone.from_generators(n, dual_generators(hs, n)).generators
+
     @DIFFERENTIAL
     @given(small_cones())
     def test_faces_are_canonical(self, sigma):

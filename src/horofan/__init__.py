@@ -20,6 +20,7 @@ from .intlin import (
 )
 from .polyhedra import (
     Cone,
+    LatticeLiftError,
     NotPointedError,
     PlainFan,
     cone_dim,
@@ -46,6 +47,7 @@ from .horo import (
     ColouredLattice,
     ColouredLatticeMap,
     ColourOutsideSublatticeError,
+    ColourPointMismatchError,
     GroupMismatchError,
     HorosphericalDatum,
     InvalidDatumError,
@@ -79,6 +81,7 @@ from .dictionary import (
     weight_monoid_generators,
 )
 from .divisors import (
+    AnticanonicalCoefficientError,
     BInvariantDivisor,
     CartierData,
     NotCompleteError,

@@ -34,6 +34,7 @@ from .horo import (
     ColouredFan,
     ColouredLattice,
     ColouredLatticeMap,
+    ColourPointMismatchError,
     HorosphericalDatum,
     build_coloured_lattice,
     close_under_coloured_faces,
@@ -461,11 +462,12 @@ def affine_local_structure(
         characters=IntMatrix.from_rows(rows, cols=datum.characters.cols),
     )
     levi_lattice = build_coloured_lattice(levi_datum)
-    assert levi_lattice.rank == datum.lattice_rank
     original = build_coloured_lattice(datum)
+    if levi_lattice.rank != datum.lattice_rank or any(
+        levi_lattice.point(root_map[r]) != original.point(r) for r in sigma.colours
+    ):
+        raise ColourPointMismatchError("the Levi datum must keep the lattice rank and the colour points of sigma")
     z_cone = ColouredCone(sigma.cone, frozenset(root_map[r] for r in sigma.colours))
-    for r in sigma.colours:
-        assert levi_lattice.point(root_map[r]) == original.point(r)
     return LocalStructure(q_index, levi_datum, levi_lattice, z_cone, root_map)
 
 

@@ -26,7 +26,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer_affine,
 )
-from .polyhedra import PlainFan, dot, fan_is_complete, intersect
+from .polyhedra import LatticeLiftError, PlainFan, dot, fan_is_complete, intersect
 from .horo import ColouredFan, HorosphericalDatum
 from .rootsys import pairing, positive_roots
 from .dictionary import _require_lattice
@@ -36,6 +36,10 @@ Vector = tuple[int, ...]
 
 class NotCompleteError(ValueError):
     """Positivity criteria assume a complete fan."""
+
+
+class AnticanonicalCoefficientError(ArithmeticError):
+    """A colour coefficient of -K_X came out below 2, which root theory rules out."""
 
 
 @dataclass(frozen=True)
@@ -305,11 +309,9 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
     a, b, max_idx = _cartier_system(fan)
     cartier = _cartier_lattice(a, b)
     principal = _principal_matrix(fan)
-    coeff_cols = []
-    for j in range(principal.cols):
-        coords = lattice_coordinates(principal.column(j), cartier)
-        assert coords is not None, "principal divisors are always Cartier"
-        coeff_cols.append(coords)
+    coeff_cols = lattice_coordinates(principal.columns(), cartier)
+    if None in coeff_cols:
+        raise LatticeLiftError("principal divisors are always Cartier")
     pic = cokernel(IntMatrix.from_columns(coeff_cols, rows=cartier.cols))
 
     compat_rows = [a.row(i) for i in range(a.rows) if not any(b.row(i))]
@@ -330,11 +332,9 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
         for slot in range(len(max_idx)):
             vec[slot * r + j] = 1
         reducers.append(tuple(vec))
-    coords_cols = []
-    for v in reducers:
-        coords = lattice_coordinates(v, plf_matrix)
-        assert coords is not None, "gauge and linear tuples satisfy compatibility"
-        coords_cols.append(coords)
+    coords_cols = lattice_coordinates(reducers, plf_matrix)
+    if None in coords_cols:
+        raise LatticeLiftError("gauge and linear tuples satisfy compatibility")
     plf_mod_lf = cokernel(IntMatrix.from_columns(coords_cols, rows=plf_matrix.cols))
 
     support_gens = [g for cc in fan.cones for g in cc.cone.generators]
@@ -413,7 +413,8 @@ def anticanonical(fan: ColouredFan, datum: HorosphericalDatum) -> BInvariantDivi
     colour_coeffs = []
     for colour in fan.lattice.colours:
         b = sum(pairing(group, gamma, colour.root) for gamma in outside)
-        assert b >= 2, "anticanonical colour coefficients are at least 2"
+        if b < 2:
+            raise AnticanonicalCoefficientError("anticanonical colour coefficients are at least 2")
         colour_coeffs.append((colour.root, b))
     return BInvariantDivisor(
         ray_coeffs=tuple((g, 1) for g in invariant_ray_generators(fan)),

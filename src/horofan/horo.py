@@ -29,7 +29,6 @@ from .intlin import (
     left_unimodular_equivalent,
     rank,
     saturate,
-    solve_integer_affine,
 )
 from .polyhedra import Cone, faces, intersect, is_face_of
 from .rootsys import RootDatum
@@ -55,6 +54,10 @@ class NotASubdatumError(ValueError):
 
 class GroupMismatchError(ValueError):
     """Both data must present subgroups of the same reductive group."""
+
+
+class ColourPointMismatchError(ArithmeticError):
+    """A constructed lattice or map does not reproduce the colour points it must."""
 
 
 @dataclass(frozen=True)
@@ -348,8 +351,9 @@ def quotient_coloured_lattice(
     if sublattice.cols:
         if saturate(sublattice) != column_hermite(sublattice):
             raise NotSaturatedError("sublattice is not saturated in N")
-    for r in sorted(removed):
-        if lattice_coordinates(lattice.point(r), sublattice) is None:
+    roots = sorted(removed)
+    for r, coords in zip(roots, lattice_coordinates([lattice.point(r) for r in roots], sublattice)):
+        if coords is None:
             raise ColourOutsideSublatticeError(
                 f"colour point of {lattice.labels()[r]} lies outside the sublattice"
             )
@@ -364,7 +368,8 @@ def quotient_coloured_lattice(
     new_lattice = build_coloured_lattice(new_datum)
     # the construction must reproduce the projected colour points exactly
     for c in new_lattice.colours:
-        assert c.point == projection.apply(lattice.point(c.root))
+        if c.point != projection.apply(lattice.point(c.root)):
+            raise ColourPointMismatchError(f"quotient colour point of {c.label} is not the projected one")
     return QuotientResult(new_lattice, new_datum, projection)
 
 
@@ -376,23 +381,21 @@ def coloured_lattice_map(
         raise GroupMismatchError("coloured lattice maps need a common group")
     if not source.parabolic <= target.parabolic:
         raise NotASubdatumError("need I_1 <= I_2")
-    coefficient_columns = []
-    for col in target.characters.columns():
-        sol = solve_integer_affine(source.characters, col)
-        if sol is None:
-            raise NotASubdatumError("need M_2 <= M_1 inside the character lattice")
-        coefficient_columns.append(sol[0])
-    a = IntMatrix.from_columns(coefficient_columns, rows=source.characters.cols)
-    phi = a.transpose()
+    # M_2 = M_1 * A; the map of coloured lattices is A^T, whose rows are A's columns
+    coefficients = lattice_coordinates(target.characters.columns(), source.characters)
+    if None in coefficients:
+        raise NotASubdatumError("need M_2 <= M_1 inside the character lattice")
+    phi = IntMatrix.from_rows(coefficients, cols=source.characters.cols)
     source_lattice = build_coloured_lattice(source)
     target_lattice = build_coloured_lattice(target)
     dominant = frozenset(target.parabolic - source.parabolic)
     for c in source_lattice.colours:
         image = phi.apply(c.point)
         if c.root in dominant:
-            assert not any(image)
-        else:
-            assert image == target_lattice.point(c.root)
+            if any(image):
+                raise ColourPointMismatchError(f"dominant colour {c.label} must map to zero")
+        elif image != target_lattice.point(c.root):
+            raise ColourPointMismatchError(f"colour {c.label} must map to its own colour point")
     return ColouredLatticeMap(source_lattice, target_lattice, phi, dominant)
 
 

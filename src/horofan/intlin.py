@@ -12,7 +12,9 @@ Hermite form and its transform (`hermite_normal_form`), ranks, column bases
 echelonises [m^T | I] and reads the kernel off the rows whose left block
 vanished).  The Smith form is computed only where its diagonal or its
 transforms are the answer: invariant factors and cokernels, and integer
-solving (`solve_integer_affine`).
+solving, where one Smith form of m answers m*x = b for a whole batch of
+right-hand sides b (`lattice_coordinates`; `solve_integer_affine` for one b,
+with the kernel).
 """
 
 from __future__ import annotations
@@ -333,31 +335,36 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
     return AbelianGroup(free_rank=m.rows - len(facs), torsion=tuple(d for d in facs if d > 1))
 
 
+def _smith_solutions(m: IntMatrix, vectors: Sequence[Sequence[int]]) -> tuple[list[Optional[Vector]], list[Vector]]:
+    """One particular solution of m*x = b per b (None if there is none), and a kernel basis.
+
+    With U*m*V = D and r nonzero invariant factors, b is solvable exactly when
+    (U*b)_i is divisible by d_i for i < r and zero for i >= r; then
+    x = V*y with y_i = (U*b)_i / d_i for i < r and 0 after.
+    """
+    u, d, v = smith_normal_form(m)
+    diag = [e for e in d.diagonal() if e != 0]
+    r = len(diag)
+    solutions: list[Optional[Vector]] = []
+    for b in vectors:
+        if len(b) != m.rows:
+            raise ValueError("right-hand side has wrong length")
+        ub = u.apply(b)
+        if any(ub[r:]) or any(c % e for c, e in zip(ub, diag)):
+            solutions.append(None)
+        else:
+            solutions.append(v.apply([c // e for c, e in zip(ub, diag)] + [0] * (m.cols - r)))
+    return solutions, [v.column(j) for j in range(r, m.cols)]
+
+
 def solve_integer_affine(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]]]:
     """Solve m*x = b over Z.
 
     Returns (particular solution, basis of the integer kernel of m), or None
     when no integer solution exists.  Unsolvability is a value, not an error.
     """
-    if len(b) != m.rows:
-        raise ValueError("right-hand side has wrong length")
-    u, d, v = smith_normal_form(m)
-    ub = u.apply(b)
-    n = min(m.rows, m.cols)
-    y = [0] * m.cols
-    for i in range(m.rows):
-        di = d.at(i, i) if i < n else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            y[i] = ub[i] // di
-    x = v.apply(y)
-    r = sum(1 for i in range(n) if d.at(i, i) != 0)
-    kernel = [v.column(j) for j in range(r, m.cols)]
-    return x, kernel
+    (x,), kernel = _smith_solutions(m, [b])
+    return None if x is None else (x, kernel)
 
 
 def kernel_basis(m: IntMatrix) -> list[Vector]:
@@ -402,10 +409,12 @@ def left_unimodular_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
     return ra == rb
 
 
-def lattice_coordinates(v: Sequence[int], basis: IntMatrix) -> Optional[Vector]:
-    """Coordinates of v in the column lattice of basis, or None if v is outside."""
-    sol = solve_integer_affine(basis, v)
-    return None if sol is None else sol[0]
+def lattice_coordinates(vectors: Sequence[Sequence[int]], basis: IntMatrix) -> list[Optional[Vector]]:
+    """Coordinates of each vector in the column lattice of basis, None where it is outside.
+
+    One Smith form of basis serves the whole batch.
+    """
+    return _smith_solutions(basis, vectors)[0] if vectors else []
 
 
 def reduce_mod_lattice(v: Sequence[int], basis: IntMatrix) -> Vector:

@@ -7,23 +7,25 @@ their inequalities on first use.  Cones may be non-pointed and
 non-full-dimensional: the inequality description then carries the span
 equalities as +/- pairs, and the generator description carries a lineality
 basis as +/- pairs.  Ranks here are tiny, so every conversion is done by
-exact subset enumeration rather than asymptotically clever methods.
+exact subset enumeration rather than asymptotically clever methods; Hilbert
+bases enumerate the group Z^d / B*Z^d of each simplicial basis B, not a box.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 from .intlin import (
     IntMatrix,
     kernel_basis,
+    lattice_coordinates,
     rank,
     reduce_mod_lattice,
     saturate,
-    solve_integer_affine,
+    smith_normal_form,
     vector_gcd,
 )
 
@@ -54,13 +56,23 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
 
 
 def _in_coordinates(vectors: Sequence[Vector], basis: IntMatrix) -> list[Vector]:
-    out = []
-    for v in vectors:
-        sol = solve_integer_affine(basis, v)
-        if sol is None:
-            raise ValueError("vector outside the saturated span lattice")
-        out.append(sol[0])
-    return out
+    coords = lattice_coordinates(vectors, basis)
+    if None in coords:
+        raise ValueError("vector outside the saturated span lattice")
+    return coords
+
+
+def _lift_and_join(vectors: Sequence[Vector], m: IntMatrix, lattice: list[Vector]) -> list[Vector]:
+    """Sorted preimages under m, canonical modulo the lattice L with basis `lattice`, and +/- that basis.
+
+    The rows of m span a saturated lattice, so m is onto and every vector lifts.
+    """
+    lifts = lattice_coordinates(vectors, m)
+    if None in lifts:
+        raise LatticeLiftError("a matrix with saturated rows maps onto")
+    modulo = IntMatrix.from_columns(lattice, rows=m.cols)
+    out = {reduce_mod_lattice(x, modulo) for x in lifts}
+    return sorted(out | set(lattice) | {tuple(-x for x in b) for b in lattice})
 
 
 def _facet_normals_fulldim(vectors: Sequence[Vector], d: int) -> list[Vector]:
@@ -97,18 +109,7 @@ def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
     d = span.cols
     coords = _in_coordinates(vecs, span)
     facets = _facet_normals_fulldim(coords, d) if d > 0 else []
-    lift = span.transpose()
-    perp_matrix = IntMatrix.from_columns(perp, rows=n) if perp else IntMatrix.zero(n, 0)
-    out: set[Vector] = set()
-    for hp in facets:
-        sol = solve_integer_affine(lift, hp)
-        if sol is None:
-            raise LatticeLiftError("saturated span lattice must lift covectors")
-        out.add(reduce_mod_lattice(sol[0], perp_matrix))
-    for p in perp:
-        out.add(tuple(p))
-        out.add(tuple(-x for x in p))
-    return sorted(out)
+    return _lift_and_join(facets, span.transpose(), perp)
 
 
 @dataclass(frozen=True)
@@ -160,6 +161,10 @@ class Cone:
         return all(self.contains(g) for g in other.generators) if other.generators else True
 
     def dim(self) -> int:
+        return self._dim
+
+    @cached_property
+    def _dim(self) -> int:
         if not self.generators:
             return 0
         return rank(IntMatrix.from_rows(list(self.generators), cols=self.ambient_rank))
@@ -199,17 +204,9 @@ def _through_lineality_quotient(gens: Sequence[Vector], lin: list[Vector], n: in
     its vectors are lifted to canonical representatives modulo L and joined
     by the +/- basis of L.
     """
-    lin_matrix = IntMatrix.from_columns(lin, rows=n)
-    q = IntMatrix.from_rows(kernel_basis(lin_matrix.transpose()), cols=n)
+    q = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(lin, cols=n)), cols=n)
     images = [w for w in (q.apply(g) for g in gens) if any(w)]
-    out = {tuple(b) for b in lin} | {tuple(-x for x in b) for b in lin}
-    if images:
-        for w in pointed(images, q.rows):
-            sol = solve_integer_affine(q, w)
-            if sol is None:
-                raise LatticeLiftError("the quotient map by a saturated lattice is surjective")
-            out.add(reduce_mod_lattice(sol[0], lin_matrix))
-    return sorted(out)
+    return _lift_and_join(pointed(images, q.rows) if images else [], q, lin)
 
 
 def _extreme_rays(gens: list[Vector], normals: Sequence[Vector], n: int) -> tuple[Vector, ...]:
@@ -281,41 +278,35 @@ def cone_dim(sigma: Cone) -> int:
     return sigma.dim()
 
 
-def _parallelepiped_points(basis: list[Vector], d: int) -> list[Vector]:
-    lo = [sum(min(0, b[i]) for b in basis) for i in range(d)]
-    hi = [sum(max(0, b[i]) for b in basis) for i in range(d)]
-    m = [[Fraction(b[i]) for b in basis] for i in range(d)]
+def _parallelepiped_points(b: IntMatrix) -> list[Vector]:
+    """The |det b| integer points b*t with every 0 <= t_i < 1; none if b is singular.
+
+    With U*b*V = D, class k of Z^n / b*Z^n = Z/d_1 x ... x Z/d_n holds U^-1 * k,
+    whose coordinates b^-1 * U^-1 * k = V * D^-1 * k are taken mod 1.  Scaled by
+    e = d_n, which every d_i divides, e*t = V * (k_i * e / d_i) mod e is integral.
+    """
+    _, d, v = smith_normal_form(b)
+    diag = d.diagonal()
+    if 0 in diag:
+        return []
+    e = diag[-1]
+    v_rows, b_rows = v.row_list(), b.row_list()
     points = []
-    for coords in itertools.product(*(range(l, h + 1) for l, h in zip(lo, hi))):
-        t = _solve_fraction_square(m, [Fraction(c) for c in coords])
-        if t is not None and all(0 <= x <= 1 for x in t):
-            points.append(coords)
+    for k in itertools.product(*(range(di) for di in diag)):
+        y = [ki * (e // di) for ki, di in zip(k, diag)]
+        et = [dot(row, y) % e for row in v_rows]
+        points.append(tuple(dot(row, et) // e for row in b_rows))
     return points
-
-
-def _solve_fraction_square(m: list[list[Fraction]], b: list[Fraction]) -> Optional[list[Fraction]]:
-    n = len(b)
-    a = [row[:] + [b[i]] for i, row in enumerate(m)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return None
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
 
 
 def hilbert_basis(sigma: Cone) -> list[Vector]:
     """Minimal generating set of the monoid sigma ∩ Z^n for pointed sigma.
 
-    Candidates are enumerated inside the fundamental parallelepipeds of all
-    simplicial subcones spanned by generators (Caratheodory covers the cone),
-    then reduced to the irreducible elements.
+    Every irreducible element is a generator or lies in the half-open
+    fundamental parallelepiped of a simplicial subcone spanned by generators
+    (Caratheodory covers the cone): one point per class of Z^d / B*Z^d for
+    the basis B, enumerated through its Smith form, with no box scan.  The
+    candidates are then reduced to the irreducible elements.
     """
     if not sigma.is_strongly_convex():
         raise NotPointedError("Hilbert basis requires a strongly convex cone")
@@ -326,29 +317,19 @@ def hilbert_basis(sigma: Cone) -> list[Vector]:
     d = span.cols
     coords = _in_coordinates(sigma.generators, span)
     normals = dual_generators(coords, d)
-    candidates: set[Vector] = set()
+    candidates: set[Vector] = set(coords)
     for subset in itertools.combinations(coords, d):
-        if rank(IntMatrix.from_rows(list(subset), cols=d)) != d:
-            continue
-        for p in _parallelepiped_points(list(subset), d):
-            if any(p):
-                candidates.add(p)
-    candidates.update(coords)
+        candidates.update(_parallelepiped_points(IntMatrix.from_columns(subset, rows=d)))
+    candidates.discard((0,) * d)
 
-    def in_monoid(v: Vector) -> bool:
+    def in_monoid(v: Sequence[int]) -> bool:
         return all(dot(h, v) >= 0 for h in normals)
 
-    basis = []
-    for h in sorted(candidates, key=lambda v: (sum(map(abs, v)), v)):
-        reducible = False
-        for c in candidates:
-            diff = tuple(x - y for x, y in zip(h, c))
-            if any(diff) and c != h and in_monoid(diff):
-                reducible = True
-                break
-        if not reducible:
-            basis.append(h)
-    return sorted(span.apply(v) for v in basis)
+    def reducible(h: Vector) -> bool:
+        # h = c + (h - c) with both parts nonzero points of the cone
+        return any(c != h and in_monoid([x - y for x, y in zip(h, c)]) for c in candidates)
+
+    return sorted(span.apply(h) for h in candidates if not reducible(h))
 
 
 @dataclass(frozen=True)

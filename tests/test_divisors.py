@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from horofan import divisors
 from horofan.divisors import (
     NotCompleteError,
     anticanonical,
@@ -24,7 +25,7 @@ from horofan.horo import (
     trivial_coloured_cone,
 )
 from horofan.intlin import AbelianGroup, IntMatrix, determinant, rank
-from horofan.polyhedra import Cone
+from horofan.polyhedra import Cone, LatticeLiftError
 from horofan.rootsys import RootDatum
 
 from .factories import random_valid_fan
@@ -256,6 +257,13 @@ class TestPicardGroup:
                     result.group.free_rank
                     == result.report.unused_colour_count + result.plf_mod_lf.free_rank
                 )
+
+    def test_failed_lift_raises_named_error(self, monkeypatch):
+        # the theory guarantees these lifts; a failure must survive `python -O`
+        fan, datum = class_group_fan()
+        monkeypatch.setattr(divisors, "lattice_coordinates", lambda vectors, basis: [None for _ in vectors])
+        with pytest.raises(LatticeLiftError):
+            picard_group(fan, datum)
 
 
 class TestPositivity:

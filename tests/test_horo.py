@@ -4,11 +4,13 @@ import random
 
 import pytest
 
+from horofan import horo
 from horofan.horo import (
     Colour,
     ColouredCone,
     ColouredFan,
     ColouredLattice,
+    ColourPointMismatchError,
     GroupMismatchError,
     HorosphericalDatum,
     InvalidDatumError,
@@ -26,7 +28,7 @@ from horofan.horo import (
     trivial_coloured_cone,
     validate_coloured_fan,
 )
-from horofan.intlin import IntMatrix
+from horofan.intlin import IntMatrix, lattice_coordinates
 from horofan.polyhedra import Cone
 from horofan.rootsys import RootDatum
 
@@ -298,6 +300,15 @@ class TestColouredLatticeMap:
         target = sl_datum(3, [(0, 1)])
         with pytest.raises(NotASubdatumError):
             coloured_lattice_map(source, target)
+
+    def test_wrong_colour_image_raises_named_error(self, monkeypatch):
+        # a map that doubles every coefficient sends colour points to twice themselves
+        def doubled(vectors, basis):
+            return [tuple(2 * x for x in c) for c in lattice_coordinates(vectors, basis)]
+
+        monkeypatch.setattr(horo, "lattice_coordinates", doubled)
+        with pytest.raises(ColourPointMismatchError):
+            coloured_lattice_map(sl_datum(3), sl_datum(3))
 
 
 class TestUniqueness:

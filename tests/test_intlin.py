@@ -207,6 +207,19 @@ class TestSolveIntegerAffine:
             for k in ker:
                 assert m.apply(k) == (0,) * m.rows
 
+    @pytest.mark.parametrize("seed", [91, 92])
+    def test_lattice_coordinates_solve_exactly_the_lattice_members(self, seed):
+        rng = random.Random(seed)
+        for m in lattice_samples(seed):
+            members = [m.apply([rng.randint(-5, 5) for _ in range(m.cols)]) for _ in range(3)]
+            others = [tuple(rng.randint(-9, 9) for _ in range(m.rows)) for _ in range(3)]
+            vectors = members + others
+            for v, x in zip(vectors, lattice_coordinates(vectors, m)):
+                if any(reduce_mod_lattice(v, m)):
+                    assert x is None
+                else:
+                    assert x is not None and m.apply(x) == v
+
 
 class TestSaturate:
     def test_doubled_generator(self):
@@ -230,8 +243,7 @@ class TestSaturate:
             s = saturate(m)
             assert saturate(s) == s
             assert rank(s) == rank(m)
-            for col in m.columns():
-                assert lattice_coordinates(col, s) is not None
+            assert None not in lattice_coordinates(m.columns(), s)
 
 
 class TestKernelAndReduction:
@@ -273,10 +285,8 @@ class TestKernelAndReduction:
             m = random_matrix(rng, 3, rng.randint(0, 4), -4, 4)
             h = column_hermite(m)
             assert rank(h) == h.cols == rank(m)
-            for col in m.columns():
-                assert lattice_coordinates(col, h) is not None
-            for col in h.columns():
-                assert lattice_coordinates(col, m) is not None
+            assert None not in lattice_coordinates(m.columns(), h)
+            assert None not in lattice_coordinates(h.columns(), m)
 
 
 def test_determinant_matches_cofactor_expansion_small():

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horofan.intlin import IntMatrix, invariant_factors
 from horofan.polyhedra import (
     Cone,
     NotPointedError,
@@ -144,17 +145,42 @@ class TestHilbertBasis:
 
     def test_against_box_oracle(self):
         rng = random.Random(17)
-        checked = 0
-        while checked < 25:
+        cones = []
+        while len(cones) < 25:
             n = rng.randint(2, 3)
             gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(2)]
             c = Cone.from_generators(n, [g for g in gens if any(g)])
-            if not c.is_strongly_convex() or c.dim() < min(2, len(set(c.generators))):
-                continue
-            checked += 1
-            hb = hilbert_basis(c)
-            oracle = brute_force_hilbert(c)
-            assert sorted(hb) == sorted(oracle)
+            if c.is_strongly_convex() and c.dim() >= min(2, len(set(c.generators))):
+                cones.append(c)
+        while len(cones) < 45:
+            # full-dimensional rank-3 cones on 3-5 generators
+            gens = [tuple(rng.randint(-1, 2) for _ in range(3)) for _ in range(rng.randint(3, 5))]
+            c = Cone.from_generators(3, [g for g in gens if any(g)])
+            if c.is_strongly_convex() and c.dim() == 3:
+                cones.append(c)
+        while len(cones) < 60:
+            # 2-dimensional cones in Z^3 whose plane contains no coordinate axis,
+            # spanned by combinations of u and w so that the index can exceed 1
+            u, w = [tuple(rng.randint(-1, 2) for _ in range(3)) for _ in range(2)]
+            normal = (u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2], u[0] * w[1] - u[1] * w[0])
+            p, q, r, s = (rng.randint(-2, 2) for _ in range(4))
+            if all(normal) and p * s != q * r:
+                gens = [tuple(p * x + q * y for x, y in zip(u, w)), tuple(r * x + s * y for x, y in zip(u, w))]
+                cones.append(Cone.from_generators(3, gens))
+        for c in cones:
+            assert sorted(hilbert_basis(c)) == sorted(brute_force_hilbert(c))
+
+    def test_non_cyclic_group(self):
+        gens = [(1, 1, 1), (1, -1, 1), (1, 1, -1)]
+        assert invariant_factors(IntMatrix.from_columns(gens, rows=3)) == (1, 2, 2)
+        assert hilbert_basis(Cone.from_generators(3, gens)) == [
+            (1, -1, 1), (1, 0, 0), (1, 0, 1), (1, 1, -1), (1, 1, 0), (1, 1, 1)
+        ]
+
+    def test_unimodular_rank4_is_its_generators(self):
+        a = 20
+        gens = [(1, 0, 0, 0), (a, 1, 0, 0), (a, a, 1, 0), (a, a, a, 1)]
+        assert hilbert_basis(Cone.from_generators(4, gens)) == gens
 
 
 def test_hilbert_basis_elements_are_irreducible_and_generate():

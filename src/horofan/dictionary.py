@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .intlin import (
     IntMatrix,
     invariant_factors,
+    kernel_basis,
     saturate,
 )
 from .polyhedra import (
@@ -24,10 +24,12 @@ from .polyhedra import (
     PlainFan,
     _through_lineality_quotient,
     covered_by,
+    dot,
     dual_cone,
+    facet_owners,
     fan_is_complete,
+    gluing_rows,
     hilbert_basis,
-    intersect,
 )
 from .horo import (
     ColouredCone,
@@ -229,7 +231,7 @@ def classify_variety(
     toroidal = fan_colours == frozenset()
     plain = PlainFan.from_cones(fan.lattice.rank, [cc.cone for cc in fan.cones])
     complete = fan_is_complete(plain)
-    projective = complete and _strictly_convex_plf_exists(fan, cancel)
+    projective = complete and _strictly_convex_plf_exists(plain, cancel)
     if complete and not projective:
         notes.append("complete but admits no strictly convex piecewise linear function")
     regs = regularity_report(fan, datum)
@@ -255,62 +257,31 @@ def classify_variety(
 
 
 def _strictly_convex_plf_exists(
-    fan: ColouredFan, cancel: Optional[CancellationToken] = None
+    fan: PlainFan, cancel: Optional[CancellationToken] = None
 ) -> bool:
-    """Exact rational feasibility of a strictly convex PLF on the fan.
+    """Exact rational feasibility of a strictly convex PLF on a complete fan.
 
-    Maximizes a strictness slack eps (capped at 1) subject to the
-    face-compatibility equalities and gap inequalities on generators; by
-    homogeneity a strictly convex PLF exists iff the optimum is positive.
+    On a complete fan a PLF is strictly convex iff it is strictly convex
+    across every wall, the facet two maximal cones share (Cox-Little-Schenck,
+    Toric Varieties, 6.1).  The variables are the PLF's coordinates in an
+    integer basis of the kernel of `gluing_rows`, split +/-, and a slack eps
+    capped at 1.  Each wall of sigma_i and sigma_j gives the row
+    <m_i - m_j, u> >= eps for one generator u of sigma_i off the wall: the
+    glued m_i - m_j is a multiple of the wall's normal.  Linear functions
+    have zero gap on every wall.  By homogeneity a strictly convex PLF
+    exists iff the optimum is positive.
     """
-    maximal = [cc.cone for cc in fan.maximal()]
-    k = len(maximal)
-    r = fan.lattice.rank
-    if k <= 1:
-        return True
-    # variables: split coordinates of each m_sigma, then eps
-    nvars = 2 * k * r + 1
-    eps_col = nvars - 1
-
-    def coeff_row(pairs):
-        # pairs: list of (cone index, coordinate index, coefficient)
-        row = [Fraction(0)] * nvars
-        for ci, xi, c in pairs:
-            base = 2 * (ci * r + xi)
-            row[base] += Fraction(c)
-            row[base + 1] -= Fraction(c)
-        return row
-
-    a_ub: list[list[Fraction]] = []
-    b_ub: list[Fraction] = []
-    for i, j in itertools.combinations(range(k), 2):
-        shared = intersect(maximal[i], maximal[j])
-        for u in shared.generators:
-            row = coeff_row(
-                [(i, t, u[t]) for t in range(r)] + [(j, t, -u[t]) for t in range(r)]
-            )
-            a_ub.append(row)
-            b_ub.append(Fraction(0))
-            a_ub.append([-x for x in row])
-            b_ub.append(Fraction(0))
-    for i, j in itertools.permutations(range(k), 2):
-        for u in maximal[i].generators:
-            if maximal[j].contains(u):
-                continue
-            # <m_i - m_j, u> >= eps
-            row = coeff_row(
-                [(i, t, -u[t]) for t in range(r)] + [(j, t, u[t]) for t in range(r)]
-            )
-            row[eps_col] = Fraction(1)
-            a_ub.append(row)
-            b_ub.append(Fraction(0))
-    cap = [Fraction(0)] * nvars
-    cap[eps_col] = Fraction(1)
-    a_ub.append(cap)
-    b_ub.append(Fraction(1))
-    objective = [Fraction(0)] * nvars
-    objective[eps_col] = Fraction(1)
-    result = maximize(objective, a_ub, b_ub, cancelled=_as_callable(cancel))
+    maximal = fan.maximal_cones()
+    r = fan.ambient_rank
+    basis = kernel_basis(gluing_rows(maximal, fan.cones))
+    a_ub: list[list[int]] = []
+    for wall, (i, j) in facet_owners(maximal).items():
+        u = next(g for g in maximal[i].generators if g not in wall.generators)
+        gaps = [dot(m[i * r : (i + 1) * r], u) - dot(m[j * r : (j + 1) * r], u) for m in basis]
+        # -<m_i - m_j, u> + eps <= 0
+        a_ub.append([x for g in gaps for x in (-g, g)] + [1])
+    cap = [0] * (2 * len(basis)) + [1]
+    result = maximize(cap, a_ub + [cap], [0] * len(a_ub) + [1], cancelled=_as_callable(cancel))
     return result.status == "optimal" and result.value > 0
 
 

@@ -10,7 +10,6 @@ divisor and Cartier systems.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -26,7 +25,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer_affine,
 )
-from .polyhedra import LatticeLiftError, PlainFan, dot, fan_is_complete, intersect
+from .polyhedra import LatticeLiftError, PlainFan, dot, facet_owners, fan_is_complete, gluing_rows
 from .horo import ColouredFan, HorosphericalDatum
 from .rootsys import pairing, positive_roots
 from .dictionary import _require_lattice
@@ -194,7 +193,7 @@ def _cartier_system(fan: ColouredFan) -> tuple[IntMatrix, IntMatrix, list[int]]:
     """Rows of (A, B) with A.(stacked m_sigma) = B.(divisor coordinates).
 
     Value rows pin each piece on its non-coloured rays and colour points;
-    compatibility rows glue pieces along shared face generators.
+    `gluing_rows` glue the pieces on every member of the fan.
     """
     r = fan.lattice.rank
     max_idx = _maximal_indices(fan)
@@ -222,15 +221,9 @@ def _cartier_system(fan: ColouredFan) -> tuple[IntMatrix, IntMatrix, list[int]]:
             value_row(slot, ray.generators[0], gens.index(ray.generators[0]))
         for root in sorted(cc.colours):
             value_row(slot, fan.lattice.point(root), len(gens) + roots.index(root))
-    for si, sj in itertools.combinations(range(len(max_idx)), 2):
-        shared = intersect(fan.cones[max_idx[si]].cone, fan.cones[max_idx[sj]].cone)
-        for u in shared.generators:
-            row = [0] * width_x
-            row[si * r : (si + 1) * r] = list(u)
-            for t in range(r):
-                row[sj * r + t] -= u[t]
-            a_rows.append(row)
-            b_rows.append([0] * width_d)
+    glue = gluing_rows([fan.cones[i].cone for i in max_idx], [cc.cone for cc in fan.cones]).row_list()
+    a_rows += glue
+    b_rows += [[0] * width_d for _ in glue]
     a = IntMatrix.from_rows(a_rows, cols=width_x)
     b = IntMatrix.from_rows(b_rows, cols=width_d)
     return a, b, max_idx
@@ -256,7 +249,7 @@ def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[Cartier
             IntMatrix.from_rows([list(g) for g in fan.cones[idx].cone.generators], cols=r)
         )
         if perp:
-            m = reduce_mod_lattice(m, IntMatrix.from_columns(perp, rows=r))
+            (m,) = reduce_mod_lattice([m], IntMatrix.from_columns(perp, rows=r))
         pieces.append((idx, tuple(m)))
     return CartierData(tuple(pieces))
 
@@ -314,9 +307,7 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
         raise LatticeLiftError("principal divisors are always Cartier")
     pic = cokernel(IntMatrix.from_columns(coeff_cols, rows=cartier.cols))
 
-    compat_rows = [a.row(i) for i in range(a.rows) if not any(b.row(i))]
-    compat = IntMatrix.from_rows([list(row) for row in compat_rows], cols=a.cols)
-    plf_basis = kernel_basis(compat)
+    plf_basis = kernel_basis(gluing_rows([fan.cones[i].cone for i in max_idx], [cc.cone for cc in fan.cones]))
     plf_matrix = IntMatrix.from_columns(plf_basis, rows=a.cols) if plf_basis else IntMatrix.zero(a.cols, 0)
     reducers: list[Vector] = []
     for slot, idx in enumerate(max_idx):
@@ -361,10 +352,12 @@ def positivity_check(
 ) -> tuple[bool, bool, bool]:
     """(cartier, basepoint_free, ample) for a divisor on a complete fan.
 
-    Convexity of the associated piecewise linear function is checked on ray
-    generators of each maximal cone, strictly on generators outside the other
-    cone; colours outside F(Sigma^c) must satisfy phi(u_alpha) <= a_alpha
-    (strictly for ample).
+    On a complete fan the associated piecewise linear function is (strictly)
+    convex iff it is (strictly) convex across every wall (Cox-Little-Schenck,
+    Toric Varieties, 6.1): for both maximal cones sharing a wall, the gap
+    <m_own - m_other, u> must be >= 0 (> 0) on each of its generators u off
+    the wall.  Colours outside F(Sigma^c) must satisfy phi(u_alpha) <=
+    a_alpha (strictly for ample).
     """
     _require_lattice(fan, datum)
     plain = PlainFan.from_cones(fan.lattice.rank, [cc.cone for cc in fan.cones])
@@ -373,18 +366,19 @@ def positivity_check(
     data = cartier_data(delta, fan)
     if data is None:
         return False, False, False
-    max_idx = [idx for idx, _ in data.pieces]
+    maximal = plain.maximal_cones()
+    piece = {fan.cones[idx].cone: m for idx, m in data.pieces}
     convex = True
     strictly = True
-    for i, j in itertools.permutations(max_idx, 2):
-        mi, mj = data.covector(i), data.covector(j)
-        other = fan.cones[j].cone
-        for u in fan.cones[i].cone.generators:
-            gap = dot(mi, u) - dot(mj, u)
-            if gap < 0:
-                convex = False
-            if not other.contains(u) and gap <= 0:
-                strictly = False
+    for wall, owners in facet_owners(maximal).items():
+        for i, j in (owners, owners[::-1]):
+            mi, mj = piece[maximal[i]], piece[maximal[j]]
+            for u in maximal[i].generators:
+                if u in wall.generators:
+                    continue
+                gap = dot(mi, u) - dot(mj, u)
+                convex = convex and gap >= 0
+                strictly = strictly and gap > 0
     bpf, ample = convex, convex and strictly
     for root in sorted(fan.lattice.colour_roots() - fan.colour_set()):
         point = fan.lattice.point(root)

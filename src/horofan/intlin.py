@@ -101,7 +101,7 @@ class IntMatrix:
     def apply(self, v: Sequence[int]) -> Vector:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch in matrix-vector product")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols)) for i in range(self.rows))
+        return tuple(sum(a * b for a, b in zip(self.row(i), v)) for i in range(self.rows))
 
     def is_diagonal(self) -> bool:
         return all(self.at(i, j) == 0 for i in range(self.rows) for j in range(self.cols) if i != j)
@@ -417,24 +417,24 @@ def lattice_coordinates(vectors: Sequence[Sequence[int]], basis: IntMatrix) -> l
     return _smith_solutions(basis, vectors)[0] if vectors else []
 
 
-def reduce_mod_lattice(v: Sequence[int], basis: IntMatrix) -> Vector:
-    """Canonical representative of v modulo the column lattice of basis.
+def reduce_mod_lattice(vectors: Sequence[Sequence[int]], basis: IntMatrix) -> list[Vector]:
+    """Canonical representative of each vector modulo the column lattice of basis.
 
-    The basis is put in column Hermite form first, so equal cosets reduce to
-    equal representatives.
+    The basis is put in column Hermite form once for the whole batch, so equal
+    cosets reduce to equal representatives.
     """
     if basis.cols == 0:
-        return tuple(v)
-    h = column_hermite(basis)
-    w = list(v)
-    for j in range(h.cols):
-        col = h.column(j)
-        p = next(i for i in range(h.rows) if col[i] != 0)
-        q = w[p] // col[p]
-        if q:
-            for i in range(h.rows):
-                w[i] -= q * col[i]
-    return tuple(w)
+        return [tuple(v) for v in vectors]
+    pivots = [(next(i for i, x in enumerate(col) if x != 0), col) for col in column_hermite(basis).columns()]
+    out = []
+    for v in vectors:
+        w = list(v)
+        for p, col in pivots:
+            q = w[p] // col[p]
+            if q:
+                w = [x - q * c for x, c in zip(w, col)]
+        out.append(tuple(w))
+    return out
 
 
 def vector_gcd(v: Iterable[int]) -> int:

@@ -9,6 +9,8 @@ equalities as +/- pairs, and the generator description carries a lineality
 basis as +/- pairs.  Ranks here are tiny, so every conversion is done by
 exact subset enumeration rather than asymptotically clever methods; Hilbert
 bases enumerate the group Z^d / B*Z^d of each simplicial basis B, not a box.
+Fans say where their walls are (`facet_owners`) and how piecewise linear
+functions glue across their members (`gluing_rows`).
 """
 
 from __future__ import annotations
@@ -71,7 +73,7 @@ def _lift_and_join(vectors: Sequence[Vector], m: IntMatrix, lattice: list[Vector
     if None in lifts:
         raise LatticeLiftError("a matrix with saturated rows maps onto")
     modulo = IntMatrix.from_columns(lattice, rows=m.cols)
-    out = {reduce_mod_lattice(x, modulo) for x in lifts}
+    out = set(reduce_mod_lattice(lifts, modulo))
     return sorted(out | set(lattice) | {tuple(-x for x in b) for b in lattice})
 
 
@@ -351,12 +353,24 @@ def support_contains(fan: PlainFan, u: Sequence[int]) -> bool:
     return any(c.contains(u) for c in fan.cones)
 
 
+def facet_owners(maximal: Sequence[Cone]) -> dict[Cone, list[int]]:
+    """Each facet of a cone in `maximal`, with the indices of the cones in `maximal` containing it.
+
+    On a complete fan every facet has exactly two owners, so the table is the
+    fan's wall list.
+    """
+    facets = dict.fromkeys(f for c in maximal for f in faces(c) if f.dim() == c.dim() - 1)
+    return {f: [i for i, c in enumerate(maximal) if c.contains_cone(f)] for f in facets}
+
+
 def fan_is_complete(fan: PlainFan) -> bool:
     """Exact completeness check by facet pairing.
 
     A fan is complete iff all maximal cones are full-dimensional, every facet
-    of a maximal cone lies in exactly two maximal cones, and the facet graph
-    is connected.  Rank 0 is trivially complete.
+    of a maximal cone lies in exactly two maximal cones (so the facets are
+    walls), and the wall graph is connected.  Rank 0 is trivially complete.
+    Completeness is what lets convexity of a piecewise linear function be
+    read off its walls alone (Cox-Little-Schenck, Toric Varieties, 6.1).
     """
     n = fan.ambient_rank
     if n == 0:
@@ -364,19 +378,11 @@ def fan_is_complete(fan: PlainFan) -> bool:
     maximal = fan.maximal_cones()
     if not maximal or any(c.dim() < n for c in maximal):
         return False
-    facet_members: dict[Cone, list[int]] = {}
-    for idx, c in enumerate(maximal):
-        for f in faces(c):
-            if f.dim() != n - 1:
-                continue
-            facet_members.setdefault(f, [])
-    for f in facet_members:
-        facet_members[f] = [i for i, c in enumerate(maximal) if c.contains_cone(f)]
-    if any(len(owners) != 2 for owners in facet_members.values()):
+    walls = facet_owners(maximal).values()
+    if any(len(owners) != 2 for owners in walls):
         return False
     adjacency: dict[int, set[int]] = {i: set() for i in range(len(maximal))}
-    for owners in facet_members.values():
-        a, b = owners
+    for a, b in walls:
         adjacency[a].add(b)
         adjacency[b].add(a)
     seen = {0}
@@ -388,6 +394,30 @@ def fan_is_complete(fan: PlainFan) -> bool:
                 seen.add(nxt)
                 queue.append(nxt)
     return len(seen) == len(maximal)
+
+
+def gluing_rows(maximal: Sequence[Cone], members: Iterable[Cone]) -> IntMatrix:
+    """Rows over the stacked covectors (m_0, ..., m_{k-1}) of `maximal` that glue them on `members`.
+
+    For each member tau the cones of `maximal` containing tau are chained,
+    and each consecutive pair (a, b) gets the row <m_a - m_b, u> = 0 for every
+    generator u of tau.  In a fan sigma_i ∩ sigma_j is a member, and its
+    generators are generators of every member containing it, so these rows
+    span the lattice of the rows of every pair sigma_i, sigma_j on the
+    generators of sigma_i ∩ sigma_j.  Their integer kernel is the lattice of
+    piecewise linear functions on the fan, linear functions included.
+    """
+    r = maximal[0].ambient_rank if maximal else 0
+    rows = []
+    for tau in members:
+        owners = [i for i, c in enumerate(maximal) if c.contains_cone(tau)]
+        for a, b in zip(owners, owners[1:]):
+            for u in tau.generators:
+                row = [0] * (r * len(maximal))
+                row[a * r : (a + 1) * r] = u
+                row[b * r : (b + 1) * r] = [-x for x in u]
+                rows.append(row)
+    return IntMatrix.from_rows(rows, cols=r * len(maximal))
 
 
 def covered_by(target: Cone, covers: Sequence[Cone], cancelled=None) -> bool:

@@ -1,7 +1,8 @@
-"""Random generators for property tests: data and valid coloured fans."""
+"""Generators for property tests: data, valid coloured fans, and rank-3 fans."""
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from horofan.horo import (
@@ -10,10 +11,11 @@ from horofan.horo import (
     HorosphericalDatum,
     build_coloured_lattice,
     close_under_coloured_faces,
+    coloured_fan,
     validate_coloured_fan,
 )
 from horofan.intlin import IntMatrix
-from horofan.polyhedra import Cone
+from horofan.polyhedra import Cone, primitive
 from horofan.rootsys import RootDatum
 
 RANK1_GENS = [(1,), (-1,)]
@@ -68,3 +70,57 @@ def random_valid_fan(rng: random.Random) -> tuple[ColouredFan, HorosphericalDatu
         fan = ColouredFan(lattice, close_under_coloured_faces(lattice, candidates))
         if validate_coloured_fan(fan).valid:
             return fan, datum
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+RANK3_BASES = {
+    "P1^3": list(itertools.product([E1, (-1, 0, 0)], [E2, (0, -1, 0)], [E3, (0, 0, -1)])),
+    "P2xP1": [
+        (a, b, c) for a, b in itertools.combinations([E1, E2, (-1, -1, 0)], 2) for c in (E3, (0, 0, -1))
+    ],
+    "P3": list(itertools.combinations([E1, E2, E3, (-1, -1, -1)], 3)),
+}
+PRISM_TOP = [(1, 0, 1), (0, 1, 1), (-1, -1, 1)]
+PRISM_BOTTOM = [(1, 0, -1), (0, 1, -1), (-1, -1, -1)]
+
+
+def torus3() -> HorosphericalDatum:
+    return HorosphericalDatum(RootDatum.parse("", central_torus_rank=3), frozenset(), IntMatrix.identity(3))
+
+
+def prism_maximal(diagonals: tuple[int, int, int]) -> list[tuple]:
+    """Maximal cones of the triangular-prism fan.
+
+    The top and bottom triangles are cones; side quadrilateral s (over top
+    edge s, s+1) is split along the diagonal from top s+1 to bottom s when
+    diagonals[s] is 0, and from top s to bottom s+1 when it is 1.  Exactly
+    the two cyclic choices, (0, 0, 0) and (1, 1, 1), admit no strictly convex
+    piecewise linear function.
+    """
+    t, b = PRISM_TOP, PRISM_BOTTOM
+    cones = [tuple(t), tuple(b)]
+    for s, d in enumerate(diagonals):
+        nxt = (s + 1) % 3
+        if d == 0:
+            cones += [(t[s], t[nxt], b[s]), (t[nxt], b[s], b[nxt])]
+        else:
+            cones += [(t[s], t[nxt], b[nxt]), (t[s], b[s], b[nxt])]
+    return cones
+
+
+def stellar_subdivision(maximal: list[tuple], index: int, weights: tuple[int, int, int]) -> list[tuple]:
+    """Star-subdivide the simplicial cone maximal[index] at the primitive sum of weights[i] * g_i."""
+    gens = maximal[index]
+    v = primitive([sum(w * g[i] for w, g in zip(weights, gens)) for i in range(3)])
+    rest = [c for i, c in enumerate(maximal) if i != index]
+    return rest + [tuple(v if t == j else g for t, g in enumerate(gens)) for j in range(3)]
+
+
+def rank3_fan(maximal: list[tuple], datum: HorosphericalDatum, colours=()) -> ColouredFan:
+    """The fan of `maximal`; each root in `colours` colours every maximal cone holding its point."""
+    lattice = build_coloured_lattice(datum)
+    cones = []
+    for gens in maximal:
+        cone = Cone.from_generators(3, gens)
+        cones.append(ColouredCone(cone, frozenset(r for r in colours if cone.contains(lattice.point(r)))))
+    return coloured_fan(lattice, cones)

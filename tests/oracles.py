@@ -6,12 +6,22 @@ a coordinate difference) and never touches a Cartan matrix, so it shares no
 code path with the coroot-restriction rule it checks.  The Hilbert-basis
 oracle enumerates lattice points in a box and reduces by pairwise
 subtraction, independent of the parallelepiped method.
+
+The all-pairs oracles are the package's earlier fan-level routes, kept to
+check the wall-based ones: a dense projectivity LP over every m_sigma with
+rows for every pair of maximal cones, a positivity loop over every ordered
+pair, and gluing rows from `intersect` on every pair.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from horofan.divisors import cartier_data
+from horofan.intlin import IntMatrix
+from horofan.polyhedra import dot, intersect
+from horofan.ratlp import maximize
 
 
 def brute_force_hilbert(cone) -> list[tuple[int, ...]]:
@@ -83,3 +93,90 @@ def inverse_cartan_pairing_oracle(group, column: tuple[int, ...], alpha: int) ->
     value = sum(q[k] * cartan[node][k] for k in range(rank_c))
     assert value.denominator == 1
     return int(value)
+
+
+def all_pairs_plf_lp(fan) -> bool:
+    """Strictly convex PLF by the dense LP: split coordinates of every m_sigma, then eps.
+
+    Equalities glue every pair of maximal cones on the generators of their
+    intersection; <m_i - m_j, u> >= eps for every ordered pair and every
+    generator u of sigma_i outside sigma_j; eps <= 1.
+    """
+    maximal = [cc.cone for cc in fan.maximal()]
+    k = len(maximal)
+    r = fan.lattice.rank
+    if k <= 1:
+        return True
+    nvars = 2 * k * r + 1
+    eps_col = nvars - 1
+
+    def coeff_row(pairs):
+        # pairs: list of (cone index, coordinate index, coefficient)
+        row = [Fraction(0)] * nvars
+        for ci, xi, c in pairs:
+            base = 2 * (ci * r + xi)
+            row[base] += Fraction(c)
+            row[base + 1] -= Fraction(c)
+        return row
+
+    a_ub, b_ub = [], []
+    for i, j in itertools.combinations(range(k), 2):
+        for u in intersect(maximal[i], maximal[j]).generators:
+            row = coeff_row([(i, t, u[t]) for t in range(r)] + [(j, t, -u[t]) for t in range(r)])
+            a_ub += [row, [-x for x in row]]
+            b_ub += [Fraction(0), Fraction(0)]
+    for i, j in itertools.permutations(range(k), 2):
+        for u in maximal[i].generators:
+            if maximal[j].contains(u):
+                continue
+            row = coeff_row([(i, t, -u[t]) for t in range(r)] + [(j, t, u[t]) for t in range(r)])
+            row[eps_col] = Fraction(1)
+            a_ub.append(row)
+            b_ub.append(Fraction(0))
+    cap = [Fraction(0)] * nvars
+    cap[eps_col] = Fraction(1)
+    result = maximize(cap, a_ub + [cap], b_ub + [Fraction(1)])
+    return result.status == "optimal" and result.value > 0
+
+
+def pairwise_gluing_rows(maximal, members) -> IntMatrix:
+    """`polyhedra.gluing_rows` by `intersect` on every pair of maximal cones; `members` is unused."""
+    r = maximal[0].ambient_rank if maximal else 0
+    width = r * len(maximal)
+    rows = []
+    for i, j in itertools.combinations(range(len(maximal)), 2):
+        for u in intersect(maximal[i], maximal[j]).generators:
+            row = [0] * width
+            row[i * r : (i + 1) * r] = list(u)
+            for t in range(r):
+                row[j * r + t] -= u[t]
+            rows.append(row)
+    return IntMatrix.from_rows(rows, cols=width)
+
+
+def all_pairs_positivity(delta, fan) -> tuple[bool, bool, bool]:
+    """(cartier, basepoint_free, ample) with convexity tested on every ordered pair of maximal cones."""
+    data = cartier_data(delta, fan)
+    if data is None:
+        return False, False, False
+    max_idx = [idx for idx, _ in data.pieces]
+    convex = True
+    strictly = True
+    for i, j in itertools.permutations(max_idx, 2):
+        mi, mj = data.covector(i), data.covector(j)
+        other = fan.cones[j].cone
+        for u in fan.cones[i].cone.generators:
+            gap = dot(mi, u) - dot(mj, u)
+            if gap < 0:
+                convex = False
+            if not other.contains(u) and gap <= 0:
+                strictly = False
+    bpf, ample = convex, convex and strictly
+    for root in sorted(fan.lattice.colour_roots() - fan.colour_set()):
+        value = data.value(fan, fan.lattice.point(root))
+        bound = delta.colour_coefficient(root)
+        if value > bound:
+            bpf = False
+        if value >= bound:
+            ample = False
+    return True, bpf, ample

@@ -1,9 +1,11 @@
 """Orbits, classification, local structure, morphisms, weight monoids."""
 
+import itertools
 import random
 
 import pytest
 
+from horofan import dictionary
 from horofan.dictionary import (
     CancellationToken,
     ConeNotInFanError,
@@ -20,6 +22,7 @@ from horofan.dictionary import (
     regularity_report,
     weight_monoid_generators,
 )
+from horofan.divisors import anticanonical, positivity_check
 from horofan.horo import (
     ColouredCone,
     ColouredFan,
@@ -35,7 +38,7 @@ from horofan.intlin import IntMatrix
 from horofan.polyhedra import Cone
 from horofan.rootsys import RootDatum
 
-from .factories import random_valid_fan
+from .factories import RANK3_BASES, prism_maximal, random_valid_fan, rank3_fan, torus3
 
 
 def sl3_u3():
@@ -243,6 +246,29 @@ class TestClassify:
             assert not rep.is_projective or rep.is_complete
             if rep.is_toroidal:
                 assert rep.is_smooth == rep.is_regular
+
+    @pytest.mark.parametrize("diagonals", list(itertools.product((0, 1), repeat=3)))
+    def test_prism_fans_projective_unless_cyclic(self, diagonals):
+        datum = torus3()
+        fan = rank3_fan(prism_maximal(diagonals), datum)
+        rep = classify_variety(fan, datum)
+        assert rep.is_complete
+        assert rep.is_projective == (diagonals not in ((0, 0, 0), (1, 1, 1)))
+        assert positivity_check(anticanonical(fan, datum), fan, datum) == (True, True, False)
+
+    def test_projectivity_lp_has_one_row_per_wall(self, monkeypatch):
+        shapes = []
+        real = dictionary.maximize
+
+        def recording(c, a_ub, b_ub, **kwargs):
+            shapes.append((len(a_ub), len(c)))
+            return real(c, a_ub, b_ub, **kwargs)
+
+        monkeypatch.setattr(dictionary, "maximize", recording)
+        datum = torus3()
+        assert classify_variety(rank3_fan(RANK3_BASES["P1^3"], datum), datum).is_projective
+        # 12 walls + the cap on eps; 2 * 6 split PLF coordinates + eps
+        assert shapes == [(13, 13)]
 
 
 class TestRegularity:

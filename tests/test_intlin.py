@@ -214,8 +214,9 @@ class TestSolveIntegerAffine:
             members = [m.apply([rng.randint(-5, 5) for _ in range(m.cols)]) for _ in range(3)]
             others = [tuple(rng.randint(-9, 9) for _ in range(m.rows)) for _ in range(3)]
             vectors = members + others
-            for v, x in zip(vectors, lattice_coordinates(vectors, m)):
-                if any(reduce_mod_lattice(v, m)):
+            reduced = reduce_mod_lattice(vectors, m)
+            for v, x, rep in zip(vectors, lattice_coordinates(vectors, m), reduced):
+                if any(rep):
                     assert x is None
                 else:
                     assert x is not None and m.apply(x) == v
@@ -274,10 +275,10 @@ class TestKernelAndReduction:
 
     def test_reduce_mod_lattice_canonical(self):
         basis = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)
-        assert reduce_mod_lattice((5, 7), basis) == (1, 1)
-        assert reduce_mod_lattice((-1, -1), basis) == (1, 2)
+        reduced = reduce_mod_lattice([(5, 7), (-1, -1), (5 + 4, 7 - 9)], basis)
+        assert reduced[:2] == [(1, 1), (1, 2)]
         # coset-invariant
-        assert reduce_mod_lattice((5, 7), basis) == reduce_mod_lattice((5 + 4, 7 - 9), basis)
+        assert reduced[2] == reduced[0]
 
     def test_column_hermite_is_basis_of_same_lattice(self):
         rng = random.Random(61)

@@ -23,11 +23,10 @@ from .polyhedra import (
     Cone,
     PlainFan,
     _through_lineality_quotient,
+    complete_fan_walls,
     covered_by,
     dot,
     dual_cone,
-    facet_owners,
-    fan_is_complete,
     gluing_rows,
     hilbert_basis,
 )
@@ -230,8 +229,9 @@ def classify_variety(
         notes.append(f"simple but not affine: colours {missing} unused")
     toroidal = fan_colours == frozenset()
     plain = PlainFan.from_cones(fan.lattice.rank, [cc.cone for cc in fan.cones])
-    complete = fan_is_complete(plain)
-    projective = complete and _strictly_convex_plf_exists(plain, cancel)
+    walls = complete_fan_walls(plain)
+    complete = walls is not None
+    projective = complete and _strictly_convex_plf_exists(plain, *walls, cancel)
     if complete and not projective:
         notes.append("complete but admits no strictly convex piecewise linear function")
     regs = regularity_report(fan, datum)
@@ -257,7 +257,10 @@ def classify_variety(
 
 
 def _strictly_convex_plf_exists(
-    fan: PlainFan, cancel: Optional[CancellationToken] = None
+    fan: PlainFan,
+    maximal: list[Cone],
+    owners: dict[Cone, list[int]],
+    cancel: Optional[CancellationToken] = None,
 ) -> bool:
     """Exact rational feasibility of a strictly convex PLF on a complete fan.
 
@@ -269,13 +272,13 @@ def _strictly_convex_plf_exists(
     <m_i - m_j, u> >= eps for one generator u of sigma_i off the wall: the
     glued m_i - m_j is a multiple of the wall's normal.  Linear functions
     have zero gap on every wall.  By homogeneity a strictly convex PLF
-    exists iff the optimum is positive.
+    exists iff the optimum is positive.  `maximal` and `owners` are the
+    fan's `complete_fan_walls`.
     """
-    maximal = fan.maximal_cones()
     r = fan.ambient_rank
     basis = kernel_basis(gluing_rows(maximal, fan.cones))
     a_ub: list[list[int]] = []
-    for wall, (i, j) in facet_owners(maximal).items():
+    for wall, (i, j) in owners.items():
         u = next(g for g in maximal[i].generators if g not in wall.generators)
         gaps = [dot(m[i * r : (i + 1) * r], u) - dot(m[j * r : (j + 1) * r], u) for m in basis]
         # -<m_i - m_j, u> + eps <= 0

@@ -25,7 +25,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer_affine,
 )
-from .polyhedra import LatticeLiftError, PlainFan, dot, facet_owners, fan_is_complete, gluing_rows
+from .polyhedra import LatticeLiftError, PlainFan, complete_fan_walls, dot, gluing_rows
 from .horo import ColouredFan, HorosphericalDatum
 from .rootsys import pairing, positive_roots
 from .dictionary import _require_lattice
@@ -192,8 +192,15 @@ def _maximal_indices(fan: ColouredFan) -> list[int]:
 def _cartier_system(fan: ColouredFan) -> tuple[IntMatrix, IntMatrix, list[int]]:
     """Rows of (A, B) with A.(stacked m_sigma) = B.(divisor coordinates).
 
-    Value rows pin each piece on its non-coloured rays and colour points;
-    `gluing_rows` glue the pieces on every member of the fan.
+    Value rows pin each piece on its non-coloured rays and colour points.
+    That pins it on every ray of its cone: a coloured ray by the colour
+    point on it, a positive multiple c*u of its generator u.  In a valid
+    fan a ray carries the same colours in every member containing it, so
+    any two pieces on a shared ray get the same value rows, and
+    c*<m_a - m_b, u> = 0 holds for every solution.  The gluing rows
+    <m_a - m_b, u> = 0 of `polyhedra.gluing_rows` are therefore implied, and
+    the integer solution sets, hence the Cartier data and lattice, are the
+    same without them.
     """
     r = fan.lattice.rank
     max_idx = _maximal_indices(fan)
@@ -221,9 +228,6 @@ def _cartier_system(fan: ColouredFan) -> tuple[IntMatrix, IntMatrix, list[int]]:
             value_row(slot, ray.generators[0], gens.index(ray.generators[0]))
         for root in sorted(cc.colours):
             value_row(slot, fan.lattice.point(root), len(gens) + roots.index(root))
-    glue = gluing_rows([fan.cones[i].cone for i in max_idx], [cc.cone for cc in fan.cones]).row_list()
-    a_rows += glue
-    b_rows += [[0] * width_d for _ in glue]
     a = IntMatrix.from_rows(a_rows, cols=width_x)
     b = IntMatrix.from_rows(b_rows, cols=width_d)
     return a, b, max_idx
@@ -361,17 +365,18 @@ def positivity_check(
     """
     _require_lattice(fan, datum)
     plain = PlainFan.from_cones(fan.lattice.rank, [cc.cone for cc in fan.cones])
-    if not fan_is_complete(plain):
+    walls = complete_fan_walls(plain)
+    if walls is None:
         raise NotCompleteError("positivity criteria require a complete fan")
     data = cartier_data(delta, fan)
     if data is None:
         return False, False, False
-    maximal = plain.maximal_cones()
+    maximal, owners = walls
     piece = {fan.cones[idx].cone: m for idx, m in data.pieces}
     convex = True
     strictly = True
-    for wall, owners in facet_owners(maximal).items():
-        for i, j in (owners, owners[::-1]):
+    for wall, pair in owners.items():
+        for i, j in (pair, pair[::-1]):
             mi, mj = piece[maximal[i]], piece[maximal[j]]
             for u in maximal[i].generators:
                 if u in wall.generators:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .intlin import (
     IntMatrix,
@@ -364,7 +364,12 @@ def facet_owners(maximal: Sequence[Cone]) -> dict[Cone, list[int]]:
 
 
 def fan_is_complete(fan: PlainFan) -> bool:
-    """Exact completeness check by facet pairing.
+    """Exact completeness check by facet pairing (see `complete_fan_walls`)."""
+    return complete_fan_walls(fan) is not None
+
+
+def complete_fan_walls(fan: PlainFan) -> Optional[tuple[list[Cone], dict[Cone, list[int]]]]:
+    """The maximal cones and their `facet_owners` table if the fan is complete, else None.
 
     A fan is complete iff all maximal cones are full-dimensional, every facet
     of a maximal cone lies in exactly two maximal cones (so the facets are
@@ -373,16 +378,16 @@ def fan_is_complete(fan: PlainFan) -> bool:
     read off its walls alone (Cox-Little-Schenck, Toric Varieties, 6.1).
     """
     n = fan.ambient_rank
-    if n == 0:
-        return len(fan.cones) > 0
     maximal = fan.maximal_cones()
+    if n == 0:
+        return (maximal, {}) if maximal else None
     if not maximal or any(c.dim() < n for c in maximal):
-        return False
-    walls = facet_owners(maximal).values()
-    if any(len(owners) != 2 for owners in walls):
-        return False
+        return None
+    owners = facet_owners(maximal)
+    if any(len(o) != 2 for o in owners.values()):
+        return None
     adjacency: dict[int, set[int]] = {i: set() for i in range(len(maximal))}
-    for a, b in walls:
+    for a, b in owners.values():
         adjacency[a].add(b)
         adjacency[b].add(a)
     seen = {0}
@@ -393,7 +398,7 @@ def fan_is_complete(fan: PlainFan) -> bool:
             if nxt not in seen:
                 seen.add(nxt)
                 queue.append(nxt)
-    return len(seen) == len(maximal)
+    return (maximal, owners) if len(seen) == len(maximal) else None
 
 
 def gluing_rows(maximal: Sequence[Cone], members: Iterable[Cone]) -> IntMatrix:

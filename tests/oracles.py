@@ -8,9 +8,12 @@ oracle enumerates lattice points in a box and reduces by pairwise
 subtraction, independent of the parallelepiped method.
 
 The all-pairs oracles are the package's earlier fan-level routes, kept to
-check the wall-based ones: a dense projectivity LP over every m_sigma with
-rows for every pair of maximal cones, a positivity loop over every ordered
-pair, and gluing rows from `intersect` on every pair.
+check the wall-based and anchor-based ones: a dense projectivity LP over
+every m_sigma with rows for every pair of maximal cones, a positivity loop
+over every ordered pair, gluing rows from `intersect` on every pair, the
+Cartier system with those gluing rows, and coloured-fan validation that
+intersects every pair of members and reads each face's colours with the
+face's own inequalities.
 """
 
 from __future__ import annotations
@@ -18,9 +21,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from horofan.divisors import cartier_data
+from horofan.divisors import _cartier_system, cartier_data
+from horofan.horo import ColouredCone, ValidationReport, coloured_intersection, is_coloured_face
 from horofan.intlin import IntMatrix
-from horofan.polyhedra import dot, intersect
+from horofan.polyhedra import dot, faces, gluing_rows, intersect
 from horofan.ratlp import maximize
 
 
@@ -180,3 +184,76 @@ def all_pairs_positivity(delta, fan) -> tuple[bool, bool, bool]:
         if value >= bound:
             ample = False
     return True, bpf, ample
+
+
+def cartier_system_with_gluing(fan):
+    """`divisors._cartier_system` plus `gluing_rows` on every member, with zero right-hand side."""
+    a, b, max_idx = _cartier_system(fan)
+    glue = gluing_rows([fan.cones[i].cone for i in max_idx], [cc.cone for cc in fan.cones]).row_list()
+    a = IntMatrix.from_rows(a.row_list() + glue, cols=a.cols)
+    b = IntMatrix.from_rows(b.row_list() + [[0] * b.cols for _ in glue], cols=b.cols)
+    return a, b, max_idx
+
+
+def contains_rule_coloured_faces(lattice, cc) -> list:
+    """`horo.coloured_faces` with each face's colours read by the face's own `contains`."""
+    return [
+        ColouredCone(f, frozenset(r for r in cc.colours if f.contains(lattice.point(r))))
+        for f in faces(cc.cone)
+    ]
+
+
+def all_pairs_validation(fan) -> ValidationReport:
+    """`horo.validate_coloured_fan` testing every pair of members, with `contains_rule_coloured_faces`."""
+    violations: list[str] = []
+    lattice = fan.lattice
+    known_roots = lattice.colour_roots()
+    if not fan.cones:
+        violations.append("fan has no coloured cones (the trivial coloured cone is required)")
+    for cc in fan.cones:
+        if cc.cone.ambient_rank != lattice.rank:
+            violations.append(f"{fan.describe(cc)}: ambient rank differs from the lattice rank")
+            continue
+        if not cc.cone.is_strongly_convex():
+            violations.append(f"{fan.describe(cc)}: underlying cone is not strongly convex")
+        for r in sorted(cc.colours):
+            if r not in known_roots:
+                violations.append(f"{fan.describe(cc)}: unknown colour index {r}")
+                continue
+            point = lattice.point(r)
+            if not any(point):
+                violations.append(
+                    f"{fan.describe(cc)}: colour {lattice.labels()[r]} has zero colour point"
+                )
+            elif not cc.cone.contains(point):
+                violations.append(
+                    f"{fan.describe(cc)}: colour point {list(point)} of "
+                    f"{lattice.labels()[r]} lies outside the cone"
+                )
+    if violations:
+        return ValidationReport(False, tuple(violations))
+    underlying: dict[tuple, list] = {}
+    for cc in fan.cones:
+        underlying.setdefault(cc.cone.generators, []).append(cc)
+    for gens, ccs in underlying.items():
+        if len(ccs) > 1:
+            violations.append(
+                f"{len(ccs)} coloured cones share the underlying cone "
+                f"{[list(g) for g in gens]}"
+            )
+    members = set(fan.cones)
+    for cc in fan.cones:
+        for f in contains_rule_coloured_faces(lattice, cc):
+            if f not in members:
+                violations.append(
+                    f"{fan.describe(cc)}: coloured face {fan.describe(f)} is missing from the fan"
+                )
+    for i, a in enumerate(fan.cones):
+        for b in fan.cones[i + 1 :]:
+            meet = coloured_intersection(a, b)
+            if not is_coloured_face(lattice, meet, a) or not is_coloured_face(lattice, meet, b):
+                violations.append(
+                    f"intersection of {fan.describe(a)} and {fan.describe(b)} "
+                    "is not a coloured face of both"
+                )
+    return ValidationReport(not violations, tuple(violations))

@@ -1,6 +1,7 @@
 """Wall-based projectivity, positivity and Cartier gluing against the all-pairs routes."""
 
 import itertools
+import random
 
 import pytest
 
@@ -18,8 +19,13 @@ from horofan.horo import HorosphericalDatum
 from horofan.intlin import IntMatrix
 from horofan.rootsys import RootDatum
 
-from .factories import RANK3_BASES, prism_maximal, rank3_fan, stellar_subdivision, torus3
-from .oracles import all_pairs_plf_lp, all_pairs_positivity, pairwise_gluing_rows
+from .factories import RANK3_BASES, prism_maximal, random_valid_fan, rank3_fan, stellar_subdivision, torus3
+from .oracles import (
+    all_pairs_plf_lp,
+    all_pairs_positivity,
+    cartier_system_with_gluing,
+    pairwise_gluing_rows,
+)
 
 
 def a1_cubed() -> HorosphericalDatum:
@@ -75,10 +81,13 @@ def test_wall_routes_match_all_pairs_routes(label, maximal, make_datum, colours,
     positivity = [positivity_check(delta, fan, datum) for delta in deltas]
     pieces = [cartier_data(delta, fan) for delta in deltas]
     picard = picard_group(fan, datum)
+    lattice = divisors._cartier_lattice(*divisors._cartier_system(fan)[:2])
     monkeypatch.setattr(divisors, "gluing_rows", pairwise_gluing_rows)
+    monkeypatch.setattr(divisors, "_cartier_system", cartier_system_with_gluing)
     assert positivity == [all_pairs_positivity(delta, fan) for delta in deltas]
     assert pieces == [cartier_data(delta, fan) for delta in deltas]
     assert picard == picard_group(fan, datum)
+    assert lattice == divisors._cartier_lattice(*cartier_system_with_gluing(fan)[:2])
 
 
 # On a complete fan each member's gluing rows follow from the others', so
@@ -93,8 +102,30 @@ def test_gluing_on_incomplete_fan_matches_pairwise_intersections(make_datum, col
     deltas = [anticanonical(fan, datum), boundary_divisor(fan)]
     pieces = [cartier_data(delta, fan) for delta in deltas]
     picard = picard_group(fan, datum)
+    lattice = divisors._cartier_lattice(*divisors._cartier_system(fan)[:2])
     monkeypatch.setattr(divisors, "gluing_rows", pairwise_gluing_rows)
+    monkeypatch.setattr(divisors, "_cartier_system", cartier_system_with_gluing)
     assert pieces == [cartier_data(delta, fan) for delta in deltas]
     assert picard == picard_group(fan, datum)
+    assert lattice == divisors._cartier_lattice(*cartier_system_with_gluing(fan)[:2])
     # two pieces glued on one ray, modulo linear functions: 6 - 1 - 3
     assert picard.plf_mod_lf.free_rank == 2
+
+
+def test_cartier_system_needs_no_gluing_rows_on_random_fans(monkeypatch):
+    """Value rows alone pin every piece on every ray, so gluing rows change no answer."""
+    rng = random.Random(5)
+    cases = []
+    for _ in range(100):
+        fan, _ = random_valid_fan(rng)
+        rays = {g: rng.randint(-2, 2) for g in invariant_ray_generators(fan)}
+        colours = {c.root: rng.randint(-2, 2) for c in fan.lattice.colours}
+        deltas = [boundary_divisor(fan), make_divisor(fan, rays, colours)]
+        a, b, _ = divisors._cartier_system(fan)
+        cases.append((fan, deltas, [cartier_data(d, fan) for d in deltas], divisors._cartier_lattice(a, b)))
+    monkeypatch.setattr(divisors, "_cartier_system", cartier_system_with_gluing)
+    for fan, deltas, pieces, lattice in cases:
+        assert pieces == [cartier_data(d, fan) for d in deltas]
+        assert lattice == divisors._cartier_lattice(*cartier_system_with_gluing(fan)[:2])
+    # both Cartier and non-Cartier divisors occur
+    assert {p is None for _, _, pieces, _ in cases for p in pieces} == {True, False}

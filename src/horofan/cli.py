@@ -4,8 +4,9 @@ Input is a single JSON document describing a horospherical datum, a coloured
 fan (its members, listed explicitly; the trivial coloured cone is always an
 implied member), and optionally named divisors.  Every command prints a human
 summary, a sentinel line, and a machine-readable JSON block, in that order,
-with deterministic ordering throughout.  Exit codes: 0 success, 1 validation
-failure, 2 parse error.
+with deterministic ordering throughout.  Exit codes: 0 success; 1 an invalid
+fan, `positivity` on an incomplete fan, or an error raised by the library;
+2 a parse error, an unreadable file, or a missing or bad command argument.
 """
 
 from __future__ import annotations
@@ -14,11 +15,12 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .dictionary import (
     classify_variety,
     closure_contains,
+    decolouration,
     morphism_check,
     orbit_closure,
     orbit_table,
@@ -71,7 +73,6 @@ class InputDocument:
     datum: HorosphericalDatum
     fan: ColouredFan
     divisors: dict[str, BInvariantDivisor]
-    listed_cones: int
 
 
 def _expect(condition: bool, path: str, message: str) -> None:
@@ -159,7 +160,6 @@ def parse_input(text: str) -> InputDocument:
             )
             roots.add(colour_labels[label])
         cones.append(ColouredCone(Cone.from_generators(lattice.rank, gens), frozenset(roots)))
-    listed = len(cones)
     trivial = trivial_coloured_cone(lattice)
     if trivial not in cones:
         cones.append(trivial)
@@ -201,7 +201,7 @@ def parse_input(text: str) -> InputDocument:
             _expect(isinstance(value, int) and not isinstance(value, bool), f"{path}.colours", "coefficients must be integers")
             colours[colour_labels[key]] = value
         divisors[name] = make_divisor(fan, rays=rays, colours=colours)
-    return InputDocument(datum, fan, divisors, listed)
+    return InputDocument(datum, fan, divisors)
 
 
 def serialize(doc: InputDocument) -> str:
@@ -238,17 +238,8 @@ def serialize(doc: InputDocument) -> str:
     return json.dumps(body, indent=2, sort_keys=True)
 
 
-def _describe_cone(fan: ColouredFan, index: int) -> str:
-    cc = fan.cones[index]
-    labels = fan.lattice.labels()
-    gens = " ".join("(" + ",".join(map(str, g)) + ")" for g in cc.cone.generators) or "0"
-    cols = ",".join(labels[r] for r in sorted(cc.colours)) or "-"
-    return f"{gens} | colours {cols}"
-
-
 def _report(lines: list[str], payload: dict) -> str:
-    text = "\n".join(lines + [SENTINEL, json.dumps(payload, indent=2, sort_keys=True)])
-    return text + "\n"
+    return "\n".join(lines + [SENTINEL, json.dumps(payload, indent=2, sort_keys=True)]) + "\n"
 
 
 def _require_valid(fan: ColouredFan) -> Optional[str]:
@@ -263,12 +254,12 @@ def _group_payload(g) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion), "name": str(g)}
 
 
-def _divisor_arg(doc: InputDocument, name: Optional[str]) -> BInvariantDivisor:
+def _divisor_arg(doc: InputDocument, name: Optional[str]) -> str:
     if name is None:
         raise ParseError("--divisor", "this command needs --divisor NAME")
     if name not in doc.divisors:
         raise ParseError("--divisor", f"document has no divisor named {name!r}")
-    return doc.divisors[name]
+    return name
 
 
 def _cone_arg(doc: InputDocument, index: Optional[int]) -> int:
@@ -279,211 +270,241 @@ def _cone_arg(doc: InputDocument, index: Optional[int]) -> int:
     return index
 
 
+def _document_payload(datum: HorosphericalDatum, fan: ColouredFan) -> dict:
+    """The canonical JSON body of a fan without divisors, as a dict."""
+    return json.loads(serialize(InputDocument(datum, fan, {})))
+
+
+def _validate(doc: InputDocument) -> tuple[int, str]:
+    lines = [f"coloured fan with {len(doc.fan.cones)} members: valid"]
+    return 0, _report(lines, {"valid": True, "violations": []})
+
+
+def _orbits(doc: InputDocument) -> tuple[int, str]:
+    fan = doc.fan
+    table = orbit_table(fan, doc.datum)
+    maximal = set(fan.maximal())
+    labels = fan.lattice.labels()
+    lines = [f"{'cone':>4}  {'dim':>3}  {'closed':>6}  cone description"]
+    rows = []
+    for rec in table:
+        cc = fan.cones[rec.cone_index]
+        closed = cc in maximal
+        colours = [labels[r] for r in sorted(cc.colours)]
+        gens = " ".join("(" + ",".join(map(str, g)) + ")" for g in cc.cone.generators) or "0"
+        description = f"{gens} | colours {','.join(colours) or '-'}"
+        lines.append(f"{rec.cone_index:>4}  {rec.dimension:>3}  {str(closed).lower():>6}  {description}")
+        rows.append(
+            {
+                "cone": rec.cone_index,
+                "generators": [list(g) for g in cc.cone.generators],
+                "colours": colours,
+                "dimension": rec.dimension,
+                "closed": closed,
+                "closure_contains": sorted(
+                    other.cone_index
+                    for other in table
+                    if closure_contains(fan, rec.cone_index, other.cone_index)
+                ),
+            }
+        )
+    return 0, _report(lines, {"orbits": rows})
+
+
+def _classify(doc: InputDocument) -> tuple[int, str]:
+    rep = classify_variety(doc.fan, doc.datum)
+    payload = {
+        "simple": rep.is_simple,
+        "affine": rep.is_affine,
+        "complete": rep.is_complete,
+        "toroidal": rep.is_toroidal,
+        "projective": rep.is_projective,
+        "simplicial": rep.is_simplicial,
+        "regular": rep.is_regular,
+        "factorial": rep.is_factorial,
+        "q_factorial": rep.is_q_factorial,
+        "smooth": rep.is_smooth,
+        "notes": list(rep.diagnostics),
+    }
+    lines = [f"{key:>12}: {str(value).lower()}" for key, value in payload.items() if key != "notes"]
+    lines += [f"note: {note}" for note in rep.diagnostics]
+    return 0, _report(lines, payload)
+
+
+def _class_group(doc: InputDocument) -> tuple[int, str]:
+    result = class_group(doc.fan, doc.datum)
+    lines = [f"Cl(X) = {result.group}", f"left exact: {str(result.left_exact).lower()}"]
+    generators = {}
+    for name, cls in result.generator_classes:
+        generators[name] = {"free": list(cls.free), "torsion": list(cls.torsion)}
+        lines.append(f"  class {name}: free {list(cls.free)} torsion {list(cls.torsion)}")
+    payload = {
+        "class_group": _group_payload(result.group),
+        "left_exact": result.left_exact,
+        "generator_classes": generators,
+    }
+    return 0, _report(lines, payload)
+
+
+def _picard(doc: InputDocument) -> tuple[int, str]:
+    result = picard_group(doc.fan, doc.datum)
+    lines = [
+        f"Pic(X) = {result.group}",
+        f"PLF/LF = {result.plf_mod_lf}",
+        f"exact sequence rank check: {str(result.report.rank_consistent).lower()}",
+    ]
+    payload = {
+        "picard": _group_payload(result.group),
+        "plf_mod_lf": _group_payload(result.plf_mod_lf),
+        "report": {
+            "span_perp_rank": result.report.span_perp_rank,
+            "unused_colour_count": result.report.unused_colour_count,
+            "span_perp_image_rank": result.report.span_perp_image_rank,
+            "plf_rank": result.report.plf_rank,
+            "pic_rank": result.report.pic_rank,
+            "rank_consistent": result.report.rank_consistent,
+        },
+    }
+    return 0, _report(lines, payload)
+
+
+def _cartier(doc: InputDocument, divisor: str) -> tuple[int, str]:
+    data = cartier_data(doc.divisors[divisor], doc.fan)
+    if data is None:
+        return 0, _report([f"divisor {divisor!r} is not Cartier"], {"cartier": False, "data": None})
+    lines = [f"divisor {divisor!r} is Cartier"]
+    pieces = {}
+    for idx, m in data.pieces:
+        lines.append(f"  m on cone {idx} = {list(m)}")
+        pieces[str(idx)] = list(m)
+    return 0, _report(lines, {"cartier": True, "data": pieces})
+
+
+def _positivity(doc: InputDocument, divisor: str) -> tuple[int, str]:
+    try:
+        cartier, bpf, ample = positivity_check(doc.divisors[divisor], doc.fan, doc.datum)
+    except NotCompleteError as exc:
+        return 1, _report([f"error: {exc}"], {"error": str(exc)})
+    lines = [
+        f"cartier: {str(cartier).lower()}",
+        f"basepoint free: {str(bpf).lower()}",
+        f"ample: {str(ample).lower()}",
+    ]
+    return 0, _report(lines, {"cartier": cartier, "basepoint_free": bpf, "ample": ample})
+
+
+def _anticanonical(doc: InputDocument) -> tuple[int, str]:
+    k = anticanonical(doc.fan, doc.datum)
+    labels = doc.fan.lattice.labels()
+    lines = ["-K ="]
+    for g, a in k.ray_coeffs:
+        lines.append(f"  {a} * D[{','.join(map(str, g))}]")
+    for r, a in k.colour_coeffs:
+        lines.append(f"  {a} * D_{labels[r]}")
+    payload = {
+        "rays": {",".join(map(str, g)): a for g, a in k.ray_coeffs},
+        "colours": {labels[r]: a for r, a in k.colour_coeffs},
+    }
+    return 0, _report(lines, payload)
+
+
+def _smooth(doc: InputDocument) -> tuple[int, str]:
+    regs = regularity_report(doc.fan, doc.datum)
+    smooth = all(r.smooth for r in regs)
+    lines = [f"smooth: {str(smooth).lower()}"]
+    rows = []
+    for r in regs:
+        lines.append(
+            f"  cone {r.cone_index}: simplicial {str(r.simplicial).lower()}, "
+            f"regular {str(r.regular).lower()}, smooth {str(r.smooth).lower()} ({r.diagnostic})"
+        )
+        rows.append(
+            {
+                "cone": r.cone_index,
+                "multiset": [list(v) for v in r.multiset],
+                "simplicial": r.simplicial,
+                "regular": r.regular,
+                "smooth": r.smooth,
+                "diagnostic": r.diagnostic,
+            }
+        )
+    return 0, _report(lines, {"smooth": smooth, "cones": rows})
+
+
+def _decolour(doc: InputDocument) -> tuple[int, str]:
+    return 0, _report(["decolouration:"], _document_payload(doc.datum, decolouration(doc.fan)))
+
+
+def _orbit_closure(doc: InputDocument, index: int) -> tuple[int, str]:
+    closure, closure_datum = orbit_closure(doc.fan, index, doc.datum)
+    lines = [
+        f"orbit closure of cone {index}",
+        f"quotient lattice rank {closure.lattice.rank}",
+        f"I' = {[closure_datum.group.label(i) for i in sorted(closure_datum.parabolic)]}",
+    ]
+    return 0, _report(lines, _document_payload(closure_datum, closure))
+
+
+def _weight_monoid(doc: InputDocument, index: int) -> tuple[int, str]:
+    gens = weight_monoid_generators(doc.fan.cones[index], doc.datum)
+    lines = [f"weight monoid generators for cone {index}:"] + [f"  {list(g)}" for g in gens]
+    return 0, _report(lines, {"generators": [list(g) for g in gens]})
+
+
+def _morphism(doc: InputDocument, target: InputDocument) -> tuple[int, str]:
+    phi = coloured_lattice_map(doc.datum, target.datum)
+    compatible, proper = morphism_check(phi, doc.fan, target.fan)
+    labels = doc.fan.lattice.labels()
+    lines = [f"compatible: {str(compatible).lower()}", f"proper: {str(proper).lower()}"]
+    payload = {
+        "compatible": compatible,
+        "proper": proper,
+        "matrix": [list(phi.matrix.row(i)) for i in range(phi.matrix.rows)],
+        "dominantly_mapped": [labels[r] for r in sorted(phi.dominantly_mapped)],
+    }
+    return 0, _report(lines, payload)
+
+
+# name -> (handler, its one argument: None, "divisor", "cone" or "target"), in --help order
+COMMANDS: dict[str, tuple[Callable[..., tuple[int, str]], Optional[str]]] = {
+    "validate": (_validate, None),
+    "orbits": (_orbits, None),
+    "classify": (_classify, None),
+    "class-group": (_class_group, None),
+    "picard": (_picard, None),
+    "cartier": (_cartier, "divisor"),
+    "positivity": (_positivity, "divisor"),
+    "anticanonical": (_anticanonical, None),
+    "smooth": (_smooth, None),
+    "decolour": (_decolour, None),
+    "orbit-closure": (_orbit_closure, "cone"),
+    "morphism": (_morphism, "target"),
+    "weight-monoid": (_weight_monoid, "cone"),
+}
+
+
 def execute(command: str, doc: InputDocument, *, divisor: Optional[str] = None,
             cone: Optional[int] = None, target: Optional[InputDocument] = None) -> tuple[int, str]:
-    """Run one command against a parsed document; returns (exit_code, text)."""
-    fan, datum = doc.fan, doc.datum
-    invalid = _require_valid(fan)
+    """Validate the fan, look up the command, check its argument and run it: (exit_code, text).
+
+    Checking the argument of `morphism` validates the target fan, after the source.
+    """
+    invalid = _require_valid(doc.fan)
     if invalid is not None:
         return 1, invalid
-
-    if command == "validate":
-        lines = [f"coloured fan with {len(fan.cones)} members: valid"]
-        return 0, _report(lines, {"valid": True, "violations": []})
-
-    if command == "orbits":
-        table = orbit_table(fan, datum)
-        maximal = set(fan.maximal())
-        lines = [f"{'cone':>4}  {'dim':>3}  {'closed':>6}  cone description"]
-        rows = []
-        for rec in table:
-            closed = fan.cones[rec.cone_index] in maximal
-            lines.append(
-                f"{rec.cone_index:>4}  {rec.dimension:>3}  {str(closed).lower():>6}  "
-                + _describe_cone(fan, rec.cone_index)
-            )
-            rows.append(
-                {
-                    "cone": rec.cone_index,
-                    "generators": [list(g) for g in fan.cones[rec.cone_index].cone.generators],
-                    "colours": [
-                        fan.lattice.labels()[r] for r in sorted(fan.cones[rec.cone_index].colours)
-                    ],
-                    "dimension": rec.dimension,
-                    "closed": closed,
-                    "closure_contains": sorted(
-                        other.cone_index
-                        for other in table
-                        if closure_contains(fan, rec.cone_index, other.cone_index)
-                    ),
-                }
-            )
-        return 0, _report(lines, {"orbits": rows})
-
-    if command == "classify":
-        rep = classify_variety(fan, datum)
-        payload = {
-            "simple": rep.is_simple,
-            "affine": rep.is_affine,
-            "complete": rep.is_complete,
-            "toroidal": rep.is_toroidal,
-            "projective": rep.is_projective,
-            "simplicial": rep.is_simplicial,
-            "regular": rep.is_regular,
-            "factorial": rep.is_factorial,
-            "q_factorial": rep.is_q_factorial,
-            "smooth": rep.is_smooth,
-            "notes": list(rep.diagnostics),
-        }
-        lines = [f"{key:>12}: {str(value).lower()}" for key, value in payload.items() if key != "notes"]
-        lines += [f"note: {note}" for note in rep.diagnostics]
-        return 0, _report(lines, payload)
-
-    if command == "class-group":
-        result = class_group(fan, datum)
-        lines = [f"Cl(X) = {result.group}", f"left exact: {str(result.left_exact).lower()}"]
-        generators = {}
-        for name, cls in result.generator_classes:
-            generators[name] = {"free": list(cls.free), "torsion": list(cls.torsion)}
-            lines.append(f"  class {name}: free {list(cls.free)} torsion {list(cls.torsion)}")
-        payload = {
-            "class_group": _group_payload(result.group),
-            "left_exact": result.left_exact,
-            "generator_classes": generators,
-        }
-        return 0, _report(lines, payload)
-
-    if command == "picard":
-        result = picard_group(fan, datum)
-        lines = [
-            f"Pic(X) = {result.group}",
-            f"PLF/LF = {result.plf_mod_lf}",
-            f"exact sequence rank check: {str(result.report.rank_consistent).lower()}",
-        ]
-        payload = {
-            "picard": _group_payload(result.group),
-            "plf_mod_lf": _group_payload(result.plf_mod_lf),
-            "report": {
-                "span_perp_rank": result.report.span_perp_rank,
-                "unused_colour_count": result.report.unused_colour_count,
-                "span_perp_image_rank": result.report.span_perp_image_rank,
-                "plf_rank": result.report.plf_rank,
-                "pic_rank": result.report.pic_rank,
-                "rank_consistent": result.report.rank_consistent,
-            },
-        }
-        return 0, _report(lines, payload)
-
-    if command == "cartier":
-        delta = _divisor_arg(doc, divisor)
-        data = cartier_data(delta, fan)
-        if data is None:
-            return 0, _report([f"divisor {divisor!r} is not Cartier"], {"cartier": False, "data": None})
-        lines = [f"divisor {divisor!r} is Cartier"]
-        pieces = {}
-        for idx, m in data.pieces:
-            lines.append(f"  m on cone {idx} = {list(m)}")
-            pieces[str(idx)] = list(m)
-        return 0, _report(lines, {"cartier": True, "data": pieces})
-
-    if command == "positivity":
-        delta = _divisor_arg(doc, divisor)
-        try:
-            cartier, bpf, ample = positivity_check(delta, fan, datum)
-        except NotCompleteError as exc:
-            return 1, _report([f"error: {exc}"], {"error": str(exc)})
-        lines = [
-            f"cartier: {str(cartier).lower()}",
-            f"basepoint free: {str(bpf).lower()}",
-            f"ample: {str(ample).lower()}",
-        ]
-        return 0, _report(lines, {"cartier": cartier, "basepoint_free": bpf, "ample": ample})
-
-    if command == "anticanonical":
-        k = anticanonical(fan, datum)
-        labels = fan.lattice.labels()
-        lines = ["-K ="]
-        for g, a in k.ray_coeffs:
-            lines.append(f"  {a} * D[{','.join(map(str, g))}]")
-        for r, a in k.colour_coeffs:
-            lines.append(f"  {a} * D_{labels[r]}")
-        payload = {
-            "rays": {",".join(map(str, g)): a for g, a in k.ray_coeffs},
-            "colours": {labels[r]: a for r, a in k.colour_coeffs},
-        }
-        return 0, _report(lines, payload)
-
-    if command == "smooth":
-        regs = regularity_report(fan, datum)
-        smooth = all(r.smooth for r in regs)
-        lines = [f"smooth: {str(smooth).lower()}"]
-        rows = []
-        for r in regs:
-            lines.append(
-                f"  cone {r.cone_index}: simplicial {str(r.simplicial).lower()}, "
-                f"regular {str(r.regular).lower()}, smooth {str(r.smooth).lower()} ({r.diagnostic})"
-            )
-            rows.append(
-                {
-                    "cone": r.cone_index,
-                    "multiset": [list(v) for v in r.multiset],
-                    "simplicial": r.simplicial,
-                    "regular": r.regular,
-                    "smooth": r.smooth,
-                    "diagnostic": r.diagnostic,
-                }
-            )
-        return 0, _report(lines, {"smooth": smooth, "cones": rows})
-
-    if command == "decolour":
-        from .dictionary import decolouration
-
-        stripped = decolouration(fan)
-        out = InputDocument(datum, stripped, {}, len(stripped.cones))
-        text = serialize(out)
-        return 0, _report(["decolouration:"], json.loads(text))
-
-    if command == "orbit-closure":
-        index = _cone_arg(doc, cone)
-        closure, closure_datum = orbit_closure(fan, index, datum)
-        out = InputDocument(closure_datum, closure, {}, len(closure.cones))
-        lines = [
-            f"orbit closure of cone {index}",
-            f"quotient lattice rank {closure.lattice.rank}",
-            f"I' = {[closure_datum.group.label(i) for i in sorted(closure_datum.parabolic)]}",
-        ]
-        return 0, _report(lines, json.loads(serialize(out)))
-
-    if command == "weight-monoid":
-        index = _cone_arg(doc, cone)
-        gens = weight_monoid_generators(fan.cones[index], datum)
-        lines = [f"weight monoid generators for cone {index}:"] + [
-            f"  {list(g)}" for g in gens
-        ]
-        return 0, _report(lines, {"generators": [list(g) for g in gens]})
-
-    if command == "morphism":
+    if command not in COMMANDS:
+        raise ParseError("command", f"unknown command {command!r}")
+    handler, argument = COMMANDS[command]
+    if argument == "divisor":
+        return handler(doc, _divisor_arg(doc, divisor))
+    if argument == "cone":
+        return handler(doc, _cone_arg(doc, cone))
+    if argument == "target":
         if target is None:
             raise ParseError("--target", "this command needs --target FILE")
-        invalid_target = _require_valid(target.fan)
-        if invalid_target is not None:
-            return 1, invalid_target
-        phi = coloured_lattice_map(datum, target.datum)
-        compatible, proper = morphism_check(phi, fan, target.fan)
-        labels = fan.lattice.labels()
-        lines = [
-            f"compatible: {str(compatible).lower()}",
-            f"proper: {str(proper).lower()}",
-        ]
-        payload = {
-            "compatible": compatible,
-            "proper": proper,
-            "matrix": [list(phi.matrix.row(i)) for i in range(phi.matrix.rows)],
-            "dominantly_mapped": [labels[r] for r in sorted(phi.dominantly_mapped)],
-        }
-        return 0, _report(lines, payload)
-
-    raise ParseError("command", f"unknown command {command!r}")
+        invalid = _require_valid(target.fan)
+        return (1, invalid) if invalid is not None else handler(doc, target)
+    return handler(doc)
 
 
 def _read(path: str) -> str:
@@ -498,24 +519,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         prog="horofan",
         description="exact combinatorics of horospherical varieties via coloured fans",
     )
-    parser.add_argument(
-        "command",
-        choices=[
-            "validate",
-            "orbits",
-            "classify",
-            "class-group",
-            "picard",
-            "cartier",
-            "positivity",
-            "anticanonical",
-            "smooth",
-            "decolour",
-            "orbit-closure",
-            "morphism",
-            "weight-monoid",
-        ],
-    )
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("file", help="input JSON document, or - for stdin")
     parser.add_argument("--divisor", help="named divisor from the document")
     parser.add_argument("--cone", type=int, help="index of a fan member")
@@ -524,13 +528,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         doc = parse_input(_read(args.file))
         target = parse_input(_read(args.target)) if args.target else None
-        code, text = execute(
-            args.command, doc, divisor=args.divisor, cone=args.cone, target=target
-        )
-    except ParseError as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        code, text = execute(args.command, doc, divisor=args.divisor, cone=args.cone, target=target)
+    except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:

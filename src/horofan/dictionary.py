@@ -43,9 +43,10 @@ from .horo import (
     is_coloured_face,
     quotient_coloured_lattice,
     trivial_coloured_cone,
+    uncoloured_rays,
 )
 from .ratlp import maximize
-from .rootsys import RootDatum, colour_smoothness_check, flag_dimension
+from .rootsys import RootDatum, colour_smoothness_check, connected_components, flag_dimension
 
 Vector = tuple[int, ...]
 
@@ -167,7 +168,8 @@ def regularity_report(fan: ColouredFan, datum: HorosphericalDatum) -> list[ConeR
     _require_lattice(fan, datum)
     out = []
     for idx, cc in enumerate(fan.cones):
-        multiset = _regularity_multiset(fan.lattice, cc)
+        colour_points = tuple(fan.lattice.point(r) for r in sorted(cc.colours))
+        multiset = tuple(uncoloured_rays(fan.lattice, cc)) + colour_points
         m = IntMatrix.from_columns(list(multiset), rows=fan.lattice.rank)
         factors = invariant_factors(m)  # one per unit of rank(m)
         simplicial = len(factors) == len(multiset)
@@ -186,16 +188,6 @@ def regularity_report(fan: ColouredFan, datum: HorosphericalDatum) -> list[ConeR
             why = "regular, and the colours satisfy the Dynkin condition"
         out.append(ConeRegularity(idx, multiset, simplicial, regular, smooth, why))
     return out
-
-
-def _regularity_multiset(lattice: ColouredLattice, cc: ColouredCone) -> tuple[Vector, ...]:
-    colour_points = [lattice.point(r) for r in sorted(cc.colours)]
-    rays = []
-    for ray in cc.cone.rays():
-        on_ray = any(ray.contains(p) for p in colour_points if any(p))
-        if not on_ray:
-            rays.append(ray.generators[0])
-    return tuple(rays) + tuple(colour_points)
 
 
 @dataclass(frozen=True)
@@ -398,21 +390,7 @@ def affine_local_structure(
         raise NotStronglyConvexError("affine local structure needs a strongly convex cone")
     group = datum.group
     q_index = frozenset(datum.parabolic | sigma.colours)
-    components: list[tuple[str, int, list[int]]] = []
-    remaining = set(q_index)
-    while remaining:
-        seed = min(remaining)
-        comp = {seed}
-        queue = [seed]
-        while queue:
-            cur = queue.pop()
-            for other in list(remaining):
-                if other not in comp and group.adjacent(cur, other):
-                    comp.add(other)
-                    queue.append(other)
-        remaining -= comp
-        letter, size, order = _classify_subdiagram(group, sorted(comp))
-        components.append((letter, size, order))
+    components = [_classify_subdiagram(group, sorted(comp)) for comp in connected_components(group, q_index)]
     components.sort(key=lambda item: min(item[2]))
     levi_group = RootDatum(
         components=tuple((letter, size) for letter, size, _ in components),

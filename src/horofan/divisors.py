@@ -26,7 +26,7 @@ from .intlin import (
     solve_integer_affine,
 )
 from .polyhedra import LatticeLiftError, PlainFan, complete_fan_walls, dot, gluing_rows
-from .horo import ColouredFan, HorosphericalDatum
+from .horo import ColouredFan, HorosphericalDatum, uncoloured_rays
 from .rootsys import pairing, positive_roots
 from .dictionary import _require_lattice
 
@@ -221,11 +221,8 @@ def _cartier_system(fan: ColouredFan) -> tuple[IntMatrix, IntMatrix, list[int]]:
 
     for slot, idx in enumerate(max_idx):
         cc = fan.cones[idx]
-        colour_points = [fan.lattice.point(root) for root in cc.colours]
-        for ray in cc.cone.rays():
-            if any(ray.contains(p) for p in colour_points if any(p)):
-                continue
-            value_row(slot, ray.generators[0], gens.index(ray.generators[0]))
+        for g in uncoloured_rays(fan.lattice, cc):
+            value_row(slot, g, gens.index(g))
         for root in sorted(cc.colours):
             value_row(slot, fan.lattice.point(root), len(gens) + roots.index(root))
     a = IntMatrix.from_rows(a_rows, cols=width_x)

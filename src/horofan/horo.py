@@ -31,7 +31,7 @@ from .intlin import (
     rank,
     saturate,
 )
-from .polyhedra import Cone, dot, faces, intersect, is_face_of
+from .polyhedra import Cone, dot, faces, intersect, is_face_of, primitive
 from .rootsys import RootDatum
 
 Vector = tuple[int, ...]
@@ -223,8 +223,8 @@ def trivial_coloured_cone(lattice: ColouredLattice) -> ColouredCone:
     return ColouredCone(Cone.zero(lattice.rank), frozenset())
 
 
-def coloured_faces(lattice: ColouredLattice, cc: ColouredCone) -> list[ColouredCone]:
-    """All coloured faces: each face tau gets the colours of cc landing in tau.
+def _face_colours(lattice: ColouredLattice, cc: ColouredCone, face_cones: list[Cone]) -> list[frozenset[int]]:
+    """For each face tau of cc's cone, the colours of cc whose points lie in tau.
 
     A face tau is sigma cut by the hyperplanes of sigma's normals that vanish
     on tau's generators, so a point of sigma lies in tau exactly when each of
@@ -239,10 +239,26 @@ def coloured_faces(lattice: ColouredLattice, cc: ColouredCone) -> list[ColouredC
         if sigma.contains(point):
             zeros[r] = {h for h in normals if dot(h, point) == 0}
     out = []
-    for f in faces(sigma):
+    for f in face_cones:
         active = {h for h in normals if all(dot(h, g) == 0 for g in f.generators)}
-        out.append(ColouredCone(f, frozenset(r for r, z in zeros.items() if active <= z)))
+        out.append(frozenset(r for r, z in zeros.items() if active <= z))
     return out
+
+
+def coloured_faces(lattice: ColouredLattice, cc: ColouredCone) -> list[ColouredCone]:
+    """All coloured faces: each face tau gets the colours of cc landing in tau."""
+    face_cones = faces(cc.cone)
+    return [ColouredCone(f, c) for f, c in zip(face_cones, _face_colours(lattice, cc, face_cones))]
+
+
+def uncoloured_rays(lattice: ColouredLattice, cc: ColouredCone) -> list[Vector]:
+    """Generators of the rays of cc that carry none of its colour points.
+
+    A nonzero point lies on the ray with primitive generator u exactly when
+    its primitive vector is u.
+    """
+    on_rays = {primitive(p) for p in map(lattice.point, cc.colours) if any(p)}
+    return [ray.generators[0] for ray in cc.cone.rays() if ray.generators[0] not in on_rays]
 
 
 def coloured_intersection(a: ColouredCone, b: ColouredCone) -> ColouredCone:
@@ -250,10 +266,7 @@ def coloured_intersection(a: ColouredCone, b: ColouredCone) -> ColouredCone:
 
 
 def is_coloured_face(lattice: ColouredLattice, tau: ColouredCone, sigma: ColouredCone) -> bool:
-    if not is_face_of(tau.cone, sigma.cone):
-        return False
-    induced = frozenset(r for r in sigma.colours if tau.cone.contains(lattice.point(r)))
-    return induced == tau.colours
+    return is_face_of(tau.cone, sigma.cone) and _face_colours(lattice, sigma, [tau.cone]) == [tau.colours]
 
 
 def _meet_in_coloured_face(lattice: ColouredLattice, a: ColouredCone, b: ColouredCone) -> bool:

@@ -235,7 +235,8 @@ def flag_dimension(datum: RootDatum, parabolic: Iterable[int]) -> int:
     return sum(1 for gamma in positive_roots(datum) if not _root_supported_on(datum, gamma, index_set))
 
 
-def _connected_components(datum: RootDatum, nodes: frozenset[int]) -> list[frozenset[int]]:
+def connected_components(datum: RootDatum, nodes: frozenset[int]) -> list[frozenset[int]]:
+    """Connected components of the Dynkin subdiagram on `nodes`, each grown from its least node."""
     remaining = set(nodes)
     out = []
     while remaining:
@@ -289,7 +290,7 @@ def colour_smoothness_check(
     chosen = sorted(set(colours))
     if index_set & set(chosen):
         raise ValueError("colours must be disjoint from the parabolic index set")
-    comps = _connected_components(datum, index_set)
+    comps = connected_components(datum, index_set)
 
     def touched(alpha: int) -> list[frozenset[int]]:
         return [k for k in comps if any(datum.adjacent(alpha, i) for i in k)]

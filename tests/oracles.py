@@ -22,9 +22,9 @@ import itertools
 from fractions import Fraction
 
 from horofan.divisors import _cartier_system, cartier_data
-from horofan.horo import ColouredCone, ValidationReport, coloured_intersection, is_coloured_face
+from horofan.horo import ColouredCone, ValidationReport, coloured_intersection
 from horofan.intlin import IntMatrix
-from horofan.polyhedra import dot, faces, gluing_rows, intersect
+from horofan.polyhedra import dot, faces, gluing_rows, intersect, is_face_of
 from horofan.ratlp import maximize
 
 
@@ -203,8 +203,23 @@ def contains_rule_coloured_faces(lattice, cc) -> list:
     ]
 
 
+def contains_rule_is_coloured_face(lattice, tau, sigma) -> bool:
+    """`horo.is_coloured_face` with the colours of tau read by tau's own `contains`."""
+    if not is_face_of(tau.cone, sigma.cone):
+        return False
+    return frozenset(r for r in sigma.colours if tau.cone.contains(lattice.point(r))) == tau.colours
+
+
+def ray_contains_uncoloured_rays(lattice, cc) -> list:
+    """`horo.uncoloured_rays` with each colour point tested by the ray's own `contains`."""
+    points = [lattice.point(r) for r in cc.colours]
+    return [
+        ray.generators[0] for ray in cc.cone.rays() if not any(ray.contains(p) for p in points if any(p))
+    ]
+
+
 def all_pairs_validation(fan) -> ValidationReport:
-    """`horo.validate_coloured_fan` testing every pair of members, with `contains_rule_coloured_faces`."""
+    """`horo.validate_coloured_fan` testing every pair of members, with the `contains_rule_*` face tests."""
     violations: list[str] = []
     lattice = fan.lattice
     known_roots = lattice.colour_roots()
@@ -251,7 +266,7 @@ def all_pairs_validation(fan) -> ValidationReport:
     for i, a in enumerate(fan.cones):
         for b in fan.cones[i + 1 :]:
             meet = coloured_intersection(a, b)
-            if not is_coloured_face(lattice, meet, a) or not is_coloured_face(lattice, meet, b):
+            if not all(contains_rule_is_coloured_face(lattice, meet, c) for c in (a, b)):
                 violations.append(
                     f"intersection of {fan.describe(a)} and {fan.describe(b)} "
                     "is not a coloured face of both"

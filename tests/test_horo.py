@@ -26,13 +26,15 @@ from horofan.horo import (
     product_coloured_fan,
     quotient_coloured_lattice,
     trivial_coloured_cone,
+    uncoloured_rays,
     validate_coloured_fan,
 )
 from horofan.intlin import IntMatrix, lattice_coordinates
 from horofan.polyhedra import Cone
 from horofan.rootsys import RootDatum
 
-from .oracles import inverse_cartan_pairing_oracle, sl_colour_point_oracle
+from .factories import random_valid_fan
+from .oracles import inverse_cartan_pairing_oracle, ray_contains_uncoloured_rays, sl_colour_point_oracle
 
 
 def sl_datum(n, columns=None, parabolic=frozenset()):
@@ -388,3 +390,22 @@ class TestProduct:
             prod = product_coloured_fan(fan, other)
             assert len(prod.cones) == len(fan.cones) * len(other.cones)
             assert validate_coloured_fan(prod).valid
+
+
+def test_uncoloured_rays_match_ray_contains():
+    """On random valid fans, with a zero colour point and a negative multiple of
+    a ray generator added to each member's colours."""
+    rng = random.Random(3)
+    checked = 0
+    for _ in range(40):
+        fan, _ = random_valid_fan(rng)
+        n = fan.lattice.rank
+        for cc in fan.cones:
+            extra = [(0,) * n] + [tuple(-2 * x for x in g) for g in cc.cone.generators[:1]]
+            added = tuple(Colour(100 + k, f"x{k}", p) for k, p in enumerate(extra))
+            lattice = ColouredLattice(n, fan.lattice.colours + added, 100 + len(added), 1)
+            for colours in (cc.colours, cc.colours | {c.root for c in added}):
+                probe = ColouredCone(cc.cone, frozenset(colours))
+                assert uncoloured_rays(lattice, probe) == ray_contains_uncoloured_rays(lattice, probe)
+                checked += bool(probe.colours)
+    assert checked > 40

@@ -14,6 +14,7 @@ from horofan.horo import (
     HorosphericalDatum,
     close_under_coloured_faces,
     coloured_faces,
+    is_coloured_face,
     validate_coloured_fan,
 )
 from horofan.intlin import IntMatrix
@@ -28,7 +29,7 @@ from .factories import (
     stellar_subdivision,
     torus3,
 )
-from .oracles import all_pairs_validation, contains_rule_coloured_faces
+from .oracles import all_pairs_validation, contains_rule_coloured_faces, contains_rule_is_coloured_face
 
 
 def a1_cubed() -> HorosphericalDatum:
@@ -131,3 +132,7 @@ def coloured_cones(draw):
 def test_face_colours_by_incidence_match_face_contains(data):
     lattice, cc = data
     assert coloured_faces(lattice, cc) == contains_rule_coloured_faces(lattice, cc)
+    for f in coloured_faces(lattice, cc):
+        for colours in (f.colours, cc.colours, frozenset()):
+            tau = ColouredCone(f.cone, colours)
+            assert is_coloured_face(lattice, tau, cc) == contains_rule_is_coloured_face(lattice, tau, cc)

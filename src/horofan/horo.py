@@ -20,6 +20,7 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .intlin import (
@@ -164,17 +165,19 @@ class ColouredFan:
         return frozenset(out)
 
     def maximal(self) -> list[ColouredCone]:
-        out = []
-        for cc in self.cones:
-            dominated = any(
-                other != cc
-                and other.cone.contains_cone(cc.cone)
-                and cc.colours <= other.colours
+        return list(self._maximal)
+
+    @cached_property
+    def _maximal(self) -> tuple[ColouredCone, ...]:
+        # computed once per fan, outside == and hash like Cone._dim
+        return tuple(
+            cc
+            for cc in self.cones
+            if not any(
+                other != cc and other.cone.contains_cone(cc.cone) and cc.colours <= other.colours
                 for other in self.cones
             )
-            if not dominated:
-                out.append(cc)
-        return out
+        )
 
     def non_coloured_rays(self) -> list[ColouredCone]:
         return [cc for cc in self.cones if cc.dim() == 1 and not cc.colours]

@@ -8,13 +8,17 @@ shortcuts.  Matrices are immutable and row-major; empty matrices (0 rows or
 
 One row-echelon routine, `_echelonise`, answers the lattice questions: the
 Hermite form and its transform (`hermite_normal_form`), ranks, column bases
-(`column_hermite`), unimodular equivalence, and kernels (`kernel_basis`
-echelonises [m^T | I] and reads the kernel off the rows whose left block
-vanished).  The Smith form is computed only where its diagonal or its
-transforms are the answer: invariant factors and cokernels, and integer
-solving, where one Smith form of m answers m*x = b for a whole batch of
-right-hand sides b (`lattice_coordinates`; `solve_integer_affine` for one b,
-with the kernel).
+(`column_hermite`), unimodular equivalence, and kernels.
+`kernel_and_complement` echelonises [m^T | I]: the rows whose left block
+vanished are the kernel (`kernel_basis`), and the others coordinatise the
+saturated row span of m and lift functionals on it, which is all that cone
+duality needs.  The Smith form is computed only where its diagonal or its
+transforms are the answer: invariant factors and cokernels (class and Picard
+groups), the classes of Z^d / B*Z^d that give Hilbert basis candidates, and
+integer solving, where one Smith form of m answers m*x = b for a whole batch
+of right-hand sides b (`lattice_coordinates`; `solve_integer_affine` for one
+b, with the kernel): span coordinates for Hilbert bases, lifts from a
+lineality quotient for weight monoids, Cartier data and lattice maps.
 """
 
 from __future__ import annotations
@@ -367,16 +371,32 @@ def solve_integer_affine(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vecto
     return None if x is None else (x, kernel)
 
 
-def kernel_basis(m: IntMatrix) -> list[Vector]:
-    """Canonical basis of {x in Z^cols : m*x = 0} (a saturated sublattice).
+def kernel_and_complement(m: IntMatrix) -> tuple[list[Vector], list[Vector], list[Vector]]:
+    """(echelon, complement, kernel): the kernel of m and a complement that coordinatises its row span.
 
-    Echelonising [m^T | I] over all its columns leaves [U*m^T | U].  The rows
-    whose left block vanished come last; their right blocks span the kernel
-    and, echelonised too, are its column Hermite form.
+    Echelonising [m^T | I] over all its columns leaves [U*m^T | U] with U
+    unimodular.  The rows whose left block vanished come last; their right
+    blocks `kernel` span {x in Z^cols : m*x = 0} and, echelonised too, are its
+    column Hermite form.  The first r = rank(m) rows give `echelon`, the row
+    Hermite form of m^T, and `complement`, the r x cols block C with
+    C*m^T = echelon.  C maps the saturated row span L of m isomorphically
+    onto Z^r, so column j of `echelon` holds the coordinates of row j of m in
+    L, a functional h on L (in these coordinates) lifts to h*C on Z^cols, and
+    the echelon's pivot columns index r independent rows of m.
     """
     a = _beside_identity(m.transpose())
     _echelonise(a, m.rows + m.cols)
-    return [tuple(row[m.rows :]) for row in a if not any(row[: m.rows])]
+    r = next((i for i, row in enumerate(a) if not any(row[: m.rows])), len(a))
+    return (
+        [tuple(row[: m.rows]) for row in a[:r]],
+        [tuple(row[m.rows :]) for row in a[:r]],
+        [tuple(row[m.rows :]) for row in a[r:]],
+    )
+
+
+def kernel_basis(m: IntMatrix) -> list[Vector]:
+    """Canonical basis of {x in Z^cols : m*x = 0} (a saturated sublattice), in column Hermite form."""
+    return kernel_and_complement(m)[2]
 
 
 def column_hermite(m: IntMatrix) -> IntMatrix:
@@ -423,9 +443,16 @@ def reduce_mod_lattice(vectors: Sequence[Sequence[int]], basis: IntMatrix) -> li
     The basis is put in column Hermite form once for the whole batch, so equal
     cosets reduce to equal representatives.
     """
-    if basis.cols == 0:
-        return [tuple(v) for v in vectors]
-    pivots = [(next(i for i, x in enumerate(col) if x != 0), col) for col in column_hermite(basis).columns()]
+    return reduce_mod_hermite(vectors, column_hermite(basis).columns())
+
+
+def reduce_mod_hermite(vectors: Sequence[Sequence[int]], hermite: Sequence[Vector]) -> list[Vector]:
+    """`reduce_mod_lattice` for a basis already in column Hermite form, as `kernel_basis` returns it.
+
+    Each vector's entry at each pivot, taken in order, is brought into
+    [0, pivot); later basis vectors vanish there, so the result is canonical.
+    """
+    pivots = [(next(i for i, x in enumerate(col) if x != 0), col) for col in hermite]
     out = []
     for v in vectors:
         w = list(v)

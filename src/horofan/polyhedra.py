@@ -1,16 +1,17 @@
 """Rational polyhedral cones and plain fans, all exact.
 
 A cone is stored by canonical primitive generators and its inequality
-description (its dual generators); one double-description engine yields both
-when a cone is canonicalised, and faces, built from generator subsets, get
-their inequalities on first use.  Cones may be non-pointed and
-non-full-dimensional: the inequality description then carries the span
-equalities as +/- pairs, and the generator description carries a lineality
-basis as +/- pairs.  Ranks here are tiny, so every conversion is done by
-exact subset enumeration rather than asymptotically clever methods; Hilbert
-bases enumerate the group Z^d / B*Z^d of each simplicial basis B, not a box.
-Fans say where their walls are (`facet_owners`) and how piecewise linear
-functions glue across their members (`gluing_rows`).
+description (its dual generators); one duality engine, `dual_generators`,
+yields both when a cone is canonicalised (the cone is the dual of its dual),
+and faces, built from generator subsets, get their inequalities on first use.
+Cones may be non-pointed and non-full-dimensional: the inequality description
+then carries the span equalities as +/- pairs, and the generator description
+carries a lineality basis as +/- pairs.  The engine splits off the span with
+one integer echelon and finds facets by incremental double description, in
+integers throughout.  Hilbert bases enumerate the group Z^d / B*Z^d of each
+simplicial basis B, not a box.  Fans say where their walls are
+(`facet_owners`) and how piecewise linear functions glue across their members
+(`gluing_rows`).
 """
 
 from __future__ import annotations
@@ -22,10 +23,11 @@ from typing import Iterable, Optional, Sequence
 
 from .intlin import (
     IntMatrix,
+    kernel_and_complement,
     kernel_basis,
     lattice_coordinates,
     rank,
-    reduce_mod_lattice,
+    reduce_mod_hermite,
     saturate,
     smith_normal_form,
     vector_gcd,
@@ -64,35 +66,59 @@ def _in_coordinates(vectors: Sequence[Vector], basis: IntMatrix) -> list[Vector]
     return coords
 
 
-def _lift_and_join(vectors: Sequence[Vector], m: IntMatrix, lattice: list[Vector]) -> list[Vector]:
-    """Sorted preimages under m, canonical modulo the lattice L with basis `lattice`, and +/- that basis.
+def _join_lineality(vectors: Sequence[Vector], lattice: list[Vector]) -> list[Vector]:
+    """Sorted canonical representatives of `vectors` modulo the lattice L, and +/- the basis of L.
 
-    The rows of m span a saturated lattice, so m is onto and every vector lifts.
+    `lattice` is a basis of L in column Hermite form, as `kernel_basis` returns it.
     """
-    lifts = lattice_coordinates(vectors, m)
-    if None in lifts:
-        raise LatticeLiftError("a matrix with saturated rows maps onto")
-    modulo = IntMatrix.from_columns(lattice, rows=m.cols)
-    out = set(reduce_mod_lattice(lifts, modulo))
+    out = set(reduce_mod_hermite(vectors, lattice))
     return sorted(out | set(lattice) | {tuple(-x for x in b) for b in lattice})
 
 
-def _facet_normals_fulldim(vectors: Sequence[Vector], d: int) -> list[Vector]:
-    """Primitive facet normals of a cone spanning R^d, given generators."""
-    normals: set[Vector] = set()
-    vecs = list(dict.fromkeys(vectors))
-    for subset in itertools.combinations(vecs, d - 1):
-        # a (d-1) x d matrix has a rank-one kernel exactly when its rank is d-1
-        ker = kernel_basis(IntMatrix.from_rows(list(subset), cols=d))
-        if len(ker) != 1:
+def _dual_extreme_rays(coords: Sequence[Vector], seeds: Sequence[int], d: int) -> list[Vector]:
+    """Primitive extreme rays of {x in R^d : <a, x> >= 0 for all a in coords}, sorted.
+
+    Incremental double description (Fukuda and Prodon, "Double description
+    method revisited", 1996).  The d linearly independent constraints
+    coords[j], j in `seeds`, cut out a simplicial cone whose rays are their d
+    rank-one kernels.  Each further constraint a keeps the rays r with
+    <a, r> >= 0 and joins each pair r+, r- on opposite sides of it by
+    <a, r+> r- - <a, r-> r+, if the pair is adjacent: no third ray vanishes on
+    every constraint that both vanish on.  The cone stays pointed, where this
+    test is exact.  A ray's zero set is a bit mask over constraint indices.
+    """
+    rays: list[tuple[Vector, int]] = []
+    seed_bits = sum(1 << j for j in seeds)
+    for j in seeds:
+        (r,) = kernel_basis(IntMatrix.from_rows([coords[s] for s in seeds if s != j], cols=d))
+        rays.append((r if dot(coords[j], r) > 0 else tuple(-x for x in r), seed_bits & ~(1 << j)))
+    for i, a in enumerate(coords):
+        if (seed_bits >> i) & 1:
             continue
-        h = primitive(ker[0])
-        vals = [dot(h, v) for v in vecs]
-        if all(x >= 0 for x in vals):
-            normals.add(h)
-        elif all(x <= 0 for x in vals):
-            normals.add(tuple(-x for x in h))
-    return sorted(normals)
+        bit = 1 << i
+        kept, pos, neg = [], [], []
+        for r, z in rays:
+            t = dot(a, r)
+            if t > 0:
+                kept.append((r, z))
+                pos.append((r, z, t))
+            elif t < 0:
+                neg.append((r, z, t))
+            else:
+                kept.append((r, z | bit))
+        if neg:
+            masks = [z for _, z in rays]
+            for p, zp, tp in pos:
+                for q, zq, tq in neg:
+                    common = zp & zq
+                    if common.bit_count() < d - 2:
+                        continue
+                    # p, q and any third ray whose zero set holds `common`
+                    if sum(1 for z in masks if z & common == common) > 2:
+                        continue
+                    kept.append((primitive([tp * y - tq * x for x, y in zip(p, q)]), common | bit))
+        rays = kept
+    return sorted(r for r, _ in rays)
 
 
 def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
@@ -101,17 +127,20 @@ def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
     This single engine converts generator descriptions to inequality
     descriptions and back: the dual of Cone(V) is generated by the returned
     vectors, which also serve as an exact inequality description of Cone(V).
+    One echelon of [V^T | I] gives the dual's lineality lattice `perp` in
+    Hermite form, span coordinates of V, and the lift of functionals on the
+    span to Z^n (`kernel_and_complement`); the facets are found in span
+    coordinates by double description, lifted, and reduced modulo `perp`.
     """
-    vecs = [tuple(v) for v in vectors if any(v)]
+    vecs = list(dict.fromkeys(tuple(v) for v in vectors if any(v)))
     if not vecs:
         return sorted(u for e in _unit_vectors(n) for u in (e, tuple(-x for x in e)))
-    # the dual's lineality lattice, and from it the saturated span (as `saturate` does)
-    perp = kernel_basis(IntMatrix.from_rows(vecs, cols=n))
-    span = IntMatrix.from_columns(kernel_basis(IntMatrix.from_rows(perp, cols=n)), rows=n)
-    d = span.cols
-    coords = _in_coordinates(vecs, span)
-    facets = _facet_normals_fulldim(coords, d) if d > 0 else []
-    return _lift_and_join(facets, span.transpose(), perp)
+    echelon, complement, perp = kernel_and_complement(IntMatrix.from_rows(vecs, cols=n))
+    d = len(echelon)
+    seeds = [next(j for j, x in enumerate(row) if x) for row in echelon]
+    facets = _dual_extreme_rays(list(zip(*echelon)), seeds, d)
+    columns = list(zip(*complement))
+    return _join_lineality([tuple(dot(h, column) for column in columns) for h in facets], perp)
 
 
 @dataclass(frozen=True)
@@ -135,8 +164,9 @@ class Cone:
         gens = [g for g in gens if any(g)]
         if not gens:
             return Cone(ambient_rank, ())
-        canonical, normals = _canonical_generators(gens, ambient_rank)
-        return Cone(ambient_rank, canonical, [normals])
+        # the dual of the dual is the cone, and dual_generators answers canonically
+        normals = tuple(dual_generators(gens, ambient_rank))
+        return Cone(ambient_rank, tuple(dual_generators(normals, ambient_rank)), [normals])
 
     @staticmethod
     def from_inequalities(ambient_rank: int, normals: Iterable[Sequence[int]]) -> "Cone":
@@ -178,7 +208,10 @@ class Cone:
         return not self.lineality_basis()
 
     def rays(self) -> list["Cone"]:
-        return [c for c in faces(self) if c.dim() == 1]
+        """The one-dimensional faces: the cones on the canonical generators of a strongly convex cone."""
+        if not self.is_strongly_convex():
+            raise NotPointedError("only a strongly convex cone is generated by its rays")
+        return [Cone(self.ambient_rank, (g,)) for g in self.generators]
 
     def relative_interior_point(self) -> Vector:
         """An integer point in the relative interior (the generator sum)."""
@@ -187,43 +220,30 @@ class Cone:
         return tuple(sum(g[i] for g in self.generators) for i in range(self.ambient_rank))
 
 
-def _canonical_generators(gens: list[Vector], n: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
-    """Canonical generators and inequality description of Cone(gens), gens nonzero."""
-    normals = tuple(dual_generators(gens, n))
-    lin = kernel_basis(IntMatrix.from_rows(normals, cols=n))
-    if not lin:
-        return _extreme_rays(gens, normals, n), normals
-    canonical = _through_lineality_quotient(
-        gens, lin, n, lambda images, d: _extreme_rays(images, dual_generators(images, d), d)
-    )
-    return tuple(canonical), normals
-
-
 def _through_lineality_quotient(gens: Sequence[Vector], lin: list[Vector], n: int, pointed) -> list[Vector]:
-    """Answer for a cone with lineality lattice L (basis `lin`) from its pointed quotient.
+    """Answer for a cone with lineality lattice L from its pointed quotient.
 
-    `pointed(images, d)` gets the nonzero images of `gens` in Z^n / L = Z^d;
-    its vectors are lifted to canonical representatives modulo L and joined
-    by the +/- basis of L.
+    `lin` is the basis of L in column Hermite form that `Cone.lineality_basis`
+    returns.  `pointed(images, d)` gets the nonzero images of `gens` in
+    Z^n / L = Z^d; its vectors are lifted to canonical representatives modulo
+    L and joined by the +/- basis of L.
     """
     q = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(lin, cols=n)), cols=n)
     images = [w for w in (q.apply(g) for g in gens) if any(w)]
-    return _lift_and_join(pointed(images, q.rows) if images else [], q, lin)
-
-
-def _extreme_rays(gens: list[Vector], normals: Sequence[Vector], n: int) -> tuple[Vector, ...]:
-    rays: set[Vector] = set()
-    for g in gens:
-        active = [h for h in normals if dot(h, g) == 0]
-        m = IntMatrix.from_rows(active, cols=n) if active else IntMatrix.zero(0, n)
-        if rank(m) == n - 1:
-            rays.add(primitive(g))
-    return tuple(sorted(rays))
+    # the rows of q span a saturated lattice, so q is onto and every vector lifts
+    lifts = lattice_coordinates(pointed(images, q.rows) if images else [], q)
+    if None in lifts:
+        raise LatticeLiftError("a matrix with saturated rows maps onto")
+    return _join_lineality(lifts, lin)
 
 
 def dual_cone(sigma: Cone) -> Cone:
-    """The dual cone {m : <m, u> >= 0 for all u in sigma}."""
-    return Cone.from_generators(sigma.ambient_rank, sigma.facet_normals())
+    """The dual cone {m : <m, u> >= 0 for all u in sigma}.
+
+    Its canonical generators are sigma's normals and its normals are sigma's
+    generators: both descriptions are `dual_generators` of the other.
+    """
+    return Cone(sigma.ambient_rank, sigma.facet_normals(), [sigma.generators])
 
 
 def faces(sigma: Cone) -> list[Cone]:
@@ -357,9 +377,13 @@ def facet_owners(maximal: Sequence[Cone]) -> dict[Cone, list[int]]:
     """Each facet of a cone in `maximal`, with the indices of the cones in `maximal` containing it.
 
     On a complete fan every facet has exactly two owners, so the table is the
-    fan's wall list.
+    fan's wall list.  The facets of a cone are the incidence sets of its
+    normals that are not zero on all of it, taken in generator order.
     """
-    facets = dict.fromkeys(f for c in maximal for f in faces(c) if f.dim() == c.dim() - 1)
+    facets: dict[Cone, None] = {}
+    for c in maximal:
+        incidences = {tuple(g for g in c.generators if dot(h, g) == 0) for h in c.facet_normals()}
+        facets.update(dict.fromkeys(Cone(c.ambient_rank, f) for f in sorted(incidences - {c.generators})))
     return {f: [i for i, c in enumerate(maximal) if c.contains_cone(f)] for f in facets}
 
 

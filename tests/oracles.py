@@ -7,6 +7,12 @@ code path with the coroot-restriction rule it checks.  The Hilbert-basis
 oracle enumerates lattice points in a box and reduces by pairwise
 subtraction, independent of the parallelepiped method.
 
+`subset_scan_dual_generators` is the package's earlier cone-duality engine:
+it splits off the span with two kernels and a Smith form, finds the facets
+of the full-dimensional cone by testing every (d-1)-subset of generators, and
+lifts them through a second Smith form, so it shares neither the echelon
+split nor the double description of `polyhedra.dual_generators`.
+
 The all-pairs oracles are the package's earlier fan-level routes, kept to
 check the wall-based and anchor-based ones: a dense projectivity LP over
 every m_sigma with rows for every pair of maximal cones, a positivity loop
@@ -23,8 +29,8 @@ from fractions import Fraction
 
 from horofan.divisors import _cartier_system, cartier_data
 from horofan.horo import ColouredCone, ValidationReport, coloured_intersection
-from horofan.intlin import IntMatrix
-from horofan.polyhedra import dot, faces, gluing_rows, intersect, is_face_of
+from horofan.intlin import IntMatrix, kernel_basis, lattice_coordinates, reduce_mod_lattice
+from horofan.polyhedra import LatticeLiftError, dot, faces, gluing_rows, intersect, is_face_of, primitive
 from horofan.ratlp import maximize
 
 
@@ -48,6 +54,54 @@ def brute_force_hilbert(cone) -> list[tuple[int, ...]]:
         if not decomposable:
             out.append(p)
     return out
+
+
+def _subset_scan_facet_normals(vectors, d):
+    """Primitive facet normals of a cone spanning R^d, given generators."""
+    normals = set()
+    vecs = list(dict.fromkeys(vectors))
+    for subset in itertools.combinations(vecs, d - 1):
+        # a (d-1) x d matrix has a rank-one kernel exactly when its rank is d-1
+        ker = kernel_basis(IntMatrix.from_rows(list(subset), cols=d))
+        if len(ker) != 1:
+            continue
+        h = primitive(ker[0])
+        vals = [dot(h, v) for v in vecs]
+        if all(x >= 0 for x in vals):
+            normals.add(h)
+        elif all(x <= 0 for x in vals):
+            normals.add(tuple(-x for x in h))
+    return sorted(normals)
+
+
+def _lift_and_join(vectors, m, lattice):
+    """Sorted preimages under m, canonical modulo the lattice L with basis `lattice`, and +/- that basis.
+
+    The rows of m span a saturated lattice, so m is onto and every vector lifts.
+    """
+    lifts = lattice_coordinates(vectors, m)
+    if None in lifts:
+        raise LatticeLiftError("a matrix with saturated rows maps onto")
+    modulo = IntMatrix.from_columns(lattice, rows=m.cols)
+    out = set(reduce_mod_lattice(lifts, modulo))
+    return sorted(out | set(lattice) | {tuple(-x for x in b) for b in lattice})
+
+
+def subset_scan_dual_generators(vectors, n):
+    """Canonical generators of {m : <m, v> >= 0 for all v in vectors} in Z^n, by subset scan."""
+    vecs = [tuple(v) for v in vectors if any(v)]
+    if not vecs:
+        units = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+        return sorted(u for e in units for u in (e, tuple(-x for x in e)))
+    # the dual's lineality lattice, and from it the saturated span (as `saturate` does)
+    perp = kernel_basis(IntMatrix.from_rows(vecs, cols=n))
+    span = IntMatrix.from_columns(kernel_basis(IntMatrix.from_rows(perp, cols=n)), rows=n)
+    d = span.cols
+    coords = lattice_coordinates(vecs, span)
+    if None in coords:
+        raise ValueError("vector outside the saturated span lattice")
+    facets = _subset_scan_facet_normals(coords, d) if d > 0 else []
+    return _lift_and_join(facets, span.transpose(), perp)
 
 
 def sl_colour_point_oracle(n: int, column: tuple[int, ...]) -> tuple[int, ...]:

@@ -409,3 +409,25 @@ def test_uncoloured_rays_match_ray_contains():
                 assert uncoloured_rays(lattice, probe) == ray_contains_uncoloured_rays(lattice, probe)
                 checked += bool(probe.colours)
     assert checked > 40
+
+
+def test_maximal_is_computed_once_outside_equality(monkeypatch):
+    """`maximal()` keeps the members no other member dominates; later calls
+    reuse the first answer, each in a list of its own, and the cached value
+    changes neither == nor hash."""
+    rng = random.Random(11)
+    for _ in range(10):
+        fan, _ = random_valid_fan(rng)
+        expected = [
+            a
+            for a in fan.cones
+            if not any(b != a and b.cone.contains_cone(a.cone) and a.colours <= b.colours for b in fan.cones)
+        ]
+        fresh = ColouredFan(fan.lattice, fan.cones)
+        first = fan.maximal()
+        assert first == expected
+        first.clear()
+        with monkeypatch.context() as m:
+            m.setattr(Cone, "contains_cone", lambda self, other: pytest.fail("maximal cones recomputed"))
+            assert fan.maximal() == expected
+        assert fan == fresh and hash(fan) == hash(fresh)

@@ -13,10 +13,12 @@ from horofan.intlin import (
     hermite_normal_form,
     invariant_factors,
     is_unimodular,
+    kernel_and_complement,
     kernel_basis,
     lattice_coordinates,
     left_unimodular_equivalent,
     rank,
+    reduce_mod_hermite,
     reduce_mod_lattice,
     saturate,
     smith_normal_form,
@@ -272,6 +274,34 @@ class TestKernelAndReduction:
         for m in lattice_samples(85):
             h, _ = hermite_normal_form(m)
             assert rank(m) == sum(1 for i in range(h.rows) if any(h.row(i)))
+
+    @pytest.mark.parametrize("seed", [86, 87])
+    def test_complement_coordinatises_the_row_span(self, seed):
+        rng = random.Random(seed)
+        for m in lattice_samples(seed):
+            echelon, complement, kernel = kernel_and_complement(m)
+            assert kernel == kernel_basis(m)
+            assert len(echelon) == rank(m)
+            # [complement; kernel] is a unimodular basis of Z^cols
+            assert is_unimodular(IntMatrix.from_rows(complement + kernel, cols=m.cols))
+            # entry (i, j) of the echelon is <complement_i, row j of m>
+            c = IntMatrix.from_rows(complement, cols=m.cols)
+            assert echelon == [tuple(sum(a * b for a, b in zip(ci, m.row(j))) for j in range(m.rows)) for ci in complement]
+            h, _ = hermite_normal_form(m.transpose())
+            assert echelon == [h.row(i) for i in range(len(echelon))]
+            # a functional given in coordinates lifts to h * complement
+            f = [rng.randint(-5, 5) for _ in echelon]
+            lift = tuple(sum(x * row[i] for x, row in zip(f, complement)) for i in range(m.cols))
+            for j in range(m.rows):
+                assert sum(a * b for a, b in zip(lift, m.row(j))) == sum(a * b for a, b in zip(f, c.apply(m.row(j))))
+
+    def test_reduce_mod_hermite_agrees_on_kernel_bases(self):
+        rng = random.Random(88)
+        for m in lattice_samples(88):
+            kernel = kernel_basis(m)
+            vectors = [tuple(rng.randint(-20, 20) for _ in range(m.cols)) for _ in range(4)]
+            expected = reduce_mod_lattice(vectors, IntMatrix.from_columns(kernel, rows=m.cols))
+            assert reduce_mod_hermite(vectors, kernel) == expected
 
     def test_reduce_mod_lattice_canonical(self):
         basis = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)

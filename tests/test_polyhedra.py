@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from horofan import intlin, polyhedra
 from horofan.intlin import IntMatrix, invariant_factors
 from horofan.polyhedra import (
     Cone,
@@ -19,6 +20,7 @@ from horofan.polyhedra import (
     dual_cone,
     dual_generators,
     faces,
+    facet_owners,
     fan_is_complete,
     hilbert_basis,
     intersect,
@@ -28,7 +30,7 @@ from horofan.polyhedra import (
     support_contains,
 )
 
-from .oracles import brute_force_hilbert
+from .oracles import brute_force_hilbert, subset_scan_dual_generators
 
 
 def cone2(*gens):
@@ -409,6 +411,18 @@ class TestDescriptionsAgainstCanonicalisation:
             assert c.facet_normals() == tuple(dual_generators(c.generators, n))
 
     @DIFFERENTIAL
+    @given(small_cones())
+    def test_rays_and_facets_are_faces_of_their_dimension(self, sigma):
+        by_dim = faces(sigma)
+        facets = [f for f in by_dim if f.dim() == sigma.dim() - 1]
+        assert [(f, [0]) for f in facets] == list(facet_owners([sigma]).items())
+        if sigma.is_strongly_convex():
+            assert sigma.rays() == [f for f in by_dim if f.dim() == 1]
+        else:
+            with pytest.raises(NotPointedError):
+                sigma.rays()
+
+    @DIFFERENTIAL
     @given(small_cones(), st.data())
     def test_is_face_of_matches_reference(self, sigma, data):
         n = sigma.ambient_rank
@@ -421,3 +435,82 @@ class TestDescriptionsAgainstCanonicalisation:
         ]
         for tau in candidates:
             assert is_face_of(tau, sigma) == is_face_of_reference(tau, sigma)
+
+
+# The duality engine against the subset scan it replaced (`tests/oracles.py`).
+
+
+@st.composite
+def dual_engine_inputs(draw):
+    """Vector lists in Z^1-Z^5 whose span has any dimension from 0 to n.
+
+    The vectors combine r <= n drawn basis vectors, the last one with a
+    nonnegative coefficient, so the cone lies in a half-space of its span and
+    its dual is rarely zero; zero vectors occur.  A line (a vector and its
+    negative, inside that half-space's boundary) gives the dual a smaller
+    span, copies scaled by 1, 2 or -3 add repeated, parallel and opposite
+    vectors, and +/- the unit vectors give the whole space.
+    """
+    n = draw(st.integers(1, 5))
+    small = st.integers(-2, 2)
+    r = draw(st.integers(0, n))
+    basis = draw(st.lists(st.tuples(*[small] * n), min_size=r, max_size=r))
+
+    def combine(cs):
+        return tuple(sum(c * b[i] for c, b in zip(cs, basis)) for i in range(n))
+
+    half = st.tuples(*[small] * (r - 1), st.integers(0, 2)) if r else st.just(())
+    vecs = [combine(cs) for cs in draw(st.lists(half, max_size=9))]
+    if r and draw(st.booleans()):
+        line = combine(draw(st.tuples(*[small] * (r - 1), st.just(0))))
+        vecs += [line, tuple(-x for x in line)]
+    if vecs:
+        for v in draw(st.lists(st.sampled_from(vecs), max_size=3)):
+            k = draw(st.sampled_from([1, 2, -3]))
+            vecs.append(tuple(k * x for x in v))
+    if draw(st.integers(0, 5)) == 0:
+        vecs += [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    return n, draw(st.permutations(vecs))
+
+
+def seeded_pointed_vectors(seed, count, n):
+    """`count` random vectors of Z^n with last entry positive, so their cone is pointed."""
+    rng = random.Random(seed)
+    return [tuple(rng.randint(-9, 9) for _ in range(n - 1)) + (rng.randint(1, 9),) for _ in range(count)]
+
+
+def count_calls(monkeypatch, fn):
+    """Count calls of `fn` through every name `intlin` and `polyhedra` bind it to."""
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return fn(*args, **kwargs)
+
+    for module in (intlin, polyhedra):
+        for name, value in list(vars(module).items()):
+            if value is fn:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestDualEngine:
+    @settings(max_examples=250, deadline=None, database=None, derandomize=True)
+    @given(dual_engine_inputs())
+    def test_matches_subset_scan(self, data):
+        n, vecs = data
+        assert dual_generators(vecs, n) == subset_scan_dual_generators(vecs, n)
+
+    def test_large_pointed_cone_makes_no_smith_form_and_at_most_d_kernels(self, monkeypatch):
+        n = 5
+        vecs = seeded_pointed_vectors(40, 40, n)
+        expected = subset_scan_dual_generators(vecs, n)
+        smith = count_calls(monkeypatch, intlin.smith_normal_form)
+        coordinates = count_calls(monkeypatch, intlin.lattice_coordinates)
+        kernels = count_calls(monkeypatch, intlin.kernel_basis)
+        echelons = count_calls(monkeypatch, intlin.kernel_and_complement)
+        assert dual_generators(vecs, n) == expected
+        assert (smith[0], coordinates[0]) == (0, 0)
+        assert kernels[0] <= n
+        # the span split plus one echelon per kernel, nothing per subset
+        assert echelons[0] <= n + 1

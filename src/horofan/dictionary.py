@@ -21,7 +21,6 @@ from .intlin import (
 )
 from .polyhedra import (
     Cone,
-    PlainFan,
     _through_lineality_quotient,
     complete_fan_walls,
     covered_by,
@@ -220,10 +219,9 @@ def classify_variety(
         missing = ", ".join(fan.lattice.labels()[r] for r in sorted(universal - fan_colours))
         notes.append(f"simple but not affine: colours {missing} unused")
     toroidal = fan_colours == frozenset()
-    plain = PlainFan.from_cones(fan.lattice.rank, [cc.cone for cc in fan.cones])
-    walls = complete_fan_walls(plain)
+    walls = complete_fan_walls([cc.cone for cc in maximal])
     complete = walls is not None
-    projective = complete and _strictly_convex_plf_exists(plain, *walls, cancel)
+    projective = complete and _strictly_convex_plf_exists(fan, walls, cancel)
     if complete and not projective:
         notes.append("complete but admits no strictly convex piecewise linear function")
     regs = regularity_report(fan, datum)
@@ -249,10 +247,7 @@ def classify_variety(
 
 
 def _strictly_convex_plf_exists(
-    fan: PlainFan,
-    maximal: list[Cone],
-    owners: dict[Cone, list[int]],
-    cancel: Optional[CancellationToken] = None,
+    fan: ColouredFan, owners: dict[Cone, list[int]], cancel: Optional[CancellationToken] = None
 ) -> bool:
     """Exact rational feasibility of a strictly convex PLF on a complete fan.
 
@@ -264,11 +259,12 @@ def _strictly_convex_plf_exists(
     <m_i - m_j, u> >= eps for one generator u of sigma_i off the wall: the
     glued m_i - m_j is a multiple of the wall's normal.  Linear functions
     have zero gap on every wall.  By homogeneity a strictly convex PLF
-    exists iff the optimum is positive.  `maximal` and `owners` are the
-    fan's `complete_fan_walls`.
+    exists iff the optimum is positive.  `owners` is the
+    `complete_fan_walls` table of the cones of `fan.maximal()`.
     """
-    r = fan.ambient_rank
-    basis = kernel_basis(gluing_rows(maximal, fan.cones))
+    r = fan.lattice.rank
+    maximal = [cc.cone for cc in fan.maximal()]
+    basis = kernel_basis(gluing_rows(maximal, [cc.cone for cc in fan.cones]))
     a_ub: list[list[int]] = []
     for wall, (i, j) in owners.items():
         u = next(g for g in maximal[i].generators if g not in wall.generators)

@@ -25,7 +25,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer_affine,
 )
-from .polyhedra import LatticeLiftError, PlainFan, complete_fan_walls, dot, gluing_rows
+from .polyhedra import LatticeLiftError, complete_fan_walls, dot, gluing_rows
 from .horo import ColouredFan, HorosphericalDatum, uncoloured_rays
 from .rootsys import pairing, positive_roots
 from .dictionary import _require_lattice
@@ -361,14 +361,13 @@ def positivity_check(
     a_alpha (strictly for ample).
     """
     _require_lattice(fan, datum)
-    plain = PlainFan.from_cones(fan.lattice.rank, [cc.cone for cc in fan.cones])
-    walls = complete_fan_walls(plain)
-    if walls is None:
+    maximal = [cc.cone for cc in fan.maximal()]
+    owners = complete_fan_walls(maximal)
+    if owners is None:
         raise NotCompleteError("positivity criteria require a complete fan")
     data = cartier_data(delta, fan)
     if data is None:
         return False, False, False
-    maximal, owners = walls
     piece = {fan.cones[idx].cone: m for idx, m in data.pieces}
     convex = True
     strictly = True

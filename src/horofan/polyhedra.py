@@ -9,9 +9,11 @@ then carries the span equalities as +/- pairs, and the generator description
 carries a lineality basis as +/- pairs.  The engine splits off the span with
 one integer echelon and finds facets by incremental double description, in
 integers throughout.  Hilbert bases enumerate the group Z^d / B*Z^d of each
-simplicial basis B, not a box.  Fans say where their walls are
-(`facet_owners`) and how piecewise linear functions glue across their members
-(`gluing_rows`).
+simplicial basis B, not a box.  Fan-level code takes the maximal cones a
+fan already holds and reads owners off incidences, with no containment scan:
+`facet_owners` lists the walls (facets with their owning cones),
+`complete_fan_walls` decides completeness from them, and `gluing_rows` says
+how piecewise linear functions glue across the members.
 """
 
 from __future__ import annotations
@@ -374,55 +376,50 @@ def support_contains(fan: PlainFan, u: Sequence[int]) -> bool:
 
 
 def facet_owners(maximal: Sequence[Cone]) -> dict[Cone, list[int]]:
-    """Each facet of a cone in `maximal`, with the indices of the cones in `maximal` containing it.
+    """Each facet of a cone in `maximal`, with the indices of the cones in `maximal` having it as a facet.
 
-    On a complete fan every facet has exactly two owners, so the table is the
-    fan's wall list.  The facets of a cone are the incidence sets of its
-    normals that are not zero on all of it, taken in generator order.
+    The facets of a cone are the incidence sets of its normals that are not
+    zero on all of it, taken in generator order; each cone's index is
+    appended to its facets as they are listed.  In a fan whose maximal cones
+    are full-dimensional, a maximal cone containing a facet of another meets
+    it in that facet, which is then a facet of both: the owners are exactly
+    the cones containing the facet.  On a complete fan every facet has
+    exactly two owners, so the table is the fan's wall list.
     """
-    facets: dict[Cone, None] = {}
-    for c in maximal:
+    owners: dict[Cone, list[int]] = {}
+    for i, c in enumerate(maximal):
         incidences = {tuple(g for g in c.generators if dot(h, g) == 0) for h in c.facet_normals()}
-        facets.update(dict.fromkeys(Cone(c.ambient_rank, f) for f in sorted(incidences - {c.generators})))
-    return {f: [i for i, c in enumerate(maximal) if c.contains_cone(f)] for f in facets}
+        for f in sorted(incidences - {c.generators}):
+            owners.setdefault(Cone(c.ambient_rank, f), []).append(i)
+    return owners
 
 
 def fan_is_complete(fan: PlainFan) -> bool:
     """Exact completeness check by facet pairing (see `complete_fan_walls`)."""
-    return complete_fan_walls(fan) is not None
+    return complete_fan_walls(fan.maximal_cones()) is not None
 
 
-def complete_fan_walls(fan: PlainFan) -> Optional[tuple[list[Cone], dict[Cone, list[int]]]]:
-    """The maximal cones and their `facet_owners` table if the fan is complete, else None.
+def complete_fan_walls(maximal: Sequence[Cone]) -> Optional[dict[Cone, list[int]]]:
+    """The `facet_owners` table of a fan's maximal cones if the fan is complete, else None.
 
-    A fan is complete iff all maximal cones are full-dimensional, every facet
-    of a maximal cone lies in exactly two maximal cones (so the facets are
-    walls), and the wall graph is connected.  Rank 0 is trivially complete.
-    Completeness is what lets convexity of a piecewise linear function be
-    read off its walls alone (Cox-Little-Schenck, Toric Varieties, 6.1).
+    A fan is complete iff it has a maximal cone, all maximal cones are
+    full-dimensional and every facet of a maximal cone lies in exactly two of
+    them (so the facets are walls).  Proof of "if": a point of the support
+    in the relative interior of a facet has a neighbourhood covered by its
+    two owners, which lie on opposite sides of it, and a point inside a
+    maximal cone is interior; so the boundary of the support lies in the
+    union Z of the faces of dimension <= n - 2.  Z lies in finitely many
+    subspaces of codimension 2, so R^n minus Z is connected; the support
+    minus Z is open and closed in it and not empty, so it is all of R^n
+    minus Z, and the support, being closed, is R^n.  In rank 0 the
+    zero cone has no facets, so its table is {}.  Completeness is what lets
+    convexity of a piecewise linear function be read off its walls alone
+    (Cox-Little-Schenck, Toric Varieties, 6.1).
     """
-    n = fan.ambient_rank
-    maximal = fan.maximal_cones()
-    if n == 0:
-        return (maximal, {}) if maximal else None
-    if not maximal or any(c.dim() < n for c in maximal):
+    if not maximal or any(c.dim() < c.ambient_rank for c in maximal):
         return None
     owners = facet_owners(maximal)
-    if any(len(o) != 2 for o in owners.values()):
-        return None
-    adjacency: dict[int, set[int]] = {i: set() for i in range(len(maximal))}
-    for a, b in owners.values():
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-    seen = {0}
-    queue = [0]
-    while queue:
-        cur = queue.pop()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return (maximal, owners) if len(seen) == len(maximal) else None
+    return owners if all(len(o) == 2 for o in owners.values()) else None
 
 
 def gluing_rows(maximal: Sequence[Cone], members: Iterable[Cone]) -> IntMatrix:
@@ -430,16 +427,19 @@ def gluing_rows(maximal: Sequence[Cone], members: Iterable[Cone]) -> IntMatrix:
 
     For each member tau the cones of `maximal` containing tau are chained,
     and each consecutive pair (a, b) gets the row <m_a - m_b, u> = 0 for every
-    generator u of tau.  In a fan sigma_i ∩ sigma_j is a member, and its
-    generators are generators of every member containing it, so these rows
-    span the lattice of the rows of every pair sigma_i, sigma_j on the
+    generator u of tau.  A member inside another is a face of it, spanned by
+    a subset of its generators, so the cones containing tau are those whose
+    generators include tau's.  In a fan sigma_i ∩ sigma_j is a member, and
+    its generators are generators of every member containing it, so these
+    rows span the lattice of the rows of every pair sigma_i, sigma_j on the
     generators of sigma_i ∩ sigma_j.  Their integer kernel is the lattice of
     piecewise linear functions on the fan, linear functions included.
     """
     r = maximal[0].ambient_rank if maximal else 0
+    gens = [set(c.generators) for c in maximal]
     rows = []
     for tau in members:
-        owners = [i for i, c in enumerate(maximal) if c.contains_cone(tau)]
+        owners = [i for i, g in enumerate(gens) if g.issuperset(tau.generators)]
         for a, b in zip(owners, owners[1:]):
             for u in tau.generators:
                 row = [0] * (r * len(maximal))

@@ -1,8 +1,9 @@
-"""Generators for property tests: data, valid coloured fans, and rank-3 fans."""
+"""Generators for property tests: data, valid coloured fans, and rank-2 and rank-3 fans."""
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 from horofan.horo import (
@@ -72,6 +73,23 @@ def random_valid_fan(rng: random.Random) -> tuple[ColouredFan, HorosphericalDatu
             return fan, datum
 
 
+def random_rank2_fan(rng: random.Random) -> list[tuple]:
+    """Maximal cones of a seeded rank-2 fan, complete or not.
+
+    At least three directions of RANK2_GENS, in angular order; each two
+    neighbours less than a half-turn apart span a cone.  With no gap of a
+    half-turn or more and no cone dropped, the fan is complete; then 0-2
+    cones are dropped.
+    """
+    picked = rng.sample(RANK2_GENS, rng.randint(3, len(RANK2_GENS)))
+    rays = sorted(picked, key=lambda g: math.atan2(g[1], g[0]))
+    pairs = zip(rays, rays[1:] + rays[:1])
+    maximal = [(a, b) for a, b in pairs if a[0] * b[1] - a[1] * b[0] > 0]
+    for _ in range(rng.randint(0, min(2, len(maximal) - 1))):
+        del maximal[rng.randrange(len(maximal))]
+    return maximal
+
+
 E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
 RANK3_BASES = {
     "P1^3": list(itertools.product([E1, (-1, 0, 0)], [E2, (0, -1, 0)], [E3, (0, 0, -1)])),
@@ -114,6 +132,23 @@ def stellar_subdivision(maximal: list[tuple], index: int, weights: tuple[int, in
     v = primitive([sum(w * g[i] for w, g in zip(weights, gens)) for i in range(3)])
     rest = [c for i, c in enumerate(maximal) if i != index]
     return rest + [tuple(v if t == j else g for t, g in enumerate(gens)) for j in range(3)]
+
+
+def random_rank3_fan(rng: random.Random) -> list[tuple]:
+    """Maximal cones of a seeded rank-3 fan, complete or not.
+
+    A base of RANK3_BASES or one of the eight prism fans, star-subdivided
+    0-2 times at seeded cones with weights 1-2 (still complete and
+    simplicial), with 0-2 maximal cones then dropped.
+    """
+    bases = list(RANK3_BASES.values()) + [prism_maximal(d) for d in itertools.product((0, 1), repeat=3)]
+    maximal = list(rng.choice(bases))
+    for _ in range(rng.randint(0, 2)):
+        weights = tuple(rng.randint(1, 2) for _ in range(3))
+        maximal = stellar_subdivision(maximal, rng.randrange(len(maximal)), weights)
+    for _ in range(rng.randint(0, 2)):
+        del maximal[rng.randrange(len(maximal))]
+    return maximal
 
 
 def rank3_fan(maximal: list[tuple], datum: HorosphericalDatum, colours=()) -> ColouredFan:

@@ -30,6 +30,7 @@ from horofan.polyhedra import (
     support_contains,
 )
 
+from .factories import random_rank2_fan, random_rank3_fan
 from .oracles import brute_force_hilbert, subset_scan_dual_generators
 
 
@@ -310,6 +311,21 @@ class TestRankThree:
         ]
         assert covered_by(target, parts)
         assert not covered_by(target, parts[:1])
+
+
+@pytest.mark.parametrize("rank,factory,seed", [(2, random_rank2_fan, 31), (3, random_rank3_fan, 37)])
+def test_complete_iff_maximal_cones_cover_space(rank, factory, seed):
+    """`fan_is_complete` (facet pairing) against `covered_by` of R^n by the maximal cones."""
+    units = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    space = Cone.from_generators(rank, units + [tuple(-x for x in e) for e in units])
+    rng = random.Random(seed)
+    seen = set()
+    for _ in range(50):
+        maximal = factory(rng)
+        complete = fan_is_complete(fan_of(rank, *maximal))
+        assert complete == covered_by(space, [Cone.from_generators(rank, g) for g in maximal]), maximal
+        seen.add(complete)
+    assert seen == {True, False}
 
 
 class TestCoveredBy:

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -17,6 +18,7 @@ from horofan.divisors import (
 )
 from horofan.horo import HorosphericalDatum
 from horofan.intlin import IntMatrix
+from horofan.polyhedra import Cone, PlainFan, complete_fan_walls, gluing_rows
 from horofan.rootsys import RootDatum
 
 from .factories import RANK3_BASES, prism_maximal, random_valid_fan, rank3_fan, stellar_subdivision, torus3
@@ -129,3 +131,28 @@ def test_cartier_system_needs_no_gluing_rows_on_random_fans(monkeypatch):
         assert lattice == divisors._cartier_lattice(*cartier_system_with_gluing(fan)[:2])
     # both Cartier and non-Cartier divisors occur
     assert {p is None for _, _, pieces, _ in cases for p in pieces} == {True, False}
+
+
+def test_wall_code_takes_the_fans_maximal_cones_without_containment_scans(monkeypatch):
+    """Counts, not timers: the wall code reads the coloured fan's own maximal cones and incidences."""
+    datum = torus3()
+    fan = rank3_fan(RANK3_BASES["P1^3"], datum)
+    maximal = [cc.cone for cc in fan.maximal()]
+    calls = Counter()
+
+    def counted(cls, name):
+        method = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return method(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    counted(PlainFan, "maximal_cones")
+    assert classify_variety(fan, datum).is_projective
+    assert positivity_check(anticanonical(fan, datum), fan, datum) == (True, True, True)
+    counted(Cone, "contains_cone")
+    assert len(complete_fan_walls(maximal)) == 12
+    assert gluing_rows(maximal, [cc.cone for cc in fan.cones]).rows > 0
+    assert calls == Counter()

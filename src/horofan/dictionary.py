@@ -16,18 +16,19 @@ from typing import Optional
 from .intlin import (
     IntMatrix,
     invariant_factors,
-    kernel_basis,
+    lattice_coordinates,
     saturate,
 )
 from .polyhedra import (
     Cone,
+    LatticeLiftError,
     _through_lineality_quotient,
     complete_fan_walls,
     covered_by,
     dot,
     dual_cone,
-    gluing_rows,
     hilbert_basis,
+    plf_lattice,
 )
 from .horo import (
     ColouredCone,
@@ -253,25 +254,35 @@ def _strictly_convex_plf_exists(
 
     On a complete fan a PLF is strictly convex iff it is strictly convex
     across every wall, the facet two maximal cones share (Cox-Little-Schenck,
-    Toric Varieties, 6.1).  The variables are the PLF's coordinates in an
-    integer basis of the kernel of `gluing_rows`, split +/-, and a slack eps
-    capped at 1.  Each wall of sigma_i and sigma_j gives the row
-    <m_i - m_j, u> >= eps for one generator u of sigma_i off the wall: the
-    glued m_i - m_j is a multiple of the wall's normal.  Linear functions
-    have zero gap on every wall.  By homogeneity a strictly convex PLF
-    exists iff the optimum is positive.  `owners` is the
+    Toric Varieties, 6.1).  The variables are the PLF's coordinates in the
+    basis of `polyhedra.plf_lattice`, split +/-, and a slack eps capped at 1.
+    Each basis PLF v has its piece m_j on sigma_j, read off v on sigma_j's
+    rays.  Each wall of sigma_i and sigma_j gives the row
+    v_u - <m_j, u> >= eps for one generator u of sigma_i off the wall: the
+    glued m_i - m_j is a multiple of the wall's normal, and v_u = <m_i, u>.
+    Linear functions have zero gap on every wall.  By homogeneity a strictly
+    convex PLF exists iff the optimum is positive.  `owners` is the
     `complete_fan_walls` table of the cones of `fan.maximal()`.
     """
     r = fan.lattice.rank
     maximal = [cc.cone for cc in fan.maximal()]
-    basis = kernel_basis(gluing_rows(maximal, [cc.cone for cc in fan.cones]))
+    rays, basis = plf_lattice(maximal)
+    at = {u: t for t, u in enumerate(rays)}
+    plfs = basis.columns()
+    pieces = []
+    for sigma in maximal:
+        values = [tuple(v[at[u]] for u in sigma.generators) for v in plfs]
+        ms = lattice_coordinates(values, IntMatrix.from_rows(sigma.generators, cols=r))
+        if None in ms:
+            raise LatticeLiftError("a piecewise linear function is linear on each maximal cone")
+        pieces.append(ms)
     a_ub: list[list[int]] = []
     for wall, (i, j) in owners.items():
         u = next(g for g in maximal[i].generators if g not in wall.generators)
-        gaps = [dot(m[i * r : (i + 1) * r], u) - dot(m[j * r : (j + 1) * r], u) for m in basis]
-        # -<m_i - m_j, u> + eps <= 0
+        gaps = [v[at[u]] - dot(m, u) for v, m in zip(plfs, pieces[j])]
+        # -(v_u - <m_j, u>) + eps <= 0
         a_ub.append([x for g in gaps for x in (-g, g)] + [1])
-    cap = [0] * (2 * len(basis)) + [1]
+    cap = [0] * (2 * len(plfs)) + [1]
     result = maximize(cap, a_ub + [cap], [0] * len(a_ub) + [1], cancelled=_as_callable(cancel))
     return result.status == "optimal" and result.value > 0
 

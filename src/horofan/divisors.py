@@ -3,9 +3,13 @@
 B^- -invariant Weil divisors are integer coefficient vectors on the
 non-coloured rays and the universal colours.  Cartier divisors are piecewise
 linear data: one covector per maximal coloured cone, required to lie in the
-dual lattice exactly and to agree on shared faces.  The class group and
-Picard group come out of exact integer linear algebra on the principal-
-divisor and Cartier systems.
+dual lattice exactly and to agree on shared faces.  Each maximal cone's
+covector is solved on its own, from its values on the cone's non-coloured
+rays and colour points, which imply the agreement.  The Cartier lattice and
+the lattice of piecewise linear functions (in ray coordinates) are
+intersections of such per-cone lattices (`polyhedra.glued_lattice`); the
+class and Picard groups are cokernels of the principal divisors and of the
+linear functions in them.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ from .intlin import (
     AbelianGroup,
     IntMatrix,
     cokernel,
-    column_hermite,
     kernel_basis,
     lattice_coordinates,
     rank,
@@ -25,7 +28,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer_affine,
 )
-from .polyhedra import LatticeLiftError, complete_fan_walls, dot, gluing_rows
+from .polyhedra import LatticeLiftError, complete_fan_walls, dot, glued_lattice, plf_lattice
 from .horo import ColouredFan, HorosphericalDatum, uncoloured_rays
 from .rootsys import pairing, positive_roots
 from .dictionary import _require_lattice
@@ -189,66 +192,51 @@ def _maximal_indices(fan: ColouredFan) -> list[int]:
     return [i for i, cc in enumerate(fan.cones) if cc in maximal]
 
 
-def _cartier_system(fan: ColouredFan) -> tuple[IntMatrix, IntMatrix, list[int]]:
-    """Rows of (A, B) with A.(stacked m_sigma) = B.(divisor coordinates).
+def _value_points(fan: ColouredFan) -> tuple[list[int], list[list[tuple[int, Vector]]]]:
+    """The maximal cones' indices, and for each the (divisor coordinate, point) pairs that pin its piece.
 
-    Value rows pin each piece on its non-coloured rays and colour points.
-    That pins it on every ray of its cone: a coloured ray by the colour
-    point on it, a positive multiple c*u of its generator u.  In a valid
-    fan a ray carries the same colours in every member containing it, so
-    any two pieces on a shared ray get the same value rows, and
-    c*<m_a - m_b, u> = 0 holds for every solution.  The gluing rows
-    <m_a - m_b, u> = 0 of `polyhedra.gluing_rows` are therefore implied, and
-    the integer solution sets, hence the Cartier data and lattice, are the
-    same without them.
+    A piece m_sigma of a Cartier divisor d takes the value d_c at each of
+    sigma's non-coloured rays and colour points.  That pins it on every ray
+    of sigma: a coloured ray by the colour point on it, a positive multiple
+    c*u of its generator u.  In a valid fan a ray carries the same colours in
+    every member containing it, so two pieces on a shared ray get the same
+    value rows, and c*<m_a - m_b, u> = 0 holds for every solution.  Rows
+    gluing the pieces on shared faces are therefore implied, and each
+    cone's piece is solved on its own.  The points span sigma, so the piece
+    is unique modulo sigma-perp.
     """
-    r = fan.lattice.rank
-    max_idx = _maximal_indices(fan)
     gens = invariant_ray_generators(fan)
-    roots = [c.root for c in fan.lattice.colours]
-    width_x = r * len(max_idx)
-    width_d = len(gens) + len(roots)
-    a_rows: list[list[int]] = []
-    b_rows: list[list[int]] = []
-
-    def value_row(slot: int, vector: Vector, coord: int) -> None:
-        row = [0] * width_x
-        row[slot * r : (slot + 1) * r] = list(vector)
-        a_rows.append(row)
-        rhs = [0] * width_d
-        rhs[coord] = 1
-        b_rows.append(rhs)
-
-    for slot, idx in enumerate(max_idx):
+    ray_at = {g: t for t, g in enumerate(gens)}
+    colour_at = {c.root: len(gens) + t for t, c in enumerate(fan.lattice.colours)}
+    max_idx = _maximal_indices(fan)
+    points = []
+    for idx in max_idx:
         cc = fan.cones[idx]
-        for g in uncoloured_rays(fan.lattice, cc):
-            value_row(slot, g, gens.index(g))
-        for root in sorted(cc.colours):
-            value_row(slot, fan.lattice.point(root), len(gens) + roots.index(root))
-    a = IntMatrix.from_rows(a_rows, cols=width_x)
-    b = IntMatrix.from_rows(b_rows, cols=width_d)
-    return a, b, max_idx
+        points.append(
+            [(ray_at[g], g) for g in uncoloured_rays(fan.lattice, cc)]
+            + [(colour_at[root], fan.lattice.point(root)) for root in sorted(cc.colours)]
+        )
+    return max_idx, points
 
 
 def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[CartierData]:
     """Solve for piecewise linear data of delta; None when delta is not Cartier.
 
+    Each maximal cone's piece solves its own `_value_points` block.
     Covectors are required to lie in N^vee exactly.  On cones of non-full
-    dimension the representative is canonicalized modulo sigma-perp.
+    dimension the representative is canonicalized modulo sigma-perp, the
+    kernel of the block.
     """
-    a, b, max_idx = _cartier_system(fan)
-    target = b.apply(delta.coordinates())
-    solution = solve_integer_affine(a, target)
-    if solution is None:
-        return None
-    x = solution[0]
+    d = delta.coordinates()
     r = fan.lattice.rank
+    max_idx, points = _value_points(fan)
     pieces = []
-    for slot, idx in enumerate(max_idx):
-        m = x[slot * r : (slot + 1) * r]
-        perp = kernel_basis(
-            IntMatrix.from_rows([list(g) for g in fan.cones[idx].cone.generators], cols=r)
-        )
+    for idx, pairs in zip(max_idx, points):
+        block = IntMatrix.from_rows([p for _, p in pairs], cols=r)
+        solution = solve_integer_affine(block, [d[c] for c, _ in pairs])
+        if solution is None:
+            return None
+        m, perp = solution
         if perp:
             (m,) = reduce_mod_lattice([m], IntMatrix.from_columns(perp, rows=r))
         pieces.append((idx, tuple(m)))
@@ -274,63 +262,33 @@ class PicardResult:
     report: ExactSequenceReport
 
 
-def _cartier_lattice(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    """Canonical basis of the lattice of Cartier B^- -invariant divisors, from `_cartier_system`."""
-    width_d = b.cols
-    width_x = a.cols
-    combined_cols = []
-    for j in range(width_d):
-        combined_cols.append(b.column(j))
-    for j in range(width_x):
-        combined_cols.append(tuple(-x for x in a.column(j)))
-    combined = IntMatrix.from_columns(combined_cols, rows=a.rows)
-    kernel = kernel_basis(combined)
-    projected = [v[:width_d] for v in kernel if any(v[:width_d])]
-    if not projected:
-        return IntMatrix.zero(width_d, 0)
-    return column_hermite(IntMatrix.from_columns(projected, rows=width_d))
-
-
 def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
     """Pic(X) and PLF/LF, plus the exact-sequence consistency report.
 
     Pic is computed directly as (Cartier invariant divisors)/(principal
-    divisors); the extension of the Picard-group theorem is then re-verified
-    at the level of free ranks.
+    divisors), the Cartier lattice being glued from the `_value_points`
+    blocks.  PLF/LF is the lattice of piecewise linear functions in Z^rays
+    (`polyhedra.plf_lattice`) modulo the image of M, m -> (<m, u>)_u.  The
+    extension of the Picard-group theorem is then re-verified at the level
+    of free ranks.
     """
     _require_lattice(fan, datum)
     r = fan.lattice.rank
-    a, b, max_idx = _cartier_system(fan)
-    cartier = _cartier_lattice(a, b)
+    width = len(invariant_ray_generators(fan)) + len(fan.lattice.colours)
+    cartier = glued_lattice(_value_points(fan)[1], width, r)
     principal = _principal_matrix(fan)
     coeff_cols = lattice_coordinates(principal.columns(), cartier)
     if None in coeff_cols:
         raise LatticeLiftError("principal divisors are always Cartier")
     pic = cokernel(IntMatrix.from_columns(coeff_cols, rows=cartier.cols))
 
-    plf_basis = kernel_basis(gluing_rows([fan.cones[i].cone for i in max_idx], [cc.cone for cc in fan.cones]))
-    plf_matrix = IntMatrix.from_columns(plf_basis, rows=a.cols) if plf_basis else IntMatrix.zero(a.cols, 0)
-    reducers: list[Vector] = []
-    for slot, idx in enumerate(max_idx):
-        perp = kernel_basis(
-            IntMatrix.from_rows([list(g) for g in fan.cones[idx].cone.generators], cols=r)
-        )
-        for v in perp:
-            vec = [0] * a.cols
-            vec[slot * r : (slot + 1) * r] = list(v)
-            reducers.append(tuple(vec))
-    for j in range(r):
-        vec = [0] * a.cols
-        for slot in range(len(max_idx)):
-            vec[slot * r + j] = 1
-        reducers.append(tuple(vec))
-    coords_cols = lattice_coordinates(reducers, plf_matrix)
-    if None in coords_cols:
-        raise LatticeLiftError("gauge and linear tuples satisfy compatibility")
-    plf_mod_lf = cokernel(IntMatrix.from_columns(coords_cols, rows=plf_matrix.cols))
+    rays, plf = plf_lattice([cc.cone for cc in fan.maximal()])
+    linear = lattice_coordinates([tuple(u[j] for u in rays) for j in range(r)], plf)
+    if None in linear:
+        raise LatticeLiftError("linear functions are piecewise linear")
+    plf_mod_lf = cokernel(IntMatrix.from_columns(linear, rows=plf.cols))
 
-    support_gens = [g for cc in fan.cones for g in cc.cone.generators]
-    span_perp = kernel_basis(IntMatrix.from_rows([list(g) for g in support_gens], cols=r))
+    span_perp = kernel_basis(IntMatrix.from_rows(rays, cols=r))
     unused = sorted(fan.lattice.colour_roots() - fan.colour_set())
     image_rows = [[dot(m, fan.lattice.point(root)) for root in unused] for m in span_perp]
     span_perp_image_rank = (

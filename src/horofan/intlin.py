@@ -87,7 +87,8 @@ class IntMatrix:
         return [self.column(j) for j in range(self.cols)]
 
     def transpose(self) -> "IntMatrix":
-        return IntMatrix(self.cols, self.rows, tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)))
+        rows = [self.row(i) for i in range(self.rows)]
+        return IntMatrix(self.cols, self.rows, tuple(x for column in zip(*rows) for x in column))
 
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:

@@ -11,9 +11,11 @@ one integer echelon and finds facets by incremental double description, in
 integers throughout.  Hilbert bases enumerate the group Z^d / B*Z^d of each
 simplicial basis B, not a box.  Fan-level code takes the maximal cones a
 fan already holds and reads owners off incidences, with no containment scan:
-`facet_owners` lists the walls (facets with their owning cones),
-`complete_fan_walls` decides completeness from them, and `gluing_rows` says
-how piecewise linear functions glue across the members.
+`facet_owners` lists the walls (facets with their owning cones) and
+`complete_fan_walls` decides completeness from them.  `glued_lattice`
+intersects per-cone lattices one maximal cone at a time, never stacking one
+covector per cone; `plf_lattice` uses it for the piecewise linear functions
+in ray coordinates.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import Iterable, Optional, Sequence
 
 from .intlin import (
     IntMatrix,
+    column_hermite,
     kernel_and_complement,
     kernel_basis,
     lattice_coordinates,
@@ -204,10 +207,14 @@ class Cone:
         return rank(IntMatrix.from_rows(list(self.generators), cols=self.ambient_rank))
 
     def lineality_basis(self) -> list[Vector]:
-        return kernel_basis(IntMatrix.from_rows(list(self.facet_normals()), cols=self.ambient_rank))
+        return list(self._lineality)
+
+    @cached_property
+    def _lineality(self) -> tuple[Vector, ...]:
+        return tuple(kernel_basis(IntMatrix.from_rows(list(self.facet_normals()), cols=self.ambient_rank)))
 
     def is_strongly_convex(self) -> bool:
-        return not self.lineality_basis()
+        return not self._lineality
 
     def rays(self) -> list["Cone"]:
         """The one-dimensional faces: the cones on the canonical generators of a strongly convex cone."""
@@ -422,31 +429,40 @@ def complete_fan_walls(maximal: Sequence[Cone]) -> Optional[dict[Cone, list[int]
     return owners if all(len(o) == 2 for o in owners.values()) else None
 
 
-def gluing_rows(maximal: Sequence[Cone], members: Iterable[Cone]) -> IntMatrix:
-    """Rows over the stacked covectors (m_0, ..., m_{k-1}) of `maximal` that glue them on `members`.
+def glued_lattice(points: Sequence[Sequence[tuple[int, Vector]]], width: int, r: int) -> IntMatrix:
+    """Column Hermite basis of the d in Z^width that are linear on each cone's points.
 
-    For each member tau the cones of `maximal` containing tau are chained,
-    and each consecutive pair (a, b) gets the row <m_a - m_b, u> = 0 for every
-    generator u of tau.  A member inside another is a face of it, spanned by
-    a subset of its generators, so the cones containing tau are those whose
-    generators include tau's.  In a fan sigma_i ∩ sigma_j is a member, and
-    its generators are generators of every member containing it, so these
-    rows span the lattice of the rows of every pair sigma_i, sigma_j on the
-    generators of sigma_i ∩ sigma_j.  Their integer kernel is the lattice of
-    piecewise linear functions on the fan, linear functions included.
+    `points` lists, for each maximal cone sigma, pairs (c, p) of a coordinate
+    and a point of Z^r; d belongs when each sigma has an m in Z^r with
+    <m, p> = d_c for all of its pairs.  Starting from Z^width the cones are
+    intersected in one at a time: with the current basis Lambda, the kernel
+    of [Lambda_rows(sigma) | -P_sigma] holds the pairs (y, m) with
+    P_sigma m = (Lambda y) on sigma's coordinates, and the vectors Lambda y
+    span the smaller lattice.  No matrix is wider than width + r.
     """
+    basis = IntMatrix.identity(width)
+    for pairs in points:
+        block = [list(basis.row(c)) + [-x for x in p] for c, p in pairs]
+        kernel = kernel_basis(IntMatrix.from_rows(block, cols=basis.cols + r))
+        basis = column_hermite(IntMatrix.from_columns([basis.apply(y[: basis.cols]) for y in kernel], rows=width))
+    return basis
+
+
+def plf_lattice(maximal: Sequence[Cone]) -> tuple[list[Vector], IntMatrix]:
+    """The sorted rays of a fan's maximal cones, and the lattice of piecewise linear functions in Z^rays.
+
+    A piecewise linear function is fixed by its values v_u on the rays,
+    since every maximal cone is spanned by its rays; v is one exactly when
+    each maximal cone sigma has an m_sigma with <m_sigma, u> = v_u on its
+    generators u (Cox-Little-Schenck, Toric Varieties, 4.2).  Two maximal
+    cones meet in a face of both, whose rays are rays of both, so the pieces
+    agree where they meet.
+    """
+    rays = sorted({g for c in maximal for g in c.generators})
+    index = {u: t for t, u in enumerate(rays)}
     r = maximal[0].ambient_rank if maximal else 0
-    gens = [set(c.generators) for c in maximal]
-    rows = []
-    for tau in members:
-        owners = [i for i, g in enumerate(gens) if g.issuperset(tau.generators)]
-        for a, b in zip(owners, owners[1:]):
-            for u in tau.generators:
-                row = [0] * (r * len(maximal))
-                row[a * r : (a + 1) * r] = u
-                row[b * r : (b + 1) * r] = [-x for x in u]
-                rows.append(row)
-    return IntMatrix.from_rows(rows, cols=r * len(maximal))
+    points = [[(index[u], u) for u in c.generators] for c in maximal]
+    return rays, glued_lattice(points, len(rays), r)
 
 
 def covered_by(target: Cone, covers: Sequence[Cone], cancelled=None) -> bool:

@@ -151,11 +151,16 @@ def random_rank3_fan(rng: random.Random) -> list[tuple]:
     return maximal
 
 
-def rank3_fan(maximal: list[tuple], datum: HorosphericalDatum, colours=()) -> ColouredFan:
-    """The fan of `maximal`; each root in `colours` colours every maximal cone holding its point."""
-    lattice = build_coloured_lattice(datum)
+def rank3_cones(maximal: list[tuple], lattice, colours=()) -> list[ColouredCone]:
+    """The cones of `maximal`; each root in `colours` colours every cone holding its point."""
     cones = []
     for gens in maximal:
         cone = Cone.from_generators(3, gens)
         cones.append(ColouredCone(cone, frozenset(r for r in colours if cone.contains(lattice.point(r)))))
-    return coloured_fan(lattice, cones)
+    return cones
+
+
+def rank3_fan(maximal: list[tuple], datum: HorosphericalDatum, colours=()) -> ColouredFan:
+    """The fan of `maximal`, coloured by `rank3_cones`; raises unless it is a valid coloured fan."""
+    lattice = build_coloured_lattice(datum)
+    return coloured_fan(lattice, rank3_cones(maximal, lattice, colours))

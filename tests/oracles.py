@@ -16,10 +16,16 @@ split nor the double description of `polyhedra.dual_generators`.
 The all-pairs oracles are the package's earlier fan-level routes, kept to
 check the wall-based and anchor-based ones: a dense projectivity LP over
 every m_sigma with rows for every pair of maximal cones, a positivity loop
-over every ordered pair, gluing rows from `intersect` on every pair, the
-Cartier system with those gluing rows, and coloured-fan validation that
-intersects every pair of members and reads each face's colours with the
-face's own inequalities.
+over every ordered pair, gluing rows from `intersect` on every pair, and
+coloured-fan validation that intersects every pair of members and reads
+each face's colours with the face's own inequalities.
+
+The stacked oracles are the package's earlier divisor routes, kept to check
+the per-cone ones: one system over the stacked covectors (m_0, ..., m_{k-1})
+of all k maximal cones, solved with one global Smith form (Cartier data),
+the projection of the kernel of [B | -A] (the Cartier lattice), and the
+integer kernel of the gluing rows over all r*k piece coordinates, reduced by
+the gauge tuples sigma-perp and the linear functions (PLF/LF).
 """
 
 from __future__ import annotations
@@ -27,10 +33,25 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from horofan.divisors import _cartier_system, cartier_data
-from horofan.horo import ColouredCone, ValidationReport, coloured_intersection
-from horofan.intlin import IntMatrix, kernel_basis, lattice_coordinates, reduce_mod_lattice
-from horofan.polyhedra import LatticeLiftError, dot, faces, gluing_rows, intersect, is_face_of, primitive
+from horofan.divisors import (
+    CartierData,
+    ExactSequenceReport,
+    PicardResult,
+    _principal_matrix,
+    cartier_data,
+    invariant_ray_generators,
+)
+from horofan.horo import ColouredCone, ValidationReport, coloured_intersection, uncoloured_rays
+from horofan.intlin import (
+    IntMatrix,
+    cokernel,
+    column_hermite,
+    kernel_basis,
+    lattice_coordinates,
+    rank,
+    reduce_mod_lattice,
+)
+from horofan.polyhedra import LatticeLiftError, dot, faces, intersect, is_face_of, primitive
 from horofan.ratlp import maximize
 
 
@@ -240,13 +261,154 @@ def all_pairs_positivity(delta, fan) -> tuple[bool, bool, bool]:
     return True, bpf, ample
 
 
-def cartier_system_with_gluing(fan):
-    """`divisors._cartier_system` plus `gluing_rows` on every member, with zero right-hand side."""
-    a, b, max_idx = _cartier_system(fan)
-    glue = gluing_rows([fan.cones[i].cone for i in max_idx], [cc.cone for cc in fan.cones]).row_list()
-    a = IntMatrix.from_rows(a.row_list() + glue, cols=a.cols)
-    b = IntMatrix.from_rows(b.row_list() + [[0] * b.cols for _ in glue], cols=b.cols)
-    return a, b, max_idx
+def gluing_rows(maximal, members) -> IntMatrix:
+    """Rows over the stacked covectors (m_0, ..., m_{k-1}) of `maximal` that glue them on `members`.
+
+    For each member tau the cones of `maximal` whose generators include
+    tau's are chained, and each consecutive pair (a, b) gets the row
+    <m_a - m_b, u> = 0 for every generator u of tau.  Their integer kernel is
+    the lattice of piecewise linear functions on the fan in stacked form.
+    """
+    r = maximal[0].ambient_rank if maximal else 0
+    gens = [set(c.generators) for c in maximal]
+    rows = []
+    for tau in members:
+        owners = [i for i, g in enumerate(gens) if g.issuperset(tau.generators)]
+        for a, b in zip(owners, owners[1:]):
+            for u in tau.generators:
+                row = [0] * (r * len(maximal))
+                row[a * r : (a + 1) * r] = u
+                row[b * r : (b + 1) * r] = [-x for x in u]
+                rows.append(row)
+    return IntMatrix.from_rows(rows, cols=r * len(maximal))
+
+
+def _maximal_members(fan):
+    """Indices into fan.cones of the maximal cones, and those cones."""
+    maximal = set(fan.maximal())
+    max_idx = [i for i, cc in enumerate(fan.cones) if cc in maximal]
+    return max_idx, [fan.cones[i].cone for i in max_idx]
+
+
+def stacked_cartier_system(fan, glue=None):
+    """Rows of (A, B) with A.(stacked m_sigma) = B.(divisor coordinates), and the maximal indices.
+
+    Value rows pin each piece on its non-coloured rays and colour points;
+    `glue(maximal, members)`, if given, adds its gluing rows with zero
+    right-hand side.
+    """
+    r = fan.lattice.rank
+    max_idx, maximal = _maximal_members(fan)
+    gens = invariant_ray_generators(fan)
+    roots = [c.root for c in fan.lattice.colours]
+    width_x = r * len(max_idx)
+    width_d = len(gens) + len(roots)
+    a_rows, b_rows = [], []
+
+    def value_row(slot, vector, coord):
+        row = [0] * width_x
+        row[slot * r : (slot + 1) * r] = list(vector)
+        a_rows.append(row)
+        b_rows.append([int(t == coord) for t in range(width_d)])
+
+    for slot, idx in enumerate(max_idx):
+        cc = fan.cones[idx]
+        for g in uncoloured_rays(fan.lattice, cc):
+            value_row(slot, g, gens.index(g))
+        for root in sorted(cc.colours):
+            value_row(slot, fan.lattice.point(root), len(gens) + roots.index(root))
+    if glue is not None:
+        for row in glue(maximal, [cc.cone for cc in fan.cones]).row_list():
+            a_rows.append(row)
+            b_rows.append([0] * width_d)
+    return IntMatrix.from_rows(a_rows, cols=width_x), IntMatrix.from_rows(b_rows, cols=width_d), max_idx
+
+
+def stacked_cartier_data(deltas, fan, glue=None) -> list:
+    """`divisors.cartier_data` of each divisor, by one Smith form of the whole stacked system."""
+    a, b, max_idx = stacked_cartier_system(fan, glue)
+    r = fan.lattice.rank
+    out = []
+    for x in lattice_coordinates([b.apply(delta.coordinates()) for delta in deltas], a):
+        if x is None:
+            out.append(None)
+            continue
+        pieces = []
+        for slot, idx in enumerate(max_idx):
+            m = x[slot * r : (slot + 1) * r]
+            perp = kernel_basis(IntMatrix.from_rows([list(g) for g in fan.cones[idx].cone.generators], cols=r))
+            if perp:
+                (m,) = reduce_mod_lattice([m], IntMatrix.from_columns(perp, rows=r))
+            pieces.append((idx, tuple(m)))
+        out.append(CartierData(tuple(pieces)))
+    return out
+
+
+def stacked_cartier_lattice(fan, glue=None) -> IntMatrix:
+    """Column Hermite basis of the Cartier divisors: the d-part of the kernel of [B | -A]."""
+    a, b, _ = stacked_cartier_system(fan, glue)
+    columns = b.columns() + [tuple(-x for x in col) for col in a.columns()]
+    kernel = kernel_basis(IntMatrix.from_columns(columns, rows=a.rows))
+    projected = [v[: b.cols] for v in kernel if any(v[: b.cols])]
+    if not projected:
+        return IntMatrix.zero(b.cols, 0)
+    return column_hermite(IntMatrix.from_columns(projected, rows=b.cols))
+
+
+def stacked_plf_lattice(fan, glue) -> tuple[list, IntMatrix]:
+    """`polyhedra.plf_lattice`: the kernel of `glue` over stacked pieces, read on the sorted rays."""
+    r = fan.lattice.rank
+    _, maximal = _maximal_members(fan)
+    rays = sorted({g for c in maximal for g in c.generators})
+    owner = {u: next(i for i, c in enumerate(maximal) if u in c.generators) for u in rays}
+    kernel = kernel_basis(glue(maximal, [cc.cone for cc in fan.cones]))
+    values = [tuple(dot(x[owner[u] * r : (owner[u] + 1) * r], u) for u in rays) for x in kernel]
+    return rays, column_hermite(IntMatrix.from_columns(values, rows=len(rays)))
+
+
+def stacked_picard_group(fan, cartier_glue=None, plf_glue=gluing_rows):
+    """`divisors.picard_group` with the stacked Cartier lattice and stacked PLF/LF.
+
+    PLF/LF is the kernel of `plf_glue` modulo the gauge tuples (sigma-perp in
+    one slot) and the linear functions (one m in every slot); the report
+    reads span-perp off every member's generators.
+    """
+    r = fan.lattice.rank
+    cartier = stacked_cartier_lattice(fan, cartier_glue)
+    coeff_cols = lattice_coordinates(_principal_matrix(fan).columns(), cartier)
+    if None in coeff_cols:
+        raise LatticeLiftError("principal divisors are always Cartier")
+    pic = cokernel(IntMatrix.from_columns(coeff_cols, rows=cartier.cols))
+    _, maximal = _maximal_members(fan)
+    width = r * len(maximal)
+    plf_basis = kernel_basis(plf_glue(maximal, [cc.cone for cc in fan.cones]))
+    plf_matrix = IntMatrix.from_columns(plf_basis, rows=width) if plf_basis else IntMatrix.zero(width, 0)
+    reducers = []
+    for slot, cone in enumerate(maximal):
+        for v in kernel_basis(IntMatrix.from_rows([list(g) for g in cone.generators], cols=r)):
+            vec = [0] * width
+            vec[slot * r : (slot + 1) * r] = list(v)
+            reducers.append(tuple(vec))
+    for j in range(r):
+        reducers.append(tuple(int(t % r == j) for t in range(width)))
+    coords_cols = lattice_coordinates(reducers, plf_matrix)
+    if None in coords_cols:
+        raise LatticeLiftError("gauge and linear tuples satisfy compatibility")
+    plf_mod_lf = cokernel(IntMatrix.from_columns(coords_cols, rows=plf_matrix.cols))
+    support_gens = [list(g) for cc in fan.cones for g in cc.cone.generators]
+    span_perp = kernel_basis(IntMatrix.from_rows(support_gens, cols=r))
+    unused = sorted(fan.lattice.colour_roots() - fan.colour_set())
+    image_rows = [[dot(m, fan.lattice.point(root)) for root in unused] for m in span_perp]
+    image_rank = rank(IntMatrix.from_rows(image_rows, cols=len(unused))) if image_rows else 0
+    report = ExactSequenceReport(
+        span_perp_rank=len(span_perp),
+        unused_colour_count=len(unused),
+        span_perp_image_rank=image_rank,
+        plf_rank=plf_mod_lf.free_rank,
+        pic_rank=pic.free_rank,
+        rank_consistent=pic.free_rank == len(unused) - image_rank + plf_mod_lf.free_rank,
+    )
+    return PicardResult(pic, plf_mod_lf, report)
 
 
 def contains_rule_coloured_faces(lattice, cc) -> list:

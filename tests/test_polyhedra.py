@@ -221,6 +221,14 @@ class TestStrongConvexityAndDim:
         assert is_strongly_convex(cone2(E1, E2))
         assert is_strongly_convex(Cone.zero(3))
 
+    def test_lineality_basis_is_a_fresh_list_each_call(self):
+        line = cone2(E1, (-1, 0))
+        basis = line.lineality_basis()
+        assert basis == [(1, 0)]
+        basis.append((0, 1))
+        assert line.lineality_basis() == [(1, 0)]
+        assert not line.is_strongly_convex()
+
     def test_dims(self):
         assert cone_dim(Cone.zero(2)) == 0
         assert cone_dim(cone2(E1)) == 1

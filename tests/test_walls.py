@@ -1,4 +1,4 @@
-"""Wall-based projectivity, positivity and Cartier gluing against the all-pairs routes."""
+"""Wall-based projectivity and positivity against the all-pairs routes; per-cone divisor routes against the stacked ones."""
 
 import itertools
 import random
@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from horofan import divisors
+from horofan import dictionary, divisors, horo, intlin, polyhedra, rootsys
 from horofan.dictionary import classify_variety
 from horofan.divisors import (
     anticanonical,
@@ -16,17 +16,36 @@ from horofan.divisors import (
     picard_group,
     positivity_check,
 )
-from horofan.horo import HorosphericalDatum
+from horofan.horo import (
+    ColouredFan,
+    HorosphericalDatum,
+    build_coloured_lattice,
+    close_under_coloured_faces,
+    validate_coloured_fan,
+)
 from horofan.intlin import IntMatrix
-from horofan.polyhedra import Cone, PlainFan, complete_fan_walls, gluing_rows
+from horofan.polyhedra import Cone, PlainFan, complete_fan_walls, glued_lattice, plf_lattice
 from horofan.rootsys import RootDatum
 
-from .factories import RANK3_BASES, prism_maximal, random_valid_fan, rank3_fan, stellar_subdivision, torus3
+from .factories import (
+    RANK3_BASES,
+    prism_maximal,
+    random_rank3_fan,
+    random_valid_fan,
+    rank3_cones,
+    rank3_fan,
+    stellar_subdivision,
+    torus3,
+)
 from .oracles import (
     all_pairs_plf_lp,
     all_pairs_positivity,
-    cartier_system_with_gluing,
+    gluing_rows,
     pairwise_gluing_rows,
+    stacked_cartier_data,
+    stacked_cartier_lattice,
+    stacked_picard_group,
+    stacked_plf_lattice,
 )
 
 
@@ -72,24 +91,39 @@ def boundary_divisor(fan):
     )
 
 
+def assert_per_cone_routes_match_stacked_routes(fan, datum, deltas):
+    """Cartier pieces, the Cartier and PLF lattices and `picard_group` equal the stacked routes'.
+
+    Each stacked route runs once without and once with gluing rows; Picard
+    is compared with the earlier library route (no gluing rows in the
+    Cartier system, `gluing_rows` for PLFs) and with the route through
+    gluing rows and `intersect` on every pair of maximal cones.
+    """
+    pieces = [cartier_data(delta, fan) for delta in deltas]
+    width = len(invariant_ray_generators(fan)) + len(fan.lattice.colours)
+    lattice = glued_lattice(divisors._value_points(fan)[1], width, fan.lattice.rank)
+    for glue in (None, gluing_rows):
+        assert pieces == stacked_cartier_data(deltas, fan, glue)
+        assert lattice == stacked_cartier_lattice(fan, glue)
+    plf = plf_lattice([cc.cone for cc in fan.maximal()])
+    assert plf == stacked_plf_lattice(fan, gluing_rows) == stacked_plf_lattice(fan, pairwise_gluing_rows)
+    picard = picard_group(fan, datum)
+    assert picard == stacked_picard_group(fan) == stacked_picard_group(fan, gluing_rows, pairwise_gluing_rows)
+    return pieces, picard
+
+
 @pytest.mark.parametrize("label,maximal,make_datum,colours", CASES, ids=[c[0] for c in CASES])
-def test_wall_routes_match_all_pairs_routes(label, maximal, make_datum, colours, monkeypatch):
+def test_wall_routes_match_all_pairs_routes(label, maximal, make_datum, colours):
     datum = make_datum()
     fan = rank3_fan(maximal, datum, colours)
     report = classify_variety(fan, datum)
     assert report.is_complete
     assert report.is_projective == all_pairs_plf_lp(fan)
     deltas = [anticanonical(fan, datum), boundary_divisor(fan)]
-    positivity = [positivity_check(delta, fan, datum) for delta in deltas]
-    pieces = [cartier_data(delta, fan) for delta in deltas]
-    picard = picard_group(fan, datum)
-    lattice = divisors._cartier_lattice(*divisors._cartier_system(fan)[:2])
-    monkeypatch.setattr(divisors, "gluing_rows", pairwise_gluing_rows)
-    monkeypatch.setattr(divisors, "_cartier_system", cartier_system_with_gluing)
-    assert positivity == [all_pairs_positivity(delta, fan) for delta in deltas]
-    assert pieces == [cartier_data(delta, fan) for delta in deltas]
-    assert picard == picard_group(fan, datum)
-    assert lattice == divisors._cartier_lattice(*cartier_system_with_gluing(fan)[:2])
+    assert [positivity_check(delta, fan, datum) for delta in deltas] == [
+        all_pairs_positivity(delta, fan) for delta in deltas
+    ]
+    assert_per_cone_routes_match_stacked_routes(fan, datum, deltas)
 
 
 # On a complete fan each member's gluing rows follow from the others', so
@@ -98,39 +132,57 @@ RAY_JOINED = [((1, 0, 0), (0, 1, 0), (0, 0, 1)), ((-1, 0, 0), (0, -1, 0), (0, 0,
 
 
 @pytest.mark.parametrize("make_datum,colours", [(torus3, ()), (a1_cubed, (2,))])
-def test_gluing_on_incomplete_fan_matches_pairwise_intersections(make_datum, colours, monkeypatch):
+def test_gluing_on_incomplete_fan_matches_pairwise_intersections(make_datum, colours):
     datum = make_datum()
     fan = rank3_fan(RAY_JOINED, datum, colours)
     deltas = [anticanonical(fan, datum), boundary_divisor(fan)]
-    pieces = [cartier_data(delta, fan) for delta in deltas]
-    picard = picard_group(fan, datum)
-    lattice = divisors._cartier_lattice(*divisors._cartier_system(fan)[:2])
-    monkeypatch.setattr(divisors, "gluing_rows", pairwise_gluing_rows)
-    monkeypatch.setattr(divisors, "_cartier_system", cartier_system_with_gluing)
-    assert pieces == [cartier_data(delta, fan) for delta in deltas]
-    assert picard == picard_group(fan, datum)
-    assert lattice == divisors._cartier_lattice(*cartier_system_with_gluing(fan)[:2])
+    _, picard = assert_per_cone_routes_match_stacked_routes(fan, datum, deltas)
     # two pieces glued on one ray, modulo linear functions: 6 - 1 - 3
     assert picard.plf_mod_lf.free_rank == 2
 
 
-def test_cartier_system_needs_no_gluing_rows_on_random_fans(monkeypatch):
-    """Value rows alone pin every piece on every ray, so gluing rows change no answer."""
+def random_divisor(rng, fan):
+    rays = {g: rng.randint(-2, 2) for g in invariant_ray_generators(fan)}
+    colours = {c.root: rng.randint(-2, 2) for c in fan.lattice.colours}
+    return make_divisor(fan, rays, colours)
+
+
+def test_cartier_system_needs_no_gluing_rows_on_random_fans():
+    """Value rows alone pin every piece on every ray, so per-cone blocks give the stacked answers."""
     rng = random.Random(5)
-    cases = []
+    found = []
     for _ in range(100):
-        fan, _ = random_valid_fan(rng)
-        rays = {g: rng.randint(-2, 2) for g in invariant_ray_generators(fan)}
-        colours = {c.root: rng.randint(-2, 2) for c in fan.lattice.colours}
-        deltas = [boundary_divisor(fan), make_divisor(fan, rays, colours)]
-        a, b, _ = divisors._cartier_system(fan)
-        cases.append((fan, deltas, [cartier_data(d, fan) for d in deltas], divisors._cartier_lattice(a, b)))
-    monkeypatch.setattr(divisors, "_cartier_system", cartier_system_with_gluing)
-    for fan, deltas, pieces, lattice in cases:
-        assert pieces == [cartier_data(d, fan) for d in deltas]
-        assert lattice == divisors._cartier_lattice(*cartier_system_with_gluing(fan)[:2])
+        fan, datum = random_valid_fan(rng)
+        deltas = [boundary_divisor(fan), random_divisor(rng, fan)]
+        pieces, _ = assert_per_cone_routes_match_stacked_routes(fan, datum, deltas)
+        found += pieces
     # both Cartier and non-Cartier divisors occur
-    assert {p is None for _, _, pieces, _ in cases for p in pieces} == {True, False}
+    assert {p is None for p in found} == {True, False}
+
+
+def random_rank3_coloured_fans(rng, count):
+    """`count` seeded `random_rank3_fan`s, over the torus and over A1^3 coloured by `rank3_cones`; valid ones only."""
+    for _ in range(count):
+        maximal = random_rank3_fan(rng)
+        for make_datum, colours in ((torus3, ()), (a1_cubed, (0, 1))):
+            datum = make_datum()
+            lattice = build_coloured_lattice(datum)
+            fan = ColouredFan(lattice, close_under_coloured_faces(lattice, rank3_cones(maximal, lattice, colours)))
+            if validate_coloured_fan(fan).valid:
+                yield fan, datum
+
+
+def test_per_cone_routes_match_stacked_routes_on_random_rank3_fans():
+    rng = random.Random(11)
+    fans = list(random_rank3_coloured_fans(rng, 20))
+    found = []
+    for fan, datum in fans:
+        deltas = [anticanonical(fan, datum), boundary_divisor(fan), random_divisor(rng, fan)]
+        pieces, _ = assert_per_cone_routes_match_stacked_routes(fan, datum, deltas)
+        found += pieces
+    assert len(fans) >= 30
+    assert sum(1 for fan, _ in fans if fan.colour_set()) >= 10
+    assert {p is None for p in found} == {True, False}
 
 
 def test_wall_code_takes_the_fans_maximal_cones_without_containment_scans(monkeypatch):
@@ -154,5 +206,32 @@ def test_wall_code_takes_the_fans_maximal_cones_without_containment_scans(monkey
     assert positivity_check(anticanonical(fan, datum), fan, datum) == (True, True, True)
     counted(Cone, "contains_cone")
     assert len(complete_fan_walls(maximal)) == 12
-    assert gluing_rows(maximal, [cc.cone for cc in fan.cones]).rows > 0
+    assert plf_lattice(maximal)[1].cols == 6
     assert calls == Counter()
+
+
+def test_divisor_and_wall_code_build_no_matrix_one_covector_per_cone_wide(monkeypatch):
+    """Counts, not timers: on (P1)^3 no Smith form or kernel is wider than #rays + #colours + r.
+
+    The stacked routes solved over all r*k = 24 piece coordinates here, and
+    the Cartier lattice's kernel of [B | -A] was 30 columns wide.
+    """
+    datum = torus3()
+    fan = rank3_fan(RANK3_BASES["P1^3"], datum)
+    fan.maximal()
+    widths = []
+    for name in ("smith_normal_form", "kernel_and_complement"):
+        function = getattr(intlin, name)
+
+        def wrapper(m, *args, _function=function, **kwargs):
+            widths.append(m.cols)
+            return _function(m, *args, **kwargs)
+
+        for module in (intlin, polyhedra, horo, rootsys, dictionary, divisors):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapper)
+    assert classify_variety(fan, datum).is_projective
+    assert picard_group(fan, datum).group.free_rank == 3
+    assert positivity_check(anticanonical(fan, datum), fan, datum) == (True, True, True)
+    assert widths
+    assert max(widths) <= len(invariant_ray_generators(fan)) + len(fan.lattice.colours) + fan.lattice.rank == 9

@@ -22,7 +22,6 @@ from .polyhedra import (
     Cone,
     LatticeLiftError,
     NotPointedError,
-    PlainFan,
     cone_dim,
     dual_cone,
     faces,
@@ -31,7 +30,6 @@ from .polyhedra import (
     intersect,
     is_face_of,
     is_strongly_convex,
-    support_contains,
 )
 from .rootsys import (
     RootDatum,

@@ -40,7 +40,6 @@ from .horo import (
     build_coloured_lattice,
     close_under_coloured_faces,
     coloured_cone_key,
-    is_coloured_face,
     quotient_coloured_lattice,
     trivial_coloured_cone,
     uncoloured_rays,
@@ -119,9 +118,10 @@ def closure_contains(fan: ColouredFan, outer: int, inner: int) -> bool:
     """Whether the closure of orbit `outer` contains orbit `inner`.
 
     By the orbit correspondence this holds iff the outer coloured cone is a
-    coloured face of the inner one.
+    coloured face of the inner one, that is, iff the inner one is in the
+    outer one's star.
     """
-    return is_coloured_face(fan.lattice, fan.cones[outer], fan.cones[inner])
+    return fan.cones[inner] in fan.star(fan.cones[outer])
 
 
 def orbit_closure(
@@ -135,9 +135,8 @@ def orbit_closure(
     sub = saturate(IntMatrix.from_columns(list(tau.cone.generators), rows=fan.lattice.rank))
     quotient = quotient_coloured_lattice(datum, sub, tau.colours)
     cones = []
-    for cc in fan.cones:
-        if not cc.cone.contains_cone(tau.cone):
-            continue
+    # in a valid fan the members containing tau are those it is a coloured face of
+    for cc in fan.star(tau):
         image = Cone.from_generators(
             quotient.lattice.rank, [quotient.projection.apply(g) for g in cc.cone.generators]
         )

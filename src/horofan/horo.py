@@ -165,19 +165,38 @@ class ColouredFan:
         return frozenset(out)
 
     def maximal(self) -> list[ColouredCone]:
+        """The members whose star is themselves alone, in member order: the closed orbits.
+
+        So a member is maximal when it is a coloured face of no other member,
+        and of itself (which fails only if a colour point lies outside its
+        cone).  In a valid fan a member contained in another is their
+        intersection, hence a coloured face of it, so these are the members
+        no other member contains.  The rule raises wherever `coloured_faces`
+        does, for example KeyError on an unknown colour index.
+        """
         return list(self._maximal)
+
+    def star(self, cc: ColouredCone) -> tuple[ColouredCone, ...]:
+        """The members that the member cc is a coloured face of, in member order."""
+        return self._face_table[0][cc]
+
+    @cached_property
+    def _face_table(self) -> tuple[dict, tuple]:
+        # each member's star, and the (member, coloured face) pairs whose face is
+        # no member: one `coloured_faces` pass, once per fan, outside == and hash
+        star: dict[ColouredCone, dict[ColouredCone, None]] = {cc: {} for cc in self.cones}
+        missing = []
+        for sigma in self.cones:
+            for f in coloured_faces(self.lattice, sigma):
+                if f in star:
+                    star[f][sigma] = None
+                else:
+                    missing.append((sigma, f))
+        return {cc: tuple(above) for cc, above in star.items()}, tuple(missing)
 
     @cached_property
     def _maximal(self) -> tuple[ColouredCone, ...]:
-        # computed once per fan, outside == and hash like Cone._dim
-        return tuple(
-            cc
-            for cc in self.cones
-            if not any(
-                other != cc and other.cone.contains_cone(cc.cone) and cc.colours <= other.colours
-                for other in self.cones
-            )
-        )
+        return tuple(cc for cc, above in self._face_table[0].items() if above == (cc,))
 
     def non_coloured_rays(self) -> list[ColouredCone]:
         return [cc for cc in self.cones if cc.dim() == 1 and not cc.colours]
@@ -307,18 +326,24 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     """Check every coloured-fan axiom; violations are reported, not raised.
 
     Any two members must meet in a coloured face of both, but that is tested
-    directly only on pairs of anchors, the members that are a coloured face
-    of no other member (in a valid fan, the maximal cones), and on pairs the
-    anchors do not settle.  A pair (a, b) is settled when a is a coloured
-    face of an anchor s, b one of an anchor t, and s = t or s and t meet in
-    a coloured face phi of both.  Then a ∩ b = (a ∩ phi) ∩ (b ∩ phi), an
-    intersection of faces of phi, so it is a face of phi and hence of a and
-    of b (faces of faces and intersections of faces are faces:
-    Cox-Little-Schenck, Toric Varieties, 1.2).  A colour of a whose point
-    lies in a ∩ b is a colour of s with its point in phi, hence a colour of
-    phi and of t, hence of b; so the colours match too.  A valid fan with k
-    anchors thus costs C(k, 2) intersections, and an invalid one reports the
-    same violations, in the same order, as testing every pair.
+    directly only on pairs of anchors, `fan.maximal()` (the members whose
+    star is themselves alone), and on pairs the anchors do not settle.  A
+    pair (a, b) is settled when a is a coloured face of an anchor s, b one
+    of an anchor t, and s = t or s and t meet in a coloured face phi of
+    both.  Then a ∩ b = (a ∩ phi) ∩ (b ∩ phi), an intersection of faces of
+    phi, so it is a face of phi and hence of a and of b (faces of faces and
+    intersections of faces are faces: Cox-Little-Schenck, Toric Varieties,
+    1.2).  A colour of a whose point lies in a ∩ b is a colour of s with
+    its point in phi, hence a colour of phi and of t, hence of b; so the
+    colours match too.  Once every colour point lies in its cone, each
+    member a lies under an anchor, a member s of largest dimension in a's
+    star: s's star lies in a's (a coloured face of a coloured face is one),
+    and a member of it as large as s has s's cone, so it is s.  So when
+    every anchor pair meets and nothing else is wrong, every pair is
+    settled and validation returns after the anchor table: C(k, 2)
+    intersections for k anchors.  Otherwise it walks the pairs, and an
+    invalid fan reports the same violations, in the same order, as testing
+    every pair.
     """
     violations: list[str] = []
     lattice = fan.lattice
@@ -356,23 +381,17 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
                 f"{len(ccs)} coloured cones share the underlying cone "
                 f"{[list(g) for g in gens]}"
             )
-    # over[f]: the members f is a coloured face of (f itself included, since
-    # every colour point lies in its cone by now)
-    over: dict[ColouredCone, set[ColouredCone]] = {cc: set() for cc in fan.cones}
-    for cc in fan.cones:
-        for f in coloured_faces(lattice, cc):
-            if f in over:
-                over[f].add(cc)
-            else:
-                violations.append(
-                    f"{fan.describe(cc)}: coloured face {fan.describe(f)} is missing from the fan"
-                )
-    anchors = [cc for cc in over if over[cc] == {cc}]
+    star, missing = fan._face_table
+    for cc, f in missing:
+        violations.append(f"{fan.describe(cc)}: coloured face {fan.describe(f)} is missing from the fan")
+    anchors = fan.maximal()
     slot = {cc: k for k, cc in enumerate(anchors)}
-    tops = {cc: [slot[s] for s in above if s in slot] for cc, above in over.items()}
     met = [[True] * len(anchors) for _ in anchors]
     for (k, s), (l, t) in itertools.combinations(enumerate(anchors), 2):
         met[k][l] = met[l][k] = _meet_in_coloured_face(lattice, s, t)
+    if not violations and all(map(all, met)):
+        return ValidationReport(True, ())
+    tops = {cc: [slot[s] for s in above if s in slot] for cc, above in star.items()}
     for i, a in enumerate(fan.cones):
         for b in fan.cones[i + 1 :]:
             if any(met[s][t] for s in tops[a] for t in tops[b]):

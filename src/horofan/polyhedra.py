@@ -1,4 +1,4 @@
-"""Rational polyhedral cones and plain fans, all exact.
+"""Rational polyhedral cones, all exact.
 
 A cone is stored by canonical primitive generators and its inequality
 description (its dual generators); one duality engine, `dual_generators`,
@@ -363,25 +363,6 @@ def hilbert_basis(sigma: Cone) -> list[Vector]:
     return sorted(span.apply(h) for h in candidates if not reducible(h))
 
 
-@dataclass(frozen=True)
-class PlainFan:
-    """Finite face-closed collection of strongly convex cones."""
-
-    ambient_rank: int
-    cones: tuple[Cone, ...]
-
-    @staticmethod
-    def from_cones(ambient_rank: int, cones: Iterable[Cone]) -> "PlainFan":
-        return PlainFan(ambient_rank, tuple(sorted(set(cones), key=lambda c: (c.dim(), c.generators))))
-
-    def maximal_cones(self) -> list[Cone]:
-        return [c for c in self.cones if not any(o != c and o.contains_cone(c) for o in self.cones)]
-
-
-def support_contains(fan: PlainFan, u: Sequence[int]) -> bool:
-    return any(c.contains(u) for c in fan.cones)
-
-
 def facet_owners(maximal: Sequence[Cone]) -> dict[Cone, list[int]]:
     """Each facet of a cone in `maximal`, with the indices of the cones in `maximal` having it as a facet.
 
@@ -401,9 +382,9 @@ def facet_owners(maximal: Sequence[Cone]) -> dict[Cone, list[int]]:
     return owners
 
 
-def fan_is_complete(fan: PlainFan) -> bool:
-    """Exact completeness check by facet pairing (see `complete_fan_walls`)."""
-    return complete_fan_walls(fan.maximal_cones()) is not None
+def fan_is_complete(maximal: Sequence[Cone]) -> bool:
+    """Whether the fan with these maximal cones is complete, by facet pairing (see `complete_fan_walls`)."""
+    return complete_fan_walls(maximal) is not None
 
 
 def complete_fan_walls(maximal: Sequence[Cone]) -> Optional[dict[Cone, list[int]]]:

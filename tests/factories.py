@@ -102,6 +102,10 @@ PRISM_TOP = [(1, 0, 1), (0, 1, 1), (-1, -1, 1)]
 PRISM_BOTTOM = [(1, 0, -1), (0, 1, -1), (-1, -1, -1)]
 
 
+def a1_cubed() -> HorosphericalDatum:
+    return HorosphericalDatum(RootDatum.parse("A1xA1xA1"), frozenset(), IntMatrix.identity(3))
+
+
 def torus3() -> HorosphericalDatum:
     return HorosphericalDatum(RootDatum.parse("", central_torus_rank=3), frozenset(), IntMatrix.identity(3))
 
@@ -164,3 +168,15 @@ def rank3_fan(maximal: list[tuple], datum: HorosphericalDatum, colours=()) -> Co
     """The fan of `maximal`, coloured by `rank3_cones`; raises unless it is a valid coloured fan."""
     lattice = build_coloured_lattice(datum)
     return coloured_fan(lattice, rank3_cones(maximal, lattice, colours))
+
+
+def random_rank3_coloured_fans(rng, count):
+    """`count` seeded `random_rank3_fan`s, over the torus and over A1^3 coloured by `rank3_cones`; valid ones only."""
+    for _ in range(count):
+        maximal = random_rank3_fan(rng)
+        for make_datum, colours in ((torus3, ()), (a1_cubed, (0, 1))):
+            datum = make_datum()
+            lattice = build_coloured_lattice(datum)
+            fan = ColouredFan(lattice, close_under_coloured_faces(lattice, rank3_cones(maximal, lattice, colours)))
+            if validate_coloured_fan(fan).valid:
+                yield fan, datum

@@ -18,7 +18,10 @@ check the wall-based and anchor-based ones: a dense projectivity LP over
 every m_sigma with rows for every pair of maximal cones, a positivity loop
 over every ordered pair, gluing rows from `intersect` on every pair, and
 coloured-fan validation that intersects every pair of members and reads
-each face's colours with the face's own inequalities.
+each face's colours with the face's own inequalities.  The old maximal-cone
+rule scans every pair of members with `contains_cone`, and the anchor
+oracle tests every pair with `contains_rule_is_coloured_face`; both check
+the one coloured-face table of `ColouredFan`.
 
 The stacked oracles are the package's earlier divisor routes, kept to check
 the per-cone ones: one system over the stacked covectors (m_0, ..., m_{k-1})
@@ -424,6 +427,23 @@ def contains_rule_is_coloured_face(lattice, tau, sigma) -> bool:
     if not is_face_of(tau.cone, sigma.cone):
         return False
     return frozenset(r for r in sigma.colours if tau.cone.contains(lattice.point(r))) == tau.colours
+
+
+def containment_maximal(fan) -> list:
+    """The old `ColouredFan.maximal()`: members no other member contains with a superset of its colours."""
+    return [
+        cc
+        for cc in fan.cones
+        if not any(o != cc and o.cone.contains_cone(cc.cone) and cc.colours <= o.colours for o in fan.cones)
+    ]
+
+
+def contains_rule_anchors(fan) -> list:
+    """The distinct members that are a coloured face of themselves and of no other member."""
+    members = list(dict.fromkeys(fan.cones))
+    return [
+        a for a in members if [b for b in members if contains_rule_is_coloured_face(fan.lattice, a, b)] == [a]
+    ]
 
 
 def ray_contains_uncoloured_rays(lattice, cc) -> list:

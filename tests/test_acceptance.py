@@ -46,7 +46,7 @@ from horofan.intlin import (
     is_unimodular,
     smith_normal_form,
 )
-from horofan.polyhedra import Cone, PlainFan, dual_cone, fan_is_complete, hilbert_basis
+from horofan.polyhedra import Cone, dual_cone, fan_is_complete, hilbert_basis
 from horofan.rootsys import RootDatum
 
 from .factories import random_valid_fan
@@ -341,8 +341,7 @@ def test_criterion_10_property_suites():
     complete_checked = 0
     while complete_checked < 10:
         fan, datum = random_valid_fan(rng)
-        plain = PlainFan.from_cones(fan.lattice.rank, [c.cone for c in fan.cones])
-        if not fan_is_complete(plain):
+        if not fan_is_complete([cc.cone for cc in fan.maximal()]):
             continue
         complete_checked += 1
         for _ in range(5):

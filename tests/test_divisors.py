@@ -25,7 +25,7 @@ from horofan.horo import (
     trivial_coloured_cone,
 )
 from horofan.intlin import AbelianGroup, IntMatrix, determinant, rank
-from horofan.polyhedra import Cone, LatticeLiftError
+from horofan.polyhedra import Cone, LatticeLiftError, fan_is_complete
 from horofan.rootsys import RootDatum
 
 from .factories import random_valid_fan
@@ -295,10 +295,7 @@ class TestPositivity:
         checked = 0
         while checked < 15:
             fan, datum = random_valid_fan(rng)
-            from horofan.polyhedra import PlainFan, fan_is_complete
-
-            plain = PlainFan.from_cones(fan.lattice.rank, [c.cone for c in fan.cones])
-            if not fan_is_complete(plain):
+            if not fan_is_complete([cc.cone for cc in fan.maximal()]):
                 continue
             checked += 1
             for _ in range(8):

@@ -34,7 +34,12 @@ from horofan.polyhedra import Cone
 from horofan.rootsys import RootDatum
 
 from .factories import random_valid_fan
-from .oracles import inverse_cartan_pairing_oracle, ray_contains_uncoloured_rays, sl_colour_point_oracle
+from .oracles import (
+    containment_maximal,
+    inverse_cartan_pairing_oracle,
+    ray_contains_uncoloured_rays,
+    sl_colour_point_oracle,
+)
 
 
 def sl_datum(n, columns=None, parabolic=frozenset()):
@@ -418,16 +423,14 @@ def test_maximal_is_computed_once_outside_equality(monkeypatch):
     rng = random.Random(11)
     for _ in range(10):
         fan, _ = random_valid_fan(rng)
-        expected = [
-            a
-            for a in fan.cones
-            if not any(b != a and b.cone.contains_cone(a.cone) and a.colours <= b.colours for b in fan.cones)
-        ]
+        fan = ColouredFan(fan.lattice, fan.cones)
+        expected = containment_maximal(fan)
         fresh = ColouredFan(fan.lattice, fan.cones)
         first = fan.maximal()
         assert first == expected
         first.clear()
         with monkeypatch.context() as m:
+            m.setattr(horo, "coloured_faces", lambda *args: pytest.fail("coloured-face table recomputed"))
             m.setattr(Cone, "contains_cone", lambda self, other: pytest.fail("maximal cones recomputed"))
             assert fan.maximal() == expected
         assert fan == fresh and hash(fan) == hash(fresh)

@@ -13,7 +13,6 @@ from horofan.intlin import IntMatrix, invariant_factors
 from horofan.polyhedra import (
     Cone,
     NotPointedError,
-    PlainFan,
     cone_dim,
     covered_by,
     dot,
@@ -27,7 +26,6 @@ from horofan.polyhedra import (
     is_face_of,
     is_strongly_convex,
     primitive,
-    support_contains,
 )
 
 from .factories import random_rank2_fan, random_rank3_fan
@@ -237,11 +235,12 @@ class TestStrongConvexityAndDim:
 
 
 def fan_of(rank, *cone_gen_lists):
-    cones = set()
-    for gens in cone_gen_lists:
-        c = Cone.from_generators(rank, gens)
-        cones.update(faces(c))
-    return PlainFan.from_cones(rank, cones)
+    """The maximal cones of a fan, one per generator list."""
+    return [Cone.from_generators(rank, gens) for gens in cone_gen_lists]
+
+
+def support_contains(maximal, u):
+    return any(c.contains(u) for c in maximal)
 
 
 class TestCompleteness:
@@ -260,7 +259,7 @@ class TestCompleteness:
         assert not fan_is_complete(fan_of(2, [E1, E2], [E1, (0, -1)]))
 
     def test_rank_zero_trivial_fan_complete(self):
-        assert fan_is_complete(PlainFan.from_cones(0, [Cone.zero(0)]))
+        assert fan_is_complete([Cone.zero(0)])
 
     def test_agrees_with_rational_sampling(self):
         rng = random.Random(23)

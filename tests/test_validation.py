@@ -1,18 +1,26 @@
-"""Anchor-pair validation and face incidences against the all-pairs routes."""
+"""Anchor-pair validation, the coloured-face table and face incidences against the all-pairs routes."""
 
+import itertools
 import random
+import sys
+from collections import Counter
+
+import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from horofan import horo
+from horofan.dictionary import closure_contains, orbit_closure
 from horofan.horo import (
     Colour,
     ColouredCone,
     ColouredFan,
     ColouredLattice,
     HorosphericalDatum,
+    build_coloured_lattice,
     close_under_coloured_faces,
+    coloured_fan,
     coloured_faces,
     is_coloured_face,
     validate_coloured_fan,
@@ -23,17 +31,21 @@ from horofan.rootsys import RootDatum
 
 from .factories import (
     RANK3_BASES,
+    a1_cubed,
     prism_maximal,
+    random_rank3_coloured_fans,
     random_valid_fan,
     rank3_fan,
     stellar_subdivision,
     torus3,
 )
-from .oracles import all_pairs_validation, contains_rule_coloured_faces, contains_rule_is_coloured_face
-
-
-def a1_cubed() -> HorosphericalDatum:
-    return HorosphericalDatum(RootDatum.parse("A1xA1xA1"), frozenset(), IntMatrix.identity(3))
+from .oracles import (
+    all_pairs_validation,
+    containment_maximal,
+    contains_rule_anchors,
+    contains_rule_coloured_faces,
+    contains_rule_is_coloured_face,
+)
 
 
 def valid_fans() -> list[ColouredFan]:
@@ -78,10 +90,15 @@ def broken_variants(fan: ColouredFan, rng: random.Random) -> list[ColouredFan]:
     return out
 
 
-def test_anchor_validation_matches_all_pairs_oracle():
+def broken_fans() -> list[ColouredFan]:
+    """Seeded `broken_variants` of every fan of `valid_fans`."""
     rng = random.Random(11)
+    return [b for fan in valid_fans() for b in broken_variants(fan, rng)]
+
+
+def test_anchor_validation_matches_all_pairs_oracle():
     fans = valid_fans()
-    broken = [b for fan in fans for b in broken_variants(fan, rng)]
+    broken = broken_fans()
     invalid = 0
     for fan in fans + broken:
         report = validate_coloured_fan(fan)
@@ -136,3 +153,79 @@ def test_face_colours_by_incidence_match_face_contains(data):
         for colours in (f.colours, cc.colours, frozenset()):
             tau = ColouredCone(f.cone, colours)
             assert is_coloured_face(lattice, tau, cc) == contains_rule_is_coloured_face(lattice, tau, cc)
+
+
+def p1_power(n: int) -> tuple[ColouredFan, HorosphericalDatum]:
+    """The fan of (P1)^n over the rank-n torus: the 2^n orthants and their faces."""
+    datum = HorosphericalDatum(RootDatum.parse("", central_torus_rank=n), frozenset(), IntMatrix.identity(n))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    orthants = itertools.product(*[(e, tuple(-x for x in e)) for e in units])
+    cones = [ColouredCone(Cone.from_generators(n, gens), frozenset()) for gens in orthants]
+    return coloured_fan(build_coloured_lattice(datum), cones), datum
+
+
+def table_fans() -> list[ColouredFan]:
+    """`valid_fans`, seeded `random_rank3_coloured_fans` and (P1)^4."""
+    fans = valid_fans() + [fan for fan, _ in random_rank3_coloured_fans(random.Random(5), 10)]
+    return fans + [p1_power(4)[0]]
+
+
+def test_maximal_is_the_containment_rule_on_valid_fans():
+    fans = table_fans()
+    for fan in fans:
+        assert fan.maximal() == containment_maximal(fan)
+    assert len(fans) >= 50 and len(fans[-1].maximal()) == 16
+
+
+def test_closure_order_is_the_coloured_face_relation():
+    """`closure_contains` on every pair of members against the `contains` rule
+    for coloured faces; on broken fans too, where cones repeat with other colours."""
+    pairs = Counter()
+    for fan in table_fans() + broken_fans():
+        for (i, outer), (j, inner) in itertools.product(enumerate(fan.cones), repeat=2):
+            contained = closure_contains(fan, i, j)
+            assert contained == contains_rule_is_coloured_face(fan.lattice, outer, inner)
+            pairs[contained] += 1
+    assert pairs[True] > 1000 and pairs[False] > 10000
+
+
+def test_maximal_on_invalid_fans_is_the_coloured_face_rule():
+    """On broken fans `maximal()` keeps the members that are a coloured face of
+    themselves and of no other member, which is not the containment rule there."""
+    differs = 0
+    for fan in broken_fans():
+        assert fan.maximal() == contains_rule_anchors(fan)
+        differs += fan.maximal() != containment_maximal(fan)
+    assert differs
+    unknown = ColouredCone(Cone.from_generators(1, [(1,)]), frozenset({99}))
+    with pytest.raises(KeyError):
+        ColouredFan(ColouredLattice(1, (), 0, 1), (unknown,)).maximal()
+
+
+def test_orbit_order_reads_the_face_table(monkeypatch):
+    """Counts, not timers: once `coloured_fan` has validated (P1)^3, its maximal
+    cones, closure order and orbit closures run no face or containment test."""
+    fan, datum = p1_power(3)
+    calls = Counter()
+
+    def counted(owner, name):
+        function = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(Cone, "contains_cone")
+    for module in [m for n, m in sys.modules.items() if n == "horofan" or n.startswith("horofan.")]:
+        for name in ("is_face_of", "coloured_faces"):
+            if hasattr(module, name):
+                counted(module, name)
+    # each orthant's 8 faces, each square's 4, each ray's 2 and the origin
+    face_pairs = 8 * 8 + 12 * 4 + 6 * 2 + 1
+    assert len(fan.maximal()) == 8
+    pairs = itertools.product(range(len(fan.cones)), repeat=2)
+    assert sum(closure_contains(fan, i, j) for i, j in pairs) == face_pairs
+    assert sum(len(orbit_closure(fan, i, datum)[0].cones) for i in range(len(fan.cones))) == face_pairs
+    assert calls == Counter()

@@ -16,23 +16,14 @@ from horofan.divisors import (
     picard_group,
     positivity_check,
 )
-from horofan.horo import (
-    ColouredFan,
-    HorosphericalDatum,
-    build_coloured_lattice,
-    close_under_coloured_faces,
-    validate_coloured_fan,
-)
-from horofan.intlin import IntMatrix
-from horofan.polyhedra import Cone, PlainFan, complete_fan_walls, glued_lattice, plf_lattice
-from horofan.rootsys import RootDatum
+from horofan.polyhedra import Cone, complete_fan_walls, glued_lattice, plf_lattice
 
 from .factories import (
     RANK3_BASES,
+    a1_cubed,
     prism_maximal,
-    random_rank3_fan,
+    random_rank3_coloured_fans,
     random_valid_fan,
-    rank3_cones,
     rank3_fan,
     stellar_subdivision,
     torus3,
@@ -47,10 +38,6 @@ from .oracles import (
     stacked_picard_group,
     stacked_plf_lattice,
 )
-
-
-def a1_cubed() -> HorosphericalDatum:
-    return HorosphericalDatum(RootDatum.parse("A1xA1xA1"), frozenset(), IntMatrix.identity(3))
 
 
 # (base, subdivision steps): each step star-subdivides the last maximal cone at
@@ -160,18 +147,6 @@ def test_cartier_system_needs_no_gluing_rows_on_random_fans():
     assert {p is None for p in found} == {True, False}
 
 
-def random_rank3_coloured_fans(rng, count):
-    """`count` seeded `random_rank3_fan`s, over the torus and over A1^3 coloured by `rank3_cones`; valid ones only."""
-    for _ in range(count):
-        maximal = random_rank3_fan(rng)
-        for make_datum, colours in ((torus3, ()), (a1_cubed, (0, 1))):
-            datum = make_datum()
-            lattice = build_coloured_lattice(datum)
-            fan = ColouredFan(lattice, close_under_coloured_faces(lattice, rank3_cones(maximal, lattice, colours)))
-            if validate_coloured_fan(fan).valid:
-                yield fan, datum
-
-
 def test_per_cone_routes_match_stacked_routes_on_random_rank3_fans():
     rng = random.Random(11)
     fans = list(random_rank3_coloured_fans(rng, 20))
@@ -201,7 +176,6 @@ def test_wall_code_takes_the_fans_maximal_cones_without_containment_scans(monkey
 
         monkeypatch.setattr(cls, name, wrapper)
 
-    counted(PlainFan, "maximal_cones")
     assert classify_variety(fan, datum).is_projective
     assert positivity_check(anticanonical(fan, datum), fan, datum) == (True, True, True)
     counted(Cone, "contains_cone")

@@ -16,13 +16,14 @@ from typing import Optional
 from .intlin import (
     IntMatrix,
     invariant_factors,
+    kernel_and_complement,
     lattice_coordinates,
     saturate,
 )
 from .polyhedra import (
     Cone,
     LatticeLiftError,
-    _through_lineality_quotient,
+    _join_lineality,
     complete_fan_walls,
     covered_by,
     dot,
@@ -114,6 +115,13 @@ def orbit_table(fan: ColouredFan, datum: HorosphericalDatum) -> list[OrbitRecord
     return records
 
 
+def _member(fan: ColouredFan, index: int) -> ColouredCone:
+    """The member of the fan with this index; a negative index does not wrap around."""
+    if not 0 <= index < len(fan.cones):
+        raise ConeNotInFanError(f"no coloured cone with index {index}")
+    return fan.cones[index]
+
+
 def closure_contains(fan: ColouredFan, outer: int, inner: int) -> bool:
     """Whether the closure of orbit `outer` contains orbit `inner`.
 
@@ -121,7 +129,7 @@ def closure_contains(fan: ColouredFan, outer: int, inner: int) -> bool:
     coloured face of the inner one, that is, iff the inner one is in the
     outer one's star.
     """
-    return fan.cones[inner] in fan.star(fan.cones[outer])
+    return _member(fan, inner) in fan.star(_member(fan, outer))
 
 
 def orbit_closure(
@@ -129,9 +137,7 @@ def orbit_closure(
 ) -> tuple[ColouredFan, HorosphericalDatum]:
     """Coloured fan of an orbit closure, on the quotient coloured lattice."""
     _require_lattice(fan, datum)
-    if not 0 <= index < len(fan.cones):
-        raise ConeNotInFanError(f"no coloured cone with index {index}")
-    tau = fan.cones[index]
+    tau = _member(fan, index)
     sub = saturate(IntMatrix.from_columns(list(tau.cone.generators), rows=fan.lattice.rank))
     quotient = quotient_coloured_lattice(datum, sub, tau.colours)
     cones = []
@@ -432,19 +438,17 @@ def affine_local_structure(
 def weight_monoid_generators(sigma: ColouredCone, datum: HorosphericalDatum) -> list[Vector]:
     """Minimal generators of the weight monoid sigma^vee ∩ N^vee.
 
-    For full-dimensional sigma this is the Hilbert basis of the pointed dual;
-    otherwise the +/- basis of the lineality lattice of the dual joins the
-    lifted Hilbert basis of its pointed quotient.
+    One echelon of sigma's generators (`kernel_and_complement`) gives their
+    coordinates in the saturated span L of sigma, the lift of functionals on
+    L to N^vee, and the lineality lattice L-perp of sigma^vee.  The pointed
+    quotient sigma^vee / L-perp is the dual of sigma inside L; its Hilbert
+    basis is lifted through the complement, reduced modulo L-perp and joined
+    by the +/- basis of L-perp, as `dual_generators` does for facets.  The
+    zero cone and full-dimensional sigma take the same path.
     """
     if not sigma.cone.is_strongly_convex():
         raise NotStronglyConvexError("weight monoids are computed for strongly convex cones")
-    dual = dual_cone(sigma.cone)
-    lin = dual.lineality_basis()
-    if not lin:
-        return hilbert_basis(dual)
-    return _through_lineality_quotient(
-        dual.generators,
-        lin,
-        dual.ambient_rank,
-        lambda images, d: hilbert_basis(Cone.from_generators(d, images)),
-    )
+    generators = IntMatrix.from_rows(list(sigma.cone.generators), cols=sigma.cone.ambient_rank)
+    echelon, complement, perp = kernel_and_complement(generators)
+    pointed = dual_cone(Cone.from_generators(len(echelon), list(zip(*echelon))))
+    return _join_lineality(hilbert_basis(pointed), complement, perp)

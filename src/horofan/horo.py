@@ -432,14 +432,13 @@ def quotient_coloured_lattice(
     if sublattice.cols:
         if saturate(sublattice) != column_hermite(sublattice):
             raise NotSaturatedError("sublattice is not saturated in N")
-    roots = sorted(removed)
-    for r, coords in zip(roots, lattice_coordinates([lattice.point(r) for r in roots], sublattice)):
-        if coords is None:
+    projection = IntMatrix.from_rows(kernel_basis(sublattice.transpose()), cols=lattice.rank)
+    # N' is saturated, so a point lies in N' exactly when the projection kills it
+    for r in sorted(removed):
+        if any(projection.apply(lattice.point(r))):
             raise ColourOutsideSublatticeError(
                 f"colour point of {lattice.labels()[r]} lies outside the sublattice"
             )
-    proj_rows = kernel_basis(sublattice.transpose())
-    projection = IntMatrix.from_rows([list(r) for r in proj_rows], cols=lattice.rank)
     new_characters = datum.characters.mul(projection.transpose())
     new_datum = HorosphericalDatum(
         group=datum.group,

@@ -12,13 +12,13 @@ Hermite form and its transform (`hermite_normal_form`), ranks, column bases
 `kernel_and_complement` echelonises [m^T | I]: the rows whose left block
 vanished are the kernel (`kernel_basis`), and the others coordinatise the
 saturated row span of m and lift functionals on it, which is all that cone
-duality needs.  The Smith form is computed only where its diagonal or its
-transforms are the answer: invariant factors and cokernels (class and Picard
-groups), the classes of Z^d / B*Z^d that give Hilbert basis candidates, and
-integer solving, where one Smith form of m answers m*x = b for a whole batch
-of right-hand sides b (`lattice_coordinates`; `solve_integer_affine` for one
-b, with the kernel): span coordinates for Hilbert bases, lifts from a
-lineality quotient for weight monoids, Cartier data and lattice maps.
+duality and weight monoids need.  The Smith form is computed only where its
+diagonal or its transforms are the answer: invariant factors and cokernels
+(class and Picard groups), the torsion of Z^n / B*Z^d that gives Hilbert
+basis candidates, and integer solving, where one Smith form of m answers
+m*x = b for a whole batch of right-hand sides b (`lattice_coordinates`;
+`solve_integer_affine` for one b, with the kernel): Cartier data and
+lattice maps.
 """
 
 from __future__ import annotations

@@ -8,14 +8,16 @@ Cones may be non-pointed and non-full-dimensional: the inequality description
 then carries the span equalities as +/- pairs, and the generator description
 carries a lineality basis as +/- pairs.  The engine splits off the span with
 one integer echelon and finds facets by incremental double description, in
-integers throughout.  Hilbert bases enumerate the group Z^d / B*Z^d of each
-simplicial basis B, not a box.  Fan-level code takes the maximal cones a
-fan already holds and reads owners off incidences, with no containment scan:
-`facet_owners` lists the walls (facets with their owning cones) and
-`complete_fan_walls` decides completeness from them.  `glued_lattice`
-intersects per-cone lattices one maximal cone at a time, never stacking one
-covector per cone; `plf_lattice` uses it for the piecewise linear functions
-in ray coordinates.
+integers throughout.  Hilbert bases stay in Z^n: for the n x d matrix B of
+d independent generators, the torsion of Z^n / B*Z^d is exactly
+(span ∩ Z^n) / B*Z^d, so a Smith form of B lists the span's points in B's
+half-open parallelepiped, with no span coordinates and no box.  Fan-level
+code takes the maximal cones a fan already holds and reads owners off
+incidences, with no containment scan: `facet_owners` lists the walls
+(facets with their owning cones) and `complete_fan_walls` decides
+completeness from them.  `glued_lattice` intersects per-cone lattices one
+maximal cone at a time, never stacking one covector per cone; `plf_lattice`
+uses it for the piecewise linear functions in ray coordinates.
 """
 
 from __future__ import annotations
@@ -30,10 +32,8 @@ from .intlin import (
     column_hermite,
     kernel_and_complement,
     kernel_basis,
-    lattice_coordinates,
     rank,
     reduce_mod_hermite,
-    saturate,
     smith_normal_form,
     vector_gcd,
 )
@@ -64,20 +64,16 @@ def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _in_coordinates(vectors: Sequence[Vector], basis: IntMatrix) -> list[Vector]:
-    coords = lattice_coordinates(vectors, basis)
-    if None in coords:
-        raise ValueError("vector outside the saturated span lattice")
-    return coords
+def _join_lineality(functionals: Sequence[Vector], complement: list[Vector], perp: list[Vector]) -> list[Vector]:
+    """Lifts of functionals on a span, canonical modulo its annihilator L, with +/- the basis of L; sorted.
 
-
-def _join_lineality(vectors: Sequence[Vector], lattice: list[Vector]) -> list[Vector]:
-    """Sorted canonical representatives of `vectors` modulo the lattice L, and +/- the basis of L.
-
-    `lattice` is a basis of L in column Hermite form, as `kernel_basis` returns it.
+    `complement` and `perp` are the last two parts of `kernel_and_complement`:
+    a functional h in span coordinates lifts to h*complement, and `perp` is
+    the basis of L in column Hermite form.
     """
-    out = set(reduce_mod_hermite(vectors, lattice))
-    return sorted(out | set(lattice) | {tuple(-x for x in b) for b in lattice})
+    columns = list(zip(*complement))
+    out = set(reduce_mod_hermite([tuple(dot(h, column) for column in columns) for h in functionals], perp))
+    return sorted(out | set(perp) | {tuple(-x for x in b) for b in perp})
 
 
 def _dual_extreme_rays(coords: Sequence[Vector], seeds: Sequence[int], d: int) -> list[Vector]:
@@ -143,9 +139,7 @@ def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
     echelon, complement, perp = kernel_and_complement(IntMatrix.from_rows(vecs, cols=n))
     d = len(echelon)
     seeds = [next(j for j, x in enumerate(row) if x) for row in echelon]
-    facets = _dual_extreme_rays(list(zip(*echelon)), seeds, d)
-    columns = list(zip(*complement))
-    return _join_lineality([tuple(dot(h, column) for column in columns) for h in facets], perp)
+    return _join_lineality(_dual_extreme_rays(list(zip(*echelon)), seeds, d), complement, perp)
 
 
 @dataclass(frozen=True)
@@ -229,23 +223,6 @@ class Cone:
         return tuple(sum(g[i] for g in self.generators) for i in range(self.ambient_rank))
 
 
-def _through_lineality_quotient(gens: Sequence[Vector], lin: list[Vector], n: int, pointed) -> list[Vector]:
-    """Answer for a cone with lineality lattice L from its pointed quotient.
-
-    `lin` is the basis of L in column Hermite form that `Cone.lineality_basis`
-    returns.  `pointed(images, d)` gets the nonzero images of `gens` in
-    Z^n / L = Z^d; its vectors are lifted to canonical representatives modulo
-    L and joined by the +/- basis of L.
-    """
-    q = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(lin, cols=n)), cols=n)
-    images = [w for w in (q.apply(g) for g in gens) if any(w)]
-    # the rows of q span a saturated lattice, so q is onto and every vector lifts
-    lifts = lattice_coordinates(pointed(images, q.rows) if images else [], q)
-    if None in lifts:
-        raise LatticeLiftError("a matrix with saturated rows maps onto")
-    return _join_lineality(lifts, lin)
-
-
 def dual_cone(sigma: Cone) -> Cone:
     """The dual cone {m : <m, u> >= 0 for all u in sigma}.
 
@@ -310,11 +287,12 @@ def cone_dim(sigma: Cone) -> int:
 
 
 def _parallelepiped_points(b: IntMatrix) -> list[Vector]:
-    """The |det b| integer points b*t with every 0 <= t_i < 1; none if b is singular.
+    """The integer points b*t with every 0 <= t_i < 1, for an n x d matrix b; none if its rank is below d.
 
-    With U*b*V = D, class k of Z^n / b*Z^n = Z/d_1 x ... x Z/d_n holds U^-1 * k,
-    whose coordinates b^-1 * U^-1 * k = V * D^-1 * k are taken mod 1.  Scaled by
-    e = d_n, which every d_i divides, e*t = V * (k_i * e / d_i) mod e is integral.
+    With U*b*V = D, the torsion Z/d_1 x ... x Z/d_d of Z^n / b*Z^d is
+    (span ∩ Z^n) / b*Z^d, and its class k holds U^-1 * (k, 0) = b*t for
+    t = V * D^-1 * k, taken mod 1.  Scaled by e = d_d, which every d_i
+    divides, e*t = V * (k_i * e / d_i) mod e is integral.
     """
     _, d, v = smith_normal_form(b)
     diag = d.diagonal()
@@ -331,36 +309,37 @@ def _parallelepiped_points(b: IntMatrix) -> list[Vector]:
 
 
 def hilbert_basis(sigma: Cone) -> list[Vector]:
-    """Minimal generating set of the monoid sigma ∩ Z^n for pointed sigma.
+    """Minimal generating set of the monoid sigma ∩ Z^n for pointed sigma, sorted.
 
     Every irreducible element is a generator or lies in the half-open
-    fundamental parallelepiped of a simplicial subcone spanned by generators
-    (Caratheodory covers the cone): one point per class of Z^d / B*Z^d for
-    the basis B, enumerated through its Smith form, with no box scan.  The
-    candidates are then reduced to the irreducible elements.
+    fundamental parallelepiped of a simplicial subcone spanned by d = dim
+    sigma generators (Caratheodory covers the cone).  For the n x d matrix B
+    of those generators, the torsion of Z^n / B*Z^d is exactly
+    (span ∩ Z^n) / B*Z^d, so a Smith form of B gives one point per class, in
+    Z^n, with no span coordinates and no box scan.  The candidates are then
+    reduced to the irreducible elements against sigma's cached facet normals.
     """
     if not sigma.is_strongly_convex():
         raise NotPointedError("Hilbert basis requires a strongly convex cone")
     if not sigma.generators:
         return []
     n = sigma.ambient_rank
-    span = saturate(IntMatrix.from_columns(sigma.generators, rows=n))
-    d = span.cols
-    coords = _in_coordinates(sigma.generators, span)
-    normals = dual_generators(coords, d)
-    candidates: set[Vector] = set(coords)
-    for subset in itertools.combinations(coords, d):
-        candidates.update(_parallelepiped_points(IntMatrix.from_columns(subset, rows=d)))
-    candidates.discard((0,) * d)
+    candidates: set[Vector] = set(sigma.generators)
+    for subset in itertools.combinations(sigma.generators, sigma.dim()):
+        candidates.update(_parallelepiped_points(IntMatrix.from_columns(subset, rows=n)))
+    candidates.discard((0,) * n)
+    normals = sigma.facet_normals()
+    # the +/- pairs of span equalities vanish on the span, where all candidates lie
+    facets = [h for h in normals if tuple(-x for x in h) not in normals]
 
     def in_monoid(v: Sequence[int]) -> bool:
-        return all(dot(h, v) >= 0 for h in normals)
+        return all(dot(h, v) >= 0 for h in facets)
 
     def reducible(h: Vector) -> bool:
         # h = c + (h - c) with both parts nonzero points of the cone
         return any(c != h and in_monoid([x - y for x, y in zip(h, c)]) for c in candidates)
 
-    return sorted(span.apply(h) for h in candidates if not reducible(h))
+    return sorted(h for h in candidates if not reducible(h))
 
 
 def facet_owners(maximal: Sequence[Cone]) -> dict[Cone, list[int]]:

@@ -13,6 +13,12 @@ of the full-dimensional cone by testing every (d-1)-subset of generators, and
 lifts them through a second Smith form, so it shares neither the echelon
 split nor the double description of `polyhedra.dual_generators`.
 
+`quotient_weight_monoid` is the package's earlier weight-monoid route: the
+Hilbert basis of the dual cone, or, when the dual has lineality, of its image
+in the quotient by the lineality lattice, lifted back through a Smith form of
+the quotient map.  It shares no echelon split with
+`dictionary.weight_monoid_generators`.
+
 The all-pairs oracles are the package's earlier fan-level routes, kept to
 check the wall-based and anchor-based ones: a dense projectivity LP over
 every m_sigma with rows for every pair of maximal cones, a positivity loop
@@ -54,7 +60,17 @@ from horofan.intlin import (
     rank,
     reduce_mod_lattice,
 )
-from horofan.polyhedra import LatticeLiftError, dot, faces, intersect, is_face_of, primitive
+from horofan.polyhedra import (
+    Cone,
+    LatticeLiftError,
+    dot,
+    dual_cone,
+    faces,
+    hilbert_basis,
+    intersect,
+    is_face_of,
+    primitive,
+)
 from horofan.ratlp import maximize
 
 
@@ -126,6 +142,24 @@ def subset_scan_dual_generators(vectors, n):
         raise ValueError("vector outside the saturated span lattice")
     facets = _subset_scan_facet_normals(coords, d) if d > 0 else []
     return _lift_and_join(facets, span.transpose(), perp)
+
+
+def quotient_weight_monoid(cone) -> list[tuple[int, ...]]:
+    """Minimal generators of the monoid dual(cone) ∩ Z^n, through the lineality quotient of the dual.
+
+    The dual's lineality lattice L is the kernel of the cone's generators.
+    The rows of q, a kernel basis of L, map Z^n onto Z^n / L; the images of
+    the dual's generators span a pointed cone, whose Hilbert basis lifts
+    through a Smith form of q and joins the +/- basis of L.
+    """
+    dual = dual_cone(cone)
+    lin = dual.lineality_basis()
+    if not lin:
+        return hilbert_basis(dual)
+    n = cone.ambient_rank
+    q = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(lin, cols=n)), cols=n)
+    images = [w for w in (q.apply(g) for g in dual.generators) if any(w)]
+    return _lift_and_join(hilbert_basis(Cone.from_generators(q.rows, images)) if images else [], q, lin)
 
 
 def sl_colour_point_oracle(n: int, column: tuple[int, ...]) -> tuple[int, ...]:

@@ -34,12 +34,12 @@ from horofan.horo import (
     trivial_coloured_cone,
     validate_coloured_fan,
 )
-from horofan.intlin import IntMatrix
+from horofan.intlin import IntMatrix, invariant_factors
 from horofan.polyhedra import Cone
 from horofan.rootsys import RootDatum
 
 from .factories import RANK3_BASES, prism_maximal, random_valid_fan, rank3_fan, torus3
-from .oracles import containment_maximal
+from .oracles import containment_maximal, quotient_weight_monoid
 
 
 def sl3_u3():
@@ -172,6 +172,13 @@ class TestOrbitClosure:
         fan, datum = projective_sl3_fan()
         with pytest.raises(ConeNotInFanError):
             orbit_closure(fan, 99, datum)
+
+    def test_closure_contains_rejects_indices_outside_the_fan(self):
+        fan, _ = sl2_u2_plane_fan()
+        # negative indices must not wrap around to the last members
+        for outer, inner in [(-1, 0), (0, -2), (len(fan.cones), 0), (0, len(fan.cones))]:
+            with pytest.raises(ConeNotInFanError):
+                closure_contains(fan, outer, inner)
 
     def test_closure_open_orbit_dimension_matches_table(self):
         fan, datum = projective_sl3_fan()
@@ -479,6 +486,33 @@ class TestWeightMonoid:
         assert (1, 0) in gens and (-1, 0) in gens
         assert all(g[1] >= 0 for g in gens)
         assert any(g[1] > 0 for g in gens)
+
+    def test_matches_the_lineality_quotient_route(self):
+        # seeded pointed cones in Z^3 and Z^4 of every dimension, from
+        # combinations of random independent vectors so that the span can
+        # have index > 1 over the lattice of the generators
+        rng = random.Random(23)
+        seen, dims, wide = set(), set(), 0
+        while len(seen) < 40:
+            n = rng.choice((3, 4))
+            d = rng.randint(0, n)
+            base = [tuple(rng.randint(-1, 1) * rng.choice((1, 2)) for _ in range(n)) for _ in range(d)]
+            gens = [
+                tuple(sum(c * b[i] for c, b in zip(cs, base)) for i in range(n))
+                for cs in ([rng.randint(0, 1) * rng.choice((1, 2)) for _ in range(d)] for _ in range(d + 1))
+            ]
+            sigma = Cone.from_generators(n, gens)
+            if not sigma.is_strongly_convex() or sigma in seen:
+                continue
+            seen.add(sigma)
+            dims.add((n, sigma.dim()))
+            if sigma.generators and invariant_factors(IntMatrix.from_columns(sigma.generators, rows=n))[-1] > 1:
+                wide += 1
+            torus = HorosphericalDatum(RootDatum.parse("", central_torus_rank=n), frozenset(), IntMatrix.identity(n))
+            coloured = ColouredCone(sigma, frozenset())
+            assert weight_monoid_generators(coloured, torus) == quotient_weight_monoid(sigma)
+        assert dims == {(n, d) for n in (3, 4) for d in range(n + 1)}
+        assert wide >= 5
 
 
 class TestOrbitInvariants:

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from horofan import horo
+from horofan import horo, intlin
 from horofan.horo import (
     Colour,
     ColouredCone,
@@ -272,6 +272,23 @@ class TestQuotient:
         datum = sl_datum(3)
         with pytest.raises(ColourOutsideSublatticeError):
             quotient_coloured_lattice(datum, IntMatrix.from_columns([(0, 1)], rows=2), {0})
+
+    def test_colour_membership_reads_the_projection(self, monkeypatch):
+        # N' is saturated, so the projection decides membership with no Smith form
+        calls = []
+
+        def counted(vectors, basis):
+            calls.append(basis)
+            return lattice_coordinates(vectors, basis)
+
+        monkeypatch.setattr(horo, "lattice_coordinates", counted)
+        monkeypatch.setattr(intlin, "lattice_coordinates", counted)
+        datum = sl_datum(3)
+        res = quotient_coloured_lattice(datum, IntMatrix.from_columns([(1, 0)], rows=2), {0})
+        assert [c.root for c in res.lattice.colours] == [1]
+        with pytest.raises(ColourOutsideSublatticeError):
+            quotient_coloured_lattice(datum, IntMatrix.from_columns([(0, 1)], rows=2), {0})
+        assert calls == []
 
 
 class TestColouredLatticeMap:

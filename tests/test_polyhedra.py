@@ -168,6 +168,22 @@ class TestHilbertBasis:
             if all(normal) and p * s != q * r:
                 gens = [tuple(p * x + q * y for x, y in zip(u, w)), tuple(r * x + s * y for x, y in zip(u, w))]
                 cones.append(Cone.from_generators(3, gens))
+        while len(cones) < 80:
+            # 2- and 3-dimensional cones in Z^4 whose generators span a
+            # sublattice of index > 1 in their saturated span
+            d = len(cones) % 2 + 2
+            base = [tuple(rng.randint(-1, 1) for _ in range(4)) for _ in range(d)]
+            gens = [
+                tuple(sum(c * b[i] for c, b in zip(cs, base)) for i in range(4))
+                for cs in ([rng.randint(0, 3) for _ in range(d)] for _ in range(d + rng.randint(0, 1)))
+            ]
+            c = Cone.from_generators(4, gens)
+            if (
+                c.is_strongly_convex()
+                and c.dim() == d
+                and invariant_factors(IntMatrix.from_columns(c.generators, rows=4))[-1] > 1
+            ):
+                cones.append(c)
         for c in cones:
             assert sorted(hilbert_basis(c)) == sorted(brute_force_hilbert(c))
 
@@ -182,6 +198,25 @@ class TestHilbertBasis:
         a = 20
         gens = [(1, 0, 0, 0), (a, 1, 0, 0), (a, a, 1, 0), (a, a, a, 1)]
         assert hilbert_basis(Cone.from_generators(4, gens)) == gens
+
+    @pytest.mark.parametrize(
+        "n, gens",
+        [
+            (4, [(1, 0, 0, 1), (1, 2, 0, 1), (1, 0, 2, 1), (1, 2, 2, 1)]),
+            (3, [(1, 0, 0), (1, 3, 0), (1, 0, 2), (1, 3, 2), (2, 1, 1)]),
+            (4, [(2, 0, 1, 1), (0, 2, 1, -1)]),
+        ],
+    )
+    def test_hilbert_basis_makes_one_smith_form_per_subset_and_no_span_split(self, monkeypatch, n, gens):
+        cone = Cone.from_generators(n, gens)
+        expected = brute_force_hilbert(cone)
+        duals = count_calls(monkeypatch, polyhedra.dual_generators)
+        saturations = count_calls(monkeypatch, intlin.saturate)
+        coordinates = count_calls(monkeypatch, intlin.lattice_coordinates)
+        smith = count_calls(monkeypatch, intlin.smith_normal_form)
+        assert sorted(hilbert_basis(cone)) == sorted(expected)
+        assert (duals[0], saturations[0], coordinates[0]) == (0, 0, 0)
+        assert smith[0] == len(list(itertools.combinations(cone.generators, cone.dim())))
 
 
 def test_hilbert_basis_elements_are_irreducible_and_generate():

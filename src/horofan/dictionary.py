@@ -18,7 +18,6 @@ from .intlin import (
     invariant_factors,
     kernel_and_complement,
     lattice_coordinates,
-    saturate,
 )
 from .polyhedra import (
     Cone,
@@ -41,7 +40,7 @@ from .horo import (
     build_coloured_lattice,
     close_under_coloured_faces,
     coloured_cone_key,
-    quotient_coloured_lattice,
+    quotient_by_cone,
     trivial_coloured_cone,
     uncoloured_rays,
 )
@@ -107,11 +106,7 @@ def orbit_table(fan: ColouredFan, datum: HorosphericalDatum) -> list[OrbitRecord
             - cc.dim()
             + flag_dimension(datum.group, datum.parabolic | cc.colours)
         )
-        sub = saturate(
-            IntMatrix.from_columns(list(cc.cone.generators), rows=fan.lattice.rank)
-        )
-        quotient = quotient_coloured_lattice(datum, sub, cc.colours)
-        records.append(OrbitRecord(idx, dim, quotient.datum))
+        records.append(OrbitRecord(idx, dim, quotient_by_cone(datum, cc).datum))
     return records
 
 
@@ -138,8 +133,7 @@ def orbit_closure(
     """Coloured fan of an orbit closure, on the quotient coloured lattice."""
     _require_lattice(fan, datum)
     tau = _member(fan, index)
-    sub = saturate(IntMatrix.from_columns(list(tau.cone.generators), rows=fan.lattice.rank))
-    quotient = quotient_coloured_lattice(datum, sub, tau.colours)
+    quotient = quotient_by_cone(datum, tau)
     cones = []
     # in a valid fan the members containing tau are those it is a coloured face of
     for cc in fan.star(tau):

@@ -250,19 +250,23 @@ def _face_colours(lattice: ColouredLattice, cc: ColouredCone, face_cones: list[C
 
     A face tau is sigma cut by the hyperplanes of sigma's normals that vanish
     on tau's generators, so a point of sigma lies in tau exactly when each of
-    those normals vanishes on it.  No face needs an inequality description of
-    its own.
+    those normals vanishes on it.  A face's generators are some of sigma's
+    (as `faces` and `is_face_of` give them), so each normal's zero set over
+    sigma's generators is taken once, and a normal vanishes on tau exactly
+    when its zero set holds tau's generators.  No face needs an inequality
+    description of its own.
     """
     sigma = cc.cone
     normals = sigma.facet_normals()
+    zero_sets = [frozenset(g for g in sigma.generators if dot(h, g) == 0) for h in normals]
     zeros = {}
     for r in cc.colours:
-        point = lattice.point(r)
-        if sigma.contains(point):
-            zeros[r] = {h for h in normals if dot(h, point) == 0}
+        values = [dot(h, lattice.point(r)) for h in normals]
+        if all(v >= 0 for v in values):
+            zeros[r] = {k for k, v in enumerate(values) if v == 0}
     out = []
     for f in face_cones:
-        active = {h for h in normals if all(dot(h, g) == 0 for g in f.generators)}
+        active = {k for k, z in enumerate(zero_sets) if z.issuperset(f.generators)}
         out.append(frozenset(r for r, z in zeros.items() if active <= z))
     return out
 
@@ -423,16 +427,40 @@ def quotient_coloured_lattice(
     the returned datum has I' = I + C' and M' = (N/N')^vee embedded back into
     the character lattice via M.
     """
-    removed = frozenset(removed_colours)
     lattice = build_coloured_lattice(datum)
     if sublattice.rows != lattice.rank:
         raise ValueError("sublattice basis has wrong ambient rank")
-    if not removed <= lattice.colour_roots():
-        raise ValueError("removed colours must be universal colours of N")
     if sublattice.cols:
         if saturate(sublattice) != column_hermite(sublattice):
             raise NotSaturatedError("sublattice is not saturated in N")
-    projection = IntMatrix.from_rows(kernel_basis(sublattice.transpose()), cols=lattice.rank)
+    return _quotient_by_projection(datum, lattice, kernel_basis(sublattice.transpose()), removed_colours)
+
+
+def quotient_by_cone(datum: HorosphericalDatum, cc: ColouredCone) -> QuotientResult:
+    """`quotient_coloured_lattice` by the span of cc's cone, removing cc's colours.
+
+    The projection's rows are the kernel basis of the cone's generator rows:
+    the annihilator of the span in column Hermite form, which is what
+    `quotient_coloured_lattice` takes from the saturated span.  So the span is
+    never saturated, and the saturation check, which guards outside input,
+    is not needed.
+    """
+    lattice = build_coloured_lattice(datum)
+    generators = IntMatrix.from_rows(list(cc.cone.generators), cols=lattice.rank)
+    return _quotient_by_projection(datum, lattice, kernel_basis(generators), cc.colours)
+
+
+def _quotient_by_projection(
+    datum: HorosphericalDatum,
+    lattice: ColouredLattice,
+    projection_rows: list[Vector],
+    removed_colours: Iterable[int],
+) -> QuotientResult:
+    """The quotient of `lattice` by the saturated N' whose annihilator has the basis `projection_rows`."""
+    removed = frozenset(removed_colours)
+    if not removed <= lattice.colour_roots():
+        raise ValueError("removed colours must be universal colours of N")
+    projection = IntMatrix.from_rows(projection_rows, cols=lattice.rank)
     # N' is saturated, so a point lies in N' exactly when the projection kills it
     for r in sorted(removed):
         if any(projection.apply(lattice.point(r))):

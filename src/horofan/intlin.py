@@ -52,6 +52,8 @@ class IntMatrix:
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
+        if cols is not None and cols != c:
+            raise ValueError(f"rows have {c} entries, not cols={cols}")
         return IntMatrix(r, c, tuple(int(x) for row in rows for x in row))
 
     @staticmethod
@@ -61,6 +63,8 @@ class IntMatrix:
         r = len(columns[0])
         if any(len(col) != r for col in columns):
             raise ValueError("ragged columns")
+        if rows is not None and rows != r:
+            raise ValueError(f"columns have {r} entries, not rows={rows}")
         return IntMatrix(r, len(columns), tuple(int(columns[j][i]) for i in range(r) for j in range(len(columns))))
 
     @staticmethod

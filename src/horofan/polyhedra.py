@@ -1,15 +1,22 @@
 """Rational polyhedral cones, all exact.
 
 A cone is stored by canonical primitive generators and its inequality
-description (its dual generators); one duality engine, `dual_generators`,
-yields both when a cone is canonicalised (the cone is the dual of its dual),
-and faces, built from generator subsets, get their inequalities on first use.
-Cones may be non-pointed and non-full-dimensional: the inequality description
-then carries the span equalities as +/- pairs, and the generator description
-carries a lineality basis as +/- pairs.  The engine splits off the span with
-one integer echelon and finds facets by incremental double description, in
-integers throughout.  Hilbert bases stay in Z^n: for the n x d matrix B of
-d independent generators, the torsion of Z^n / B*Z^d is exactly
+description (its dual generators).  Cones may be non-pointed and
+non-full-dimensional: the inequality description then carries the span
+equalities as +/- pairs, and the generator description carries a lineality
+basis as +/- pairs.  One duality engine, `dual_generators`, splits off the
+span with one integer echelon and finds facets by incremental double
+description, in integers throughout; its seed rays come from a triangular
+solve, with no kernel per ray.  A cone is canonicalised with one pass of it:
+the pass gives the normals and each facet's zero set over the generators,
+and a generator outside the lineality L is extreme exactly when every
+generator on all the facets through it lies in its span plus L, since the
+smallest face through it is then a ray modulo L.  The extreme generators,
+made primitive (modulo L, when there is one), are the canonical generators,
+with no second pass for the dual of the dual.  Faces, built from generator
+subsets, take their dimensions from the graded face lattice and their
+inequalities on first use.  Hilbert bases stay in Z^n: for the n x d matrix
+B of d independent generators, the torsion of Z^n / B*Z^d is exactly
 (span ∩ Z^n) / B*Z^d, so a Smith form of B lists the span's points in B's
 half-open parallelepiped, with no span coordinates and no box.  Fan-level
 code takes the maximal cones a fan already holds and reads owners off
@@ -25,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import gcd
 from typing import Iterable, Optional, Sequence
 
 from .intlin import (
@@ -56,10 +64,6 @@ def primitive(v: Sequence[int]) -> Vector:
     return tuple(x // g for x in v)
 
 
-def _unit_vectors(n: int) -> list[Vector]:
-    return [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-
-
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
 
@@ -76,23 +80,60 @@ def _join_lineality(functionals: Sequence[Vector], complement: list[Vector], per
     return sorted(out | set(perp) | {tuple(-x for x in b) for b in perp})
 
 
-def _dual_extreme_rays(coords: Sequence[Vector], seeds: Sequence[int], d: int) -> list[Vector]:
-    """Primitive extreme rays of {x in R^d : <a, x> >= 0 for all a in coords}, sorted.
+def _triangular_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> Vector:
+    """The primitive positive multiple of x with rows*x = b, for a lower-triangular `rows` with positive diagonal.
+
+    Fraction-free forward substitution: x stays integral with rows*x = D*b on
+    the rows solved so far, and x and D are scaled up whenever the next
+    diagonal entry does not divide its right-hand side.  D stays positive.
+    """
+    x: list[int] = []
+    scale = 1
+    for i, row in enumerate(rows):
+        rest = scale * b[i] - sum(row[k] * x[k] for k in range(i))
+        f = row[i] // gcd(row[i], rest)
+        if f > 1:
+            x = [f * y for y in x]
+            scale *= f
+            rest *= f
+        x.append(rest // row[i])
+    return primitive(x)
+
+
+def _pivot_triangle(echelon: Sequence[Vector]) -> tuple[list[int], list[Vector]]:
+    """The pivot columns of a row Hermite form, and those columns as the rows of a matrix.
+
+    Row i of the form vanishes before its pivot, and pivots increase, so
+    column j of row i is zero for i > j: the matrix is lower-triangular with
+    the positive pivots on its diagonal.
+    """
+    seeds = [next(j for j, x in enumerate(row) if x) for row in echelon]
+    return seeds, [tuple(row[s] for row in echelon) for s in seeds]
+
+
+def _dual_extreme_rays(echelon: Sequence[Vector]) -> list[tuple[Vector, int]]:
+    """Primitive extreme rays of {x in R^d : <a, x> >= 0 for every column a of `echelon`}, with their zero sets.
 
     Incremental double description (Fukuda and Prodon, "Double description
-    method revisited", 1996).  The d linearly independent constraints
-    coords[j], j in `seeds`, cut out a simplicial cone whose rays are their d
-    rank-one kernels.  Each further constraint a keeps the rays r with
-    <a, r> >= 0 and joins each pair r+, r- on opposite sides of it by
-    <a, r+> r- - <a, r-> r+, if the pair is adjacent: no third ray vanishes on
-    every constraint that both vanish on.  The cone stays pointed, where this
-    test is exact.  A ray's zero set is a bit mask over constraint indices.
+    method revisited", 1996), for the d rows of a row Hermite form whose
+    columns span R^d.  The columns at the d pivots form a lower-triangular
+    matrix A with positive diagonal; they cut out a simplicial cone whose ray
+    j solves A*x = e_j (`_triangular_solve`).  Each further column a keeps the
+    rays r with <a, r> >= 0 and joins each pair r+, r- on opposite sides of
+    it by <a, r+> r- - <a, r-> r+, if the pair is adjacent: no third ray
+    vanishes on every constraint that both vanish on.  The cone stays
+    pointed, where this test is exact.  A ray's zero set is a bit mask over
+    the column indices, and it is exact: a joined ray is positive wherever
+    either parent is.
     """
-    rays: list[tuple[Vector, int]] = []
-    seed_bits = sum(1 << j for j in seeds)
-    for j in seeds:
-        (r,) = kernel_basis(IntMatrix.from_rows([coords[s] for s in seeds if s != j], cols=d))
-        rays.append((r if dot(coords[j], r) > 0 else tuple(-x for x in r), seed_bits & ~(1 << j)))
+    coords = list(zip(*echelon))
+    d = len(echelon)
+    seeds, triangle = _pivot_triangle(echelon)
+    seed_bits = sum(1 << s for s in seeds)
+    rays = [
+        (_triangular_solve(triangle, [int(i == j) for i in range(d)]), seed_bits & ~(1 << s))
+        for j, s in enumerate(seeds)
+    ]
     for i, a in enumerate(coords):
         if (seed_bits >> i) & 1:
             continue
@@ -119,27 +160,52 @@ def _dual_extreme_rays(coords: Sequence[Vector], seeds: Sequence[int], d: int) -
                         continue
                     kept.append((primitive([tp * y - tq * x for x, y in zip(p, q)]), common | bit))
         rays = kept
-    return sorted(r for r, _ in rays)
+    return rays
+
+
+def _dual_description(vecs: Sequence[Vector], n: int) -> tuple[list[Vector], list[int], int]:
+    """`dual_generators` of distinct nonzero vectors, each facet's zero set over them as a bit mask, and their rank.
+
+    The facets are the extreme rays found in span coordinates; their lifts,
+    and the +/- basis of `perp`, are the dual generators.  The lifts agree
+    with the rays on the span, so the masks are their zero sets too, and the
+    `perp` pairs vanish on every vector.
+    """
+    echelon, complement, perp = kernel_and_complement(IntMatrix.from_rows(vecs, cols=n))
+    rays = _dual_extreme_rays(echelon)
+    return _join_lineality([r for r, _ in rays], complement, perp), [z for _, z in rays], len(echelon)
 
 
 def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
     """Canonical generators of {m : <m, v> >= 0 for all v in vectors} in Z^n.
 
-    This single engine converts generator descriptions to inequality
-    descriptions and back: the dual of Cone(V) is generated by the returned
-    vectors, which also serve as an exact inequality description of Cone(V).
-    One echelon of [V^T | I] gives the dual's lineality lattice `perp` in
-    Hermite form, span coordinates of V, and the lift of functionals on the
-    span to Z^n (`kernel_and_complement`); the facets are found in span
-    coordinates by double description, lifted, and reduced modulo `perp`.
+    The dual of Cone(V) is generated by the returned vectors, which also
+    serve as an exact inequality description of Cone(V).  One echelon of
+    [V^T | I] gives the dual's lineality lattice `perp` in Hermite form, span
+    coordinates of V, and the lift of functionals on the span to Z^n
+    (`kernel_and_complement`); the facets are found in span coordinates by
+    double description, lifted, and reduced modulo `perp`.  With no nonzero
+    vector the span is 0 and the answer is +/- the unit vectors.
     """
-    vecs = list(dict.fromkeys(tuple(v) for v in vectors if any(v)))
-    if not vecs:
-        return sorted(u for e in _unit_vectors(n) for u in (e, tuple(-x for x in e)))
-    echelon, complement, perp = kernel_and_complement(IntMatrix.from_rows(vecs, cols=n))
-    d = len(echelon)
-    seeds = [next(j for j, x in enumerate(row) if x) for row in echelon]
-    return _join_lineality(_dual_extreme_rays(list(zip(*echelon)), seeds, d), complement, perp)
+    return _dual_description(list(dict.fromkeys(tuple(v) for v in vectors if any(v))), n)[0]
+
+
+def _extreme_classes(masks: Sequence[int], classes: Sequence[Optional[Vector]]) -> list[Vector]:
+    """The classes of the generators of a cone that span extreme rays modulo its lineality L.
+
+    `masks` are the facets' zero sets over the generators, and `classes[i]`
+    is the primitive class of generator i modulo L, None for one in L (on
+    every facet).  The smallest face through g is cut out by the facets
+    through g and is generated by the generators on all of them; it is a ray
+    modulo L, so g is extreme, iff each of those generators outside L lies in
+    span(g) + L, that is, has g's class.
+    """
+    through = [sum(1 << k for k, z in enumerate(masks) if z >> i & 1) for i in range(len(classes))]
+    out = []
+    for c, t in zip(classes, through):
+        if c is not None and all(e is None or e == c for e, u in zip(classes, through) if u & t == t):
+            out.append(c)
+    return out
 
 
 @dataclass(frozen=True)
@@ -148,24 +214,46 @@ class Cone:
 
     Equal cones (as subsets of R^n) have equal generator tuples; equality and
     hashing are therefore structural.  `from_generators` stores the normals
-    it computes in a write-once slot outside both; other cones fill it on use.
+    and the dimension it computes in write-once slots outside both, and
+    `faces` stores each face's dimension; other cones fill them on use.
     """
 
     ambient_rank: int
     generators: tuple[Vector, ...]
     _normals: list = field(default_factory=list, compare=False, repr=False, hash=False)
+    _dims: list = field(default_factory=list, compare=False, repr=False, hash=False)
 
     @staticmethod
     def from_generators(ambient_rank: int, generators: Iterable[Sequence[int]]) -> "Cone":
+        """The cone on the generators, canonicalised with one double-description pass.
+
+        The pass gives the normals and each facet's zero set over the
+        generators; the generators on every facet span the lineality L.  A
+        pointed cone's canonical generators are its primitive extreme
+        generators.  With lineality, each extreme class is made primitive
+        modulo L in the coordinates of one echelon of the normals, whose
+        pivot normals give a triangular system, and is joined by +/- the
+        basis of L, exactly as `dual_generators` of the normals would.
+        """
         gens = [tuple(int(x) for x in g) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
             raise ValueError("generator has wrong dimension")
-        gens = [g for g in gens if any(g)]
-        if not gens:
-            return Cone(ambient_rank, ())
-        # the dual of the dual is the cone, and dual_generators answers canonically
-        normals = tuple(dual_generators(gens, ambient_rank))
-        return Cone(ambient_rank, tuple(dual_generators(normals, ambient_rank)), [normals])
+        vecs = list(dict.fromkeys(g for g in gens if any(g)))
+        if not vecs:
+            return Cone(ambient_rank, (), [], [0])
+        normals, masks, dim = _dual_description(vecs, ambient_rank)
+        in_lineality = [all(z >> i & 1 for z in masks) for i in range(len(vecs))]
+        if not any(in_lineality):
+            canonical = sorted(set(_extreme_classes(masks, [primitive(v) for v in vecs])))
+        else:
+            echelon, complement, perp = kernel_and_complement(IntMatrix.from_rows(normals, cols=ambient_rank))
+            seeds, triangle = _pivot_triangle(echelon)
+            classes = [
+                None if lin else _triangular_solve(triangle, [dot(v, normals[s]) for s in seeds])
+                for v, lin in zip(vecs, in_lineality)
+            ]
+            canonical = _join_lineality(_extreme_classes(masks, classes), complement, perp)
+        return Cone(ambient_rank, tuple(canonical), [tuple(normals)], [dim])
 
     @staticmethod
     def from_inequalities(ambient_rank: int, normals: Iterable[Sequence[int]]) -> "Cone":
@@ -192,13 +280,9 @@ class Cone:
         return all(self.contains(g) for g in other.generators) if other.generators else True
 
     def dim(self) -> int:
-        return self._dim
-
-    @cached_property
-    def _dim(self) -> int:
-        if not self.generators:
-            return 0
-        return rank(IntMatrix.from_rows(list(self.generators), cols=self.ambient_rank))
+        if not self._dims:
+            self._dims.append(rank(IntMatrix.from_rows(list(self.generators), cols=self.ambient_rank)))
+        return self._dims[0]
 
     def lineality_basis(self) -> list[Vector]:
         return list(self._lineality)
@@ -236,7 +320,12 @@ def faces(sigma: Cone) -> list[Cone]:
     """All faces of sigma (including sigma and its minimal face), by dimension.
 
     Each face is built from its incidence subset of sigma's generators, which
-    is already its canonical generator tuple.
+    is already its canonical generator tuple.  The faces are listed one
+    dimension at a time from sigma down: every face but sigma is a facet of a
+    face one dimension higher, and the facets of a face s are the maximal
+    proper cuts s ∩ f by sigma's facets f (the face lattice is graded).  So
+    each face's dimension comes from the face it was found under, with no
+    rank computation.
     """
     gens = sigma.generators
     full = frozenset(gens)
@@ -245,18 +334,18 @@ def faces(sigma: Cone) -> list[Cone]:
         on = frozenset(g for g in gens if dot(h, g) == 0)
         if on != full:
             facet_sets.append(on)
-    collected = {full}
-    frontier = {full}
-    while frontier:
-        nxt = set()
-        for s in frontier:
-            for f in facet_sets:
-                t = s & f
-                if t not in collected:
-                    collected.add(t)
-                    nxt.add(t)
-        frontier = nxt
-    out = [sigma if s == full else Cone(sigma.ambient_rank, tuple(sorted(s))) for s in collected]
+    dims = {full: sigma.dim()}
+    level = [full]
+    while level:
+        below = []
+        for s in level:
+            cuts = {s & f for f in facet_sets} - {s}
+            for t in cuts:
+                if t not in dims and not any(t < u for u in cuts):
+                    dims[t] = dims[s] - 1
+                    below.append(t)
+        level = below
+    out = [sigma if s == full else Cone(sigma.ambient_rank, tuple(sorted(s)), [], [d]) for s, d in dims.items()]
     return sorted(out, key=lambda c: (c.dim(), c.generators))
 
 

@@ -13,6 +13,11 @@ of the full-dimensional cone by testing every (d-1)-subset of generators, and
 lifts them through a second Smith form, so it shares neither the echelon
 split nor the double description of `polyhedra.dual_generators`.
 
+`dual_of_dual_generators` is the package's earlier canonicalisation: the
+cone is the dual of its dual, so it runs `polyhedra.dual_generators` twice,
+where `Cone.from_generators` reads the generators off the incidences of one
+pass.
+
 `quotient_weight_monoid` is the package's earlier weight-monoid route: the
 Hilbert basis of the dual cone, or, when the dual has lineality, of its image
 in the quotient by the lineality lattice, lifted back through a Smith form of
@@ -65,6 +70,7 @@ from horofan.polyhedra import (
     LatticeLiftError,
     dot,
     dual_cone,
+    dual_generators,
     faces,
     hilbert_basis,
     intersect,
@@ -142,6 +148,12 @@ def subset_scan_dual_generators(vectors, n):
         raise ValueError("vector outside the saturated span lattice")
     facets = _subset_scan_facet_normals(coords, d) if d > 0 else []
     return _lift_and_join(facets, span.transpose(), perp)
+
+
+def dual_of_dual_generators(n, generators) -> tuple[tuple[int, ...], ...]:
+    """Canonical generators of the cone on `generators` in Z^n, as `dual_generators` of its normals."""
+    gens = [tuple(g) for g in generators if any(g)]
+    return tuple(dual_generators(dual_generators(gens, n), n)) if gens else ()
 
 
 def quotient_weight_monoid(cone) -> list[tuple[int, ...]]:

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from horofan import dictionary
+from horofan import dictionary, horo, intlin
 from horofan.dictionary import (
     CancellationToken,
     ConeNotInFanError,
@@ -34,7 +34,7 @@ from horofan.horo import (
     trivial_coloured_cone,
     validate_coloured_fan,
 )
-from horofan.intlin import IntMatrix, invariant_factors
+from horofan.intlin import IntMatrix, invariant_factors, saturate
 from horofan.polyhedra import Cone
 from horofan.rootsys import RootDatum
 
@@ -120,6 +120,23 @@ class TestOrbitTable:
             for b in table:
                 if closure_contains(fan, a.cone_index, b.cone_index):
                     assert a.dimension >= b.dimension
+
+    def test_orbit_quotients_make_no_saturation(self, monkeypatch):
+        # the projection is the kernel of each cone's generator rows
+        fan, datum = projective_sl3_fan()
+        expected = orbit_table(fan, datum)
+        closures = [orbit_closure(fan, i, datum) for i in range(len(fan.cones))]
+        calls = []
+
+        def counted(m):
+            calls.append(m)
+            return saturate(m)
+
+        monkeypatch.setattr(horo, "saturate", counted)
+        monkeypatch.setattr(intlin, "saturate", counted)
+        assert orbit_table(fan, datum) == expected
+        assert [orbit_closure(fan, i, datum) for i in range(len(fan.cones))] == closures
+        assert calls == []
 
     def test_orbit_datum_of_open_orbit_is_original(self):
         fan, datum = projective_sl3_fan()

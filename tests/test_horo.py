@@ -24,12 +24,13 @@ from horofan.horo import (
     coloured_lattice_map,
     homogeneous_spaces_isomorphic,
     product_coloured_fan,
+    quotient_by_cone,
     quotient_coloured_lattice,
     trivial_coloured_cone,
     uncoloured_rays,
     validate_coloured_fan,
 )
-from horofan.intlin import IntMatrix, lattice_coordinates
+from horofan.intlin import IntMatrix, lattice_coordinates, saturate
 from horofan.polyhedra import Cone
 from horofan.rootsys import RootDatum
 
@@ -257,8 +258,6 @@ class TestQuotient:
             v = tuple(rng.randint(-2, 2) for _ in range(3))
             if not any(v):
                 continue
-            from horofan.intlin import saturate
-
             basis = saturate(IntMatrix.from_columns([v], rows=3))
             res = quotient_coloured_lattice(datum, basis, set())
             assert build_coloured_lattice(res.datum) == res.lattice
@@ -289,6 +288,14 @@ class TestQuotient:
         with pytest.raises(ColourOutsideSublatticeError):
             quotient_coloured_lattice(datum, IntMatrix.from_columns([(0, 1)], rows=2), {0})
         assert calls == []
+
+    def test_quotient_by_cone_is_the_quotient_by_the_saturated_span(self):
+        rng = random.Random(23)
+        for _ in range(15):
+            fan, datum = random_valid_fan(rng)
+            for member in fan.cones:
+                sub = saturate(IntMatrix.from_columns(list(member.cone.generators), rows=fan.lattice.rank))
+                assert quotient_by_cone(datum, member) == quotient_coloured_lattice(datum, sub, member.colours)
 
 
 class TestColouredLatticeMap:

@@ -66,6 +66,20 @@ def assert_snf_contract(m):
         assert b % a == 0
 
 
+class TestMatrixShape:
+    def test_from_rows_rejects_a_column_count_the_rows_do_not_have(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_rows([[1, 2]], cols=3)
+        assert IntMatrix.from_rows([[1, 2]], cols=2) == IntMatrix.from_rows([[1, 2]])
+        assert IntMatrix.from_rows([], cols=3) == IntMatrix.zero(0, 3)
+
+    def test_from_columns_rejects_a_row_count_the_columns_do_not_have(self):
+        with pytest.raises(ValueError):
+            IntMatrix.from_columns([(1, 2)], rows=3)
+        assert IntMatrix.from_columns([(1, 2)], rows=2) == IntMatrix.from_rows([[1], [2]])
+        assert IntMatrix.from_columns([], rows=3) == IntMatrix.zero(3, 0)
+
+
 class TestSmithNormalForm:
     def test_diag_2_3_gives_1_6(self):
         m = IntMatrix.from_rows([[2, 0], [0, 3]])

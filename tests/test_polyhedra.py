@@ -29,7 +29,7 @@ from horofan.polyhedra import (
 )
 
 from .factories import random_rank2_fan, random_rank3_fan
-from .oracles import brute_force_hilbert, subset_scan_dual_generators
+from .oracles import brute_force_hilbert, dual_of_dual_generators, subset_scan_dual_generators
 
 
 def cone2(*gens):
@@ -394,6 +394,12 @@ def test_primitive():
         primitive((0, 0))
 
 
+def test_dual_generators_rejects_vectors_of_the_wrong_length():
+    # the matrix of (1, 2) with cols=3 used to be read as 1 x 2, an answer in Z^2
+    with pytest.raises(ValueError):
+        dual_generators([(1, 2)], 3)
+
+
 def test_canonical_form_removes_redundant_generators():
     c = Cone.from_generators(2, [(1, 0), (1, 1), (0, 1), (2, 2)])
     assert c.generators == ((0, 1), (1, 0))
@@ -409,15 +415,20 @@ DIFFERENTIAL = settings(max_examples=60, deadline=None, database=None, derandomi
 
 
 @st.composite
-def small_cones(draw):
-    """Rank 2-4 cones from up to five small generators, half with a lineality line."""
+def small_generator_lists(draw):
+    """Up to five small generators in Z^2-Z^4, half of the lists with a lineality line."""
     n = draw(st.integers(2, 4))
     vector = st.tuples(*[st.integers(-2, 2)] * n)
     gens = draw(st.lists(vector, min_size=1, max_size=5))
     if draw(st.booleans()):
         line = draw(vector)
         gens += [line, tuple(-x for x in line)]
-    return Cone.from_generators(n, gens)
+    return n, gens
+
+
+def small_cones():
+    """Rank 2-4 cones from up to five small generators, half with a lineality line."""
+    return small_generator_lists().map(lambda data: Cone.from_generators(*data))
 
 
 def is_face_of_reference(tau, sigma):
@@ -572,3 +583,47 @@ class TestDualEngine:
         assert kernels[0] <= n
         # the span split plus one echelon per kernel, nothing per subset
         assert echelons[0] <= n + 1
+
+
+# One double-description pass per cone: generators read off its incidences
+# against the dual of the dual (`tests/oracles.py`), face dimensions read off
+# the face lattice against ranks.
+
+ONE_PASS = settings(max_examples=150, deadline=None, database=None, derandomize=True)
+
+
+def generator_lists():
+    """`small_generator_lists`, and the `dual_engine_inputs` lists in Z^1-Z^5 of spans of every dimension."""
+    return st.one_of(small_generator_lists(), dual_engine_inputs())
+
+
+class TestOnePassCanonicalisation:
+    @ONE_PASS
+    @given(generator_lists())
+    def test_generators_equal_the_dual_of_the_dual(self, data):
+        n, gens = data
+        cone = Cone.from_generators(n, gens)
+        assert cone.generators == dual_of_dual_generators(n, gens)
+        assert cone.facet_normals() == tuple(dual_generators(gens, n))
+
+    @ONE_PASS
+    @given(generator_lists())
+    def test_face_dimensions_are_ranks(self, data):
+        n, gens = data
+        sigma = Cone.from_generators(n, gens)
+        assert sigma.dim() == intlin.rank(IntMatrix.from_rows(list(gens), cols=n))
+        for f in faces(sigma):
+            assert f.dim() == intlin.rank(IntMatrix.from_rows(list(f.generators), cols=n))
+
+    def test_pointed_rank4_cone_takes_one_pass_and_no_kernel_or_rank(self, monkeypatch):
+        gens = seeded_pointed_vectors(7, 12, 4)
+        expected_generators = dual_of_dual_generators(4, gens)
+        passes = count_calls(monkeypatch, polyhedra._dual_extreme_rays)
+        echelons = count_calls(monkeypatch, intlin.kernel_and_complement)
+        kernels = count_calls(monkeypatch, intlin.kernel_basis)
+        ranks = count_calls(monkeypatch, intlin.rank)
+        sigma = Cone.from_generators(4, gens)
+        assert sigma.generators == expected_generators
+        assert (passes[0], echelons[0], kernels[0]) == (1, 1, 0)
+        assert len(faces(sigma)) > 2 ** 4
+        assert ranks[0] == 0

@@ -22,14 +22,12 @@ from .polyhedra import (
     Cone,
     LatticeLiftError,
     NotPointedError,
-    cone_dim,
     dual_cone,
     faces,
     fan_is_complete,
     hilbert_basis,
     intersect,
     is_face_of,
-    is_strongly_convex,
 )
 from .rootsys import (
     RootDatum,

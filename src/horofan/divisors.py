@@ -30,7 +30,7 @@ from .intlin import (
 )
 from .polyhedra import LatticeLiftError, complete_fan_walls, dot, glued_lattice, plf_lattice
 from .horo import ColouredFan, HorosphericalDatum, uncoloured_rays
-from .rootsys import pairing, positive_roots
+from .rootsys import _root_supported_on, pairing, positive_roots
 from .dictionary import _require_lattice
 
 Vector = tuple[int, ...]
@@ -315,8 +315,12 @@ def positivity_check(
     convex iff it is (strictly) convex across every wall (Cox-Little-Schenck,
     Toric Varieties, 6.1): for both maximal cones sharing a wall, the gap
     <m_own - m_other, u> must be >= 0 (> 0) on each of its generators u off
-    the wall.  Colours outside F(Sigma^c) must satisfy phi(u_alpha) <=
-    a_alpha (strictly for ample).
+    the wall.  The two pieces agree on the wall's rays, which span its
+    hyperplane, so m_i - m_j is a multiple of the wall's normal and every
+    such gap has one sign: one generator u of sigma_i off the wall decides
+    the wall, as in `dictionary._strictly_convex_plf_exists`.  Colours
+    outside F(Sigma^c) must satisfy phi(u_alpha) <= a_alpha (strictly for
+    ample).
     """
     _require_lattice(fan, datum)
     maximal = [cc.cone for cc in fan.maximal()]
@@ -329,15 +333,11 @@ def positivity_check(
     piece = {fan.cones[idx].cone: m for idx, m in data.pieces}
     convex = True
     strictly = True
-    for wall, pair in owners.items():
-        for i, j in (pair, pair[::-1]):
-            mi, mj = piece[maximal[i]], piece[maximal[j]]
-            for u in maximal[i].generators:
-                if u in wall.generators:
-                    continue
-                gap = dot(mi, u) - dot(mj, u)
-                convex = convex and gap >= 0
-                strictly = strictly and gap > 0
+    for wall, (i, j) in owners.items():
+        u = next(g for g in maximal[i].generators if g not in wall.generators)
+        gap = dot(piece[maximal[i]], u) - dot(piece[maximal[j]], u)
+        convex = convex and gap >= 0
+        strictly = strictly and gap > 0
     bpf, ample = convex, convex and strictly
     for root in sorted(fan.lattice.colour_roots() - fan.colour_set()):
         point = fan.lattice.point(root)
@@ -361,7 +361,7 @@ def anticanonical(fan: ColouredFan, datum: HorosphericalDatum) -> BInvariantDivi
     outside = [
         gamma
         for gamma in positive_roots(group)
-        if not _supported_on_parabolic(group, gamma, datum.parabolic)
+        if not _root_supported_on(group, gamma, datum.parabolic)
     ]
     colour_coeffs = []
     for colour in fan.lattice.colours:
@@ -372,11 +372,4 @@ def anticanonical(fan: ColouredFan, datum: HorosphericalDatum) -> BInvariantDivi
     return BInvariantDivisor(
         ray_coeffs=tuple((g, 1) for g in invariant_ray_generators(fan)),
         colour_coeffs=tuple(colour_coeffs),
-    )
-
-
-def _supported_on_parabolic(group, gamma, parabolic: frozenset[int]) -> bool:
-    ci, coords = gamma
-    return all(
-        coords[k] == 0 or group.global_index(ci, k) in parabolic for k in range(len(coords))
     )

@@ -251,22 +251,19 @@ def _face_colours(lattice: ColouredLattice, cc: ColouredCone, face_cones: list[C
     A face tau is sigma cut by the hyperplanes of sigma's normals that vanish
     on tau's generators, so a point of sigma lies in tau exactly when each of
     those normals vanishes on it.  A face's generators are some of sigma's
-    (as `faces` and `is_face_of` give them), so each normal's zero set over
-    sigma's generators is taken once, and a normal vanishes on tau exactly
-    when its zero set holds tau's generators.  No face needs an inequality
-    description of its own.
+    (as `faces` and `is_face_of` give them), so a normal vanishes on tau
+    exactly when its zero set in sigma's incidence table holds tau's
+    generators.  No face needs an inequality description of its own.
     """
-    sigma = cc.cone
-    normals = sigma.facet_normals()
-    zero_sets = [frozenset(g for g in sigma.generators if dot(h, g) == 0) for h in normals]
+    table = cc.cone.incidences
     zeros = {}
     for r in cc.colours:
-        values = [dot(h, lattice.point(r)) for h in normals]
+        values = [dot(h, lattice.point(r)) for h, _ in table]
         if all(v >= 0 for v in values):
             zeros[r] = {k for k, v in enumerate(values) if v == 0}
     out = []
     for f in face_cones:
-        active = {k for k, z in enumerate(zero_sets) if z.issuperset(f.generators)}
+        active = {k for k, (_, z) in enumerate(table) if z.issuperset(f.generators)}
         out.append(frozenset(r for r, z in zeros.items() if active <= z))
     return out
 

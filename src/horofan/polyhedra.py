@@ -13,7 +13,14 @@ and a generator outside the lineality L is extreme exactly when every
 generator on all the facets through it lies in its span plus L, since the
 smallest face through it is then a ray modulo L.  The extreme generators,
 made primitive (modulo L, when there is one), are the canonical generators,
-with no second pass for the dual of the dual.  Faces, built from generator
+with no second pass for the dual of the dual.  Each cone keeps one
+incidence table, `Cone.incidences`: each normal with its zero set over the
+canonical generators.  The +/- span equalities are exactly the normals whose
+zero set holds every generator, since a lifted facet is reduced modulo the
+perp lattice and never vanishes on the whole span; the others are the
+proper facets.  `faces`, `is_face_of`, `facet_owners`, `hilbert_basis` and
+the coloured-face rule in `horo` all read that table; a cone is pointed iff
+no generator's negative is also a generator.  Faces, built from generator
 subsets, take their dimensions from the graded face lattice and their
 inequalities on first use.  Hilbert bases stay in Z^n: for the n x d matrix
 B of d independent generators, the torsion of Z^n / B*Z^d is exactly
@@ -215,7 +222,13 @@ class Cone:
     Equal cones (as subsets of R^n) have equal generator tuples; equality and
     hashing are therefore structural.  `from_generators` stores the normals
     and the dimension it computes in write-once slots outside both, and
-    `faces` stores each face's dimension; other cones fill them on use.
+    `faces` stores each face's dimension; other cones fill them on use.  The
+    incidence table `incidences` pairs each normal with its zero set over
+    the generators, once per cone: a normal whose zero set holds every
+    generator is a span equality, any other cuts out a proper facet.  The
+    cone is pointed iff no generator's negative is also a generator: with
+    lineality L the generators hold +/- a basis of L, and a pointed cone
+    cannot hold both g and -g.
     """
 
     ambient_rank: int
@@ -284,15 +297,15 @@ class Cone:
             self._dims.append(rank(IntMatrix.from_rows(list(self.generators), cols=self.ambient_rank)))
         return self._dims[0]
 
-    def lineality_basis(self) -> list[Vector]:
-        return list(self._lineality)
-
     @cached_property
-    def _lineality(self) -> tuple[Vector, ...]:
-        return tuple(kernel_basis(IntMatrix.from_rows(list(self.facet_normals()), cols=self.ambient_rank)))
+    def incidences(self) -> tuple[tuple[Vector, frozenset[Vector]], ...]:
+        """Each normal, in order, with its zero set over the generators: the cone's incidence table."""
+        return tuple((h, frozenset(g for g in self.generators if dot(h, g) == 0)) for h in self.facet_normals())
 
     def is_strongly_convex(self) -> bool:
-        return not self._lineality
+        """Whether the cone is pointed: no generator's negative is also a generator."""
+        gens = set(self.generators)
+        return not any(tuple(-x for x in g) in gens for g in gens)
 
     def rays(self) -> list["Cone"]:
         """The one-dimensional faces: the cones on the canonical generators of a strongly convex cone."""
@@ -327,13 +340,8 @@ def faces(sigma: Cone) -> list[Cone]:
     each face's dimension comes from the face it was found under, with no
     rank computation.
     """
-    gens = sigma.generators
-    full = frozenset(gens)
-    facet_sets: list[frozenset[Vector]] = []
-    for h in sigma.facet_normals():
-        on = frozenset(g for g in gens if dot(h, g) == 0)
-        if on != full:
-            facet_sets.append(on)
+    full = frozenset(sigma.generators)
+    facet_sets = [z for _, z in sigma.incidences if z != full]
     dims = {full: sigma.dim()}
     level = [full]
     while level:
@@ -356,23 +364,14 @@ def is_face_of(tau: Cone, sigma: Cone) -> bool:
     if not sigma.contains_cone(tau):
         return False
     point = tau.relative_interior_point()
-    active = [h for h in sigma.facet_normals() if dot(h, point) == 0]
-    smallest = tuple(g for g in sigma.generators if all(dot(h, g) == 0 for h in active))
-    return smallest == tau.generators
+    smallest = frozenset(sigma.generators).intersection(*(z for h, z in sigma.incidences if dot(h, point) == 0))
+    return tuple(g for g in sigma.generators if g in smallest) == tau.generators
 
 
 def intersect(a: Cone, b: Cone) -> Cone:
     if a.ambient_rank != b.ambient_rank:
         raise ValueError("cones live in different ambient ranks")
     return Cone.from_inequalities(a.ambient_rank, list(a.facet_normals()) + list(b.facet_normals()))
-
-
-def is_strongly_convex(sigma: Cone) -> bool:
-    return sigma.is_strongly_convex()
-
-
-def cone_dim(sigma: Cone) -> int:
-    return sigma.dim()
 
 
 def _parallelepiped_points(b: IntMatrix) -> list[Vector]:
@@ -406,7 +405,8 @@ def hilbert_basis(sigma: Cone) -> list[Vector]:
     of those generators, the torsion of Z^n / B*Z^d is exactly
     (span ∩ Z^n) / B*Z^d, so a Smith form of B gives one point per class, in
     Z^n, with no span coordinates and no box scan.  The candidates are then
-    reduced to the irreducible elements against sigma's cached facet normals.
+    reduced to the irreducible elements against the normals of sigma's
+    proper facets, read off its incidence table.
     """
     if not sigma.is_strongly_convex():
         raise NotPointedError("Hilbert basis requires a strongly convex cone")
@@ -417,9 +417,9 @@ def hilbert_basis(sigma: Cone) -> list[Vector]:
     for subset in itertools.combinations(sigma.generators, sigma.dim()):
         candidates.update(_parallelepiped_points(IntMatrix.from_columns(subset, rows=n)))
     candidates.discard((0,) * n)
-    normals = sigma.facet_normals()
-    # the +/- pairs of span equalities vanish on the span, where all candidates lie
-    facets = [h for h in normals if tuple(-x for x in h) not in normals]
+    # the span equalities vanish on every generator, so on the span, where all candidates lie
+    full = frozenset(sigma.generators)
+    facets = [h for h, z in sigma.incidences if z != full]
 
     def in_monoid(v: Sequence[int]) -> bool:
         return all(dot(h, v) >= 0 for h in facets)
@@ -444,8 +444,9 @@ def facet_owners(maximal: Sequence[Cone]) -> dict[Cone, list[int]]:
     """
     owners: dict[Cone, list[int]] = {}
     for i, c in enumerate(maximal):
-        incidences = {tuple(g for g in c.generators if dot(h, g) == 0) for h in c.facet_normals()}
-        for f in sorted(incidences - {c.generators}):
+        full = frozenset(c.generators)
+        facets = {tuple(g for g in c.generators if g in z) for _, z in c.incidences if z != full}
+        for f in sorted(facets):
             owners.setdefault(Cone(c.ambient_rank, f), []).append(i)
     return owners
 

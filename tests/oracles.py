@@ -27,7 +27,8 @@ the quotient map.  It shares no echelon split with
 The all-pairs oracles are the package's earlier fan-level routes, kept to
 check the wall-based and anchor-based ones: a dense projectivity LP over
 every m_sigma with rows for every pair of maximal cones, a positivity loop
-over every ordered pair, gluing rows from `intersect` on every pair, and
+over every ordered pair, a positivity loop over every generator of both
+owners of each wall, gluing rows from `intersect` on every pair, and
 coloured-fan validation that intersects every pair of members and reads
 each face's colours with the face's own inequalities.  The old maximal-cone
 rule scans every pair of members with `contains_cone`, and the anchor
@@ -68,6 +69,7 @@ from horofan.intlin import (
 from horofan.polyhedra import (
     Cone,
     LatticeLiftError,
+    complete_fan_walls,
     dot,
     dual_cone,
     dual_generators,
@@ -165,10 +167,10 @@ def quotient_weight_monoid(cone) -> list[tuple[int, ...]]:
     through a Smith form of q and joins the +/- basis of L.
     """
     dual = dual_cone(cone)
-    lin = dual.lineality_basis()
+    n = cone.ambient_rank
+    lin = kernel_basis(IntMatrix.from_rows(list(cone.generators), cols=n))
     if not lin:
         return hilbert_basis(dual)
-    n = cone.ambient_rank
     q = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(lin, cols=n)), cols=n)
     images = [w for w in (q.apply(g) for g in dual.generators) if any(w)]
     return _lift_and_join(hilbert_basis(Cone.from_generators(q.rows, images)) if images else [], q, lin)
@@ -299,6 +301,35 @@ def all_pairs_positivity(delta, fan) -> tuple[bool, bool, bool]:
                 convex = False
             if not other.contains(u) and gap <= 0:
                 strictly = False
+    bpf, ample = convex, convex and strictly
+    for root in sorted(fan.lattice.colour_roots() - fan.colour_set()):
+        value = data.value(fan, fan.lattice.point(root))
+        bound = delta.colour_coefficient(root)
+        if value > bound:
+            bpf = False
+        if value >= bound:
+            ample = False
+    return True, bpf, ample
+
+
+def both_owners_positivity(delta, fan) -> tuple[bool, bool, bool]:
+    """(cartier, basepoint_free, ample) with every gap of both owners of each wall tested, on a complete fan."""
+    maximal = [cc.cone for cc in fan.maximal()]
+    data = cartier_data(delta, fan)
+    if data is None:
+        return False, False, False
+    piece = {fan.cones[idx].cone: m for idx, m in data.pieces}
+    convex = True
+    strictly = True
+    for wall, pair in complete_fan_walls(maximal).items():
+        for i, j in (pair, pair[::-1]):
+            mi, mj = piece[maximal[i]], piece[maximal[j]]
+            for u in maximal[i].generators:
+                if u in wall.generators:
+                    continue
+                gap = dot(mi, u) - dot(mj, u)
+                convex = convex and gap >= 0
+                strictly = strictly and gap > 0
     bpf, ample = convex, convex and strictly
     for root in sorted(fan.lattice.colour_roots() - fan.colour_set()):
         value = data.value(fan, fan.lattice.point(root))

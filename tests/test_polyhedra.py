@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horofan import intlin, polyhedra
+from horofan import horo, intlin, polyhedra
 from horofan.intlin import IntMatrix, invariant_factors
 from horofan.polyhedra import (
     Cone,
     NotPointedError,
-    cone_dim,
     covered_by,
     dot,
     dual_cone,
@@ -24,11 +23,10 @@ from horofan.polyhedra import (
     hilbert_basis,
     intersect,
     is_face_of,
-    is_strongly_convex,
     primitive,
 )
 
-from .factories import random_rank2_fan, random_rank3_fan
+from .factories import RANK3_BASES, random_rank2_fan, random_rank3_fan, rank3_cones, torus3
 from .oracles import brute_force_hilbert, dual_of_dual_generators, subset_scan_dual_generators
 
 
@@ -248,25 +246,19 @@ def monoid_member(p, basis, c):
 
 class TestStrongConvexityAndDim:
     def test_line_not_strongly_convex(self):
-        assert not is_strongly_convex(cone2(E1, (-1, 0)))
+        line = cone2(E1, (-1, 0))
+        assert not line.is_strongly_convex()
+        assert not Cone.from_generators(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]).is_strongly_convex()
 
     def test_pointed(self):
-        assert is_strongly_convex(cone2(E1, E2))
-        assert is_strongly_convex(Cone.zero(3))
-
-    def test_lineality_basis_is_a_fresh_list_each_call(self):
-        line = cone2(E1, (-1, 0))
-        basis = line.lineality_basis()
-        assert basis == [(1, 0)]
-        basis.append((0, 1))
-        assert line.lineality_basis() == [(1, 0)]
-        assert not line.is_strongly_convex()
+        assert cone2(E1, E2).is_strongly_convex()
+        assert Cone.zero(3).is_strongly_convex()
 
     def test_dims(self):
-        assert cone_dim(Cone.zero(2)) == 0
-        assert cone_dim(cone2(E1)) == 1
-        assert cone_dim(cone2(E1, E2)) == 2
-        assert cone_dim(cone2(E1, (-1, 0))) == 1
+        assert Cone.zero(2).dim() == 0
+        assert cone2(E1).dim() == 1
+        assert cone2(E1, E2).dim() == 2
+        assert cone2(E1, (-1, 0)).dim() == 1
 
 
 def fan_of(rank, *cone_gen_lists):
@@ -549,14 +541,14 @@ def seeded_pointed_vectors(seed, count, n):
 
 
 def count_calls(monkeypatch, fn):
-    """Count calls of `fn` through every name `intlin` and `polyhedra` bind it to."""
+    """Count calls of `fn` through every name `intlin`, `polyhedra` and `horo` bind it to."""
     calls = [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return fn(*args, **kwargs)
 
-    for module in (intlin, polyhedra):
+    for module in (intlin, polyhedra, horo):
         for name, value in list(vars(module).items()):
             if value is fn:
                 monkeypatch.setattr(module, name, counted)
@@ -627,3 +619,56 @@ class TestOnePassCanonicalisation:
         assert (passes[0], echelons[0], kernels[0]) == (1, 1, 0)
         assert len(faces(sigma)) > 2 ** 4
         assert ranks[0] == 0
+
+
+# One incidence table per cone: every face question reads `Cone.incidences`,
+# and pointedness is read off the canonical generators, against zero sets and
+# lineality kernels taken straight from the normals.
+
+
+@st.composite
+def described_cones(draw):
+    """A cone in Z^1-Z^5, its dual and its faces.
+
+    The cone comes from `from_generators` or `from_inequalities` on up to six
+    small vectors, half of the lists with a vector and its negative: a
+    lineality line of the first, an equality of the second.
+    """
+    n = draw(st.integers(1, 5))
+    vector = st.tuples(*[st.integers(-2, 2)] * n)
+    vecs = draw(st.lists(vector, max_size=6))
+    if draw(st.booleans()):
+        line = draw(vector)
+        vecs += [line, tuple(-x for x in line)]
+    sigma = Cone.from_generators(n, vecs) if draw(st.booleans()) else Cone.from_inequalities(n, vecs)
+    return [sigma, dual_cone(sigma)] + faces(sigma)
+
+
+class TestIncidenceTable:
+    @ONE_PASS
+    @given(described_cones())
+    def test_pointed_iff_the_normals_have_no_kernel(self, cones):
+        for sigma in cones:
+            normals = IntMatrix.from_rows(list(sigma.facet_normals()), cols=sigma.ambient_rank)
+            assert sigma.is_strongly_convex() == (not intlin.kernel_basis(normals))
+
+    @ONE_PASS
+    @given(described_cones())
+    def test_incidences_are_the_zero_sets_of_the_normals(self, cones):
+        for sigma in cones:
+            normals = dual_generators(sigma.generators, sigma.ambient_rank)
+            assert sigma.incidences == tuple(
+                (h, frozenset(g for g in sigma.generators if dot(h, g) == 0)) for h in normals
+            )
+            # the equalities, zero on every generator, are the +/- pairs
+            full = frozenset(sigma.generators)
+            pairs = {h for h in normals if tuple(-x for x in h) in normals}
+            assert {h for h, z in sigma.incidences if z == full} == pairs
+
+    def test_building_the_p1_cubed_fan_takes_no_kernel(self, monkeypatch):
+        lattice = horo.build_coloured_lattice(torus3())
+        cones = rank3_cones(RANK3_BASES["P1^3"], lattice)
+        kernels = count_calls(monkeypatch, intlin.kernel_basis)
+        fan = horo.coloured_fan(lattice, cones)
+        assert len(fan.cones) == 27
+        assert kernels[0] == 0

@@ -31,6 +31,7 @@ from .factories import (
 from .oracles import (
     all_pairs_plf_lp,
     all_pairs_positivity,
+    both_owners_positivity,
     gluing_rows,
     pairwise_gluing_rows,
     stacked_cartier_data,
@@ -158,6 +159,26 @@ def test_per_cone_routes_match_stacked_routes_on_random_rank3_fans():
     assert len(fans) >= 30
     assert sum(1 for fan, _ in fans if fan.colour_set()) >= 10
     assert {p is None for p in found} == {True, False}
+
+
+def test_one_gap_per_wall_matches_every_gap_of_both_owners():
+    """`positivity_check` reads one gap per wall, the double loop over both owners reads them all."""
+    rng = random.Random(29)
+    fans = [(rank3_fan(maximal, make_datum(), colours), make_datum()) for _, maximal, make_datum, colours in CASES]
+    fans += [
+        (fan, datum)
+        for fan, datum in random_rank3_coloured_fans(rng, 12)
+        if complete_fan_walls([cc.cone for cc in fan.maximal()]) is not None
+    ]
+    outcomes = Counter()
+    for fan, datum in fans:
+        deltas = [anticanonical(fan, datum), boundary_divisor(fan)] + [random_divisor(rng, fan) for _ in range(3)]
+        for delta in deltas:
+            result = positivity_check(delta, fan, datum)
+            assert result == both_owners_positivity(delta, fan)
+            outcomes[result] += 1
+    assert len(fans) >= 20
+    assert set(outcomes) == {(False, False, False), (True, False, False), (True, True, False), (True, True, True)}
 
 
 def test_wall_code_takes_the_fans_maximal_cones_without_containment_scans(monkeypatch):

@@ -204,9 +204,8 @@ def parse_input(text: str) -> InputDocument:
     return InputDocument(datum, fan, divisors)
 
 
-def serialize(doc: InputDocument) -> str:
-    """Canonical JSON for a document (deterministic member ordering)."""
-    datum, fan = doc.datum, doc.fan
+def _document_body(datum: HorosphericalDatum, fan: ColouredFan, divisors: dict[str, BInvariantDivisor]) -> dict:
+    """The canonical JSON body of a document, as a dict."""
     group = datum.group
     descriptor = "x".join(f"{letter}{rank}" for letter, rank in group.components)
     labels = fan.lattice.labels()
@@ -227,15 +226,20 @@ def serialize(doc: InputDocument) -> str:
         "M": [list(col) for col in datum.characters.columns()],
         "fan": cones,
     }
-    if doc.divisors:
+    if divisors:
         body["divisors"] = {
             name: {
                 "rays": {",".join(map(str, g)): a for g, a in div.ray_coeffs if a},
                 "colours": {labels[r]: a for r, a in div.colour_coeffs if a},
             }
-            for name, div in sorted(doc.divisors.items())
+            for name, div in sorted(divisors.items())
         }
-    return json.dumps(body, indent=2, sort_keys=True)
+    return body
+
+
+def serialize(doc: InputDocument) -> str:
+    """Canonical JSON for a document (deterministic member ordering)."""
+    return json.dumps(_document_body(doc.datum, doc.fan, doc.divisors), indent=2, sort_keys=True)
 
 
 def _report(lines: list[str], payload: dict) -> str:
@@ -268,11 +272,6 @@ def _cone_arg(doc: InputDocument, index: Optional[int]) -> int:
     if not 0 <= index < len(doc.fan.cones):
         raise ParseError("--cone", f"cone index {index} out of range (fan has {len(doc.fan.cones)} members)")
     return index
-
-
-def _document_payload(datum: HorosphericalDatum, fan: ColouredFan) -> dict:
-    """The canonical JSON body of a fan without divisors, as a dict."""
-    return json.loads(serialize(InputDocument(datum, fan, {})))
 
 
 def _validate(doc: InputDocument) -> tuple[int, str]:
@@ -432,7 +431,7 @@ def _smooth(doc: InputDocument) -> tuple[int, str]:
 
 
 def _decolour(doc: InputDocument) -> tuple[int, str]:
-    return 0, _report(["decolouration:"], _document_payload(doc.datum, decolouration(doc.fan)))
+    return 0, _report(["decolouration:"], _document_body(doc.datum, decolouration(doc.fan), {}))
 
 
 def _orbit_closure(doc: InputDocument, index: int) -> tuple[int, str]:
@@ -442,7 +441,7 @@ def _orbit_closure(doc: InputDocument, index: int) -> tuple[int, str]:
         f"quotient lattice rank {closure.lattice.rank}",
         f"I' = {[closure_datum.group.label(i) for i in sorted(closure_datum.parabolic)]}",
     ]
-    return 0, _report(lines, _document_payload(closure_datum, closure))
+    return 0, _report(lines, _document_body(closure_datum, closure, {}))
 
 
 def _weight_monoid(doc: InputDocument, index: int) -> tuple[int, str]:
@@ -514,17 +513,19 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="horofan",
+    description="exact combinatorics of horospherical varieties via coloured fans",
+)
+_PARSER.add_argument("command", choices=list(COMMANDS))
+_PARSER.add_argument("file", help="input JSON document, or - for stdin")
+_PARSER.add_argument("--divisor", help="named divisor from the document")
+_PARSER.add_argument("--cone", type=int, help="index of a fan member")
+_PARSER.add_argument("--target", help="target document for morphism checks")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="horofan",
-        description="exact combinatorics of horospherical varieties via coloured fans",
-    )
-    parser.add_argument("command", choices=list(COMMANDS))
-    parser.add_argument("file", help="input JSON document, or - for stdin")
-    parser.add_argument("--divisor", help="named divisor from the document")
-    parser.add_argument("--cone", type=int, help="index of a fan member")
-    parser.add_argument("--target", help="target document for morphism checks")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         doc = parse_input(_read(args.file))
         target = parse_input(_read(args.target)) if args.target else None

@@ -25,10 +25,10 @@ from .polyhedra import (
     _join_lineality,
     complete_fan_walls,
     covered_by,
-    dot,
     dual_cone,
     hilbert_basis,
     plf_lattice,
+    wall_gaps,
 )
 from .horo import (
     ColouredCone,
@@ -38,7 +38,6 @@ from .horo import (
     ColourPointMismatchError,
     HorosphericalDatum,
     build_coloured_lattice,
-    close_under_coloured_faces,
     coloured_cone_key,
     quotient_by_cone,
     trivial_coloured_cone,
@@ -251,16 +250,13 @@ def _strictly_convex_plf_exists(
 ) -> bool:
     """Exact rational feasibility of a strictly convex PLF on a complete fan.
 
-    On a complete fan a PLF is strictly convex iff it is strictly convex
-    across every wall, the facet two maximal cones share (Cox-Little-Schenck,
-    Toric Varieties, 6.1).  The variables are the PLF's coordinates in the
-    basis of `polyhedra.plf_lattice`, split +/-, and a slack eps capped at 1.
-    Each basis PLF v has its piece m_j on sigma_j, read off v on sigma_j's
-    rays.  Each wall of sigma_i and sigma_j gives the row
-    v_u - <m_j, u> >= eps for one generator u of sigma_i off the wall: the
-    glued m_i - m_j is a multiple of the wall's normal, and v_u = <m_i, u>.
-    Linear functions have zero gap on every wall.  By homogeneity a strictly
-    convex PLF exists iff the optimum is positive.  `owners` is the
+    A PLF is strictly convex iff every one of its `polyhedra.wall_gaps` is
+    > 0.  The variables are the PLF's coordinates in the basis of
+    `polyhedra.plf_lattice`, split +/-, and a slack eps capped at 1.  Each
+    basis PLF has its piece on sigma, read off its values on sigma's rays,
+    and its gaps; each wall gives the row "the PLF's gap >= eps".  Linear
+    functions have zero gap on every wall.  By homogeneity a strictly convex
+    PLF exists iff the optimum is positive.  `owners` is the
     `complete_fan_walls` table of the cones of `fan.maximal()`.
     """
     r = fan.lattice.rank
@@ -275,12 +271,9 @@ def _strictly_convex_plf_exists(
         if None in ms:
             raise LatticeLiftError("a piecewise linear function is linear on each maximal cone")
         pieces.append(ms)
-    a_ub: list[list[int]] = []
-    for wall, (i, j) in owners.items():
-        u = next(g for g in maximal[i].generators if g not in wall.generators)
-        gaps = [v[at[u]] - dot(m, u) for v, m in zip(plfs, pieces[j])]
-        # -(v_u - <m_j, u>) + eps <= 0
-        a_ub.append([x for g in gaps for x in (-g, g)] + [1])
+    gaps = [wall_gaps(maximal, owners, [ms[k] for ms in pieces]) for k in range(len(plfs))]
+    # -gap + eps <= 0 on each wall
+    a_ub = [[x for g in gaps for x in (-g[w], g[w])] + [1] for w in range(len(owners))]
     cap = [0] * (2 * len(plfs)) + [1]
     result = maximize(cap, a_ub + [cap], [0] * len(a_ub) + [1], cancelled=_as_callable(cancel))
     return result.status == "optimal" and result.value > 0
@@ -357,16 +350,7 @@ class LocalStructure:
 def _classify_subdiagram(group: RootDatum, nodes: list[int]) -> tuple[str, int, list[int]]:
     """Identify a connected induced subdiagram as (letter, rank, Bourbaki order)."""
     size = len(nodes)
-    candidates = ["A"]
-    if size >= 2:
-        candidates += ["B", "C", "G"] if size == 2 else ["B", "C"]
-    if size >= 3:
-        candidates.append("D")
-    if size == 4:
-        candidates.append("F")
-    if size in (6, 7, 8):
-        candidates.append("E")
-    for letter in candidates:
+    for letter in "ABCDEFG":
         try:
             target = RootDatum.parse(f"{letter}{size}")
         except ValueError:

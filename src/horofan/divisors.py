@@ -28,7 +28,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer_affine,
 )
-from .polyhedra import LatticeLiftError, complete_fan_walls, dot, glued_lattice, plf_lattice
+from .polyhedra import LatticeLiftError, complete_fan_walls, dot, glued_lattice, plf_lattice, wall_gaps
 from .horo import ColouredFan, HorosphericalDatum, uncoloured_rays
 from .rootsys import _root_supported_on, pairing, positive_roots
 from .dictionary import _require_lattice
@@ -124,15 +124,13 @@ class ClassGroupResult:
 
 
 def _principal_matrix(fan: ColouredFan) -> IntMatrix:
-    """Columns: principal divisors of the dual basis covectors."""
-    r = fan.lattice.rank
-    cols = []
-    for j in range(r):
-        m = tuple(1 if t == j else 0 for t in range(r))
-        cols.append(principal_divisor(m, fan).coordinates())
-    gens = invariant_ray_generators(fan)
-    height = len(gens) + len(fan.lattice.colours)
-    return IntMatrix.from_columns(cols, rows=height)
+    """Columns: principal divisors of the dual basis covectors.
+
+    The coefficient of div(f_m) on D is <m, u_D>, so the rows are the ray
+    generators followed by the colour points.
+    """
+    points = invariant_ray_generators(fan) + [c.point for c in fan.lattice.colours]
+    return IntMatrix.from_rows(points, cols=fan.lattice.rank)
 
 
 def _divisor_names(fan: ColouredFan) -> list[str]:
@@ -311,16 +309,9 @@ def positivity_check(
 ) -> tuple[bool, bool, bool]:
     """(cartier, basepoint_free, ample) for a divisor on a complete fan.
 
-    On a complete fan the associated piecewise linear function is (strictly)
-    convex iff it is (strictly) convex across every wall (Cox-Little-Schenck,
-    Toric Varieties, 6.1): for both maximal cones sharing a wall, the gap
-    <m_own - m_other, u> must be >= 0 (> 0) on each of its generators u off
-    the wall.  The two pieces agree on the wall's rays, which span its
-    hyperplane, so m_i - m_j is a multiple of the wall's normal and every
-    such gap has one sign: one generator u of sigma_i off the wall decides
-    the wall, as in `dictionary._strictly_convex_plf_exists`.  Colours
-    outside F(Sigma^c) must satisfy phi(u_alpha) <= a_alpha (strictly for
-    ample).
+    The associated piecewise linear function is convex (strictly convex)
+    iff every gap of `polyhedra.wall_gaps` is >= 0 (> 0).  Colours outside
+    F(Sigma^c) must satisfy phi(u_alpha) <= a_alpha (strictly for ample).
     """
     _require_lattice(fan, datum)
     maximal = [cc.cone for cc in fan.maximal()]
@@ -331,14 +322,9 @@ def positivity_check(
     if data is None:
         return False, False, False
     piece = {fan.cones[idx].cone: m for idx, m in data.pieces}
-    convex = True
-    strictly = True
-    for wall, (i, j) in owners.items():
-        u = next(g for g in maximal[i].generators if g not in wall.generators)
-        gap = dot(piece[maximal[i]], u) - dot(piece[maximal[j]], u)
-        convex = convex and gap >= 0
-        strictly = strictly and gap > 0
-    bpf, ample = convex, convex and strictly
+    gaps = wall_gaps(maximal, owners, [piece[sigma] for sigma in maximal])
+    bpf = all(gap >= 0 for gap in gaps)
+    ample = all(gap > 0 for gap in gaps)
     for root in sorted(fan.lattice.colour_roots() - fan.colour_set()):
         point = fan.lattice.point(root)
         value = data.value(fan, point)

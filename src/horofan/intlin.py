@@ -97,6 +97,8 @@ class IntMatrix:
     def mul(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in matrix product")
+        if not other.cols:
+            return IntMatrix(self.rows, 0, ())
         out = []
         for i in range(self.rows):
             ri = self.row(i)
@@ -301,7 +303,7 @@ def smith_normal_form(m: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
 
 
 def rank(m: IntMatrix) -> int:
-    return _echelonise(m.row_list(), m.cols)
+    return _echelonise(m.row_list(), m.cols) if m.cols else 0
 
 
 def determinant(m: IntMatrix) -> int:

@@ -7,13 +7,13 @@ equalities as +/- pairs, and the generator description carries a lineality
 basis as +/- pairs.  One duality engine, `dual_generators`, splits off the
 span with one integer echelon and finds facets by incremental double
 description, in integers throughout; its seed rays come from a triangular
-solve, with no kernel per ray.  A cone is canonicalised with one pass of it:
-the pass gives the normals and each facet's zero set over the generators,
-and a generator outside the lineality L is extreme exactly when every
-generator on all the facets through it lies in its span plus L, since the
-smallest face through it is then a ray modulo L.  The extreme generators,
-made primitive (modulo L, when there is one), are the canonical generators,
-with no second pass for the dual of the dual.  Each cone keeps one
+solve, with no kernel per ray.  A pointed cone is canonicalised with one
+pass of it: the pass gives the normals and each facet's zero set over the
+generators, and a generator is extreme exactly when every generator on all
+the facets through it is a positive multiple of it, since the smallest face
+through it is then a ray.  The extreme generators, made primitive, are the
+canonical generators.  A cone with lineality is the dual of its dual, a
+second pass over the normals; no workload builds one.  Each cone keeps one
 incidence table, `Cone.incidences`: each normal with its zero set over the
 canonical generators.  The +/- span equalities are exactly the normals whose
 zero set holds every generator, since a lifted facet is reduced modulo the
@@ -29,9 +29,11 @@ half-open parallelepiped, with no span coordinates and no box.  Fan-level
 code takes the maximal cones a fan already holds and reads owners off
 incidences, with no containment scan: `facet_owners` lists the walls
 (facets with their owning cones) and `complete_fan_walls` decides
-completeness from them.  `glued_lattice` intersects per-cone lattices one
-maximal cone at a time, never stacking one covector per cone; `plf_lattice`
-uses it for the piecewise linear functions in ray coordinates.
+completeness from them; `wall_gaps` reads a piecewise linear function's
+gap across each wall, the one rule behind projectivity and positivity.
+`glued_lattice` intersects per-cone lattices one maximal cone at a time,
+never stacking one covector per cone; `plf_lattice` uses it for the
+piecewise linear functions in ray coordinates.
 """
 
 from __future__ import annotations
@@ -197,22 +199,18 @@ def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
     return _dual_description(list(dict.fromkeys(tuple(v) for v in vectors if any(v))), n)[0]
 
 
-def _extreme_classes(masks: Sequence[int], classes: Sequence[Optional[Vector]]) -> list[Vector]:
-    """The classes of the generators of a cone that span extreme rays modulo its lineality L.
+def _extreme_generators(masks: Sequence[int], gens: Sequence[Vector]) -> list[Vector]:
+    """The primitive generators of a pointed cone that span its extreme rays.
 
-    `masks` are the facets' zero sets over the generators, and `classes[i]`
-    is the primitive class of generator i modulo L, None for one in L (on
-    every facet).  The smallest face through g is cut out by the facets
-    through g and is generated by the generators on all of them; it is a ray
-    modulo L, so g is extreme, iff each of those generators outside L lies in
-    span(g) + L, that is, has g's class.
+    `masks` are the facets' zero sets over the generators.  The smallest face
+    through g is cut out by the facets through g and is generated by the
+    generators on all of them; it is a ray, so g is extreme, iff each of
+    those generators is a positive multiple of g, that is, has g's primitive
+    vector.
     """
+    classes = [primitive(g) for g in gens]
     through = [sum(1 << k for k, z in enumerate(masks) if z >> i & 1) for i in range(len(classes))]
-    out = []
-    for c, t in zip(classes, through):
-        if c is not None and all(e is None or e == c for e, u in zip(classes, through) if u & t == t):
-            out.append(c)
-    return out
+    return [c for c, t in zip(classes, through) if all(e == c for e, u in zip(classes, through) if u & t == t)]
 
 
 @dataclass(frozen=True)
@@ -238,15 +236,13 @@ class Cone:
 
     @staticmethod
     def from_generators(ambient_rank: int, generators: Iterable[Sequence[int]]) -> "Cone":
-        """The cone on the generators, canonicalised with one double-description pass.
+        """The cone on the generators, canonicalised with one double-description pass when it is pointed.
 
         The pass gives the normals and each facet's zero set over the
         generators; the generators on every facet span the lineality L.  A
         pointed cone's canonical generators are its primitive extreme
-        generators.  With lineality, each extreme class is made primitive
-        modulo L in the coordinates of one echelon of the normals, whose
-        pivot normals give a triangular system, and is joined by +/- the
-        basis of L, exactly as `dual_generators` of the normals would.
+        generators.  A cone with lineality is the dual of its dual,
+        `dual_generators` of the normals; no workload builds one.
         """
         gens = [tuple(int(x) for x in g) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
@@ -255,17 +251,10 @@ class Cone:
         if not vecs:
             return Cone(ambient_rank, (), [], [0])
         normals, masks, dim = _dual_description(vecs, ambient_rank)
-        in_lineality = [all(z >> i & 1 for z in masks) for i in range(len(vecs))]
-        if not any(in_lineality):
-            canonical = sorted(set(_extreme_classes(masks, [primitive(v) for v in vecs])))
+        if any(all(z >> i & 1 for z in masks) for i in range(len(vecs))):
+            canonical = dual_generators(normals, ambient_rank)
         else:
-            echelon, complement, perp = kernel_and_complement(IntMatrix.from_rows(normals, cols=ambient_rank))
-            seeds, triangle = _pivot_triangle(echelon)
-            classes = [
-                None if lin else _triangular_solve(triangle, [dot(v, normals[s]) for s in seeds])
-                for v, lin in zip(vecs, in_lineality)
-            ]
-            canonical = _join_lineality(_extreme_classes(masks, classes), complement, perp)
+            canonical = sorted(set(_extreme_generators(masks, vecs)))
         return Cone(ambient_rank, tuple(canonical), [tuple(normals)], [dim])
 
     @staticmethod
@@ -479,6 +468,27 @@ def complete_fan_walls(maximal: Sequence[Cone]) -> Optional[dict[Cone, list[int]
     return owners if all(len(o) == 2 for o in owners.values()) else None
 
 
+def wall_gaps(maximal: Sequence[Cone], walls: dict[Cone, list[int]], pieces: Sequence[Sequence[int]]) -> list[int]:
+    """The gap <m_i - m_j, u> of a piecewise linear function across each wall (i, j) of a complete fan, in order.
+
+    `walls` is the `complete_fan_walls` table of `maximal`, and `pieces[i]`
+    is the function's linear piece m_i on `maximal[i]`; u is the first
+    generator of sigma_i off the wall.  The pieces agree on the wall's rays,
+    which span its hyperplane, so m_i - m_j is a multiple of the wall's
+    normal: <m_i - m_j, v> for every generator v of sigma_i off the wall,
+    and <m_j - m_i, v> for every generator v of sigma_j off it, have the
+    sign of this one gap.  On a complete fan the function is convex iff
+    every gap is >= 0, and strictly convex iff every gap is > 0
+    (Cox-Little-Schenck, Toric Varieties, 6.1).
+    """
+    gaps = []
+    for wall, (i, j) in walls.items():
+        on_wall = set(wall.generators)
+        u = next(g for g in maximal[i].generators if g not in on_wall)
+        gaps.append(dot(pieces[i], u) - dot(pieces[j], u))
+    return gaps
+
+
 def glued_lattice(points: Sequence[Sequence[tuple[int, Vector]]], width: int, r: int) -> IntMatrix:
     """Column Hermite basis of the d in Z^width that are linear on each cone's points.
 
@@ -535,9 +545,8 @@ def covered_by(target: Cone, covers: Sequence[Cone], cancelled=None) -> bool:
     for h in first.facet_normals():
         if all(dot(h, g) >= 0 for g in region.generators):
             continue
-        neg = tuple(-x for x in h)
-        outside = intersect(region, Cone.from_inequalities(target.ambient_rank, [neg]))
+        outside = Cone.from_inequalities(target.ambient_rank, [*region.facet_normals(), tuple(-x for x in h)])
         if outside.dim() == target.dim():
             pieces.append(outside)
-        region = intersect(region, Cone.from_inequalities(target.ambient_rank, [h]))
+        region = Cone.from_inequalities(target.ambient_rank, [*region.facet_normals(), h])
     return all(covered_by(p, rest, cancelled) for p in pieces)

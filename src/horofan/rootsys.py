@@ -255,7 +255,12 @@ def connected_components(datum: RootDatum, nodes: frozenset[int]) -> list[frozen
 
 
 def _is_chain_from(datum: RootDatum, nodes: frozenset[int], start: int) -> Optional[list[int]]:
-    """Order nodes as a path starting at start, or None if not a path."""
+    """Order nodes as a path starting at start, or None if not a path.
+
+    The walk from start must find exactly one new neighbour at each step.  A
+    Dynkin diagram is a forest, so a walk through every node has no chord:
+    the nodes form a path.
+    """
     order = [start]
     seen = {start}
     while len(order) < len(nodes):
@@ -264,10 +269,6 @@ def _is_chain_from(datum: RootDatum, nodes: frozenset[int], start: int) -> Optio
             return None
         order.append(nxt[0])
         seen.add(nxt[0])
-    # reject branch vertices: every consecutive pair adjacent, nothing else
-    for a, b in itertools.combinations(range(len(order)), 2):
-        if datum.adjacent(order[a], order[b]) != (b == a + 1):
-            return None
     return order
 
 

@@ -35,6 +35,14 @@ rule scans every pair of members with `contains_cone`, and the anchor
 oracle tests every pair with `contains_rule_is_coloured_face`; both check
 the one coloured-face table of `ColouredFan`.
 
+`stacked_principal_matrix` is the package's earlier principal-divisor
+matrix, one `principal_divisor` column per dual basis covector, where
+`divisors._principal_matrix` stacks the ray generators and colour points as
+rows.  `chord_checked_chain_from` and `rank_list_classify_subdiagram` are the
+package's earlier Dynkin routes: a path walk that then checks every pair of
+nodes for chords, and a subdiagram classifier with its own list of valid
+ranks per letter.
+
 The stacked oracles are the package's earlier divisor routes, kept to check
 the per-cone ones: one system over the stacked covectors (m_0, ..., m_{k-1})
 of all k maximal cones, solved with one global Smith form (Cartier data),
@@ -55,6 +63,7 @@ from horofan.divisors import (
     _principal_matrix,
     cartier_data,
     invariant_ray_generators,
+    principal_divisor,
 )
 from horofan.horo import ColouredCone, ValidationReport, coloured_intersection, uncoloured_rays
 from horofan.intlin import (
@@ -80,6 +89,7 @@ from horofan.polyhedra import (
     primitive,
 )
 from horofan.ratlp import maximize
+from horofan.rootsys import RootDatum
 
 
 def brute_force_hilbert(cone) -> list[tuple[int, ...]]:
@@ -174,6 +184,63 @@ def quotient_weight_monoid(cone) -> list[tuple[int, ...]]:
     q = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(lin, cols=n)), cols=n)
     images = [w for w in (q.apply(g) for g in dual.generators) if any(w)]
     return _lift_and_join(hilbert_basis(Cone.from_generators(q.rows, images)) if images else [], q, lin)
+
+
+def stacked_principal_matrix(fan) -> IntMatrix:
+    """Columns: principal divisors of the dual basis covectors, one `principal_divisor` call each."""
+    r = fan.lattice.rank
+    cols = []
+    for j in range(r):
+        m = tuple(1 if t == j else 0 for t in range(r))
+        cols.append(principal_divisor(m, fan).coordinates())
+    gens = invariant_ray_generators(fan)
+    height = len(gens) + len(fan.lattice.colours)
+    return IntMatrix.from_columns(cols, rows=height)
+
+
+def chord_checked_chain_from(datum, nodes, start):
+    """Order nodes as a path starting at start, or None if not a path; every pair is checked for chords."""
+    order = [start]
+    seen = {start}
+    while len(order) < len(nodes):
+        nxt = [n for n in nodes if n not in seen and datum.adjacent(order[-1], n)]
+        if len(nxt) != 1:
+            return None
+        order.append(nxt[0])
+        seen.add(nxt[0])
+    # reject branch vertices: every consecutive pair adjacent, nothing else
+    for a, b in itertools.combinations(range(len(order)), 2):
+        if datum.adjacent(order[a], order[b]) != (b == a + 1):
+            return None
+    return order
+
+
+def rank_list_classify_subdiagram(group, nodes):
+    """Identify a connected induced subdiagram as (letter, rank, Bourbaki order), trying only the valid ranks per letter."""
+    size = len(nodes)
+    candidates = ["A"]
+    if size >= 2:
+        candidates += ["B", "C", "G"] if size == 2 else ["B", "C"]
+    if size >= 3:
+        candidates.append("D")
+    if size == 4:
+        candidates.append("F")
+    if size in (6, 7, 8):
+        candidates.append("E")
+    for letter in candidates:
+        try:
+            target = RootDatum.parse(f"{letter}{size}")
+        except ValueError:
+            continue
+        for perm in itertools.permutations(nodes):
+            ok = all(
+                target.cartan_entry(k, l) == group.cartan_entry(perm[k], perm[l])
+                for k in range(size)
+                for l in range(size)
+            )
+            if ok:
+                return letter, size, list(perm)
+    raise AssertionError("induced subdiagram of a Dynkin diagram must be a Dynkin diagram")
 
 
 def sl_colour_point_oracle(n: int, column: tuple[int, ...]) -> tuple[int, ...]:

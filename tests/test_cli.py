@@ -1,10 +1,12 @@
 """CLI parsing, command output, exit codes, and serialization round-trips."""
 
+import argparse
 import json
+import time
 
 import pytest
 
-from horofan.cli import InputDocument, ParseError, execute, main, parse_input, serialize
+from horofan.cli import COMMANDS, InputDocument, ParseError, execute, main, parse_input, serialize
 
 CLASS_GROUP_DOC = json.dumps(
     {
@@ -373,3 +375,25 @@ class TestMain:
         )
         assert main(["morphism", str(blowup), "--target", str(plane)]) == 0
         assert '"proper": true' in capsys.readouterr().out
+
+    def test_every_command_costs_nothing_per_torus_coordinate(self, tmp_path, capsys):
+        """A short document with a 10^9-dimensional central torus and a rank-0 lattice: each command under 1 s of CPU."""
+        doc = tmp_path / "torus.json"
+        doc.write_text(json.dumps({"group": "A1", "torus_rank": 10**9, "M": [], "divisors": {"zero": {}}}))
+        extra = {"divisor": ["--divisor", "zero"], "cone": ["--cone", "0"], "target": ["--target", str(doc)]}
+        for command, (_, argument) in COMMANDS.items():
+            start = time.process_time()
+            assert main([command, str(doc), *extra.get(argument, [])]) == 0
+            assert time.process_time() - start < 1.0, command
+        capsys.readouterr()
+
+    def test_main_builds_no_parser(self, tmp_path, monkeypatch, capsys):
+        doc = tmp_path / "orbits.json"
+        doc.write_text(ORBITS_DOC)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("main built an argument parser")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", refuse)
+        assert main(["validate", str(doc)]) == 0
+        capsys.readouterr()

@@ -1,0 +1,62 @@
+"""Every name a library module imports is used in that module; the package's `__init__` re-exports and is exempt."""
+
+import ast
+import pathlib
+
+SOURCES = sorted(
+    path
+    for path in (pathlib.Path(__file__).resolve().parents[1] / "src" / "horofan").glob("*.py")
+    if path.name != "__init__.py"
+)
+
+
+def annotations(tree: ast.AST):
+    """The annotation expressions of a module: of arguments, returns and annotated assignments."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg) and node.annotation is not None:
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns is not None:
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names bound by a module's imports that nothing else in it refers to, by line.
+
+    A reference is a bare name, which is also the head of an attribute chain,
+    in code or in an annotation; a quoted annotation such as "Cone" is parsed
+    and read too.
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in annotations(tree):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= {n.id for n in ast.walk(ast.parse(node.value, mode="eval")) if isinstance(n, ast.Name)}
+    unused = sorted((line, name) for name, line in imported.items() if name not in used)
+    return [f"line {line}: {name}" for line, name in unused]
+
+
+def test_sources_found():
+    assert any(path.name == "dictionary.py" for path in SOURCES)
+
+
+def test_an_unused_import_is_found():
+    source = "import os\nfrom typing import Optional, Sequence\nx: Optional[int] = 1\n"
+    assert unused_imports(source) == ["line 1: os", "line 2: Sequence"]
+    assert unused_imports("from __future__ import annotations\nimport os.path\ny = os.path.join\n") == []
+    quoted = "from .polyhedra import Cone\ndef f(c: list['Cone']) -> 'Cone':\n    'Cone'\n"
+    assert unused_imports(quoted) == []
+    docstring_only = "from .polyhedra import Cone\ndef f():\n    'Cone'\n"
+    assert unused_imports(docstring_only) == ["line 1: Cone"]
+
+
+def test_library_modules_use_every_name_they_import():
+    found = [f"{path.name} {entry}" for path in SOURCES for entry in unused_imports(path.read_text(encoding="utf-8"))]
+    assert not found

@@ -4,14 +4,19 @@ import itertools
 
 import pytest
 
+from horofan import rootsys
+from horofan.dictionary import _classify_subdiagram
 from horofan.rootsys import (
     RootDatum,
     colour_smoothness_check,
+    connected_components,
     flag_dimension,
     pairing,
     parse_dynkin,
     positive_roots,
 )
+
+from .oracles import chord_checked_chain_from, rank_list_classify_subdiagram
 
 CLASSICAL_COUNTS = [
     ("A1", 1),
@@ -184,3 +189,51 @@ class TestParsing:
 
 def test_d3_matches_a3_count():
     assert len(positive_roots(RootDatum.parse("D3"))) == 6
+
+
+# every type of rank <= 6, the exceptional types and three products
+SWEEP_GROUPS = (
+    [f"A{n}" for n in range(1, 7)]
+    + [f"{letter}{n}" for letter in "BC" for n in range(2, 7)]
+    + [f"D{n}" for n in range(3, 7)]
+    + ["E6", "E7", "E8", "F4", "G2", "A2xB2", "A1xG2", "C3xA2"]
+)
+
+
+def connected_subsets(datum, largest):
+    nodes = datum.simple_roots()
+    for size in range(1, largest + 1):
+        for subset in itertools.combinations(nodes, size):
+            if len(connected_components(datum, frozenset(subset))) == 1:
+                yield subset
+
+
+def sweep_cases(datum):
+    """Every (I, colours) with I and the colours disjoint sets of simple roots."""
+    nodes = datum.simple_roots()
+    for labels in itertools.product((0, 1, 2), repeat=len(nodes)):
+        yield datum, frozenset(i for i, t in zip(nodes, labels) if t == 1), {i for i, t in zip(nodes, labels) if t == 2}
+
+
+def test_dynkin_routes_match_the_chord_checked_and_rank_list_routes(monkeypatch):
+    """A Dynkin diagram is a forest with no chords, and `RootDatum.parse` knows the valid ranks.
+
+    `colour_smoothness_check` on every (I, colours) of each sweep group,
+    `_is_chain_from` from every start of every connected subset of at most 6
+    nodes, and `_classify_subdiagram` on every such subset, against the
+    earlier routes in `tests/oracles.py`.
+    """
+    groups = [RootDatum.parse(descriptor) for descriptor in SWEEP_GROUPS]
+    cases = [case for datum in groups for case in sweep_cases(datum)]
+    subsets = [(datum, subset) for datum in groups for subset in connected_subsets(datum, 6)]
+    types = [_classify_subdiagram(datum, list(s)) for datum, s in subsets]
+    assert types == [rank_list_classify_subdiagram(datum, list(s)) for datum, s in subsets]
+    chains = [rootsys._is_chain_from(datum, frozenset(s), start) for datum, s in subsets for start in s]
+    assert chains == [chord_checked_chain_from(datum, frozenset(s), start) for datum, s in subsets for start in s]
+    checks = [colour_smoothness_check(*case) for case in cases]
+    monkeypatch.setattr(rootsys, "_is_chain_from", chord_checked_chain_from)
+    assert checks == [colour_smoothness_check(*case) for case in cases]
+    # every verdict and every letter occurs
+    assert {ok for ok, _ in checks} == {True, False}
+    assert {letter for letter, _, _ in types} == set("ABCDEFG")
+    assert len(cases) + len(subsets) > 14000

@@ -16,7 +16,7 @@ from horofan.divisors import (
     picard_group,
     positivity_check,
 )
-from horofan.polyhedra import Cone, complete_fan_walls, glued_lattice, plf_lattice
+from horofan.polyhedra import Cone, complete_fan_walls, glued_lattice, plf_lattice, wall_gaps
 
 from .factories import (
     RANK3_BASES,
@@ -38,6 +38,7 @@ from .oracles import (
     stacked_cartier_lattice,
     stacked_picard_group,
     stacked_plf_lattice,
+    stacked_principal_matrix,
 )
 
 
@@ -179,6 +180,32 @@ def test_one_gap_per_wall_matches_every_gap_of_both_owners():
             outcomes[result] += 1
     assert len(fans) >= 20
     assert set(outcomes) == {(False, False, False), (True, False, False), (True, True, False), (True, True, True)}
+
+
+def test_principal_matrix_is_the_ray_generators_and_colour_points():
+    """The coefficient of div(f_m) on D is <m, u_D>: the rows of u_D equal the stacked `principal_divisor` columns."""
+    rng = random.Random(31)
+    fans = [rank3_fan(maximal, make_datum(), colours) for _, maximal, make_datum, colours in CASES]
+    fans += [random_valid_fan(rng)[0] for _ in range(100)]
+    for fan in fans:
+        assert divisors._principal_matrix(fan) == stacked_principal_matrix(fan)
+    assert sum(1 for fan in fans if fan.lattice.colours) >= 20
+
+
+def test_wall_gaps_of_an_absolute_coordinate_on_p1_cubed():
+    """|x_k| on (P1)^3 bends by 2 across the walls in the plane x_k = 0 and is linear across the others."""
+    fan = rank3_fan(RANK3_BASES["P1^3"], torus3())
+    maximal = [cc.cone for cc in fan.maximal()]
+    walls = complete_fan_walls(maximal)
+    axes = [next(t for t in range(3) if not any(g[t] for g in wall.generators)) for wall in walls]
+    assert sorted(axes) == [0] * 4 + [1] * 4 + [2] * 4
+    assert wall_gaps(maximal, walls, [(2, -1, 3)] * len(maximal)) == [0] * 12
+    for k in range(3):
+        # the piece of |x_k| on an orthant is the sign of x_k there times e_k
+        pieces = [tuple(sum(g[k] for g in sigma.generators) if t == k else 0 for t in range(3)) for sigma in maximal]
+        assert wall_gaps(maximal, walls, pieces) == [2 if axis == k else 0 for axis in axes]
+        negated = [tuple(-x for x in m) for m in pieces]
+        assert wall_gaps(maximal, walls, negated) == [-2 if axis == k else 0 for axis in axes]
 
 
 def test_wall_code_takes_the_fans_maximal_cones_without_containment_scans(monkeypatch):

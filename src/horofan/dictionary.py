@@ -9,13 +9,12 @@ ColouredFan together with the HorosphericalDatum presenting its lattice.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
 from .intlin import (
     IntMatrix,
-    invariant_factors,
+    column_hermite,
     kernel_and_complement,
     lattice_coordinates,
 )
@@ -161,17 +160,18 @@ def regularity_report(fan: ColouredFan, datum: HorosphericalDatum) -> list[ConeR
 
     Simplicial: the multiset is linearly independent.  Regular: it extends to
     a Z-basis of N.  Smooth: regular plus the Dynkin-diagram condition on the
-    cone's colours.
+    cone's colours.  One column Hermite form H of x -> (<v_i, x>)_i answers
+    both for k vectors v_i: simplicial iff H has k columns, and regular iff
+    the map is onto Z^k, that is iff H is the k x k identity.
     """
     _require_lattice(fan, datum)
     out = []
     for idx, cc in enumerate(fan.cones):
         colour_points = tuple(fan.lattice.point(r) for r in sorted(cc.colours))
         multiset = tuple(uncoloured_rays(fan.lattice, cc)) + colour_points
-        m = IntMatrix.from_columns(list(multiset), rows=fan.lattice.rank)
-        factors = invariant_factors(m)  # one per unit of rank(m)
-        simplicial = len(factors) == len(multiset)
-        regular = simplicial and all(d == 1 for d in factors)
+        h = column_hermite(IntMatrix.from_rows(multiset, cols=fan.lattice.rank))
+        simplicial = h.cols == len(multiset)
+        regular = h == IntMatrix.identity(len(multiset))
         dynkin_ok, dynkin_why = colour_smoothness_check(
             datum.group, datum.parabolic, cc.colours
         )
@@ -348,21 +348,36 @@ class LocalStructure:
 
 
 def _classify_subdiagram(group: RootDatum, nodes: list[int]) -> tuple[str, int, list[int]]:
-    """Identify a connected induced subdiagram as (letter, rank, Bourbaki order)."""
+    """Identify a connected induced subdiagram as (letter, rank, Bourbaki order).
+
+    A candidate diagram's nodes are placed one at a time, each on the first
+    unused node whose Cartan entries with those placed so far agree, so the
+    first full match is the first matching permutation of `nodes`.
+    """
     size = len(nodes)
+    ours = [[group.cartan_entry(a, b) for b in nodes] for a in nodes]
+
+    def extend(target: list[list[int]], chosen: list[int]) -> Optional[list[int]]:
+        k = len(chosen)
+        if k == size:
+            return chosen
+        for i in range(size):
+            if i not in chosen and all(
+                target[k][l] == ours[i][j] and target[l][k] == ours[j][i] for l, j in enumerate(chosen + [i])
+            ):
+                found = extend(target, chosen + [i])
+                if found is not None:
+                    return found
+        return None
+
     for letter in "ABCDEFG":
         try:
             target = RootDatum.parse(f"{letter}{size}")
         except ValueError:
             continue
-        for perm in itertools.permutations(nodes):
-            ok = all(
-                target.cartan_entry(k, l) == group.cartan_entry(perm[k], perm[l])
-                for k in range(size)
-                for l in range(size)
-            )
-            if ok:
-                return letter, size, list(perm)
+        order = extend(target.cartan(0), [])
+        if order is not None:
+            return letter, size, [nodes[i] for i in order]
     raise AssertionError("induced subdiagram of a Dynkin diagram must be a Dynkin diagram")
 
 

@@ -5,11 +5,11 @@ non-coloured rays and the universal colours.  Cartier divisors are piecewise
 linear data: one covector per maximal coloured cone, required to lie in the
 dual lattice exactly and to agree on shared faces.  Each maximal cone's
 covector is solved on its own, from its values on the cone's non-coloured
-rays and colour points, which imply the agreement.  The Cartier lattice and
-the lattice of piecewise linear functions (in ray coordinates) are
-intersections of such per-cone lattices (`polyhedra.glued_lattice`); the
-class and Picard groups are cokernels of the principal divisors and of the
-linear functions in them.
+rays and colour points, which imply the agreement.  The class group is the
+cokernel of the principal divisors, and the Picard group that of the linear
+functions in the Cartier lattice PLF + Z^U: PLF the piecewise linear
+functions in ray coordinates (`polyhedra.plf_lattice`), U the colours no
+cone uses.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer_affine,
 )
-from .polyhedra import LatticeLiftError, complete_fan_walls, dot, glued_lattice, plf_lattice, wall_gaps
+from .polyhedra import LatticeLiftError, complete_fan_walls, dot, plf_lattice, wall_gaps
 from .horo import ColouredFan, HorosphericalDatum, uncoloured_rays
 from .rootsys import _root_supported_on, pairing, positive_roots
 from .dictionary import _require_lattice
@@ -190,46 +190,31 @@ def _maximal_indices(fan: ColouredFan) -> list[int]:
     return [i for i, cc in enumerate(fan.cones) if cc in maximal]
 
 
-def _value_points(fan: ColouredFan) -> tuple[list[int], list[list[tuple[int, Vector]]]]:
-    """The maximal cones' indices, and for each the (divisor coordinate, point) pairs that pin its piece.
+def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[CartierData]:
+    """Solve for piecewise linear data of delta; None when delta is not Cartier.
 
-    A piece m_sigma of a Cartier divisor d takes the value d_c at each of
+    A piece m_sigma of a Cartier divisor takes the value delta_c at each of
     sigma's non-coloured rays and colour points.  That pins it on every ray
     of sigma: a coloured ray by the colour point on it, a positive multiple
     c*u of its generator u.  In a valid fan a ray carries the same colours in
     every member containing it, so two pieces on a shared ray get the same
     value rows, and c*<m_a - m_b, u> = 0 holds for every solution.  Rows
     gluing the pieces on shared faces are therefore implied, and each
-    cone's piece is solved on its own.  The points span sigma, so the piece
-    is unique modulo sigma-perp.
-    """
-    gens = invariant_ray_generators(fan)
-    ray_at = {g: t for t, g in enumerate(gens)}
-    colour_at = {c.root: len(gens) + t for t, c in enumerate(fan.lattice.colours)}
-    max_idx = _maximal_indices(fan)
-    points = []
-    for idx in max_idx:
-        cc = fan.cones[idx]
-        points.append(
-            [(ray_at[g], g) for g in uncoloured_rays(fan.lattice, cc)]
-            + [(colour_at[root], fan.lattice.point(root)) for root in sorted(cc.colours)]
-        )
-    return max_idx, points
-
-
-def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[CartierData]:
-    """Solve for piecewise linear data of delta; None when delta is not Cartier.
-
-    Each maximal cone's piece solves its own `_value_points` block.
-    Covectors are required to lie in N^vee exactly.  On cones of non-full
-    dimension the representative is canonicalized modulo sigma-perp, the
-    kernel of the block.
+    maximal cone's piece is solved on its own.  Covectors are required to
+    lie in N^vee exactly.  The points span sigma, so the piece is unique
+    modulo sigma-perp, the kernel of the block; on cones of non-full
+    dimension the representative is canonicalized modulo it.
     """
     d = delta.coordinates()
     r = fan.lattice.rank
-    max_idx, points = _value_points(fan)
+    gens = invariant_ray_generators(fan)
+    ray_at = {g: t for t, g in enumerate(gens)}
+    colour_at = {c.root: len(gens) + t for t, c in enumerate(fan.lattice.colours)}
     pieces = []
-    for idx, pairs in zip(max_idx, points):
+    for idx in _maximal_indices(fan):
+        cc = fan.cones[idx]
+        pairs = [(ray_at[g], g) for g in uncoloured_rays(fan.lattice, cc)]
+        pairs += [(colour_at[root], fan.lattice.point(root)) for root in sorted(cc.colours)]
         block = IntMatrix.from_rows([p for _, p in pairs], cols=r)
         solution = solve_integer_affine(block, [d[c] for c, _ in pairs])
         if solution is None:
@@ -263,32 +248,29 @@ class PicardResult:
 def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
     """Pic(X) and PLF/LF, plus the exact-sequence consistency report.
 
-    Pic is computed directly as (Cartier invariant divisors)/(principal
-    divisors), the Cartier lattice being glued from the `_value_points`
-    blocks.  PLF/LF is the lattice of piecewise linear functions in Z^rays
-    (`polyhedra.plf_lattice`) modulo the image of M, m -> (<m, u>)_u.  The
+    A Cartier divisor's pieces m_sigma fix its values on every ray of the
+    maximal cones (see `cartier_data`), and its coefficient on a colour
+    alpha of F(Sigma^c) is <m_sigma, rho(alpha)>.  So Cartier = PLF + Z^U,
+    with PLF in Z^rays (`polyhedra.plf_lattice`) and U the colours no cone
+    uses, and div(m) goes to ((<m, u>)_u, (<m, rho(alpha)>)_{alpha in U}):
+    Pic and PLF/LF are the cokernels of M there and in PLF alone.  The
     extension of the Picard-group theorem is then re-verified at the level
     of free ranks.
     """
     _require_lattice(fan, datum)
     r = fan.lattice.rank
-    width = len(invariant_ray_generators(fan)) + len(fan.lattice.colours)
-    cartier = glued_lattice(_value_points(fan)[1], width, r)
-    principal = _principal_matrix(fan)
-    coeff_cols = lattice_coordinates(principal.columns(), cartier)
-    if None in coeff_cols:
-        raise LatticeLiftError("principal divisors are always Cartier")
-    pic = cokernel(IntMatrix.from_columns(coeff_cols, rows=cartier.cols))
-
     rays, plf = plf_lattice([cc.cone for cc in fan.maximal()])
     linear = lattice_coordinates([tuple(u[j] for u in rays) for j in range(r)], plf)
     if None in linear:
         raise LatticeLiftError("linear functions are piecewise linear")
     plf_mod_lf = cokernel(IntMatrix.from_columns(linear, rows=plf.cols))
+    unused = sorted(fan.lattice.colour_roots() - fan.colour_set())
+    points = [fan.lattice.point(root) for root in unused]
+    principal = [x + tuple(p[j] for p in points) for j, x in enumerate(linear)]
+    pic = cokernel(IntMatrix.from_columns(principal, rows=plf.cols + len(unused)))
 
     span_perp = kernel_basis(IntMatrix.from_rows(rays, cols=r))
-    unused = sorted(fan.lattice.colour_roots() - fan.colour_set())
-    image_rows = [[dot(m, fan.lattice.point(root)) for root in unused] for m in span_perp]
+    image_rows = [[dot(m, p) for p in points] for m in span_perp]
     span_perp_image_rank = (
         rank(IntMatrix.from_rows(image_rows, cols=len(unused))) if image_rows else 0
     )

@@ -30,7 +30,6 @@ from .intlin import (
     lattice_coordinates,
     left_unimodular_equivalent,
     rank,
-    saturate,
 )
 from .polyhedra import Cone, dot, faces, intersect, is_face_of, primitive
 from .rootsys import RootDatum
@@ -181,18 +180,22 @@ class ColouredFan:
         return self._face_table[0][cc]
 
     @cached_property
-    def _face_table(self) -> tuple[dict, tuple]:
-        # each member's star, and the (member, coloured face) pairs whose face is
-        # no member: one `coloured_faces` pass, once per fan, outside == and hash
+    def _face_table(self) -> tuple[dict, tuple, dict]:
+        # each member's star, the (member, coloured face) pairs whose face is no
+        # member, and each member's coloured faces: one `coloured_faces` pass,
+        # once per fan, outside == and hash
         star: dict[ColouredCone, dict[ColouredCone, None]] = {cc: {} for cc in self.cones}
         missing = []
+        faces_of = {}
         for sigma in self.cones:
-            for f in coloured_faces(self.lattice, sigma):
+            listed = coloured_faces(self.lattice, sigma)
+            faces_of[sigma] = frozenset(listed)
+            for f in listed:
                 if f in star:
                     star[f][sigma] = None
                 else:
                     missing.append((sigma, f))
-        return {cc: tuple(above) for cc, above in star.items()}, tuple(missing)
+        return {cc: tuple(above) for cc, above in star.items()}, tuple(missing), faces_of
 
     @cached_property
     def _maximal(self) -> tuple[ColouredCone, ...]:
@@ -292,9 +295,10 @@ def is_coloured_face(lattice: ColouredLattice, tau: ColouredCone, sigma: Coloure
     return is_face_of(tau.cone, sigma.cone) and _face_colours(lattice, sigma, [tau.cone]) == [tau.colours]
 
 
-def _meet_in_coloured_face(lattice: ColouredLattice, a: ColouredCone, b: ColouredCone) -> bool:
+def _meet_in_coloured_face(faces_of: dict, a: ColouredCone, b: ColouredCone) -> bool:
+    """Whether a ∩ b is a coloured face of both members, read off their lists of coloured faces in the face table."""
     meet = coloured_intersection(a, b)
-    return is_coloured_face(lattice, meet, a) and is_coloured_face(lattice, meet, b)
+    return meet in faces_of[a] and meet in faces_of[b]
 
 
 def close_under_coloured_faces(
@@ -382,14 +386,14 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
                 f"{len(ccs)} coloured cones share the underlying cone "
                 f"{[list(g) for g in gens]}"
             )
-    star, missing = fan._face_table
+    star, missing, faces_of = fan._face_table
     for cc, f in missing:
         violations.append(f"{fan.describe(cc)}: coloured face {fan.describe(f)} is missing from the fan")
     anchors = fan.maximal()
     slot = {cc: k for k, cc in enumerate(anchors)}
     met = [[True] * len(anchors) for _ in anchors]
     for (k, s), (l, t) in itertools.combinations(enumerate(anchors), 2):
-        met[k][l] = met[l][k] = _meet_in_coloured_face(lattice, s, t)
+        met[k][l] = met[l][k] = _meet_in_coloured_face(faces_of, s, t)
     if not violations and all(map(all, met)):
         return ValidationReport(True, ())
     tops = {cc: [slot[s] for s in above if s in slot] for cc, above in star.items()}
@@ -398,7 +402,7 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
             if any(met[s][t] for s in tops[a] for t in tops[b]):
                 continue
             # two anchors that get here failed in the table already
-            if (a in slot and b in slot) or not _meet_in_coloured_face(lattice, a, b):
+            if (a in slot and b in slot) or not _meet_in_coloured_face(faces_of, a, b):
                 violations.append(
                     f"intersection of {fan.describe(a)} and {fan.describe(b)} "
                     "is not a coloured face of both"
@@ -427,10 +431,12 @@ def quotient_coloured_lattice(
     lattice = build_coloured_lattice(datum)
     if sublattice.rows != lattice.rank:
         raise ValueError("sublattice basis has wrong ambient rank")
-    if sublattice.cols:
-        if saturate(sublattice) != column_hermite(sublattice):
-            raise NotSaturatedError("sublattice is not saturated in N")
-    return _quotient_by_projection(datum, lattice, kernel_basis(sublattice.transpose()), removed_colours)
+    # the annihilator's kernel is the saturation of N'
+    perp = kernel_basis(sublattice.transpose())
+    saturation = kernel_basis(IntMatrix.from_rows(perp, cols=lattice.rank))
+    if IntMatrix.from_columns(saturation, rows=lattice.rank) != column_hermite(sublattice):
+        raise NotSaturatedError("sublattice is not saturated in N")
+    return _quotient_by_projection(datum, lattice, perp, removed_colours)
 
 
 def quotient_by_cone(datum: HorosphericalDatum, cc: ColouredCone) -> QuotientResult:

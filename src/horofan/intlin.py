@@ -417,13 +417,9 @@ def column_hermite(m: IntMatrix) -> IntMatrix:
 
 
 def saturate(m: IntMatrix) -> IntMatrix:
-    """Saturation Span_Q(columns) ∩ Z^rows, returned as a canonical basis matrix."""
+    """Saturation Span_Q(columns) ∩ Z^rows, returned as a canonical basis matrix: the kernel of the annihilator."""
     perp = kernel_basis(m.transpose())
-    if not perp:
-        # columns span Q^rows: saturation is the full lattice
-        return IntMatrix.identity(m.rows)
-    sat = kernel_basis(IntMatrix.from_columns(perp, rows=m.rows).transpose())
-    return IntMatrix.from_columns(sat, rows=m.rows)
+    return IntMatrix.from_columns(kernel_basis(IntMatrix.from_rows(perp, cols=m.rows)), rows=m.rows)
 
 
 def left_unimodular_equivalent(a: IntMatrix, b: IntMatrix) -> bool:

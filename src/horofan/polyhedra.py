@@ -31,9 +31,11 @@ incidences, with no containment scan: `facet_owners` lists the walls
 (facets with their owning cones) and `complete_fan_walls` decides
 completeness from them; `wall_gaps` reads a piecewise linear function's
 gap across each wall, the one rule behind projectivity and positivity.
-`glued_lattice` intersects per-cone lattices one maximal cone at a time,
-never stacking one covector per cone; `plf_lattice` uses it for the
-piecewise linear functions in ray coordinates.
+`plf_lattice` gives the piecewise linear functions in ray coordinates by
+intersecting per-cone lattices one maximal cone at a time, never stacking
+one covector per cone.  It is all the divisor code needs: the Cartier
+lattice is PLF + Z^U, with U the colours no cone uses (see
+`divisors.picard_group`).
 """
 
 from __future__ import annotations
@@ -489,40 +491,30 @@ def wall_gaps(maximal: Sequence[Cone], walls: dict[Cone, list[int]], pieces: Seq
     return gaps
 
 
-def glued_lattice(points: Sequence[Sequence[tuple[int, Vector]]], width: int, r: int) -> IntMatrix:
-    """Column Hermite basis of the d in Z^width that are linear on each cone's points.
-
-    `points` lists, for each maximal cone sigma, pairs (c, p) of a coordinate
-    and a point of Z^r; d belongs when each sigma has an m in Z^r with
-    <m, p> = d_c for all of its pairs.  Starting from Z^width the cones are
-    intersected in one at a time: with the current basis Lambda, the kernel
-    of [Lambda_rows(sigma) | -P_sigma] holds the pairs (y, m) with
-    P_sigma m = (Lambda y) on sigma's coordinates, and the vectors Lambda y
-    span the smaller lattice.  No matrix is wider than width + r.
-    """
-    basis = IntMatrix.identity(width)
-    for pairs in points:
-        block = [list(basis.row(c)) + [-x for x in p] for c, p in pairs]
-        kernel = kernel_basis(IntMatrix.from_rows(block, cols=basis.cols + r))
-        basis = column_hermite(IntMatrix.from_columns([basis.apply(y[: basis.cols]) for y in kernel], rows=width))
-    return basis
-
-
 def plf_lattice(maximal: Sequence[Cone]) -> tuple[list[Vector], IntMatrix]:
-    """The sorted rays of a fan's maximal cones, and the lattice of piecewise linear functions in Z^rays.
+    """The sorted rays of a fan's maximal cones, and the column Hermite basis of its PLFs in Z^rays.
 
     A piecewise linear function is fixed by its values v_u on the rays,
     since every maximal cone is spanned by its rays; v is one exactly when
-    each maximal cone sigma has an m_sigma with <m_sigma, u> = v_u on its
-    generators u (Cox-Little-Schenck, Toric Varieties, 4.2).  Two maximal
+    each maximal cone sigma has an m_sigma in Z^r with <m_sigma, u> = v_u on
+    its generators u (Cox-Little-Schenck, Toric Varieties, 4.2).  Two maximal
     cones meet in a face of both, whose rays are rays of both, so the pieces
-    agree where they meet.
+    agree where they meet.  Starting from Z^rays the cones are intersected
+    in one at a time: with the current basis Lambda, the kernel of
+    [Lambda_rows(sigma) | -G_sigma], G_sigma the generators of sigma as rows,
+    holds the pairs (y, m) with G_sigma m = (Lambda y) on sigma's rays, and
+    the vectors Lambda y span the smaller lattice.  No matrix is wider than
+    #rays + r.
     """
     rays = sorted({g for c in maximal for g in c.generators})
     index = {u: t for t, u in enumerate(rays)}
     r = maximal[0].ambient_rank if maximal else 0
-    points = [[(index[u], u) for u in c.generators] for c in maximal]
-    return rays, glued_lattice(points, len(rays), r)
+    basis = IntMatrix.identity(len(rays))
+    for c in maximal:
+        block = [list(basis.row(index[u])) + [-x for x in u] for u in c.generators]
+        kernel = kernel_basis(IntMatrix.from_rows(block, cols=basis.cols + r))
+        basis = column_hermite(IntMatrix.from_columns([basis.apply(y[: basis.cols]) for y in kernel], rows=len(rays)))
+    return rays, basis
 
 
 def covered_by(target: Cone, covers: Sequence[Cone], cancelled=None) -> bool:

@@ -227,14 +227,16 @@ def rank_list_classify_subdiagram(group, nodes):
         candidates.append("F")
     if size in (6, 7, 8):
         candidates.append("E")
+    # each Cartan entry read once, so that the scan of E8's 8! orders stays short
+    ours = {(a, b): group.cartan_entry(a, b) for a in nodes for b in nodes}
     for letter in candidates:
         try:
-            target = RootDatum.parse(f"{letter}{size}")
+            target = RootDatum.parse(f"{letter}{size}").cartan(0)
         except ValueError:
             continue
         for perm in itertools.permutations(nodes):
             ok = all(
-                target.cartan_entry(k, l) == group.cartan_entry(perm[k], perm[l])
+                target[k][l] == ours[perm[k], perm[l]]
                 for k in range(size)
                 for l in range(size)
             )

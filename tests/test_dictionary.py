@@ -122,18 +122,22 @@ class TestOrbitTable:
                     assert a.dimension >= b.dimension
 
     def test_orbit_quotients_make_no_saturation(self, monkeypatch):
-        # the projection is the kernel of each cone's generator rows
+        # the projection is the kernel of each cone's generator rows; only
+        # `quotient_coloured_lattice` tests outside input for saturation
         fan, datum = projective_sl3_fan()
         expected = orbit_table(fan, datum)
         closures = [orbit_closure(fan, i, datum) for i in range(len(fan.cones))]
         calls = []
 
-        def counted(m):
-            calls.append(m)
-            return saturate(m)
+        def counted(function):
+            def wrapper(*args):
+                calls.append(args)
+                return function(*args)
 
-        monkeypatch.setattr(horo, "saturate", counted)
-        monkeypatch.setattr(intlin, "saturate", counted)
+            return wrapper
+
+        monkeypatch.setattr(horo, "quotient_coloured_lattice", counted(horo.quotient_coloured_lattice))
+        monkeypatch.setattr(intlin, "saturate", counted(saturate))
         assert orbit_table(fan, datum) == expected
         assert [orbit_closure(fan, i, datum) for i in range(len(fan.cones))] == closures
         assert calls == []
@@ -318,6 +322,34 @@ class TestRegularity:
             r for r in regularity_report(fan, datum) if fan.cones[r.cone_index].colours
         )
         assert top.simplicial and top.regular
+
+    def test_hermite_rule_matches_invariant_factors_on_random_fans(self):
+        """Simplicial iff one invariant factor per vector, regular iff all of them are 1.
+
+        The multisets include repeated and dependent vectors and the empty one.
+        """
+        rng = random.Random(17)
+        verdicts = set()
+        for _ in range(120):
+            fan, datum = random_valid_fan(rng)
+            for r in regularity_report(fan, datum):
+                factors = invariant_factors(IntMatrix.from_columns(list(r.multiset), rows=fan.lattice.rank))
+                assert r.simplicial == (len(factors) == len(r.multiset))
+                assert r.regular == (r.simplicial and all(d == 1 for d in factors))
+                verdicts.add((r.simplicial, r.regular, len(r.multiset) > 0))
+        assert verdicts == {(False, False, True), (True, False, True), (True, True, True), (True, True, False)}
+
+    def test_report_takes_no_smith_form(self, monkeypatch):
+        rng = random.Random(19)
+        fans = [random_valid_fan(rng) for _ in range(20)] + [(rank3_fan(RANK3_BASES["P3"], torus3()), torus3())]
+        expected = [regularity_report(fan, datum) for fan, datum in fans]
+
+        def refuse(*args):
+            raise AssertionError("regularity_report took a Smith form")
+
+        for module in (intlin, dictionary, horo):
+            monkeypatch.setattr(module, "smith_normal_form", refuse, raising=False)
+        assert [regularity_report(fan, datum) for fan, datum in fans] == expected
 
     def sl5_datum(self):
         group = RootDatum.parse("A4")

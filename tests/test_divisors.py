@@ -1,10 +1,11 @@
 """Class group, Cartier data, Picard group, positivity, anticanonical."""
 
 import random
+from collections import Counter
 
 import pytest
 
-from horofan import divisors
+from horofan import divisors, polyhedra
 from horofan.divisors import (
     NotCompleteError,
     anticanonical,
@@ -28,7 +29,8 @@ from horofan.intlin import AbelianGroup, IntMatrix, determinant, rank
 from horofan.polyhedra import Cone, LatticeLiftError, fan_is_complete
 from horofan.rootsys import RootDatum
 
-from .factories import random_valid_fan
+from .factories import RANK3_BASES, a1_cubed, random_rank3_coloured_fans, random_valid_fan, rank3_fan
+from .oracles import stacked_picard_group
 
 
 def cc(rank, gens, colours=()):
@@ -257,6 +259,46 @@ class TestPicardGroup:
                     result.group.free_rank
                     == result.report.unused_colour_count + result.plf_mod_lf.free_rank
                 )
+
+    def test_matches_the_stacked_cartier_route_on_random_fans(self):
+        """Pic read off PLF + Z^U equals Pic from the stacked Cartier lattice,
+        on rank 1-3 fans with and without unused colours.  Torsion in Pic is
+        rare (about 1 fan in 150), so rank 1-2 fans are drawn until two have it."""
+        rng = random.Random(43)
+        fans = list(random_rank3_coloured_fans(rng, 6))
+        with_unused = torsion = 0
+        while (len(fans) < 80 or torsion < 2) and len(fans) < 2000:
+            fans.append(random_valid_fan(rng))
+            fan, datum = fans[-1]
+            torsion += bool(picard_group(fan, datum).group.torsion)
+        for fan, datum in fans:
+            assert picard_group(fan, datum) == stacked_picard_group(fan)
+            with_unused += bool(fan.lattice.colour_roots() - fan.colour_set())
+        assert torsion == 2
+        assert with_unused >= 20 and len(fans) - with_unused >= 20
+
+    def test_runs_one_plf_pass_and_no_cartier_pass(self, monkeypatch):
+        # one kernel per maximal cone in `plf_lattice`, one for span-perp
+        datum = a1_cubed()
+        fan = rank3_fan(RANK3_BASES["P2xP1"], datum, (0,))
+        expected = picard_group(fan, datum)
+        calls = Counter()
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(divisors, "plf_lattice")
+        counted(polyhedra, "kernel_basis")
+        counted(divisors, "kernel_basis")
+        assert picard_group(fan, datum) == expected
+        assert expected.report.unused_colour_count == 2
+        assert calls == Counter(plf_lattice=1, kernel_basis=len(fan.maximal()) + 1)
 
     def test_failed_lift_raises_named_error(self, monkeypatch):
         # the theory guarantees these lifts; a failure must survive `python -O`

@@ -18,6 +18,7 @@ from horofan.horo import (
     ColouredFan,
     ColouredLattice,
     HorosphericalDatum,
+    ValidationReport,
     build_coloured_lattice,
     close_under_coloured_faces,
     coloured_fan,
@@ -107,6 +108,38 @@ def test_anchor_validation_matches_all_pairs_oracle():
     assert all(validate_coloured_fan(fan).valid for fan in fans)
     # most variants must break the fan, or the comparison tests little
     assert invalid > len(broken) // 2
+
+
+def test_meets_read_off_the_face_table_match_the_face_tests():
+    """A meet is a coloured face of both members iff it is in both members' lists
+    of coloured faces, on every pair of members of valid and broken fans."""
+    outcomes = Counter()
+    for fan in valid_fans() + broken_fans():
+        faces_of = fan._face_table[2]
+        for a, b in itertools.combinations(fan.cones, 2):
+            meet = horo.coloured_intersection(a, b)
+            expected = is_coloured_face(fan.lattice, meet, a) and is_coloured_face(fan.lattice, meet, b)
+            assert horo._meet_in_coloured_face(faces_of, a, b) == expected
+            outcomes[expected] += 1
+    assert outcomes[True] > 1000 and outcomes[False] > 50
+
+
+def test_validation_makes_no_face_test(monkeypatch):
+    """Counts, not timers: validating a coloured (P1)^3 fan reads every meet off the face table."""
+    fan = rank3_fan(RANK3_BASES["P1^3"], a1_cubed(), (0, 1))
+    calls = Counter()
+    for name in ("is_face_of", "is_coloured_face"):
+        function = getattr(horo, name)
+
+        def wrapper(*args, _name=name, _function=function):
+            calls[_name] += 1
+            return _function(*args)
+
+        monkeypatch.setattr(horo, name, wrapper)
+    assert validate_coloured_fan(ColouredFan(fan.lattice, fan.cones)) == ValidationReport(True, ())
+    overlapping = ColouredCone(Cone.from_generators(3, [(1, 1, 1), (1, 0, 0)]), frozenset())
+    assert not validate_coloured_fan(ColouredFan(fan.lattice, fan.cones + (overlapping,))).valid
+    assert calls == Counter()
 
 
 def test_pair_count_is_one_per_pair_of_maximal_cones(monkeypatch):

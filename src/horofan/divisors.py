@@ -24,7 +24,6 @@ from .intlin import (
     kernel_basis,
     lattice_coordinates,
     rank,
-    reduce_mod_lattice,
     smith_normal_form,
     solve_integer_affine,
 )
@@ -202,8 +201,8 @@ def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[Cartier
     gluing the pieces on shared faces are therefore implied, and each
     maximal cone's piece is solved on its own.  Covectors are required to
     lie in N^vee exactly.  The points span sigma, so the piece is unique
-    modulo sigma-perp, the kernel of the block; on cones of non-full
-    dimension the representative is canonicalized modulo it.
+    modulo sigma-perp, the kernel of the block, and `solve_integer_affine`
+    returns its canonical representative.
     """
     d = delta.coordinates()
     r = fan.lattice.rank
@@ -219,10 +218,7 @@ def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[Cartier
         solution = solve_integer_affine(block, [d[c] for c, _ in pairs])
         if solution is None:
             return None
-        m, perp = solution
-        if perp:
-            (m,) = reduce_mod_lattice([m], IntMatrix.from_columns(perp, rows=r))
-        pieces.append((idx, tuple(m)))
+        pieces.append((idx, solution[0]))
     return CartierData(tuple(pieces))
 
 

@@ -28,7 +28,6 @@ from .intlin import (
     column_hermite,
     kernel_basis,
     lattice_coordinates,
-    left_unimodular_equivalent,
     rank,
 )
 from .polyhedra import Cone, dot, faces, intersect, is_face_of, primitive
@@ -513,20 +512,15 @@ def coloured_lattice_map(
 def homogeneous_spaces_isomorphic(a: HorosphericalDatum, b: HorosphericalDatum) -> bool:
     """G-equivariant isomorphism test for G/H_1 and G/H_2.
 
-    The colour-divisor stabilizers pin the colour matching to the identity on
-    simple roots, so the spaces are isomorphic iff the parabolic sets agree,
-    the lattice ranks agree, and one colour-point matrix is carried to the
-    other by a unimodular transformation (equal row Hermite forms).
+    G/H is fixed by the parabolic set I and by the sublattice M of X(T), so
+    the spaces are isomorphic iff the parabolic sets agree and the character
+    matrices span one lattice (equal column Hermite forms).  The colour
+    points alone would not do: they miss the central torus, on which the
+    coroots vanish.
     """
     if a.group != b.group:
         raise GroupMismatchError("uniqueness comparison needs a common group")
-    if a.parabolic != b.parabolic or a.lattice_rank != b.lattice_rank:
-        return False
-    la, lb = build_coloured_lattice(a), build_coloured_lattice(b)
-    roots = sorted(la.colour_roots())
-    ma = IntMatrix.from_columns([la.point(r) for r in roots], rows=a.lattice_rank)
-    mb = IntMatrix.from_columns([lb.point(r) for r in roots], rows=b.lattice_rank)
-    return left_unimodular_equivalent(ma, mb)
+    return a.parabolic == b.parabolic and column_hermite(a.characters) == column_hermite(b.characters)
 
 
 _LABEL = re.compile(r"^(?:(\d+)\.)?a(\d+)$")

@@ -12,13 +12,15 @@ Hermite form and its transform (`hermite_normal_form`), ranks, column bases
 `kernel_and_complement` echelonises [m^T | I]: the rows whose left block
 vanished are the kernel (`kernel_basis`), and the others coordinatise the
 saturated row span of m and lift functionals on it, which is all that cone
-duality and weight monoids need.  The Smith form is computed only where its
-diagonal or its transforms are the answer: invariant factors and cokernels
-(class and Picard groups), the torsion of Z^n / B*Z^d that gives Hilbert
-basis candidates, and integer solving, where one Smith form of m answers
-m*x = b for a whole batch of right-hand sides b (`lattice_coordinates`;
-`solve_integer_affine` for one b, with the kernel): Cartier data and
-lattice maps.
+duality and weight monoids need.  The same echelon solves m*x = b for a
+whole batch of right-hand sides b (`lattice_coordinates`;
+`solve_integer_affine` for one b, with the kernel): reducing (-b, 0) modulo
+its rows (`reduce_mod_hermite`) leaves zero on the left exactly when b is
+solvable, and on the right the canonical solution, reduced modulo the
+kernel's Hermite basis.  This gives Cartier data, PLF pieces and lattice
+maps.  The Smith form is computed only where its diagonal or its transforms
+are the answer: invariant factors and cokernels (class and Picard groups),
+and the torsion of Z^n / B*Z^d that gives Hilbert basis candidates.
 """
 
 from __future__ import annotations
@@ -346,38 +348,6 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
     return AbelianGroup(free_rank=m.rows - len(facs), torsion=tuple(d for d in facs if d > 1))
 
 
-def _smith_solutions(m: IntMatrix, vectors: Sequence[Sequence[int]]) -> tuple[list[Optional[Vector]], list[Vector]]:
-    """One particular solution of m*x = b per b (None if there is none), and a kernel basis.
-
-    With U*m*V = D and r nonzero invariant factors, b is solvable exactly when
-    (U*b)_i is divisible by d_i for i < r and zero for i >= r; then
-    x = V*y with y_i = (U*b)_i / d_i for i < r and 0 after.
-    """
-    u, d, v = smith_normal_form(m)
-    diag = [e for e in d.diagonal() if e != 0]
-    r = len(diag)
-    solutions: list[Optional[Vector]] = []
-    for b in vectors:
-        if len(b) != m.rows:
-            raise ValueError("right-hand side has wrong length")
-        ub = u.apply(b)
-        if any(ub[r:]) or any(c % e for c, e in zip(ub, diag)):
-            solutions.append(None)
-        else:
-            solutions.append(v.apply([c // e for c, e in zip(ub, diag)] + [0] * (m.cols - r)))
-    return solutions, [v.column(j) for j in range(r, m.cols)]
-
-
-def solve_integer_affine(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]]]:
-    """Solve m*x = b over Z.
-
-    Returns (particular solution, basis of the integer kernel of m), or None
-    when no integer solution exists.  Unsolvability is a value, not an error.
-    """
-    (x,), kernel = _smith_solutions(m, [b])
-    return None if x is None else (x, kernel)
-
-
 def kernel_and_complement(m: IntMatrix) -> tuple[list[Vector], list[Vector], list[Vector]]:
     """(echelon, complement, kernel): the kernel of m and a complement that coordinatises its row span.
 
@@ -404,6 +374,35 @@ def kernel_and_complement(m: IntMatrix) -> tuple[list[Vector], list[Vector], lis
 def kernel_basis(m: IntMatrix) -> list[Vector]:
     """Canonical basis of {x in Z^cols : m*x = 0} (a saturated sublattice), in column Hermite form."""
     return kernel_and_complement(m)[2]
+
+
+def _solutions(m: IntMatrix, vectors: Sequence[Sequence[int]]) -> tuple[list[Optional[Vector]], list[Vector]]:
+    """The canonical solution of m*x = b per b (None if there is none), and the kernel basis.
+
+    The rows [U*m^T | U] of `kernel_and_complement`'s echelon form a Hermite
+    basis of the lattice of pairs (m*y, y), the kernel rows with their zero
+    left blocks last.  Reducing (-b, 0) modulo it leaves (-b - m*y, -y):
+    b is solvable exactly when the left block is zero, and then x = -y solves
+    m*x = b and is already reduced modulo the kernel's Hermite basis.
+    """
+    if any(len(b) != m.rows for b in vectors):
+        raise ValueError("right-hand side has wrong length")
+    echelon, complement, kernel = kernel_and_complement(m)
+    rows = [e + c for e, c in zip(echelon, complement)] + [(0,) * m.rows + k for k in kernel]
+    reduced = reduce_mod_hermite([tuple(-x for x in b) + (0,) * m.cols for b in vectors], rows)
+    return [None if any(w[: m.rows]) else w[m.rows :] for w in reduced], kernel
+
+
+def solve_integer_affine(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]]]:
+    """Solve m*x = b over Z.
+
+    Returns (x, `kernel_basis(m)`), or None when no integer solution exists.
+    x is the canonical solution: every solution reduces to it modulo the
+    kernel's Hermite basis (`reduce_mod_hermite`).  Unsolvability is a value,
+    not an error.
+    """
+    (x,), kernel = _solutions(m, [b])
+    return None if x is None else (x, kernel)
 
 
 def column_hermite(m: IntMatrix) -> IntMatrix:
@@ -435,23 +434,17 @@ def left_unimodular_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
 def lattice_coordinates(vectors: Sequence[Sequence[int]], basis: IntMatrix) -> list[Optional[Vector]]:
     """Coordinates of each vector in the column lattice of basis, None where it is outside.
 
-    One Smith form of basis serves the whole batch.
+    One echelon of basis serves the whole batch; where the columns are
+    dependent, the coordinates are the canonical solution of
+    `solve_integer_affine`.
     """
-    return _smith_solutions(basis, vectors)[0] if vectors else []
-
-
-def reduce_mod_lattice(vectors: Sequence[Sequence[int]], basis: IntMatrix) -> list[Vector]:
-    """Canonical representative of each vector modulo the column lattice of basis.
-
-    The basis is put in column Hermite form once for the whole batch, so equal
-    cosets reduce to equal representatives.
-    """
-    return reduce_mod_hermite(vectors, column_hermite(basis).columns())
+    return _solutions(basis, vectors)[0] if vectors else []
 
 
 def reduce_mod_hermite(vectors: Sequence[Sequence[int]], hermite: Sequence[Vector]) -> list[Vector]:
-    """`reduce_mod_lattice` for a basis already in column Hermite form, as `kernel_basis` returns it.
+    """Canonical representative of each vector modulo a lattice whose basis is in column Hermite form.
 
+    `kernel_basis` and `column_hermite(...).columns()` return such bases.
     Each vector's entry at each pivot, taken in order, is brought into
     [0, pivot); later basis vectors vanish there, so the result is canonical.
     """

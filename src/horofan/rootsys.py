@@ -20,7 +20,7 @@ from typing import Iterable, Optional
 
 Root = tuple[int, tuple[int, ...]]  # (component index, simple-root coordinates)
 
-_CHAIN_TYPES = {"A", "B", "C", "D"}
+_CHAIN_MINIMUM_RANKS = {"A": 1, "B": 2, "C": 2, "D": 3}
 _EXCEPTIONAL_RANKS = {"E": (6, 7, 8), "F": (4,), "G": (2,)}
 
 # classical positive-root counts, used as a construction-time sanity check
@@ -108,16 +108,21 @@ def parse_dynkin(descriptor: str) -> tuple[tuple[str, int], ...]:
         if len(part) < 2 or part[0].upper() not in "ABCDEFG" or not part[1:].isdigit():
             raise ValueError(f"cannot parse Dynkin component {part!r}")
         letter, rank = part[0].upper(), int(part[1:])
-        if letter in _CHAIN_TYPES:
-            minimum = {"A": 1, "B": 2, "C": 2, "D": 3}[letter]
-            if rank < minimum:
-                hint = "use A1" if letter in "BC" else "use A1xA1"
-                raise ValueError(f"{letter}{rank} is not a Dynkin type ({hint})")
-        else:
-            if rank not in _EXCEPTIONAL_RANKS[letter]:
-                raise ValueError(f"{letter}{rank} is not a Dynkin type")
+        _check_component(letter, rank)
         components.append((letter, rank))
     return tuple(components)
+
+
+def _check_component(letter: str, rank: int) -> None:
+    """Raise ValueError unless (letter, rank) names a connected Dynkin diagram."""
+    if not isinstance(rank, int):
+        raise ValueError(f"{letter}{rank} is not a Dynkin type")
+    if letter in _CHAIN_MINIMUM_RANKS:
+        if rank < _CHAIN_MINIMUM_RANKS[letter]:
+            hint = "use A1" if letter in "BC" else "use A1xA1"
+            raise ValueError(f"{letter}{rank} is not a Dynkin type ({hint})")
+    elif rank not in _EXCEPTIONAL_RANKS.get(letter, ()):
+        raise ValueError(f"{letter}{rank} is not a Dynkin type")
 
 
 @dataclass(frozen=True)
@@ -138,7 +143,7 @@ class RootDatum:
         if self.central_torus_rank < 0:
             raise ValueError("torus rank must be nonnegative")
         for letter, rank in self.components:
-            _component_edges(letter, rank)  # validates the type
+            _check_component(letter, rank)
 
     @staticmethod
     def parse(descriptor: str, central_torus_rank: int = 0) -> "RootDatum":

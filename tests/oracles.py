@@ -7,6 +7,11 @@ code path with the coroot-restriction rule it checks.  The Hilbert-basis
 oracle enumerates lattice points in a box and reduces by pairwise
 subtraction, independent of the parallelepiped method.
 
+`smith_solutions` is the package's earlier integer solver: one Smith form of
+m answers m*x = b for a batch of right-hand sides b.  The oracles below
+solve and lift through it (`smith_coordinates`), so they share no echelon
+with `intlin.lattice_coordinates`.
+
 `subset_scan_dual_generators` is the package's earlier cone-duality engine:
 it splits off the span with two kernels and a Smith form, finds the facets
 of the full-dimensional cone by testing every (d-1)-subset of generators, and
@@ -71,9 +76,9 @@ from horofan.intlin import (
     cokernel,
     column_hermite,
     kernel_basis,
-    lattice_coordinates,
     rank,
-    reduce_mod_lattice,
+    reduce_mod_hermite,
+    smith_normal_form,
 )
 from horofan.polyhedra import (
     Cone,
@@ -90,6 +95,34 @@ from horofan.polyhedra import (
 )
 from horofan.ratlp import maximize
 from horofan.rootsys import RootDatum
+
+
+def smith_solutions(m: IntMatrix, vectors) -> tuple[list, list[tuple[int, ...]]]:
+    """One particular solution of m*x = b per b (None if there is none), and a kernel basis.
+
+    The package's earlier solver.  With U*m*V = D and r nonzero invariant
+    factors, b is solvable exactly when (U*b)_i is divisible by d_i for i < r
+    and zero for i >= r; then x = V*y with y_i = (U*b)_i / d_i for i < r and
+    0 after.
+    """
+    u, d, v = smith_normal_form(m)
+    diag = [e for e in d.diagonal() if e != 0]
+    r = len(diag)
+    solutions = []
+    for b in vectors:
+        if len(b) != m.rows:
+            raise ValueError("right-hand side has wrong length")
+        ub = u.apply(b)
+        if any(ub[r:]) or any(c % e for c, e in zip(ub, diag)):
+            solutions.append(None)
+        else:
+            solutions.append(v.apply([c // e for c, e in zip(ub, diag)] + [0] * (m.cols - r)))
+    return solutions, [v.column(j) for j in range(r, m.cols)]
+
+
+def smith_coordinates(vectors, basis: IntMatrix) -> list:
+    """`intlin.lattice_coordinates` through one Smith form of basis."""
+    return smith_solutions(basis, vectors)[0] if vectors else []
 
 
 def brute_force_hilbert(cone) -> list[tuple[int, ...]]:
@@ -137,11 +170,11 @@ def _lift_and_join(vectors, m, lattice):
 
     The rows of m span a saturated lattice, so m is onto and every vector lifts.
     """
-    lifts = lattice_coordinates(vectors, m)
+    lifts = smith_coordinates(vectors, m)
     if None in lifts:
         raise LatticeLiftError("a matrix with saturated rows maps onto")
     modulo = IntMatrix.from_columns(lattice, rows=m.cols)
-    out = set(reduce_mod_lattice(lifts, modulo))
+    out = set(reduce_mod_hermite(lifts, column_hermite(modulo).columns()))
     return sorted(out | set(lattice) | {tuple(-x for x in b) for b in lattice})
 
 
@@ -155,7 +188,7 @@ def subset_scan_dual_generators(vectors, n):
     perp = kernel_basis(IntMatrix.from_rows(vecs, cols=n))
     span = IntMatrix.from_columns(kernel_basis(IntMatrix.from_rows(perp, cols=n)), rows=n)
     d = span.cols
-    coords = lattice_coordinates(vecs, span)
+    coords = smith_coordinates(vecs, span)
     if None in coords:
         raise ValueError("vector outside the saturated span lattice")
     facets = _subset_scan_facet_normals(coords, d) if d > 0 else []
@@ -478,7 +511,7 @@ def stacked_cartier_data(deltas, fan, glue=None) -> list:
     a, b, max_idx = stacked_cartier_system(fan, glue)
     r = fan.lattice.rank
     out = []
-    for x in lattice_coordinates([b.apply(delta.coordinates()) for delta in deltas], a):
+    for x in smith_coordinates([b.apply(delta.coordinates()) for delta in deltas], a):
         if x is None:
             out.append(None)
             continue
@@ -487,7 +520,7 @@ def stacked_cartier_data(deltas, fan, glue=None) -> list:
             m = x[slot * r : (slot + 1) * r]
             perp = kernel_basis(IntMatrix.from_rows([list(g) for g in fan.cones[idx].cone.generators], cols=r))
             if perp:
-                (m,) = reduce_mod_lattice([m], IntMatrix.from_columns(perp, rows=r))
+                (m,) = reduce_mod_hermite([m], column_hermite(IntMatrix.from_columns(perp, rows=r)).columns())
             pieces.append((idx, tuple(m)))
         out.append(CartierData(tuple(pieces)))
     return out
@@ -524,7 +557,7 @@ def stacked_picard_group(fan, cartier_glue=None, plf_glue=gluing_rows):
     """
     r = fan.lattice.rank
     cartier = stacked_cartier_lattice(fan, cartier_glue)
-    coeff_cols = lattice_coordinates(_principal_matrix(fan).columns(), cartier)
+    coeff_cols = smith_coordinates(_principal_matrix(fan).columns(), cartier)
     if None in coeff_cols:
         raise LatticeLiftError("principal divisors are always Cartier")
     pic = cokernel(IntMatrix.from_columns(coeff_cols, rows=cartier.cols))
@@ -540,7 +573,7 @@ def stacked_picard_group(fan, cartier_glue=None, plf_glue=gluing_rows):
             reducers.append(tuple(vec))
     for j in range(r):
         reducers.append(tuple(int(t % r == j) for t in range(width)))
-    coords_cols = lattice_coordinates(reducers, plf_matrix)
+    coords_cols = smith_coordinates(reducers, plf_matrix)
     if None in coords_cols:
         raise LatticeLiftError("gauge and linear tuples satisfy compatibility")
     plf_mod_lf = cokernel(IntMatrix.from_columns(coords_cols, rows=plf_matrix.cols))

@@ -365,6 +365,22 @@ class TestUniqueness:
         with pytest.raises(GroupMismatchError):
             homogeneous_spaces_isomorphic(sl_datum(2), sl_datum(3))
 
+    @pytest.mark.parametrize(
+        "a, b, isomorphic",
+        [
+            ([(1, 0), (0, 1)], [(1, 0), (0, 2)], False),
+            ([(1, 0)], [(1, 1)], False),
+            ([(1, 0), (0, 1)], [(1, 1), (0, 1)], True),
+        ],
+    )
+    def test_central_torus_characters_count(self, a, b, isomorphic):
+        # GL_2-like group A1 x G_m: the colour point of a1 is the same on both sides
+        group = RootDatum.parse("A1", central_torus_rank=1)
+        da, db = (HorosphericalDatum(group, frozenset(), IntMatrix.from_columns(c, rows=2)) for c in (a, b))
+        assert build_coloured_lattice(da).point(0) == build_coloured_lattice(db).point(0)
+        assert homogeneous_spaces_isomorphic(da, db) is isomorphic
+        assert homogeneous_spaces_isomorphic(db, da) is isomorphic
+
     def test_equivalence_relation_on_samples(self):
         rng = random.Random(29)
         data = []

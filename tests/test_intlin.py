@@ -19,11 +19,12 @@ from horofan.intlin import (
     left_unimodular_equivalent,
     rank,
     reduce_mod_hermite,
-    reduce_mod_lattice,
     saturate,
     smith_normal_form,
     solve_integer_affine,
 )
+
+from .oracles import smith_solutions
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -230,12 +231,39 @@ class TestSolveIntegerAffine:
             members = [m.apply([rng.randint(-5, 5) for _ in range(m.cols)]) for _ in range(3)]
             others = [tuple(rng.randint(-9, 9) for _ in range(m.rows)) for _ in range(3)]
             vectors = members + others
-            reduced = reduce_mod_lattice(vectors, m)
+            reduced = reduce_mod_hermite(vectors, column_hermite(m).columns())
             for v, x, rep in zip(vectors, lattice_coordinates(vectors, m), reduced):
                 if any(rep):
                     assert x is None
                 else:
                     assert x is not None and m.apply(x) == v
+
+    @pytest.mark.parametrize("seed", [93, 94, 95])
+    def test_canonical_solutions_match_the_smith_oracle(self, seed):
+        rng = random.Random(seed)
+        for m in lattice_samples(seed):
+            members = [m.apply([rng.randint(-5, 5) for _ in range(m.cols)]) for _ in range(3)]
+            others = [tuple(rng.randint(-9, 9) for _ in range(m.rows)) for _ in range(3)]
+            vectors = members + others
+            expected, _ = smith_solutions(m, vectors)
+            kernel = kernel_basis(m)
+            solutions = [solve_integer_affine(m, b) for b in vectors]
+            for b, y, sol in zip(vectors, expected, solutions):
+                assert (sol is None) == (y is None)
+                if sol is None:
+                    continue
+                x, k = sol
+                assert m.apply(x) == b
+                assert k == kernel
+                # canonical: fixed by the reduction, and the oracle's solution reduces to it
+                assert reduce_mod_hermite([x, y], kernel) == [x, x]
+            assert lattice_coordinates(vectors, m) == [None if sol is None else sol[0] for sol in solutions]
+            if not kernel:
+                assert lattice_coordinates(vectors, m) == expected
+
+    def test_rejects_a_right_hand_side_of_the_wrong_length(self):
+        with pytest.raises(ValueError):
+            solve_integer_affine(IntMatrix.identity(2), (1,))
 
 
 class TestSaturate:
@@ -310,16 +338,21 @@ class TestKernelAndReduction:
                 assert sum(a * b for a, b in zip(lift, m.row(j))) == sum(a * b for a, b in zip(f, c.apply(m.row(j))))
 
     def test_reduce_mod_hermite_agrees_on_kernel_bases(self):
+        """Every vector of a coset of the kernel reduces to one representative in that coset."""
         rng = random.Random(88)
         for m in lattice_samples(88):
             kernel = kernel_basis(m)
-            vectors = [tuple(rng.randint(-20, 20) for _ in range(m.cols)) for _ in range(4)]
-            expected = reduce_mod_lattice(vectors, IntMatrix.from_columns(kernel, rows=m.cols))
-            assert reduce_mod_hermite(vectors, kernel) == expected
+            for _ in range(4):
+                v = tuple(rng.randint(-20, 20) for _ in range(m.cols))
+                coefficients = [rng.randint(-4, 4) for _ in kernel]
+                shifted = tuple(x + sum(c * k[i] for c, k in zip(coefficients, kernel)) for i, x in enumerate(v))
+                (rep,) = reduce_mod_hermite([v], kernel)
+                assert reduce_mod_hermite([shifted, rep], kernel) == [rep, rep]
+                assert m.apply(rep) == m.apply(v)
 
-    def test_reduce_mod_lattice_canonical(self):
-        basis = IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)
-        reduced = reduce_mod_lattice([(5, 7), (-1, -1), (5 + 4, 7 - 9)], basis)
+    def test_reduce_mod_hermite_canonical(self):
+        basis = column_hermite(IntMatrix.from_columns([(2, 0), (0, 3)], rows=2)).columns()
+        reduced = reduce_mod_hermite([(5, 7), (-1, -1), (5 + 4, 7 - 9)], basis)
         assert reduced[:2] == [(1, 1), (1, 2)]
         # coset-invariant
         assert reduced[2] == reduced[0]

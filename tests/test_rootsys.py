@@ -174,6 +174,20 @@ class TestParsing:
             with pytest.raises(ValueError):
                 parse_dynkin(bad)
 
+    @pytest.mark.parametrize("letter, rank", [("D", 2), ("B", 1), ("C", 1), ("E", 5), ("F", 2), ("A", 0), ("G", 3)])
+    def test_constructor_rejects_what_parse_rejects(self, letter, rank):
+        # constructed only: positive_roots of the D2 "Cartan matrix" never ends
+        with pytest.raises(ValueError) as parsed:
+            parse_dynkin(f"{letter}{rank}")
+        with pytest.raises(ValueError) as built:
+            RootDatum(((letter, rank),))
+        assert str(built.value) == str(parsed.value)
+
+    @pytest.mark.parametrize("component", [("X", 2), ("a", 2), ("A", 2.0)])
+    def test_constructor_rejects_unknown_components(self, component):
+        with pytest.raises(ValueError, match="is not a Dynkin type"):
+            RootDatum((component,))
+
     def test_torus_only_group(self):
         datum = RootDatum.parse("", central_torus_rank=2)
         assert datum.simple_count == 0

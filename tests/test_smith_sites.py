@@ -8,8 +8,6 @@ SOURCES = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "horofan
 ALLOWED = {
     # the diagonal: cokernels, so class, Picard and PLF/LF groups
     "intlin.invariant_factors",
-    # the transforms: one form solves a batch of right-hand sides
-    "intlin._smith_solutions",
     # the left transform gives each divisor's class
     "divisors.class_group",
     # the transforms list the torsion of Z^n / B*Z^d

@@ -91,12 +91,56 @@ def _int_vector(value, path: str, length: int) -> tuple[int, ...]:
     return tuple(value)
 
 
-def parse_input(text: str) -> InputDocument:
-    """Strictly parse and validate a JSON document into datum + fan + divisors."""
+class _RepeatedKeys(dict):
+    """A JSON object whose source repeats the key `repeated`; the last value is kept."""
+
+    def __init__(self, pairs: list[tuple[str, object]], repeated: str):
+        super().__init__(pairs)
+        self.repeated = repeated
+
+
+def _first_repeated_key(value, path: str) -> Optional[tuple[str, str]]:
+    """The field path of the first object, depth first, whose source repeats a key, and that key."""
+    if isinstance(value, _RepeatedKeys):
+        return path, value.repeated
+    if isinstance(value, dict):
+        children = [(key if path == "document" else f"{path}.{key}", v) for key, v in value.items()]
+    elif isinstance(value, list):
+        children = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return None
+    return next(filter(None, (_first_repeated_key(v, p) for p, v in children)), None)
+
+
+def _load_json(text: str):
+    """`json.loads`, raising a ParseError for bad JSON (at its line) and for a repeated key (at its field path)."""
+    marked: list[_RepeatedKeys] = []
+
+    def object_pairs(pairs: list[tuple[str, object]]) -> dict:
+        out = dict(pairs)
+        if len(out) == len(pairs):
+            return out
+        keys = [key for key, _ in pairs]
+        marked.append(_RepeatedKeys(pairs, next(key for i, key in enumerate(keys) if key in keys[:i])))
+        return marked[-1]
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=object_pairs)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    if marked:
+        path, key = _first_repeated_key(raw, "document")
+        raise ParseError(path, f"repeated key {key!r}")
+    return raw
+
+
+def parse_input(text: str) -> InputDocument:
+    """Strictly parse and validate a JSON document into datum + fan + divisors.
+
+    A key repeated in one JSON object, or two divisor ray keys naming one
+    ray, is an error rather than a silent overwrite.
+    """
+    raw = _load_json(text)
     _expect(isinstance(raw, dict), "document", "top level must be a JSON object")
     unknown = set(raw) - _TOP_KEYS
     _expect(not unknown, "document", f"unknown keys: {sorted(unknown)}")
@@ -188,6 +232,7 @@ def parse_input(text: str) -> InputDocument:
                 f"{key!r} is not a non-coloured ray of the fan",
             )
             _expect(isinstance(value, int) and not isinstance(value, bool), f"{path}.rays", "coefficients must be integers")
+            _expect(gen not in rays, f"{path}.rays", f"{key!r} repeats the ray {list(gen)}")
             rays[gen] = value
         raw_colours = raw_div.get("colours", {})
         _expect(isinstance(raw_colours, dict), f"{path}.colours", "expected an object of coefficients")

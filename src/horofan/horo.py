@@ -21,7 +21,7 @@ import itertools
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .intlin import (
     IntMatrix,
@@ -180,20 +180,43 @@ class ColouredFan:
 
     @cached_property
     def _face_table(self) -> tuple[dict, tuple, dict]:
-        # each member's star, the (member, coloured face) pairs whose face is no
-        # member, and each member's coloured faces: one `coloured_faces` pass,
-        # once per fan, outside == and hash
+        """Each member's star, the (member, face) pairs whose face is no member, and each member's coloured faces.
+
+        Computed once per fan, outside == and hash.  `coloured_faces` runs
+        only on the members that are a coloured face of no larger member.
+        When a member f equals an entry of a member sigma's list, colours
+        included, f is a face of sigma, so its faces are the faces of sigma
+        inside f: the entries of sigma's list whose generators lie in f's,
+        already in the (dim, generators) order of `faces`.  Their colours
+        agree too: f's colours are sigma's colours with points in f, so for
+        a face g of f, sigma's colours with points in g are f's.  So the
+        members are walked from the largest dimension down, and each member
+        already listed under one walked before filters that member's list.
+        The star and the missing faces are then read in member order.  This
+        raises wherever `coloured_faces` does.
+        """
+        lists: dict[ColouredCone, list[ColouredCone]] = {}
+        cover: dict[ColouredCone, list[ColouredCone]] = {}
+        for sigma in sorted(self.cones, key=lambda cc: -cc.dim()):
+            if sigma in lists:
+                continue
+            if sigma in cover:
+                inside = frozenset(sigma.cone.generators)
+                listed = [f for f in cover[sigma] if inside.issuperset(f.cone.generators)]
+            else:
+                listed = coloured_faces(self.lattice, sigma)
+            lists[sigma] = listed
+            for f in listed:
+                cover[f] = listed
         star: dict[ColouredCone, dict[ColouredCone, None]] = {cc: {} for cc in self.cones}
         missing = []
-        faces_of = {}
         for sigma in self.cones:
-            listed = coloured_faces(self.lattice, sigma)
-            faces_of[sigma] = frozenset(listed)
-            for f in listed:
+            for f in lists[sigma]:
                 if f in star:
                     star[f][sigma] = None
                 else:
                     missing.append((sigma, f))
+        faces_of = {cc: frozenset(lists[cc]) for cc in self.cones}
         return {cc: tuple(above) for cc, above in star.items()}, tuple(missing), faces_of
 
     @cached_property
@@ -294,9 +317,56 @@ def is_coloured_face(lattice: ColouredLattice, tau: ColouredCone, sigma: Coloure
     return is_face_of(tau.cone, sigma.cone) and _face_colours(lattice, sigma, [tau.cone]) == [tau.colours]
 
 
+def _normal_sum_through(sigma: Cone, shared: frozenset[Vector]) -> Vector:
+    """The sum of sigma's normals whose zero set holds `shared`, read off its incidence table."""
+    through = [h for h, z in sigma.incidences if z >= shared]
+    return tuple(sum(h[i] for h in through) for i in range(sigma.ambient_rank))
+
+
+def _separates(m: Vector, generators: Sequence[Vector], shared: frozenset[Vector], sign: int) -> bool:
+    """Whether sign * m is >= 0 on the generators and vanishes on exactly the shared ones."""
+    for g in generators:
+        value = sign * dot(m, g)
+        if value < 0 or (value == 0) != (g in shared):
+            return False
+    return True
+
+
+def _separated_meet(s: Cone, t: Cone) -> Optional[Cone]:
+    """s ∩ t, certified by a separating functional from the incidence tables, or None when no candidate certifies it.
+
+    G is the set of canonical generators the two pointed cones share.  If
+    some m is >= 0 on s, <= 0 on t, and vanishes on exactly G among the
+    generators of each, then s ∩ t = cone(G), a face of both (the separation
+    lemma, Cox-Little-Schenck, Toric Varieties, 1.2.13): s ∩ t lies in m⊥,
+    and s ∩ m⊥ and t ∩ m⊥ are the faces on G.  A face of a pointed cone has
+    the cone's generators in it as its canonical generators.  The candidates
+    are m_s, the sum of s's normals whose zero set holds G, then -m_t, then
+    a*m_s - b*m_t for a, b in 1..3.  Only dot products are taken.  Both
+    cones must be pointed and of one ambient rank, as every member is once
+    `validate_coloured_fan` reaches the meets.
+    """
+    shared = frozenset(s.generators).intersection(t.generators)
+    m_s, m_t = _normal_sum_through(s, shared), _normal_sum_through(t, shared)
+    candidates = itertools.chain(
+        [m_s, tuple(-y for y in m_t)],
+        (tuple(a * x - b * y for x, y in zip(m_s, m_t)) for a, b in itertools.product((1, 2, 3), repeat=2)),
+    )
+    for m in candidates:
+        if _separates(m, s.generators, shared, 1) and _separates(m, t.generators, shared, -1):
+            return Cone(s.ambient_rank, tuple(sorted(shared)))
+    return None
+
+
 def _meet_in_coloured_face(faces_of: dict, a: ColouredCone, b: ColouredCone) -> bool:
-    """Whether a ∩ b is a coloured face of both members, read off their lists of coloured faces in the face table."""
-    meet = coloured_intersection(a, b)
+    """Whether a ∩ b is a coloured face of both members, read off their lists of coloured faces in the face table.
+
+    The meet's cone comes from `_separated_meet` when a separating functional
+    certifies it, else from `intersect`, a double description; its colours
+    are the colours both members carry.
+    """
+    cone = _separated_meet(a.cone, b.cone)
+    meet = coloured_intersection(a, b) if cone is None else ColouredCone(cone, a.colours & b.colours)
     return meet in faces_of[a] and meet in faces_of[b]
 
 
@@ -345,9 +415,14 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     and a member of it as large as s has s's cone, so it is s.  So when
     every anchor pair meets and nothing else is wrong, every pair is
     settled and validation returns after the anchor table: C(k, 2)
-    intersections for k anchors.  Otherwise it walks the pairs, and an
-    invalid fan reports the same violations, in the same order, as testing
-    every pair.
+    meets for k anchors.  A meet is certified by a separating functional
+    read off the two incidence tables (`_separated_meet`) and computed by a
+    double description only when no candidate certifies it; a certificate
+    fixes the meet exactly, so every answer is the same either way.  The
+    face lists come from `_face_table`, one `coloured_faces` pass per
+    member that is a coloured face of no larger member.  Otherwise it walks
+    the pairs, and an invalid fan reports the same violations, in the same
+    order, as testing every pair.
     """
     violations: list[str] = []
     lattice = fan.lattice

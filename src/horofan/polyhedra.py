@@ -504,13 +504,18 @@ def plf_lattice(maximal: Sequence[Cone]) -> tuple[list[Vector], IntMatrix]:
     [Lambda_rows(sigma) | -G_sigma], G_sigma the generators of sigma as rows,
     holds the pairs (y, m) with G_sigma m = (Lambda y) on sigma's rays, and
     the vectors Lambda y span the smaller lattice.  No matrix is wider than
-    #rays + r.
+    #rays + r.  A unimodular cone, whose k generator rows have column
+    Hermite form identity(k), is skipped: G_sigma maps Z^r onto Z^k, so any
+    values on its rays come from some m_sigma and the lattice is unchanged,
+    and so is its Hermite basis, which is canonical.
     """
     rays = sorted({g for c in maximal for g in c.generators})
     index = {u: t for t, u in enumerate(rays)}
     r = maximal[0].ambient_rank if maximal else 0
     basis = IntMatrix.identity(len(rays))
     for c in maximal:
+        if column_hermite(IntMatrix.from_rows(list(c.generators), cols=r)) == IntMatrix.identity(len(c.generators)):
+            continue
         block = [list(basis.row(index[u])) + [-x for x in u] for u in c.generators]
         kernel = kernel_basis(IntMatrix.from_rows(block, cols=basis.cols + r))
         basis = column_hermite(IntMatrix.from_columns([basis.apply(y[: basis.cols]) for y in kernel], rows=len(rays)))

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Optional
 
 Root = tuple[int, tuple[int, ...]]  # (component index, simple-root coordinates)
@@ -203,16 +204,21 @@ class RootDatum:
         return self.cartan(ci)[ni][nj]
 
 
+@lru_cache(maxsize=None)
+def _component_positive_roots(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of one Dynkin component, computed once per (letter, rank) and checked against the count."""
+    roots = _positive_roots(_cartan_matrix(letter, rank))
+    expected = _POSITIVE_COUNT[letter](rank)
+    if len(roots) != expected:
+        raise AssertionError(f"{letter}{rank}: got {len(roots)} positive roots, expected {expected}")
+    return tuple(roots)
+
+
 def positive_roots(datum: RootDatum) -> list[Root]:
-    """All positive roots, tagged by component, in a deterministic order."""
-    out: list[Root] = []
-    for ci, (letter, rank) in enumerate(datum.components):
-        roots = _positive_roots(_cartan_matrix(letter, rank))
-        expected = _POSITIVE_COUNT[letter](rank)
-        if len(roots) != expected:
-            raise AssertionError(f"{letter}{rank}: got {len(roots)} positive roots, expected {expected}")
-        out.extend((ci, r) for r in roots)
-    return out
+    """All positive roots, tagged by component, in a deterministic order; a fresh list per call."""
+    return [
+        (ci, r) for ci, (letter, rank) in enumerate(datum.components) for r in _component_positive_roots(letter, rank)
+    ]
 
 
 def pairing(datum: RootDatum, gamma: Root, simple_index: int) -> int:

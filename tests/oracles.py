@@ -40,6 +40,12 @@ rule scans every pair of members with `contains_cone`, and the anchor
 oracle tests every pair with `contains_rule_is_coloured_face`; both check
 the one coloured-face table of `ColouredFan`.
 
+`always_kernel_plf_lattice` is the package's earlier `polyhedra.plf_lattice`,
+which runs a kernel for every maximal cone, unimodular or not.
+`per_member_face_table` is the earlier `ColouredFan._face_table`, which runs
+`coloured_faces` on every member instead of filtering a larger member's
+list.
+
 `stacked_principal_matrix` is the package's earlier principal-divisor
 matrix, one `principal_divisor` column per dual basis covector, where
 `divisors._principal_matrix` stacks the ray generators and colour points as
@@ -70,7 +76,7 @@ from horofan.divisors import (
     invariant_ray_generators,
     principal_divisor,
 )
-from horofan.horo import ColouredCone, ValidationReport, coloured_intersection, uncoloured_rays
+from horofan.horo import ColouredCone, ValidationReport, coloured_faces, coloured_intersection, uncoloured_rays
 from horofan.intlin import (
     IntMatrix,
     cokernel,
@@ -687,3 +693,32 @@ def all_pairs_validation(fan) -> ValidationReport:
                     "is not a coloured face of both"
                 )
     return ValidationReport(not violations, tuple(violations))
+
+
+def always_kernel_plf_lattice(maximal) -> tuple[list, IntMatrix]:
+    """`polyhedra.plf_lattice` with one kernel per maximal cone, unimodular cones included."""
+    rays = sorted({g for c in maximal for g in c.generators})
+    index = {u: t for t, u in enumerate(rays)}
+    r = maximal[0].ambient_rank if maximal else 0
+    basis = IntMatrix.identity(len(rays))
+    for c in maximal:
+        block = [list(basis.row(index[u])) + [-x for x in u] for u in c.generators]
+        kernel = kernel_basis(IntMatrix.from_rows(block, cols=basis.cols + r))
+        basis = column_hermite(IntMatrix.from_columns([basis.apply(y[: basis.cols]) for y in kernel], rows=len(rays)))
+    return rays, basis
+
+
+def per_member_face_table(fan) -> tuple[dict, tuple, dict]:
+    """`ColouredFan._face_table` with one `coloured_faces` pass per member, in member order."""
+    star = {cc: {} for cc in fan.cones}
+    missing = []
+    faces_of = {}
+    for sigma in fan.cones:
+        listed = coloured_faces(fan.lattice, sigma)
+        faces_of[sigma] = frozenset(listed)
+        for f in listed:
+            if f in star:
+                star[f][sigma] = None
+            else:
+                missing.append((sigma, f))
+    return {cc: tuple(above) for cc, above in star.items()}, tuple(missing), faces_of

@@ -125,6 +125,37 @@ class TestParseInput:
         assert main(["validate", str(document)]) == 2
         assert capsys.readouterr().err.startswith(f"parse error: {path}:")
 
+    def test_two_keys_naming_one_ray_are_a_parse_error(self, tmp_path, capsys):
+        text = CLASS_GROUP_DOC.replace('"rays": {"-1,0": 1}, "colours": {"a2": 2}', '"rays": {"-1,0": 1, "-1, 0": 5}')
+        assert '"-1, 0": 5' in text
+        with pytest.raises(ParseError, match="repeats the ray") as info:
+            parse_input(text)
+        assert info.value.path == "divisors.delta.rays"
+        document = tmp_path / "doc.json"
+        document.write_text(text)
+        assert main(["validate", str(document)]) == 2
+        assert capsys.readouterr().err.startswith("parse error: divisors.delta.rays:")
+
+    @pytest.mark.parametrize(
+        "old, new, path",
+        [
+            ('"torus_rank": 0', '"torus_rank": 0, "torus_rank": 1', "document"),
+            ('"colours": ["a1"]', '"colours": ["a1"], "colours": []', "fan[0]"),
+            ('"a2": 1', '"a2": 1, "a2": 3', "divisors.flat.colours"),
+            ('"-1,0": 1}, "colours": {"a2": 2}', '"-1,0": 1, "-1,0": 4}, "colours": {"a2": 2}', "divisors.delta.rays"),
+        ],
+    )
+    def test_repeated_json_key_is_a_parse_error_at_its_path(self, old, new, path, tmp_path, capsys):
+        text = CLASS_GROUP_DOC.replace(old, new, 1)
+        assert text != CLASS_GROUP_DOC
+        with pytest.raises(ParseError, match="repeated key") as info:
+            parse_input(text)
+        assert info.value.path == path
+        document = tmp_path / "doc.json"
+        document.write_text(text)
+        assert main(["validate", str(document)]) == 2
+        assert capsys.readouterr().err.startswith(f"parse error: {path}: repeated key")
+
     def test_round_trip_idempotent(self):
         once = serialize(parse_input(CLASS_GROUP_DOC))
         twice = serialize(parse_input(once))

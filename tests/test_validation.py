@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horofan import horo
+from horofan import horo, polyhedra
 from horofan.dictionary import closure_contains, orbit_closure
 from horofan.horo import (
     Colour,
@@ -27,7 +27,7 @@ from horofan.horo import (
     validate_coloured_fan,
 )
 from horofan.intlin import IntMatrix
-from horofan.polyhedra import Cone
+from horofan.polyhedra import Cone, intersect
 from horofan.rootsys import RootDatum
 
 from .factories import (
@@ -46,6 +46,7 @@ from .oracles import (
     contains_rule_anchors,
     contains_rule_coloured_faces,
     contains_rule_is_coloured_face,
+    per_member_face_table,
 )
 
 
@@ -143,19 +144,72 @@ def test_validation_makes_no_face_test(monkeypatch):
 
 
 def test_pair_count_is_one_per_pair_of_maximal_cones(monkeypatch):
+    """Counts, not timers: validating (P1)^3 tests one meet per pair of maximal
+    cones and settles every one with a separating functional, with no double description."""
     fan = rank3_fan(RANK3_BASES["P1^3"], torus3())
-    calls = []
-    real = horo.intersect
+    calls = Counter()
 
-    def counting(a, b):
-        calls.append((a, b))
-        return real(a, b)
+    def counted(owner, name, wrap=lambda f: f):
+        function = getattr(owner, name)
 
-    monkeypatch.setattr(horo, "intersect", counting)
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(owner, name, wrap(wrapper))
+
+    counted(horo, "_meet_in_coloured_face")
+    counted(horo, "intersect")
+    counted(polyhedra, "intersect")
+    counted(Cone, "from_inequalities", staticmethod)
     assert validate_coloured_fan(fan).valid
-    # 27 members, 8 maximal: C(8, 2) intersections, not C(27, 2)
+    # 27 members, 8 maximal: C(8, 2) meets, not C(27, 2)
     assert len(fan.cones) == 27
-    assert len(calls) == 28
+    assert calls == Counter(_meet_in_coloured_face=28)
+
+
+def test_face_table_runs_coloured_faces_on_the_maximal_members_only(monkeypatch):
+    """Counts, not timers: every other member of (P1)^3 filters a larger member's list."""
+    fan = rank3_fan(RANK3_BASES["P1^3"], torus3())
+    listed = []
+    function = horo.coloured_faces
+
+    def wrapper(lattice, cc):
+        listed.append(cc)
+        return function(lattice, cc)
+
+    monkeypatch.setattr(horo, "coloured_faces", wrapper)
+    fresh = ColouredFan(fan.lattice, fan.cones)
+    assert validate_coloured_fan(fresh).valid
+    assert listed == fresh.maximal() and len(listed) == 8
+
+
+def test_face_table_matches_one_coloured_faces_pass_per_member():
+    """Stars, missing faces and face lists equal the per-member oracle's, orders included,
+    on valid fans and on broken ones, where members repeat cones and miss faces."""
+    missing = 0
+    for fan in table_fans() + broken_fans():
+        star, gaps, faces_of = ColouredFan(fan.lattice, fan.cones)._face_table
+        expected = per_member_face_table(fan)
+        assert list(star.items()) == list(expected[0].items())
+        assert gaps == expected[1]
+        assert faces_of == expected[2]
+        missing += bool(gaps)
+    assert missing >= 10
+
+
+def test_certified_meets_equal_the_double_description():
+    """Wherever a separating functional certifies a meet, it is the meet `intersect` computes,
+    on every pair of members of valid, broken and seeded rank-3 fans."""
+    fans = valid_fans() + broken_fans() + [fan for fan, _ in random_rank3_coloured_fans(random.Random(13), 8)]
+    outcomes = Counter()
+    for fan in fans:
+        for a, b in itertools.combinations(fan.cones, 2):
+            certified = horo._separated_meet(a.cone, b.cone)
+            if certified is not None:
+                assert certified == intersect(a.cone, b.cone)
+            outcomes[certified is not None] += 1
+    assert outcomes[True] > 5000 and outcomes[False] > 100
 
 
 @st.composite

@@ -30,6 +30,7 @@ from .factories import (
 )
 from .oracles import (
     all_pairs_plf_lp,
+    always_kernel_plf_lattice,
     all_pairs_positivity,
     both_owners_positivity,
     gluing_rows,
@@ -157,6 +158,21 @@ def test_per_cone_routes_match_stacked_routes_on_random_rank3_fans():
     assert len(fans) >= 30
     assert sum(1 for fan, _ in fans if fan.colour_set()) >= 10
     assert {p is None for p in found} == {True, False}
+
+
+def test_plf_lattice_skipping_unimodular_cones_matches_the_always_kernel_route():
+    """The same rays and Hermite basis on the fans above and seeded rank-3 fans, with and without colours."""
+    fans = [rank3_fan(maximal, make_datum(), colours) for _, maximal, make_datum, colours in CASES]
+    fans += [rank3_fan(RAY_JOINED, torus3())]
+    fans += [fan for fan, _ in random_rank3_coloured_fans(random.Random(17), 12)]
+    unimodular = Counter()
+    for fan in fans:
+        maximal = [cc.cone for cc in fan.maximal()]
+        assert plf_lattice(maximal) == always_kernel_plf_lattice(maximal)
+        for c in maximal:
+            rows = intlin.IntMatrix.from_rows(list(c.generators), cols=3)
+            unimodular[intlin.column_hermite(rows) == intlin.IntMatrix.identity(len(c.generators))] += 1
+    assert len(fans) >= 30 and unimodular[True] >= 50 and unimodular[False] >= 50
 
 
 def test_one_gap_per_wall_matches_every_gap_of_both_owners():

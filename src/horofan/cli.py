@@ -233,6 +233,8 @@ def parse_input(text: str) -> InputDocument:
             )
             _expect(isinstance(value, int) and not isinstance(value, bool), f"{path}.rays", "coefficients must be integers")
             _expect(gen not in rays, f"{path}.rays", f"{key!r} repeats the ray {list(gen)}")
+            canonical = ",".join(map(str, gen))
+            _expect(key == canonical, f"{path}.rays", f"bad ray key {key!r}: the ray {list(gen)} is written {canonical!r}")
             rays[gen] = value
         raw_colours = raw_div.get("colours", {})
         _expect(isinstance(raw_colours, dict), f"{path}.colours", "expected an object of coefficients")

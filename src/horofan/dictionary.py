@@ -22,11 +22,10 @@ from .polyhedra import (
     Cone,
     LatticeLiftError,
     _join_lineality,
-    complete_fan_walls,
     covered_by,
     dual_cone,
     hilbert_basis,
-    plf_lattice,
+    primitive,
     wall_gaps,
 )
 from .horo import (
@@ -218,7 +217,7 @@ def classify_variety(
         missing = ", ".join(fan.lattice.labels()[r] for r in sorted(universal - fan_colours))
         notes.append(f"simple but not affine: colours {missing} unused")
     toroidal = fan_colours == frozenset()
-    walls = complete_fan_walls([cc.cone for cc in maximal])
+    walls = fan.walls()
     complete = walls is not None
     projective = complete and _strictly_convex_plf_exists(fan, walls, cancel)
     if complete and not projective:
@@ -246,22 +245,26 @@ def classify_variety(
 
 
 def _strictly_convex_plf_exists(
-    fan: ColouredFan, owners: dict[Cone, list[int]], cancel: Optional[CancellationToken] = None
+    fan: ColouredFan, walls: dict[Cone, tuple[int, ...]], cancel: Optional[CancellationToken] = None
 ) -> bool:
-    """Exact rational feasibility of a strictly convex PLF on a complete fan.
+    """Exact feasibility of a strictly convex PLF on a complete fan.
 
     A PLF is strictly convex iff every one of its `polyhedra.wall_gaps` is
-    > 0.  The variables are the PLF's coordinates in the basis of
-    `polyhedra.plf_lattice`, split +/-, and a slack eps capped at 1.  Each
-    basis PLF has its piece on sigma, read off its values on sigma's rays,
-    and its gaps; each wall gives the row "the PLF's gap >= eps".  Linear
-    functions have zero gap on every wall.  By homogeneity a strictly convex
-    PLF exists iff the optimum is positive.  `owners` is the
-    `complete_fan_walls` table of the cones of `fan.maximal()`.
+    > 0.  In the basis of the fan's PLF lattice (`ColouredFan.plf_lattice`)
+    the gap across a wall is g.x for the wall's row g, the gaps of the basis
+    PLFs there; each basis PLF has its piece on sigma, read off its values
+    on sigma's rays.  Since g.x > 0 is unchanged when g is repeated or
+    scaled by a positive number, each row is made primitive and only its
+    first occurrence, in wall order, is kept.  A zero row means that wall's
+    gap is 0 for every PLF, so no PLF is strictly convex and no LP runs.
+    Otherwise the variables are x, split +/-, and a slack eps capped at 1,
+    and each kept row g gives "g.x >= eps".  Linear functions have zero gap
+    on every wall.  By homogeneity a strictly convex PLF exists iff the
+    optimum is positive.  `walls` is `fan.walls()`.
     """
     r = fan.lattice.rank
     maximal = [cc.cone for cc in fan.maximal()]
-    rays, basis = plf_lattice(maximal)
+    rays, basis = fan.plf_lattice()
     at = {u: t for t, u in enumerate(rays)}
     plfs = basis.columns()
     pieces = []
@@ -271,9 +274,15 @@ def _strictly_convex_plf_exists(
         if None in ms:
             raise LatticeLiftError("a piecewise linear function is linear on each maximal cone")
         pieces.append(ms)
-    gaps = [wall_gaps(maximal, owners, [ms[k] for ms in pieces]) for k in range(len(plfs))]
-    # -gap + eps <= 0 on each wall
-    a_ub = [[x for g in gaps for x in (-g[w], g[w])] + [1] for w in range(len(owners))]
+    gaps = [wall_gaps(maximal, walls, [ms[k] for ms in pieces]) for k in range(len(plfs))]
+    rows: dict[Vector, None] = {}
+    for w in range(len(walls)):
+        row = tuple(g[w] for g in gaps)
+        if not any(row):
+            return False
+        rows.setdefault(primitive(row))
+    # -g.x + eps <= 0 for each distinct row g
+    a_ub = [[x for g in row for x in (-g, g)] + [1] for row in rows]
     cap = [0] * (2 * len(plfs)) + [1]
     result = maximize(cap, a_ub + [cap], [0] * len(a_ub) + [1], cancelled=_as_callable(cancel))
     return result.status == "optimal" and result.value > 0

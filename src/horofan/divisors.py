@@ -27,7 +27,7 @@ from .intlin import (
     smith_normal_form,
     solve_integer_affine,
 )
-from .polyhedra import LatticeLiftError, complete_fan_walls, dot, plf_lattice, wall_gaps
+from .polyhedra import LatticeLiftError, dot, wall_gaps
 from .horo import ColouredFan, HorosphericalDatum, uncoloured_rays
 from .rootsys import _root_supported_on, pairing, positive_roots
 from .dictionary import _require_lattice
@@ -247,7 +247,7 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
     A Cartier divisor's pieces m_sigma fix its values on every ray of the
     maximal cones (see `cartier_data`), and its coefficient on a colour
     alpha of F(Sigma^c) is <m_sigma, rho(alpha)>.  So Cartier = PLF + Z^U,
-    with PLF in Z^rays (`polyhedra.plf_lattice`) and U the colours no cone
+    with PLF in Z^rays (`ColouredFan.plf_lattice`) and U the colours no cone
     uses, and div(m) goes to ((<m, u>)_u, (<m, rho(alpha)>)_{alpha in U}):
     Pic and PLF/LF are the cokernels of M there and in PLF alone.  The
     extension of the Picard-group theorem is then re-verified at the level
@@ -255,7 +255,7 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
     """
     _require_lattice(fan, datum)
     r = fan.lattice.rank
-    rays, plf = plf_lattice([cc.cone for cc in fan.maximal()])
+    rays, plf = fan.plf_lattice()
     linear = lattice_coordinates([tuple(u[j] for u in rays) for j in range(r)], plf)
     if None in linear:
         raise LatticeLiftError("linear functions are piecewise linear")
@@ -292,15 +292,15 @@ def positivity_check(
     F(Sigma^c) must satisfy phi(u_alpha) <= a_alpha (strictly for ample).
     """
     _require_lattice(fan, datum)
-    maximal = [cc.cone for cc in fan.maximal()]
-    owners = complete_fan_walls(maximal)
-    if owners is None:
+    walls = fan.walls()
+    if walls is None:
         raise NotCompleteError("positivity criteria require a complete fan")
     data = cartier_data(delta, fan)
     if data is None:
         return False, False, False
+    maximal = [cc.cone for cc in fan.maximal()]
     piece = {fan.cones[idx].cone: m for idx, m in data.pieces}
-    gaps = wall_gaps(maximal, owners, [piece[sigma] for sigma in maximal])
+    gaps = wall_gaps(maximal, walls, [piece[sigma] for sigma in maximal])
     bpf = all(gap >= 0 for gap in gaps)
     ample = all(gap > 0 for gap in gaps)
     for root in sorted(fan.lattice.colour_roots() - fan.colour_set()):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -30,7 +30,7 @@ from .intlin import (
     lattice_coordinates,
     rank,
 )
-from .polyhedra import Cone, dot, faces, intersect, is_face_of, primitive
+from .polyhedra import Cone, complete_fan_walls, dot, faces, intersect, is_face_of, plf_lattice, primitive
 from .rootsys import RootDatum
 
 Vector = tuple[int, ...]
@@ -151,10 +151,19 @@ def coloured_cone_key(cc: ColouredCone) -> tuple:
 
 @dataclass(frozen=True)
 class ColouredFan:
-    """Finite collection of strongly convex coloured cones on a coloured lattice."""
+    """Finite collection of strongly convex coloured cones on a coloured lattice.
+
+    What depends on the members alone is computed once per fan, outside ==
+    and hash: the coloured-face table behind `star` and `maximal`, and, from
+    the cones of the maximal members, the wall table (`walls`) and the PLF
+    lattice (`plf_lattice`).  `_listed` holds coloured-face lists already
+    made for some members (`coloured_fan` passes its closure's), which the
+    face table reads instead of running `coloured_faces` again.
+    """
 
     lattice: ColouredLattice
     cones: tuple[ColouredCone, ...]
+    _listed: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def colour_set(self) -> frozenset[int]:
         out: set[int] = set()
@@ -178,12 +187,25 @@ class ColouredFan:
         """The members that the member cc is a coloured face of, in member order."""
         return self._face_table[0][cc]
 
+    def walls(self) -> Optional[dict[Cone, tuple[int, ...]]]:
+        """The `polyhedra.complete_fan_walls` table of the maximal members' cones, None if the fan is not complete.
+
+        Each wall maps to the indices in `maximal()` of its two owners.
+        """
+        return None if self._walls is None else dict(self._walls)
+
+    def plf_lattice(self) -> tuple[list[Vector], IntMatrix]:
+        """The `polyhedra.plf_lattice` of the maximal members' cones: the sorted rays and the PLF basis in Z^rays."""
+        rays, basis = self._plf_lattice
+        return list(rays), basis
+
     @cached_property
     def _face_table(self) -> tuple[dict, tuple, dict]:
         """Each member's star, the (member, face) pairs whose face is no member, and each member's coloured faces.
 
         Computed once per fan, outside == and hash.  `coloured_faces` runs
-        only on the members that are a coloured face of no larger member.
+        only on the members that are a coloured face of no larger member
+        and have no list in `_listed`.
         When a member f equals an entry of a member sigma's list, colours
         included, f is a face of sigma, so its faces are the faces of sigma
         inside f: the entries of sigma's list whose generators lie in f's,
@@ -203,6 +225,8 @@ class ColouredFan:
             if sigma in cover:
                 inside = frozenset(sigma.cone.generators)
                 listed = [f for f in cover[sigma] if inside.issuperset(f.cone.generators)]
+            elif sigma in self._listed:
+                listed = self._listed[sigma]
             else:
                 listed = coloured_faces(self.lattice, sigma)
             lists[sigma] = listed
@@ -222,6 +246,15 @@ class ColouredFan:
     @cached_property
     def _maximal(self) -> tuple[ColouredCone, ...]:
         return tuple(cc for cc, above in self._face_table[0].items() if above == (cc,))
+
+    @cached_property
+    def _walls(self) -> Optional[dict[Cone, tuple[int, ...]]]:
+        table = complete_fan_walls([cc.cone for cc in self._maximal])
+        return None if table is None else {wall: tuple(owners) for wall, owners in table.items()}
+
+    @cached_property
+    def _plf_lattice(self) -> tuple[list[Vector], IntMatrix]:
+        return plf_lattice([cc.cone for cc in self._maximal])
 
     def non_coloured_rays(self) -> list[ColouredCone]:
         return [cc for cc in self.cones if cc.dim() == 1 and not cc.colours]
@@ -379,17 +412,31 @@ def close_under_coloured_faces(
     the face with the full underlying cone is the cone itself, so this only
     differs when the input is invalid, which validation will then flag.
     """
+    return _closure(lattice, cones)[0]
+
+
+def _closure(
+    lattice: ColouredLattice, cones: Iterable[ColouredCone]
+) -> tuple[tuple[ColouredCone, ...], dict[ColouredCone, list[ColouredCone]]]:
+    """`close_under_coloured_faces`, and the coloured faces of each input cone."""
+    listed: dict[ColouredCone, list[ColouredCone]] = {}
     seen: set[ColouredCone] = set()
     for cc in cones:
+        if cc not in listed:
+            listed[cc] = coloured_faces(lattice, cc)
         seen.add(cc)
-        for f in coloured_faces(lattice, cc):
-            seen.add(f)
-    return tuple(sorted(seen, key=coloured_cone_key))
+        seen.update(listed[cc])
+    return tuple(sorted(seen, key=coloured_cone_key)), listed
 
 
 def coloured_fan(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> ColouredFan:
-    """Build a fan from maximal cones by coloured-face closure, then validate."""
-    fan = ColouredFan(lattice, close_under_coloured_faces(lattice, cones))
+    """Build a fan from maximal cones by coloured-face closure, then validate.
+
+    The face table reads the closure's coloured-face lists, so each input
+    cone runs `coloured_faces` once.
+    """
+    members, listed = _closure(lattice, cones)
+    fan = ColouredFan(lattice, members, listed)
     report = validate_coloured_fan(fan)
     if not report.valid:
         raise ValueError("not a coloured fan: " + "; ".join(report.violations))

@@ -35,7 +35,8 @@ gap across each wall, the one rule behind projectivity and positivity.
 intersecting per-cone lattices one maximal cone at a time, never stacking
 one covector per cone.  It is all the divisor code needs: the Cartier
 lattice is PLF + Z^U, with U the colours no cone uses (see
-`divisors.picard_group`).
+`divisors.picard_group`).  A `horo.ColouredFan` computes its wall table and
+PLF lattice once, from its maximal members.
 """
 
 from __future__ import annotations

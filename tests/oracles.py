@@ -40,6 +40,9 @@ rule scans every pair of members with `contains_cone`, and the anchor
 oracle tests every pair with `contains_rule_is_coloured_face`; both check
 the one coloured-face table of `ColouredFan`.
 
+`fraction_maximize` is the package's earlier `ratlp.maximize`, a Bland
+simplex on a `Fraction` tableau, kept as the reference for the integer one.
+
 `always_kernel_plf_lattice` is the package's earlier `polyhedra.plf_lattice`,
 which runs a kernel for every maximal cone, unimodular or not.
 `per_member_face_table` is the earlier `ColouredFan._face_table`, which runs
@@ -99,7 +102,7 @@ from horofan.polyhedra import (
     is_face_of,
     primitive,
 )
-from horofan.ratlp import maximize
+from horofan.ratlp import LpResult, maximize
 from horofan.rootsys import RootDatum
 
 
@@ -331,6 +334,52 @@ def inverse_cartan_pairing_oracle(group, column: tuple[int, ...], alpha: int) ->
     value = sum(q[k] * cartan[node][k] for k in range(rank_c))
     assert value.denominator == 1
     return int(value)
+
+
+def fraction_maximize(c, a_ub, b_ub) -> LpResult:
+    """The package's earlier `ratlp.maximize`: the same Bland simplex on a `Fraction` tableau.
+
+    Every pivot divides the pivot row by the pivot and subtracts multiples of
+    it from the other rows, in rationals, where `ratlp.maximize` keeps an
+    integer tableau over one common denominator.
+    """
+    n = len(c)
+    m = len(a_ub)
+    if any(len(row) != n for row in a_ub) or len(b_ub) != m:
+        raise ValueError("inconsistent LP dimensions")
+    if any(b < 0 for b in b_ub):
+        raise ValueError("this solver requires b >= 0 (slack basis start)")
+    width = n + m + 1
+    tab = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(m)] + [Fraction(b_ub[i])] for i, row in enumerate(a_ub)]
+    obj = [-Fraction(x) for x in c] + [Fraction(0)] * (m + 1)
+    basis = [n + i for i in range(m)]
+    while True:
+        enter = next((j for j in range(n + m) if obj[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][width - 1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return LpResult("unbounded", None, None)
+        pivot = tab[leave][enter]
+        tab[leave] = [x / pivot for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = obj[enter]
+        obj = [x - f * y for x, y in zip(obj, tab[leave])]
+        basis[leave] = enter
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tab[i][width - 1]
+    return LpResult("optimal", obj[width - 1], tuple(x))
 
 
 def all_pairs_plf_lp(fan) -> bool:

@@ -136,6 +136,36 @@ class TestParseInput:
         assert main(["validate", str(document)]) == 2
         assert capsys.readouterr().err.startswith("parse error: divisors.delta.rays:")
 
+    @pytest.mark.parametrize("key", ["1,0", " +1 , 0", "\u0661,\u0660", "1_0,0", "+1,0", "01,0", "1,-0", "1,0,"])
+    def test_ray_keys_are_read_only_in_the_serialised_form(self, key, tmp_path, capsys):
+        """A ray key must be `",".join(map(str, ray))`, as `serialize` writes it; `int` alone
+        would read " +1 , 0" and Arabic-Indic digits as (1, 0), and "1_0" as 10."""
+        text = json.dumps(
+            {
+                "group": "",
+                "torus_rank": 2,
+                "I": [],
+                "M": [[1, 0], [0, 1]],
+                "fan": [
+                    {"generators": gens, "colours": []}
+                    for gens in ([[1, 0], [0, 1]], [[0, 1], [-1, -1]], [[-1, -1], [1, 0]], [[1, 0]], [[0, 1]], [[-1, -1]])
+                ],
+                "divisors": {"d": {"rays": {key: 1}}},
+            }
+        )
+        document = tmp_path / "doc.json"
+        document.write_text(text)
+        code = main(["cartier", str(document), "--divisor", "d"])
+        out, err = capsys.readouterr()
+        if key == "1,0":
+            assert parse_input(text).divisors["d"].ray_coeffs == (((-1, -1), 0), ((0, 1), 0), ((1, 0), 1))
+            assert code == 0 and "Cartier" in out and not err
+            return
+        with pytest.raises(ParseError) as info:
+            parse_input(text)
+        assert info.value.path == "divisors.d.rays"
+        assert code == 2 and not out and err.startswith("parse error: divisors.d.rays:")
+
     @pytest.mark.parametrize(
         "old, new, path",
         [

@@ -285,7 +285,7 @@ class TestClassify:
         assert rep.is_projective == (diagonals not in ((0, 0, 0), (1, 1, 1)))
         assert positivity_check(anticanonical(fan, datum), fan, datum) == (True, True, False)
 
-    def test_projectivity_lp_has_one_row_per_wall(self, monkeypatch):
+    def test_projectivity_lp_has_one_row_per_distinct_wall_row(self, monkeypatch):
         shapes = []
         real = dictionary.maximize
 
@@ -296,8 +296,9 @@ class TestClassify:
         monkeypatch.setattr(dictionary, "maximize", recording)
         datum = torus3()
         assert classify_variety(rank3_fan(RANK3_BASES["P1^3"], datum), datum).is_projective
-        # 12 walls + the cap on eps; 2 * 6 split PLF coordinates + eps
-        assert shapes == [(13, 13)]
+        # the 12 walls lie in 3 planes, one primitive gap row each, + the cap
+        # on eps; 2 * 6 split PLF coordinates + eps
+        assert shapes == [(4, 13)]
 
 
 class TestRegularity:

@@ -5,7 +5,8 @@ from collections import Counter
 
 import pytest
 
-from horofan import divisors, polyhedra
+from horofan import divisors, horo, polyhedra
+from horofan.dictionary import classify_variety
 from horofan.divisors import (
     NotCompleteError,
     anticanonical,
@@ -278,10 +279,15 @@ class TestPicardGroup:
         assert with_unused >= 20 and len(fans) - with_unused >= 20
 
     def test_runs_one_plf_pass_and_no_cartier_pass(self, monkeypatch):
-        # one kernel per non-unimodular maximal cone in `plf_lattice`, one for span-perp
+        """Counts, not timers: on a fresh fan, classify, picard and two positivity checks
+        share one PLF lattice and one wall table.  One kernel per non-unimodular
+        maximal cone in `plf_lattice`, one for span-perp."""
         datum = a1_cubed()
-        fan = rank3_fan(RANK3_BASES["P2xP1"], datum, (0,))
-        expected = picard_group(fan, datum)
+        built = rank3_fan(RANK3_BASES["P2xP1"], datum, (0,))
+        expected = picard_group(built, datum)
+        fan = ColouredFan(built.lattice, built.cones)
+        deltas = [anticanonical(fan, datum), make_divisor(fan, {g: 1 for g in invariant_ray_generators(fan)}, {})]
+        positivity = [positivity_check(delta, built, datum) for delta in deltas]
         calls = Counter()
 
         def counted(module, name):
@@ -293,16 +299,21 @@ class TestPicardGroup:
 
             monkeypatch.setattr(module, name, wrapper)
 
-        counted(divisors, "plf_lattice")
+        counted(horo, "plf_lattice")
+        counted(horo, "complete_fan_walls")
         counted(polyhedra, "kernel_basis")
         counted(divisors, "kernel_basis")
+        assert classify_variety(fan, datum).is_projective
         assert picard_group(fan, datum) == expected
+        assert [positivity_check(delta, fan, datum) for delta in deltas] == positivity
         assert expected.report.unused_colour_count == 2
         unimodular = [
             c for c in fan.maximal()
             if column_hermite(IntMatrix.from_rows(list(c.cone.generators), cols=3)) == IntMatrix.identity(3)
         ]
-        assert calls == Counter(plf_lattice=1, kernel_basis=len(fan.maximal()) - len(unimodular) + 1)
+        assert calls == Counter(
+            plf_lattice=1, complete_fan_walls=1, kernel_basis=len(fan.maximal()) - len(unimodular) + 1
+        )
 
     def test_failed_lift_raises_named_error(self, monkeypatch):
         # the theory guarantees these lifts; a failure must survive `python -O`

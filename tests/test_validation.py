@@ -21,6 +21,7 @@ from horofan.horo import (
     ValidationReport,
     build_coloured_lattice,
     close_under_coloured_faces,
+    coloured_cone_key,
     coloured_fan,
     coloured_faces,
     is_coloured_face,
@@ -36,6 +37,7 @@ from .factories import (
     prism_maximal,
     random_rank3_coloured_fans,
     random_valid_fan,
+    rank3_cones,
     rank3_fan,
     stellar_subdivision,
     torus3,
@@ -196,6 +198,52 @@ def test_face_table_matches_one_coloured_faces_pass_per_member():
         assert faces_of == expected[2]
         missing += bool(gaps)
     assert missing >= 10
+
+
+def test_coloured_fan_runs_coloured_faces_once_per_input_cone(monkeypatch):
+    """Counts, not timers: the face table reads the closure's lists, so building and
+    validating (P1)^3 from its 8 maximal cones runs `coloured_faces` 8 times, not 16."""
+    lattice = build_coloured_lattice(torus3())
+    cones = rank3_cones(RANK3_BASES["P1^3"], lattice)
+    listed = []
+    function = horo.coloured_faces
+
+    def wrapper(lattice, cc):
+        listed.append(cc)
+        return function(lattice, cc)
+
+    monkeypatch.setattr(horo, "coloured_faces", wrapper)
+    fan = coloured_fan(lattice, cones)
+    assert validate_coloured_fan(fan).valid
+    assert listed == cones and sorted(listed, key=coloured_cone_key) == fan.maximal() and len(listed) == 8
+
+
+def test_face_table_read_off_the_closure_matches_one_coloured_faces_pass_per_member():
+    """A fan made from a face closure reads the closure's lists of its input cones.  Stars,
+    missing faces and face lists equal the per-member oracle's, on the table fans rebuilt
+    from their maximal members, and on those inputs with a colour flipped in place or
+    added as a twin cone, which the closure keeps verbatim."""
+    rng = random.Random(23)
+    invalid = 0
+    for fan in table_fans():
+        lattice, tops = fan.lattice, fan.maximal()
+        variants = [tops]
+        roots = sorted(lattice.colour_roots())
+        if roots:
+            k = rng.randrange(len(tops))
+            flipped = ColouredCone(tops[k].cone, tops[k].colours ^ {rng.choice(roots)})
+            variants += [tops[:k] + [flipped] + tops[k + 1 :], tops + [flipped]]
+        for cones in variants:
+            members, listed = horo._closure(lattice, cones)
+            assert members == close_under_coloured_faces(lattice, cones)
+            built = ColouredFan(lattice, members, listed)
+            star, gaps, faces_of = built._face_table
+            expected = per_member_face_table(ColouredFan(lattice, members))
+            assert list(star.items()) == list(expected[0].items())
+            assert gaps == expected[1]
+            assert faces_of == expected[2]
+            invalid += not validate_coloured_fan(built).valid
+    assert invalid >= 10
 
 
 def test_certified_meets_equal_the_double_description():

@@ -64,11 +64,23 @@ def stellar_cases():
         yield f"{name}+{len(steps)}", maximal, a1_cubed, (0, 1)
 
 
+# Fulton's non-projective complete fan (Introduction to Toric Varieties,
+# ch. 3): the fan over the faces of the cube [-1, 1]^3 with the vertex
+# (1, 1, 1) moved to (1, 2, 3).  Its maximal cones are not simplicial, and
+# Pic = 0, so every PLF is linear and has gap 0 across every wall.
+CUBE = list(itertools.product((1, -1), repeat=3))
+FULTON = [
+    tuple(sorted((1, 2, 3) if v == (1, 1, 1) else v for v in CUBE if v[k] == side))
+    for k in range(3)
+    for side in (1, -1)
+]
+
 CASES = [
     (f"prism-{''.join(map(str, d))}", prism_maximal(d), torus3, ())
     for d in itertools.product((0, 1), repeat=3)
 ]
 CASES += list(stellar_cases())
+CASES += [("fulton", FULTON, torus3, ())]
 
 
 def boundary_divisor(fan):
@@ -111,6 +123,20 @@ def test_wall_routes_match_all_pairs_routes(label, maximal, make_datum, colours)
         all_pairs_positivity(delta, fan) for delta in deltas
     ]
     assert_per_cone_routes_match_stacked_routes(fan, datum, deltas)
+
+
+def test_fulton_fan_has_only_zero_wall_rows_and_runs_no_lp(monkeypatch):
+    """Complete and not projective, decided before any LP: every wall row is zero."""
+    calls = []
+    monkeypatch.setattr(dictionary, "maximize", lambda *args, **kwargs: calls.append(args))
+    datum = torus3()
+    fan = rank3_fan(FULTON, datum)
+    assert len(fan.maximal()) == 6 and all(len(cc.cone.generators) == 4 for cc in fan.maximal())
+    report = classify_variety(fan, datum)
+    assert report.is_complete and not report.is_projective
+    assert calls == []
+    pic = picard_group(fan, datum).group
+    assert pic.free_rank == 0 and not pic.torsion
 
 
 # On a complete fan each member's gluing rows follow from the others', so

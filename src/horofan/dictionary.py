@@ -217,9 +217,8 @@ def classify_variety(
         missing = ", ".join(fan.lattice.labels()[r] for r in sorted(universal - fan_colours))
         notes.append(f"simple but not affine: colours {missing} unused")
     toroidal = fan_colours == frozenset()
-    walls = fan.walls()
-    complete = walls is not None
-    projective = complete and _strictly_convex_plf_exists(fan, walls, cancel)
+    complete = fan.walls() is not None
+    projective = complete and _strictly_convex_plf_exists(fan, cancel)
     if complete and not projective:
         notes.append("complete but admits no strictly convex piecewise linear function")
     regs = regularity_report(fan, datum)
@@ -244,15 +243,14 @@ def classify_variety(
     )
 
 
-def _strictly_convex_plf_exists(
-    fan: ColouredFan, walls: dict[Cone, tuple[int, ...]], cancel: Optional[CancellationToken] = None
-) -> bool:
+def _strictly_convex_plf_exists(fan: ColouredFan, cancel: Optional[CancellationToken] = None) -> bool:
     """Exact feasibility of a strictly convex PLF on a complete fan.
 
     A PLF is strictly convex iff every one of its `polyhedra.wall_gaps` is
     > 0.  In the basis of the fan's PLF lattice (`ColouredFan.plf_lattice`)
     the gap across a wall is g.x for the wall's row g, the gaps of the basis
-    PLFs there; each basis PLF has its piece on sigma, read off its values
+    PLFs there, which one `wall_gaps` pass over `fan.walls()` reads for
+    every wall; each basis PLF has its piece on sigma, read off its values
     on sigma's rays.  Since g.x > 0 is unchanged when g is repeated or
     scaled by a positive number, each row is made primitive and only its
     first occurrence, in wall order, is kept.  A zero row means that wall's
@@ -260,24 +258,21 @@ def _strictly_convex_plf_exists(
     Otherwise the variables are x, split +/-, and a slack eps capped at 1,
     and each kept row g gives "g.x >= eps".  Linear functions have zero gap
     on every wall.  By homogeneity a strictly convex PLF exists iff the
-    optimum is positive.  `walls` is `fan.walls()`.
+    optimum is positive.
     """
     r = fan.lattice.rank
-    maximal = [cc.cone for cc in fan.maximal()]
     rays, basis = fan.plf_lattice()
     at = {u: t for t, u in enumerate(rays)}
     plfs = basis.columns()
     pieces = []
-    for sigma in maximal:
+    for sigma in [cc.cone for cc in fan.maximal()]:
         values = [tuple(v[at[u]] for u in sigma.generators) for v in plfs]
         ms = lattice_coordinates(values, IntMatrix.from_rows(sigma.generators, cols=r))
         if None in ms:
             raise LatticeLiftError("a piecewise linear function is linear on each maximal cone")
         pieces.append(ms)
-    gaps = [wall_gaps(maximal, walls, [ms[k] for ms in pieces]) for k in range(len(plfs))]
     rows: dict[Vector, None] = {}
-    for w in range(len(walls)):
-        row = tuple(g[w] for g in gaps)
+    for row in wall_gaps(fan.walls(), pieces):
         if not any(row):
             return False
         rows.setdefault(primitive(row))
@@ -428,9 +423,8 @@ def affine_local_structure(
         characters=IntMatrix.from_rows(rows, cols=datum.characters.cols),
     )
     levi_lattice = build_coloured_lattice(levi_datum)
-    original = build_coloured_lattice(datum)
     if levi_lattice.rank != datum.lattice_rank or any(
-        levi_lattice.point(root_map[r]) != original.point(r) for r in sigma.colours
+        levi_lattice.point(root_map[r]) != datum.characters.row(r) for r in sigma.colours
     ):
         raise ColourPointMismatchError("the Levi datum must keep the lattice rank and the colour points of sigma")
     z_cone = ColouredCone(sigma.cone, frozenset(root_map[r] for r in sigma.colours))

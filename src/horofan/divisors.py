@@ -150,8 +150,7 @@ def class_group(fan: ColouredFan, datum: HorosphericalDatum) -> ClassGroupResult
     group = AbelianGroup(len(free_rows), tuple(diag[i] for i in torsion_rows))
     classes = []
     for idx, name in enumerate(_divisor_names(fan)):
-        basis_vector = tuple(1 if t == idx else 0 for t in range(d.rows))
-        y = u.apply(basis_vector)
+        y = u.column(idx)
         classes.append(
             (
                 name,
@@ -185,8 +184,9 @@ class CartierData:
 
 
 def _maximal_indices(fan: ColouredFan) -> list[int]:
-    maximal = set(fan.maximal())
-    return [i for i, cc in enumerate(fan.cones) if cc in maximal]
+    """The index in `fan.cones` of each member of `fan.maximal()`, in that order; of a repeated member, the first."""
+    first = {cc: i for i, cc in reversed(list(enumerate(fan.cones)))}
+    return [first[cc] for cc in fan.maximal()]
 
 
 def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[CartierData]:
@@ -298,9 +298,8 @@ def positivity_check(
     data = cartier_data(delta, fan)
     if data is None:
         return False, False, False
-    maximal = [cc.cone for cc in fan.maximal()]
-    piece = {fan.cones[idx].cone: m for idx, m in data.pieces}
-    gaps = wall_gaps(maximal, walls, [piece[sigma] for sigma in maximal])
+    # the pieces come in `fan.maximal()` order
+    gaps = [g[0] for g in wall_gaps(walls, [(m,) for _, m in data.pieces])]
     bpf = all(gap >= 0 for gap in gaps)
     ample = all(gap > 0 for gap in gaps)
     for root in sorted(fan.lattice.colour_roots() - fan.colour_set()):

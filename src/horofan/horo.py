@@ -30,7 +30,7 @@ from .intlin import (
     lattice_coordinates,
     rank,
 )
-from .polyhedra import Cone, complete_fan_walls, dot, faces, intersect, is_face_of, plf_lattice, primitive
+from .polyhedra import Cone, NotPointedError, complete_fan_walls, dot, faces, intersect, is_face_of, plf_lattice, primitive
 from .rootsys import RootDatum
 
 Vector = tuple[int, ...]
@@ -187,10 +187,10 @@ class ColouredFan:
         """The members that the member cc is a coloured face of, in member order."""
         return self._face_table[0][cc]
 
-    def walls(self) -> Optional[dict[Cone, tuple[int, ...]]]:
+    def walls(self) -> Optional[dict[Cone, tuple[int, int, Vector]]]:
         """The `polyhedra.complete_fan_walls` table of the maximal members' cones, None if the fan is not complete.
 
-        Each wall maps to the indices in `maximal()` of its two owners.
+        Each wall maps to (i, j, u): its owners i < j in `maximal()` and u, picked once per fan.
         """
         return None if self._walls is None else dict(self._walls)
 
@@ -248,9 +248,8 @@ class ColouredFan:
         return tuple(cc for cc, above in self._face_table[0].items() if above == (cc,))
 
     @cached_property
-    def _walls(self) -> Optional[dict[Cone, tuple[int, ...]]]:
-        table = complete_fan_walls([cc.cone for cc in self._maximal])
-        return None if table is None else {wall: tuple(owners) for wall, owners in table.items()}
+    def _walls(self) -> Optional[dict[Cone, tuple[int, int, Vector]]]:
+        return complete_fan_walls([cc.cone for cc in self._maximal])
 
     @cached_property
     def _plf_lattice(self) -> tuple[list[Vector], IntMatrix]:
@@ -335,11 +334,13 @@ def coloured_faces(lattice: ColouredLattice, cc: ColouredCone) -> list[ColouredC
 def uncoloured_rays(lattice: ColouredLattice, cc: ColouredCone) -> list[Vector]:
     """Generators of the rays of cc that carry none of its colour points.
 
-    A nonzero point lies on the ray with primitive generator u exactly when
-    its primitive vector is u.
+    A pointed cone's rays are spanned by its canonical generators, and a
+    nonzero point lies on the ray of u exactly when its primitive vector is u.
     """
+    if not cc.cone.is_strongly_convex():
+        raise NotPointedError("only a strongly convex cone is generated by its rays")
     on_rays = {primitive(p) for p in map(lattice.point, cc.colours) if any(p)}
-    return [ray.generators[0] for ray in cc.cone.rays() if ray.generators[0] not in on_rays]
+    return [g for g in cc.cone.generators if g not in on_rays]
 
 
 def coloured_intersection(a: ColouredCone, b: ColouredCone) -> ColouredCone:
@@ -549,15 +550,15 @@ def quotient_coloured_lattice(
     the returned datum has I' = I + C' and M' = (N/N')^vee embedded back into
     the character lattice via M.
     """
-    lattice = build_coloured_lattice(datum)
-    if sublattice.rows != lattice.rank:
+    r = datum.lattice_rank
+    if sublattice.rows != r:
         raise ValueError("sublattice basis has wrong ambient rank")
     # the annihilator's kernel is the saturation of N'
     perp = kernel_basis(sublattice.transpose())
-    saturation = kernel_basis(IntMatrix.from_rows(perp, cols=lattice.rank))
-    if IntMatrix.from_columns(saturation, rows=lattice.rank) != column_hermite(sublattice):
+    saturation = kernel_basis(IntMatrix.from_rows(perp, cols=r))
+    if IntMatrix.from_columns(saturation, rows=r) != column_hermite(sublattice):
         raise NotSaturatedError("sublattice is not saturated in N")
-    return _quotient_by_projection(datum, lattice, perp, removed_colours)
+    return _quotient_by_projection(datum, perp, removed_colours)
 
 
 def quotient_by_cone(datum: HorosphericalDatum, cc: ColouredCone) -> QuotientResult:
@@ -569,27 +570,25 @@ def quotient_by_cone(datum: HorosphericalDatum, cc: ColouredCone) -> QuotientRes
     never saturated, and the saturation check, which guards outside input,
     is not needed.
     """
-    lattice = build_coloured_lattice(datum)
-    generators = IntMatrix.from_rows(list(cc.cone.generators), cols=lattice.rank)
-    return _quotient_by_projection(datum, lattice, kernel_basis(generators), cc.colours)
+    generators = IntMatrix.from_rows(list(cc.cone.generators), cols=datum.lattice_rank)
+    return _quotient_by_projection(datum, kernel_basis(generators), cc.colours)
 
 
 def _quotient_by_projection(
     datum: HorosphericalDatum,
-    lattice: ColouredLattice,
     projection_rows: list[Vector],
     removed_colours: Iterable[int],
 ) -> QuotientResult:
-    """The quotient of `lattice` by the saturated N' whose annihilator has the basis `projection_rows`."""
+    """The quotient of N by the saturated N' whose annihilator has the basis `projection_rows`, N read off the datum."""
     removed = frozenset(removed_colours)
-    if not removed <= lattice.colour_roots():
+    if not removed.issubset(datum.colour_roots()):
         raise ValueError("removed colours must be universal colours of N")
-    projection = IntMatrix.from_rows(projection_rows, cols=lattice.rank)
+    projection = IntMatrix.from_rows(projection_rows, cols=datum.lattice_rank)
     # N' is saturated, so a point lies in N' exactly when the projection kills it
     for r in sorted(removed):
-        if any(projection.apply(lattice.point(r))):
+        if any(projection.apply(datum.characters.row(r))):
             raise ColourOutsideSublatticeError(
-                f"colour point of {lattice.labels()[r]} lies outside the sublattice"
+                f"colour point of {datum.group.label(r)} lies outside the sublattice"
             )
     new_characters = datum.characters.mul(projection.transpose())
     new_datum = HorosphericalDatum(
@@ -600,7 +599,7 @@ def _quotient_by_projection(
     new_lattice = build_coloured_lattice(new_datum)
     # the construction must reproduce the projected colour points exactly
     for c in new_lattice.colours:
-        if c.point != projection.apply(lattice.point(c.root)):
+        if c.point != projection.apply(datum.characters.row(c.root)):
             raise ColourPointMismatchError(f"quotient colour point of {c.label} is not the projected one")
     return QuotientResult(new_lattice, new_datum, projection)
 

@@ -29,8 +29,8 @@ half-open parallelepiped, with no span coordinates and no box.  Fan-level
 code takes the maximal cones a fan already holds and reads owners off
 incidences, with no containment scan: `facet_owners` lists the walls
 (facets with their owning cones) and `complete_fan_walls` decides
-completeness from them; `wall_gaps` reads a piecewise linear function's
-gap across each wall, the one rule behind projectivity and positivity.
+completeness from them and picks each wall's u; `wall_gaps` reads the gaps
+of many PLFs at u in one pass, the rule behind projectivity and positivity.
 `plf_lattice` gives the piecewise linear functions in ray coordinates by
 intersecting per-cone lattices one maximal cone at a time, never stacking
 one covector per cone.  It is all the divisor code needs: the Cartier
@@ -448,8 +448,8 @@ def fan_is_complete(maximal: Sequence[Cone]) -> bool:
     return complete_fan_walls(maximal) is not None
 
 
-def complete_fan_walls(maximal: Sequence[Cone]) -> Optional[dict[Cone, list[int]]]:
-    """The `facet_owners` table of a fan's maximal cones if the fan is complete, else None.
+def complete_fan_walls(maximal: Sequence[Cone]) -> Optional[dict[Cone, tuple[int, int, Vector]]]:
+    """Each wall of a complete fan with its owners i < j in `maximal` and u, else None if the fan is not complete.
 
     A fan is complete iff it has a maximal cone, all maximal cones are
     full-dimensional and every facet of a maximal cone lies in exactly two of
@@ -463,33 +463,32 @@ def complete_fan_walls(maximal: Sequence[Cone]) -> Optional[dict[Cone, list[int]
     minus Z, and the support, being closed, is R^n.  In rank 0 the
     zero cone has no facets, so its table is {}.  Completeness is what lets
     convexity of a piecewise linear function be read off its walls alone
-    (Cox-Little-Schenck, Toric Varieties, 6.1).
+    (Cox-Little-Schenck, Toric Varieties, 6.1).  Walls come in `facet_owners`
+    order; u is the first generator of sigma_i off the wall.  Pieces m_i, m_j
+    agreeing on the wall's rays, which span its hyperplane, differ by a
+    multiple of its normal, so the gap <m_i - m_j, u> of `wall_gaps` has the
+    sign of <m_i - m_j, v> and <m_j - m_i, w> for every generator v of
+    sigma_i and w of sigma_j off the wall.
     """
     if not maximal or any(c.dim() < c.ambient_rank for c in maximal):
         return None
     owners = facet_owners(maximal)
-    return owners if all(len(o) == 2 for o in owners.values()) else None
+    if any(len(o) != 2 for o in owners.values()):
+        return None
+    return {
+        wall: (i, j, next(g for g in maximal[i].generators if g not in wall.generators))
+        for wall, (i, j) in owners.items()
+    }
 
 
-def wall_gaps(maximal: Sequence[Cone], walls: dict[Cone, list[int]], pieces: Sequence[Sequence[int]]) -> list[int]:
-    """The gap <m_i - m_j, u> of a piecewise linear function across each wall (i, j) of a complete fan, in order.
+def wall_gaps(walls: dict[Cone, tuple[int, int, Vector]], pieces: Sequence[Sequence[Sequence[int]]]) -> list[Vector]:
+    """For each wall (i, j, u) of a `complete_fan_walls` table, in order, the gaps <m_i - m_j, u> of several PLFs.
 
-    `walls` is the `complete_fan_walls` table of `maximal`, and `pieces[i]`
-    is the function's linear piece m_i on `maximal[i]`; u is the first
-    generator of sigma_i off the wall.  The pieces agree on the wall's rays,
-    which span its hyperplane, so m_i - m_j is a multiple of the wall's
-    normal: <m_i - m_j, v> for every generator v of sigma_i off the wall,
-    and <m_j - m_i, v> for every generator v of sigma_j off it, have the
-    sign of this one gap.  On a complete fan the function is convex iff
-    every gap is >= 0, and strictly convex iff every gap is > 0
-    (Cox-Little-Schenck, Toric Varieties, 6.1).
+    `pieces[i]` lists the pieces on sigma_i of several functions, in one
+    order.  On a complete fan a function is convex iff its gaps are all >= 0,
+    strictly convex iff all > 0 (Cox-Little-Schenck, Toric Varieties, 6.1).
     """
-    gaps = []
-    for wall, (i, j) in walls.items():
-        on_wall = set(wall.generators)
-        u = next(g for g in maximal[i].generators if g not in on_wall)
-        gaps.append(dot(pieces[i], u) - dot(pieces[j], u))
-    return gaps
+    return [tuple(dot(mi, u) - dot(mj, u) for mi, mj in zip(pieces[i], pieces[j])) for i, j, u in walls.values()]
 
 
 def plf_lattice(maximal: Sequence[Cone]) -> tuple[list[Vector], IntMatrix]:

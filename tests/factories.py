@@ -106,8 +106,25 @@ def a1_cubed() -> HorosphericalDatum:
     return HorosphericalDatum(RootDatum.parse("A1xA1xA1"), frozenset(), IntMatrix.identity(3))
 
 
+def torus(n: int) -> HorosphericalDatum:
+    return HorosphericalDatum(RootDatum.parse("", central_torus_rank=n), frozenset(), IntMatrix.identity(n))
+
+
 def torus3() -> HorosphericalDatum:
-    return HorosphericalDatum(RootDatum.parse("", central_torus_rank=3), frozenset(), IntMatrix.identity(3))
+    return torus(3)
+
+
+def torus_fan(maximal: list[tuple]) -> ColouredFan:
+    """The uncoloured fan of `maximal` over the torus of its rank; raises unless it is a valid coloured fan."""
+    n = len(maximal[0][0])
+    cones = [ColouredCone(Cone.from_generators(n, gens), frozenset()) for gens in maximal]
+    return coloured_fan(build_coloured_lattice(torus(n)), cones)
+
+
+def p1_power(n: int) -> tuple[ColouredFan, HorosphericalDatum]:
+    """The fan of (P1)^n over the rank-n torus: the 2^n orthants and their faces."""
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    return torus_fan(list(itertools.product(*[(e, tuple(-x for x in e)) for e in units]))), torus(n)
 
 
 def prism_maximal(diagonals: tuple[int, int, int]) -> list[tuple]:

@@ -478,8 +478,8 @@ def both_owners_positivity(delta, fan) -> tuple[bool, bool, bool]:
     piece = {fan.cones[idx].cone: m for idx, m in data.pieces}
     convex = True
     strictly = True
-    for wall, pair in complete_fan_walls(maximal).items():
-        for i, j in (pair, pair[::-1]):
+    for wall, (first, second, _) in complete_fan_walls(maximal).items():
+        for i, j in ((first, second), (second, first)):
             mi, mj = piece[maximal[i]], piece[maximal[j]]
             for u in maximal[i].generators:
                 if u in wall.generators:

@@ -38,7 +38,7 @@ from horofan.intlin import IntMatrix, invariant_factors, saturate
 from horofan.polyhedra import Cone
 from horofan.rootsys import RootDatum
 
-from .factories import RANK3_BASES, prism_maximal, random_valid_fan, rank3_fan, torus3
+from .factories import RANK3_BASES, p1_power, prism_maximal, random_valid_fan, rank3_fan, torus3
 from .oracles import containment_maximal, quotient_weight_monoid
 
 
@@ -141,6 +141,22 @@ class TestOrbitTable:
         assert orbit_table(fan, datum) == expected
         assert [orbit_closure(fan, i, datum) for i in range(len(fan.cones))] == closures
         assert calls == []
+
+    def test_orbit_table_reads_the_source_lattice_off_the_datum(self, monkeypatch):
+        # Counts, not timers: one lattice for the fan check and one per
+        # quotient; quotient_by_cone rebuilds no source lattice
+        fan, datum = p1_power(4)
+        expected = orbit_table(fan, datum)
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return build_coloured_lattice(d)
+
+        for module in (horo, dictionary):
+            monkeypatch.setattr(module, "build_coloured_lattice", counted)
+        assert orbit_table(fan, datum) == expected
+        assert len(fan.cones) == 81 and len(calls) == 82
 
     def test_orbit_datum_of_open_orbit_is_original(self):
         fan, datum = projective_sl3_fan()

@@ -31,7 +31,7 @@ from horofan.horo import (
     validate_coloured_fan,
 )
 from horofan.intlin import IntMatrix, lattice_coordinates, saturate
-from horofan.polyhedra import Cone
+from horofan.polyhedra import Cone, NotPointedError
 from horofan.rootsys import RootDatum
 
 from .factories import random_valid_fan
@@ -435,6 +435,13 @@ class TestProduct:
             prod = product_coloured_fan(fan, other)
             assert len(prod.cones) == len(fan.cones) * len(other.cones)
             assert validate_coloured_fan(prod).valid
+
+
+def test_uncoloured_rays_of_a_cone_with_lineality_raise():
+    lattice = build_coloured_lattice(sl_datum(3))
+    half_plane = ColouredCone(Cone.from_generators(2, [(1, 0), (-1, 0), (0, 1)]), frozenset())
+    with pytest.raises(NotPointedError):
+        uncoloured_rays(lattice, half_plane)
 
 
 def test_uncoloured_rays_match_ray_contains():

@@ -17,7 +17,6 @@ from horofan.horo import (
     ColouredCone,
     ColouredFan,
     ColouredLattice,
-    HorosphericalDatum,
     ValidationReport,
     build_coloured_lattice,
     close_under_coloured_faces,
@@ -27,13 +26,12 @@ from horofan.horo import (
     is_coloured_face,
     validate_coloured_fan,
 )
-from horofan.intlin import IntMatrix
 from horofan.polyhedra import Cone, intersect
-from horofan.rootsys import RootDatum
 
 from .factories import (
     RANK3_BASES,
     a1_cubed,
+    p1_power,
     prism_maximal,
     random_rank3_coloured_fans,
     random_valid_fan,
@@ -288,15 +286,6 @@ def test_face_colours_by_incidence_match_face_contains(data):
         for colours in (f.colours, cc.colours, frozenset()):
             tau = ColouredCone(f.cone, colours)
             assert is_coloured_face(lattice, tau, cc) == contains_rule_is_coloured_face(lattice, tau, cc)
-
-
-def p1_power(n: int) -> tuple[ColouredFan, HorosphericalDatum]:
-    """The fan of (P1)^n over the rank-n torus: the 2^n orthants and their faces."""
-    datum = HorosphericalDatum(RootDatum.parse("", central_torus_rank=n), frozenset(), IntMatrix.identity(n))
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    orthants = itertools.product(*[(e, tuple(-x for x in e)) for e in units])
-    cones = [ColouredCone(Cone.from_generators(n, gens), frozenset()) for gens in orthants]
-    return coloured_fan(build_coloured_lattice(datum), cones), datum
 
 
 def table_fans() -> list[ColouredFan]:

@@ -16,17 +16,20 @@ from horofan.divisors import (
     picard_group,
     positivity_check,
 )
-from horofan.polyhedra import Cone, complete_fan_walls, plf_lattice, wall_gaps
+from horofan.polyhedra import Cone, complete_fan_walls, facet_owners, plf_lattice, wall_gaps
 
 from .factories import (
     RANK3_BASES,
     a1_cubed,
+    p1_power,
     prism_maximal,
     random_rank3_coloured_fans,
     random_valid_fan,
     rank3_fan,
     stellar_subdivision,
+    torus,
     torus3,
+    torus_fan,
 )
 from .oracles import (
     all_pairs_plf_lp,
@@ -221,6 +224,23 @@ def test_one_gap_per_wall_matches_every_gap_of_both_owners():
     assert set(outcomes) == {(False, False, False), (True, False, False), (True, True, False), (True, True, True)}
 
 
+def test_positivity_reads_each_maximal_members_own_piece_when_a_member_repeats():
+    """A repeated maximal member (an invalid fan) shifts no piece onto another member's walls."""
+    p2 = [((1, 0, 0), (0, 1, 0)), ((0, 1, 0), (-1, -1, 0)), ((-1, -1, 0), (1, 0, 0))]
+    fan = rank3_fan([a + (c,) for a in p2 for c in ((0, 0, 1), (0, 0, -1))], torus3())
+    repeated = horo.ColouredFan(fan.lattice, (fan.maximal()[0],) + fan.cones)
+    assert not horo.validate_coloured_fan(repeated).valid
+    assert len(cartier_data(boundary_divisor(repeated), repeated).pieces) == len(repeated.maximal()) == 6
+    rng = random.Random(41)
+    outcomes = Counter()
+    for _ in range(12):
+        delta = random_divisor(rng, repeated)
+        result = positivity_check(delta, repeated, torus3())
+        assert result == both_owners_positivity(delta, repeated)
+        outcomes[result] += 1
+    assert (True, True, True) in outcomes and len(outcomes) >= 2
+
+
 def test_principal_matrix_is_the_ray_generators_and_colour_points():
     """The coefficient of div(f_m) on D is <m, u_D>: the rows of u_D equal the stacked `principal_divisor` columns."""
     rng = random.Random(31)
@@ -238,13 +258,13 @@ def test_wall_gaps_of_an_absolute_coordinate_on_p1_cubed():
     walls = complete_fan_walls(maximal)
     axes = [next(t for t in range(3) if not any(g[t] for g in wall.generators)) for wall in walls]
     assert sorted(axes) == [0] * 4 + [1] * 4 + [2] * 4
-    assert wall_gaps(maximal, walls, [(2, -1, 3)] * len(maximal)) == [0] * 12
+    assert wall_gaps(walls, [[(2, -1, 3)]] * len(maximal)) == [(0,)] * 12
     for k in range(3):
         # the piece of |x_k| on an orthant is the sign of x_k there times e_k
         pieces = [tuple(sum(g[k] for g in sigma.generators) if t == k else 0 for t in range(3)) for sigma in maximal]
-        assert wall_gaps(maximal, walls, pieces) == [2 if axis == k else 0 for axis in axes]
         negated = [tuple(-x for x in m) for m in pieces]
-        assert wall_gaps(maximal, walls, negated) == [-2 if axis == k else 0 for axis in axes]
+        gaps = wall_gaps(walls, list(zip(pieces, negated)))
+        assert gaps == [(2, -2) if axis == k else (0, 0) for axis in axes]
 
 
 def test_wall_code_takes_the_fans_maximal_cones_without_containment_scans(monkeypatch):
@@ -296,3 +316,81 @@ def test_divisor_and_wall_code_build_no_matrix_one_covector_per_cone_wide(monkey
     assert positivity_check(anticanonical(fan, datum), fan, datum) == (True, True, True)
     assert widths
     assert max(widths) <= len(invariant_ray_generators(fan)) + len(fan.lattice.colours) + fan.lattice.rank == 9
+
+
+def test_each_wall_record_carries_its_owners_and_a_generator_of_the_first_off_the_wall():
+    """(i, j, u) per `facet_owners` wall: i < j own it, and u is a generator of sigma_i off the wall's hyperplane."""
+    fans = [rank3_fan(maximal, make_datum(), colours) for _, maximal, make_datum, colours in CASES]
+    fans += [fan for fan, _ in random_rank3_coloured_fans(random.Random(37), 8)]
+    fans += [p1_power(4)[0]]
+    checked = 0
+    for fan in fans:
+        maximal = [cc.cone for cc in fan.maximal()]
+        walls = fan.walls()
+        if walls is None:
+            continue
+        owners = facet_owners(maximal)
+        assert list(walls) == list(owners)
+        r = fan.lattice.rank
+        for wall, (i, j, u) in walls.items():
+            assert owners[wall] == [i, j] and i < j
+            assert u in maximal[i].generators and u not in wall.generators
+            assert intlin.rank(intlin.IntMatrix.from_rows(list(wall.generators) + [u], cols=r)) == r
+            checked += 1
+    assert checked >= 250
+
+
+def test_classify_reads_every_plf_gap_in_one_wall_gaps_pass(monkeypatch):
+    """Counts, not timers: on a fresh (P1)^4 one `wall_gaps` call gives the gaps of all 8 PLF basis vectors."""
+    fan, datum = p1_power(4)
+    calls = []
+
+    def counted(walls, pieces):
+        calls.append(len(pieces[0]))
+        return wall_gaps(walls, pieces)
+
+    monkeypatch.setattr(dictionary, "wall_gaps", counted)
+    assert classify_variety(fan, datum).is_projective
+    assert calls == [8]
+
+
+def readme_fan() -> tuple[horo.ColouredFan, horo.HorosphericalDatum]:
+    """The complete README fan over SL3/U: three cones, colour a1 on the one holding its point (1, 0)."""
+    datum = horo.HorosphericalDatum(rootsys.RootDatum.parse("A2"), frozenset(), intlin.IntMatrix.identity(2))
+    maximal = [([(1, 1), (1, -1)], {0}), ([(-1, 0), (1, 1)], set()), ([(-1, 0), (1, -1)], set())]
+    cones = [horo.ColouredCone(Cone.from_generators(2, gens), frozenset(c)) for gens, c in maximal]
+    return horo.coloured_fan(horo.build_coloured_lattice(datum), cones), datum
+
+
+def rank4_product_fans() -> list[tuple[str, horo.ColouredFan, horo.HorosphericalDatum]]:
+    """P2 x P2 and P3 x P1 over the torus, and the README fan squared over A2 x A2, coloured on both factors."""
+    p1 = torus_fan([((1,),), ((-1,),)])
+    p2 = torus_fan(list(itertools.combinations([(1, 0), (0, 1), (-1, -1)], 2)))
+    p3 = torus_fan(RANK3_BASES["P3"])
+    readme, _ = readme_fan()
+    a2_squared = horo.HorosphericalDatum(
+        rootsys.RootDatum.parse("A2xA2"), frozenset(), intlin.IntMatrix.identity(4)
+    )
+    cases = [("P2xP2", p2, p2, torus(4)), ("P3xP1", p3, p1, torus(4))]
+    cases += [("README^2", readme, readme, a2_squared)]
+    return [(name, horo.product_coloured_fan(a, b), datum) for name, a, b, datum in cases]
+
+
+RANK4_PRODUCTS = rank4_product_fans()
+
+
+@pytest.mark.parametrize("label,fan,datum", RANK4_PRODUCTS, ids=[case[0] for case in RANK4_PRODUCTS])
+def test_wall_routes_match_all_pairs_routes_on_rank4_products(label, fan, datum):
+    """Projectivity and the positivity of -K and of the boundary divisor at lattice rank 4, against the oracles."""
+    assert horo.validate_coloured_fan(fan).valid and fan.lattice.rank == 4
+    if label == "README^2":
+        assert fan.colour_set() == {0, 2} and len(fan.lattice.colours) == 4
+    report = classify_variety(fan, datum)
+    assert report.is_complete
+    assert report.is_projective == all_pairs_plf_lp(fan)
+    deltas = [anticanonical(fan, datum), boundary_divisor(fan)]
+    results = [positivity_check(delta, fan, datum) for delta in deltas]
+    assert results == [both_owners_positivity(delta, fan) for delta in deltas]
+    if not fan.lattice.colours:
+        # on a toric variety -K is the boundary divisor, ample on P2 x P2 and P3 x P1
+        assert results == [(True, True, True)] * 2

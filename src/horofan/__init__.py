@@ -29,6 +29,8 @@ from .polyhedra import (
     intersect,
     is_face_of,
 )
+# no library code calls ratlp; bench/spans.py looks its module up by name
+from . import ratlp
 from .rootsys import (
     RootDatum,
     colour_smoothness_check,

@@ -41,7 +41,6 @@ from .horo import (
     trivial_coloured_cone,
     uncoloured_rays,
 )
-from .ratlp import maximize
 from .rootsys import RootDatum, colour_smoothness_check, connected_components, flag_dimension
 
 Vector = tuple[int, ...]
@@ -70,10 +69,6 @@ class CancellationToken:
 
     def cancelled(self) -> bool:
         return self._cancelled
-
-
-def _as_callable(cancel: Optional[CancellationToken]):
-    return cancel.cancelled if cancel is not None else None
 
 
 def _require_lattice(fan: ColouredFan, datum: HorosphericalDatum) -> None:
@@ -202,10 +197,11 @@ class PropertyReport:
     diagnostics: tuple[str, ...]
 
 
-def classify_variety(
-    fan: ColouredFan, datum: HorosphericalDatum, cancel: Optional[CancellationToken] = None
-) -> PropertyReport:
-    """Variety-level property suite for the horospherical variety of the fan."""
+def classify_variety(fan: ColouredFan, datum: HorosphericalDatum) -> PropertyReport:
+    """Variety-level property suite for the horospherical variety of the fan.
+
+    Projective: complete, with a pointed cone of wall rows (`_strictly_convex_plf_exists`).
+    """
     _require_lattice(fan, datum)
     notes = []
     maximal = fan.maximal()
@@ -218,7 +214,7 @@ def classify_variety(
         notes.append(f"simple but not affine: colours {missing} unused")
     toroidal = fan_colours == frozenset()
     complete = fan.walls() is not None
-    projective = complete and _strictly_convex_plf_exists(fan, cancel)
+    projective = complete and _strictly_convex_plf_exists(fan)
     if complete and not projective:
         notes.append("complete but admits no strictly convex piecewise linear function")
     regs = regularity_report(fan, datum)
@@ -243,8 +239,8 @@ def classify_variety(
     )
 
 
-def _strictly_convex_plf_exists(fan: ColouredFan, cancel: Optional[CancellationToken] = None) -> bool:
-    """Exact feasibility of a strictly convex PLF on a complete fan.
+def _strictly_convex_plf_exists(fan: ColouredFan) -> bool:
+    """Whether a complete fan carries a strictly convex PLF, by Gordan's theorem.
 
     A PLF is strictly convex iff every one of its `polyhedra.wall_gaps` is
     > 0.  In the basis of the fan's PLF lattice (`ColouredFan.plf_lattice`)
@@ -254,11 +250,12 @@ def _strictly_convex_plf_exists(fan: ColouredFan, cancel: Optional[CancellationT
     on sigma's rays.  Since g.x > 0 is unchanged when g is repeated or
     scaled by a positive number, each row is made primitive and only its
     first occurrence, in wall order, is kept.  A zero row means that wall's
-    gap is 0 for every PLF, so no PLF is strictly convex and no LP runs.
-    Otherwise the variables are x, split +/-, and a slack eps capped at 1,
-    and each kept row g gives "g.x >= eps".  Linear functions have zero gap
-    on every wall.  By homogeneity a strictly convex PLF exists iff the
-    optimum is positive.
+    gap is 0 for every PLF, so no PLF is strictly convex and no cone is
+    built.  Otherwise, by Gordan's theorem (Schrijver, Theory of Linear and
+    Integer Programming, 7.8), some x has g.x > 0 for every row g iff no
+    y >= 0, y != 0 has sum y_g g = 0, that is, iff the cone the rows
+    generate in Z^b, b the rank of the PLF lattice, is pointed.  Linear
+    functions have zero gap on every wall, so they do not enter.
     """
     r = fan.lattice.rank
     rays, basis = fan.plf_lattice()
@@ -276,11 +273,7 @@ def _strictly_convex_plf_exists(fan: ColouredFan, cancel: Optional[CancellationT
         if not any(row):
             return False
         rows.setdefault(primitive(row))
-    # -g.x + eps <= 0 for each distinct row g
-    a_ub = [[x for g in row for x in (-g, g)] + [1] for row in rows]
-    cap = [0] * (2 * len(plfs)) + [1]
-    result = maximize(cap, a_ub + [cap], [0] * len(a_ub) + [1], cancelled=_as_callable(cancel))
-    return result.status == "optimal" and result.value > 0
+    return Cone.from_generators(len(plfs), rows).is_strongly_convex()
 
 
 def morphism_check(
@@ -309,7 +302,7 @@ def morphism_check(
         if not hit:
             compatible = False
             break
-    token = _as_callable(cancel)
+    token = cancel.cancelled if cancel is not None else None
     source_max = [cc.cone for cc in source_fan.maximal()]
     preimages = []
     for cc in target_fan.maximal():
@@ -361,7 +354,7 @@ def _classify_subdiagram(group: RootDatum, nodes: list[int]) -> tuple[str, int, 
     size = len(nodes)
     ours = [[group.cartan_entry(a, b) for b in nodes] for a in nodes]
 
-    def extend(target: list[list[int]], chosen: list[int]) -> Optional[list[int]]:
+    def extend(target: tuple[tuple[int, ...], ...], chosen: list[int]) -> Optional[list[int]]:
         k = len(chosen)
         if k == size:
             return chosen

@@ -70,27 +70,35 @@ def _component_edges(letter: str, rank: int) -> list[tuple[int, int, int, int]]:
     raise AssertionError(letter)
 
 
-def _cartan_matrix(letter: str, rank: int) -> list[list[int]]:
+@lru_cache(maxsize=None)
+def _cartan_matrix(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
+    """The Cartan matrix of one Dynkin component, built once per (letter, rank); rows are tuples, since it is shared."""
     c = [[2 if i == j else 0 for j in range(rank)] for i in range(rank)]
     for i, j, cij, cji in _component_edges(letter, rank):
         c[i][j] = cij
         c[j][i] = cji
-    return c
+    return tuple(map(tuple, c))
 
 
-def _positive_roots(cartan: list[list[int]]) -> list[tuple[int, ...]]:
+def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
+    """The positive roots, by reflection closure of the simple roots.
+
+    A pairing reads a Cartan row's nonzero entries, and a reflection with pairing 0, which fixes the root, is skipped.
+    """
     rank = len(cartan)
+    nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
     simples = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
     roots = set(simples)
     frontier = set(simples)
     while frontier:
         new = set()
         for gamma in frontier:
-            for i in range(rank):
-                pair = sum(gamma[j] * cartan[i][j] for j in range(rank))
-                reflected = tuple(gamma[j] - (pair if j == i else 0) for j in range(rank))
-                if reflected not in roots:
-                    new.add(reflected)
+            for i, row in enumerate(nonzero):
+                pair = sum(gamma[j] * c for j, c in row)
+                if pair:
+                    reflected = gamma[:i] + (gamma[i] - pair,) + gamma[i + 1 :]
+                    if reflected not in roots:
+                        new.add(reflected)
         roots |= new
         frontier = new
     positive = [r for r in roots if all(x >= 0 for x in r)]
@@ -170,7 +178,7 @@ class RootDatum:
     def global_index(self, component: int, node: int) -> int:
         return sum(rank for _, rank in self.components[:component]) + node
 
-    def cartan(self, component: int) -> list[list[int]]:
+    def cartan(self, component: int) -> tuple[tuple[int, ...], ...]:
         letter, rank = self.components[component]
         return _cartan_matrix(letter, rank)
 
@@ -189,11 +197,7 @@ class RootDatum:
         raise ValueError(f"no simple root labelled {label!r}")
 
     def adjacent(self, i: int, j: int) -> bool:
-        ci, ni = self.component_of(i)
-        cj, nj = self.component_of(j)
-        if ci != cj or i == j:
-            return False
-        return self.cartan(ci)[ni][nj] != 0
+        return i != j and self.cartan_entry(i, j) != 0
 
     def cartan_entry(self, i: int, j: int) -> int:
         """<alpha_j, alpha_i^vee> for global simple-root indices."""

@@ -1,11 +1,13 @@
-"""Generators for property tests: data, valid coloured fans, and rank-2 and rank-3 fans."""
+"""Generators for property tests: data, valid coloured fans, and rank-2 and rank-3 fans; a recorder of row cones."""
 
 from __future__ import annotations
 
 import itertools
 import math
 import random
+import types
 
+from horofan import dictionary
 from horofan.horo import (
     ColouredCone,
     ColouredFan,
@@ -98,6 +100,16 @@ RANK3_BASES = {
     ],
     "P3": list(itertools.combinations([E1, E2, E3, (-1, -1, -1)], 3)),
 }
+# Fulton's non-projective complete fan (Introduction to Toric Varieties,
+# ch. 3): the fan over the faces of the cube [-1, 1]^3 with the vertex
+# (1, 1, 1) moved to (1, 2, 3).  Its maximal cones are not simplicial, and
+# Pic = 0, so every PLF is linear and has gap 0 across every wall.
+FULTON = [
+    tuple(sorted((1, 2, 3) if v == (1, 1, 1) else v for v in itertools.product((1, -1), repeat=3) if v[k] == side))
+    for k in range(3)
+    for side in (1, -1)
+]
+
 PRISM_TOP = [(1, 0, 1), (0, 1, 1), (-1, -1, 1)]
 PRISM_BOTTOM = [(1, 0, -1), (0, 1, -1), (-1, -1, -1)]
 
@@ -197,3 +209,16 @@ def random_rank3_coloured_fans(rng, count):
             fan = ColouredFan(lattice, close_under_coloured_faces(lattice, rank3_cones(maximal, lattice, colours)))
             if validate_coloured_fan(fan).valid:
                 yield fan, datum
+
+
+def record_row_cones(monkeypatch) -> list[tuple[int, tuple]]:
+    """From now on, record (ambient rank, generators) of every `Cone.from_generators` call in `dictionary`."""
+    built = []
+
+    def recording(ambient_rank, generators):
+        gens = tuple(generators)
+        built.append((ambient_rank, gens))
+        return Cone.from_generators(ambient_rank, gens)
+
+    monkeypatch.setattr(dictionary, "Cone", types.SimpleNamespace(from_generators=recording))
+    return built

@@ -42,6 +42,15 @@ the one coloured-face table of `ColouredFan`.
 
 `fraction_maximize` is the package's earlier `ratlp.maximize`, a Bland
 simplex on a `Fraction` tableau, kept as the reference for the integer one.
+`wall_row_lp` is the package's earlier projectivity test: the distinct
+primitive wall rows of `wall_rows`, decided by an LP on `ratlp.maximize`,
+where `dictionary._strictly_convex_plf_exists` asks whether the cone they
+generate is pointed.
+
+`dense_positive_roots` is the package's earlier reflection closure, which
+pairs with every entry of a Cartan row and applies every reflection, where
+`rootsys._positive_roots` reads each row's nonzero entries and skips the
+reflections that fix the root.
 
 `always_kernel_plf_lattice` is the package's earlier `polyhedra.plf_lattice`,
 which runs a kernel for every maximal cone, unimodular or not.
@@ -85,6 +94,7 @@ from horofan.intlin import (
     cokernel,
     column_hermite,
     kernel_basis,
+    lattice_coordinates,
     rank,
     reduce_mod_hermite,
     smith_normal_form,
@@ -101,6 +111,7 @@ from horofan.polyhedra import (
     intersect,
     is_face_of,
     primitive,
+    wall_gaps,
 )
 from horofan.ratlp import LpResult, maximize
 from horofan.rootsys import RootDatum
@@ -287,6 +298,27 @@ def rank_list_classify_subdiagram(group, nodes):
     raise AssertionError("induced subdiagram of a Dynkin diagram must be a Dynkin diagram")
 
 
+def dense_positive_roots(cartan) -> list[tuple[int, ...]]:
+    """Positive roots by reflection closure, pairing with every entry of a Cartan row."""
+    rank = len(cartan)
+    simples = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
+    roots = set(simples)
+    frontier = set(simples)
+    while frontier:
+        new = set()
+        for gamma in frontier:
+            for i in range(rank):
+                pair = sum(gamma[j] * cartan[i][j] for j in range(rank))
+                reflected = tuple(gamma[j] - (pair if j == i else 0) for j in range(rank))
+                if reflected not in roots:
+                    new.add(reflected)
+        roots |= new
+        frontier = new
+    positive = [r for r in roots if all(x >= 0 for x in r)]
+    positive.sort(key=lambda r: (sum(r), r))
+    return positive
+
+
 def sl_colour_point_oracle(n: int, column: tuple[int, ...]) -> tuple[int, ...]:
     """Colour point of one character-basis vector for SL_n.
 
@@ -423,6 +455,44 @@ def all_pairs_plf_lp(fan) -> bool:
     cap = [Fraction(0)] * nvars
     cap[eps_col] = Fraction(1)
     result = maximize(cap, a_ub + [cap], b_ub + [Fraction(1)])
+    return result.status == "optimal" and result.value > 0
+
+
+def wall_rows(fan) -> tuple[int, list[tuple[int, ...]]]:
+    """The rank b of the fan's PLF lattice, and each wall's gap row in PLF-lattice coordinates.
+
+    Nonzero rows are made primitive, and each distinct row is kept once, in
+    wall order, as `dictionary._strictly_convex_plf_exists` keeps them.
+    """
+    r = fan.lattice.rank
+    rays, basis = fan.plf_lattice()
+    at = {u: t for t, u in enumerate(rays)}
+    plfs = basis.columns()
+    pieces = []
+    for sigma in [cc.cone for cc in fan.maximal()]:
+        values = [tuple(v[at[u]] for u in sigma.generators) for v in plfs]
+        ms = lattice_coordinates(values, IntMatrix.from_rows(sigma.generators, cols=r))
+        if None in ms:
+            raise LatticeLiftError("a piecewise linear function is linear on each maximal cone")
+        pieces.append(ms)
+    rows = wall_gaps(fan.walls(), pieces)
+    return len(plfs), list(dict.fromkeys(primitive(row) if any(row) else row for row in rows))
+
+
+def wall_row_lp(fan) -> bool:
+    """Strictly convex PLF on a complete fan by the LP on its distinct wall rows.
+
+    A zero row answers False with no LP.  Otherwise the variables are x, split
+    +/-, and a slack eps capped at 1, and each row g gives "g.x >= eps"; a
+    strictly convex PLF exists iff the optimum is positive.
+    """
+    b, rows = wall_rows(fan)
+    if not all(any(row) for row in rows):
+        return False
+    # -g.x + eps <= 0 for each distinct row g
+    a_ub = [[x for g in row for x in (-g, g)] + [1] for row in rows]
+    cap = [0] * (2 * b) + [1]
+    result = maximize(cap, a_ub + [cap], [0] * len(a_ub) + [1])
     return result.status == "optimal" and result.value > 0
 
 

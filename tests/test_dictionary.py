@@ -38,7 +38,7 @@ from horofan.intlin import IntMatrix, invariant_factors, saturate
 from horofan.polyhedra import Cone
 from horofan.rootsys import RootDatum
 
-from .factories import RANK3_BASES, p1_power, prism_maximal, random_valid_fan, rank3_fan, torus3
+from .factories import RANK3_BASES, p1_power, prism_maximal, random_valid_fan, rank3_fan, record_row_cones, torus3
 from .oracles import containment_maximal, quotient_weight_monoid
 
 
@@ -301,20 +301,14 @@ class TestClassify:
         assert rep.is_projective == (diagonals not in ((0, 0, 0), (1, 1, 1)))
         assert positivity_check(anticanonical(fan, datum), fan, datum) == (True, True, False)
 
-    def test_projectivity_lp_has_one_row_per_distinct_wall_row(self, monkeypatch):
-        shapes = []
-        real = dictionary.maximize
-
-        def recording(c, a_ub, b_ub, **kwargs):
-            shapes.append((len(a_ub), len(c)))
-            return real(c, a_ub, b_ub, **kwargs)
-
-        monkeypatch.setattr(dictionary, "maximize", recording)
+    def test_projectivity_builds_one_row_cone_on_the_distinct_wall_rows(self, monkeypatch):
         datum = torus3()
-        assert classify_variety(rank3_fan(RANK3_BASES["P1^3"], datum), datum).is_projective
-        # the 12 walls lie in 3 planes, one primitive gap row each, + the cap
-        # on eps; 2 * 6 split PLF coordinates + eps
-        assert shapes == [(4, 13)]
+        fan = rank3_fan(RANK3_BASES["P1^3"], datum)
+        built = record_row_cones(monkeypatch)
+        assert classify_variety(fan, datum).is_projective
+        # the 12 walls lie in 3 planes, one primitive gap row each, in the
+        # rank-6 PLF lattice
+        assert [(n, len(rows)) for n, rows in built] == [(6, 3)]
 
 
 class TestRegularity:

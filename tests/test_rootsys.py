@@ -1,12 +1,14 @@
 """Root-system combinatorics: counts, pairings, flag dimensions, Dynkin checks."""
 
 import itertools
+import json
 import time
 
 import pytest
 
-from horofan import rootsys
+from horofan import cli, rootsys
 from horofan.dictionary import _classify_subdiagram
+from horofan.divisors import anticanonical
 from horofan.rootsys import (
     RootDatum,
     colour_smoothness_check,
@@ -17,7 +19,7 @@ from horofan.rootsys import (
     positive_roots,
 )
 
-from .oracles import chord_checked_chain_from, rank_list_classify_subdiagram
+from .oracles import chord_checked_chain_from, dense_positive_roots, rank_list_classify_subdiagram
 
 CLASSICAL_COUNTS = [
     ("A1", 1),
@@ -265,3 +267,41 @@ def test_classify_subdiagram_matches_node_by_node(descriptor):
     found = _classify_subdiagram(datum, nodes)
     assert time.process_time() - start < 0.1
     assert found == rank_list_classify_subdiagram(datum, nodes)
+
+
+def component_types(largest):
+    """Every (letter, rank) of a connected Dynkin diagram of rank at most `largest`."""
+    for letter, rank in itertools.product("ABCDEFG", range(1, largest + 1)):
+        try:
+            RootDatum.parse(f"{letter}{rank}")
+        except ValueError:
+            continue
+        yield letter, rank
+
+
+@pytest.mark.parametrize("letter,rank", list(component_types(8)) + [("A", 30), ("D", 20)])
+def test_positive_roots_match_the_dense_closure(letter, rank):
+    cartan = rootsys._cartan_matrix(letter, rank)
+    assert rootsys._positive_roots(cartan) == dense_positive_roots(cartan)
+
+
+def empty_document(group):
+    """The fan and datum of the document {"group": group, "M": [], "fan": []}."""
+    doc = cli.parse_input(json.dumps({"group": group, "M": [], "fan": []}))
+    return doc.fan, doc.datum
+
+
+def test_anticanonical_builds_one_cartan_matrix():
+    """A40 with no characters: 820 positive roots paired with 40 colours, from one shared Cartan matrix."""
+    fan, datum = empty_document("A40")
+    rootsys._cartan_matrix.cache_clear()
+    anticanonical(fan, datum)
+    assert rootsys._cartan_matrix.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("group", ["A40", "D20", "B12xC12"])
+def test_anticanonical_colour_coefficients_are_two_with_no_parabolic(group):
+    """With I empty, b_alpha = <2 rho, alpha^vee> = 2 for every simple root alpha."""
+    fan, datum = empty_document(group)
+    colour_coeffs = anticanonical(fan, datum).colour_coeffs
+    assert colour_coeffs == tuple((i, 2) for i in range(datum.group.simple_count))

@@ -19,6 +19,7 @@ from horofan.divisors import (
 from horofan.polyhedra import Cone, complete_fan_walls, facet_owners, plf_lattice, wall_gaps
 
 from .factories import (
+    FULTON,
     RANK3_BASES,
     a1_cubed,
     p1_power,
@@ -26,6 +27,7 @@ from .factories import (
     random_rank3_coloured_fans,
     random_valid_fan,
     rank3_fan,
+    record_row_cones,
     stellar_subdivision,
     torus,
     torus3,
@@ -66,17 +68,6 @@ def stellar_cases():
             maximal = stellar_subdivision(maximal, len(maximal) - 1, weights)
         yield f"{name}+{len(steps)}", maximal, a1_cubed, (0, 1)
 
-
-# Fulton's non-projective complete fan (Introduction to Toric Varieties,
-# ch. 3): the fan over the faces of the cube [-1, 1]^3 with the vertex
-# (1, 1, 1) moved to (1, 2, 3).  Its maximal cones are not simplicial, and
-# Pic = 0, so every PLF is linear and has gap 0 across every wall.
-CUBE = list(itertools.product((1, -1), repeat=3))
-FULTON = [
-    tuple(sorted((1, 2, 3) if v == (1, 1, 1) else v for v in CUBE if v[k] == side))
-    for k in range(3)
-    for side in (1, -1)
-]
 
 CASES = [
     (f"prism-{''.join(map(str, d))}", prism_maximal(d), torus3, ())
@@ -128,16 +119,15 @@ def test_wall_routes_match_all_pairs_routes(label, maximal, make_datum, colours)
     assert_per_cone_routes_match_stacked_routes(fan, datum, deltas)
 
 
-def test_fulton_fan_has_only_zero_wall_rows_and_runs_no_lp(monkeypatch):
-    """Complete and not projective, decided before any LP: every wall row is zero."""
-    calls = []
-    monkeypatch.setattr(dictionary, "maximize", lambda *args, **kwargs: calls.append(args))
+def test_fulton_fan_has_only_zero_wall_rows_and_builds_no_row_cone(monkeypatch):
+    """Complete and not projective, decided before any double description: every wall row is zero."""
     datum = torus3()
     fan = rank3_fan(FULTON, datum)
     assert len(fan.maximal()) == 6 and all(len(cc.cone.generators) == 4 for cc in fan.maximal())
+    built = record_row_cones(monkeypatch)
     report = classify_variety(fan, datum)
     assert report.is_complete and not report.is_projective
-    assert calls == []
+    assert built == []
     pic = picard_group(fan, datum).group
     assert pic.free_rank == 0 and not pic.torsion
 

@@ -12,12 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlin import (
-    IntMatrix,
-    column_hermite,
-    kernel_and_complement,
-    lattice_coordinates,
-)
+from .intlin import IntMatrix, echelon_solutions, is_identity_echelon
 from .polyhedra import (
     Cone,
     LatticeLiftError,
@@ -39,7 +34,6 @@ from .horo import (
     coloured_cone_key,
     quotient_by_cone,
     trivial_coloured_cone,
-    uncoloured_rays,
 )
 from .rootsys import RootDatum, colour_smoothness_check, connected_components, flag_dimension
 
@@ -89,15 +83,16 @@ def orbit_table(fan: ColouredFan, datum: HorosphericalDatum) -> list[OrbitRecord
     """One record per coloured cone; dimension by the orbit formula.
 
     dim O(sigma^c) = rank(N) - dim(sigma) + dim(G/P_{I + F(sigma^c)}).
+    Members share few colour sets, so each distinct F(sigma^c) takes one
+    `flag_dimension`.
     """
     _require_lattice(fan, datum)
+    flags: dict[frozenset[int], int] = {}
     records = []
     for idx, cc in enumerate(fan.cones):
-        dim = (
-            fan.lattice.rank
-            - cc.dim()
-            + flag_dimension(datum.group, datum.parabolic | cc.colours)
-        )
+        if cc.colours not in flags:
+            flags[cc.colours] = flag_dimension(datum.group, datum.parabolic | cc.colours)
+        dim = fan.lattice.rank - cc.dim() + flags[cc.colours]
         records.append(OrbitRecord(idx, dim, quotient_by_cone(datum, cc).datum))
     return records
 
@@ -154,18 +149,20 @@ def regularity_report(fan: ColouredFan, datum: HorosphericalDatum) -> list[ConeR
 
     Simplicial: the multiset is linearly independent.  Regular: it extends to
     a Z-basis of N.  Smooth: regular plus the Dynkin-diagram condition on the
-    cone's colours.  One column Hermite form H of x -> (<v_i, x>)_i answers
+    cone's colours.  The column Hermite form H of x -> (<v_i, x>)_i answers
     both for k vectors v_i: simplicial iff H has k columns, and regular iff
-    the map is onto Z^k, that is iff H is the k x k identity.
+    the map is onto Z^k, that is iff H is the k x k identity.  H is the
+    echelon of the member's `ColouredFan.member_echelon`, kept per member:
+    simplicial iff the echelon has k rows, regular iff it is the k x k
+    identity (`intlin.is_identity_echelon`).  So no member is echelonised
+    again, however often the report runs.
     """
     _require_lattice(fan, datum)
     out = []
     for idx, cc in enumerate(fan.cones):
-        colour_points = tuple(fan.lattice.point(r) for r in sorted(cc.colours))
-        multiset = tuple(uncoloured_rays(fan.lattice, cc)) + colour_points
-        h = column_hermite(IntMatrix.from_rows(multiset, cols=fan.lattice.rank))
-        simplicial = h.cols == len(multiset)
-        regular = h == IntMatrix.identity(len(multiset))
+        multiset, (echelon, _, _) = fan.member_echelon(idx)
+        simplicial = len(echelon) == len(multiset)
+        regular = is_identity_echelon(echelon, len(multiset))
         dynkin_ok, dynkin_why = colour_smoothness_check(
             datum.group, datum.parabolic, cc.colours
         )
@@ -247,9 +244,9 @@ def _strictly_convex_plf_exists(fan: ColouredFan) -> bool:
     the gap across a wall is g.x for the wall's row g, the gaps of the basis
     PLFs there, which one `wall_gaps` pass over `fan.walls()` reads for
     every wall; each basis PLF has its piece on sigma, read off its values
-    on sigma's rays.  Since g.x > 0 is unchanged when g is repeated or
-    scaled by a positive number, each row is made primitive and only its
-    first occurrence, in wall order, is kept.  A zero row means that wall's
+    on sigma's rays, solved on sigma's `generator_echelon`.  Since g.x > 0
+    is unchanged when g is repeated or scaled by a positive number, each row
+    is made primitive and only its first occurrence, in wall order, is kept.  A zero row means that wall's
     gap is 0 for every PLF, so no PLF is strictly convex and no cone is
     built.  Otherwise, by Gordan's theorem (Schrijver, Theory of Linear and
     Integer Programming, 7.8), some x has g.x > 0 for every row g iff no
@@ -257,14 +254,13 @@ def _strictly_convex_plf_exists(fan: ColouredFan) -> bool:
     generate in Z^b, b the rank of the PLF lattice, is pointed.  Linear
     functions have zero gap on every wall, so they do not enter.
     """
-    r = fan.lattice.rank
     rays, basis = fan.plf_lattice()
     at = {u: t for t, u in enumerate(rays)}
     plfs = basis.columns()
     pieces = []
     for sigma in [cc.cone for cc in fan.maximal()]:
         values = [tuple(v[at[u]] for u in sigma.generators) for v in plfs]
-        ms = lattice_coordinates(values, IntMatrix.from_rows(sigma.generators, cols=r))
+        ms = echelon_solutions(sigma.generator_echelon(), len(sigma.generators), values)
         if None in ms:
             raise LatticeLiftError("a piecewise linear function is linear on each maximal cone")
         pieces.append(ms)
@@ -427,7 +423,7 @@ def affine_local_structure(
 def weight_monoid_generators(sigma: ColouredCone, datum: HorosphericalDatum) -> list[Vector]:
     """Minimal generators of the weight monoid sigma^vee ∩ N^vee.
 
-    One echelon of sigma's generators (`kernel_and_complement`) gives their
+    The echelon of sigma's generators (`Cone.generator_echelon`) gives their
     coordinates in the saturated span L of sigma, the lift of functionals on
     L to N^vee, and the lineality lattice L-perp of sigma^vee.  The pointed
     quotient sigma^vee / L-perp is the dual of sigma inside L; its Hilbert
@@ -437,7 +433,6 @@ def weight_monoid_generators(sigma: ColouredCone, datum: HorosphericalDatum) -> 
     """
     if not sigma.cone.is_strongly_convex():
         raise NotStronglyConvexError("weight monoids are computed for strongly convex cones")
-    generators = IntMatrix.from_rows(list(sigma.cone.generators), cols=sigma.cone.ambient_rank)
-    echelon, complement, perp = kernel_and_complement(generators)
+    echelon, complement, perp = sigma.cone.generator_echelon()
     pointed = dual_cone(Cone.from_generators(len(echelon), list(zip(*echelon))))
     return _join_lineality(hilbert_basis(pointed), complement, perp)

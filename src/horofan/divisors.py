@@ -21,14 +21,14 @@ from .intlin import (
     AbelianGroup,
     IntMatrix,
     cokernel,
+    echelon_solutions,
     kernel_basis,
     lattice_coordinates,
     rank,
     smith_normal_form,
-    solve_integer_affine,
 )
 from .polyhedra import LatticeLiftError, dot, wall_gaps
-from .horo import ColouredFan, HorosphericalDatum, uncoloured_rays
+from .horo import ColouredFan, HorosphericalDatum
 from .rootsys import _root_supported_on, pairing, positive_roots
 from .dictionary import _require_lattice
 
@@ -200,25 +200,27 @@ def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[Cartier
     value rows, and c*<m_a - m_b, u> = 0 holds for every solution.  Rows
     gluing the pieces on shared faces are therefore implied, and each
     maximal cone's piece is solved on its own.  Covectors are required to
-    lie in N^vee exactly.  The points span sigma, so the piece is unique
-    modulo sigma-perp, the kernel of the block, and `solve_integer_affine`
-    returns its canonical representative.
+    lie in N^vee exactly.  The points, sigma's multiset in
+    `ColouredFan.member_echelon`, span sigma, so the piece is unique modulo
+    sigma-perp, the kernel of their rows, and `intlin.echelon_solutions`
+    returns its canonical representative, the one `solve_integer_affine`
+    gives, from the member's kept echelon.  So each maximal member is
+    echelonised once per fan, however many divisors are solved on it.
     """
     d = delta.coordinates()
-    r = fan.lattice.rank
     gens = invariant_ray_generators(fan)
     ray_at = {g: t for t, g in enumerate(gens)}
     colour_at = {c.root: len(gens) + t for t, c in enumerate(fan.lattice.colours)}
     pieces = []
     for idx in _maximal_indices(fan):
-        cc = fan.cones[idx]
-        pairs = [(ray_at[g], g) for g in uncoloured_rays(fan.lattice, cc)]
-        pairs += [(colour_at[root], fan.lattice.point(root)) for root in sorted(cc.colours)]
-        block = IntMatrix.from_rows([p for _, p in pairs], cols=r)
-        solution = solve_integer_affine(block, [d[c] for c, _ in pairs])
+        colours = sorted(fan.cones[idx].colours)
+        multiset, data = fan.member_echelon(idx)
+        rays = multiset[: len(multiset) - len(colours)]
+        values = [d[ray_at[g]] for g in rays] + [d[colour_at[root]] for root in colours]
+        (solution,) = echelon_solutions(data, len(multiset), [values])
         if solution is None:
             return None
-        pieces.append((idx, solution[0]))
+        pieces.append((idx, solution))
     return CartierData(tuple(pieces))
 
 
@@ -317,18 +319,21 @@ def anticanonical(fan: ColouredFan, datum: HorosphericalDatum) -> BInvariantDivi
     """-K_X: every invariant ray with coefficient 1, colours with b_alpha.
 
     b_alpha sums the coroot pairings of the positive roots outside R_I and is
-    always at least 2.
+    always at least 2.  Pairing is linear in the root and zero across
+    components, so the roots outside R_I are summed per component first and
+    each colour takes one `pairing`, with its component's sum.
     """
     _require_lattice(fan, datum)
     group = datum.group
-    outside = [
-        gamma
-        for gamma in positive_roots(group)
-        if not _root_supported_on(group, gamma, datum.parabolic)
-    ]
+    sums = [[0] * size for _, size in group.components]
+    for gamma in positive_roots(group):
+        if not _root_supported_on(group, gamma, datum.parabolic):
+            ci, coords = gamma
+            sums[ci] = [s + x for s, x in zip(sums[ci], coords)]
     colour_coeffs = []
     for colour in fan.lattice.colours:
-        b = sum(pairing(group, gamma, colour.root) for gamma in outside)
+        ci, _ = group.component_of(colour.root)
+        b = pairing(group, (ci, tuple(sums[ci])), colour.root)
         if b < 2:
             raise AnticanonicalCoefficientError("anticanonical colour coefficients are at least 2")
         colour_coeffs.append((colour.root, b))

@@ -30,7 +30,19 @@ from .intlin import (
     lattice_coordinates,
     rank,
 )
-from .polyhedra import Cone, NotPointedError, complete_fan_walls, dot, faces, intersect, is_face_of, plf_lattice, primitive
+from .polyhedra import (
+    Cone,
+    Echelon,
+    NotPointedError,
+    _echelon_of_rows,
+    complete_fan_walls,
+    dot,
+    faces,
+    intersect,
+    is_face_of,
+    plf_lattice,
+    primitive,
+)
 from .rootsys import RootDatum
 
 Vector = tuple[int, ...]
@@ -156,14 +168,17 @@ class ColouredFan:
     What depends on the members alone is computed once per fan, outside ==
     and hash: the coloured-face table behind `star` and `maximal`, and, from
     the cones of the maximal members, the wall table (`walls`) and the PLF
-    lattice (`plf_lattice`).  `_listed` holds coloured-face lists already
-    made for some members (`coloured_fan` passes its closure's), which the
-    face table reads instead of running `coloured_faces` again.
+    lattice (`plf_lattice`).  Each member's multiset and its echelon
+    (`member_echelon`) are made on first use and kept the same way.
+    `_listed` holds coloured-face lists already made for some members
+    (`coloured_fan` passes its closure's), which the face table reads
+    instead of running `coloured_faces` again.
     """
 
     lattice: ColouredLattice
     cones: tuple[ColouredCone, ...]
     _listed: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
+    _multisets: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def colour_set(self) -> frozenset[int]:
         out: set[int] = set()
@@ -198,6 +213,27 @@ class ColouredFan:
         """The `polyhedra.plf_lattice` of the maximal members' cones: the sorted rays and the PLF basis in Z^rays."""
         rays, basis = self._plf_lattice
         return list(rays), basis
+
+    def member_echelon(self, index: int) -> tuple[tuple[Vector, ...], Echelon]:
+        """Member `index`'s multiset, with the `intlin.kernel_and_complement` triple of its rows, as tuples.
+
+        The multiset is the member's uncoloured ray generators
+        (`uncoloured_rays`), then its colour points by root.  Regularity
+        and Cartier data both read it.  When it is the cone's generator
+        tuple, as on every uncoloured member, the cone's own
+        `generator_echelon` is the triple.  Made once per member, on first
+        use; it raises wherever `uncoloured_rays` does.
+        """
+        if index not in self._multisets:
+            cc = self.cones[index]
+            points = tuple(self.lattice.point(r) for r in sorted(cc.colours))
+            multiset = tuple(uncoloured_rays(self.lattice, cc)) + points
+            if multiset == cc.cone.generators:
+                data = cc.cone.generator_echelon()
+            else:
+                data = _echelon_of_rows(multiset, self.lattice.rank)
+            self._multisets[index] = (multiset, data)
+        return self._multisets[index]
 
     @cached_property
     def _face_table(self) -> tuple[dict, tuple, dict]:
@@ -564,19 +600,23 @@ def quotient_coloured_lattice(
 def quotient_by_cone(datum: HorosphericalDatum, cc: ColouredCone) -> QuotientResult:
     """`quotient_coloured_lattice` by the span of cc's cone, removing cc's colours.
 
-    The projection's rows are the kernel basis of the cone's generator rows:
-    the annihilator of the span in column Hermite form, which is what
-    `quotient_coloured_lattice` takes from the saturated span.  So the span is
-    never saturated, and the saturation check, which guards outside input,
-    is not needed.
+    The projection's rows are the kernel of the cone's `generator_echelon`,
+    the kernel basis of its generator rows: the annihilator of the span in
+    column Hermite form, which is what `quotient_coloured_lattice` takes from
+    the saturated span.  So the span is never saturated, and the saturation
+    check, which guards outside input, is not needed.  The cone's echelon is
+    made once per cone, so `orbit_table` and `orbit_closure` echelonise no
+    cone twice.  A cone of another ambient rank than the datum's lattice is
+    a ValueError.
     """
-    generators = IntMatrix.from_rows(list(cc.cone.generators), cols=datum.lattice_rank)
-    return _quotient_by_projection(datum, kernel_basis(generators), cc.colours)
+    if cc.cone.ambient_rank != datum.lattice_rank:
+        raise ValueError(f"cone has ambient rank {cc.cone.ambient_rank}, not the lattice rank {datum.lattice_rank}")
+    return _quotient_by_projection(datum, cc.cone.generator_echelon()[2], cc.colours)
 
 
 def _quotient_by_projection(
     datum: HorosphericalDatum,
-    projection_rows: list[Vector],
+    projection_rows: Sequence[Vector],
     removed_colours: Iterable[int],
 ) -> QuotientResult:
     """The quotient of N by the saturated N' whose annihilator has the basis `projection_rows`, N read off the datum."""

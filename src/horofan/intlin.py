@@ -13,14 +13,18 @@ Hermite form and its transform (`hermite_normal_form`), ranks, column bases
 vanished are the kernel (`kernel_basis`), and the others coordinatise the
 saturated row span of m and lift functionals on it, which is all that cone
 duality and weight monoids need.  The same echelon solves m*x = b for a
-whole batch of right-hand sides b (`lattice_coordinates`;
-`solve_integer_affine` for one b, with the kernel): reducing (-b, 0) modulo
-its rows (`reduce_mod_hermite`) leaves zero on the left exactly when b is
-solvable, and on the right the canonical solution, reduced modulo the
-kernel's Hermite basis.  This gives Cartier data, PLF pieces and lattice
-maps.  The Smith form is computed only where its diagonal or its transforms
-are the answer: invariant factors and cokernels (class and Picard groups),
-and the torsion of Z^n / B*Z^d that gives Hilbert basis candidates.
+whole batch of right-hand sides b (`echelon_solutions`, from an echelon
+already made; `lattice_coordinates` and `solve_integer_affine` make one):
+reducing (-b, 0) modulo its rows (`reduce_mod_hermite`) leaves zero on the
+left exactly when b is solvable, and on the right the canonical solution,
+reduced modulo the kernel's Hermite basis.  This gives Cartier data, PLF
+pieces and lattice maps.  The echelon's first part, `echelon`, is also the
+column Hermite form of m, so the k rows of m are independent iff it has k
+rows and extend to a basis iff it is the identity (`is_identity_echelon`).  Cones and coloured-fan members
+keep the echelon of their rows and answer all of this from it.  The Smith
+form is computed only where its diagonal or its transforms are the answer:
+invariant factors and cokernels (class and Picard groups), and the torsion
+of Z^n / B*Z^d that gives Hilbert basis candidates.
 """
 
 from __future__ import annotations
@@ -186,8 +190,10 @@ def _echelonise(a: list[list[int]], cols: int) -> int:
         if piv_row == len(a):
             break
         # gcd out the entries of this column at and below piv_row
-        first = next((i for i in range(piv_row, len(a)) if a[i][col] != 0), None)
-        if first is None:
+        for first in range(piv_row, len(a)):
+            if a[first][col]:
+                break
+        else:
             continue
         if first != piv_row:
             a[piv_row], a[first] = a[first], a[piv_row]
@@ -359,7 +365,11 @@ def kernel_and_complement(m: IntMatrix) -> tuple[list[Vector], list[Vector], lis
     C*m^T = echelon.  C maps the saturated row span L of m isomorphically
     onto Z^r, so column j of `echelon` holds the coordinates of row j of m in
     L, a functional h on L (in these coordinates) lifts to h*C on Z^cols, and
-    the echelon's pivot columns index r independent rows of m.
+    the echelon's pivot columns index r independent rows of m.  The rows of
+    `echelon` are exactly the columns of `column_hermite(m)`: the first
+    m.rows columns are echelonised by the steps `column_hermite` takes on
+    m^T alone, and the later columns only add to earlier rows multiples of
+    rows whose left block is zero.
     """
     a = _beside_identity(m.transpose())
     _echelonise(a, m.rows + m.cols)
@@ -371,26 +381,41 @@ def kernel_and_complement(m: IntMatrix) -> tuple[list[Vector], list[Vector], lis
     )
 
 
+def is_identity_echelon(echelon: Sequence[Vector], k: int) -> bool:
+    """Whether the `kernel_and_complement` echelon of k rows v_i is the k x k identity.
+
+    It is the column Hermite form of x -> (<v_i, x>)_i, so this holds iff
+    that map is onto Z^k: the v_i are independent (k echelon rows) and
+    extend to a basis.
+    """
+    return list(echelon) == [tuple(int(i == j) for j in range(k)) for i in range(k)]
+
+
 def kernel_basis(m: IntMatrix) -> list[Vector]:
     """Canonical basis of {x in Z^cols : m*x = 0} (a saturated sublattice), in column Hermite form."""
     return kernel_and_complement(m)[2]
 
 
-def _solutions(m: IntMatrix, vectors: Sequence[Sequence[int]]) -> tuple[list[Optional[Vector]], list[Vector]]:
-    """The canonical solution of m*x = b per b (None if there is none), and the kernel basis.
+def echelon_solutions(
+    data: tuple[Sequence[Vector], Sequence[Vector], Sequence[Vector]], rows: int, vectors: Sequence[Sequence[int]]
+) -> list[Optional[Vector]]:
+    """The canonical solution of m*x = b per b, None if there is none, from the `kernel_and_complement` triple of m.
 
-    The rows [U*m^T | U] of `kernel_and_complement`'s echelon form a Hermite
-    basis of the lattice of pairs (m*y, y), the kernel rows with their zero
-    left blocks last.  Reducing (-b, 0) modulo it leaves (-b - m*y, -y):
-    b is solvable exactly when the left block is zero, and then x = -y solves
-    m*x = b and is already reduced modulo the kernel's Hermite basis.
+    m has `rows` rows; `data` is (echelon, complement, kernel).  The rows
+    [U*m^T | U] of the echelon form a Hermite basis of the lattice of pairs
+    (m*y, y), the kernel rows with their zero left blocks last.  Reducing
+    (-b, 0) modulo it leaves (-b - m*y, -y): b is solvable exactly when the
+    left block is zero, and then x = -y solves m*x = b and is already
+    reduced modulo the kernel's Hermite basis.  So one echelon, made once per
+    matrix, answers every right-hand side.
     """
-    if any(len(b) != m.rows for b in vectors):
+    if any(len(b) != rows for b in vectors):
         raise ValueError("right-hand side has wrong length")
-    echelon, complement, kernel = kernel_and_complement(m)
-    rows = [e + c for e, c in zip(echelon, complement)] + [(0,) * m.rows + k for k in kernel]
-    reduced = reduce_mod_hermite([tuple(-x for x in b) + (0,) * m.cols for b in vectors], rows)
-    return [None if any(w[: m.rows]) else w[m.rows :] for w in reduced], kernel
+    echelon, complement, kernel = data
+    cols = len(complement) + len(kernel)
+    basis = [e + c for e, c in zip(echelon, complement)] + [(0,) * rows + k for k in kernel]
+    reduced = reduce_mod_hermite([tuple(-x for x in b) + (0,) * cols for b in vectors], basis)
+    return [None if any(w[:rows]) else w[rows:] for w in reduced]
 
 
 def solve_integer_affine(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vector, list[Vector]]]:
@@ -399,10 +424,11 @@ def solve_integer_affine(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vecto
     Returns (x, `kernel_basis(m)`), or None when no integer solution exists.
     x is the canonical solution: every solution reduces to it modulo the
     kernel's Hermite basis (`reduce_mod_hermite`).  Unsolvability is a value,
-    not an error.
+    not an error.  It is `echelon_solutions` on one echelon of m.
     """
-    (x,), kernel = _solutions(m, [b])
-    return None if x is None else (x, kernel)
+    data = kernel_and_complement(m)
+    (x,) = echelon_solutions(data, m.rows, [b])
+    return None if x is None else (x, data[2])
 
 
 def column_hermite(m: IntMatrix) -> IntMatrix:
@@ -434,11 +460,11 @@ def left_unimodular_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
 def lattice_coordinates(vectors: Sequence[Sequence[int]], basis: IntMatrix) -> list[Optional[Vector]]:
     """Coordinates of each vector in the column lattice of basis, None where it is outside.
 
-    One echelon of basis serves the whole batch; where the columns are
-    dependent, the coordinates are the canonical solution of
-    `solve_integer_affine`.
+    One echelon of basis serves the whole batch (`echelon_solutions`);
+    where the columns are dependent, the coordinates are the canonical
+    solution of `solve_integer_affine`.
     """
-    return _solutions(basis, vectors)[0] if vectors else []
+    return echelon_solutions(kernel_and_complement(basis), basis.rows, vectors) if vectors else []
 
 
 def reduce_mod_hermite(vectors: Sequence[Sequence[int]], hermite: Sequence[Vector]) -> list[Vector]:

@@ -15,10 +15,14 @@ through it is then a ray.  The extreme generators, made primitive, are the
 canonical generators.  A cone with lineality is the dual of its dual, a
 second pass over the normals; no workload builds one.  Each cone keeps one
 incidence table, `Cone.incidences`: each normal with its zero set over the
-canonical generators.  The +/- span equalities are exactly the normals whose
-zero set holds every generator, since a lifted facet is reduced modulo the
-perp lattice and never vanishes on the whole span; the others are the
-proper facets.  `faces`, `is_face_of`, `facet_owners`, `hilbert_basis` and
+canonical generators; and one echelon, `Cone.generator_echelon`: the
+`kernel_and_complement` triple of its generator rows, kept from the pass
+when the pass ran on the canonical generators and made on first use
+otherwise.  Orbit quotients, weight monoids, PLF and Cartier pieces and the
+unimodular test of `plf_lattice` all read it.  The +/- span equalities are
+exactly the normals whose zero set holds every generator, since a lifted
+facet is reduced modulo the perp lattice and never vanishes on the whole
+span; the others are the proper facets.  `faces`, `is_face_of`, `facet_owners`, `hilbert_basis` and
 the coloured-face rule in `horo` all read that table; a cone is pointed iff
 no generator's negative is also a generator.  Faces, built from generator
 subsets, take their dimensions from the graded face lattice and their
@@ -50,6 +54,7 @@ from typing import Iterable, Optional, Sequence
 from .intlin import (
     IntMatrix,
     column_hermite,
+    is_identity_echelon,
     kernel_and_complement,
     kernel_basis,
     rank,
@@ -59,6 +64,8 @@ from .intlin import (
 )
 
 Vector = tuple[int, ...]
+# the (echelon, complement, kernel) triple of `intlin.kernel_and_complement`, as tuples
+Echelon = tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[Vector, ...]]
 
 
 class NotPointedError(ValueError):
@@ -175,17 +182,25 @@ def _dual_extreme_rays(echelon: Sequence[Vector]) -> list[tuple[Vector, int]]:
     return rays
 
 
-def _dual_description(vecs: Sequence[Vector], n: int) -> tuple[list[Vector], list[int], int]:
-    """`dual_generators` of distinct nonzero vectors, each facet's zero set over them as a bit mask, and their rank.
+def _echelon_of_rows(vecs: Sequence[Vector], n: int) -> Echelon:
+    """`kernel_and_complement` of the matrix with rows `vecs` in Z^n, as tuples."""
+    echelon, complement, kernel = kernel_and_complement(IntMatrix.from_rows(list(vecs), cols=n))
+    return tuple(echelon), tuple(complement), tuple(kernel)
+
+
+def _dual_description(vecs: Sequence[Vector], n: int) -> tuple[list[Vector], list[int], Echelon]:
+    """`dual_generators` of distinct nonzero vectors, each facet's zero set over them as a bit mask, and their echelon.
 
     The facets are the extreme rays found in span coordinates; their lifts,
     and the +/- basis of `perp`, are the dual generators.  The lifts agree
     with the rays on the span, so the masks are their zero sets too, and the
-    `perp` pairs vanish on every vector.
+    `perp` pairs vanish on every vector.  The echelon is `_echelon_of_rows`
+    of the vectors; its first part has as many rows as their rank.
     """
-    echelon, complement, perp = kernel_and_complement(IntMatrix.from_rows(vecs, cols=n))
+    data = _echelon_of_rows(vecs, n)
+    echelon, complement, perp = data
     rays = _dual_extreme_rays(echelon)
-    return _join_lineality([r for r, _ in rays], complement, perp), [z for _, z in rays], len(echelon)
+    return _join_lineality([r for r, _ in rays], complement, perp), [z for _, z in rays], data
 
 
 def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
@@ -223,11 +238,18 @@ class Cone:
     Equal cones (as subsets of R^n) have equal generator tuples; equality and
     hashing are therefore structural.  `from_generators` stores the normals
     and the dimension it computes in write-once slots outside both, and
-    `faces` stores each face's dimension; other cones fill them on use.  The
-    incidence table `incidences` pairs each normal with its zero set over
-    the generators, once per cone: a normal whose zero set holds every
-    generator is a span equality, any other cuts out a proper facet.  The
-    cone is pointed iff no generator's negative is also a generator: with
+    `faces` stores each face's dimension; other cones fill them on use.  Each
+    cone keeps one incidence table and one echelon.  The incidence table
+    `incidences` pairs each normal with its zero set over the generators: a
+    normal whose zero set holds every generator is a span equality, any
+    other cuts out a proper facet.  The echelon `generator_echelon` is the
+    `kernel_and_complement` triple of the generator rows, which answers the
+    lattice questions on the span: its kernel is the annihilator of the span
+    (orbit quotients), it solves for pieces on the cone (PLF and Cartier
+    data), and it is the identity exactly when the generators extend to a
+    basis (unimodular cones).  `from_generators` keeps the triple of its
+    double-description pass when the pass ran on the canonical generators.
+    The cone is pointed iff no generator's negative is also a generator: with
     lineality L the generators hold +/- a basis of L, and a pointed cone
     cannot hold both g and -g.
     """
@@ -236,6 +258,7 @@ class Cone:
     generators: tuple[Vector, ...]
     _normals: list = field(default_factory=list, compare=False, repr=False, hash=False)
     _dims: list = field(default_factory=list, compare=False, repr=False, hash=False)
+    _echelon: list = field(default_factory=list, compare=False, repr=False, hash=False)
 
     @staticmethod
     def from_generators(ambient_rank: int, generators: Iterable[Sequence[int]]) -> "Cone":
@@ -245,7 +268,9 @@ class Cone:
         generators; the generators on every facet span the lineality L.  A
         pointed cone's canonical generators are its primitive extreme
         generators.  A cone with lineality is the dual of its dual,
-        `dual_generators` of the normals; no workload builds one.
+        `dual_generators` of the normals; no workload builds one.  When the
+        pass ran on exactly the canonical generators, in order, its echelon
+        is the cone's `generator_echelon` and is kept.
         """
         gens = [tuple(int(x) for x in g) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
@@ -253,12 +278,13 @@ class Cone:
         vecs = list(dict.fromkeys(g for g in gens if any(g)))
         if not vecs:
             return Cone(ambient_rank, (), [], [0])
-        normals, masks, dim = _dual_description(vecs, ambient_rank)
+        normals, masks, data = _dual_description(vecs, ambient_rank)
         if any(all(z >> i & 1 for z in masks) for i in range(len(vecs))):
             canonical = dual_generators(normals, ambient_rank)
         else:
             canonical = sorted(set(_extreme_generators(masks, vecs)))
-        return Cone(ambient_rank, tuple(canonical), [tuple(normals)], [dim])
+        kept = [data] if canonical == vecs else []
+        return Cone(ambient_rank, tuple(canonical), [tuple(normals)], [len(data[0])], kept)
 
     @staticmethod
     def from_inequalities(ambient_rank: int, normals: Iterable[Sequence[int]]) -> "Cone":
@@ -288,6 +314,12 @@ class Cone:
         if not self._dims:
             self._dims.append(rank(IntMatrix.from_rows(list(self.generators), cols=self.ambient_rank)))
         return self._dims[0]
+
+    def generator_echelon(self) -> Echelon:
+        """`kernel_and_complement` of the generator rows, as tuples: (echelon, complement, kernel), once per cone."""
+        if not self._echelon:
+            self._echelon.append(_echelon_of_rows(self.generators, self.ambient_rank))
+        return self._echelon[0]
 
     @cached_property
     def incidences(self) -> tuple[tuple[Vector, frozenset[Vector]], ...]:
@@ -507,14 +539,15 @@ def plf_lattice(maximal: Sequence[Cone]) -> tuple[list[Vector], IntMatrix]:
     #rays + r.  A unimodular cone, whose k generator rows have column
     Hermite form identity(k), is skipped: G_sigma maps Z^r onto Z^k, so any
     values on its rays come from some m_sigma and the lattice is unchanged,
-    and so is its Hermite basis, which is canonical.
+    and so is its Hermite basis, which is canonical.  The test reads the
+    cone's `generator_echelon`, whose echelon is that Hermite form.
     """
     rays = sorted({g for c in maximal for g in c.generators})
     index = {u: t for t, u in enumerate(rays)}
     r = maximal[0].ambient_rank if maximal else 0
     basis = IntMatrix.identity(len(rays))
     for c in maximal:
-        if column_hermite(IntMatrix.from_rows(list(c.generators), cols=r)) == IntMatrix.identity(len(c.generators)):
+        if is_identity_echelon(c.generator_echelon()[0], len(c.generators)):
             continue
         block = [list(basis.row(index[u])) + [-x for x in u] for u in c.generators]
         kernel = kernel_basis(IntMatrix.from_rows(block, cols=basis.cols + r))

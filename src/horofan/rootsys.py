@@ -81,29 +81,33 @@ def _cartan_matrix(letter: str, rank: int) -> tuple[tuple[int, ...], ...]:
 
 
 def _positive_roots(cartan: tuple[tuple[int, ...], ...]) -> list[tuple[int, ...]]:
-    """The positive roots, by reflection closure of the simple roots.
+    """The positive roots, by raising the simple roots, sorted by height.
 
-    A pairing reads a Cartan row's nonzero entries, and a reflection with pairing 0, which fixes the root, is skipped.
+    A positive root gamma that is not simple pairs positively with some
+    simple coroot alpha_i^vee, and its reflection gamma - <gamma, alpha_i^vee>
+    alpha_i is a positive root of lower height.  So every positive root comes
+    from a simple root by reflections that raise it, those with pairing < 0,
+    and only those are taken.  The pairing with alpha_i^vee reads row i's
+    nonzero entries, so it is taken only for the nodes i whose row is
+    nonzero somewhere on gamma's support.
     """
     rank = len(cartan)
     nonzero = [[(j, c) for j, c in enumerate(row) if c] for row in cartan]
-    simples = [tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)]
-    roots = set(simples)
-    frontier = set(simples)
+    rows_at = [[i for i in range(rank) if cartan[i][j]] for j in range(rank)]
+    roots = {tuple(1 if i == j else 0 for j in range(rank)) for i in range(rank)}
+    frontier = set(roots)
     while frontier:
         new = set()
         for gamma in frontier:
-            for i, row in enumerate(nonzero):
-                pair = sum(gamma[j] * c for j, c in row)
-                if pair:
+            for i in {i for j, x in enumerate(gamma) if x for i in rows_at[j]}:
+                pair = sum(gamma[j] * c for j, c in nonzero[i])
+                if pair < 0:
                     reflected = gamma[:i] + (gamma[i] - pair,) + gamma[i + 1 :]
                     if reflected not in roots:
                         new.add(reflected)
         roots |= new
         frontier = new
-    positive = [r for r in roots if all(x >= 0 for x in r)]
-    positive.sort(key=lambda r: (sum(r), r))
-    return positive
+    return sorted(roots, key=lambda r: (sum(r), r))
 
 
 def parse_dynkin(descriptor: str) -> tuple[tuple[str, int], ...]:

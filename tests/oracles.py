@@ -48,9 +48,18 @@ where `dictionary._strictly_convex_plf_exists` asks whether the cone they
 generate is pointed.
 
 `dense_positive_roots` is the package's earlier reflection closure, which
-pairs with every entry of a Cartan row and applies every reflection, where
-`rootsys._positive_roots` reads each row's nonzero entries and skips the
-reflections that fix the root.
+pairs with every entry of a Cartan row and applies every reflection, so it
+closes up the negative roots too, where `rootsys._positive_roots` takes only
+the reflections that raise a positive root, read off each row's nonzero
+entries.  `per_root_anticanonical_colours` is the earlier loop of
+`divisors.anticanonical`, one `pairing` per root outside R_I and colour,
+where the package sums the roots first.
+
+`column_hermite_regularity` and `solve_per_member_cartier_data` are the
+package's earlier per-member routes: a column Hermite form of each member's
+multiset, and one `solve_integer_affine` on it per maximal member and
+divisor, made afresh on every call, where `dictionary.regularity_report` and
+`divisors.cartier_data` read the echelon `ColouredFan.member_echelon` keeps.
 
 `always_kernel_plf_lattice` is the package's earlier `polyhedra.plf_lattice`,
 which runs a kernel for every maximal cone, unimodular or not.
@@ -79,10 +88,12 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
+from horofan.dictionary import ConeRegularity, _require_lattice
 from horofan.divisors import (
     CartierData,
     ExactSequenceReport,
     PicardResult,
+    _maximal_indices,
     _principal_matrix,
     cartier_data,
     invariant_ray_generators,
@@ -98,6 +109,7 @@ from horofan.intlin import (
     rank,
     reduce_mod_hermite,
     smith_normal_form,
+    solve_integer_affine,
 )
 from horofan.polyhedra import (
     Cone,
@@ -114,7 +126,7 @@ from horofan.polyhedra import (
     wall_gaps,
 )
 from horofan.ratlp import LpResult, maximize
-from horofan.rootsys import RootDatum
+from horofan.rootsys import RootDatum, _root_supported_on, colour_smoothness_check, pairing, positive_roots
 
 
 def smith_solutions(m: IntMatrix, vectors) -> tuple[list, list[tuple[int, ...]]]:
@@ -841,3 +853,58 @@ def per_member_face_table(fan) -> tuple[dict, tuple, dict]:
             else:
                 missing.append((sigma, f))
     return {cc: tuple(above) for cc, above in star.items()}, tuple(missing), faces_of
+
+
+def per_root_anticanonical_colours(fan, datum) -> tuple[tuple[int, int], ...]:
+    """The colour coefficients of `divisors.anticanonical`, one `pairing` per root outside R_I and colour."""
+    group = datum.group
+    outside = [gamma for gamma in positive_roots(group) if not _root_supported_on(group, gamma, datum.parabolic)]
+    return tuple(
+        (colour.root, sum(pairing(group, gamma, colour.root) for gamma in outside)) for colour in fan.lattice.colours
+    )
+
+
+def column_hermite_regularity(fan, datum) -> list[ConeRegularity]:
+    """`dictionary.regularity_report` by one column Hermite form per member, made afresh on every call."""
+    _require_lattice(fan, datum)
+    out = []
+    for idx, cc in enumerate(fan.cones):
+        colour_points = tuple(fan.lattice.point(r) for r in sorted(cc.colours))
+        multiset = tuple(uncoloured_rays(fan.lattice, cc)) + colour_points
+        h = column_hermite(IntMatrix.from_rows(multiset, cols=fan.lattice.rank))
+        simplicial = h.cols == len(multiset)
+        regular = h == IntMatrix.identity(len(multiset))
+        dynkin_ok, dynkin_why = colour_smoothness_check(
+            datum.group, datum.parabolic, cc.colours
+        )
+        smooth = regular and dynkin_ok
+        if not simplicial:
+            why = "multiset is linearly dependent (not simplicial)"
+        elif not regular:
+            why = "multiset does not extend to a Z-basis (not regular)"
+        elif not dynkin_ok:
+            why = dynkin_why
+        else:
+            why = "regular, and the colours satisfy the Dynkin condition"
+        out.append(ConeRegularity(idx, multiset, simplicial, regular, smooth, why))
+    return out
+
+
+def solve_per_member_cartier_data(delta, fan):
+    """`divisors.cartier_data` with one `solve_integer_affine` per maximal member, on a block built afresh."""
+    d = delta.coordinates()
+    r = fan.lattice.rank
+    gens = invariant_ray_generators(fan)
+    ray_at = {g: t for t, g in enumerate(gens)}
+    colour_at = {c.root: len(gens) + t for t, c in enumerate(fan.lattice.colours)}
+    pieces = []
+    for idx in _maximal_indices(fan):
+        cc = fan.cones[idx]
+        pairs = [(ray_at[g], g) for g in uncoloured_rays(fan.lattice, cc)]
+        pairs += [(colour_at[root], fan.lattice.point(root)) for root in sorted(cc.colours)]
+        block = IntMatrix.from_rows([p for _, p in pairs], cols=r)
+        solution = solve_integer_affine(block, [d[c] for c, _ in pairs])
+        if solution is None:
+            return None
+        pieces.append((idx, solution[0]))
+    return CartierData(tuple(pieces))

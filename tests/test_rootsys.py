@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from horofan import cli, rootsys
+from horofan import cli, divisors, rootsys
 from horofan.dictionary import _classify_subdiagram
 from horofan.divisors import anticanonical
 from horofan.rootsys import (
@@ -19,7 +19,15 @@ from horofan.rootsys import (
     positive_roots,
 )
 
-from .oracles import chord_checked_chain_from, dense_positive_roots, rank_list_classify_subdiagram
+from horofan.horo import ColouredFan, HorosphericalDatum, build_coloured_lattice, trivial_coloured_cone
+from horofan.intlin import IntMatrix
+
+from .oracles import (
+    chord_checked_chain_from,
+    dense_positive_roots,
+    per_root_anticanonical_colours,
+    rank_list_classify_subdiagram,
+)
 
 CLASSICAL_COUNTS = [
     ("A1", 1),
@@ -299,9 +307,42 @@ def test_anticanonical_builds_one_cartan_matrix():
     assert rootsys._cartan_matrix.cache_info().misses == 1
 
 
-@pytest.mark.parametrize("group", ["A40", "D20", "B12xC12"])
+@pytest.mark.parametrize("group", ["A40", "D20", "B12xC12", "A100"])
 def test_anticanonical_colour_coefficients_are_two_with_no_parabolic(group):
     """With I empty, b_alpha = <2 rho, alpha^vee> = 2 for every simple root alpha."""
     fan, datum = empty_document(group)
     colour_coeffs = anticanonical(fan, datum).colour_coeffs
     assert colour_coeffs == tuple((i, 2) for i in range(datum.group.simple_count))
+
+
+def test_anticanonical_takes_one_pairing_per_colour(monkeypatch):
+    """A40 with I empty: 40 pairings, one per colour, where pairing every root outside R_I took 820 * 40."""
+    fan, datum = empty_document("A40")
+    calls = []
+
+    def counted(group, gamma, simple_index):
+        calls.append(simple_index)
+        return pairing(group, gamma, simple_index)
+
+    monkeypatch.setattr(divisors, "pairing", counted)
+    anticanonical(fan, datum)
+    assert calls == list(range(40))
+
+
+@pytest.mark.parametrize(
+    "group,parabolic",
+    [
+        ("A5", {1, 3}), ("B4xG2", {0, 4}), ("C5", {4}), ("D6", {0, 1, 2}),
+        ("E6", {0, 5}), ("F4", {1, 2}), ("E8xA3", {7, 9}),
+    ],
+)
+def test_anticanonical_colours_match_one_pairing_per_root_and_colour(group, parabolic):
+    """With a nonempty I, so that roots outside R_I lie in part of each component."""
+    group = RootDatum.parse(group)
+    datum = HorosphericalDatum(group, frozenset(parabolic), IntMatrix.from_columns([], rows=group.character_rank))
+    lattice = build_coloured_lattice(datum)
+    fan = ColouredFan(lattice, (trivial_coloured_cone(lattice),))
+    colours = anticanonical(fan, datum).colour_coeffs
+    assert colours == per_root_anticanonical_colours(fan, datum)
+    assert [root for root, _ in colours] == [a for a in group.simple_roots() if a not in parabolic]
+    assert any(b > 2 for _, b in colours)

@@ -41,16 +41,18 @@ from .divisors import (
 from .horo import (
     ColouredCone,
     ColouredFan,
+    ColouredLattice,
     HorosphericalDatum,
     InvalidDatumError,
     build_coloured_lattice,
     coloured_cone_key,
+    coloured_faces,
     coloured_lattice_map,
     trivial_coloured_cone,
     validate_coloured_fan,
 )
 from .intlin import IntMatrix
-from .polyhedra import Cone
+from .polyhedra import Cone, primitive
 from .rootsys import RootDatum
 
 SENTINEL = "---JSON---"
@@ -134,6 +136,33 @@ def _load_json(text: str):
     return raw
 
 
+def _canonical_members(
+    lattice: ColouredLattice, specs: list[tuple[list[tuple[int, ...]], frozenset[int]]]
+) -> tuple[list[ColouredCone], dict[int, list[ColouredCone]]]:
+    """The listed members as coloured cones, with one double-description pass per member that is no face of another.
+
+    Members are canonicalised largest first, by their distinct primitive
+    generators.  A member whose primitive generators are exactly those of a
+    face of a pointed member built before takes that face's cone: the face's
+    canonical generators are that member's generators in it, so it is the
+    cone `Cone.from_generators` would make.  The coloured faces of each built
+    pointed member are returned by its index, for the fan's face table.
+    """
+    keys = [frozenset(primitive(g) for g in gens if any(g)) for gens, _ in specs]
+    made: dict[frozenset, Cone] = {}
+    cones: list = [None] * len(specs)
+    listed: dict[int, list[ColouredCone]] = {}
+    for i in sorted(range(len(specs)), key=lambda i: -len(keys[i])):
+        gens, roots = specs[i]
+        face = made.get(keys[i])
+        cones[i] = ColouredCone(Cone.from_generators(lattice.rank, gens) if face is None else face, roots)
+        if face is None and cones[i].cone.is_strongly_convex():
+            listed[i] = coloured_faces(lattice, cones[i])
+            for f in listed[i]:
+                made.setdefault(frozenset(f.cone.generators), f.cone)
+    return cones, listed
+
+
 def parse_input(text: str) -> InputDocument:
     """Strictly parse and validate a JSON document into datum + fan + divisors.
 
@@ -181,7 +210,7 @@ def parse_input(text: str) -> InputDocument:
 
     raw_fan = raw.get("fan", [])
     _expect(isinstance(raw_fan, list), "fan", "expected a list of coloured cones")
-    cones = []
+    specs = []
     for i, raw_cone in enumerate(raw_fan):
         path = f"fan[{i}]"
         _expect(isinstance(raw_cone, dict), path, "expected an object")
@@ -203,11 +232,12 @@ def parse_input(text: str) -> InputDocument:
                 f"no such simple root {label!r} in S minus I",
             )
             roots.add(colour_labels[label])
-        cones.append(ColouredCone(Cone.from_generators(lattice.rank, gens), frozenset(roots)))
+        specs.append((gens, frozenset(roots)))
+    cones, listed = _canonical_members(lattice, specs)
     trivial = trivial_coloured_cone(lattice)
     if trivial not in cones:
         cones.append(trivial)
-    fan = ColouredFan(lattice, tuple(cones))
+    fan = ColouredFan(lattice, tuple(cones), listed)
 
     divisors: dict[str, BInvariantDivisor] = {}
     raw_divisors = raw.get("divisors", {})

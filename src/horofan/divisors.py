@@ -185,8 +185,7 @@ class CartierData:
 
 def _maximal_indices(fan: ColouredFan) -> list[int]:
     """The index in `fan.cones` of each member of `fan.maximal()`, in that order; of a repeated member, the first."""
-    first = {cc: i for i, cc in reversed(list(enumerate(fan.cones)))}
-    return [first[cc] for cc in fan.maximal()]
+    return list(fan._anchors)
 
 
 def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[CartierData]:

@@ -161,6 +161,14 @@ def coloured_cone_key(cc: ColouredCone) -> tuple:
     return (cc.dim(), cc.cone.generators, sorted(cc.colours))
 
 
+def _number(slot: dict, pool: list, cc: ColouredCone) -> int:
+    """cc's index in `pool`, appending it when `slot` has no equal one: one hash."""
+    k = slot.setdefault(cc, len(pool))
+    if k == len(pool):
+        pool.append(cc)
+    return k
+
+
 @dataclass(frozen=True)
 class ColouredFan:
     """Finite collection of strongly convex coloured cones on a coloured lattice.
@@ -170,9 +178,12 @@ class ColouredFan:
     the cones of the maximal members, the wall table (`walls`) and the PLF
     lattice (`plf_lattice`).  Each member's multiset and its echelon
     (`member_echelon`) are made on first use and kept the same way.
-    `_listed` holds coloured-face lists already made for some members
-    (`coloured_fan` passes its closure's), which the face table reads
-    instead of running `coloured_faces` again.
+    `_listed` maps the index of some members to their lists of coloured
+    faces, already made (`coloured_fan` passes its closure's, the CLI those
+    of the members it canonicalised), which the face table reads instead of
+    running `coloured_faces` again.  The table runs over member indices:
+    the members are numbered once, by first occurrence, and each listed
+    face is mapped to its member's index with one hash (`_numbering`).
     """
 
     lattice: ColouredLattice
@@ -196,11 +207,11 @@ class ColouredFan:
         no other member contains.  The rule raises wherever `coloured_faces`
         does, for example KeyError on an unknown colour index.
         """
-        return list(self._maximal)
+        return [self.cones[k] for k in self._anchors]
 
     def star(self, cc: ColouredCone) -> tuple[ColouredCone, ...]:
         """The members that the member cc is a coloured face of, in member order."""
-        return self._face_table[0][cc]
+        return tuple(self.cones[k] for k in self._face_table[1][self._numbering[0][cc]])
 
     def walls(self) -> Optional[dict[Cone, tuple[int, int, Vector]]]:
         """The `polyhedra.complete_fan_walls` table of the maximal members' cones, None if the fan is not complete.
@@ -215,7 +226,7 @@ class ColouredFan:
         return list(rays), basis
 
     def member_echelon(self, index: int) -> tuple[tuple[Vector, ...], Echelon]:
-        """Member `index`'s multiset, with the `intlin.kernel_and_complement` triple of its rows, as tuples.
+        """Member `index`'s multiset, with the `intlin.echelon_triple` of its rows, as tuples.
 
         The multiset is the member's uncoloured ray generators
         (`uncoloured_rays`), then its colour points by root.  Regularity
@@ -236,60 +247,94 @@ class ColouredFan:
         return self._multisets[index]
 
     @cached_property
-    def _face_table(self) -> tuple[dict, tuple, dict]:
-        """Each member's star, the (member, face) pairs whose face is no member, and each member's coloured faces.
+    def _numbering(self) -> tuple[dict, list[int], list[ColouredCone], dict[int, list[int]]]:
+        """(slot, first, pool, listed): the members numbered once, and `_listed` in those numbers.
 
+        `pool` is the members, then the listed faces that are no member;
+        `slot` maps each to its index in the pool, a member to its first
+        occurrence, and `first[i]` is that index for member i.  `listed` maps
+        the first occurrence of each member with a list in `_listed` to the
+        pool indices of its faces.  One hash per member and per listed face.
+        """
+        slot: dict[ColouredCone, int] = {}
+        first = [slot.setdefault(cc, k) for k, cc in enumerate(self.cones)]
+        pool = list(self.cones)
+        listed: dict[int, list[int]] = {}
+        for k, faces_of_k in self._listed.items():
+            listed.setdefault(first[k], [_number(slot, pool, f) for f in faces_of_k])
+        return slot, first, pool, listed
+
+    @cached_property
+    def _face_table(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+        """(lists, stars) over member indices: each member's coloured faces as pool indices, and its star.
+
+        Both are keyed by first occurrences (`_numbering`), and a star lists
+        the first occurrences of the members above, in member order.
         Computed once per fan, outside == and hash.  `coloured_faces` runs
         only on the members that are a coloured face of no larger member
         and have no list in `_listed`.
         When a member f equals an entry of a member sigma's list, colours
         included, f is a face of sigma, so its faces are the faces of sigma
         inside f: the entries of sigma's list whose generators lie in f's,
-        already in the (dim, generators) order of `faces`.  Their colours
+        already in the (dim, generators) order of `faces`, read as bit masks
+        over sigma's generators.  Their colours
         agree too: f's colours are sigma's colours with points in f, so for
         a face g of f, sigma's colours with points in g are f's.  So the
         members are walked from the largest dimension down, and each member
         already listed under one walked before filters that member's list.
-        The star and the missing faces are then read in member order.  This
-        raises wherever `coloured_faces` does.
+        The stars are then read in member order.  This raises wherever
+        `coloured_faces` does.
         """
-        lists: dict[ColouredCone, list[ColouredCone]] = {}
-        cover: dict[ColouredCone, list[ColouredCone]] = {}
-        for sigma in sorted(self.cones, key=lambda cc: -cc.dim()):
-            if sigma in lists:
-                continue
-            if sigma in cover:
-                inside = frozenset(sigma.cone.generators)
-                listed = [f for f in cover[sigma] if inside.issuperset(f.cone.generators)]
-            elif sigma in self._listed:
-                listed = self._listed[sigma]
+        slot, first, pool, given = self._numbering
+        members = list(dict.fromkeys(first))
+        lists: dict[int, list[int]] = {}
+        # a listed face: its list, as (pool index, generator mask over the list's top cone) pairs, and its own mask
+        cover: dict[int, tuple[list[tuple[int, int]], int]] = {}
+        for k in sorted(members, key=lambda k: -self.cones[k].dim()):
+            if k in cover:
+                above, inside = cover[k]
+                listed = [(j, m) for j, m in above if m & inside == m]
             else:
-                listed = coloured_faces(self.lattice, sigma)
-            lists[sigma] = listed
-            for f in listed:
-                cover[f] = listed
-        star: dict[ColouredCone, dict[ColouredCone, None]] = {cc: {} for cc in self.cones}
-        missing = []
-        for sigma in self.cones:
-            for f in lists[sigma]:
-                if f in star:
-                    star[f][sigma] = None
+                if k in given:
+                    entries = given[k]
                 else:
-                    missing.append((sigma, f))
-        faces_of = {cc: frozenset(lists[cc]) for cc in self.cones}
-        return {cc: tuple(above) for cc, above in star.items()}, tuple(missing), faces_of
+                    entries = [_number(slot, pool, f) for f in coloured_faces(self.lattice, self.cones[k])]
+                bit = {g: 1 << i for i, g in enumerate(self.cones[k].cone.generators)}
+                listed = [(j, sum(bit[g] for g in pool[j].cone.generators)) for j in entries]
+            lists[k] = [j for j, _ in listed]
+            for j, m in listed:
+                cover[j] = listed, m
+        n = len(self.cones)
+        stars: dict[int, list[int]] = {k: [] for k in members}
+        for k in members:
+            for j in lists[k]:
+                if j < n:
+                    stars[j].append(k)
+        return lists, stars
+
+    def _missing(self) -> list[tuple[ColouredCone, ColouredCone]]:
+        """The (member, coloured face) pairs whose face is no member, in member order, repeated members included."""
+        lists = self._face_table[0]
+        first, pool, n = self._numbering[1], self._numbering[2], len(self.cones)
+        return [(self.cones[i], pool[j]) for i, k in enumerate(first) for j in lists[k] if j >= n]
+
+    def _faces_of(self) -> dict[ColouredCone, frozenset[ColouredCone]]:
+        """Each member's set of coloured faces."""
+        lists, pool = self._face_table[0], self._numbering[2]
+        return {self.cones[k]: frozenset(pool[j] for j in faces_of_k) for k, faces_of_k in lists.items()}
 
     @cached_property
-    def _maximal(self) -> tuple[ColouredCone, ...]:
-        return tuple(cc for cc, above in self._face_table[0].items() if above == (cc,))
+    def _anchors(self) -> tuple[int, ...]:
+        """The first occurrences of the maximal members, in member order."""
+        return tuple(k for k, above in self._face_table[1].items() if above == [k])
 
     @cached_property
     def _walls(self) -> Optional[dict[Cone, tuple[int, int, Vector]]]:
-        return complete_fan_walls([cc.cone for cc in self._maximal])
+        return complete_fan_walls([self.cones[k].cone for k in self._anchors])
 
     @cached_property
     def _plf_lattice(self) -> tuple[list[Vector], IntMatrix]:
-        return plf_lattice([cc.cone for cc in self._maximal])
+        return plf_lattice([self.cones[k].cone for k in self._anchors])
 
     def non_coloured_rays(self) -> list[ColouredCone]:
         return [cc for cc in self.cones if cc.dim() == 1 and not cc.colours]
@@ -341,24 +386,23 @@ def trivial_coloured_cone(lattice: ColouredLattice) -> ColouredCone:
 def _face_colours(lattice: ColouredLattice, cc: ColouredCone, face_cones: list[Cone]) -> list[frozenset[int]]:
     """For each face tau of cc's cone, the colours of cc whose points lie in tau.
 
-    A face tau is sigma cut by the hyperplanes of sigma's normals that vanish
-    on tau's generators, so a point of sigma lies in tau exactly when each of
-    those normals vanishes on it.  A face's generators are some of sigma's
-    (as `faces` and `is_face_of` give them), so a normal vanishes on tau
-    exactly when its zero set in sigma's incidence table holds tau's
-    generators.  No face needs an inequality description of its own.
+    A point p of sigma lies in a face tau exactly when tau holds the smallest
+    face of sigma through p, which sigma's normals vanishing at p cut out:
+    its generators are those in all their zero sets in sigma's incidence
+    table.  A face's generators are some of sigma's (as `faces` and
+    `is_face_of` give them), so p lies in tau exactly when tau's generators
+    hold those.  No face needs an inequality description of its own, and
+    with no colour point in sigma no face is tested.
     """
     table = cc.cone.incidences
-    zeros = {}
+    smallest = {}
     for r in cc.colours:
         values = [dot(h, lattice.point(r)) for h, _ in table]
         if all(v >= 0 for v in values):
-            zeros[r] = {k for k, v in enumerate(values) if v == 0}
-    out = []
-    for f in face_cones:
-        active = {k for k, (_, z) in enumerate(table) if z.issuperset(f.generators)}
-        out.append(frozenset(r for r, z in zeros.items() if active <= z))
-    return out
+            smallest[r] = frozenset(cc.cone.generators).intersection(*(z for (_, z), v in zip(table, values) if not v))
+    if not smallest:
+        return [frozenset()] * len(face_cones)
+    return [frozenset(r for r, g in smallest.items() if g.issubset(f.generators)) for f in face_cones]
 
 
 def coloured_faces(lattice: ColouredLattice, cc: ColouredCone) -> list[ColouredCone]:
@@ -454,16 +498,24 @@ def close_under_coloured_faces(
 
 def _closure(
     lattice: ColouredLattice, cones: Iterable[ColouredCone]
-) -> tuple[tuple[ColouredCone, ...], dict[ColouredCone, list[ColouredCone]]]:
-    """`close_under_coloured_faces`, and the coloured faces of each input cone."""
-    listed: dict[ColouredCone, list[ColouredCone]] = {}
-    seen: set[ColouredCone] = set()
+) -> tuple[tuple[ColouredCone, ...], dict[int, list[ColouredCone]]]:
+    """`close_under_coloured_faces`, and the coloured faces of each input cone, keyed by its index among the members.
+
+    Cones and faces are numbered as they come, one hash each, and the
+    numbers are then sorted by `coloured_cone_key`.
+    """
+    slot: dict[ColouredCone, int] = {}
+    pool: list[ColouredCone] = []
+    listed: dict[int, list[ColouredCone]] = {}
     for cc in cones:
-        if cc not in listed:
-            listed[cc] = coloured_faces(lattice, cc)
-        seen.add(cc)
-        seen.update(listed[cc])
-    return tuple(sorted(seen, key=coloured_cone_key)), listed
+        k = _number(slot, pool, cc)
+        if k not in listed:
+            listed[k] = coloured_faces(lattice, cc)
+            for f in listed[k]:
+                _number(slot, pool, f)
+    order = sorted(range(len(pool)), key=lambda k: coloured_cone_key(pool[k]))
+    position = {k: p for p, k in enumerate(order)}
+    return tuple(pool[k] for k in order), {position[k]: faces_of_k for k, faces_of_k in listed.items()}
 
 
 def coloured_fan(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> ColouredFan:
@@ -480,40 +532,112 @@ def coloured_fan(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> Col
     return fan
 
 
+def _walls_decide(fan: ColouredFan) -> bool:
+    """The wall route of `validate_coloured_fan`: a wall table, owners on opposite sides, one point covered once.
+
+    The second owner of each wall must have a generator strictly on the far
+    side of the first owner's normal there, and the generator sum of the
+    first anchor must lie in no other anchor.
+    """
+    walls = fan._walls
+    if walls is None:
+        return False
+    anchors = [fan.cones[k].cone for k in fan._anchors]
+    for wall, (i, j, _) in walls.items():
+        h = next(h for h, z in anchors[i].incidences if z.issuperset(wall.generators))
+        if not any(dot(h, w) < 0 for w in anchors[j].generators):
+            return False
+    point = anchors[0].relative_interior_point()
+    return not any(c.contains(point) for c in anchors[1:])
+
+
 def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     """Check every coloured-fan axiom; violations are reported, not raised.
 
-    Any two members must meet in a coloured face of both, but that is tested
-    directly only on pairs of anchors, `fan.maximal()` (the members whose
-    star is themselves alone), and on pairs the anchors do not settle.  A
-    pair (a, b) is settled when a is a coloured face of an anchor s, b one
-    of an anchor t, and s = t or s and t meet in a coloured face phi of
-    both.  Then a ∩ b = (a ∩ phi) ∩ (b ∩ phi), an intersection of faces of
-    phi, so it is a face of phi and hence of a and of b (faces of faces and
-    intersections of faces are faces: Cox-Little-Schenck, Toric Varieties,
-    1.2).  A colour of a whose point lies in a ∩ b is a colour of s with
-    its point in phi, hence a colour of phi and of t, hence of b; so the
-    colours match too.  Once every colour point lies in its cone, each
-    member a lies under an anchor, a member s of largest dimension in a's
-    star: s's star lies in a's (a coloured face of a coloured face is one),
-    and a member of it as large as s has s's cone, so it is s.  So when
-    every anchor pair meets and nothing else is wrong, every pair is
-    settled and validation returns after the anchor table: C(k, 2)
-    meets for k anchors.  A meet is certified by a separating functional
-    read off the two incidence tables (`_separated_meet`) and computed by a
-    double description only when no candidate certifies it; a certificate
-    fixes the meet exactly, so every answer is the same either way.  The
-    face lists come from `_face_table`, one `coloured_faces` pass per
-    member that is a coloured face of no larger member.  Otherwise it walks
-    the pairs, and an invalid fan reports the same violations, in the same
-    order, as testing every pair.
+    Colour points.  A member equal, colours included, to an entry of a list
+    in `fan._listed` needs no containment test: `_face_colours` puts a
+    colour on a face only when its point lies in the face.  Every other
+    member is tested with its cone's `contains`.
+
+    Meets.  Any two members must meet in a coloured face of both, but that
+    is tested directly only on pairs of anchors, `fan.maximal()` (the
+    members whose star is themselves alone), and on pairs the anchors do
+    not settle.  A pair (a, b) is settled when a is a coloured face of an
+    anchor s, b one of an anchor t, and s = t or s and t meet in a coloured
+    face phi of both.  Then a ∩ b = (a ∩ phi) ∩ (b ∩ phi), an intersection
+    of faces of phi, so it is a face of phi and hence of a and of b (faces
+    of faces and intersections of faces are faces: Cox-Little-Schenck,
+    Toric Varieties, 1.2).  A colour of a whose point lies in a ∩ b is a
+    colour of s with its point in phi, hence a colour of phi and of t,
+    hence of b; so the colours match too.  Once every colour point lies in
+    its cone, each member a lies under an anchor, a member s of largest
+    dimension in a's star: s's star lies in a's (a coloured face of a
+    coloured face is one), and a member of it as large as s has s's cone,
+    so it is s.  So when every anchor pair meets and nothing else is wrong,
+    every pair is settled.
+
+    Wall route.  When nothing else is wrong and `_walls_decide` holds, every
+    anchor pair meets in a coloured face of both, and validation returns
+    with no meet.  This is the pseudomanifold-plus-one-point
+    characterisation of subdivisions (De Loera, Rambau and Santos,
+    Triangulations, ch. 4), for pointed cones of any shape.  Proof.  The
+    anchors are pointed, full-dimensional and distinct, every facet F of
+    one is a facet of exactly one other, and the two lie on opposite sides
+    of F's hyperplane.  Let Z be the union of the faces of dimension
+    <= n - 2 of all anchors and of the meets of two anchor facets in
+    different hyperplanes, a finite union of polyhedra of codimension 2;
+    R^n minus Z is connected, and two points off the anchor boundaries are
+    joined by a path off Z that crosses the boundaries finitely often.
+    (1) The covering degree, the number of anchors holding a point off the
+    boundaries, is the same on both sides of each crossing y: every anchor
+    facet through y lies in one hyperplane, an anchor with y on its
+    boundary has one facet through y, and each such facet has one owner on
+    each side, while anchors with y inside count on both sides.  So the
+    degree is constant off the boundaries.  (2) The generator sum of the first anchor lies
+    inside it and in no other anchor, so the degree is 1: the anchors cover
+    R^n and their interiors are disjoint.  (3) Then a point y in the
+    relative interior of a facet F lies only in F's two owners, which
+    cover a ball around y: a third anchor through y would have interior
+    points in that ball.  Take any point x and a ball around x that meets
+    only the anchors and facets holding x.  Two anchors holding x are
+    joined by a path in the ball off Z, so by a chain of anchors, each
+    sharing a facet through x with the next.  The two owners of a facet F
+    through x have one face with x in its relative interior, the face of F
+    that has x there, since the faces of F are the faces of either owner
+    inside F.  So all anchors holding x have one such face G(x).  For
+    anchors s, t and x in the relative interior of s ∩ t, s ∩ t lies in
+    G(x), a face of both (a face holding an interior point of a segment of
+    s holds the segment), and G(x) lies in s ∩ t: the meet is a common
+    face, with no T-junction.
+    (4) Colours: the coloured faces of s and of t on G = s ∩ t are both
+    members, since no face is missing, and no two members share a cone, so
+    they carry one colour set C.  C lies in the colours of both, and a
+    colour r of both has its point in s and in t, so in G, so in C: the
+    meet s ∩ t with the common colours is a coloured face of both.  The
+    walls are the `_walls` table that `classify_variety` and
+    `positivity_check` read, so the route costs one dot-product check per
+    wall and one containment test per anchor.
+
+    Otherwise the anchor table is filled: C(k, 2) meets for k anchors.  A
+    meet is certified by a separating functional read off the two incidence
+    tables (`_separated_meet`) and computed by a double description only
+    when no candidate certifies it; a certificate fixes the meet exactly,
+    so every answer is the same either way.  The face lists come from
+    `_face_table`, one `coloured_faces` pass per member that is a coloured
+    face of no larger member and has no list in `_listed`.  If an anchor
+    pair fails or anything else is wrong, validation walks the pairs, and
+    an invalid fan reports the same violations, in the same order, as
+    testing every pair.
     """
     violations: list[str] = []
     lattice = fan.lattice
     known_roots = lattice.colour_roots()
     if not fan.cones:
         violations.append("fan has no coloured cones (the trivial coloured cone is required)")
-    for cc in fan.cones:
+    _, first, _, given = fan._numbering
+    n = len(fan.cones)
+    in_lists = {j for faces_of_k in given.values() for j in faces_of_k if j < n}
+    for i, cc in enumerate(fan.cones):
         if cc.cone.ambient_rank != lattice.rank:
             violations.append(f"{fan.describe(cc)}: ambient rank differs from the lattice rank")
             continue
@@ -528,7 +652,7 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
                 violations.append(
                     f"{fan.describe(cc)}: colour {lattice.labels()[r]} has zero colour point"
                 )
-            elif not cc.cone.contains(point):
+            elif first[i] not in in_lists and not cc.cone.contains(point):
                 violations.append(
                     f"{fan.describe(cc)}: colour point {list(point)} of "
                     f"{lattice.labels()[r]} lies outside the cone"
@@ -544,23 +668,26 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
                 f"{len(ccs)} coloured cones share the underlying cone "
                 f"{[list(g) for g in gens]}"
             )
-    star, missing, faces_of = fan._face_table
-    for cc, f in missing:
+    for cc, f in fan._missing():
         violations.append(f"{fan.describe(cc)}: coloured face {fan.describe(f)} is missing from the fan")
-    anchors = fan.maximal()
-    slot = {cc: k for k, cc in enumerate(anchors)}
+    if not violations and _walls_decide(fan):
+        return ValidationReport(True, ())
+    faces_of = fan._faces_of()
+    anchors = fan._anchors
+    slot = {k: p for p, k in enumerate(anchors)}
     met = [[True] * len(anchors) for _ in anchors]
-    for (k, s), (l, t) in itertools.combinations(enumerate(anchors), 2):
-        met[k][l] = met[l][k] = _meet_in_coloured_face(faces_of, s, t)
+    for (p, s), (q, t) in itertools.combinations(enumerate(anchors), 2):
+        met[p][q] = met[q][p] = _meet_in_coloured_face(faces_of, fan.cones[s], fan.cones[t])
     if not violations and all(map(all, met)):
         return ValidationReport(True, ())
-    tops = {cc: [slot[s] for s in above if s in slot] for cc, above in star.items()}
+    tops = {k: [slot[s] for s in above if s in slot] for k, above in fan._face_table[1].items()}
     for i, a in enumerate(fan.cones):
-        for b in fan.cones[i + 1 :]:
-            if any(met[s][t] for s in tops[a] for t in tops[b]):
+        for j in range(i + 1, n):
+            b = fan.cones[j]
+            if any(met[s][t] for s in tops[first[i]] for t in tops[first[j]]):
                 continue
             # two anchors that get here failed in the table already
-            if (a in slot and b in slot) or not _meet_in_coloured_face(faces_of, a, b):
+            if (first[i] in slot and first[j] in slot) or not _meet_in_coloured_face(faces_of, a, b):
                 violations.append(
                     f"intersection of {fan.describe(a)} and {fan.describe(b)} "
                     "is not a coloured face of both"

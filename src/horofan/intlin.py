@@ -9,7 +9,8 @@ shortcuts.  Matrices are immutable and row-major; empty matrices (0 rows or
 One row-echelon routine, `_echelonise`, answers the lattice questions: the
 Hermite form and its transform (`hermite_normal_form`), ranks, column bases
 (`column_hermite`), unimodular equivalence, and kernels.
-`kernel_and_complement` echelonises [m^T | I]: the rows whose left block
+`echelon_triple` echelonises [m^T | I], built straight from the rows of m,
+and `kernel_and_complement` is it on an `IntMatrix`: the rows whose left block
 vanished are the kernel (`kernel_basis`), and the others coordinatise the
 saturated row span of m and lift functionals on it, which is all that cone
 duality and weight monoids need.  The same echelon solves m*x = b for a
@@ -354,31 +355,37 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
     return AbelianGroup(free_rank=m.rows - len(facs), torsion=tuple(d for d in facs if d > 1))
 
 
-def kernel_and_complement(m: IntMatrix) -> tuple[list[Vector], list[Vector], list[Vector]]:
-    """(echelon, complement, kernel): the kernel of m and a complement that coordinatises its row span.
+def echelon_triple(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[Vector], list[Vector], list[Vector]]:
+    """(echelon, complement, kernel) of the matrix m with these rows in Z^cols: the one elimination behind them all.
 
     Echelonising [m^T | I] over all its columns leaves [U*m^T | U] with U
-    unimodular.  The rows whose left block vanished come last; their right
-    blocks `kernel` span {x in Z^cols : m*x = 0} and, echelonised too, are its
-    column Hermite form.  The first r = rank(m) rows give `echelon`, the row
-    Hermite form of m^T, and `complement`, the r x cols block C with
-    C*m^T = echelon.  C maps the saturated row span L of m isomorphically
-    onto Z^r, so column j of `echelon` holds the coordinates of row j of m in
-    L, a functional h on L (in these coordinates) lifts to h*C on Z^cols, and
-    the echelon's pivot columns index r independent rows of m.  The rows of
-    `echelon` are exactly the columns of `column_hermite(m)`: the first
-    m.rows columns are echelonised by the steps `column_hermite` takes on
-    m^T alone, and the later columns only add to earlier rows multiples of
-    rows whose left block is zero.
+    unimodular; it is built straight from the rows, row i of [m^T | I] being
+    the i-th entries of the rows followed by the unit vector e_i.  The rows
+    whose left block vanished come last; their right blocks `kernel` span
+    {x in Z^cols : m*x = 0} and, echelonised too, are its column Hermite
+    form.  The first r = rank(m) rows give `echelon`, the row Hermite form of
+    m^T, and `complement`, the r x cols block C with C*m^T = echelon.  C maps
+    the saturated row span L of m isomorphically onto Z^r, so column j of
+    `echelon` holds the coordinates of row j of m in L, a functional h on L
+    (in these coordinates) lifts to h*C on Z^cols, and the echelon's pivot
+    columns index r independent rows of m.  The rows of `echelon` are exactly
+    the columns of `column_hermite(m)`: the first len(rows) columns are
+    echelonised by the steps `column_hermite` takes on m^T alone, and the
+    later columns only add to earlier rows multiples of rows whose left block
+    is zero.
     """
-    a = _beside_identity(m.transpose())
-    _echelonise(a, m.rows + m.cols)
-    r = next((i for i, row in enumerate(a) if not any(row[: m.rows])), len(a))
-    return (
-        [tuple(row[: m.rows]) for row in a[:r]],
-        [tuple(row[m.rows :]) for row in a[:r]],
-        [tuple(row[m.rows :]) for row in a[r:]],
-    )
+    if any(len(row) != cols for row in rows):
+        raise ValueError(f"rows must have {cols} entries")
+    k = len(rows)
+    a = [[row[i] for row in rows] + [int(i == j) for j in range(cols)] for i in range(cols)]
+    _echelonise(a, k + cols)
+    r = next((i for i, row in enumerate(a) if not any(row[:k])), len(a))
+    return [tuple(row[:k]) for row in a[:r]], [tuple(row[k:]) for row in a[:r]], [tuple(row[k:]) for row in a[r:]]
+
+
+def kernel_and_complement(m: IntMatrix) -> tuple[list[Vector], list[Vector], list[Vector]]:
+    """(echelon, complement, kernel) of m: its kernel and a complement spanning its row span (`echelon_triple`)."""
+    return echelon_triple([m.row(i) for i in range(m.rows)], m.cols)
 
 
 def is_identity_echelon(echelon: Sequence[Vector], k: int) -> bool:

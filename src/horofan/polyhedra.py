@@ -5,66 +5,69 @@ description (its dual generators).  Cones may be non-pointed and
 non-full-dimensional: the inequality description then carries the span
 equalities as +/- pairs, and the generator description carries a lineality
 basis as +/- pairs.  One duality engine, `dual_generators`, splits off the
-span with one integer echelon and finds facets by incremental double
-description, in integers throughout; its seed rays come from a triangular
-solve, with no kernel per ray.  A pointed cone is canonicalised with one
-pass of it: the pass gives the normals and each facet's zero set over the
-generators, and a generator is extreme exactly when every generator on all
-the facets through it is a positive multiple of it, since the smallest face
-through it is then a ray.  The extreme generators, made primitive, are the
-canonical generators.  A cone with lineality is the dual of its dual, a
-second pass over the normals; no workload builds one.  Each cone keeps one
-incidence table, `Cone.incidences`: each normal with its zero set over the
-canonical generators; and one echelon, `Cone.generator_echelon`: the
-`kernel_and_complement` triple of its generator rows, kept from the pass
-when the pass ran on the canonical generators and made on first use
-otherwise.  Orbit quotients, weight monoids, PLF and Cartier pieces and the
-unimodular test of `plf_lattice` all read it.  The +/- span equalities are
-exactly the normals whose zero set holds every generator, since a lifted
-facet is reduced modulo the perp lattice and never vanishes on the whole
-span; the others are the proper facets.  `faces`, `is_face_of`, `facet_owners`, `hilbert_basis` and
-the coloured-face rule in `horo` all read that table; a cone is pointed iff
-no generator's negative is also a generator.  Faces, built from generator
-subsets, take their dimensions from the graded face lattice and their
-inequalities on first use.  Hilbert bases stay in Z^n: for the n x d matrix
-B of d independent generators, the torsion of Z^n / B*Z^d is exactly
-(span ∩ Z^n) / B*Z^d, so a Smith form of B lists the span's points in B's
-half-open parallelepiped, with no span coordinates and no box.  Fan-level
-code takes the maximal cones a fan already holds and reads owners off
-incidences, with no containment scan: `facet_owners` lists the walls
-(facets with their owning cones) and `complete_fan_walls` decides
-completeness from them and picks each wall's u; `wall_gaps` reads the gaps
-of many PLFs at u in one pass, the rule behind projectivity and positivity.
-`plf_lattice` gives the piecewise linear functions in ray coordinates by
-intersecting per-cone lattices one maximal cone at a time, never stacking
-one covector per cone.  It is all the divisor code needs: the Cartier
-lattice is PLF + Z^U, with U the colours no cone uses (see
-`divisors.picard_group`).  A `horo.ColouredFan` computes its wall table and
-PLF lattice once, from its maximal members.
+span with one integer echelon (`intlin.echelon_triple`, on the plain rows)
+and finds facets by incremental double description, in integers throughout;
+its seed rays come from a triangular solve, with no kernel per ray.  A
+pointed cone is canonicalised with one pass of it: the pass gives the
+normals and each facet's zero set over the generators, and a generator is
+extreme exactly when every generator on all the facets through it is a
+positive multiple of it, since the smallest face through it is then a ray.
+The extreme generators, made primitive, are the canonical generators.  A
+cone with lineality is the dual of its dual, a second pass over the
+normals; no workload builds one.  Each cone keeps one incidence table,
+`Cone.incidences`: each normal with its zero set over the canonical
+generators, read off the masks of a double-description pass, the
+canonicalising one for a pointed cone and one on the canonical generators
+on first use for any other; and one echelon,
+`Cone.generator_echelon`: the `intlin.echelon_triple` of its generator
+rows, kept from the pass when the pass ran on the canonical generators and
+made on first use otherwise.  Orbit quotients, weight monoids, PLF and
+Cartier pieces and the unimodular test of `plf_lattice` all read it.  The
++/- span equalities are exactly the normals whose zero set holds every
+generator, since a lifted facet is reduced modulo the perp lattice and
+never vanishes on the whole span; the others are the proper facets.
+`faces`, `is_face_of`, `facet_owners`, `hilbert_basis` and the
+coloured-face rule in `horo` all read that table; a cone is pointed iff no
+generator's negative is also a generator.  Faces, built from generator
+subsets, take their dimensions from the graded face lattice, walked on bit
+masks over the generators, and their inequalities on first use.  Hilbert
+bases stay in Z^n: for the n x d matrix B of d independent generators, the
+torsion of Z^n / B*Z^d is exactly (span ∩ Z^n) / B*Z^d, so a Smith form of
+B lists the span's points in B's half-open parallelepiped, with no span
+coordinates and no box.  Fan-level code takes the maximal cones a fan
+already holds and reads owners off incidences, with no containment scan:
+`facet_owners` lists the walls (facets with their owning cones) and
+`complete_fan_walls` decides completeness from them and picks each wall's
+u; `wall_gaps` reads the gaps of many PLFs at u in one pass, the rule
+behind projectivity and positivity.  `plf_lattice` gives the piecewise
+linear functions in ray coordinates by intersecting per-cone lattices one
+maximal cone at a time, never stacking one covector per cone.  It is all
+the divisor code needs: the Cartier lattice is PLF + Z^U, with U the
+colours no cone uses (see `divisors.picard_group`).  A `horo.ColouredFan`
+computes its wall table and PLF lattice once, from its maximal members.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import gcd
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .intlin import (
     IntMatrix,
     column_hermite,
+    echelon_triple,
     is_identity_echelon,
-    kernel_and_complement,
     kernel_basis,
     rank,
     reduce_mod_hermite,
     smith_normal_form,
-    vector_gcd,
 )
 
 Vector = tuple[int, ...]
-# the (echelon, complement, kernel) triple of `intlin.kernel_and_complement`, as tuples
+# the (echelon, complement, kernel) triple of `intlin.echelon_triple`, as tuples
 Echelon = tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[Vector, ...]]
 
 
@@ -77,26 +80,32 @@ class LatticeLiftError(ArithmeticError):
 
 
 def primitive(v: Sequence[int]) -> Vector:
-    g = vector_gcd(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return tuple(x // g for x in v)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
-def _join_lineality(functionals: Sequence[Vector], complement: list[Vector], perp: list[Vector]) -> list[Vector]:
-    """Lifts of functionals on a span, canonical modulo its annihilator L, with +/- the basis of L; sorted.
+def _lifts(functionals: Sequence[Vector], complement: Sequence[Vector], perp: Sequence[Vector]) -> list[Vector]:
+    """Each functional on a span lifted to Z^n, canonical modulo the span's annihilator L, in order.
 
-    `complement` and `perp` are the last two parts of `kernel_and_complement`:
+    `complement` and `perp` are the last two parts of `intlin.echelon_triple`:
     a functional h in span coordinates lifts to h*complement, and `perp` is
     the basis of L in column Hermite form.
     """
     columns = list(zip(*complement))
-    out = set(reduce_mod_hermite([tuple(dot(h, column) for column in columns) for h in functionals], perp))
-    return sorted(out | set(perp) | {tuple(-x for x in b) for b in perp})
+    return reduce_mod_hermite([tuple(dot(h, column) for column in columns) for h in functionals], perp)
+
+
+def _join_lineality(
+    functionals: Sequence[Vector], complement: Sequence[Vector], perp: Sequence[Vector]
+) -> list[Vector]:
+    """The `_lifts` of functionals on a span, with +/- the basis of its annihilator; sorted."""
+    return sorted(set(_lifts(functionals, complement, perp)) | set(perp) | {tuple(-x for x in b) for b in perp})
 
 
 def _triangular_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> Vector:
@@ -183,24 +192,32 @@ def _dual_extreme_rays(echelon: Sequence[Vector]) -> list[tuple[Vector, int]]:
 
 
 def _echelon_of_rows(vecs: Sequence[Vector], n: int) -> Echelon:
-    """`kernel_and_complement` of the matrix with rows `vecs` in Z^n, as tuples."""
-    echelon, complement, kernel = kernel_and_complement(IntMatrix.from_rows(list(vecs), cols=n))
+    """`intlin.echelon_triple` of the matrix with rows `vecs` in Z^n, as tuples."""
+    echelon, complement, kernel = echelon_triple(vecs, n)
     return tuple(echelon), tuple(complement), tuple(kernel)
 
 
 def _dual_description(vecs: Sequence[Vector], n: int) -> tuple[list[Vector], list[int], Echelon]:
-    """`dual_generators` of distinct nonzero vectors, each facet's zero set over them as a bit mask, and their echelon.
+    """`dual_generators` of distinct nonzero vectors, each one's zero set over them as a bit mask, and their echelon.
 
     The facets are the extreme rays found in span coordinates; their lifts,
     and the +/- basis of `perp`, are the dual generators.  The lifts agree
-    with the rays on the span, so the masks are their zero sets too, and the
-    `perp` pairs vanish on every vector.  The echelon is `_echelon_of_rows`
-    of the vectors; its first part has as many rows as their rank.
+    with the rays on the span, so a ray's mask is its lift's zero set, and
+    the `perp` pairs vanish on every vector: their mask has every bit.  A
+    lift is never a `perp` vector, since it is not zero on the span.  The
+    masks come in the order of the sorted dual generators.  The echelon is
+    `_echelon_of_rows` of the vectors; its first part has as many rows as
+    their rank.
     """
     data = _echelon_of_rows(vecs, n)
     echelon, complement, perp = data
     rays = _dual_extreme_rays(echelon)
-    return _join_lineality([r for r, _ in rays], complement, perp), [z for _, z in rays], data
+    every = (1 << len(vecs)) - 1
+    masks = dict(zip(_lifts([r for r, _ in rays], complement, perp), [z for _, z in rays]))
+    for b in perp:
+        masks[b] = masks[tuple(-x for x in b)] = every
+    normals = sorted(masks)
+    return normals, [masks[h] for h in normals], data
 
 
 def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
@@ -210,25 +227,29 @@ def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
     serve as an exact inequality description of Cone(V).  One echelon of
     [V^T | I] gives the dual's lineality lattice `perp` in Hermite form, span
     coordinates of V, and the lift of functionals on the span to Z^n
-    (`kernel_and_complement`); the facets are found in span coordinates by
+    (`intlin.echelon_triple`); the facets are found in span coordinates by
     double description, lifted, and reduced modulo `perp`.  With no nonzero
     vector the span is 0 and the answer is +/- the unit vectors.
     """
     return _dual_description(list(dict.fromkeys(tuple(v) for v in vectors if any(v))), n)[0]
 
 
-def _extreme_generators(masks: Sequence[int], gens: Sequence[Vector]) -> list[Vector]:
-    """The primitive generators of a pointed cone that span its extreme rays.
+def _extreme_generators(masks: Sequence[int], gens: Sequence[Vector]) -> dict[Vector, int]:
+    """The primitive generators of a pointed cone that span its extreme rays, each with the index of one such g.
 
-    `masks` are the facets' zero sets over the generators.  The smallest face
-    through g is cut out by the facets through g and is generated by the
+    `masks` are the normals' zero sets over the generators.  The smallest
+    face through g is cut out by the facets through g and is generated by the
     generators on all of them; it is a ray, so g is extreme, iff each of
     those generators is a positive multiple of g, that is, has g's primitive
-    vector.
+    vector.  Generators of one class have one zero set.
     """
     classes = [primitive(g) for g in gens]
     through = [sum(1 << k for k, z in enumerate(masks) if z >> i & 1) for i in range(len(classes))]
-    return [c for c, t in zip(classes, through) if all(e == c for e, u in zip(classes, through) if u & t == t)]
+    out: dict[Vector, int] = {}
+    for i, (c, t) in enumerate(zip(classes, through)):
+        if all(e == c for e, u in zip(classes, through) if u & t == t):
+            out.setdefault(c, i)
+    return out
 
 
 @dataclass(frozen=True)
@@ -242,16 +263,17 @@ class Cone:
     cone keeps one incidence table and one echelon.  The incidence table
     `incidences` pairs each normal with its zero set over the generators: a
     normal whose zero set holds every generator is a span equality, any
-    other cuts out a proper facet.  The echelon `generator_echelon` is the
-    `kernel_and_complement` triple of the generator rows, which answers the
-    lattice questions on the span: its kernel is the annihilator of the span
-    (orbit quotients), it solves for pieces on the cone (PLF and Cartier
-    data), and it is the identity exactly when the generators extend to a
-    basis (unimodular cones).  `from_generators` keeps the triple of its
-    double-description pass when the pass ran on the canonical generators.
-    The cone is pointed iff no generator's negative is also a generator: with
-    lineality L the generators hold +/- a basis of L, and a pointed cone
-    cannot hold both g and -g.
+    other cuts out a proper facet.  It is read off a double-description
+    pass, `from_generators`'s own on a pointed cone.  The echelon
+    `generator_echelon` is the `intlin.echelon_triple` of the generator
+    rows, which answers the lattice questions on the span: its kernel is
+    the annihilator of the span (orbit quotients), it solves for pieces on
+    the cone (PLF and Cartier data), and it is the identity exactly when
+    the generators extend to a basis (unimodular cones).  `from_generators`
+    keeps the triple of its double-description pass when the pass ran on
+    the canonical generators.  The cone is pointed iff no generator's
+    negative is also a generator: with lineality L the generators hold +/- a
+    basis of L, and a pointed cone cannot hold both g and -g.
     """
 
     ambient_rank: int
@@ -259,6 +281,7 @@ class Cone:
     _normals: list = field(default_factory=list, compare=False, repr=False, hash=False)
     _dims: list = field(default_factory=list, compare=False, repr=False, hash=False)
     _echelon: list = field(default_factory=list, compare=False, repr=False, hash=False)
+    _incidences: list = field(default_factory=list, compare=False, repr=False, hash=False)
 
     @staticmethod
     def from_generators(ambient_rank: int, generators: Iterable[Sequence[int]]) -> "Cone":
@@ -267,10 +290,14 @@ class Cone:
         The pass gives the normals and each facet's zero set over the
         generators; the generators on every facet span the lineality L.  A
         pointed cone's canonical generators are its primitive extreme
-        generators.  A cone with lineality is the dual of its dual,
-        `dual_generators` of the normals; no workload builds one.  When the
-        pass ran on exactly the canonical generators, in order, its echelon
-        is the cone's `generator_echelon` and is kept.
+        generators, and its incidence table is read off the pass: a normal
+        vanishes on a canonical generator exactly when its mask has the bit
+        of an input generator of that class, so the table takes no dot
+        product.  A cone with lineality is the dual of its dual,
+        `dual_generators` of the normals, and fills its table on first use;
+        no workload builds one.  When the pass ran on exactly the canonical
+        generators, in order, its echelon is the cone's `generator_echelon`
+        and is kept.
         """
         gens = [tuple(int(x) for x in g) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
@@ -280,11 +307,13 @@ class Cone:
             return Cone(ambient_rank, (), [], [0])
         normals, masks, data = _dual_description(vecs, ambient_rank)
         if any(all(z >> i & 1 for z in masks) for i in range(len(vecs))):
-            canonical = dual_generators(normals, ambient_rank)
+            canonical, table = dual_generators(normals, ambient_rank), []
         else:
-            canonical = sorted(set(_extreme_generators(masks, vecs)))
+            extreme = _extreme_generators(masks, vecs)
+            canonical = sorted(extreme)
+            table = [tuple((h, frozenset(c for c in canonical if z >> extreme[c] & 1)) for h, z in zip(normals, masks))]
         kept = [data] if canonical == vecs else []
-        return Cone(ambient_rank, tuple(canonical), [tuple(normals)], [len(data[0])], kept)
+        return Cone(ambient_rank, tuple(canonical), [tuple(normals)], [len(data[0])], kept, table)
 
     @staticmethod
     def from_inequalities(ambient_rank: int, normals: Iterable[Sequence[int]]) -> "Cone":
@@ -301,8 +330,25 @@ class Cone:
     def facet_normals(self) -> tuple[Vector, ...]:
         """Inequality description: the cone is exactly {u : <h, u> >= 0 for all h}."""
         if not self._normals:
-            self._normals.append(tuple(dual_generators(self.generators, self.ambient_rank)))
+            self._describe()
         return self._normals[0]
+
+    def _describe(self) -> None:
+        """One double-description pass on the generators: fills what is not known yet of the cone's slots.
+
+        These are the normals, dimension, echelon and incidence table.  The
+        pass runs on the canonical generators, so its dual generators are
+        the cone's normals, its masks their zero sets, and its echelon the
+        cone's `generator_echelon`.
+        """
+        gens = self.generators
+        normals, masks, data = _dual_description(gens, self.ambient_rank)
+        table = tuple((h, frozenset(g for i, g in enumerate(gens) if z >> i & 1)) for h, z in zip(normals, masks))
+        for slot, value in [
+            (self._normals, tuple(normals)), (self._dims, len(data[0])), (self._echelon, data), (self._incidences, table)
+        ]:
+            if not slot:
+                slot.append(value)
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(dot(h, v) >= 0 for h in self.facet_normals())
@@ -316,15 +362,21 @@ class Cone:
         return self._dims[0]
 
     def generator_echelon(self) -> Echelon:
-        """`kernel_and_complement` of the generator rows, as tuples: (echelon, complement, kernel), once per cone."""
+        """`intlin.echelon_triple` of the generator rows, as tuples: (echelon, complement, kernel), once per cone."""
         if not self._echelon:
             self._echelon.append(_echelon_of_rows(self.generators, self.ambient_rank))
         return self._echelon[0]
 
-    @cached_property
+    @property
     def incidences(self) -> tuple[tuple[Vector, frozenset[Vector]], ...]:
-        """Each normal, in order, with its zero set over the generators: the cone's incidence table."""
-        return tuple((h, frozenset(g for g in self.generators if dot(h, g) == 0)) for h in self.facet_normals())
+        """Each normal, in order, with its zero set over the generators: the cone's incidence table, once per cone.
+
+        `from_generators` seeds it on a pointed cone from its pass; any other
+        cone reads it off one pass on its generators on first use (`_describe`).
+        """
+        if not self._incidences:
+            self._describe()
+        return self._incidences[0]
 
     def is_strongly_convex(self) -> bool:
         """Whether the cone is pointed: no generator's negative is also a generator."""
@@ -362,22 +414,34 @@ def faces(sigma: Cone) -> list[Cone]:
     face one dimension higher, and the facets of a face s are the maximal
     proper cuts s ∩ f by sigma's facets f (the face lattice is graded).  So
     each face's dimension comes from the face it was found under, with no
-    rank computation.
+    rank computation.  Generator subsets are bit masks over sigma's
+    generators, and the cuts of a face are taken in decreasing popcount: a
+    cut not listed yet is a new face iff no cut taken before it, and kept,
+    holds it, since a strictly larger cut has more bits and lies under a
+    maximal one.  A cut already listed is kept with no test.
     """
-    full = frozenset(sigma.generators)
-    facet_sets = [z for _, z in sigma.incidences if z != full]
+    gens = sigma.generators
+    bit = {g: 1 << i for i, g in enumerate(gens)}
+    full = (1 << len(gens)) - 1
+    facet_masks = [m for m in (sum(bit[g] for g in z) for _, z in sigma.incidences) if m != full]
     dims = {full: sigma.dim()}
     level = [full]
     while level:
         below = []
         for s in level:
-            cuts = {s & f for f in facet_sets} - {s}
-            for t in cuts:
-                if t not in dims and not any(t < u for u in cuts):
+            kept: list[int] = []
+            for t in sorted({s & f for f in facet_masks} - {s}, key=int.bit_count, reverse=True):
+                if t not in dims:
+                    if any(t & u == t for u in kept):
+                        continue
                     dims[t] = dims[s] - 1
                     below.append(t)
+                kept.append(t)
         level = below
-    out = [sigma if s == full else Cone(sigma.ambient_rank, tuple(sorted(s)), [], [d]) for s, d in dims.items()]
+    out = [
+        sigma if s == full else Cone(sigma.ambient_rank, tuple(g for g, b in bit.items() if b & s), [], [d])
+        for s, d in dims.items()
+    ]
     return sorted(out, key=lambda c: (c.dim(), c.generators))
 
 
@@ -466,13 +530,13 @@ def facet_owners(maximal: Sequence[Cone]) -> dict[Cone, list[int]]:
     the cones containing the facet.  On a complete fan every facet has
     exactly two owners, so the table is the fan's wall list.
     """
-    owners: dict[Cone, list[int]] = {}
+    owners: dict[tuple[Vector, ...], list[int]] = {}
     for i, c in enumerate(maximal):
         full = frozenset(c.generators)
         facets = {tuple(g for g in c.generators if g in z) for _, z in c.incidences if z != full}
         for f in sorted(facets):
-            owners.setdefault(Cone(c.ambient_rank, f), []).append(i)
-    return owners
+            owners.setdefault(f, []).append(i)
+    return {Cone(maximal[o[0]].ambient_rank, f): o for f, o in owners.items()}
 
 
 def fan_is_complete(maximal: Sequence[Cone]) -> bool:

@@ -61,6 +61,13 @@ multiset, and one `solve_integer_affine` on it per maximal member and
 divisor, made afresh on every call, where `dictionary.regularity_report` and
 `divisors.cartier_data` read the echelon `ColouredFan.member_echelon` keeps.
 
+`frozenset_faces` is the package's earlier `polyhedra.faces`, which walks the
+face lattice on frozensets of generators, where `faces` walks it on bit masks.
+`dot_product_incidences` is the incidence rule every cone used before
+`Cone.from_generators` read the table of a pointed cone off its pass: the
+zero set of each normal of `dual_generators`, by dot products with every
+generator.
+
 `always_kernel_plf_lattice` is the package's earlier `polyhedra.plf_lattice`,
 which runs a kernel for every maximal cone, unimodular or not.
 `per_member_face_table` is the earlier `ColouredFan._face_table`, which runs
@@ -837,6 +844,31 @@ def always_kernel_plf_lattice(maximal) -> tuple[list, IntMatrix]:
         kernel = kernel_basis(IntMatrix.from_rows(block, cols=basis.cols + r))
         basis = column_hermite(IntMatrix.from_columns([basis.apply(y[: basis.cols]) for y in kernel], rows=len(rays)))
     return rays, basis
+
+
+def frozenset_faces(sigma) -> list:
+    """`polyhedra.faces` walking the face lattice on frozensets of generators, cut by `dot_product_incidences`."""
+    full = frozenset(sigma.generators)
+    facet_sets = [z for _, z in dot_product_incidences(sigma) if z != full]
+    dims = {full: sigma.dim()}
+    level = [full]
+    while level:
+        below = []
+        for s in level:
+            cuts = {s & f for f in facet_sets} - {s}
+            for t in cuts:
+                if t not in dims and not any(t < u for u in cuts):
+                    dims[t] = dims[s] - 1
+                    below.append(t)
+        level = below
+    out = [sigma if s == full else Cone(sigma.ambient_rank, tuple(sorted(s)), [], [d]) for s, d in dims.items()]
+    return sorted(out, key=lambda c: (c.dim(), c.generators))
+
+
+def dot_product_incidences(sigma) -> tuple:
+    """The incidence table of sigma: each normal of `dual_generators` with its zero set, by dot products."""
+    normals = dual_generators(sigma.generators, sigma.ambient_rank)
+    return tuple((h, frozenset(g for g in sigma.generators if dot(h, g) == 0)) for h in normals)
 
 
 def per_member_face_table(fan) -> tuple[dict, tuple, dict]:

@@ -119,13 +119,17 @@ def test_kept_echelons_equal_fresh_ones_and_the_earlier_routes_on_every_member()
 
 
 def record_calls(monkeypatch, names):
-    """Record (caller, first argument) of each call of these `intlin` functions, through every module binding them."""
+    """Record (caller, matrix) of each call of these `intlin` functions, through every module binding them.
+
+    The matrix is the first argument, or for `echelon_triple` its rows and width.
+    """
     calls = {name: [] for name in names}
     for name in names:
         function = getattr(intlin, name)
 
         def wrapper(*args, _function=function, _name=name, **kwargs):
-            calls[_name].append((sys._getframe(1).f_code.co_name, args[0]))
+            matrix = (tuple(map(tuple, args[0])), args[1]) if _name == "echelon_triple" else args[0]
+            calls[_name].append((sys._getframe(1).f_code.co_name, matrix))
             return _function(*args, **kwargs)
 
         for module in (intlin, polyhedra, horo, dictionary, divisors):
@@ -141,7 +145,7 @@ def test_fan_analysis_echelonises_each_member_once(monkeypatch):
     boundary divisor and the orbit table, twice over.  `column_hermite` runs
     only in `plf_lattice`, once per non-unimodular maximal cone, and no
     system is solved through `solve_integer_affine`.  The first pass makes
-    at most one `kernel_and_complement` per member and per member whose
+    at most one echelon (`echelon_triple`) per member and per member whose
     multiset is not its cone's generators, plus one per double-description
     pass, one per non-unimodular maximal cone in `plf_lattice` and two in
     `picard_group`, and no matrix is echelonised twice.  The second pass
@@ -154,7 +158,7 @@ def test_fan_analysis_echelonises_each_member_once(monkeypatch):
         for cc in fan.maximal()
     ]
     assert fan.colour_set() == {0, 1} and unimodular.count(False) >= 1
-    calls = record_calls(monkeypatch, ["column_hermite", "kernel_and_complement", "solve_integer_affine"])
+    calls = record_calls(monkeypatch, ["column_hermite", "echelon_triple", "solve_integer_affine"])
     passes = []
     dual_description = polyhedra._dual_description
 
@@ -171,7 +175,7 @@ def test_fan_analysis_echelonises_each_member_once(monkeypatch):
         for delta in (anticanonical(fan, datum), boundary_divisor(fan)):
             positivity_check(delta, fan, datum)
         orbit_table(fan, datum)
-        echelons.append((list(calls["kernel_and_complement"]), len(passes)))
+        echelons.append((list(calls["echelon_triple"]), len(passes)))
     (first, first_passes), (both, all_passes) = echelons
     own = sum(fan.member_echelon(idx)[0] != cc.cone.generators for idx, cc in enumerate(fan.cones))
     assert own >= 1

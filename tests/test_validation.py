@@ -98,6 +98,11 @@ def broken_fans() -> list[ColouredFan]:
     return [b for fan in valid_fans() for b in broken_variants(fan, rng)]
 
 
+def face_table(fan: ColouredFan) -> tuple[dict, tuple, dict]:
+    """The fan's stars, missing faces and face sets, in the form of `per_member_face_table`."""
+    return {cc: fan.star(cc) for cc in fan.cones}, tuple(fan._missing()), fan._faces_of()
+
+
 def test_anchor_validation_matches_all_pairs_oracle():
     fans = valid_fans()
     broken = broken_fans()
@@ -116,7 +121,7 @@ def test_meets_read_off_the_face_table_match_the_face_tests():
     of coloured faces, on every pair of members of valid and broken fans."""
     outcomes = Counter()
     for fan in valid_fans() + broken_fans():
-        faces_of = fan._face_table[2]
+        faces_of = fan._faces_of()
         for a, b in itertools.combinations(fan.cones, 2):
             meet = horo.coloured_intersection(a, b)
             expected = is_coloured_face(fan.lattice, meet, a) and is_coloured_face(fan.lattice, meet, b)
@@ -144,9 +149,11 @@ def test_validation_makes_no_face_test(monkeypatch):
 
 
 def test_pair_count_is_one_per_pair_of_maximal_cones(monkeypatch):
-    """Counts, not timers: validating (P1)^3 tests one meet per pair of maximal
-    cones and settles every one with a separating functional, with no double description."""
+    """Counts, not timers: the walls decide the complete (P1)^3, with no meet and no double
+    description; without one of its maximal cones it is incomplete, and validation tests
+    one meet per pair of maximal cones, each settled by a separating functional."""
     fan = rank3_fan(RANK3_BASES["P1^3"], torus3())
+    incomplete = ColouredFan(fan.lattice, close_under_coloured_faces(fan.lattice, fan.maximal()[1:]))
     calls = Counter()
 
     def counted(owner, name, wrap=lambda f: f):
@@ -162,10 +169,14 @@ def test_pair_count_is_one_per_pair_of_maximal_cones(monkeypatch):
     counted(horo, "intersect")
     counted(polyhedra, "intersect")
     counted(Cone, "from_inequalities", staticmethod)
-    assert validate_coloured_fan(fan).valid
-    # 27 members, 8 maximal: C(8, 2) meets, not C(27, 2)
-    assert len(fan.cones) == 27
-    assert calls == Counter(_meet_in_coloured_face=28)
+    counted(polyhedra, "_dual_description")
+    assert validate_coloured_fan(ColouredFan(fan.lattice, fan.cones)).valid
+    assert len(fan.cones) == 27 and fan.walls() is not None
+    assert calls == Counter()
+    # 26 members, 7 maximal: C(7, 2) meets, not C(26, 2)
+    assert validate_coloured_fan(incomplete).valid
+    assert len(incomplete.cones) == 26 and incomplete.walls() is None
+    assert calls == Counter(_meet_in_coloured_face=21)
 
 
 def test_face_table_runs_coloured_faces_on_the_maximal_members_only(monkeypatch):
@@ -189,7 +200,7 @@ def test_face_table_matches_one_coloured_faces_pass_per_member():
     on valid fans and on broken ones, where members repeat cones and miss faces."""
     missing = 0
     for fan in table_fans() + broken_fans():
-        star, gaps, faces_of = ColouredFan(fan.lattice, fan.cones)._face_table
+        star, gaps, faces_of = face_table(ColouredFan(fan.lattice, fan.cones))
         expected = per_member_face_table(fan)
         assert list(star.items()) == list(expected[0].items())
         assert gaps == expected[1]
@@ -235,7 +246,7 @@ def test_face_table_read_off_the_closure_matches_one_coloured_faces_pass_per_mem
             members, listed = horo._closure(lattice, cones)
             assert members == close_under_coloured_faces(lattice, cones)
             built = ColouredFan(lattice, members, listed)
-            star, gaps, faces_of = built._face_table
+            star, gaps, faces_of = face_table(built)
             expected = per_member_face_table(ColouredFan(lattice, members))
             assert list(star.items()) == list(expected[0].items())
             assert gaps == expected[1]

@@ -101,21 +101,28 @@ class _RepeatedKeys(dict):
         self.repeated = repeated
 
 
-def _first_repeated_key(value, path: str) -> Optional[tuple[str, str]]:
-    """The field path of the first object, depth first, whose source repeats a key, and that key."""
-    if isinstance(value, _RepeatedKeys):
-        return path, value.repeated
-    if isinstance(value, dict):
-        children = [(key if path == "document" else f"{path}.{key}", v) for key, v in value.items()]
-    elif isinstance(value, list):
-        children = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
-    else:
-        return None
-    return next(filter(None, (_first_repeated_key(v, p) for p, v in children)), None)
+def _first_repeated_key(document) -> Optional[tuple[str, str]]:
+    """The field path of the first object, depth first, whose source repeats a key, and that key.
+
+    The walk keeps its own stack, so no nesting depth exhausts the interpreter's.
+    """
+    stack = [("document", document)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, _RepeatedKeys):
+            return path, value.repeated
+        if isinstance(value, dict):
+            children = [(key if path == "document" else f"{path}.{key}", v) for key, v in value.items()]
+        elif isinstance(value, list):
+            children = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+        else:
+            continue
+        stack.extend(reversed(children))
+    return None
 
 
 def _load_json(text: str):
-    """`json.loads`, raising a ParseError for bad JSON (at its line) and for a repeated key (at its field path)."""
+    """`json.loads`, raising a ParseError for bad JSON (at its line), too deep nesting, and a repeated key (at its path)."""
     marked: list[_RepeatedKeys] = []
 
     def object_pairs(pairs: list[tuple[str, object]]) -> dict:
@@ -130,37 +137,38 @@ def _load_json(text: str):
         raw = json.loads(text, object_pairs_hook=object_pairs)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
+    except RecursionError:
+        raise ParseError("document", "nested too deeply") from None
     if marked:
-        path, key = _first_repeated_key(raw, "document")
+        path, key = _first_repeated_key(raw)
         raise ParseError(path, f"repeated key {key!r}")
     return raw
 
 
 def _canonical_members(
     lattice: ColouredLattice, specs: list[tuple[list[tuple[int, ...]], frozenset[int]]]
-) -> tuple[list[ColouredCone], dict[int, list[ColouredCone]]]:
+) -> list[ColouredCone]:
     """The listed members as coloured cones, with one double-description pass per member that is no face of another.
 
     Members are canonicalised largest first, by their distinct primitive
     generators.  A member whose primitive generators are exactly those of a
     face of a pointed member built before takes that face's cone: the face's
     canonical generators are that member's generators in it, so it is the
-    cone `Cone.from_generators` would make.  The coloured faces of each built
-    pointed member are returned by its index, for the fan's face table.
+    cone `Cone.from_generators` would make.  The face cones are read off
+    `coloured_faces` of each built pointed member, which keeps them for the
+    fan's face table.
     """
     keys = [frozenset(primitive(g) for g in gens if any(g)) for gens, _ in specs]
     made: dict[frozenset, Cone] = {}
     cones: list = [None] * len(specs)
-    listed: dict[int, list[ColouredCone]] = {}
     for i in sorted(range(len(specs)), key=lambda i: -len(keys[i])):
         gens, roots = specs[i]
         face = made.get(keys[i])
         cones[i] = ColouredCone(Cone.from_generators(lattice.rank, gens) if face is None else face, roots)
         if face is None and cones[i].cone.is_strongly_convex():
-            listed[i] = coloured_faces(lattice, cones[i])
-            for f in listed[i]:
+            for f in coloured_faces(lattice, cones[i]):
                 made.setdefault(frozenset(f.cone.generators), f.cone)
-    return cones, listed
+    return cones
 
 
 def parse_input(text: str) -> InputDocument:
@@ -233,11 +241,11 @@ def parse_input(text: str) -> InputDocument:
             )
             roots.add(colour_labels[label])
         specs.append((gens, frozenset(roots)))
-    cones, listed = _canonical_members(lattice, specs)
+    cones = _canonical_members(lattice, specs)
     trivial = trivial_coloured_cone(lattice)
     if trivial not in cones:
         cones.append(trivial)
-    fan = ColouredFan(lattice, tuple(cones), listed)
+    fan = ColouredFan(lattice, tuple(cones))
 
     divisors: dict[str, BInvariantDivisor] = {}
     raw_divisors = raw.get("divisors", {})

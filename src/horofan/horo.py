@@ -26,6 +26,7 @@ from typing import Iterable, Optional, Sequence
 from .intlin import (
     IntMatrix,
     column_hermite,
+    echelon_triple,
     kernel_basis,
     lattice_coordinates,
     rank,
@@ -34,7 +35,6 @@ from .polyhedra import (
     Cone,
     Echelon,
     NotPointedError,
-    _echelon_of_rows,
     complete_fan_walls,
     dot,
     faces,
@@ -147,7 +147,11 @@ class ColouredLattice:
 
 @dataclass(frozen=True)
 class ColouredCone:
-    """Pair (cone, colour subset); colours are stored by simple-root index."""
+    """Pair (cone, colour subset); colours are stored by simple-root index.
+
+    Its list of coloured faces is kept on it on first use, outside ==, hash
+    and repr (`coloured_faces`).
+    """
 
     cone: Cone
     colours: frozenset[int]
@@ -177,18 +181,16 @@ class ColouredFan:
     and hash: the coloured-face table behind `star` and `maximal`, and, from
     the cones of the maximal members, the wall table (`walls`) and the PLF
     lattice (`plf_lattice`).  Each member's multiset and its echelon
-    (`member_echelon`) are made on first use and kept the same way.
-    `_listed` maps the index of some members to their lists of coloured
-    faces, already made (`coloured_fan` passes its closure's, the CLI those
-    of the members it canonicalised), which the face table reads instead of
-    running `coloured_faces` again.  The table runs over member indices:
-    the members are numbered once, by first occurrence, and each listed
-    face is mapped to its member's index with one hash (`_numbering`).
+    (`member_echelon`) are made on first use and kept the same way.  The
+    table runs over member indices: the members are numbered once, by first
+    occurrence (`_numbering`), and each coloured face is mapped to its
+    member's index with one hash.  The face lists come from `coloured_faces`,
+    which each member keeps, so a fan whose members were listed before (by
+    the closure or the CLI) walks no face lattice again.
     """
 
     lattice: ColouredLattice
     cones: tuple[ColouredCone, ...]
-    _listed: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
     _multisets: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def colour_set(self) -> frozenset[int]:
@@ -204,8 +206,10 @@ class ColouredFan:
         and of itself (which fails only if a colour point lies outside its
         cone).  In a valid fan a member contained in another is their
         intersection, hence a coloured face of it, so these are the members
-        no other member contains.  The rule raises wherever `coloured_faces`
-        does, for example KeyError on an unknown colour index.
+        no other member contains.  It reads the face table, so on a fan whose
+        maximal members keep their coloured faces, as `coloured_fan` and the
+        CLI leave them, no face lattice is walked.  The rule raises wherever
+        `coloured_faces` does, for example KeyError on an unknown colour index.
         """
         return [self.cones[k] for k in self._anchors]
 
@@ -242,27 +246,22 @@ class ColouredFan:
             if multiset == cc.cone.generators:
                 data = cc.cone.generator_echelon()
             else:
-                data = _echelon_of_rows(multiset, self.lattice.rank)
+                data = echelon_triple(multiset, self.lattice.rank)
             self._multisets[index] = (multiset, data)
         return self._multisets[index]
 
     @cached_property
-    def _numbering(self) -> tuple[dict, list[int], list[ColouredCone], dict[int, list[int]]]:
-        """(slot, first, pool, listed): the members numbered once, and `_listed` in those numbers.
+    def _numbering(self) -> tuple[dict, list[int], list[ColouredCone]]:
+        """(slot, first, pool): the members numbered once.
 
-        `pool` is the members, then the listed faces that are no member;
-        `slot` maps each to its index in the pool, a member to its first
-        occurrence, and `first[i]` is that index for member i.  `listed` maps
-        the first occurrence of each member with a list in `_listed` to the
-        pool indices of its faces.  One hash per member and per listed face.
+        `pool` is the members, then the coloured faces the face table lists
+        that are no member; `slot` maps each to its index in the pool, a
+        member to its first occurrence, and `first[i]` is that index for
+        member i.  One hash per member and per listed face.
         """
         slot: dict[ColouredCone, int] = {}
         first = [slot.setdefault(cc, k) for k, cc in enumerate(self.cones)]
-        pool = list(self.cones)
-        listed: dict[int, list[int]] = {}
-        for k, faces_of_k in self._listed.items():
-            listed.setdefault(first[k], [_number(slot, pool, f) for f in faces_of_k])
-        return slot, first, pool, listed
+        return slot, first, list(self.cones)
 
     @cached_property
     def _face_table(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
@@ -271,8 +270,7 @@ class ColouredFan:
         Both are keyed by first occurrences (`_numbering`), and a star lists
         the first occurrences of the members above, in member order.
         Computed once per fan, outside == and hash.  `coloured_faces` runs
-        only on the members that are a coloured face of no larger member
-        and have no list in `_listed`.
+        only on the members that are a coloured face of no larger member.
         When a member f equals an entry of a member sigma's list, colours
         included, f is a face of sigma, so its faces are the faces of sigma
         inside f: the entries of sigma's list whose generators lie in f's,
@@ -285,7 +283,7 @@ class ColouredFan:
         The stars are then read in member order.  This raises wherever
         `coloured_faces` does.
         """
-        slot, first, pool, given = self._numbering
+        slot, first, pool = self._numbering
         members = list(dict.fromkeys(first))
         lists: dict[int, list[int]] = {}
         # a listed face: its list, as (pool index, generator mask over the list's top cone) pairs, and its own mask
@@ -295,12 +293,11 @@ class ColouredFan:
                 above, inside = cover[k]
                 listed = [(j, m) for j, m in above if m & inside == m]
             else:
-                if k in given:
-                    entries = given[k]
-                else:
-                    entries = [_number(slot, pool, f) for f in coloured_faces(self.lattice, self.cones[k])]
                 bit = {g: 1 << i for i, g in enumerate(self.cones[k].cone.generators)}
-                listed = [(j, sum(bit[g] for g in pool[j].cone.generators)) for j in entries]
+                listed = [
+                    (_number(slot, pool, f), sum(bit[g] for g in f.cone.generators))
+                    for f in coloured_faces(self.lattice, self.cones[k])
+                ]
             lists[k] = [j for j, _ in listed]
             for j, m in listed:
                 cover[j] = listed, m
@@ -406,9 +403,20 @@ def _face_colours(lattice: ColouredLattice, cc: ColouredCone, face_cones: list[C
 
 
 def coloured_faces(lattice: ColouredLattice, cc: ColouredCone) -> list[ColouredCone]:
-    """All coloured faces: each face tau gets the colours of cc landing in tau."""
-    face_cones = faces(cc.cone)
-    return [ColouredCone(f, c) for f, c in zip(face_cones, _face_colours(lattice, cc, face_cones))]
+    """All coloured faces: each face tau gets the colours of cc landing in tau.
+
+    The list depends on cc and on its colour points alone, so it is kept on
+    cc with the points it read, set on first use outside ==, hash and repr,
+    as `Cone` keeps its incidences.  A later call reading the same points
+    returns a copy of it; other points, from another lattice, recompute it.
+    """
+    points = [lattice.point(r) for r in sorted(cc.colours)]
+    kept = vars(cc).get("_faces")
+    if kept is None or kept[0] != points:
+        face_cones = faces(cc.cone)
+        kept = points, [ColouredCone(f, c) for f, c in zip(face_cones, _face_colours(lattice, cc, face_cones))]
+        object.__setattr__(cc, "_faces", kept)
+    return list(kept[1])
 
 
 def uncoloured_rays(lattice: ColouredLattice, cc: ColouredCone) -> list[Vector]:
@@ -492,40 +500,22 @@ def close_under_coloured_faces(
     The input cones are kept as members verbatim; for a valid coloured cone
     the face with the full underlying cone is the cone itself, so this only
     differs when the input is invalid, which validation will then flag.
+    Cones and faces are deduped as they come, one hash each, keeping the
+    first of equal ones, so each input cone stays a member with the
+    coloured faces it keeps (`coloured_faces`), which the face table of a
+    fan on the members reads.
     """
-    return _closure(lattice, cones)[0]
-
-
-def _closure(
-    lattice: ColouredLattice, cones: Iterable[ColouredCone]
-) -> tuple[tuple[ColouredCone, ...], dict[int, list[ColouredCone]]]:
-    """`close_under_coloured_faces`, and the coloured faces of each input cone, keyed by its index among the members.
-
-    Cones and faces are numbered as they come, one hash each, and the
-    numbers are then sorted by `coloured_cone_key`.
-    """
-    slot: dict[ColouredCone, int] = {}
-    pool: list[ColouredCone] = []
-    listed: dict[int, list[ColouredCone]] = {}
-    for cc in cones:
-        k = _number(slot, pool, cc)
-        if k not in listed:
-            listed[k] = coloured_faces(lattice, cc)
-            for f in listed[k]:
-                _number(slot, pool, f)
-    order = sorted(range(len(pool)), key=lambda k: coloured_cone_key(pool[k]))
-    position = {k: p for p, k in enumerate(order)}
-    return tuple(pool[k] for k in order), {position[k]: faces_of_k for k, faces_of_k in listed.items()}
+    members = dict.fromkeys(f for cc in cones for f in [cc, *coloured_faces(lattice, cc)])
+    return tuple(sorted(members, key=coloured_cone_key))
 
 
 def coloured_fan(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> ColouredFan:
     """Build a fan from maximal cones by coloured-face closure, then validate.
 
-    The face table reads the closure's coloured-face lists, so each input
-    cone runs `coloured_faces` once.
+    The face table reads the coloured faces that the closure left on each
+    input cone, so each input cone's face lattice is walked once.
     """
-    members, listed = _closure(lattice, cones)
-    fan = ColouredFan(lattice, members, listed)
+    fan = ColouredFan(lattice, close_under_coloured_faces(lattice, cones))
     report = validate_coloured_fan(fan)
     if not report.valid:
         raise ValueError("not a coloured fan: " + "; ".join(report.violations))
@@ -555,9 +545,11 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     """Check every coloured-fan axiom; violations are reported, not raised.
 
     Colour points.  A member equal, colours included, to an entry of a list
-    in `fan._listed` needs no containment test: `_face_colours` puts a
-    colour on a face only when its point lies in the face.  Every other
-    member is tested with its cone's `contains`.
+    of the face table needs no containment test: `_face_colours` puts a
+    colour on a face only when its point lies in the face, so every colour
+    point of the member lies in its cone.  The table is read only when
+    every member has the lattice's rank and only known colours; otherwise,
+    and for every member in no list, the test is its cone's `contains`.
 
     Meets.  Any two members must meet in a coloured face of both, but that
     is tested directly only on pairs of anchors, `fan.maximal()` (the
@@ -623,20 +615,20 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     tables (`_separated_meet`) and computed by a double description only
     when no candidate certifies it; a certificate fixes the meet exactly,
     so every answer is the same either way.  The face lists come from
-    `_face_table`, one `coloured_faces` pass per member that is a coloured
-    face of no larger member and has no list in `_listed`.  If an anchor
-    pair fails or anything else is wrong, validation walks the pairs, and
-    an invalid fan reports the same violations, in the same order, as
-    testing every pair.
+    `_face_table`, one `coloured_faces` call per member that is a coloured
+    face of no larger member.  If an anchor pair fails or anything else is
+    wrong, validation walks the pairs, and an invalid fan reports the same
+    violations, in the same order, as testing every pair.
     """
     violations: list[str] = []
     lattice = fan.lattice
     known_roots = lattice.colour_roots()
     if not fan.cones:
         violations.append("fan has no coloured cones (the trivial coloured cone is required)")
-    _, first, _, given = fan._numbering
-    n = len(fan.cones)
-    in_lists = {j for faces_of_k in given.values() for j in faces_of_k if j < n}
+    first, n = fan._numbering[1], len(fan.cones)
+    in_lists = set()
+    if all(cc.cone.ambient_rank == lattice.rank and cc.colours <= known_roots for cc in fan.cones):
+        in_lists = {j for faces_of_k in fan._face_table[0].values() for j in faces_of_k if j < n}
     for i, cc in enumerate(fan.cones):
         if cc.cone.ambient_rank != lattice.rank:
             violations.append(f"{fan.describe(cc)}: ambient rank differs from the lattice rank")

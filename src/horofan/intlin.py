@@ -9,11 +9,10 @@ shortcuts.  Matrices are immutable and row-major; empty matrices (0 rows or
 One row-echelon routine, `_echelonise`, answers the lattice questions: the
 Hermite form and its transform (`hermite_normal_form`), ranks, column bases
 (`column_hermite`), unimodular equivalence, and kernels.
-`echelon_triple` echelonises [m^T | I], built straight from the rows of m,
-and `kernel_and_complement` is it on an `IntMatrix`: the rows whose left block
-vanished are the kernel (`kernel_basis`), and the others coordinatise the
-saturated row span of m and lift functionals on it, which is all that cone
-duality and weight monoids need.  The same echelon solves m*x = b for a
+`echelon_triple` echelonises [m^T | I], built straight from the rows of m:
+the rows whose left block vanished are the kernel (`kernel_basis`), and the
+others coordinatise the saturated row span of m and lift functionals on it,
+which is all that cone duality and weight monoids need.  The same echelon solves m*x = b for a
 whole batch of right-hand sides b (`echelon_solutions`, from an echelon
 already made; `lattice_coordinates` and `solve_integer_affine` make one):
 reducing (-b, 0) modulo its rows (`reduce_mod_hermite`) leaves zero on the
@@ -31,8 +30,7 @@ of Z^n / B*Z^d that gives Hilbert basis candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 Vector = tuple[int, ...]
 
@@ -355,8 +353,8 @@ def cokernel(m: IntMatrix) -> AbelianGroup:
     return AbelianGroup(free_rank=m.rows - len(facs), torsion=tuple(d for d in facs if d > 1))
 
 
-def echelon_triple(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[Vector], list[Vector], list[Vector]]:
-    """(echelon, complement, kernel) of the matrix m with these rows in Z^cols: the one elimination behind them all.
+def echelon_triple(rows: Sequence[Sequence[int]], cols: int) -> tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[Vector, ...]]:
+    """(echelon, complement, kernel) of the matrix m with these rows in Z^cols, as tuples: the one elimination behind them all.
 
     Echelonising [m^T | I] over all its columns leaves [U*m^T | U] with U
     unimodular; it is built straight from the rows, row i of [m^T | I] being
@@ -380,16 +378,11 @@ def echelon_triple(rows: Sequence[Sequence[int]], cols: int) -> tuple[list[Vecto
     a = [[row[i] for row in rows] + [int(i == j) for j in range(cols)] for i in range(cols)]
     _echelonise(a, k + cols)
     r = next((i for i, row in enumerate(a) if not any(row[:k])), len(a))
-    return [tuple(row[:k]) for row in a[:r]], [tuple(row[k:]) for row in a[:r]], [tuple(row[k:]) for row in a[r:]]
-
-
-def kernel_and_complement(m: IntMatrix) -> tuple[list[Vector], list[Vector], list[Vector]]:
-    """(echelon, complement, kernel) of m: its kernel and a complement spanning its row span (`echelon_triple`)."""
-    return echelon_triple([m.row(i) for i in range(m.rows)], m.cols)
+    return tuple(tuple(row[:k]) for row in a[:r]), tuple(tuple(row[k:]) for row in a[:r]), tuple(tuple(row[k:]) for row in a[r:])
 
 
 def is_identity_echelon(echelon: Sequence[Vector], k: int) -> bool:
-    """Whether the `kernel_and_complement` echelon of k rows v_i is the k x k identity.
+    """Whether the `echelon_triple` echelon of k rows v_i is the k x k identity.
 
     It is the column Hermite form of x -> (<v_i, x>)_i, so this holds iff
     that map is onto Z^k: the v_i are independent (k echelon rows) and
@@ -400,13 +393,13 @@ def is_identity_echelon(echelon: Sequence[Vector], k: int) -> bool:
 
 def kernel_basis(m: IntMatrix) -> list[Vector]:
     """Canonical basis of {x in Z^cols : m*x = 0} (a saturated sublattice), in column Hermite form."""
-    return kernel_and_complement(m)[2]
+    return list(echelon_triple(m.row_list(), m.cols)[2])
 
 
 def echelon_solutions(
     data: tuple[Sequence[Vector], Sequence[Vector], Sequence[Vector]], rows: int, vectors: Sequence[Sequence[int]]
 ) -> list[Optional[Vector]]:
-    """The canonical solution of m*x = b per b, None if there is none, from the `kernel_and_complement` triple of m.
+    """The canonical solution of m*x = b per b, None if there is none, from the `echelon_triple` triple of m.
 
     m has `rows` rows; `data` is (echelon, complement, kernel).  The rows
     [U*m^T | U] of the echelon form a Hermite basis of the lattice of pairs
@@ -433,9 +426,9 @@ def solve_integer_affine(m: IntMatrix, b: Sequence[int]) -> Optional[tuple[Vecto
     kernel's Hermite basis (`reduce_mod_hermite`).  Unsolvability is a value,
     not an error.  It is `echelon_solutions` on one echelon of m.
     """
-    data = kernel_and_complement(m)
+    data = echelon_triple(m.row_list(), m.cols)
     (x,) = echelon_solutions(data, m.rows, [b])
-    return None if x is None else (x, data[2])
+    return None if x is None else (x, list(data[2]))
 
 
 def column_hermite(m: IntMatrix) -> IntMatrix:
@@ -471,7 +464,7 @@ def lattice_coordinates(vectors: Sequence[Sequence[int]], basis: IntMatrix) -> l
     where the columns are dependent, the coordinates are the canonical
     solution of `solve_integer_affine`.
     """
-    return echelon_solutions(kernel_and_complement(basis), basis.rows, vectors) if vectors else []
+    return echelon_solutions(echelon_triple(basis.row_list(), basis.cols), basis.rows, vectors) if vectors else []
 
 
 def reduce_mod_hermite(vectors: Sequence[Sequence[int]], hermite: Sequence[Vector]) -> list[Vector]:
@@ -492,9 +485,3 @@ def reduce_mod_hermite(vectors: Sequence[Sequence[int]], hermite: Sequence[Vecto
         out.append(tuple(w))
     return out
 
-
-def vector_gcd(v: Iterable[int]) -> int:
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    return g

@@ -18,8 +18,8 @@ normals; no workload builds one.  Each cone keeps one incidence table,
 `Cone.incidences`: each normal with its zero set over the canonical
 generators, read off the masks of a double-description pass, the
 canonicalising one for a pointed cone and one on the canonical generators
-on first use for any other; and one echelon,
-`Cone.generator_echelon`: the `intlin.echelon_triple` of its generator
+on first use for any other (a `dual_cone` transposes its cone's); and one
+echelon, `Cone.generator_echelon`: the `intlin.echelon_triple` of its generator
 rows, kept from the pass when the pass ran on the canonical generators and
 made on first use otherwise.  Orbit quotients, weight monoids, PLF and
 Cartier pieces and the unimodular test of `plf_lattice` all read it.  The
@@ -191,12 +191,6 @@ def _dual_extreme_rays(echelon: Sequence[Vector]) -> list[tuple[Vector, int]]:
     return rays
 
 
-def _echelon_of_rows(vecs: Sequence[Vector], n: int) -> Echelon:
-    """`intlin.echelon_triple` of the matrix with rows `vecs` in Z^n, as tuples."""
-    echelon, complement, kernel = echelon_triple(vecs, n)
-    return tuple(echelon), tuple(complement), tuple(kernel)
-
-
 def _dual_description(vecs: Sequence[Vector], n: int) -> tuple[list[Vector], list[int], Echelon]:
     """`dual_generators` of distinct nonzero vectors, each one's zero set over them as a bit mask, and their echelon.
 
@@ -206,10 +200,10 @@ def _dual_description(vecs: Sequence[Vector], n: int) -> tuple[list[Vector], lis
     the `perp` pairs vanish on every vector: their mask has every bit.  A
     lift is never a `perp` vector, since it is not zero on the span.  The
     masks come in the order of the sorted dual generators.  The echelon is
-    `_echelon_of_rows` of the vectors; its first part has as many rows as
-    their rank.
+    `intlin.echelon_triple` of the vectors; its first part has as many rows
+    as their rank.
     """
-    data = _echelon_of_rows(vecs, n)
+    data = echelon_triple(vecs, n)
     echelon, complement, perp = data
     rays = _dual_extreme_rays(echelon)
     every = (1 << len(vecs)) - 1
@@ -264,7 +258,8 @@ class Cone:
     `incidences` pairs each normal with its zero set over the generators: a
     normal whose zero set holds every generator is a span equality, any
     other cuts out a proper facet.  It is read off a double-description
-    pass, `from_generators`'s own on a pointed cone.  The echelon
+    pass, `from_generators`'s own on a pointed cone, or transposed from the
+    cone's by `dual_cone`.  The echelon
     `generator_echelon` is the `intlin.echelon_triple` of the generator
     rows, which answers the lattice questions on the span: its kernel is
     the annihilator of the span (orbit quotients), it solves for pieces on
@@ -364,7 +359,7 @@ class Cone:
     def generator_echelon(self) -> Echelon:
         """`intlin.echelon_triple` of the generator rows, as tuples: (echelon, complement, kernel), once per cone."""
         if not self._echelon:
-            self._echelon.append(_echelon_of_rows(self.generators, self.ambient_rank))
+            self._echelon.append(echelon_triple(self.generators, self.ambient_rank))
         return self._echelon[0]
 
     @property
@@ -400,9 +395,12 @@ def dual_cone(sigma: Cone) -> Cone:
     """The dual cone {m : <m, u> >= 0 for all u in sigma}.
 
     Its canonical generators are sigma's normals and its normals are sigma's
-    generators: both descriptions are `dual_generators` of the other.
+    generators: both descriptions are `dual_generators` of the other.  Its
+    incidence table is sigma's transposed: generator g of sigma vanishes on
+    the normals h whose zero set holds g, so no double description runs.
     """
-    return Cone(sigma.ambient_rank, sigma.facet_normals(), [sigma.generators])
+    table = tuple((g, frozenset(h for h, z in sigma.incidences if g in z)) for g in sigma.generators)
+    return Cone(sigma.ambient_rank, sigma.facet_normals(), [sigma.generators], _incidences=[table])
 
 
 def faces(sigma: Cone) -> list[Cone]:

@@ -872,12 +872,15 @@ def dot_product_incidences(sigma) -> tuple:
 
 
 def per_member_face_table(fan) -> tuple[dict, tuple, dict]:
-    """`ColouredFan._face_table` with one `coloured_faces` pass per member, in member order."""
+    """`ColouredFan._face_table` with one `coloured_faces` pass per member, in member order.
+
+    Each pass runs on a fresh copy of the member, so it reads no list kept on the member.
+    """
     star = {cc: {} for cc in fan.cones}
     missing = []
     faces_of = {}
     for sigma in fan.cones:
-        listed = coloured_faces(fan.lattice, sigma)
+        listed = coloured_faces(fan.lattice, ColouredCone(sigma.cone, sigma.colours))
         faces_of[sigma] = frozenset(listed)
         for f in listed:
             if f in star:

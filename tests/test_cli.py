@@ -186,6 +186,34 @@ class TestParseInput:
         assert main(["validate", str(document)]) == 2
         assert capsys.readouterr().err.startswith(f"parse error: {path}: repeated key")
 
+    def test_first_repeated_key_depth_first_is_reported(self):
+        """A repeat deep in an early member is found before a shallower one later in the document."""
+        text = (
+            '{"group": "A2", "M": [[1, 0], [0, 1]], "fan": [{"generators": [[1, 1]], "colours": [], "colours": []}],'
+            ' "divisors": {"d": {}, "d": {}}}'
+        )
+        with pytest.raises(ParseError, match="repeated key 'colours'") as info:
+            parse_input(text)
+        assert info.value.path == "fan[0]"
+
+    @pytest.mark.parametrize(
+        "text, path",
+        [
+            ("[" * 100_000 + "]" * 100_000, "document"),
+            ("[" * 600 + '{"a": 1, "a": 2}' + "]" * 600, "document" + "[0]" * 600),
+        ],
+        ids=["lists-100000-deep", "repeated-key-600-deep"],
+    )
+    def test_deep_nesting_is_a_parse_error(self, text, path, tmp_path, capsys):
+        with pytest.raises(ParseError) as info:
+            parse_input(text)
+        assert info.value.path == path
+        document = tmp_path / "doc.json"
+        document.write_text(text)
+        assert main(["validate", str(document)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {path}: ") and "Traceback" not in err
+
     def test_round_trip_idempotent(self):
         once = serialize(parse_input(CLASS_GROUP_DOC))
         twice = serialize(parse_input(once))

@@ -14,8 +14,8 @@ from horofan.intlin import (
     IntMatrix,
     column_hermite,
     echelon_solutions,
+    echelon_triple,
     is_identity_echelon,
-    kernel_and_complement,
     reduce_mod_hermite,
     solve_integer_affine,
 )
@@ -32,10 +32,6 @@ from .factories import (
 )
 from .oracles import column_hermite_regularity, smith_solutions, solve_per_member_cartier_data
 from .test_walls import CASES, boundary_divisor, random_divisor, rank4_product_fans
-
-
-def frozen(triple):
-    return tuple(tuple(part) for part in triple)
 
 
 def echelon_samples(seed):
@@ -60,9 +56,9 @@ def test_the_echelon_is_the_column_hermite_form_and_solves_like_the_smith_oracle
     rng = random.Random(seed)
     seen = Counter()
     for m in echelon_samples(seed):
-        data = kernel_and_complement(m)
+        data = echelon_triple(m.row_list(), m.cols)
         h = column_hermite(m)
-        assert data[0] == h.columns()
+        assert list(data[0]) == h.columns()
         simplicial = len(data[0]) == m.rows
         regular = is_identity_echelon(data[0], m.rows)
         assert (simplicial, regular) == (h.cols == m.rows, h == IntMatrix.identity(m.rows))
@@ -75,7 +71,6 @@ def test_the_echelon_is_the_column_hermite_form_and_solves_like_the_smith_oracle
         expected = [None if y is None else reduce_mod_hermite([y], hermite)[0] for y in particular]
         assert [None if (s := solve_integer_affine(m, b)) is None else s[0] for b in vectors] == expected
         assert echelon_solutions(data, m.rows, vectors) == expected
-        assert echelon_solutions(frozen(data), m.rows, vectors) == expected
     assert seen[True, True] >= 20 and seen[True, False] >= 10 and seen[False, False] >= 20
 
 
@@ -100,12 +95,12 @@ def test_kept_echelons_equal_fresh_ones_and_the_earlier_routes_on_every_member()
         assert regularity_report(fan, datum) == expected
         for idx, cc in enumerate(fan.cones):
             seen["seeded"] += bool(cc.cone._echelon)
-            fresh = kernel_and_complement(IntMatrix.from_rows(list(cc.cone.generators), cols=r))
-            assert cc.cone.generator_echelon() == frozen(fresh)
+            fresh = echelon_triple(cc.cone.generators, r)
+            assert cc.cone.generator_echelon() == fresh
             assert quotient_by_cone(datum, cc).projection == IntMatrix.from_rows(fresh[2], cols=r)
             multiset, data = fan.member_echelon(idx)
             assert multiset == expected[idx].multiset
-            assert data == frozen(kernel_and_complement(IntMatrix.from_rows(multiset, cols=r)))
+            assert data == echelon_triple(multiset, r)
             seen["own multiset"] += multiset != cc.cone.generators
         seen.update(f"regular {x.regular}, simplicial {x.simplicial}" for x in expected)
         deltas = [boundary_divisor(fan), random_divisor(rng, fan), anticanonical(fan, datum)]
@@ -182,7 +177,7 @@ def test_fan_analysis_echelonises_each_member_once(monkeypatch):
     assert len(first) <= len(fan.cones) + own + first_passes + unimodular.count(False) + 2
     assert len({m for _, m in first}) == len(first)
     again = Counter(caller for caller, _ in both[len(first) :])
-    assert again["_echelon_of_rows"] == all_passes - first_passes
+    assert again["_dual_description"] == all_passes - first_passes
     assert [caller for caller, _ in calls["column_hermite"]] == ["plf_lattice"] * unimodular.count(False)
     assert calls["solve_integer_affine"] == []
 
@@ -224,7 +219,7 @@ def test_caches_stay_out_of_equality_hash_and_repr(make_datum, colours):
 def test_from_generators_keeps_the_pass_echelon_only_when_it_ran_on_the_canonical_generators():
     canonical = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     kept = Cone.from_generators(3, canonical)
-    assert kept._echelon == [frozen(kernel_and_complement(IntMatrix.from_rows(canonical, cols=3)))]
+    assert kept._echelon == [echelon_triple(canonical, 3)]
     for gens in (canonical[::-1], canonical + [(1, 1, 0)], [(0, 0, 2), (0, 1, 0), (1, 0, 0)]):
         cone = Cone.from_generators(3, gens)
         assert cone.generators == kept.generators and not cone._echelon

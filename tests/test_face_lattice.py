@@ -14,13 +14,14 @@ from collections import Counter
 
 import pytest
 
-from horofan import cli, horo, polyhedra
+from horofan import cli, dictionary, horo, polyhedra
 from horofan.horo import (
     ColouredCone,
     ColouredFan,
     HorosphericalDatum,
     ValidationReport,
     build_coloured_lattice,
+    close_under_coloured_faces,
     coloured_fan,
     validate_coloured_fan,
 )
@@ -50,14 +51,13 @@ def a1_squared_lattice():
     return build_coloured_lattice(HorosphericalDatum(group, frozenset(), IntMatrix.identity(2)))
 
 
-def built(lattice, maximal, colours=None) -> list[ColouredFan]:
-    """The face closure of these maximal cones, with the closure's face lists and without them."""
+def built(lattice, maximal, colours=None) -> ColouredFan:
+    """The fan on the face closure of these maximal cones."""
     colours = colours or [()] * len(maximal)
     cones = [
         ColouredCone(Cone.from_generators(lattice.rank, gens), frozenset(c)) for gens, c in zip(maximal, colours)
     ]
-    members, listed = horo._closure(lattice, cones)
-    return [ColouredFan(lattice, members, listed), ColouredFan(lattice, members)]
+    return ColouredFan(lattice, close_under_coloured_faces(lattice, cones))
 
 
 QUADRANTS = [((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (0, -1)), ((0, -1), (1, 0))]
@@ -73,7 +73,7 @@ SKEWED = [
 ]
 
 
-def complete_broken_fans() -> dict[str, list[ColouredFan]]:
+def complete_broken_fans() -> dict[str, ColouredFan]:
     """Complete fans whose walls all have two owners, but which are no fans, and a coloured one that is none."""
     torus2 = build_coloured_lattice(torus(2))
     lattice3 = build_coloured_lattice(torus3())
@@ -90,7 +90,7 @@ def complete_broken_fans() -> dict[str, list[ColouredFan]]:
 
 
 def test_skewed_cubes_are_a_complete_fan():
-    fan = built(build_coloured_lattice(torus3()), SKEWED)[0]
+    fan = built(build_coloured_lattice(torus3()), SKEWED)
     assert validate_coloured_fan(fan).valid and fan.walls() is not None and len(fan.maximal()) == 8
 
 
@@ -101,19 +101,18 @@ def test_wall_route_matches_all_pairs_oracle_on_complete_broken_fans():
     with both owners on one side (the side check).  The colour-neighbour fan has two members
     on one cone, and the last a colour point outside its cone, both reported before the route."""
     walled = 0
-    for name, fans in complete_broken_fans().items():
-        for fan in fans:
-            report = validate_coloured_fan(fan)
-            assert not report.valid, name
-            assert report == all_pairs_validation(fan), name
-            walled += fan.walls() is not None
-    assert walled == 10
+    for name, fan in complete_broken_fans().items():
+        report = validate_coloured_fan(fan)
+        assert not report.valid, name
+        assert report == all_pairs_validation(fan), name
+        walled += fan.walls() is not None
+    assert walled == 5
 
 
 def test_wall_route_matches_all_pairs_oracle_on_complete_valid_fans(monkeypatch):
     """Valid complete fans of rank 2 and 3, coloured or not, are decided by their walls: no meet is tested."""
     lattice = a1_squared_lattice()
-    fans = built(lattice, QUADRANTS, [(0, 1), (1,), (), (0,)]) + built(lattice, DIAGONALS, [(1,), (), (), (0,)])
+    fans = [built(lattice, QUADRANTS, [(0, 1), (1,), (), (0,)]), built(lattice, DIAGONALS, [(1,), (), (), (0,)])]
     fans += [rank3_fan(base, torus3()) for base in RANK3_BASES.values()]
     fans += [rank3_fan(prism_maximal(d), a1_cubed(), (0, 2)) for d in itertools.product((0, 1), repeat=3)]
     fans += [rank3_fan(stellar_subdivision(RANK3_BASES["P3"], 3, (1, 1, 2)), a1_cubed(), (0, 1))]
@@ -127,31 +126,27 @@ def test_wall_route_matches_all_pairs_oracle_on_complete_valid_fans(monkeypatch)
 
     monkeypatch.setattr(horo, "_meet_in_coloured_face", counted)
     for fan, report in zip(fans, expected):
-        fresh = ColouredFan(fan.lattice, fan.cones, fan._listed)
+        fresh = ColouredFan(fan.lattice, fan.cones)
         assert validate_coloured_fan(fresh) == report == ValidationReport(True, ())
     assert meets == Counter()
 
 
 def test_face_table_over_indices_matches_per_member_table_with_repeated_members():
-    """A member listed twice, with and without the closure's face lists, and a repeated member
-    whose face is missing: stars, missing faces (once per occurrence) and face sets, and the report."""
+    """A member listed twice, and a repeated member whose face is missing: stars, missing
+    faces (once per occurrence) and face sets, and the report."""
     lattice = build_coloured_lattice(a1_cubed())
     cones = rank3_cones(stellar_subdivision(RANK3_BASES["P2xP1"], 5, (1, 2, 2)), lattice, (0, 1))
-    members, listed = horo._closure(lattice, cones)
+    members = close_under_coloured_faces(lattice, cones)
     twice = members + (members[-1], members[3])
     lone = ColouredCone(Cone.from_generators(3, [(1, 1, 1), (1, 0, 0)]), frozenset())
-    fans = [
-        ColouredFan(lattice, twice, listed),
-        ColouredFan(lattice, twice),
-        ColouredFan(lattice, (lone,) + members + (lone,), {k + 1: faces for k, faces in listed.items()}),
-    ]
+    fans = [ColouredFan(lattice, twice), ColouredFan(lattice, (lone,) + members + (lone,))]
     for fan in fans:
         assert face_table(fan) == per_member_face_table(fan)
         star, gaps, faces_of = face_table(fan)
         expected = per_member_face_table(fan)
         assert list(star.items()) == list(expected[0].items()) and gaps == expected[1]
         assert validate_coloured_fan(fan) == all_pairs_validation(fan)
-    assert len(face_table(fans[2])[1]) == 2 * 2
+    assert len(face_table(fans[1])[1]) == 2 * 2
     assert fans[0].maximal() == ColouredFan(lattice, members).maximal()
 
 
@@ -185,6 +180,20 @@ def test_seeded_incidences_and_bit_mask_faces_match_the_oracles():
     assert kinds["seeded"] >= 350 and kinds["lineality"] >= 60
 
 
+def test_seeded_dual_cone_tables_are_the_transposed_tables():
+    """On 600 seeded cones, the dual cone's incidence table, transposed from sigma's, is the
+    dot-product rule and the table a double-description pass on its generators reads."""
+    kinds = Counter()
+    for n, gens in seeded_cones(37, 600):
+        sigma = Cone.from_generators(n, gens)
+        dual = polyhedra.dual_cone(sigma)
+        assert dual._incidences
+        assert dual.incidences == dot_product_incidences(dual)
+        assert dual.incidences == Cone(n, dual.generators).incidences
+        kinds["pointed" if sigma.is_strongly_convex() else "lineality"] += 1
+    assert kinds["pointed"] >= 350 and kinds["lineality"] >= 60
+
+
 def count(monkeypatch, calls, owner, name, wrap=lambda f: f):
     function = getattr(owner, name)
 
@@ -199,7 +208,7 @@ def count(monkeypatch, calls, owner, name, wrap=lambda f: f):
 def test_building_a_rank3_fan_runs_no_meet_and_no_double_description(monkeypatch, colours):
     """Counts, not timers: once its cones are made, `coloured_fan` builds and validates (P1)^3
     and a coloured subdivided P2 x P1 with no meet, no `intersect` and no double description;
-    the colour points of the coloured members are read off the closure's face lists."""
+    the colour points of the coloured members are read off the face table."""
     lattice = build_coloured_lattice(a1_cubed())
     calls = Counter()
     for maximal in (RANK3_BASES["P1^3"], stellar_subdivision(RANK3_BASES["P2xP1"], 5, (1, 2, 2))):
@@ -215,16 +224,30 @@ def test_building_a_rank3_fan_runs_no_meet_and_no_double_description(monkeypatch
     assert calls == Counter()
 
 
+def test_weight_monoid_makes_one_double_description(monkeypatch):
+    """Counts, not timers: the weight monoid of a README member canonicalises the cone in its
+    span, one pass, and reads the dual's incidence table off that cone's, with no second pass."""
+    doc = cli.parse_input((GOLDEN / "readme.json").read_text(encoding="utf-8"))
+    member = next(cc for cc in doc.fan.cones if cc.dim() == 2)
+    calls = Counter()
+    count(monkeypatch, calls, polyhedra, "_dual_description")
+    generators = dictionary.weight_monoid_generators(member, doc.datum)
+    monkeypatch.undo()
+    assert calls == Counter(_dual_description=1) and len(generators) >= 2
+
+
 def test_parse_runs_one_double_description_per_maximal_listed_member(monkeypatch):
     """Counts, not timers: the README document lists 3 maximal cones and 3 rays; the rays take
-    their cones from the maximal cones' faces, equal to the cones `from_generators` makes."""
+    their cones from the maximal cones' faces, equal to the cones `from_generators` makes, and
+    the fan's face table reads the faces the parser listed, so parsing and validating walk 3
+    face lattices."""
     text = (GOLDEN / "readme.json").read_text(encoding="utf-8")
     calls = Counter()
     count(monkeypatch, calls, polyhedra, "_dual_description")
+    count(monkeypatch, calls, horo, "faces")
     doc = cli.parse_input(text)
     assert validate_coloured_fan(doc.fan).valid
     monkeypatch.undo()
-    assert calls == Counter(_dual_description=3)
+    assert calls == Counter(_dual_description=3, faces=3)
     for cc, raw in zip(doc.fan.cones, cli._load_json(text)["fan"]):
         assert cc.cone == Cone.from_generators(2, [tuple(g) for g in raw["generators"]])
-    assert doc.fan._listed and all(len(doc.fan.cones[k].cone.generators) == 2 for k in doc.fan._listed)

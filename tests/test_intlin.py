@@ -12,8 +12,8 @@ from horofan.intlin import (
     determinant,
     hermite_normal_form,
     invariant_factors,
+    echelon_triple,
     is_unimodular,
-    kernel_and_complement,
     kernel_basis,
     lattice_coordinates,
     left_unimodular_equivalent,
@@ -321,16 +321,16 @@ class TestKernelAndReduction:
     def test_complement_coordinatises_the_row_span(self, seed):
         rng = random.Random(seed)
         for m in lattice_samples(seed):
-            echelon, complement, kernel = kernel_and_complement(m)
-            assert kernel == kernel_basis(m)
+            echelon, complement, kernel = echelon_triple(m.row_list(), m.cols)
+            assert list(kernel) == kernel_basis(m)
             assert len(echelon) == rank(m)
             # [complement; kernel] is a unimodular basis of Z^cols
             assert is_unimodular(IntMatrix.from_rows(complement + kernel, cols=m.cols))
             # entry (i, j) of the echelon is <complement_i, row j of m>
             c = IntMatrix.from_rows(complement, cols=m.cols)
-            assert echelon == [tuple(sum(a * b for a, b in zip(ci, m.row(j))) for j in range(m.rows)) for ci in complement]
+            assert echelon == tuple(tuple(sum(a * b for a, b in zip(ci, m.row(j))) for j in range(m.rows)) for ci in complement)
             h, _ = hermite_normal_form(m.transpose())
-            assert echelon == [h.row(i) for i in range(len(echelon))]
+            assert echelon == tuple(h.row(i) for i in range(len(echelon)))
             # a functional given in coordinates lifts to h * complement
             f = [rng.randint(-5, 5) for _ in echelon]
             lift = tuple(sum(x * row[i] for x, row in zip(f, complement)) for i in range(m.cols))

@@ -60,3 +60,63 @@ def test_an_unused_import_is_found():
 def test_library_modules_use_every_name_they_import():
     found = [f"{path.name} {entry}" for path in SOURCES for entry in unused_imports(path.read_text(encoding="utf-8"))]
     assert not found
+
+
+# Every private definition is used: a private module-level function or class, or
+# a private method, that nothing in the library refers to outside its own body is
+# a leftover, dead code that still has to be read.
+
+LIBRARY = sorted((pathlib.Path(__file__).resolve().parents[1] / "src" / "horofan").glob("*.py"))
+
+
+def private_definitions(tree: ast.Module):
+    """The private functions and classes defined at module level, and the private methods of its classes."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        scopes = [node] + (node.body if isinstance(node, ast.ClassDef) else [])
+        for definition in scopes:
+            name = getattr(definition, "name", "")
+            if isinstance(definition, kinds) and name.startswith("_") and not name.startswith("__"):
+                yield definition
+
+
+def dead_definitions(sources: dict[str, str]) -> list[str]:
+    """The private definitions of these modules that no code in any of them names outside the definition itself.
+
+    A name is referred to by a bare name or an attribute, in code; a name in
+    a string, a docstring included, is no reference.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = [
+        node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    dead = []
+    for module, tree in trees.items():
+        for definition in private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(
+                getattr(node, "id", None) == definition.name or getattr(node, "attr", None) == definition.name
+                for node in references
+                if id(node) not in inside
+            ):
+                dead.append(f"{module} line {definition.lineno}: {definition.name}")
+    return dead
+
+
+def test_a_dead_definition_is_found():
+    source = (
+        "def _used():\n    return 1\n"
+        "def _dead():\n    return _dead()\n"
+        "class _Box:\n"
+        "    def _kept(self):\n        return _used()\n"
+        "    def _unused(self):\n        '''_unused, _Gone'''\n        return self._kept()\n"
+        "    def __repr__(self):\n        return ''\n"
+        "class _Gone:\n    pass\n"
+        "box = _Box()\n"
+    )
+    assert dead_definitions({"m.py": source}) == ["m.py line 3: _dead", "m.py line 8: _unused", "m.py line 13: _Gone"]
+    assert dead_definitions({"a.py": "def _helper():\n    pass\n", "b.py": "from a import _helper\n_helper()\n"}) == []
+
+
+def test_library_has_no_dead_private_definitions():
+    assert not dead_definitions({path.name: path.read_text(encoding="utf-8") for path in LIBRARY})

@@ -569,7 +569,7 @@ class TestDualEngine:
         smith = count_calls(monkeypatch, intlin.smith_normal_form)
         coordinates = count_calls(monkeypatch, intlin.lattice_coordinates)
         kernels = count_calls(monkeypatch, intlin.kernel_basis)
-        echelons = count_calls(monkeypatch, intlin.kernel_and_complement)
+        echelons = count_calls(monkeypatch, intlin.echelon_triple)
         assert dual_generators(vecs, n) == expected
         assert (smith[0], coordinates[0]) == (0, 0)
         assert kernels[0] <= n
@@ -611,7 +611,7 @@ class TestOnePassCanonicalisation:
         gens = seeded_pointed_vectors(7, 12, 4)
         expected_generators = dual_of_dual_generators(4, gens)
         passes = count_calls(monkeypatch, polyhedra._dual_extreme_rays)
-        # the one elimination core behind `kernel_and_complement` and the pass's echelon
+        # the one elimination core behind `kernel_basis` and the pass's echelon
         echelons = count_calls(monkeypatch, intlin.echelon_triple)
         kernels = count_calls(monkeypatch, intlin.kernel_basis)
         ranks = count_calls(monkeypatch, intlin.rank)

@@ -210,28 +210,90 @@ def test_face_table_matches_one_coloured_faces_pass_per_member():
 
 
 def test_coloured_fan_runs_coloured_faces_once_per_input_cone(monkeypatch):
-    """Counts, not timers: the face table reads the closure's lists, so building and
-    validating (P1)^3 from its 8 maximal cones runs `coloured_faces` 8 times, not 16."""
+    """Counts, not timers: the face table reads the lists the closure left on the input cones,
+    so building and validating (P1)^3 from its 8 maximal cones walks 8 face lattices, not 16."""
     lattice = build_coloured_lattice(torus3())
     cones = rank3_cones(RANK3_BASES["P1^3"], lattice)
-    listed = []
-    function = horo.coloured_faces
+    walked = []
+    function = horo.faces
 
-    def wrapper(lattice, cc):
-        listed.append(cc)
-        return function(lattice, cc)
+    def wrapper(sigma):
+        walked.append(sigma)
+        return function(sigma)
 
-    monkeypatch.setattr(horo, "coloured_faces", wrapper)
+    monkeypatch.setattr(horo, "faces", wrapper)
     fan = coloured_fan(lattice, cones)
     assert validate_coloured_fan(fan).valid
-    assert listed == cones and sorted(listed, key=coloured_cone_key) == fan.maximal() and len(listed) == 8
+    tops = sorted(cones, key=coloured_cone_key)
+    assert walked == [cc.cone for cc in cones] and tops == fan.maximal() and len(walked) == 8
+
+
+def test_validating_a_fan_built_without_coloured_fan_runs_no_double_description(monkeypatch):
+    """Counts, not timers: the colour points of a coloured, stellar-subdivided P2 x P1 built as
+    `ColouredFan(lattice, close_under_coloured_faces(...))` are read off its face table, so
+    closing and validating it runs no double description on a face cone."""
+    lattice = build_coloured_lattice(a1_cubed())
+    cones = rank3_cones(stellar_subdivision(RANK3_BASES["P2xP1"], 5, (1, 2, 2)), lattice, (0, 1))
+    passes = []
+    function = polyhedra._dual_description
+
+    def counted(*args):
+        passes.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(polyhedra, "_dual_description", counted)
+    fan = ColouredFan(lattice, close_under_coloured_faces(lattice, cones))
+    assert validate_coloured_fan(fan) == ValidationReport(True, ())
+    assert passes == []
+    coloured = [cc for cc in fan.cones if cc.colours]
+    assert len(coloured) >= 8 and any(cc.dim() < 3 for cc in coloured)
+
+
+def test_colour_points_are_tested_by_contains_on_members_of_another_rank_or_unknown_colours():
+    """The face table is read for colour points only when every member has the lattice's rank
+    and known colours; otherwise validation reports, in the oracle's order, and does not raise."""
+    fan = rank3_fan(RANK3_BASES["P1^3"], a1_cubed(), (0, 1))
+    ray = ColouredCone(Cone.from_generators(3, [(1, 0, 0)]), frozenset({0, 7}))
+    outside = ColouredCone(Cone.from_generators(3, [(0, 1, 0)]), frozenset({0}))
+    wide = ColouredCone(Cone.from_generators(4, [(1, 0, 0, 0)]), frozenset())
+    for extra in [(ray,), (outside, wide), (ray, outside)]:
+        broken = ColouredFan(fan.lattice, fan.cones + extra)
+        report = validate_coloured_fan(broken)
+        assert not report.valid and report == all_pairs_validation(broken)
+        assert any("outside the cone" in v for v in report.violations) == (outside in extra)
+
+
+def test_coloured_faces_keeps_its_list_for_the_colour_points_it_read(monkeypatch):
+    """A second call with the same colour points walks no face lattice and returns a copy of the
+    kept list; points from another lattice recompute it, as a fresh cone's call does."""
+    cc = ColouredCone(Cone.from_generators(2, [(1, 0), (0, 1)]), frozenset({0, 1}))
+    on_rays = ColouredLattice(2, (Colour(0, "a1", (1, 0)), Colour(1, "a2", (0, 1))), 2, 1)
+    inside = ColouredLattice(2, (Colour(0, "a1", (1, 1)), Colour(1, "a2", (0, 1))), 2, 1)
+    walks = []
+    function = horo.faces
+
+    def counted(sigma):
+        walks.append(sigma)
+        return function(sigma)
+
+    monkeypatch.setattr(horo, "faces", counted)
+    first = coloured_faces(on_rays, cc)
+    first.clear()
+    again = coloured_faces(on_rays, cc)
+    assert len(walks) == 1 and len(again) == 4
+    moved = coloured_faces(inside, cc)
+    assert len(walks) == 2 and moved != again
+    assert moved == coloured_faces(inside, ColouredCone(cc.cone, cc.colours))
+    assert coloured_faces(on_rays, cc) == again == coloured_faces(on_rays, ColouredCone(cc.cone, cc.colours))
+    with pytest.raises(KeyError):
+        coloured_faces(ColouredLattice(2, on_rays.colours[1:], 2, 1), cc)
 
 
 def test_face_table_read_off_the_closure_matches_one_coloured_faces_pass_per_member():
-    """A fan made from a face closure reads the closure's lists of its input cones.  Stars,
-    missing faces and face lists equal the per-member oracle's, on the table fans rebuilt
-    from their maximal members, and on those inputs with a colour flipped in place or
-    added as a twin cone, which the closure keeps verbatim."""
+    """A fan made from a face closure reads the lists the closure left on its input cones.
+    Stars, missing faces and face lists equal the per-member oracle's, on the table fans
+    rebuilt from their maximal members, and on those inputs with a colour flipped in place
+    or added as a twin cone, which the closure keeps verbatim."""
     rng = random.Random(23)
     invalid = 0
     for fan in table_fans():
@@ -243,11 +305,10 @@ def test_face_table_read_off_the_closure_matches_one_coloured_faces_pass_per_mem
             flipped = ColouredCone(tops[k].cone, tops[k].colours ^ {rng.choice(roots)})
             variants += [tops[:k] + [flipped] + tops[k + 1 :], tops + [flipped]]
         for cones in variants:
-            members, listed = horo._closure(lattice, cones)
-            assert members == close_under_coloured_faces(lattice, cones)
-            built = ColouredFan(lattice, members, listed)
+            members = close_under_coloured_faces(lattice, cones)
+            built = ColouredFan(lattice, members)
             star, gaps, faces_of = face_table(built)
-            expected = per_member_face_table(ColouredFan(lattice, members))
+            expected = per_member_face_table(built)
             assert list(star.items()) == list(expected[0].items())
             assert gaps == expected[1]
             assert faces_of == expected[2]

@@ -49,6 +49,7 @@ from .horo import (
     GroupMismatchError,
     HorosphericalDatum,
     InvalidDatumError,
+    LatticeMismatchError,
     NotASubdatumError,
     NotSaturatedError,
     build_coloured_lattice,
@@ -63,7 +64,6 @@ from .horo import (
 from .dictionary import (
     CancellationToken,
     ConeNotInFanError,
-    LatticeMismatchError,
     NotStronglyConvexError,
     OrbitRecord,
     PropertyReport,

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Optional
 
 from .dictionary import (
@@ -440,14 +440,7 @@ def _picard(doc: InputDocument) -> tuple[int, str]:
     payload = {
         "picard": _group_payload(result.group),
         "plf_mod_lf": _group_payload(result.plf_mod_lf),
-        "report": {
-            "span_perp_rank": result.report.span_perp_rank,
-            "unused_colour_count": result.report.unused_colour_count,
-            "span_perp_image_rank": result.report.span_perp_image_rank,
-            "plf_rank": result.report.plf_rank,
-            "pic_rank": result.report.pic_rank,
-            "rank_consistent": result.report.rank_consistent,
-        },
+        "report": asdict(result.report),
     }
     return 0, _report(lines, payload)
 

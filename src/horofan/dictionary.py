@@ -30,6 +30,8 @@ from .horo import (
     ColouredLatticeMap,
     ColourPointMismatchError,
     HorosphericalDatum,
+    LatticeMismatchError,
+    _require_lattice,
     build_coloured_lattice,
     coloured_cone_key,
     quotient_by_cone,
@@ -38,10 +40,6 @@ from .horo import (
 from .rootsys import RootDatum, colour_smoothness_check, connected_components, flag_dimension
 
 Vector = tuple[int, ...]
-
-
-class LatticeMismatchError(ValueError):
-    """Fan and datum (or map and fans) do not share a coloured lattice."""
 
 
 class ConeNotInFanError(IndexError):
@@ -63,11 +61,6 @@ class CancellationToken:
 
     def cancelled(self) -> bool:
         return self._cancelled
-
-
-def _require_lattice(fan: ColouredFan, datum: HorosphericalDatum) -> None:
-    if fan.lattice != build_coloured_lattice(datum):
-        raise LatticeMismatchError("fan is not defined on the datum's coloured lattice")
 
 
 @dataclass(frozen=True)
@@ -280,28 +273,28 @@ def morphism_check(
 ) -> tuple[bool, bool]:
     """(compatible, proper) for a coloured lattice map between two fans.
 
-    Compatible: every source coloured cone maps into some target coloured
-    cone with its non-dominantly-mapped colours.  Proper: the preimage of the
-    target support equals the source support, decided by exact polyhedral
-    covering both ways.
+    Compatible: every source coloured cone maps into some maximal target
+    coloured cone with its non-dominantly-mapped colours.  On a valid target
+    (`cli.execute` validates it first) that is some target member: a member
+    tau is a coloured face of a maximal sigma, so tau ⊆ sigma and
+    colours(tau) ⊆ colours(sigma).  Proper: the preimage of the target
+    support equals the source support, decided by exact polyhedral covering
+    both ways.
     """
     if phi.source != source_fan.lattice or phi.target != target_fan.lattice:
         raise LatticeMismatchError("map endpoints do not match the fans' lattices")
-    compatible = True
-    for cc in source_fan.cones:
+    target_max = target_fan.maximal()
+
+    def hit(cc: ColouredCone) -> bool:
         images = [phi.apply(g) for g in cc.cone.generators]
         needed = cc.colours - phi.dominantly_mapped
-        hit = any(
-            needed <= target.colours and all(target.cone.contains(v) for v in images)
-            for target in target_fan.cones
-        )
-        if not hit:
-            compatible = False
-            break
+        return any(needed <= t.colours and all(t.cone.contains(v) for v in images) for t in target_max)
+
+    compatible = all(map(hit, source_fan.cones))
     token = cancel.cancelled if cancel is not None else None
     source_max = [cc.cone for cc in source_fan.maximal()]
     preimages = []
-    for cc in target_fan.maximal():
+    for cc in target_max:
         pulled = [phi.matrix.transpose().apply(h) for h in cc.cone.facet_normals()]
         preimages.append(Cone.from_inequalities(source_fan.lattice.rank, pulled))
     proper = all(covered_by(p, source_max, token) for p in preimages) and all(

@@ -28,9 +28,8 @@ from .intlin import (
     smith_normal_form,
 )
 from .polyhedra import LatticeLiftError, dot, wall_gaps
-from .horo import ColouredFan, HorosphericalDatum
+from .horo import ColouredFan, HorosphericalDatum, _require_lattice
 from .rootsys import _root_supported_on, pairing, positive_roots
-from .dictionary import _require_lattice
 
 Vector = tuple[int, ...]
 

@@ -39,7 +39,6 @@ from .polyhedra import (
     dot,
     faces,
     intersect,
-    is_face_of,
     plf_lattice,
     primitive,
 )
@@ -70,6 +69,10 @@ class GroupMismatchError(ValueError):
 
 class ColourPointMismatchError(ArithmeticError):
     """A constructed lattice or map does not reproduce the colour points it must."""
+
+
+class LatticeMismatchError(ValueError):
+    """Fan and datum (or map and fans) do not share a coloured lattice."""
 
 
 @dataclass(frozen=True)
@@ -376,6 +379,11 @@ def build_coloured_lattice(datum: HorosphericalDatum) -> ColouredLattice:
     )
 
 
+def _require_lattice(fan: ColouredFan, datum: HorosphericalDatum) -> None:
+    if fan.lattice != build_coloured_lattice(datum):
+        raise LatticeMismatchError("fan is not defined on the datum's coloured lattice")
+
+
 def trivial_coloured_cone(lattice: ColouredLattice) -> ColouredCone:
     return ColouredCone(Cone.zero(lattice.rank), frozenset())
 
@@ -384,19 +392,15 @@ def _face_colours(lattice: ColouredLattice, cc: ColouredCone, face_cones: list[C
     """For each face tau of cc's cone, the colours of cc whose points lie in tau.
 
     A point p of sigma lies in a face tau exactly when tau holds the smallest
-    face of sigma through p, which sigma's normals vanishing at p cut out:
-    its generators are those in all their zero sets in sigma's incidence
-    table.  A face's generators are some of sigma's (as `faces` and
-    `is_face_of` give them), so p lies in tau exactly when tau's generators
-    hold those.  No face needs an inequality description of its own, and
-    with no colour point in sigma no face is tested.
+    face of sigma through p, whose generators `Cone.smallest_face` reads off
+    sigma's incidence table, the rule `polyhedra.is_face_of` reads too.  A
+    face's generators are some of sigma's (as `faces` gives them), so p lies
+    in tau exactly when tau's generators hold those.  No face needs an
+    inequality description of its own, and with no colour point in sigma no
+    face is tested.
     """
-    table = cc.cone.incidences
-    smallest = {}
-    for r in cc.colours:
-        values = [dot(h, lattice.point(r)) for h, _ in table]
-        if all(v >= 0 for v in values):
-            smallest[r] = frozenset(cc.cone.generators).intersection(*(z for (_, z), v in zip(table, values) if not v))
+    faces_through = {r: cc.cone.smallest_face(lattice.point(r)) for r in cc.colours}
+    smallest = {r: frozenset(g) for r, g in faces_through.items() if g is not None}
     if not smallest:
         return [frozenset()] * len(face_cones)
     return [frozenset(r for r, g in smallest.items() if g.issubset(f.generators)) for f in face_cones]
@@ -429,14 +433,6 @@ def uncoloured_rays(lattice: ColouredLattice, cc: ColouredCone) -> list[Vector]:
         raise NotPointedError("only a strongly convex cone is generated by its rays")
     on_rays = {primitive(p) for p in map(lattice.point, cc.colours) if any(p)}
     return [g for g in cc.cone.generators if g not in on_rays]
-
-
-def coloured_intersection(a: ColouredCone, b: ColouredCone) -> ColouredCone:
-    return ColouredCone(intersect(a.cone, b.cone), a.colours & b.colours)
-
-
-def is_coloured_face(lattice: ColouredLattice, tau: ColouredCone, sigma: ColouredCone) -> bool:
-    return is_face_of(tau.cone, sigma.cone) and _face_colours(lattice, sigma, [tau.cone]) == [tau.colours]
 
 
 def _normal_sum_through(sigma: Cone, shared: frozenset[Vector]) -> Vector:
@@ -488,7 +484,7 @@ def _meet_in_coloured_face(faces_of: dict, a: ColouredCone, b: ColouredCone) -> 
     are the colours both members carry.
     """
     cone = _separated_meet(a.cone, b.cone)
-    meet = coloured_intersection(a, b) if cone is None else ColouredCone(cone, a.colours & b.colours)
+    meet = ColouredCone(intersect(a.cone, b.cone) if cone is None else cone, a.colours & b.colours)
     return meet in faces_of[a] and meet in faces_of[b]
 
 

@@ -313,35 +313,6 @@ def rank(m: IntMatrix) -> int:
     return _echelonise(m.row_list(), m.cols) if m.cols else 0
 
 
-def determinant(m: IntMatrix) -> int:
-    """Exact determinant via fraction-free Bareiss elimination."""
-    if m.rows != m.cols:
-        raise ValueError("determinant of a non-square matrix")
-    n = m.rows
-    if n == 0:
-        return 1
-    a = m.row_list()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
-            if swap is None:
-                return 0
-            a[k], a[swap] = a[swap], a[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[n - 1][n - 1]
-
-
-def is_unimodular(m: IntMatrix) -> bool:
-    return m.rows == m.cols and determinant(m) in (1, -1)
-
-
 def invariant_factors(m: IntMatrix) -> Vector:
     _, d, _ = smith_normal_form(m)
     return tuple(x for x in d.diagonal() if x != 0)

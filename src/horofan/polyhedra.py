@@ -26,11 +26,12 @@ Cartier pieces and the unimodular test of `plf_lattice` all read it.  The
 +/- span equalities are exactly the normals whose zero set holds every
 generator, since a lifted facet is reduced modulo the perp lattice and
 never vanishes on the whole span; the others are the proper facets.
-`faces`, `is_face_of`, `facet_owners`, `hilbert_basis` and the
-coloured-face rule in `horo` all read that table; a cone is pointed iff no
-generator's negative is also a generator.  Faces, built from generator
-subsets, take their dimensions from the graded face lattice, walked on bit
-masks over the generators, and their inequalities on first use.  Hilbert
+`faces`, `facet_owners`, `hilbert_basis` and `Cone.smallest_face` (behind
+`is_face_of` and `horo`'s coloured faces) read that table, the only copy of
+the normals; a cone is pointed iff no generator's negative is also a
+generator.  Faces, built from generator subsets, take their dimensions from
+the graded face lattice, walked on bit masks over the generators, and their
+inequalities on first use.  Hilbert
 bases stay in Z^n: for the n x d matrix B of d independent generators, the
 torsion of Z^n / B*Z^d is exactly (span ∩ Z^n) / B*Z^d, so a Smith form of
 B lists the span's points in B's half-open parallelepiped, with no span
@@ -251,15 +252,14 @@ class Cone:
     """Rational polyhedral cone in canonical form.
 
     Equal cones (as subsets of R^n) have equal generator tuples; equality and
-    hashing are therefore structural.  `from_generators` stores the normals
-    and the dimension it computes in write-once slots outside both, and
-    `faces` stores each face's dimension; other cones fill them on use.  Each
-    cone keeps one incidence table and one echelon.  The incidence table
-    `incidences` pairs each normal with its zero set over the generators: a
-    normal whose zero set holds every generator is a span equality, any
-    other cuts out a proper facet.  It is read off a double-description
-    pass, `from_generators`'s own on a pointed cone, or transposed from the
-    cone's by `dual_cone`.  The echelon
+    hashing are therefore structural.  Three write-once slots sit outside
+    both: the dimension, which `from_generators` and `faces` store, one
+    incidence table and one echelon.  The table `incidences` pairs each
+    normal with its zero set over the generators and is the only copy of the
+    normals.  A normal whose zero set holds every generator is a span
+    equality, any other cuts out a proper facet.  It is read off a
+    double-description pass, `from_generators`'s own on a pointed cone, or
+    transposed from the cone's by `dual_cone`.  The echelon
     `generator_echelon` is the `intlin.echelon_triple` of the generator
     rows, which answers the lattice questions on the span: its kernel is
     the annihilator of the span (orbit quotients), it solves for pieces on
@@ -273,7 +273,6 @@ class Cone:
 
     ambient_rank: int
     generators: tuple[Vector, ...]
-    _normals: list = field(default_factory=list, compare=False, repr=False, hash=False)
     _dims: list = field(default_factory=list, compare=False, repr=False, hash=False)
     _echelon: list = field(default_factory=list, compare=False, repr=False, hash=False)
     _incidences: list = field(default_factory=list, compare=False, repr=False, hash=False)
@@ -289,17 +288,17 @@ class Cone:
         vanishes on a canonical generator exactly when its mask has the bit
         of an input generator of that class, so the table takes no dot
         product.  A cone with lineality is the dual of its dual,
-        `dual_generators` of the normals, and fills its table on first use;
-        no workload builds one.  When the pass ran on exactly the canonical
-        generators, in order, its echelon is the cone's `generator_echelon`
-        and is kept.
+        `dual_generators` of the normals, and reads its table off one pass
+        on first use; no workload builds one.  When the pass ran on exactly
+        the canonical generators, in order, its echelon is the cone's
+        `generator_echelon` and is kept.
         """
         gens = [tuple(int(x) for x in g) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
             raise ValueError("generator has wrong dimension")
         vecs = list(dict.fromkeys(g for g in gens if any(g)))
         if not vecs:
-            return Cone(ambient_rank, (), [], [0])
+            return Cone(ambient_rank, (), [0])
         normals, masks, data = _dual_description(vecs, ambient_rank)
         if any(all(z >> i & 1 for z in masks) for i in range(len(vecs))):
             canonical, table = dual_generators(normals, ambient_rank), []
@@ -308,7 +307,7 @@ class Cone:
             canonical = sorted(extreme)
             table = [tuple((h, frozenset(c for c in canonical if z >> extreme[c] & 1)) for h, z in zip(normals, masks))]
         kept = [data] if canonical == vecs else []
-        return Cone(ambient_rank, tuple(canonical), [tuple(normals)], [len(data[0])], kept, table)
+        return Cone(ambient_rank, tuple(canonical), [len(data[0])], kept, table)
 
     @staticmethod
     def from_inequalities(ambient_rank: int, normals: Iterable[Sequence[int]]) -> "Cone":
@@ -323,30 +322,37 @@ class Cone:
         return Cone(ambient_rank, ())
 
     def facet_normals(self) -> tuple[Vector, ...]:
-        """Inequality description: the cone is exactly {u : <h, u> >= 0 for all h}."""
-        if not self._normals:
-            self._describe()
-        return self._normals[0]
+        """Inequality description: the cone is exactly {u : <h, u> >= 0 for all h}, the normals of `incidences`."""
+        return tuple(h for h, _ in self.incidences)
 
     def _describe(self) -> None:
         """One double-description pass on the generators: fills what is not known yet of the cone's slots.
 
-        These are the normals, dimension, echelon and incidence table.  The
-        pass runs on the canonical generators, so its dual generators are
-        the cone's normals, its masks their zero sets, and its echelon the
-        cone's `generator_echelon`.
+        These are the dimension, echelon and incidence table.  The pass runs
+        on the canonical generators, so its dual generators are the cone's
+        normals, its masks their zero sets, and its echelon the cone's
+        `generator_echelon`.
         """
         gens = self.generators
         normals, masks, data = _dual_description(gens, self.ambient_rank)
         table = tuple((h, frozenset(g for i, g in enumerate(gens) if z >> i & 1)) for h, z in zip(normals, masks))
-        for slot, value in [
-            (self._normals, tuple(normals)), (self._dims, len(data[0])), (self._echelon, data), (self._incidences, table)
-        ]:
+        for slot, value in [(self._dims, len(data[0])), (self._echelon, data), (self._incidences, table)]:
             if not slot:
                 slot.append(value)
 
     def contains(self, v: Sequence[int]) -> bool:
-        return all(dot(h, v) >= 0 for h in self.facet_normals())
+        return all(dot(h, v) >= 0 for h, _ in self.incidences)
+
+    def smallest_face(self, p: Sequence[int]) -> Optional[tuple[Vector, ...]]:
+        """The generators of the smallest face through p, in order, or None when p lies outside the cone.
+
+        The normals vanishing at p cut it out: its generators are those in all their zero sets.
+        """
+        values = [(dot(h, p), z) for h, z in self.incidences]
+        if any(v < 0 for v, _ in values):
+            return None
+        inside = frozenset(self.generators).intersection(*(z for v, z in values if not v))
+        return tuple(g for g in self.generators if g in inside)
 
     def contains_cone(self, other: "Cone") -> bool:
         return all(self.contains(g) for g in other.generators) if other.generators else True
@@ -396,11 +402,11 @@ def dual_cone(sigma: Cone) -> Cone:
 
     Its canonical generators are sigma's normals and its normals are sigma's
     generators: both descriptions are `dual_generators` of the other.  Its
-    incidence table is sigma's transposed: generator g of sigma vanishes on
-    the normals h whose zero set holds g, so no double description runs.
+    incidence table, the normals included, is sigma's transposed: generator
+    g of sigma vanishes on the normals h whose zero set holds g.
     """
     table = tuple((g, frozenset(h for h, z in sigma.incidences if g in z)) for g in sigma.generators)
-    return Cone(sigma.ambient_rank, sigma.facet_normals(), [sigma.generators], _incidences=[table])
+    return Cone(sigma.ambient_rank, sigma.facet_normals(), _incidences=[table])
 
 
 def faces(sigma: Cone) -> list[Cone]:
@@ -437,21 +443,17 @@ def faces(sigma: Cone) -> list[Cone]:
                 kept.append(t)
         level = below
     out = [
-        sigma if s == full else Cone(sigma.ambient_rank, tuple(g for g, b in bit.items() if b & s), [], [d])
+        sigma if s == full else Cone(sigma.ambient_rank, tuple(g for g, b in bit.items() if b & s), [d])
         for s, d in dims.items()
     ]
     return sorted(out, key=lambda c: (c.dim(), c.generators))
 
 
 def is_face_of(tau: Cone, sigma: Cone) -> bool:
-    """Whether tau = sigma ∩ m⊥ for some m in the dual cone of sigma."""
+    """Whether tau = sigma ∩ m⊥ for some m in the dual cone of sigma: the smallest face through tau's generator sum."""
     if tau.ambient_rank != sigma.ambient_rank:
         return False
-    if not sigma.contains_cone(tau):
-        return False
-    point = tau.relative_interior_point()
-    smallest = frozenset(sigma.generators).intersection(*(z for h, z in sigma.incidences if dot(h, point) == 0))
-    return tuple(g for g in sigma.generators if g in smallest) == tau.generators
+    return sigma.smallest_face(tau.relative_interior_point()) == tau.generators
 
 
 def intersect(a: Cone, b: Cone) -> Cone:

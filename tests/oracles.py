@@ -10,7 +10,10 @@ subtraction, independent of the parallelepiped method.
 `smith_solutions` is the package's earlier integer solver: one Smith form of
 m answers m*x = b for a batch of right-hand sides b.  The oracles below
 solve and lift through it (`smith_coordinates`), so they share no echelon
-with `intlin.lattice_coordinates`.
+with `intlin.lattice_coordinates`.  `determinant`, by Bareiss elimination,
+and `is_unimodular` are the package's earlier unimodularity test, kept as an
+independent check on the Smith and Hermite transforms, where the package
+reads unimodularity off a kept echelon (`intlin.is_identity_echelon`).
 
 `subset_scan_dual_generators` is the package's earlier cone-duality engine:
 it splits off the span with two kernels and a Smith form, finds the facets
@@ -34,8 +37,11 @@ check the wall-based and anchor-based ones: a dense projectivity LP over
 every m_sigma with rows for every pair of maximal cones, a positivity loop
 over every ordered pair, a positivity loop over every generator of both
 owners of each wall, gluing rows from `intersect` on every pair, and
-coloured-fan validation that intersects every pair of members and reads
-each face's colours with the face's own inequalities.  The old maximal-cone
+coloured-fan validation that intersects every pair of members by double
+description (`intersect`) and reads each face's colours with the face's
+own inequalities.  `all_members_compatible` is the earlier compatibility
+loop of `dictionary.morphism_check`, which tries every target member where
+the package tries the maximal ones.  The old maximal-cone
 rule scans every pair of members with `contains_cone`, and the anchor
 oracle tests every pair with `contains_rule_is_coloured_face`; both check
 the one coloured-face table of `ColouredFan`.
@@ -95,7 +101,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from horofan.dictionary import ConeRegularity, _require_lattice
+from horofan.dictionary import ConeRegularity
 from horofan.divisors import (
     CartierData,
     ExactSequenceReport,
@@ -106,7 +112,7 @@ from horofan.divisors import (
     invariant_ray_generators,
     principal_divisor,
 )
-from horofan.horo import ColouredCone, ValidationReport, coloured_faces, coloured_intersection, uncoloured_rays
+from horofan.horo import ColouredCone, ValidationReport, _require_lattice, coloured_faces, uncoloured_rays
 from horofan.intlin import (
     IntMatrix,
     cokernel,
@@ -746,7 +752,7 @@ def contains_rule_coloured_faces(lattice, cc) -> list:
 
 
 def contains_rule_is_coloured_face(lattice, tau, sigma) -> bool:
-    """`horo.is_coloured_face` with the colours of tau read by tau's own `contains`."""
+    """Whether tau is a coloured face of sigma, with the colours of tau read by tau's own `contains`."""
     if not is_face_of(tau.cone, sigma.cone):
         return False
     return frozenset(r for r in sigma.colours if tau.cone.contains(lattice.point(r))) == tau.colours
@@ -824,7 +830,7 @@ def all_pairs_validation(fan) -> ValidationReport:
                 )
     for i, a in enumerate(fan.cones):
         for b in fan.cones[i + 1 :]:
-            meet = coloured_intersection(a, b)
+            meet = ColouredCone(intersect(a.cone, b.cone), a.colours & b.colours)
             if not all(contains_rule_is_coloured_face(lattice, meet, c) for c in (a, b)):
                 violations.append(
                     f"intersection of {fan.describe(a)} and {fan.describe(b)} "
@@ -861,7 +867,7 @@ def frozenset_faces(sigma) -> list:
                     dims[t] = dims[s] - 1
                     below.append(t)
         level = below
-    out = [sigma if s == full else Cone(sigma.ambient_rank, tuple(sorted(s)), [], [d]) for s, d in dims.items()]
+    out = [sigma if s == full else Cone(sigma.ambient_rank, tuple(sorted(s)), [d]) for s, d in dims.items()]
     return sorted(out, key=lambda c: (c.dim(), c.generators))
 
 
@@ -943,3 +949,44 @@ def solve_per_member_cartier_data(delta, fan):
             return None
         pieces.append((idx, solution[0]))
     return CartierData(tuple(pieces))
+
+
+def determinant(m: IntMatrix) -> int:
+    """Exact determinant via fraction-free Bareiss elimination."""
+    if m.rows != m.cols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.rows
+    if n == 0:
+        return 1
+    a = m.row_list()
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k] != 0), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1]
+
+
+def is_unimodular(m: IntMatrix) -> bool:
+    return m.rows == m.cols and determinant(m) in (1, -1)
+
+
+def all_members_compatible(phi, source_fan, target_fan) -> bool:
+    """The compatibility half of `dictionary.morphism_check`, trying every target member, not only the maximal ones."""
+    for cc in source_fan.cones:
+        images = [phi.apply(g) for g in cc.cone.generators]
+        needed = cc.colours - phi.dominantly_mapped
+        if not any(
+            needed <= target.colours and all(target.cone.contains(v) for v in images) for target in target_fan.cones
+        ):
+            return False
+    return True

@@ -393,6 +393,22 @@ class TestMorphisms:
         phi = coloured_lattice_map(datum, datum)
         assert morphism_check(phi, fan, fan) == (True, True)
 
+    def test_compatibility_tries_the_maximal_target_members_only(self, monkeypatch):
+        """Counts, not timers: every cone a containment test runs on is a maximal member,
+        so no face cone of the target gets an inequality description."""
+        fan, datum = projective_sl3_fan()
+        phi = coloured_lattice_map(datum, datum)
+        tested = []
+        contains = Cone.contains
+
+        def recording(cone, v):
+            tested.append(cone)
+            return contains(cone, v)
+
+        monkeypatch.setattr(Cone, "contains", recording)
+        assert morphism_check(phi, fan, fan) == (True, True)
+        assert tested and set(tested) <= {cc.cone for cc in fan.maximal()}
+
     def test_decolouration_map_compatible_and_proper(self):
         fan, datum = sl2_u2_plane_fan()
         phi = coloured_lattice_map(datum, datum)

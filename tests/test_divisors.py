@@ -26,12 +26,12 @@ from horofan.horo import (
     coloured_fan,
     trivial_coloured_cone,
 )
-from horofan.intlin import AbelianGroup, IntMatrix, column_hermite, determinant, rank
+from horofan.intlin import AbelianGroup, IntMatrix, column_hermite, rank
 from horofan.polyhedra import Cone, LatticeLiftError, fan_is_complete
 from horofan.rootsys import RootDatum
 
 from .factories import RANK3_BASES, a1_cubed, random_rank3_coloured_fans, random_valid_fan, rank3_fan
-from .oracles import stacked_picard_group
+from .oracles import determinant, stacked_picard_group
 
 
 def cc(rank, gens, colours=()):

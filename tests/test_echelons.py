@@ -204,7 +204,7 @@ def test_caches_stay_out_of_equality_hash_and_repr(make_datum, colours):
         filled.lattice,
         tuple(ColouredCone(Cone(cc.cone.ambient_rank, cc.cone.generators), cc.colours) for cc in filled.cones),
     )
-    assert not bare._multisets and not any(cc.cone._echelon or cc.cone._normals for cc in bare.cones)
+    assert not bare._multisets and not any(cc.cone._echelon or cc.cone._incidences for cc in bare.cones)
     assert filled == bare and hash(filled) == hash(bare) and repr(filled) == repr(bare)
     for kept, plain in zip(filled.cones, bare.cones):
         assert kept == plain and hash(kept) == hash(plain) and repr(kept) == repr(plain)

@@ -9,11 +9,9 @@ from horofan.intlin import (
     IntMatrix,
     cokernel,
     column_hermite,
-    determinant,
     hermite_normal_form,
     invariant_factors,
     echelon_triple,
-    is_unimodular,
     kernel_basis,
     lattice_coordinates,
     left_unimodular_equivalent,
@@ -24,7 +22,7 @@ from horofan.intlin import (
     solve_integer_affine,
 )
 
-from .oracles import smith_solutions
+from .oracles import determinant, is_unimodular, smith_solutions
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):

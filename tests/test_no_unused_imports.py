@@ -1,6 +1,12 @@
-"""Every name a library module imports is used in that module; the package's `__init__` re-exports and is exempt."""
+"""Guards against unreached library code.
+
+Every name a library module imports is used in that module (the package's
+`__init__` re-exports and is exempt), every private definition is used, and
+every public definition is exported, used, or timed by the benchmark.
+"""
 
 import ast
+import json
 import pathlib
 
 SOURCES = sorted(
@@ -120,3 +126,78 @@ def test_a_dead_definition_is_found():
 
 def test_library_has_no_dead_private_definitions():
     assert not dead_definitions({path.name: path.read_text(encoding="utf-8") for path in LIBRARY})
+
+
+# Every public definition is reached: a public module-level function or class is
+# exported by the package, named by library code outside its own body, or timed
+# by a per-layer metric of the benchmark.  Anything else is a second route that
+# only the tests walk.
+
+BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+
+
+def exported_names(init_source: str) -> set[str]:
+    """`module.name` for each name the package's `__init__` imports from one of its modules."""
+    return {
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(init_source))
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+        for alias in node.names
+    }
+
+
+def timed_functions(benchmark: dict) -> set[str]:
+    """`module.name` for each function a per-layer metric times: `ratlp.maximize.calls` times `ratlp.maximize`."""
+    return {".".join(parts[:2]) for parts in (m["name"].split(".") for m in benchmark["per_layer"]) if len(parts) > 2}
+
+
+def unreached_definitions(sources: dict[str, str], exported: set[str], timed: set[str]) -> list[str]:
+    """The public module-level functions and classes that are neither exported, named outside their body, nor timed.
+
+    A name is referred to by a bare name or an attribute, in code of any of
+    these modules; a name in a string, a docstring included, is no reference.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    references = [
+        node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))
+    ]
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    unreached = []
+    for module, tree in trees.items():
+        for definition in tree.body:
+            if not isinstance(definition, kinds) or definition.name.startswith("_"):
+                continue
+            qualified = f"{module.removesuffix('.py')}.{definition.name}"
+            if qualified in exported or qualified in timed:
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(
+                getattr(node, "id", None) == definition.name or getattr(node, "attr", None) == definition.name
+                for node in references
+                if id(node) not in inside
+            ):
+                unreached.append(f"{module} line {definition.lineno}: {definition.name}")
+    return unreached
+
+
+def test_an_unreached_definition_is_found():
+    source = (
+        "def used():\n    return 1\n"
+        "def shown():\n    pass\n"
+        "def timed():\n    pass\n"
+        "def lonely():\n    '''used'''\n    return lonely()\n"
+        "class Box:\n    def method(self):\n        return used()\n"
+        "class Orphan:\n    pass\n"
+    )
+    sources = {"m.py": source, "n.py": "import m\nm.Box()\n"}
+    assert unreached_definitions(sources, {"m.shown"}, {"m.timed"}) == ["m.py line 7: lonely", "m.py line 13: Orphan"]
+    assert exported_names("from .m import shown, Box\nfrom . import n\nimport os\n") == {"m.shown", "m.Box"}
+    metrics = {"per_layer": [{"name": "m.calls"}, {"name": "m.timed.calls"}, {"name": "m.Box.make.calls"}]}
+    assert timed_functions(metrics) == {"m.timed", "m.Box"}
+
+
+def test_library_has_no_unreached_public_definitions():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in LIBRARY}
+    exported = exported_names(sources["__init__.py"])
+    timed = timed_functions(json.loads(BENCHMARK.read_text(encoding="utf-8")))
+    assert not unreached_definitions(sources, exported, timed)

@@ -23,7 +23,6 @@ from horofan.horo import (
     coloured_cone_key,
     coloured_fan,
     coloured_faces,
-    is_coloured_face,
     validate_coloured_fan,
 )
 from horofan.polyhedra import Cone, intersect
@@ -123,8 +122,8 @@ def test_meets_read_off_the_face_table_match_the_face_tests():
     for fan in valid_fans() + broken_fans():
         faces_of = fan._faces_of()
         for a, b in itertools.combinations(fan.cones, 2):
-            meet = horo.coloured_intersection(a, b)
-            expected = is_coloured_face(fan.lattice, meet, a) and is_coloured_face(fan.lattice, meet, b)
+            meet = ColouredCone(intersect(a.cone, b.cone), a.colours & b.colours)
+            expected = all(contains_rule_is_coloured_face(fan.lattice, meet, c) for c in (a, b))
             assert horo._meet_in_coloured_face(faces_of, a, b) == expected
             outcomes[expected] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 50
@@ -134,14 +133,13 @@ def test_validation_makes_no_face_test(monkeypatch):
     """Counts, not timers: validating a coloured (P1)^3 fan reads every meet off the face table."""
     fan = rank3_fan(RANK3_BASES["P1^3"], a1_cubed(), (0, 1))
     calls = Counter()
-    for name in ("is_face_of", "is_coloured_face"):
-        function = getattr(horo, name)
+    function = polyhedra.is_face_of
 
-        def wrapper(*args, _name=name, _function=function):
-            calls[_name] += 1
-            return _function(*args)
+    def wrapper(*args):
+        calls["is_face_of"] += 1
+        return function(*args)
 
-        monkeypatch.setattr(horo, name, wrapper)
+    monkeypatch.setattr(polyhedra, "is_face_of", wrapper)
     assert validate_coloured_fan(ColouredFan(fan.lattice, fan.cones)) == ValidationReport(True, ())
     overlapping = ColouredCone(Cone.from_generators(3, [(1, 1, 1), (1, 0, 0)]), frozenset())
     assert not validate_coloured_fan(ColouredFan(fan.lattice, fan.cones + (overlapping,))).valid
@@ -357,7 +355,7 @@ def test_face_colours_by_incidence_match_face_contains(data):
     for f in coloured_faces(lattice, cc):
         for colours in (f.colours, cc.colours, frozenset()):
             tau = ColouredCone(f.cone, colours)
-            assert is_coloured_face(lattice, tau, cc) == contains_rule_is_coloured_face(lattice, tau, cc)
+            assert (tau in coloured_faces(lattice, cc)) == contains_rule_is_coloured_face(lattice, tau, cc)
 
 
 def table_fans() -> list[ColouredFan]:

@@ -734,27 +734,38 @@ def _quotient_by_projection(
     projection_rows: Sequence[Vector],
     removed_colours: Iterable[int],
 ) -> QuotientResult:
-    """The quotient of N by the saturated N' whose annihilator has the basis `projection_rows`, N read off the datum."""
+    """The quotient of N by the saturated N' whose annihilator has the basis `projection_rows`, N read off the datum.
+
+    The projected colour points and the new character matrix, whose row i
+    is the projection of the old row i, are dot products over tuples, with
+    no matrix product.
+    """
+    roots = datum.colour_roots()
     removed = frozenset(removed_colours)
-    if not removed.issubset(datum.colour_roots()):
+    if not removed.issubset(roots):
         raise ValueError("removed colours must be universal colours of N")
     projection = IntMatrix.from_rows(projection_rows, cols=datum.lattice_rank)
+    characters = datum.characters
+    points = {a: tuple(dot(characters.row(a), p) for p in projection_rows) for a in roots}
     # N' is saturated, so a point lies in N' exactly when the projection kills it
     for r in sorted(removed):
-        if any(projection.apply(datum.characters.row(r))):
+        if any(points[r]):
             raise ColourOutsideSublatticeError(
                 f"colour point of {datum.group.label(r)} lies outside the sublattice"
             )
-    new_characters = datum.characters.mul(projection.transpose())
+    # rows read off the entries, so a rank-0 lattice walks none, however large the torus
+    rows = zip(*[iter(characters.entries)] * characters.cols)
     new_datum = HorosphericalDatum(
         group=datum.group,
         parabolic=frozenset(datum.parabolic | removed),
-        characters=new_characters,
+        characters=IntMatrix(
+            characters.rows, len(projection_rows), tuple(dot(row, p) for row in rows for p in projection_rows)
+        ),
     )
     new_lattice = build_coloured_lattice(new_datum)
     # the construction must reproduce the projected colour points exactly
     for c in new_lattice.colours:
-        if c.point != projection.apply(datum.characters.row(c.root)):
+        if c.point != points[c.root]:
             raise ColourPointMismatchError(f"quotient colour point of {c.label} is not the projected one")
     return QuotientResult(new_lattice, new_datum, projection)
 

@@ -12,14 +12,15 @@ pointed cone is canonicalised with one pass of it: the pass gives the
 normals and each facet's zero set over the generators, and a generator is
 extreme exactly when every generator on all the facets through it is a
 positive multiple of it, since the smallest face through it is then a ray.
-The extreme generators, made primitive, are the canonical generators.  A
-cone with lineality is the dual of its dual, a second pass over the
-normals; no workload builds one.  Each cone keeps one incidence table,
-`Cone.incidences`: each normal with its zero set over the canonical
-generators, read off the masks of a double-description pass, the
-canonicalising one for a pointed cone and one on the canonical generators
-on first use for any other (a `dual_cone` transposes its cone's); and one
-echelon, `Cone.generator_echelon`: the `intlin.echelon_triple` of its generator
+The extreme generators, made primitive, are the canonical generators;
+independent inputs are all extreme, with no scan.  A cone with lineality is
+the dual of its dual, a second pass over the normals; no workload builds
+one.  Each cone keeps one incidence table, `Cone.incidences`: each normal
+with its zero set over the canonical generators, read off the masks of a
+double-description pass, the canonicalising one for a pointed cone and one
+on the canonical generators on first use for any other (a `dual_cone`
+transposes its cone's on first use); and one echelon,
+`Cone.generator_echelon`: the `intlin.echelon_triple` of its generator
 rows, kept from the pass when the pass ran on the canonical generators and
 made on first use otherwise.  Orbit quotients, weight monoids, PLF and
 Cartier pieces and the unimodular test of `plf_lattice` all read it.  The
@@ -31,12 +32,15 @@ never vanishes on the whole span; the others are the proper facets.
 the normals; a cone is pointed iff no generator's negative is also a
 generator.  Faces, built from generator subsets, take their dimensions from
 the graded face lattice, walked on bit masks over the generators, and their
-inequalities on first use.  Hilbert
-bases stay in Z^n: for the n x d matrix B of d independent generators, the
-torsion of Z^n / B*Z^d is exactly (span ∩ Z^n) / B*Z^d, so a Smith form of
-B lists the span's points in B's half-open parallelepiped, with no span
-coordinates and no box.  Fan-level code takes the maximal cones a fan
-already holds and reads owners off incidences, with no containment scan:
+inequalities on first use.  A face on independent generators is simplicial
+and its face lattice Boolean, so the walk drops one generator at a time
+below it and reads no table.  Hilbert bases stay in Z^n: for the n x d
+matrix B of d independent generators, the torsion of Z^n / B*Z^d is exactly
+(span ∩ Z^n) / B*Z^d, so a Smith form of B lists the span's points in B's
+half-open parallelepiped, with no span coordinates and no box; a unimodular
+simplicial cone, whose generators extend to a basis, needs none and is its
+own Hilbert basis.  Fan-level code takes the maximal cones a fan already
+holds and reads owners off incidences, with no containment scan:
 `facet_owners` lists the walls (facets with their owning cones) and
 `complete_fan_walls` decides completeness from them and picks each wall's
 u; `wall_gaps` reads the gaps of many PLFs at u in one pass, the rule
@@ -109,17 +113,20 @@ def _join_lineality(
     return sorted(set(_lifts(functionals, complement, perp)) | set(perp) | {tuple(-x for x in b) for b in perp})
 
 
-def _triangular_solve(rows: Sequence[Sequence[int]], b: Sequence[int]) -> Vector:
-    """The primitive positive multiple of x with rows*x = b, for a lower-triangular `rows` with positive diagonal.
+def _triangular_solve(rows: Sequence[Sequence[int]], j: int) -> Vector:
+    """The primitive positive multiple of x with rows*x = e_j, for a lower-triangular `rows` with positive diagonal.
 
-    Fraction-free forward substitution: x stays integral with rows*x = D*b on
-    the rows solved so far, and x and D are scaled up whenever the next
-    diagonal entry does not divide its right-hand side.  D stays positive.
+    The inverse of a lower-triangular matrix is lower-triangular, so x is
+    zero above row j and the substitution starts there.  Fraction-free
+    forward substitution: x stays integral with rows*x = D*e_j on the rows
+    solved so far, and x and D are scaled up whenever the next diagonal entry
+    does not divide its right-hand side.  D stays positive.
     """
-    x: list[int] = []
+    x = [0] * j
     scale = 1
-    for i, row in enumerate(rows):
-        rest = scale * b[i] - sum(row[k] * x[k] for k in range(i))
+    for i in range(j, len(rows)):
+        row = rows[i]
+        rest = scale * (i == j) - sum(row[k] * x[k] for k in range(j, i))
         f = row[i] // gcd(row[i], rest)
         if f > 1:
             x = [f * y for y in x]
@@ -160,7 +167,7 @@ def _dual_extreme_rays(echelon: Sequence[Vector]) -> list[tuple[Vector, int]]:
     seeds, triangle = _pivot_triangle(echelon)
     seed_bits = sum(1 << s for s in seeds)
     rays = [
-        (_triangular_solve(triangle, [int(i == j) for i in range(d)]), seed_bits & ~(1 << s))
+        (_triangular_solve(triangle, j), seed_bits & ~(1 << s))
         for j, s in enumerate(seeds)
     ]
     for i, a in enumerate(coords):
@@ -259,7 +266,7 @@ class Cone:
     normals.  A normal whose zero set holds every generator is a span
     equality, any other cuts out a proper facet.  It is read off a
     double-description pass, `from_generators`'s own on a pointed cone, or
-    transposed from the cone's by `dual_cone`.  The echelon
+    transposed from the cone's by `dual_cone` on first use.  The echelon
     `generator_echelon` is the `intlin.echelon_triple` of the generator
     rows, which answers the lattice questions on the span: its kernel is
     the annihilator of the span (orbit quotients), it solves for pieces on
@@ -289,9 +296,12 @@ class Cone:
         of an input generator of that class, so the table takes no dot
         product.  A cone with lineality is the dual of its dual,
         `dual_generators` of the normals, and reads its table off one pass
-        on first use; no workload builds one.  When the pass ran on exactly
-        the canonical generators, in order, its echelon is the cone's
-        `generator_echelon` and is kept.
+        on first use; no workload builds one.  Independent inputs, as many
+        as the rank of the pass's echelon, span a simplicial pointed cone
+        whose every generator is extreme: the canonical generators are then
+        the sorted primitive inputs, with no extremality scan.  When the pass
+        ran on exactly the canonical generators, in order, its echelon is the
+        cone's `generator_echelon` and is kept.
         """
         gens = [tuple(int(x) for x in g) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
@@ -300,10 +310,11 @@ class Cone:
         if not vecs:
             return Cone(ambient_rank, (), [0])
         normals, masks, data = _dual_description(vecs, ambient_rank)
-        if any(all(z >> i & 1 for z in masks) for i in range(len(vecs))):
+        independent = len(data[0]) == len(vecs)
+        if not independent and any(all(z >> i & 1 for z in masks) for i in range(len(vecs))):
             canonical, table = dual_generators(normals, ambient_rank), []
         else:
-            extreme = _extreme_generators(masks, vecs)
+            extreme = {primitive(g): i for i, g in enumerate(vecs)} if independent else _extreme_generators(masks, vecs)
             canonical = sorted(extreme)
             table = [tuple((h, frozenset(c for c in canonical if z >> extreme[c] & 1)) for h, z in zip(normals, masks))]
         kept = [data] if canonical == vecs else []
@@ -372,11 +383,18 @@ class Cone:
     def incidences(self) -> tuple[tuple[Vector, frozenset[Vector]], ...]:
         """Each normal, in order, with its zero set over the generators: the cone's incidence table, once per cone.
 
-        `from_generators` seeds it on a pointed cone from its pass; any other
-        cone reads it off one pass on its generators on first use (`_describe`).
+        `from_generators` seeds it on a pointed cone from its pass, and a
+        `dual_cone` transposes its cone's on first use; any other cone reads it
+        off one pass on its generators on first use (`_describe`).
         """
         if not self._incidences:
-            self._describe()
+            sigma = vars(self).get("_dual_of")
+            if sigma is None:
+                self._describe()
+            else:
+                self._incidences.append(
+                    tuple((g, frozenset(h for h, z in sigma.incidences if g in z)) for g in sigma.generators)
+                )
         return self._incidences[0]
 
     def is_strongly_convex(self) -> bool:
@@ -403,10 +421,14 @@ def dual_cone(sigma: Cone) -> Cone:
     Its canonical generators are sigma's normals and its normals are sigma's
     generators: both descriptions are `dual_generators` of the other.  Its
     incidence table, the normals included, is sigma's transposed: generator
-    g of sigma vanishes on the normals h whose zero set holds g.
+    g of sigma vanishes on the normals h whose zero set holds g.  The dual
+    keeps sigma (an attribute `_dual_of`, outside ==, hash and repr) and
+    transposes sigma's table, which reading sigma's normals made, on its
+    first `incidences` read, so no read runs a double-description pass.
     """
-    table = tuple((g, frozenset(h for h, z in sigma.incidences if g in z)) for g in sigma.generators)
-    return Cone(sigma.ambient_rank, sigma.facet_normals(), _incidences=[table])
+    dual = Cone(sigma.ambient_rank, sigma.facet_normals())
+    object.__setattr__(dual, "_dual_of", sigma)
+    return dual
 
 
 def faces(sigma: Cone) -> list[Cone]:
@@ -419,20 +441,35 @@ def faces(sigma: Cone) -> list[Cone]:
     proper cuts s ∩ f by sigma's facets f (the face lattice is graded).  So
     each face's dimension comes from the face it was found under, with no
     rank computation.  Generator subsets are bit masks over sigma's
-    generators, and the cuts of a face are taken in decreasing popcount: a
-    cut not listed yet is a new face iff no cut taken before it, and kept,
-    holds it, since a strictly larger cut has more bits and lies under a
-    maximal one.  A cut already listed is kept with no test.
+    generators.  A face with as many generators as its dimension is
+    simplicial, its generators independent, and its face lattice Boolean:
+    its facets drop one generator each, with no cut.  A cone with lineality
+    has more generators than its dimension (its generators hold +/- pairs),
+    and so has every face of it.  The cuts of any other face are taken in
+    decreasing popcount: a cut not listed yet is a new face iff no cut taken
+    before it, and kept, holds it, since a strictly larger cut has more bits
+    and lies under a maximal one.  A cut already listed is kept with no
+    test.  Only cuts read sigma's incidence table, so the faces of a
+    simplicial cone, made by `faces` itself or not, take no
+    double-description pass.
     """
     gens = sigma.generators
     bit = {g: 1 << i for i, g in enumerate(gens)}
     full = (1 << len(gens)) - 1
-    facet_masks = [m for m in (sum(bit[g] for g in z) for _, z in sigma.incidences) if m != full]
+    facet_masks = None
     dims = {full: sigma.dim()}
     level = [full]
     while level:
         below = []
         for s in level:
+            if s.bit_count() == dims[s]:
+                for t in (s ^ b for b in bit.values() if s & b):
+                    if t not in dims:
+                        dims[t] = dims[s] - 1
+                        below.append(t)
+                continue
+            if facet_masks is None:
+                facet_masks = [m for m in (sum(bit[g] for g in z) for _, z in sigma.incidences) if m != full]
             kept: list[int] = []
             for t in sorted({s & f for f in facet_masks} - {s}, key=int.bit_count, reverse=True):
                 if t not in dims:
@@ -494,12 +531,16 @@ def hilbert_basis(sigma: Cone) -> list[Vector]:
     (span ∩ Z^n) / B*Z^d, so a Smith form of B gives one point per class, in
     Z^n, with no span coordinates and no box scan.  The candidates are then
     reduced to the irreducible elements against the normals of sigma's
-    proper facets, read off its incidence table.
+    proper facets, read off its incidence table.  A simplicial sigma whose
+    generators extend to a basis of Z^n, read off its `generator_echelon`
+    as in `plf_lattice`, has sigma ∩ Z^n = ⊕ N*g_i: its Hilbert basis is
+    its generators, with no candidates.
     """
     if not sigma.is_strongly_convex():
         raise NotPointedError("Hilbert basis requires a strongly convex cone")
-    if not sigma.generators:
-        return []
+    k = len(sigma.generators)
+    if k == sigma.dim() and is_identity_echelon(sigma.generator_echelon()[0], k):
+        return sorted(sigma.generators)
     n = sigma.ambient_rank
     candidates: set[Vector] = set(sigma.generators)
     for subset in itertools.combinations(sigma.generators, sigma.dim()):

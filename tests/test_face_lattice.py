@@ -180,15 +180,20 @@ def test_seeded_incidences_and_bit_mask_faces_match_the_oracles():
     assert kinds["seeded"] >= 350 and kinds["lineality"] >= 60
 
 
-def test_seeded_dual_cone_tables_are_the_transposed_tables():
-    """On 600 seeded cones, the dual cone's incidence table, transposed from sigma's, is the
-    dot-product rule and the table a double-description pass on its generators reads."""
-    kinds = Counter()
+def test_seeded_dual_cone_tables_are_the_transposed_tables(monkeypatch):
+    """On 600 seeded cones, the dual cone's incidence table, empty until read and then transposed
+    from sigma's with no double-description pass, is the dot-product rule and the table a
+    double-description pass on its generators reads."""
+    kinds, passes = Counter(), Counter()
+    count(monkeypatch, passes, polyhedra, "_dual_description")
     for n, gens in seeded_cones(37, 600):
         sigma = Cone.from_generators(n, gens)
         dual = polyhedra.dual_cone(sigma)
-        assert dual._incidences
-        assert dual.incidences == dot_product_incidences(dual)
+        assert not dual._incidences
+        before = passes["_dual_description"]
+        table = dual.incidences
+        assert passes["_dual_description"] == before
+        assert table == dot_product_incidences(dual)
         assert dual.incidences == Cone(n, dual.generators).incidences
         kinds["pointed" if sigma.is_strongly_convex() else "lineality"] += 1
     assert kinds["pointed"] >= 350 and kinds["lineality"] >= 60

@@ -53,6 +53,7 @@ from .horo import (
     NotASubdatumError,
     NotSaturatedError,
     build_coloured_lattice,
+    close_under_coloured_faces,
     coloured_faces,
     coloured_fan,
     coloured_lattice_map,

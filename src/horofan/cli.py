@@ -19,7 +19,6 @@ from typing import Callable, Optional
 
 from .dictionary import (
     classify_variety,
-    closure_contains,
     decolouration,
     morphism_check,
     orbit_closure,
@@ -46,13 +45,12 @@ from .horo import (
     InvalidDatumError,
     build_coloured_lattice,
     coloured_cone_key,
-    coloured_faces,
     coloured_lattice_map,
     trivial_coloured_cone,
     validate_coloured_fan,
 )
 from .intlin import IntMatrix
-from .polyhedra import Cone, primitive
+from .polyhedra import Cone, faces, primitive
 from .rootsys import RootDatum
 
 SENTINEL = "---JSON---"
@@ -155,8 +153,9 @@ def _canonical_members(
     face of a pointed member built before takes that face's cone: the face's
     canonical generators are that member's generators in it, so it is the
     cone `Cone.from_generators` would make.  The face cones are read off
-    `coloured_faces` of each built pointed member, which keeps them for the
-    fan's face table.
+    `faces` of each built pointed member, and the fan's walk down its face
+    lattice (`ColouredFan._face_table`) finds these members there, so it
+    builds no cone of them again.
     """
     keys = [frozenset(primitive(g) for g in gens if any(g)) for gens, _ in specs]
     made: dict[frozenset, Cone] = {}
@@ -166,8 +165,8 @@ def _canonical_members(
         face = made.get(keys[i])
         cones[i] = ColouredCone(Cone.from_generators(lattice.rank, gens) if face is None else face, roots)
         if face is None and cones[i].cone.is_strongly_convex():
-            for f in coloured_faces(lattice, cones[i]):
-                made.setdefault(frozenset(f.cone.generators), f.cone)
+            for f in faces(cones[i].cone):
+                made.setdefault(frozenset(f.generators), f)
     return cones
 
 
@@ -369,10 +368,14 @@ def _orbits(doc: InputDocument) -> tuple[int, str]:
     table = orbit_table(fan, doc.datum)
     maximal = set(fan.maximal())
     labels = fan.lattice.labels()
+    # each member's first index, so that one star per member answers closure_contains for every pair
+    first: dict = {}
+    members = [first.setdefault(cc, i) for i, cc in enumerate(fan.cones)]
     lines = [f"{'cone':>4}  {'dim':>3}  {'closed':>6}  cone description"]
     rows = []
     for rec in table:
         cc = fan.cones[rec.cone_index]
+        above = {first[x] for x in fan.star(cc)}
         closed = cc in maximal
         colours = [labels[r] for r in sorted(cc.colours)]
         gens = " ".join("(" + ",".join(map(str, g)) + ")" for g in cc.cone.generators) or "0"
@@ -385,11 +388,7 @@ def _orbits(doc: InputDocument) -> tuple[int, str]:
                 "colours": colours,
                 "dimension": rec.dimension,
                 "closed": closed,
-                "closure_contains": sorted(
-                    other.cone_index
-                    for other in table
-                    if closure_contains(fan, rec.cone_index, other.cone_index)
-                ),
+                "closure_contains": [j for j, k in enumerate(members) if k in above],
             }
         )
     return 0, _report(lines, {"orbits": rows})

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .intlin import IntMatrix, echelon_solutions, is_identity_echelon
+from .intlin import IntMatrix, echelon_solutions
 from .polyhedra import (
     Cone,
     LatticeLiftError,
@@ -145,20 +145,23 @@ def regularity_report(fan: ColouredFan, datum: HorosphericalDatum) -> list[ConeR
     cone's colours.  The column Hermite form H of x -> (<v_i, x>)_i answers
     both for k vectors v_i: simplicial iff H has k columns, and regular iff
     the map is onto Z^k, that is iff H is the k x k identity.  H is the
-    echelon of the member's `ColouredFan.member_echelon`, kept per member:
-    simplicial iff the echelon has k rows, regular iff it is the k x k
-    identity (`intlin.is_identity_echelon`).  So no member is echelonised
-    again, however often the report runs.
+    echelon of the member's `ColouredFan.member_echelon`.  The flags are read
+    down the fan's covers and kept per fan (`ColouredFan._regularity`): a
+    coloured face of a regular member is simplicial and regular, with no
+    echelon, since its multiset is a sub-multiset of the member's.  So on
+    (P1)^n only the 2^n maximal members are echelonised, and no member is
+    echelonised again, however often the report runs.  Members share few
+    colour sets, so each distinct one takes one Dynkin check.
     """
     _require_lattice(fan, datum)
+    first, flags = fan._face_table[0], fan._regularity
+    dynkin: dict[frozenset[int], tuple[bool, str]] = {}
     out = []
     for idx, cc in enumerate(fan.cones):
-        multiset, (echelon, _, _) = fan.member_echelon(idx)
-        simplicial = len(echelon) == len(multiset)
-        regular = is_identity_echelon(echelon, len(multiset))
-        dynkin_ok, dynkin_why = colour_smoothness_check(
-            datum.group, datum.parabolic, cc.colours
-        )
+        multiset, simplicial, regular = flags[first[idx]]
+        if cc.colours not in dynkin:
+            dynkin[cc.colours] = colour_smoothness_check(datum.group, datum.parabolic, cc.colours)
+        dynkin_ok, dynkin_why = dynkin[cc.colours]
         smooth = regular and dynkin_ok
         if not simplicial:
             why = "multiset is linearly dependent (not simplicial)"

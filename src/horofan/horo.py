@@ -13,6 +13,18 @@ alpha-row of the basis matrix of M.  This coroot-restriction rule is the
 unique linear rule reproducing the primary lattice, where the colour points
 are part of a Z-basis; the tests pin it against an independently coded
 pairing oracle and every stated small-group value.
+
+A coloured fan is a set of coloured cones closed under taking coloured
+faces, and a set is closed under coloured faces exactly when it is closed
+under coloured facets, since a coloured face of a coloured face is one.  So
+a fan is kept as its Hasse diagram: each member keeps only its coloured
+facets, its covers.  One walk down the face lattices of the maximal members,
+on generator masks, finds them (`_walk_down`, on the vertex-facet incidence
+step `polyhedra._facet_masks` of Kaibel and Pfetsch), numbering each coloured
+face once whichever member it lies under; `coloured_fan` hands the walk of
+its closure to the fan.  Stars, face lists and regularity are read off the
+covers, by walks up or down, only when asked; a missing coloured facet is a
+face the walk finds that is no member.
 """
 
 from __future__ import annotations
@@ -27,6 +39,7 @@ from .intlin import (
     IntMatrix,
     column_hermite,
     echelon_triple,
+    is_identity_echelon,
     kernel_basis,
     lattice_coordinates,
     rank,
@@ -35,10 +48,10 @@ from .polyhedra import (
     Cone,
     Echelon,
     NotPointedError,
+    _facet_cuts,
+    _facet_masks,
     complete_fan_walls,
     dot,
-    faces,
-    intersect,
     plf_lattice,
     primitive,
 )
@@ -150,11 +163,7 @@ class ColouredLattice:
 
 @dataclass(frozen=True)
 class ColouredCone:
-    """Pair (cone, colour subset); colours are stored by simple-root index.
-
-    Its list of coloured faces is kept on it on first use, outside ==, hash
-    and repr (`coloured_faces`).
-    """
+    """Pair (cone, colour subset); colours are stored by simple-root index."""
 
     cone: Cone
     colours: frozenset[int]
@@ -168,28 +177,17 @@ def coloured_cone_key(cc: ColouredCone) -> tuple:
     return (cc.dim(), cc.cone.generators, sorted(cc.colours))
 
 
-def _number(slot: dict, pool: list, cc: ColouredCone) -> int:
-    """cc's index in `pool`, appending it when `slot` has no equal one: one hash."""
-    k = slot.setdefault(cc, len(pool))
-    if k == len(pool):
-        pool.append(cc)
-    return k
-
-
 @dataclass(frozen=True)
 class ColouredFan:
     """Finite collection of strongly convex coloured cones on a coloured lattice.
 
     What depends on the members alone is computed once per fan, outside ==
-    and hash: the coloured-face table behind `star` and `maximal`, and, from
-    the cones of the maximal members, the wall table (`walls`) and the PLF
-    lattice (`plf_lattice`).  Each member's multiset and its echelon
-    (`member_echelon`) are made on first use and kept the same way.  The
-    table runs over member indices: the members are numbered once, by first
-    occurrence (`_numbering`), and each coloured face is mapped to its
-    member's index with one hash.  The face lists come from `coloured_faces`,
-    which each member keeps, so a fan whose members were listed before (by
-    the closure or the CLI) walks no face lattice again.
+    and hash: the fan's Hasse diagram (`_face_table`), each member with its
+    coloured facets, from which face lists, stars and regularity flags
+    (`_regularity`) are read when asked; and, from the cones of the maximal
+    members, the wall table (`walls`) and the PLF lattice (`plf_lattice`).
+    Each member's multiset and its echelon (`member_echelon`) are made on
+    first use and kept the same way.
     """
 
     lattice: ColouredLattice
@@ -209,16 +207,16 @@ class ColouredFan:
         and of itself (which fails only if a colour point lies outside its
         cone).  In a valid fan a member contained in another is their
         intersection, hence a coloured face of it, so these are the members
-        no other member contains.  It reads the face table, so on a fan whose
-        maximal members keep their coloured faces, as `coloured_fan` and the
-        CLI leave them, no face lattice is walked.  The rule raises wherever
-        `coloured_faces` does, for example KeyError on an unknown colour index.
+        no other member contains.  They are read off the face table: the
+        members no member lists as a coloured facet, strays aside.  The rule
+        raises wherever `coloured_faces` does, for example KeyError on an
+        unknown colour index.
         """
         return [self.cones[k] for k in self._anchors]
 
     def star(self, cc: ColouredCone) -> tuple[ColouredCone, ...]:
-        """The members that the member cc is a coloured face of, in member order."""
-        return tuple(self.cones[k] for k in self._face_table[1][self._numbering[0][cc]])
+        """The members that the member cc is a coloured face of, in member order: a walk up the covers."""
+        return tuple(self.cones[k] for k in self._above(self._index[cc]))
 
     def walls(self) -> Optional[dict[Cone, tuple[int, int, Vector]]]:
         """The `polyhedra.complete_fan_walls` table of the maximal members' cones, None if the fan is not complete.
@@ -244,8 +242,7 @@ class ColouredFan:
         """
         if index not in self._multisets:
             cc = self.cones[index]
-            points = tuple(self.lattice.point(r) for r in sorted(cc.colours))
-            multiset = tuple(uncoloured_rays(self.lattice, cc)) + points
+            multiset = _multiset(self.lattice, cc)
             if multiset == cc.cone.generators:
                 data = cc.cone.generator_echelon()
             else:
@@ -254,79 +251,122 @@ class ColouredFan:
         return self._multisets[index]
 
     @cached_property
-    def _numbering(self) -> tuple[dict, list[int], list[ColouredCone]]:
-        """(slot, first, pool): the members numbered once.
+    def _face_table(self) -> tuple[list[int], list[ColouredCone], list[Optional[list[int]]], frozenset[int]]:
+        """(first, pool, down, strays): the fan's Hasse diagram over member indices, made once per fan.
 
-        `pool` is the members, then the coloured faces the face table lists
-        that are no member; `slot` maps each to its index in the pool, a
-        member to its first occurrence, and `first[i]` is that index for
-        member i.  One hash per member and per listed face.
-        """
-        slot: dict[ColouredCone, int] = {}
-        first = [slot.setdefault(cc, k) for k, cc in enumerate(self.cones)]
-        return slot, first, list(self.cones)
-
-    @cached_property
-    def _face_table(self) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
-        """(lists, stars) over member indices: each member's coloured faces as pool indices, and its star.
-
-        Both are keyed by first occurrences (`_numbering`), and a star lists
-        the first occurrences of the members above, in member order.
-        Computed once per fan, outside == and hash.  `coloured_faces` runs
-        only on the members that are a coloured face of no larger member.
-        When a member f equals an entry of a member sigma's list, colours
-        included, f is a face of sigma, so its faces are the faces of sigma
-        inside f: the entries of sigma's list whose generators lie in f's,
-        already in the (dim, generators) order of `faces`, read as bit masks
-        over sigma's generators.  Their colours
-        agree too: f's colours are sigma's colours with points in f, so for
-        a face g of f, sigma's colours with points in g are f's.  So the
-        members are walked from the largest dimension down, and each member
-        already listed under one walked before filters that member's list.
-        The stars are then read in member order.  This raises wherever
+        `first[i]` is the index of the first member equal to member i.
+        `pool` is the members, then the coloured faces of members that are
+        no member (missing faces).  `down[k]` lists the coloured facets of a
+        first occurrence or missing face k as pool indices (None for a
+        repeated member), and k's coloured faces are k and all it reaches
+        down.  A stray member, one some colour point of which lies outside
+        its cone, is no coloured face of itself: its coloured faces are its
+        full coloured face, `down[k] == [j]`, and all below it.  Members are
+        told apart by their generator masks and colours, and `_walk_down`
+        walks from each, largest first, that no walk before reached (a
+        coloured face of a coloured face is one); `coloured_fan` hands over
+        the walk of its closure instead.  This raises wherever
         `coloured_faces` does.
         """
-        slot, first, pool = self._numbering
-        members = list(dict.fromkeys(first))
-        lists: dict[int, list[int]] = {}
-        # a listed face: its list, as (pool index, generator mask over the list's top cone) pairs, and its own mask
-        cover: dict[int, tuple[list[tuple[int, int]], int]] = {}
-        for k in sorted(members, key=lambda k: -self.cones[k].dim()):
-            if k in cover:
-                above, inside = cover[k]
-                listed = [(j, m) for j, m in above if m & inside == m]
-            else:
-                bit = {g: 1 << i for i, g in enumerate(self.cones[k].cone.generators)}
-                listed = [
-                    (_number(slot, pool, f), sum(bit[g] for g in f.cone.generators))
-                    for f in coloured_faces(self.lattice, self.cones[k])
-                ]
-            lists[k] = [j for j, _ in listed]
-            for j, m in listed:
-                cover[j] = listed, m
-        n = len(self.cones)
-        stars: dict[int, list[int]] = {k: [] for k in members}
-        for k in members:
-            for j in lists[k]:
-                if j < n:
-                    stars[j].append(k)
-        return lists, stars
+        bit_of: dict[Vector, int] = {}
+        slots: dict[int, dict] = {}
+        first = []
+        for k, cc in enumerate(self.cones):
+            mask = sum(bit_of.setdefault(g, 1 << len(bit_of)) for g in cc.cone.generators)
+            first.append(slots.setdefault(cc.cone.ambient_rank, {}).setdefault((mask, cc.colours), k))
+        pool, down = list(self.cones), [None] * len(self.cones)
+        strays = set()
+        for k in sorted(dict.fromkeys(first), key=lambda k: -self.cones[k].dim()):
+            if down[k] is None:
+                top = _walk_down(self.lattice, self.cones[k], slots, pool, down, bit_of)
+                if top != k:
+                    strays.add(k)
+                    down[k] = [top]
+        return first, pool, down, frozenset(strays)
+
+    @cached_property
+    def _index(self) -> dict[ColouredCone, int]:
+        """Each member's first index, one hash per member."""
+        index: dict[ColouredCone, int] = {}
+        for k, cc in enumerate(self.cones):
+            index.setdefault(cc, k)
+        return index
+
+    @cached_property
+    def _up(self) -> list[list[int]]:
+        """The covers reversed: for each pool index, the pool indices listing it as a coloured facet."""
+        down = self._face_table[2]
+        up: list[list[int]] = [[] for _ in down]
+        for k, facets in enumerate(down):
+            for j in facets or ():
+                up[j].append(k)
+        return up
+
+    def _below(self, k: int) -> set[int]:
+        """The pool indices of the coloured faces of first occurrence k: a walk down the covers."""
+        _, _, down, strays = self._face_table
+        return _reach(down, down[k], set() if k in strays else {k})
+
+    def _above(self, k: int) -> list[int]:
+        """The first occurrences whose coloured faces hold first occurrence k, in member order: a walk up the covers."""
+        seen = _reach(self._up, self._up[k], set() if k in self._face_table[3] else {k})
+        return sorted(j for j in seen if j < len(self.cones))
 
     def _missing(self) -> list[tuple[ColouredCone, ColouredCone]]:
-        """The (member, coloured face) pairs whose face is no member, in member order, repeated members included."""
-        lists = self._face_table[0]
-        first, pool, n = self._numbering[1], self._numbering[2], len(self.cones)
-        return [(self.cones[i], pool[j]) for i, k in enumerate(first) for j in lists[k] if j >= n]
+        """The (member, coloured face) pairs whose face is no member, in member order, repeated members included.
+
+        A member's missing faces come in the order of `coloured_faces`: by dimension, then generators.
+        """
+        first, pool, _, _ = self._face_table
+        n = len(self.cones)
+        if len(pool) == n:
+            return []
+        lists: dict[int, list[int]] = {}
+        for k in dict.fromkeys(first):
+            lists[k] = sorted((j for j in self._below(k) if j >= n), key=lambda j: coloured_cone_key(pool[j]))
+        return [(cc, pool[j]) for cc, k in zip(self.cones, first) for j in lists[k]]
 
     def _faces_of(self) -> dict[ColouredCone, frozenset[ColouredCone]]:
         """Each member's set of coloured faces."""
-        lists, pool = self._face_table[0], self._numbering[2]
-        return {self.cones[k]: frozenset(pool[j] for j in faces_of_k) for k, faces_of_k in lists.items()}
+        first, pool = self._face_table[:2]
+        return {self.cones[k]: frozenset(pool[j] for j in self._below(k)) for k in dict.fromkeys(first)}
 
     @cached_property
     def _anchors(self) -> tuple[int, ...]:
-        """The first occurrences of the maximal members, in member order."""
-        return tuple(k for k, above in self._face_table[1].items() if above == [k])
+        """The first occurrences of the maximal members, in member order: covered by no member, and no stray."""
+        first, _, down, strays = self._face_table
+        covered = {j for facets in down if facets for j in facets}
+        return tuple(k for k in dict.fromkeys(first) if k not in covered and k not in strays)
+
+    @cached_property
+    def _regularity(self) -> dict[int, tuple[tuple[Vector, ...], bool, bool]]:
+        """(multiset, simplicial, regular) of each first occurrence, read down the covers, made once per fan.
+
+        A coloured face's multiset is a sub-multiset of the multiset of every
+        coloured cone above it: a ray of the face carries a colour of the face
+        iff it carries one of the cone above, since a colour point on the ray
+        lies in the face, and the face's colours are the colours above whose
+        points lie in it.  A sub-multiset of a linearly independent multiset
+        is independent, and one of a multiset that extends to a Z-basis
+        extends to one too.  So a face of a regular member is simplicial and
+        regular, with no echelon.  The members are taken from the largest
+        dimension down, each marked regular when a member it is a coloured
+        facet of is (a member under a missing face reads its own echelon); the
+        others read `member_echelon`: simplicial iff its echelon has a row per
+        vector, regular iff it is the identity (`intlin.is_identity_echelon`).
+        """
+        first, _, down, _ = self._face_table
+        regular_below: set[int] = set()
+        flags = {}
+        for k in sorted(dict.fromkeys(first), key=lambda k: -self.cones[k].dim()):
+            if k in regular_below:
+                flags[k] = (_multiset(self.lattice, self.cones[k]), True, True)
+            else:
+                multiset, (echelon, _, _) = self.member_echelon(k)
+                flags[k] = (multiset, len(echelon) == len(multiset), is_identity_echelon(echelon, len(multiset)))
+            if flags[k][2]:
+                regular_below.update(down[k])
+        return flags
 
     @cached_property
     def _walls(self) -> Optional[dict[Cone, tuple[int, int, Vector]]]:
@@ -366,21 +406,31 @@ class ColouredLatticeMap:
 
 
 def build_coloured_lattice(datum: HorosphericalDatum) -> ColouredLattice:
-    """Coloured lattice of G/H_(I,M): N = dual of M, colour points by coroot pairing."""
-    colours = tuple(
-        Colour(root=a, label=datum.group.label(a), point=datum.characters.row(a))
-        for a in datum.colour_roots()
-    )
-    return ColouredLattice(
-        rank=datum.lattice_rank,
-        colours=colours,
-        simple_count=datum.group.simple_count,
-        component_count=len(datum.group.components),
-    )
+    """Coloured lattice of G/H_(I,M): N = dual of M, colour points by coroot pairing.
+
+    It depends on the datum alone, so it is kept on the datum, set on first
+    use outside ==, hash and repr, as a `dual_cone` keeps its cone: one
+    lattice per datum, which `_require_lattice` compares by identity first.
+    """
+    kept = vars(datum).get("_lattice")
+    if kept is None:
+        colours = tuple(
+            Colour(root=a, label=datum.group.label(a), point=datum.characters.row(a))
+            for a in datum.colour_roots()
+        )
+        kept = ColouredLattice(
+            rank=datum.lattice_rank,
+            colours=colours,
+            simple_count=datum.group.simple_count,
+            component_count=len(datum.group.components),
+        )
+        object.__setattr__(datum, "_lattice", kept)
+    return kept
 
 
 def _require_lattice(fan: ColouredFan, datum: HorosphericalDatum) -> None:
-    if fan.lattice != build_coloured_lattice(datum):
+    lattice = build_coloured_lattice(datum)
+    if fan.lattice is not lattice and fan.lattice != lattice:
         raise LatticeMismatchError("fan is not defined on the datum's coloured lattice")
 
 
@@ -388,39 +438,14 @@ def trivial_coloured_cone(lattice: ColouredLattice) -> ColouredCone:
     return ColouredCone(Cone.zero(lattice.rank), frozenset())
 
 
-def _face_colours(lattice: ColouredLattice, cc: ColouredCone, face_cones: list[Cone]) -> list[frozenset[int]]:
-    """For each face tau of cc's cone, the colours of cc whose points lie in tau.
-
-    A point p of sigma lies in a face tau exactly when tau holds the smallest
-    face of sigma through p, whose generators `Cone.smallest_face` reads off
-    sigma's incidence table, the rule `polyhedra.is_face_of` reads too.  A
-    face's generators are some of sigma's (as `faces` gives them), so p lies
-    in tau exactly when tau's generators hold those.  No face needs an
-    inequality description of its own, and with no colour point in sigma no
-    face is tested.
-    """
-    faces_through = {r: cc.cone.smallest_face(lattice.point(r)) for r in cc.colours}
-    smallest = {r: frozenset(g) for r, g in faces_through.items() if g is not None}
-    if not smallest:
-        return [frozenset()] * len(face_cones)
-    return [frozenset(r for r, g in smallest.items() if g.issubset(f.generators)) for f in face_cones]
-
-
 def coloured_faces(lattice: ColouredLattice, cc: ColouredCone) -> list[ColouredCone]:
-    """All coloured faces: each face tau gets the colours of cc landing in tau.
+    """All coloured faces, by dimension, then generators: each face tau gets the colours of cc landing in tau.
 
-    The list depends on cc and on its colour points alone, so it is kept on
-    cc with the points it read, set on first use outside ==, hash and repr,
-    as `Cone` keeps its incidences.  A later call reading the same points
-    returns a copy of it; other points, from another lattice, recompute it.
+    They are the coloured faces one `_walk_down` from cc numbers.
     """
-    points = [lattice.point(r) for r in sorted(cc.colours)]
-    kept = vars(cc).get("_faces")
-    if kept is None or kept[0] != points:
-        face_cones = faces(cc.cone)
-        kept = points, [ColouredCone(f, c) for f, c in zip(face_cones, _face_colours(lattice, cc, face_cones))]
-        object.__setattr__(cc, "_faces", kept)
-    return list(kept[1])
+    pool: list[ColouredCone] = []
+    _walk_down(lattice, cc, {}, pool, [], {})
+    return sorted(pool, key=lambda f: (f.dim(), f.cone.generators))
 
 
 def uncoloured_rays(lattice: ColouredLattice, cc: ColouredCone) -> list[Vector]:
@@ -433,6 +458,153 @@ def uncoloured_rays(lattice: ColouredLattice, cc: ColouredCone) -> list[Vector]:
         raise NotPointedError("only a strongly convex cone is generated by its rays")
     on_rays = {primitive(p) for p in map(lattice.point, cc.colours) if any(p)}
     return [g for g in cc.cone.generators if g not in on_rays]
+
+
+def _multiset(lattice: ColouredLattice, cc: ColouredCone) -> tuple[Vector, ...]:
+    """cc's uncoloured ray generators (`uncoloured_rays`), then its colour points by root."""
+    return tuple(uncoloured_rays(lattice, cc)) + tuple(lattice.point(r) for r in sorted(cc.colours))
+
+
+def _reach(edges: list, start: Iterable[int], seen: set[int]) -> set[int]:
+    """`seen`, with every index reached from `start` along `edges`, transitively."""
+    stack = list(start)
+    while stack:
+        j = stack.pop()
+        if j not in seen:
+            seen.add(j)
+            stack += edges[j]
+    return seen
+
+
+def _walk_down(
+    lattice: ColouredLattice, cc: ColouredCone, slots: dict, pool: list, down: list, bit_of: dict
+) -> int:
+    """Number the coloured faces of cc not numbered yet, each with its coloured facets; return the full face's number.
+
+    Faces are generator masks, each generator standing for its bit in
+    `bit_of` (new generators take the next bit), so a face has one mask
+    whichever cone it is found under.  `slots[r]` maps (mask, colours) to a
+    number for the cones of ambient rank r, `pool` holds the coloured cone
+    of each number and `down` its coloured facets (None until walked).  The
+    facets of a face come from `polyhedra._facet_masks` and take the
+    colours of cc whose points lie in them: a point lies in a face exactly
+    when the face's mask holds that of the smallest face of cc's cone
+    through it (`Cone.smallest_face`, the rule `polyhedra.is_face_of` reads
+    too), so no face needs an inequality description of its own.  These are the
+    facets' colours under every member the face is a coloured face of, so
+    the walk goes on below a face only when it is new, and each coloured
+    face is built once: one `Cone` of its generators, its dimension that of
+    the face above less one.  The full face is cc itself when every colour
+    point of cc lies in its cone, else cc's cone with the colours that do.
+    """
+    sigma = cc.cone
+    gens = sigma.generators
+    bits = [bit_of.setdefault(g, 1 << len(bit_of)) for g in gens]
+    bit = dict(zip(gens, bits))
+    through = []
+    for r in sorted(cc.colours):
+        face = sigma.smallest_face(lattice.point(r))
+        if face is not None:
+            through.append((r, sum(bit[g] for g in face)))
+    slot = slots.setdefault(sigma.ambient_rank, {})
+    full, colours = sum(bits), frozenset(r for r, _ in through)
+    top = slot.get((full, colours))
+    if top is None:
+        top = slot[full, colours] = len(pool)
+        pool.append(cc if colours == cc.colours else ColouredCone(sigma, colours))
+        down.append(None)
+    if down[top] is not None:
+        return top
+    cuts = _facet_cuts(sigma, bits)
+    d = sigma.dim()
+    level = [(full, top)]
+    while level:
+        below = []
+        for s, k in level:
+            facets = []
+            for t in _facet_masks(s, d, bits, cuts):
+                key = t, frozenset(r for r, m in through if t & m == m) if through else colours
+                j = slot.get(key)
+                if j is None:
+                    j = slot[key] = len(pool)
+                    cone = Cone(sigma.ambient_rank, tuple(g for g, b in zip(gens, bits) if t & b), [d - 1])
+                    pool.append(ColouredCone(cone, key[1]))
+                    down.append(None)
+                if down[j] is None:
+                    down[j] = []
+                    below.append((t, j))
+                facets.append(j)
+            down[k] = facets
+        level, d = below, d - 1
+    return top
+
+
+def _closure(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> tuple[tuple[ColouredCone, ...], tuple]:
+    """`close_under_coloured_faces`, with the face table of the fan on its members (`ColouredFan._face_table`).
+
+    One `_walk_down` per input cone, in order, numbers the coloured faces
+    once.  An input cone some colour point of which lies outside its cone
+    is no coloured face of itself; it is kept too, as a stray whose only
+    coloured facet is its full coloured face.  The numbers are then put in
+    member order.
+    """
+    slots: dict[int, dict] = {}
+    pool: list[ColouredCone] = []
+    down: list = []
+    bit_of: dict[Vector, int] = {}
+    strays = []
+    for cc in cones:
+        top = _walk_down(lattice, cc, slots, pool, down, bit_of)
+        if pool[top].colours != cc.colours:
+            slot = slots[cc.cone.ambient_rank]
+            key = sum(bit_of[g] for g in cc.cone.generators), cc.colours
+            if key not in slot:
+                strays.append(len(pool))
+                slot[key] = len(pool)
+                pool.append(cc)
+                down.append([top])
+    order = sorted(range(len(pool)), key=lambda k: coloured_cone_key(pool[k]))
+    number = [0] * len(pool)
+    for p, k in enumerate(order):
+        number[k] = p
+    members = tuple(pool[k] for k in order)
+    table = (
+        list(range(len(members))),
+        list(members),
+        [[number[j] for j in down[k]] for k in order],
+        frozenset(number[k] for k in strays),
+    )
+    return members, table
+
+
+def close_under_coloured_faces(
+    lattice: ColouredLattice, cones: Iterable[ColouredCone]
+) -> tuple[ColouredCone, ...]:
+    """Face closure, deduped and canonically ordered (small cones first).
+
+    The input cones are kept as members verbatim; for a valid coloured cone
+    the face with the full underlying cone is the cone itself, so this only
+    differs when the input is invalid, which validation will then flag.  Of
+    equal cones and faces the first is kept.  The coloured faces are
+    numbered once across the input cones by a walk down their face
+    lattices on generator masks (`_walk_down`), and each is built once.
+    """
+    return _closure(lattice, cones)[0]
+
+
+def coloured_fan(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> ColouredFan:
+    """Build a fan from maximal cones by coloured-face closure, then validate.
+
+    The fan keeps the face table of the closure's walk, so each coloured
+    face is built once and no face lattice is walked again.
+    """
+    members, table = _closure(lattice, cones)
+    fan = ColouredFan(lattice, members)
+    vars(fan)["_face_table"] = table
+    report = validate_coloured_fan(fan)
+    if not report.valid:
+        raise ValueError("not a coloured fan: " + "; ".join(report.violations))
+    return fan
 
 
 def _normal_sum_through(sigma: Cone, shared: frozenset[Vector]) -> Vector:
@@ -450,72 +622,58 @@ def _separates(m: Vector, generators: Sequence[Vector], shared: frozenset[Vector
     return True
 
 
-def _separated_meet(s: Cone, t: Cone) -> Optional[Cone]:
-    """s ∩ t, certified by a separating functional from the incidence tables, or None when no candidate certifies it.
+def _separated_meet(a: Cone, b: Cone, s: Cone, t: Cone) -> Optional[Cone]:
+    """a ∩ b, certified by a separating functional from the tables of s and t; None when no candidate certifies it.
 
-    G is the set of canonical generators the two pointed cones share.  If
-    some m is >= 0 on s, <= 0 on t, and vanishes on exactly G among the
-    generators of each, then s ∩ t = cone(G), a face of both (the separation
-    lemma, Cox-Little-Schenck, Toric Varieties, 1.2.13): s ∩ t lies in m⊥,
-    and s ∩ m⊥ and t ∩ m⊥ are the faces on G.  A face of a pointed cone has
+    a is a face of s and b one of t (each may be the cone itself).  G is the
+    set of canonical generators the two pointed cones a and b share.  If
+    some m is >= 0 on a, <= 0 on b, and vanishes on exactly G among the
+    generators of each, then a ∩ b = cone(G), a face of both (the separation
+    lemma, Cox-Little-Schenck, Toric Varieties, 1.2.13): a ∩ b lies in m⊥,
+    and a ∩ m⊥ and b ∩ m⊥ are the faces on G.  A face of a pointed cone has
     the cone's generators in it as its canonical generators.  The candidates
     are m_s, the sum of s's normals whose zero set holds G, then -m_t, then
-    a*m_s - b*m_t for a, b in 1..3.  Only dot products are taken.  Both
+    x*m_s - y*m_t for x, y in 1..3.  m_s is >= 0 on s, so on a, and vanishes
+    on a's generators in the smallest face of s through G, which is the
+    smallest face of a through G, as a's own normals through G would.  Only
+    dot products are taken, and no face needs a table of its own.  All
     cones must be pointed and of one ambient rank, as every member is once
     `validate_coloured_fan` reaches the meets.
     """
-    shared = frozenset(s.generators).intersection(t.generators)
+    shared = frozenset(a.generators).intersection(b.generators)
     m_s, m_t = _normal_sum_through(s, shared), _normal_sum_through(t, shared)
     candidates = itertools.chain(
         [m_s, tuple(-y for y in m_t)],
-        (tuple(a * x - b * y for x, y in zip(m_s, m_t)) for a, b in itertools.product((1, 2, 3), repeat=2)),
+        (tuple(p * x - q * y for x, y in zip(m_s, m_t)) for p, q in itertools.product((1, 2, 3), repeat=2)),
     )
     for m in candidates:
-        if _separates(m, s.generators, shared, 1) and _separates(m, t.generators, shared, -1):
-            return Cone(s.ambient_rank, tuple(sorted(shared)))
+        if _separates(m, a.generators, shared, 1) and _separates(m, b.generators, shared, -1):
+            return Cone(a.ambient_rank, tuple(sorted(shared)))
     return None
 
 
-def _meet_in_coloured_face(faces_of: dict, a: ColouredCone, b: ColouredCone) -> bool:
+def _face_normals(a: Cone, s: Cone) -> list[Vector]:
+    """Inequalities cutting out the face a of s: s's normals, and the negated normals of s through a."""
+    normals = list(s.facet_normals())
+    if a is not s:
+        normals += [tuple(-x for x in h) for h, z in s.incidences if z.issuperset(a.generators)]
+    return normals
+
+
+def _meet_in_coloured_face(faces_of: dict, a: ColouredCone, b: ColouredCone, s: Cone, t: Cone) -> bool:
     """Whether a ∩ b is a coloured face of both members, read off their lists of coloured faces in the face table.
 
-    The meet's cone comes from `_separated_meet` when a separating functional
-    certifies it, else from `intersect`, a double description; its colours
-    are the colours both members carry.
+    a's cone is a face of s and b's one of t.  The meet's cone comes from
+    `_separated_meet` when a separating functional certifies it, else from
+    one double description of the inequalities of both (`_face_normals`),
+    read off the tables of s and t; its colours are the colours both members
+    carry.
     """
-    cone = _separated_meet(a.cone, b.cone)
-    meet = ColouredCone(intersect(a.cone, b.cone) if cone is None else cone, a.colours & b.colours)
+    cone = _separated_meet(a.cone, b.cone, s, t)
+    if cone is None:
+        cone = Cone.from_inequalities(s.ambient_rank, _face_normals(a.cone, s) + _face_normals(b.cone, t))
+    meet = ColouredCone(cone, a.colours & b.colours)
     return meet in faces_of[a] and meet in faces_of[b]
-
-
-def close_under_coloured_faces(
-    lattice: ColouredLattice, cones: Iterable[ColouredCone]
-) -> tuple[ColouredCone, ...]:
-    """Face closure, deduped and canonically ordered (small cones first).
-
-    The input cones are kept as members verbatim; for a valid coloured cone
-    the face with the full underlying cone is the cone itself, so this only
-    differs when the input is invalid, which validation will then flag.
-    Cones and faces are deduped as they come, one hash each, keeping the
-    first of equal ones, so each input cone stays a member with the
-    coloured faces it keeps (`coloured_faces`), which the face table of a
-    fan on the members reads.
-    """
-    members = dict.fromkeys(f for cc in cones for f in [cc, *coloured_faces(lattice, cc)])
-    return tuple(sorted(members, key=coloured_cone_key))
-
-
-def coloured_fan(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> ColouredFan:
-    """Build a fan from maximal cones by coloured-face closure, then validate.
-
-    The face table reads the coloured faces that the closure left on each
-    input cone, so each input cone's face lattice is walked once.
-    """
-    fan = ColouredFan(lattice, close_under_coloured_faces(lattice, cones))
-    report = validate_coloured_fan(fan)
-    if not report.valid:
-        raise ValueError("not a coloured fan: " + "; ".join(report.violations))
-    return fan
 
 
 def _walls_decide(fan: ColouredFan) -> bool:
@@ -540,12 +698,13 @@ def _walls_decide(fan: ColouredFan) -> bool:
 def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     """Check every coloured-fan axiom; violations are reported, not raised.
 
-    Colour points.  A member equal, colours included, to an entry of a list
-    of the face table needs no containment test: `_face_colours` puts a
-    colour on a face only when its point lies in the face, so every colour
-    point of the member lies in its cone.  The table is read only when
-    every member has the lattice's rank and only known colours; otherwise,
-    and for every member in no list, the test is its cone's `contains`.
+    Colour points.  A member that the face table does not mark a stray is a
+    coloured face of itself and needs no containment test: the walk
+    (`_walk_down`) puts a colour on a face only when its point lies in the
+    face, so every colour point of the member lies in its cone.  The table
+    is read only when every member has the lattice's rank and only known
+    colours; otherwise, and for every stray, the test is its cone's
+    `contains`.
 
     Meets.  Any two members must meet in a coloured face of both, but that
     is tested directly only on pairs of anchors, `fan.maximal()` (the
@@ -610,21 +769,23 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     meet is certified by a separating functional read off the two incidence
     tables (`_separated_meet`) and computed by a double description only
     when no candidate certifies it; a certificate fixes the meet exactly,
-    so every answer is the same either way.  The face lists come from
-    `_face_table`, one `coloured_faces` call per member that is a coloured
-    face of no larger member.  If an anchor pair fails or anything else is
-    wrong, validation walks the pairs, and an invalid fan reports the same
-    violations, in the same order, as testing every pair.
+    so every answer is the same either way.  Missing coloured facets decide
+    closure; the face lists are read down the covers of `_face_table` only
+    when validation reaches the meets.  If an anchor pair fails or anything
+    else is wrong, validation walks the pairs, and an invalid fan reports
+    the same violations, in the same order, as testing every pair.  There a
+    member's normals are read off the table of an anchor above it, so no
+    face takes a double description of its own.
     """
     violations: list[str] = []
     lattice = fan.lattice
     known_roots = lattice.colour_roots()
     if not fan.cones:
         violations.append("fan has no coloured cones (the trivial coloured cone is required)")
-    first, n = fan._numbering[1], len(fan.cones)
-    in_lists = set()
+    inside = set()
     if all(cc.cone.ambient_rank == lattice.rank and cc.colours <= known_roots for cc in fan.cones):
-        in_lists = {j for faces_of_k in fan._face_table[0].values() for j in faces_of_k if j < n}
+        strays = fan._face_table[3]
+        inside = {i for i, k in enumerate(fan._face_table[0]) if k not in strays}
     for i, cc in enumerate(fan.cones):
         if cc.cone.ambient_rank != lattice.rank:
             violations.append(f"{fan.describe(cc)}: ambient rank differs from the lattice rank")
@@ -640,7 +801,7 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
                 violations.append(
                     f"{fan.describe(cc)}: colour {lattice.labels()[r]} has zero colour point"
                 )
-            elif first[i] not in in_lists and not cc.cone.contains(point):
+            elif i not in inside and not cc.cone.contains(point):
                 violations.append(
                     f"{fan.describe(cc)}: colour point {list(point)} of "
                     f"{lattice.labels()[r]} lies outside the cone"
@@ -665,17 +826,23 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     slot = {k: p for p, k in enumerate(anchors)}
     met = [[True] * len(anchors) for _ in anchors]
     for (p, s), (q, t) in itertools.combinations(enumerate(anchors), 2):
-        met[p][q] = met[q][p] = _meet_in_coloured_face(faces_of, fan.cones[s], fan.cones[t])
+        a, b = fan.cones[s], fan.cones[t]
+        met[p][q] = met[q][p] = _meet_in_coloured_face(faces_of, a, b, a.cone, b.cone)
     if not violations and all(map(all, met)):
         return ValidationReport(True, ())
-    tops = {k: [slot[s] for s in above if s in slot] for k, above in fan._face_table[1].items()}
+    first, n = fan._face_table[0], len(fan.cones)
+    tops = {k: [slot[s] for s in fan._above(k) if s in slot] for k in dict.fromkeys(first)}
+    # the cone whose table gives a member's normals: an anchor above it, else its own
+    table_of = {k: fan.cones[anchors[above[0]]].cone if above else fan.cones[k].cone for k, above in tops.items()}
     for i, a in enumerate(fan.cones):
         for j in range(i + 1, n):
             b = fan.cones[j]
             if any(met[s][t] for s in tops[first[i]] for t in tops[first[j]]):
                 continue
             # two anchors that get here failed in the table already
-            if (first[i] in slot and first[j] in slot) or not _meet_in_coloured_face(faces_of, a, b):
+            if (first[i] in slot and first[j] in slot) or not _meet_in_coloured_face(
+                faces_of, a, b, table_of[first[i]], table_of[first[j]]
+            ):
                 violations.append(
                     f"intersection of {fan.describe(a)} and {fan.describe(b)} "
                     "is not a coloured face of both"

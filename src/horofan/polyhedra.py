@@ -8,12 +8,12 @@ basis as +/- pairs.  One duality engine, `dual_generators`, splits off the
 span with one integer echelon (`intlin.echelon_triple`, on the plain rows)
 and finds facets by incremental double description, in integers throughout;
 its seed rays come from a triangular solve, with no kernel per ray.  A
-pointed cone is canonicalised with one pass of it: the pass gives the
-normals and each facet's zero set over the generators, and a generator is
-extreme exactly when every generator on all the facets through it is a
-positive multiple of it, since the smallest face through it is then a ray.
-The extreme generators, made primitive, are the canonical generators;
-independent inputs are all extreme, with no scan.  A cone with lineality is
+pointed cone is canonicalised with one pass of it, on its sorted distinct
+primitive inputs: the pass gives the normals and each facet's zero set over
+the inputs, and an input is extreme exactly when no other input lies on all
+the facets through it, since the smallest face through it is then a ray.
+The extreme inputs are the canonical generators; independent inputs are all
+extreme, with no scan.  A cone with lineality is
 the dual of its dual, a second pass over the normals; no workload builds
 one.  Each cone keeps one incidence table, `Cone.incidences`: each normal
 with its zero set over the canonical generators, read off the masks of a
@@ -21,8 +21,9 @@ double-description pass, the canonicalising one for a pointed cone and one
 on the canonical generators on first use for any other (a `dual_cone`
 transposes its cone's on first use); and one echelon,
 `Cone.generator_echelon`: the `intlin.echelon_triple` of its generator
-rows, kept from the pass when the pass ran on the canonical generators and
-made on first use otherwise.  Orbit quotients, weight monoids, PLF and
+rows, kept from the pass when every input is extreme, so that the pass ran
+on the canonical generators, and made on first use otherwise.  Orbit
+quotients, weight monoids, PLF and
 Cartier pieces and the unimodular test of `plf_lattice` all read it.  The
 +/- span equalities are exactly the normals whose zero set holds every
 generator, since a lifted facet is reduced modulo the perp lattice and
@@ -32,9 +33,13 @@ never vanishes on the whole span; the others are the proper facets.
 the normals; a cone is pointed iff no generator's negative is also a
 generator.  Faces, built from generator subsets, take their dimensions from
 the graded face lattice, walked on bit masks over the generators, and their
-inequalities on first use.  A face on independent generators is simplicial
-and its face lattice Boolean, so the walk drops one generator at a time
-below it and reads no table.  Hilbert bases stay in Z^n: for the n x d
+inequalities on first use.  The walk's step, `_facet_masks`, gives the
+facets of one face, its maximal proper cuts by the cone's facets (Kaibel
+and Pfetsch's vertex-facet incidence step): `faces` lists the faces with
+it, and `horo` walks a fan's Hasse diagram with it.  A face on independent
+generators is simplicial and its face lattice Boolean, so the step drops
+one generator at a time below it and reads no table.  Hilbert bases stay in
+Z^n: for the n x d
 matrix B of d independent generators, the torsion of Z^n / B*Z^d is exactly
 (span ∩ Z^n) / B*Z^d, so a Smith form of B lists the span's points in B's
 half-open parallelepiped, with no span coordinates and no box; a unimodular
@@ -237,21 +242,19 @@ def dual_generators(vectors: Sequence[Vector], n: int) -> list[Vector]:
 
 
 def _extreme_generators(masks: Sequence[int], gens: Sequence[Vector]) -> dict[Vector, int]:
-    """The primitive generators of a pointed cone that span its extreme rays, each with the index of one such g.
+    """The distinct primitive generators of a pointed cone that span its extreme rays, each with its index.
 
     `masks` are the normals' zero sets over the generators.  The smallest
     face through g is cut out by the facets through g and is generated by the
-    generators on all of them; it is a ray, so g is extreme, iff each of
-    those generators is a positive multiple of g, that is, has g's primitive
-    vector.  Generators of one class have one zero set.
+    generators on all of them; it is a ray, so g is extreme, iff no other
+    generator lies on all of them.
     """
-    classes = [primitive(g) for g in gens]
-    through = [sum(1 << k for k, z in enumerate(masks) if z >> i & 1) for i in range(len(classes))]
-    out: dict[Vector, int] = {}
-    for i, (c, t) in enumerate(zip(classes, through)):
-        if all(e == c for e, u in zip(classes, through) if u & t == t):
-            out.setdefault(c, i)
-    return out
+    through = [sum(1 << k for k, z in enumerate(masks) if z >> i & 1) for i in range(len(gens))]
+    return {
+        g: i
+        for i, (g, t) in enumerate(zip(gens, through))
+        if not any(u & t == t for j, u in enumerate(through) if j != i)
+    }
 
 
 @dataclass(frozen=True)
@@ -289,24 +292,24 @@ class Cone:
         """The cone on the generators, canonicalised with one double-description pass when it is pointed.
 
         The pass gives the normals and each facet's zero set over the
-        generators; the generators on every facet span the lineality L.  A
-        pointed cone's canonical generators are its primitive extreme
-        generators, and its incidence table is read off the pass: a normal
-        vanishes on a canonical generator exactly when its mask has the bit
-        of an input generator of that class, so the table takes no dot
+        generators; the generators on every facet span the lineality L.  The
+        pass runs on the sorted distinct primitive inputs.  A pointed cone's
+        canonical generators are its extreme ones, and its incidence table is
+        read off the pass: a normal vanishes on a canonical generator exactly
+        when its mask has that generator's bit, so the table takes no dot
         product.  A cone with lineality is the dual of its dual,
         `dual_generators` of the normals, and reads its table off one pass
         on first use; no workload builds one.  Independent inputs, as many
         as the rank of the pass's echelon, span a simplicial pointed cone
-        whose every generator is extreme: the canonical generators are then
-        the sorted primitive inputs, with no extremality scan.  When the pass
-        ran on exactly the canonical generators, in order, its echelon is the
-        cone's `generator_echelon` and is kept.
+        whose every generator is extreme, with no extremality scan.  When
+        every input is extreme, the pass ran on exactly the canonical
+        generators, in order, so its echelon is the cone's
+        `generator_echelon` and is kept.
         """
         gens = [tuple(int(x) for x in g) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
             raise ValueError("generator has wrong dimension")
-        vecs = list(dict.fromkeys(g for g in gens if any(g)))
+        vecs = sorted({primitive(g) for g in gens if any(g)})
         if not vecs:
             return Cone(ambient_rank, (), [0])
         normals, masks, data = _dual_description(vecs, ambient_rank)
@@ -314,7 +317,7 @@ class Cone:
         if not independent and any(all(z >> i & 1 for z in masks) for i in range(len(vecs))):
             canonical, table = dual_generators(normals, ambient_rank), []
         else:
-            extreme = {primitive(g): i for i, g in enumerate(vecs)} if independent else _extreme_generators(masks, vecs)
+            extreme = {g: i for i, g in enumerate(vecs)} if independent else _extreme_generators(masks, vecs)
             canonical = sorted(extreme)
             table = [tuple((h, frozenset(c for c in canonical if z >> extreme[c] & 1)) for h, z in zip(normals, masks))]
         kept = [data] if canonical == vecs else []
@@ -398,7 +401,13 @@ class Cone:
         return self._incidences[0]
 
     def is_strongly_convex(self) -> bool:
-        """Whether the cone is pointed: no generator's negative is also a generator."""
+        """Whether the cone is pointed: no generator's negative is also a generator.
+
+        A cone of known dimension with as many generators is simplicial, and
+        independent generators hold no such pair.
+        """
+        if self._dims and self._dims[0] == len(self.generators):
+            return True
         gens = set(self.generators)
         return not any(tuple(-x for x in g) in gens for g in gens)
 
@@ -431,56 +440,81 @@ def dual_cone(sigma: Cone) -> Cone:
     return dual
 
 
+def _facet_cuts(sigma: Cone, bits: Sequence[int]) -> list[int]:
+    """sigma's proper facets as masks, generator i of sigma standing for bits[i]; none for a simplicial sigma.
+
+    The masks are the zero sets of sigma's incidence table that do not hold
+    every generator.  A simplicial sigma has simplicial faces only, whose
+    facets `_facet_masks` finds with no cut, so its table is not read.
+    """
+    gens = sigma.generators
+    if len(gens) == sigma.dim():
+        return []
+    bit = dict(zip(gens, bits))
+    full = sum(bits)
+    return [m for m in (sum(bit[g] for g in z) for _, z in sigma.incidences) if m != full]
+
+
+def _facet_masks(s: int, dim: int, bits: Sequence[int], cuts: Sequence[int]) -> list[int]:
+    """The facets of the face on mask s, of dimension dim, of a cone with these generator bits and `_facet_cuts`.
+
+    A face with as many generators as its dimension is simplicial, its
+    generators independent, and its face lattice Boolean: its facets drop
+    one generator each, with no cut.  A cone with lineality has more
+    generators than its dimension (its generators hold +/- pairs), and so
+    has every face of it.  The facets of any other face are its maximal
+    proper cuts s ∩ f by the cone's facets f (every face is an intersection
+    of facets, so a facet of s lies in a proper cut, which is a face of s).
+    The cuts are taken in decreasing popcount, and one is a facet iff no
+    facet taken before it holds it, since a strictly larger cut has more
+    bits.  This is the vertex-facet incidence step of Kaibel and Pfetsch,
+    "Computing the face lattice of a polytope from its vertex-facet
+    incidences", Comput. Geom. 23 (2002).
+    """
+    if s.bit_count() == dim:
+        return [s ^ b for b in bits if s & b]
+    below = {s & f for f in cuts}
+    below.discard(s)
+    kept: list[int] = []
+    for t in sorted(below, key=int.bit_count, reverse=True):
+        for u in kept:
+            if t & u == t:
+                break
+        else:
+            kept.append(t)
+    return kept
+
+
 def faces(sigma: Cone) -> list[Cone]:
     """All faces of sigma (including sigma and its minimal face), by dimension.
 
     Each face is built from its incidence subset of sigma's generators, which
     is already its canonical generator tuple.  The faces are listed one
-    dimension at a time from sigma down: every face but sigma is a facet of a
-    face one dimension higher, and the facets of a face s are the maximal
-    proper cuts s ∩ f by sigma's facets f (the face lattice is graded).  So
-    each face's dimension comes from the face it was found under, with no
-    rank computation.  Generator subsets are bit masks over sigma's
-    generators.  A face with as many generators as its dimension is
-    simplicial, its generators independent, and its face lattice Boolean:
-    its facets drop one generator each, with no cut.  A cone with lineality
-    has more generators than its dimension (its generators hold +/- pairs),
-    and so has every face of it.  The cuts of any other face are taken in
-    decreasing popcount: a cut not listed yet is a new face iff no cut taken
-    before it, and kept, holds it, since a strictly larger cut has more bits
-    and lies under a maximal one.  A cut already listed is kept with no
-    test.  Only cuts read sigma's incidence table, so the faces of a
+    dimension at a time from sigma down, on bit masks over sigma's
+    generators: every face but sigma is a facet of a face one dimension
+    higher (the face lattice is graded), found by `_facet_masks`, so each
+    face's dimension comes from the face it was found under, with no rank
+    computation.  Only cuts read sigma's incidence table, so the faces of a
     simplicial cone, made by `faces` itself or not, take no
     double-description pass.
     """
     gens = sigma.generators
-    bit = {g: 1 << i for i, g in enumerate(gens)}
+    bits = [1 << i for i in range(len(gens))]
+    cuts = _facet_cuts(sigma, bits)
     full = (1 << len(gens)) - 1
-    facet_masks = None
-    dims = {full: sigma.dim()}
+    d = sigma.dim()
+    dims = {full: d}
     level = [full]
     while level:
         below = []
         for s in level:
-            if s.bit_count() == dims[s]:
-                for t in (s ^ b for b in bit.values() if s & b):
-                    if t not in dims:
-                        dims[t] = dims[s] - 1
-                        below.append(t)
-                continue
-            if facet_masks is None:
-                facet_masks = [m for m in (sum(bit[g] for g in z) for _, z in sigma.incidences) if m != full]
-            kept: list[int] = []
-            for t in sorted({s & f for f in facet_masks} - {s}, key=int.bit_count, reverse=True):
+            for t in _facet_masks(s, d, bits, cuts):
                 if t not in dims:
-                    if any(t & u == t for u in kept):
-                        continue
-                    dims[t] = dims[s] - 1
+                    dims[t] = d - 1
                     below.append(t)
-                kept.append(t)
-        level = below
+        level, d = below, d - 1
     out = [
-        sigma if s == full else Cone(sigma.ambient_rank, tuple(g for g, b in bit.items() if b & s), [d])
+        sigma if s == full else Cone(sigma.ambient_rank, tuple(g for g, b in zip(gens, bits) if b & s), [d])
         for s, d in dims.items()
     ]
     return sorted(out, key=lambda c: (c.dim(), c.generators))

@@ -76,9 +76,9 @@ generator.
 
 `always_kernel_plf_lattice` is the package's earlier `polyhedra.plf_lattice`,
 which runs a kernel for every maximal cone, unimodular or not.
-`per_member_face_table` is the earlier `ColouredFan._face_table`, which runs
-`coloured_faces` on every member instead of filtering a larger member's
-list.
+`per_member_face_table` is the earlier face table, one `coloured_faces`
+pass per member, where `ColouredFan._face_table` keeps each member's
+coloured facets and reads face lists and stars off them.
 
 `stacked_principal_matrix` is the package's earlier principal-divisor
 matrix, one `principal_divisor` column per dual basis covector, where

@@ -199,7 +199,7 @@ def test_caches_stay_out_of_equality_hash_and_repr(make_datum, colours):
     datum = make_datum()
     maximal = stellar_subdivision(RANK3_BASES["P3"], 3, (1, 1, 2))
     filled = every_cache_filled(rank3_fan(maximal, datum, colours), datum)
-    assert len(filled._multisets) == len(filled.cones) and filled._face_table and filled._walls
+    assert len(filled._regularity) == len(filled.cones) and filled._multisets and filled._face_table and filled._walls
     bare = ColouredFan(
         filled.lattice,
         tuple(ColouredCone(Cone(cc.cone.ambient_rank, cc.cone.generators), cc.colours) for cc in filled.cones),
@@ -217,13 +217,18 @@ def test_caches_stay_out_of_equality_hash_and_repr(make_datum, colours):
 
 
 def test_from_generators_keeps_the_pass_echelon_only_when_it_ran_on_the_canonical_generators():
+    """The pass runs on the sorted distinct primitive inputs, so reordered, scaled and repeated
+    inputs keep the canonical echelon; a non-extreme input leaves the pass off the canonical
+    generators, and the cone keeps none."""
     canonical = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     kept = Cone.from_generators(3, canonical)
     assert kept._echelon == [echelon_triple(canonical, 3)]
-    for gens in (canonical[::-1], canonical + [(1, 1, 0)], [(0, 0, 2), (0, 1, 0), (1, 0, 0)]):
+    for gens in (canonical[::-1], [(0, 0, 2), (0, 1, 0), (1, 0, 0)], [(1, 0, 0), (0, 3, 0), (0, 0, 1), (2, 0, 0)]):
         cone = Cone.from_generators(3, gens)
-        assert cone.generators == kept.generators and not cone._echelon
-        assert cone.generator_echelon() == kept.generator_echelon()
+        assert cone.generators == kept.generators and cone._echelon == [echelon_triple(canonical, 3)]
+    cone = Cone.from_generators(3, canonical + [(1, 1, 0)])
+    assert cone.generators == kept.generators and not cone._echelon
+    assert cone.generator_echelon() == kept.generator_echelon()
 
 
 def test_quotient_by_cone_rejects_a_cone_of_another_rank():

@@ -218,7 +218,7 @@ def test_building_a_rank3_fan_runs_no_meet_and_no_double_description(monkeypatch
     calls = Counter()
     for maximal in (RANK3_BASES["P1^3"], stellar_subdivision(RANK3_BASES["P2xP1"], 5, (1, 2, 2))):
         cones = rank3_cones(maximal, lattice, colours)
-        for owner, name in [(horo, "_meet_in_coloured_face"), (horo, "intersect"), (polyhedra, "intersect")]:
+        for owner, name in [(horo, "_meet_in_coloured_face"), (polyhedra, "intersect")]:
             count(monkeypatch, calls, owner, name)
         for name in ("dual_generators", "_dual_description"):
             count(monkeypatch, calls, polyhedra, name)
@@ -244,15 +244,16 @@ def test_weight_monoid_makes_one_double_description(monkeypatch):
 def test_parse_runs_one_double_description_per_maximal_listed_member(monkeypatch):
     """Counts, not timers: the README document lists 3 maximal cones and 3 rays; the rays take
     their cones from the maximal cones' faces, equal to the cones `from_generators` makes, and
-    the fan's face table reads the faces the parser listed, so parsing and validating walk 3
-    face lattices."""
+    the fan's walk down from the 3 maximal members finds the listed members, so parsing and
+    validating list 3 face lattices and walk 3."""
     text = (GOLDEN / "readme.json").read_text(encoding="utf-8")
     calls = Counter()
     count(monkeypatch, calls, polyhedra, "_dual_description")
-    count(monkeypatch, calls, horo, "faces")
+    count(monkeypatch, calls, cli, "faces")
+    count(monkeypatch, calls, horo, "_walk_down")
     doc = cli.parse_input(text)
     assert validate_coloured_fan(doc.fan).valid
     monkeypatch.undo()
-    assert calls == Counter(_dual_description=3, faces=3)
+    assert calls == Counter(_dual_description=3, faces=3, _walk_down=3)
     for cc, raw in zip(doc.fan.cones, cli._load_json(text)["fan"]):
         assert cc.cone == Cone.from_generators(2, [tuple(g) for g in raw["generators"]])

@@ -115,16 +115,25 @@ def test_anchor_validation_matches_all_pairs_oracle():
     assert invalid > len(broken) // 2
 
 
+def table_cones(fan: ColouredFan) -> dict:
+    """For each member, the cone of the first maximal member above it, else its own: the cone whose
+    incidence table the pair walk of validation reads for the member's normals."""
+    maximal = set(fan.maximal())
+    return {cc: next((m.cone for m in fan.star(cc) if m in maximal), cc.cone) for cc in fan.cones}
+
+
 def test_meets_read_off_the_face_table_match_the_face_tests():
     """A meet is a coloured face of both members iff it is in both members' lists
-    of coloured faces, on every pair of members of valid and broken fans."""
+    of coloured faces, on every pair of members of valid and broken fans, with the
+    normals read off the maximal members above the two."""
     outcomes = Counter()
     for fan in valid_fans() + broken_fans():
         faces_of = fan._faces_of()
+        tables = table_cones(fan)
         for a, b in itertools.combinations(fan.cones, 2):
             meet = ColouredCone(intersect(a.cone, b.cone), a.colours & b.colours)
             expected = all(contains_rule_is_coloured_face(fan.lattice, meet, c) for c in (a, b))
-            assert horo._meet_in_coloured_face(faces_of, a, b) == expected
+            assert horo._meet_in_coloured_face(faces_of, a, b, tables[a], tables[b]) == expected
             outcomes[expected] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 50
 
@@ -164,7 +173,6 @@ def test_pair_count_is_one_per_pair_of_maximal_cones(monkeypatch):
         monkeypatch.setattr(owner, name, wrap(wrapper))
 
     counted(horo, "_meet_in_coloured_face")
-    counted(horo, "intersect")
     counted(polyhedra, "intersect")
     counted(Cone, "from_inequalities", staticmethod)
     counted(polyhedra, "_dual_description")
@@ -177,20 +185,22 @@ def test_pair_count_is_one_per_pair_of_maximal_cones(monkeypatch):
     assert calls == Counter(_meet_in_coloured_face=21)
 
 
-def test_face_table_runs_coloured_faces_on_the_maximal_members_only(monkeypatch):
-    """Counts, not timers: every other member of (P1)^3 filters a larger member's list."""
+def test_face_table_walks_down_from_the_maximal_members_only(monkeypatch):
+    """Counts, not timers: every other member of (P1)^3 is reached below a maximal member,
+    and no member's list of coloured faces is made."""
     fan = rank3_fan(RANK3_BASES["P1^3"], torus3())
-    listed = []
-    function = horo.coloured_faces
+    walked = []
+    function = horo._walk_down
 
-    def wrapper(lattice, cc):
-        listed.append(cc)
-        return function(lattice, cc)
+    def wrapper(lattice, cc, *args):
+        walked.append(cc)
+        return function(lattice, cc, *args)
 
-    monkeypatch.setattr(horo, "coloured_faces", wrapper)
+    monkeypatch.setattr(horo, "_walk_down", wrapper)
+    monkeypatch.setattr(horo, "coloured_faces", lambda *args: pytest.fail("a list of coloured faces was made"))
     fresh = ColouredFan(fan.lattice, fan.cones)
     assert validate_coloured_fan(fresh).valid
-    assert listed == fresh.maximal() and len(listed) == 8
+    assert walked == fresh.maximal() and len(walked) == 8
 
 
 def test_face_table_matches_one_coloured_faces_pass_per_member():
@@ -207,23 +217,32 @@ def test_face_table_matches_one_coloured_faces_pass_per_member():
     assert missing >= 10
 
 
-def test_coloured_fan_runs_coloured_faces_once_per_input_cone(monkeypatch):
-    """Counts, not timers: the face table reads the lists the closure left on the input cones,
-    so building and validating (P1)^3 from its 8 maximal cones walks 8 face lattices, not 16."""
+def test_coloured_fan_walks_each_input_cone_once(monkeypatch):
+    """Counts, not timers: the fan keeps the face table of the closure's walk, so building and
+    validating (P1)^3 from its 8 maximal cones walks 8 face lattices, not 16, and builds each of
+    the 19 coloured faces that are no input cone once."""
     lattice = build_coloured_lattice(torus3())
     cones = rank3_cones(RANK3_BASES["P1^3"], lattice)
-    walked = []
-    function = horo.faces
+    walked, built = [], []
+    function = horo._walk_down
+    original = horo.ColouredCone.__init__
 
-    def wrapper(sigma):
-        walked.append(sigma)
-        return function(sigma)
+    def wrapper(lattice, cc, *args):
+        walked.append(cc)
+        return function(lattice, cc, *args)
 
-    monkeypatch.setattr(horo, "faces", wrapper)
+    def counted(self, *args):
+        original(self, *args)
+        built.append(self)
+
+    monkeypatch.setattr(horo, "_walk_down", wrapper)
+    monkeypatch.setattr(horo.ColouredCone, "__init__", counted)
     fan = coloured_fan(lattice, cones)
     assert validate_coloured_fan(fan).valid
+    monkeypatch.undo()
     tops = sorted(cones, key=coloured_cone_key)
-    assert walked == [cc.cone for cc in cones] and tops == fan.maximal() and len(walked) == 8
+    assert walked == cones and tops == fan.maximal() and len(walked) == 8
+    assert len(fan.cones) == 27 and len(built) == 19 and set(built) == set(fan.cones) - set(cones)
 
 
 def test_validating_a_fan_built_without_coloured_fan_runs_no_double_description(monkeypatch):
@@ -261,28 +280,20 @@ def test_colour_points_are_tested_by_contains_on_members_of_another_rank_or_unkn
         assert any("outside the cone" in v for v in report.violations) == (outside in extra)
 
 
-def test_coloured_faces_keeps_its_list_for_the_colour_points_it_read(monkeypatch):
-    """A second call with the same colour points walks no face lattice and returns a copy of the
-    kept list; points from another lattice recompute it, as a fresh cone's call does."""
+def test_coloured_faces_read_the_colour_points_of_the_given_lattice():
+    """One cone, two lattices: each call reads the colour points of its own lattice, as a fresh
+    cone's call does and as the `contains` rule has it, and a colour the lattice lacks is a KeyError."""
     cc = ColouredCone(Cone.from_generators(2, [(1, 0), (0, 1)]), frozenset({0, 1}))
     on_rays = ColouredLattice(2, (Colour(0, "a1", (1, 0)), Colour(1, "a2", (0, 1))), 2, 1)
     inside = ColouredLattice(2, (Colour(0, "a1", (1, 1)), Colour(1, "a2", (0, 1))), 2, 1)
-    walks = []
-    function = horo.faces
-
-    def counted(sigma):
-        walks.append(sigma)
-        return function(sigma)
-
-    monkeypatch.setattr(horo, "faces", counted)
     first = coloured_faces(on_rays, cc)
     first.clear()
     again = coloured_faces(on_rays, cc)
-    assert len(walks) == 1 and len(again) == 4
     moved = coloured_faces(inside, cc)
-    assert len(walks) == 2 and moved != again
-    assert moved == coloured_faces(inside, ColouredCone(cc.cone, cc.colours))
-    assert coloured_faces(on_rays, cc) == again == coloured_faces(on_rays, ColouredCone(cc.cone, cc.colours))
+    assert len(again) == 4 and moved != again
+    for lattice, listed in ((on_rays, again), (inside, moved)):
+        assert listed == coloured_faces(lattice, ColouredCone(cc.cone, cc.colours))
+        assert listed == contains_rule_coloured_faces(lattice, cc)
     with pytest.raises(KeyError):
         coloured_faces(ColouredLattice(2, on_rays.colours[1:], 2, 1), cc)
 
@@ -316,16 +327,19 @@ def test_face_table_read_off_the_closure_matches_one_coloured_faces_pass_per_mem
 
 def test_certified_meets_equal_the_double_description():
     """Wherever a separating functional certifies a meet, it is the meet `intersect` computes,
-    on every pair of members of valid, broken and seeded rank-3 fans."""
+    on every pair of members of valid, broken and seeded rank-3 fans, with the candidates read
+    off the members' own tables and off those of the maximal members above them."""
     fans = valid_fans() + broken_fans() + [fan for fan, _ in random_rank3_coloured_fans(random.Random(13), 8)]
     outcomes = Counter()
     for fan in fans:
+        tables = table_cones(fan)
         for a, b in itertools.combinations(fan.cones, 2):
-            certified = horo._separated_meet(a.cone, b.cone)
-            if certified is not None:
-                assert certified == intersect(a.cone, b.cone)
-            outcomes[certified is not None] += 1
-    assert outcomes[True] > 5000 and outcomes[False] > 100
+            for s, t in ((a.cone, b.cone), (tables[a], tables[b])):
+                certified = horo._separated_meet(a.cone, b.cone, s, t)
+                if certified is not None:
+                    assert certified == intersect(a.cone, b.cone)
+                outcomes[s is a.cone and t is b.cone, certified is not None] += 1
+    assert min(outcomes[True, True], outcomes[False, True]) > 5000 and outcomes[True, False] > 100
 
 
 @st.composite

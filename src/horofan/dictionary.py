@@ -297,8 +297,9 @@ def morphism_check(
     token = cancel.cancelled if cancel is not None else None
     source_max = [cc.cone for cc in source_fan.maximal()]
     preimages = []
+    pullback = phi.matrix.transpose()
     for cc in target_max:
-        pulled = [phi.matrix.transpose().apply(h) for h in cc.cone.facet_normals()]
+        pulled = [pullback.apply(h) for h in cc.cone.facet_normals()]
         preimages.append(Cone.from_inequalities(source_fan.lattice.rank, pulled))
     proper = all(covered_by(p, source_max, token) for p in preimages) and all(
         covered_by(s, preimages, token) for s in source_max

@@ -18,20 +18,23 @@ A coloured fan is a set of coloured cones closed under taking coloured
 faces, and a set is closed under coloured faces exactly when it is closed
 under coloured facets, since a coloured face of a coloured face is one.  So
 a fan is kept as its Hasse diagram: each member keeps only its coloured
-facets, its covers.  One walk down the face lattices of the maximal members,
-on generator masks, finds them (`_walk_down`, on the vertex-facet incidence
-step `polyhedra._facet_masks` of Kaibel and Pfetsch), numbering each coloured
-face once whichever member it lies under; `coloured_fan` hands the walk of
-its closure to the fan.  Stars, face lists and regularity are read off the
-covers, by walks up or down, only when asked; a missing coloured facet is a
-face the walk finds that is no member.
+facets, its covers.  One builder, `ColouredFan._face_table`, finds them by
+walks down the face lattices of the maximal members on generator masks
+(`_walk_down`, on the vertex-facet incidence step `polyhedra._facet_masks`
+of Kaibel and Pfetsch), numbering each coloured face once whichever member
+it lies under.  The face closure of some coloured cones is that table for
+the fan on them, renumbered into member order, and `coloured_fan` keeps it.
+Stars, face lists and regularity are read off the covers, by walks up or
+down, only when asked; a missing coloured facet is a face the walk finds
+that is no member.  What a datum, cone or fan determines is a
+`cached_property` of it, outside ==, hash and repr.
 """
 
 from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -50,6 +53,7 @@ from .polyhedra import (
     NotPointedError,
     _facet_cuts,
     _facet_masks,
+    _keep,
     complete_fan_walls,
     dot,
     plf_lattice,
@@ -123,6 +127,12 @@ class HorosphericalDatum:
     def lattice_rank(self) -> int:
         return self.characters.cols
 
+    @cached_property
+    def _lattice(self) -> "ColouredLattice":
+        """The coloured lattice (`build_coloured_lattice`), once per datum, outside ==, hash and repr."""
+        colours = tuple(Colour(a, self.group.label(a), self.characters.row(a)) for a in self.colour_roots())
+        return ColouredLattice(self.lattice_rank, colours, self.group.simple_count, len(self.group.components))
+
     def colour_roots(self) -> list[int]:
         return [a for a in self.group.simple_roots() if a not in self.parabolic]
 
@@ -179,20 +189,19 @@ def coloured_cone_key(cc: ColouredCone) -> tuple:
 
 @dataclass(frozen=True)
 class ColouredFan:
-    """Finite collection of strongly convex coloured cones on a coloured lattice.
+    """Finite collection of strongly convex coloured cones on a coloured lattice: the lattice and the members.
 
-    What depends on the members alone is computed once per fan, outside ==
-    and hash: the fan's Hasse diagram (`_face_table`), each member with its
-    coloured facets, from which face lists, stars and regularity flags
-    (`_regularity`) are read when asked; and, from the cones of the maximal
-    members, the wall table (`walls`) and the PLF lattice (`plf_lattice`).
-    Each member's multiset and its echelon (`member_echelon`) are made on
-    first use and kept the same way.
+    What the members determine is a `cached_property`, outside == and hash,
+    so `dataclasses.replace` derives it afresh: the fan's Hasse diagram
+    (`_face_table`), each member with its coloured facets, from which face
+    lists, stars and regularity flags (`_regularity`) are read when asked;
+    from the cones of the maximal members, the wall table (`walls`) and the
+    PLF lattice (`plf_lattice`); and the multiset and echelon of each member
+    asked for (`member_echelon`).
     """
 
     lattice: ColouredLattice
     cones: tuple[ColouredCone, ...]
-    _multisets: dict = field(default_factory=dict, compare=False, repr=False, hash=False)
 
     def colour_set(self) -> frozenset[int]:
         out: set[int] = set()
@@ -251,6 +260,11 @@ class ColouredFan:
         return self._multisets[index]
 
     @cached_property
+    def _multisets(self) -> dict[int, tuple[tuple[Vector, ...], Echelon]]:
+        """The `member_echelon` of each member asked for so far, by index."""
+        return {}
+
+    @cached_property
     def _face_table(self) -> tuple[list[int], list[ColouredCone], list[Optional[list[int]]], frozenset[int]]:
         """(first, pool, down, strays): the fan's Hasse diagram over member indices, made once per fan.
 
@@ -264,9 +278,8 @@ class ColouredFan:
         full coloured face, `down[k] == [j]`, and all below it.  Members are
         told apart by their generator masks and colours, and `_walk_down`
         walks from each, largest first, that no walk before reached (a
-        coloured face of a coloured face is one); `coloured_fan` hands over
-        the walk of its closure instead.  This raises wherever
-        `coloured_faces` does.
+        coloured face of a coloured face is one); `coloured_fan` keeps the
+        table of its closure.  This raises wherever `coloured_faces` does.
         """
         bit_of: dict[Vector, int] = {}
         slots: dict[int, dict] = {}
@@ -302,14 +315,14 @@ class ColouredFan:
                 up[j].append(k)
         return up
 
-    def _below(self, k: int) -> set[int]:
+    def _below(self, k: int) -> dict[int, None]:
         """The pool indices of the coloured faces of first occurrence k: a walk down the covers."""
         _, _, down, strays = self._face_table
-        return _reach(down, down[k], set() if k in strays else {k})
+        return _reach(down, down[k], {} if k in strays else {k: None})
 
     def _above(self, k: int) -> list[int]:
         """The first occurrences whose coloured faces hold first occurrence k, in member order: a walk up the covers."""
-        seen = _reach(self._up, self._up[k], set() if k in self._face_table[3] else {k})
+        seen = _reach(self._up, self._up[k], {} if k in self._face_table[3] else {k: None})
         return sorted(j for j in seen if j < len(self.cones))
 
     def _missing(self) -> list[tuple[ColouredCone, ColouredCone]]:
@@ -408,24 +421,11 @@ class ColouredLatticeMap:
 def build_coloured_lattice(datum: HorosphericalDatum) -> ColouredLattice:
     """Coloured lattice of G/H_(I,M): N = dual of M, colour points by coroot pairing.
 
-    It depends on the datum alone, so it is kept on the datum, set on first
-    use outside ==, hash and repr, as a `dual_cone` keeps its cone: one
-    lattice per datum, which `_require_lattice` compares by identity first.
+    It depends on the datum alone, so it is made once per datum, on first
+    use (`HorosphericalDatum._lattice`): one lattice per datum, which
+    `_require_lattice` compares by identity first.
     """
-    kept = vars(datum).get("_lattice")
-    if kept is None:
-        colours = tuple(
-            Colour(root=a, label=datum.group.label(a), point=datum.characters.row(a))
-            for a in datum.colour_roots()
-        )
-        kept = ColouredLattice(
-            rank=datum.lattice_rank,
-            colours=colours,
-            simple_count=datum.group.simple_count,
-            component_count=len(datum.group.components),
-        )
-        object.__setattr__(datum, "_lattice", kept)
-    return kept
+    return datum._lattice
 
 
 def _require_lattice(fan: ColouredFan, datum: HorosphericalDatum) -> None:
@@ -465,13 +465,13 @@ def _multiset(lattice: ColouredLattice, cc: ColouredCone) -> tuple[Vector, ...]:
     return tuple(uncoloured_rays(lattice, cc)) + tuple(lattice.point(r) for r in sorted(cc.colours))
 
 
-def _reach(edges: list, start: Iterable[int], seen: set[int]) -> set[int]:
-    """`seen`, with every index reached from `start` along `edges`, transitively."""
+def _reach(edges: list, start: Iterable[int], seen: dict[int, None]) -> dict[int, None]:
+    """`seen`, with every index reached from `start` along `edges`, transitively, added in the order reached."""
     stack = list(start)
     while stack:
         j = stack.pop()
         if j not in seen:
-            seen.add(j)
+            seen[j] = None
             stack += edges[j]
     return seen
 
@@ -527,7 +527,7 @@ def _walk_down(
                 j = slot.get(key)
                 if j is None:
                     j = slot[key] = len(pool)
-                    cone = Cone(sigma.ambient_rank, tuple(g for g, b in zip(gens, bits) if t & b), [d - 1])
+                    cone = _keep(Cone(sigma.ambient_rank, tuple(g for g, b in zip(gens, bits) if t & b)), _dim=d - 1)
                     pool.append(ColouredCone(cone, key[1]))
                     down.append(None)
                 if down[j] is None:
@@ -542,39 +542,20 @@ def _walk_down(
 def _closure(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> tuple[tuple[ColouredCone, ...], tuple]:
     """`close_under_coloured_faces`, with the face table of the fan on its members (`ColouredFan._face_table`).
 
-    One `_walk_down` per input cone, in order, numbers the coloured faces
-    once.  An input cone some colour point of which lies outside its cone
-    is no coloured face of itself; it is kept too, as a stray whose only
-    coloured facet is its full coloured face.  The numbers are then put in
-    member order.
+    The table of the fan on the input cones numbers each distinct input,
+    strays included, then the coloured faces that are no input: the members,
+    renumbered into member order.  `coloured_cone_key` ties only zero cones
+    of different ambient ranks, which come in the order that walks down the
+    covers from the inputs, in input order, reach them.
     """
-    slots: dict[int, dict] = {}
-    pool: list[ColouredCone] = []
-    down: list = []
-    bit_of: dict[Vector, int] = {}
-    strays = []
-    for cc in cones:
-        top = _walk_down(lattice, cc, slots, pool, down, bit_of)
-        if pool[top].colours != cc.colours:
-            slot = slots[cc.cone.ambient_rank]
-            key = sum(bit_of[g] for g in cc.cone.generators), cc.colours
-            if key not in slot:
-                strays.append(len(pool))
-                slot[key] = len(pool)
-                pool.append(cc)
-                down.append([top])
-    order = sorted(range(len(pool)), key=lambda k: coloured_cone_key(pool[k]))
-    number = [0] * len(pool)
-    for p, k in enumerate(order):
-        number[k] = p
+    first, pool, down, strays = ColouredFan(lattice, tuple(cones))._face_table
+    # `_reach` walks from the last start first, so the inputs are walked in input order
+    reached = _reach(down, first[::-1], {})
+    order = sorted(reached, key=lambda k: coloured_cone_key(pool[k]))
+    number = {k: p for p, k in enumerate(order)}
     members = tuple(pool[k] for k in order)
-    table = (
-        list(range(len(members))),
-        list(members),
-        [[number[j] for j in down[k]] for k in order],
-        frozenset(number[k] for k in strays),
-    )
-    return members, table
+    down = [[number[j] for j in down[k]] for k in order]
+    return members, (list(range(len(members))), list(members), down, frozenset(map(number.get, strays)))
 
 
 def close_under_coloured_faces(
@@ -585,9 +566,8 @@ def close_under_coloured_faces(
     The input cones are kept as members verbatim; for a valid coloured cone
     the face with the full underlying cone is the cone itself, so this only
     differs when the input is invalid, which validation will then flag.  Of
-    equal cones and faces the first is kept.  The coloured faces are
-    numbered once across the input cones by a walk down their face
-    lattices on generator masks (`_walk_down`), and each is built once.
+    equal cones and faces the first is kept.  The coloured faces are those
+    of the fan on the input cones, each built once (`_closure`).
     """
     return _closure(lattice, cones)[0]
 
@@ -595,12 +575,11 @@ def close_under_coloured_faces(
 def coloured_fan(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> ColouredFan:
     """Build a fan from maximal cones by coloured-face closure, then validate.
 
-    The fan keeps the face table of the closure's walk, so each coloured
-    face is built once and no face lattice is walked again.
+    The fan keeps the face table of its closure, so each coloured face is
+    built once and no face lattice is walked again.
     """
     members, table = _closure(lattice, cones)
-    fan = ColouredFan(lattice, members)
-    vars(fan)["_face_table"] = table
+    fan = _keep(ColouredFan(lattice, members), _face_table=table)
     report = validate_coloured_fan(fan)
     if not report.valid:
         raise ValueError("not a coloured fan: " + "; ".join(report.violations))

@@ -13,18 +13,20 @@ primitive inputs: the pass gives the normals and each facet's zero set over
 the inputs, and an input is extreme exactly when no other input lies on all
 the facets through it, since the smallest face through it is then a ray.
 The extreme inputs are the canonical generators; independent inputs are all
-extreme, with no scan.  A cone with lineality is
-the dual of its dual, a second pass over the normals; no workload builds
-one.  Each cone keeps one incidence table, `Cone.incidences`: each normal
-with its zero set over the canonical generators, read off the masks of a
-double-description pass, the canonicalising one for a pointed cone and one
-on the canonical generators on first use for any other (a `dual_cone`
+extreme, with no scan.  A cone with lineality is the dual of its dual, a
+second pass over the normals; no workload builds one.  A `Cone` is its
+ambient rank and canonical generators; what they determine is a
+`cached_property`, which a builder that knows it already stores through
+`_keep`.  So each cone has one incidence table, `Cone.incidences`: each
+normal with its zero set over the canonical generators, read off the masks
+of a double-description pass, the canonicalising one for a pointed cone and
+one on the canonical generators on first use for any other (a `dual_cone`
 transposes its cone's on first use); and one echelon,
 `Cone.generator_echelon`: the `intlin.echelon_triple` of its generator
 rows, kept from the pass when every input is extreme, so that the pass ran
 on the canonical generators, and made on first use otherwise.  Orbit
-quotients, weight monoids, PLF and
-Cartier pieces and the unimodular test of `plf_lattice` all read it.  The
+quotients, weight monoids, PLF and Cartier pieces and the unimodular test
+of `plf_lattice` all read it.  The
 +/- span equalities are exactly the normals whose zero set holds every
 generator, since a lifted facet is reduced modulo the perp lattice and
 never vanishes on the whole span; the others are the proper facets.
@@ -60,10 +62,11 @@ computes its wall table and PLF lattice once, from its maximal members.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from operator import mul
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, TypeVar
 
 from .intlin import (
     IntMatrix,
@@ -77,6 +80,7 @@ from .intlin import (
 )
 
 Vector = tuple[int, ...]
+T = TypeVar("T")
 # the (echelon, complement, kernel) triple of `intlin.echelon_triple`, as tuples
 Echelon = tuple[tuple[Vector, ...], tuple[Vector, ...], tuple[Vector, ...]]
 
@@ -257,14 +261,24 @@ def _extreme_generators(masks: Sequence[int], gens: Sequence[Vector]) -> dict[Ve
     }
 
 
+def _keep(obj: T, **values: object) -> T:
+    """obj, with values its builder knows stored for its `cached_property`s; a stored value stays, a None is skipped."""
+    kept = vars(obj)
+    for name, value in values.items():
+        if value is not None:
+            kept.setdefault(name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class Cone:
-    """Rational polyhedral cone in canonical form.
+    """Rational polyhedral cone in canonical form: an ambient rank and the canonical generators.
 
     Equal cones (as subsets of R^n) have equal generator tuples; equality and
-    hashing are therefore structural.  Three write-once slots sit outside
-    both: the dimension, which `from_generators` and `faces` store, one
-    incidence table and one echelon.  The table `incidences` pairs each
+    hashing are therefore structural.  The dimension, one incidence table and
+    one echelon are `cached_property`s outside both, so `dataclasses.replace`
+    derives them afresh; `from_generators`, `faces` and `dual_cone` store
+    what they know through `_keep`.  The table `incidences` pairs each
     normal with its zero set over the generators and is the only copy of the
     normals.  A normal whose zero set holds every generator is a span
     equality, any other cuts out a proper facet.  It is read off a
@@ -274,18 +288,14 @@ class Cone:
     rows, which answers the lattice questions on the span: its kernel is
     the annihilator of the span (orbit quotients), it solves for pieces on
     the cone (PLF and Cartier data), and it is the identity exactly when
-    the generators extend to a basis (unimodular cones).  `from_generators`
-    keeps the triple of its double-description pass when the pass ran on
-    the canonical generators.  The cone is pointed iff no generator's
-    negative is also a generator: with lineality L the generators hold +/- a
-    basis of L, and a pointed cone cannot hold both g and -g.
+    the generators extend to a basis (unimodular cones).  The cone is
+    pointed iff no generator's negative is also a generator: with lineality
+    L the generators hold +/- a basis of L, and a pointed cone cannot hold
+    both g and -g.
     """
 
     ambient_rank: int
     generators: tuple[Vector, ...]
-    _dims: list = field(default_factory=list, compare=False, repr=False, hash=False)
-    _echelon: list = field(default_factory=list, compare=False, repr=False, hash=False)
-    _incidences: list = field(default_factory=list, compare=False, repr=False, hash=False)
 
     @staticmethod
     def from_generators(ambient_rank: int, generators: Iterable[Sequence[int]]) -> "Cone":
@@ -311,17 +321,17 @@ class Cone:
             raise ValueError("generator has wrong dimension")
         vecs = sorted({primitive(g) for g in gens if any(g)})
         if not vecs:
-            return Cone(ambient_rank, (), [0])
+            return _keep(Cone(ambient_rank, ()), _dim=0)
         normals, masks, data = _dual_description(vecs, ambient_rank)
         independent = len(data[0]) == len(vecs)
         if not independent and any(all(z >> i & 1 for z in masks) for i in range(len(vecs))):
-            canonical, table = dual_generators(normals, ambient_rank), []
+            canonical, table = dual_generators(normals, ambient_rank), None
         else:
             extreme = {g: i for i, g in enumerate(vecs)} if independent else _extreme_generators(masks, vecs)
             canonical = sorted(extreme)
-            table = [tuple((h, frozenset(c for c in canonical if z >> extreme[c] & 1)) for h, z in zip(normals, masks))]
-        kept = [data] if canonical == vecs else []
-        return Cone(ambient_rank, tuple(canonical), [len(data[0])], kept, table)
+            table = tuple((h, frozenset(c for c in canonical if z >> extreme[c] & 1)) for h, z in zip(normals, masks))
+        kept = data if canonical == vecs else None
+        return _keep(Cone(ambient_rank, tuple(canonical)), _dim=len(data[0]), _echelon=kept, incidences=table)
 
     @staticmethod
     def from_inequalities(ambient_rank: int, normals: Iterable[Sequence[int]]) -> "Cone":
@@ -339,20 +349,17 @@ class Cone:
         """Inequality description: the cone is exactly {u : <h, u> >= 0 for all h}, the normals of `incidences`."""
         return tuple(h for h, _ in self.incidences)
 
-    def _describe(self) -> None:
-        """One double-description pass on the generators: fills what is not known yet of the cone's slots.
+    def _describe(self) -> tuple[tuple[Vector, frozenset[Vector]], ...]:
+        """The incidence table read off one double-description pass on the generators, keeping its dimension and echelon.
 
-        These are the dimension, echelon and incidence table.  The pass runs
-        on the canonical generators, so its dual generators are the cone's
-        normals, its masks their zero sets, and its echelon the cone's
-        `generator_echelon`.
+        The pass runs on the canonical generators, so its dual generators are
+        the cone's normals, its masks their zero sets, and its echelon the
+        cone's `generator_echelon`.
         """
         gens = self.generators
         normals, masks, data = _dual_description(gens, self.ambient_rank)
-        table = tuple((h, frozenset(g for i, g in enumerate(gens) if z >> i & 1)) for h, z in zip(normals, masks))
-        for slot, value in [(self._dims, len(data[0])), (self._echelon, data), (self._incidences, table)]:
-            if not slot:
-                slot.append(value)
+        _keep(self, _dim=len(data[0]), _echelon=data)
+        return tuple((h, frozenset(g for i, g in enumerate(gens) if z >> i & 1)) for h, z in zip(normals, masks))
 
     def contains(self, v: Sequence[int]) -> bool:
         return all(dot(h, v) >= 0 for h, _ in self.incidences)
@@ -372,33 +379,37 @@ class Cone:
         return all(self.contains(g) for g in other.generators) if other.generators else True
 
     def dim(self) -> int:
-        if not self._dims:
-            self._dims.append(rank(IntMatrix.from_rows(list(self.generators), cols=self.ambient_rank)))
-        return self._dims[0]
+        return self._dim
+
+    @cached_property
+    def _dim(self) -> int:
+        return rank(IntMatrix.from_rows(list(self.generators), cols=self.ambient_rank))
 
     def generator_echelon(self) -> Echelon:
         """`intlin.echelon_triple` of the generator rows, as tuples: (echelon, complement, kernel), once per cone."""
-        if not self._echelon:
-            self._echelon.append(echelon_triple(self.generators, self.ambient_rank))
-        return self._echelon[0]
+        return self._echelon
 
-    @property
+    @cached_property
+    def _echelon(self) -> Echelon:
+        return echelon_triple(self.generators, self.ambient_rank)
+
+    @cached_property
+    def _dual_of(self) -> Optional["Cone"]:
+        """The cone this one is the `dual_cone` of, which `dual_cone` keeps; None for any other cone."""
+        return None
+
+    @cached_property
     def incidences(self) -> tuple[tuple[Vector, frozenset[Vector]], ...]:
         """Each normal, in order, with its zero set over the generators: the cone's incidence table, once per cone.
 
-        `from_generators` seeds it on a pointed cone from its pass, and a
+        `from_generators` keeps it on a pointed cone from its pass, and a
         `dual_cone` transposes its cone's on first use; any other cone reads it
         off one pass on its generators on first use (`_describe`).
         """
-        if not self._incidences:
-            sigma = vars(self).get("_dual_of")
-            if sigma is None:
-                self._describe()
-            else:
-                self._incidences.append(
-                    tuple((g, frozenset(h for h, z in sigma.incidences if g in z)) for g in sigma.generators)
-                )
-        return self._incidences[0]
+        sigma = self._dual_of
+        if sigma is None:
+            return self._describe()
+        return tuple((g, frozenset(h for h, z in sigma.incidences if g in z)) for g in sigma.generators)
 
     def is_strongly_convex(self) -> bool:
         """Whether the cone is pointed: no generator's negative is also a generator.
@@ -406,7 +417,7 @@ class Cone:
         A cone of known dimension with as many generators is simplicial, and
         independent generators hold no such pair.
         """
-        if self._dims and self._dims[0] == len(self.generators):
+        if vars(self).get("_dim") == len(self.generators):
             return True
         gens = set(self.generators)
         return not any(tuple(-x for x in g) in gens for g in gens)
@@ -431,13 +442,11 @@ def dual_cone(sigma: Cone) -> Cone:
     generators: both descriptions are `dual_generators` of the other.  Its
     incidence table, the normals included, is sigma's transposed: generator
     g of sigma vanishes on the normals h whose zero set holds g.  The dual
-    keeps sigma (an attribute `_dual_of`, outside ==, hash and repr) and
-    transposes sigma's table, which reading sigma's normals made, on its
-    first `incidences` read, so no read runs a double-description pass.
+    keeps sigma (`_dual_of`, through `_keep`) and transposes sigma's table,
+    which reading sigma's normals made, on its first `incidences` read, so
+    no read runs a double-description pass.
     """
-    dual = Cone(sigma.ambient_rank, sigma.facet_normals())
-    object.__setattr__(dual, "_dual_of", sigma)
-    return dual
+    return _keep(Cone(sigma.ambient_rank, sigma.facet_normals()), _dual_of=sigma)
 
 
 def _facet_cuts(sigma: Cone, bits: Sequence[int]) -> list[int]:
@@ -514,7 +523,7 @@ def faces(sigma: Cone) -> list[Cone]:
                     below.append(t)
         level, d = below, d - 1
     out = [
-        sigma if s == full else Cone(sigma.ambient_rank, tuple(g for g, b in zip(gens, bits) if b & s), [d])
+        sigma if s == full else _keep(Cone(sigma.ambient_rank, tuple(g for g, b in zip(gens, bits) if b & s)), _dim=d)
         for s, d in dims.items()
     ]
     return sorted(out, key=lambda c: (c.dim(), c.generators))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Optional
 
 Root = tuple[int, tuple[int, ...]]  # (component index, simple-root coordinates)
@@ -162,8 +162,9 @@ class RootDatum:
     def parse(descriptor: str, central_torus_rank: int = 0) -> "RootDatum":
         return RootDatum(parse_dynkin(descriptor), central_torus_rank)
 
-    @property
+    @cached_property
     def simple_count(self) -> int:
+        """The number of simple roots, once per datum."""
         return sum(rank for _, rank in self.components)
 
     @property

@@ -127,6 +127,7 @@ from horofan.intlin import (
 from horofan.polyhedra import (
     Cone,
     LatticeLiftError,
+    _keep,
     complete_fan_walls,
     dot,
     dual_cone,
@@ -867,7 +868,7 @@ def frozenset_faces(sigma) -> list:
                     dims[t] = dims[s] - 1
                     below.append(t)
         level = below
-    out = [sigma if s == full else Cone(sigma.ambient_rank, tuple(sorted(s)), [d]) for s, d in dims.items()]
+    out = [sigma if s == full else _keep(Cone(sigma.ambient_rank, tuple(sorted(s))), _dim=d) for s, d in dims.items()]
     return sorted(out, key=lambda c: (c.dim(), c.generators))
 
 

@@ -3,6 +3,7 @@
 import random
 import sys
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -94,7 +95,7 @@ def test_kept_echelons_equal_fresh_ones_and_the_earlier_routes_on_every_member()
         expected = column_hermite_regularity(fan, datum)
         assert regularity_report(fan, datum) == expected
         for idx, cc in enumerate(fan.cones):
-            seen["seeded"] += bool(cc.cone._echelon)
+            seen["seeded"] += "_echelon" in vars(cc.cone)
             fresh = echelon_triple(cc.cone.generators, r)
             assert cc.cone.generator_echelon() == fresh
             assert quotient_by_cone(datum, cc).projection == IntMatrix.from_rows(fresh[2], cols=r)
@@ -204,7 +205,7 @@ def test_caches_stay_out_of_equality_hash_and_repr(make_datum, colours):
         filled.lattice,
         tuple(ColouredCone(Cone(cc.cone.ambient_rank, cc.cone.generators), cc.colours) for cc in filled.cones),
     )
-    assert not bare._multisets and not any(cc.cone._echelon or cc.cone._incidences for cc in bare.cones)
+    assert "_multisets" not in vars(bare) and not any({"_echelon", "incidences"} & vars(cc.cone).keys() for cc in bare.cones)
     assert filled == bare and hash(filled) == hash(bare) and repr(filled) == repr(bare)
     for kept, plain in zip(filled.cones, bare.cones):
         assert kept == plain and hash(kept) == hash(plain) and repr(kept) == repr(plain)
@@ -216,18 +217,43 @@ def test_caches_stay_out_of_equality_hash_and_repr(make_datum, colours):
         assert all(isinstance(part, tuple) and all(isinstance(row, tuple) for row in part) for part in triple)
 
 
+@pytest.mark.parametrize("make_datum,colours", [(torus3, ()), (a1_cubed, (0, 1))])
+def test_replace_derives_everything_afresh(make_datum, colours):
+    """`dataclasses.replace` of a cone given new generators, and of a fan given new members, answers
+    like a freshly built object: nothing derived from the old fields is carried over."""
+    square = Cone.from_generators(2, [(1, 0), (0, 1)])
+    assert square.dim() == 2 and square.contains((0, 1)) and square.incidences and square.generator_echelon()
+    ray, fresh = replace(square, generators=((1, 0),)), Cone.from_generators(2, [(1, 0)])
+    assert ray.dim() == fresh.dim() == 1 and not ray.contains((0, 1))
+    assert ray.incidences == fresh.incidences and ray.generator_echelon() == fresh.generator_echelon()
+    datum = make_datum()
+    old = every_cache_filled(rank3_fan(RANK3_BASES["P1^3"], datum, colours), datum)
+    assert all(old.member_echelon(i) for i in range(len(old.cones))) and regularity_report(old, datum)
+    new = rank3_fan(stellar_subdivision(RANK3_BASES["P3"], 3, (1, 1, 2)), datum, colours)
+    for a, b in zip(old.cones, new.cones):
+        cone, fresh = replace(a.cone, generators=b.cone.generators), Cone.from_generators(3, b.cone.generators)
+        assert cone.dim() == fresh.dim() and cone.incidences == fresh.incidences
+        assert cone.generator_echelon() == fresh.generator_echelon()
+        assert [cone.contains(g) for g in a.cone.generators] == [fresh.contains(g) for g in a.cone.generators]
+    replaced, fresh_fan = replace(old, cones=new.cones), ColouredFan(new.lattice, new.cones)
+    assert [replaced.member_echelon(i) for i in range(len(new.cones))] == [
+        fresh_fan.member_echelon(i) for i in range(len(new.cones))
+    ]
+    assert regularity_report(replaced, datum) == regularity_report(fresh_fan, datum)
+
+
 def test_from_generators_keeps_the_pass_echelon_only_when_it_ran_on_the_canonical_generators():
     """The pass runs on the sorted distinct primitive inputs, so reordered, scaled and repeated
     inputs keep the canonical echelon; a non-extreme input leaves the pass off the canonical
     generators, and the cone keeps none."""
     canonical = [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
     kept = Cone.from_generators(3, canonical)
-    assert kept._echelon == [echelon_triple(canonical, 3)]
+    assert vars(kept)["_echelon"] == echelon_triple(canonical, 3)
     for gens in (canonical[::-1], [(0, 0, 2), (0, 1, 0), (1, 0, 0)], [(1, 0, 0), (0, 3, 0), (0, 0, 1), (2, 0, 0)]):
         cone = Cone.from_generators(3, gens)
-        assert cone.generators == kept.generators and cone._echelon == [echelon_triple(canonical, 3)]
+        assert cone.generators == kept.generators and vars(cone)["_echelon"] == echelon_triple(canonical, 3)
     cone = Cone.from_generators(3, canonical + [(1, 1, 0)])
-    assert cone.generators == kept.generators and not cone._echelon
+    assert cone.generators == kept.generators and "_echelon" not in vars(cone)
     assert cone.generator_echelon() == kept.generator_echelon()
 
 

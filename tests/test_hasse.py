@@ -10,6 +10,7 @@ of `test_face_lattice` and `test_validation`, and fans with repeated members
 and members some colour point of which lies outside their cone.
 """
 
+import itertools
 import json
 import random
 from collections import Counter
@@ -19,14 +20,17 @@ import pytest
 from horofan import cli, horo, intlin, polyhedra
 from horofan.dictionary import regularity_report
 from horofan.horo import (
+    Colour,
     ColouredCone,
     ColouredFan,
+    ColouredLattice,
     close_under_coloured_faces,
     coloured_cone_key,
+    coloured_faces,
     product_coloured_fan,
     validate_coloured_fan,
 )
-from horofan.polyhedra import Cone
+from horofan.polyhedra import Cone, _keep
 
 from .factories import (
     RANK3_BASES,
@@ -117,6 +121,38 @@ def test_closure_of_the_covers_is_the_per_member_face_table():
     for fan in seeded:
         assert closure_table(fan) == per_member_face_table(fan)
     assert kinds["missing"] >= 20 and kinds["closed"] >= 20 and kinds["stray"] >= 4
+
+
+def test_closure_orders_key_ties_as_the_input_order_walks_reach_them():
+    """`coloured_cone_key` ties only zero cones of different ambient ranks, coloured or not.  The
+    closure puts them in the order in which the inputs' coloured faces, input by input, first hold
+    them, strays included; the covers it hands over are those of one pass per member."""
+    lattice = ColouredLattice(3, (Colour(0, "a1", (1, 0, 0)), Colour(1, "a2", (0, 0, 0))), 2, 1)
+    a = ColouredCone(Cone.from_generators(3, [(1, 0, 0), (0, 1, 0)]), frozenset({0}))
+    zero = ColouredCone(Cone.zero(2), frozenset())
+    b = ColouredCone(Cone.from_generators(2, [(1, 0), (0, 1)]), frozenset())
+    members = close_under_coloured_faces(lattice, [a, zero, b])
+    assert [(cc.cone.ambient_rank, cc.cone.generators) for cc in members[:2]] == [(3, ()), (2, ())]
+    inputs = [
+        a,
+        zero,
+        b,
+        # the point of a2 is zero, so a2 colours every face
+        ColouredCone(Cone.zero(2), frozenset({1})),
+        ColouredCone(Cone.from_generators(3, [(0, 0, 1)]), frozenset({1})),
+        # strays: the point of a1 lies outside the cone
+        ColouredCone(Cone.zero(3), frozenset({0})),
+        ColouredCone(Cone.from_generators(2, [(0, 1)]), frozenset({0})),
+    ]
+    ties = 0
+    for cones in itertools.permutations(inputs, 4):
+        faces = (f for cc in cones for f in [cc, *coloured_faces(lattice, cc)])
+        members, table = horo._closure(lattice, cones)
+        assert members == tuple(sorted(dict.fromkeys(faces), key=coloured_cone_key))
+        ties += len(members) - len({(cc.cone.generators, cc.colours) for cc in members})
+        fan = _keep(ColouredFan(lattice, members), _face_table=table)
+        assert closure_table(fan) == per_member_face_table(fan)
+    assert ties >= 500
 
 
 def test_validation_on_the_covers_is_the_all_pairs_oracle():

@@ -7,6 +7,13 @@ summary, a sentinel line, and a machine-readable JSON block, in that order,
 with deterministic ordering throughout.  Exit codes: 0 success; 1 an invalid
 fan, `positivity` on an incomplete fan, or an error raised by the library;
 2 a parse error, an unreadable file, or a missing or bad command argument.
+
+One process parses and validates each document text once.  `parse_input`
+keeps the parsed document of the last few distinct texts, and the fan keeps
+its validation report with everything else it has worked out, so later
+commands on the same text, and a `morphism` target with the source's text,
+reuse them.  `main` reads its files on every call, so a changed file is new
+text and is parsed afresh; a text that fails to parse fails every time.
 """
 
 from __future__ import annotations
@@ -14,7 +21,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
+from functools import lru_cache
 from typing import Callable, Optional
 
 from .dictionary import (
@@ -58,6 +66,8 @@ SENTINEL = "---JSON---"
 _TOP_KEYS = {"group", "torus_rank", "I", "M", "fan", "divisors"}
 _CONE_KEYS = {"generators", "colours"}
 _DIVISOR_KEYS = {"rays", "colours"}
+# the number of distinct document texts whose parsed documents `parse_input` keeps
+_PARSE_MEMO_SIZE = 8
 
 
 class ParseError(ValueError):
@@ -174,8 +184,18 @@ def parse_input(text: str) -> InputDocument:
     """Strictly parse and validate a JSON document into datum + fan + divisors.
 
     A key repeated in one JSON object, or two divisor ray keys naming one
-    ray, is an error rather than a silent overwrite.
+    ray, is an error rather than a silent overwrite.  The document of each
+    of the last `_PARSE_MEMO_SIZE` distinct texts is kept (`_parsed`), so
+    parsing a text again returns its datum and fan objects, with what they
+    have cached, and the divisors in a fresh dict.
     """
+    doc = _parsed(text)
+    return replace(doc, divisors=dict(doc.divisors))
+
+
+@lru_cache(maxsize=_PARSE_MEMO_SIZE)
+def _parsed(text: str) -> InputDocument:
+    """The document `parse_input` returns for this text, parsed afresh; a ParseError is raised, never kept."""
     raw = _load_json(text)
     _expect(isinstance(raw, dict), "document", "top level must be a JSON object")
     unknown = set(raw) - _TOP_KEYS

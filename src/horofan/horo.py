@@ -196,8 +196,10 @@ class ColouredFan:
     (`_face_table`), each member with its coloured facets, from which face
     lists, stars and regularity flags (`_regularity`) are read when asked;
     from the cones of the maximal members, the wall table (`walls`) and the
-    PLF lattice (`plf_lattice`); and the multiset and echelon of each member
-    asked for (`member_echelon`).
+    PLF lattice (`plf_lattice`), with the linear functions' coordinates in it
+    and the functions vanishing on its rays, which `picard_group` reads; the
+    multiset and echelon of each member asked for (`member_echelon`); and the
+    validation report (`validate_coloured_fan`).
     """
 
     lattice: ColouredLattice
@@ -388,6 +390,22 @@ class ColouredFan:
     @cached_property
     def _plf_lattice(self) -> tuple[list[Vector], IntMatrix]:
         return plf_lattice([self.cones[k].cone for k in self._anchors])
+
+    @cached_property
+    def _linear_in_plf(self) -> tuple[Optional[Vector], ...]:
+        """The `lattice_coordinates` of the linear functions, the columns of the ray matrix, in the PLF basis."""
+        rays, basis = self._plf_lattice
+        return tuple(lattice_coordinates([tuple(u[j] for u in rays) for j in range(self.lattice.rank)], basis))
+
+    @cached_property
+    def _ray_kernel(self) -> tuple[Vector, ...]:
+        """The `kernel_basis` of the ray matrix: the functions vanishing on every ray of the PLF lattice."""
+        return tuple(kernel_basis(IntMatrix.from_rows(self._plf_lattice[0], cols=self.lattice.rank)))
+
+    @cached_property
+    def _validation(self) -> "ValidationReport":
+        """The `validate_coloured_fan` report, made once per fan."""
+        return _check_axioms(self)
 
     def non_coloured_rays(self) -> list[ColouredCone]:
         return [cc for cc in self.cones if cc.dim() == 1 and not cc.colours]
@@ -677,6 +695,10 @@ def _walls_decide(fan: ColouredFan) -> bool:
 def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     """Check every coloured-fan axiom; violations are reported, not raised.
 
+    The axioms are a fact about the members, so the report is made once per
+    fan and kept on it (`ColouredFan._validation`): validating a fan again,
+    as every CLI command on a kept document does, does no work.
+
     Colour points.  A member that the face table does not mark a stray is a
     coloured face of itself and needs no containment test: the walk
     (`_walk_down`) puts a colour on a face only when its point lies in the
@@ -756,6 +778,11 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     member's normals are read off the table of an anchor above it, so no
     face takes a double description of its own.
     """
+    return fan._validation
+
+
+def _check_axioms(fan: ColouredFan) -> ValidationReport:
+    """The report of `validate_coloured_fan`, worked out afresh."""
     violations: list[str] = []
     lattice = fan.lattice
     known_roots = lattice.colour_roots()

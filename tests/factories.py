@@ -7,7 +7,7 @@ import math
 import random
 import types
 
-from horofan import dictionary
+from horofan import cli, dictionary
 from horofan.horo import (
     ColouredCone,
     ColouredFan,
@@ -34,6 +34,12 @@ RANK2_GENS = [
     (1, 2),
     (2, 1),
 ]
+
+
+def cold_parse(text: str) -> cli.InputDocument:
+    """`cli.parse_input` on an emptied parse memo, so the document and its fan are built afresh, as in a new process."""
+    cli._parsed.cache_clear()
+    return cli.parse_input(text)
 
 
 def datum_pool() -> list[HorosphericalDatum]:

@@ -32,6 +32,7 @@ from horofan.rootsys import RootDatum
 from .factories import (
     RANK3_BASES,
     a1_cubed,
+    cold_parse,
     prism_maximal,
     rank3_cones,
     rank3_fan,
@@ -232,7 +233,7 @@ def test_building_a_rank3_fan_runs_no_meet_and_no_double_description(monkeypatch
 def test_weight_monoid_makes_one_double_description(monkeypatch):
     """Counts, not timers: the weight monoid of a README member canonicalises the cone in its
     span, one pass, and reads the dual's incidence table off that cone's, with no second pass."""
-    doc = cli.parse_input((GOLDEN / "readme.json").read_text(encoding="utf-8"))
+    doc = cold_parse((GOLDEN / "readme.json").read_text(encoding="utf-8"))
     member = next(cc for cc in doc.fan.cones if cc.dim() == 2)
     calls = Counter()
     count(monkeypatch, calls, polyhedra, "_dual_description")
@@ -245,15 +246,21 @@ def test_parse_runs_one_double_description_per_maximal_listed_member(monkeypatch
     """Counts, not timers: the README document lists 3 maximal cones and 3 rays; the rays take
     their cones from the maximal cones' faces, equal to the cones `from_generators` makes, and
     the fan's walk down from the 3 maximal members finds the listed members, so parsing and
-    validating list 3 face lattices and walk 3."""
+    validating list 3 face lattices and walk 3.  Parsing the text again does none of it: it
+    returns the same fan, whose validation report is kept."""
     text = (GOLDEN / "readme.json").read_text(encoding="utf-8")
     calls = Counter()
     count(monkeypatch, calls, polyhedra, "_dual_description")
     count(monkeypatch, calls, cli, "faces")
     count(monkeypatch, calls, horo, "_walk_down")
-    doc = cli.parse_input(text)
+    doc = cold_parse(text)
     assert validate_coloured_fan(doc.fan).valid
-    monkeypatch.undo()
     assert calls == Counter(_dual_description=3, faces=3, _walk_down=3)
+    count(monkeypatch, calls, horo, "_check_axioms")
+    calls.clear()
+    again = cli.parse_input(text)
+    assert validate_coloured_fan(again.fan).valid
+    monkeypatch.undo()
+    assert calls == Counter() and again.fan is doc.fan
     for cc, raw in zip(doc.fan.cones, cli._load_json(text)["fan"]):
         assert cc.cone == Cone.from_generators(2, [tuple(g) for g in raw["generators"]])

@@ -17,7 +17,7 @@ from collections import Counter
 
 import pytest
 
-from horofan import cli, horo, intlin, polyhedra
+from horofan import horo, intlin, polyhedra
 from horofan.dictionary import regularity_report
 from horofan.horo import (
     Colour,
@@ -35,6 +35,7 @@ from horofan.polyhedra import Cone, _keep
 from .factories import (
     RANK3_BASES,
     a1_cubed,
+    cold_parse,
     p1_power,
     random_rank3_coloured_fans,
     rank3_cones,
@@ -250,7 +251,7 @@ def test_invalid_fan_pair_walk_reads_its_normals_off_the_maximal_members(monkeyp
         with monkeypatch.context() as m:
             m.setattr(Cone, "_describe", counted_describe)
             m.setattr(horo, "_meet_in_coloured_face", counted_meet)
-            doc = cli.parse_input(text)
+            doc = cold_parse(text)
             report = validate_coloured_fan(doc.fan)
         assert not report.valid and calls["_describe"] == 0, name
         # the quadrants meet as they should, so only the overlapping cones leave pairs to walk

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from horofan import cli, divisors, rootsys
+from horofan import divisors, rootsys
 from horofan.dictionary import _classify_subdiagram
 from horofan.divisors import anticanonical
 from horofan.rootsys import (
@@ -22,6 +22,7 @@ from horofan.rootsys import (
 from horofan.horo import ColouredFan, HorosphericalDatum, build_coloured_lattice, trivial_coloured_cone
 from horofan.intlin import IntMatrix
 
+from .factories import cold_parse
 from .oracles import (
     chord_checked_chain_from,
     dense_positive_roots,
@@ -294,8 +295,8 @@ def test_positive_roots_match_the_dense_closure(letter, rank):
 
 
 def empty_document(group):
-    """The fan and datum of the document {"group": group, "M": [], "fan": []}."""
-    doc = cli.parse_input(json.dumps({"group": group, "M": [], "fan": []}))
+    """The fan and datum of the document {"group": group, "M": [], "fan": []}, parsed afresh."""
+    doc = cold_parse(json.dumps({"group": group, "M": [], "fan": []}))
     return doc.fan, doc.datum
 
 

@@ -8,12 +8,15 @@ with deterministic ordering throughout.  Exit codes: 0 success; 1 an invalid
 fan, `positivity` on an incomplete fan, or an error raised by the library;
 2 a parse error, an unreadable file, or a missing or bad command argument.
 
-One process parses and validates each document text once.  `parse_input`
-keeps the parsed document of the last few distinct texts, and the fan keeps
-its validation report with everything else it has worked out, so later
-commands on the same text, and a `morphism` target with the source's text,
-reuse them.  `main` reads its files on every call, so a changed file is new
-text and is parsed afresh; a text that fails to parse fails every time.
+One process parses and validates a document text once while calls on it
+come back to back.  `parse_input` keeps the parsed document of the last text
+it parsed, and the fan keeps its validation report with everything else it
+has worked out, so a later `main` or `parse_input` call on the same text in
+the same process, and a `morphism` target with the source's text, reuse
+them.  A command run as a process of its own parses its document once either
+way; there only a `morphism` whose target holds the source's text gains.
+`main` reads its files on every call, so a changed file is new text and is
+parsed afresh; a text that fails to parse fails every time.
 """
 
 from __future__ import annotations
@@ -66,8 +69,9 @@ SENTINEL = "---JSON---"
 _TOP_KEYS = {"group", "torus_rank", "I", "M", "fan", "divisors"}
 _CONE_KEYS = {"generators", "colours"}
 _DIVISOR_KEYS = {"rays", "colours"}
-# the number of distinct document texts whose parsed documents `parse_input` keeps
-_PARSE_MEMO_SIZE = 8
+# the number of distinct document texts whose parsed documents `parse_input` keeps:
+# commands on one document run back to back, and a `morphism` target repeats its source
+_PARSE_MEMO_SIZE = 1
 
 
 class ParseError(ValueError):
@@ -184,10 +188,10 @@ def parse_input(text: str) -> InputDocument:
     """Strictly parse and validate a JSON document into datum + fan + divisors.
 
     A key repeated in one JSON object, or two divisor ray keys naming one
-    ray, is an error rather than a silent overwrite.  The document of each
-    of the last `_PARSE_MEMO_SIZE` distinct texts is kept (`_parsed`), so
-    parsing a text again returns its datum and fan objects, with what they
-    have cached, and the divisors in a fresh dict.
+    ray, is an error rather than a silent overwrite.  The document of the
+    last text parsed is kept (`_parsed`, bounded by `_PARSE_MEMO_SIZE`), so
+    parsing that text again returns its datum and fan objects, with what
+    they have cached, and the divisors in a fresh dict.
     """
     doc = _parsed(text)
     return replace(doc, divisors=dict(doc.divisors))

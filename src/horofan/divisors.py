@@ -22,6 +22,8 @@ from .intlin import (
     IntMatrix,
     cokernel,
     echelon_solutions,
+    kernel_basis,
+    lattice_coordinates,
     rank,
     smith_normal_form,
 )
@@ -249,12 +251,12 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
     uses, and div(m) goes to ((<m, u>)_u, (<m, rho(alpha)>)_{alpha in U}):
     Pic and PLF/LF are the cokernels of M there and in PLF alone.  The
     extension of the Picard-group theorem is then re-verified at the level
-    of free ranks.  The linear functions' PLF coordinates and the functions
-    vanishing on the rays depend on the fan alone, so the fan keeps them.
+    of free ranks.
     """
     _require_lattice(fan, datum)
-    _, plf = fan.plf_lattice()
-    linear = fan._linear_in_plf
+    r = fan.lattice.rank
+    rays, plf = fan.plf_lattice()
+    linear = lattice_coordinates([tuple(u[j] for u in rays) for j in range(r)], plf)
     if None in linear:
         raise LatticeLiftError("linear functions are piecewise linear")
     plf_mod_lf = cokernel(IntMatrix.from_columns(linear, rows=plf.cols))
@@ -263,7 +265,7 @@ def picard_group(fan: ColouredFan, datum: HorosphericalDatum) -> PicardResult:
     principal = [x + tuple(p[j] for p in points) for j, x in enumerate(linear)]
     pic = cokernel(IntMatrix.from_columns(principal, rows=plf.cols + len(unused)))
 
-    span_perp = fan._ray_kernel
+    span_perp = kernel_basis(IntMatrix.from_rows(rays, cols=r))
     image_rows = [[dot(m, p) for p in points] for m in span_perp]
     span_perp_image_rank = (
         rank(IntMatrix.from_rows(image_rows, cols=len(unused))) if image_rows else 0

@@ -196,10 +196,9 @@ class ColouredFan:
     (`_face_table`), each member with its coloured facets, from which face
     lists, stars and regularity flags (`_regularity`) are read when asked;
     from the cones of the maximal members, the wall table (`walls`) and the
-    PLF lattice (`plf_lattice`), with the linear functions' coordinates in it
-    and the functions vanishing on its rays, which `picard_group` reads; the
-    multiset and echelon of each member asked for (`member_echelon`); and the
-    validation report (`validate_coloured_fan`).
+    PLF lattice (`plf_lattice`); the multiset and echelon of each member
+    asked for (`member_echelon`); and the validation report
+    (`validate_coloured_fan`).
     """
 
     lattice: ColouredLattice
@@ -390,17 +389,6 @@ class ColouredFan:
     @cached_property
     def _plf_lattice(self) -> tuple[list[Vector], IntMatrix]:
         return plf_lattice([self.cones[k].cone for k in self._anchors])
-
-    @cached_property
-    def _linear_in_plf(self) -> tuple[Optional[Vector], ...]:
-        """The `lattice_coordinates` of the linear functions, the columns of the ray matrix, in the PLF basis."""
-        rays, basis = self._plf_lattice
-        return tuple(lattice_coordinates([tuple(u[j] for u in rays) for j in range(self.lattice.rank)], basis))
-
-    @cached_property
-    def _ray_kernel(self) -> tuple[Vector, ...]:
-        """The `kernel_basis` of the ray matrix: the functions vanishing on every ray of the PLF lattice."""
-        return tuple(kernel_basis(IntMatrix.from_rows(self._plf_lattice[0], cols=self.lattice.rank)))
 
     @cached_property
     def _validation(self) -> "ValidationReport":

@@ -8,6 +8,8 @@ import pytest
 
 from horofan.cli import COMMANDS, InputDocument, ParseError, execute, main, parse_input, serialize
 
+from .factories import cold_parse
+
 CLASS_GROUP_DOC = json.dumps(
     {
         "group": "A2",
@@ -411,8 +413,9 @@ class TestCommands:
 
     def test_outputs_deterministic(self):
         for command in ["orbits", "classify", "class-group", "picard", "smooth"]:
-            doc1 = parse_input(CLASS_GROUP_DOC)
-            doc2 = parse_input(CLASS_GROUP_DOC)
+            doc1 = cold_parse(CLASS_GROUP_DOC)
+            doc2 = cold_parse(CLASS_GROUP_DOC)
+            assert doc1.fan is not doc2.fan
             assert execute(command, doc1) == execute(command, doc2)
 
 

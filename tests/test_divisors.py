@@ -302,7 +302,7 @@ class TestPicardGroup:
         counted(horo, "plf_lattice")
         counted(horo, "complete_fan_walls")
         counted(polyhedra, "kernel_basis")
-        counted(horo, "kernel_basis")
+        counted(divisors, "kernel_basis")
         assert classify_variety(fan, datum).is_projective
         assert picard_group(fan, datum) == expected
         assert [positivity_check(delta, fan, datum) for delta in deltas] == positivity
@@ -318,7 +318,7 @@ class TestPicardGroup:
     def test_failed_lift_raises_named_error(self, monkeypatch):
         # the theory guarantees these lifts; a failure must survive `python -O`
         fan, datum = class_group_fan()
-        monkeypatch.setattr(horo, "lattice_coordinates", lambda vectors, basis: [None for _ in vectors])
+        monkeypatch.setattr(divisors, "lattice_coordinates", lambda vectors, basis: [None for _ in vectors])
         with pytest.raises(LatticeLiftError):
             picard_group(fan, datum)
 

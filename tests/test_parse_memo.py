@@ -1,4 +1,4 @@
-"""One parse and one validation per document text: `cli.parse_input` keeps the last few parsed documents.
+"""One parse and one validation per document text: `cli.parse_input` keeps the last parsed document.
 
 Every answer from a kept document must equal the answer from a fresh parse:
 the golden argv cases replayed on a warm memo, a file rewritten between two

@@ -51,7 +51,6 @@ from .divisors import (
 from .horo import (
     ColouredCone,
     ColouredFan,
-    ColouredLattice,
     HorosphericalDatum,
     InvalidDatumError,
     build_coloured_lattice,
@@ -61,7 +60,7 @@ from .horo import (
     validate_coloured_fan,
 )
 from .intlin import IntMatrix
-from .polyhedra import Cone, faces, primitive
+from .polyhedra import Cone
 from .rootsys import RootDatum
 
 SENTINEL = "---JSON---"
@@ -157,33 +156,6 @@ def _load_json(text: str):
     return raw
 
 
-def _canonical_members(
-    lattice: ColouredLattice, specs: list[tuple[list[tuple[int, ...]], frozenset[int]]]
-) -> list[ColouredCone]:
-    """The listed members as coloured cones, with one double-description pass per member that is no face of another.
-
-    Members are canonicalised largest first, by their distinct primitive
-    generators.  A member whose primitive generators are exactly those of a
-    face of a pointed member built before takes that face's cone: the face's
-    canonical generators are that member's generators in it, so it is the
-    cone `Cone.from_generators` would make.  The face cones are read off
-    `faces` of each built pointed member, and the fan's walk down its face
-    lattice (`ColouredFan._face_table`) finds these members there, so it
-    builds no cone of them again.
-    """
-    keys = [frozenset(primitive(g) for g in gens if any(g)) for gens, _ in specs]
-    made: dict[frozenset, Cone] = {}
-    cones: list = [None] * len(specs)
-    for i in sorted(range(len(specs)), key=lambda i: -len(keys[i])):
-        gens, roots = specs[i]
-        face = made.get(keys[i])
-        cones[i] = ColouredCone(Cone.from_generators(lattice.rank, gens) if face is None else face, roots)
-        if face is None and cones[i].cone.is_strongly_convex():
-            for f in faces(cones[i].cone):
-                made.setdefault(frozenset(f.generators), f)
-    return cones
-
-
 def parse_input(text: str) -> InputDocument:
     """Strictly parse and validate a JSON document into datum + fan + divisors.
 
@@ -264,7 +236,7 @@ def _parsed(text: str) -> InputDocument:
             )
             roots.add(colour_labels[label])
         specs.append((gens, frozenset(roots)))
-    cones = _canonical_members(lattice, specs)
+    cones = [ColouredCone(Cone.from_generators(lattice.rank, gens), roots) for gens, roots in specs]
     trivial = trivial_coloured_cone(lattice)
     if trivial not in cones:
         cones.append(trivial)

@@ -182,11 +182,6 @@ class CartierData:
         raise ValueError(f"point {point} lies outside the fan's support")
 
 
-def _maximal_indices(fan: ColouredFan) -> list[int]:
-    """The index in `fan.cones` of each member of `fan.maximal()`, in that order; of a repeated member, the first."""
-    return list(fan._anchors)
-
-
 def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[CartierData]:
     """Solve for piecewise linear data of delta; None when delta is not Cartier.
 
@@ -210,7 +205,7 @@ def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[Cartier
     ray_at = {g: t for t, g in enumerate(gens)}
     colour_at = {c.root: len(gens) + t for t, c in enumerate(fan.lattice.colours)}
     pieces = []
-    for idx in _maximal_indices(fan):
+    for idx in fan._anchors:
         colours = sorted(fan.cones[idx].colours)
         multiset, data = fan.member_echelon(idx)
         rays = multiset[: len(multiset) - len(colours)]

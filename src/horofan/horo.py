@@ -607,29 +607,26 @@ def _separates(m: Vector, generators: Sequence[Vector], shared: frozenset[Vector
     return True
 
 
-def _separated_meet(a: Cone, b: Cone, s: Cone, t: Cone) -> Optional[Cone]:
-    """a ∩ b, certified by a separating functional from the tables of s and t; None when no candidate certifies it.
+def _separated_meet(a: Cone, b: Cone) -> Optional[Cone]:
+    """a ∩ b, certified by a separating functional from the tables of a and b; None when no candidate certifies it.
 
-    a is a face of s and b one of t (each may be the cone itself).  G is the
-    set of canonical generators the two pointed cones a and b share.  If
-    some m is >= 0 on a, <= 0 on b, and vanishes on exactly G among the
-    generators of each, then a ∩ b = cone(G), a face of both (the separation
-    lemma, Cox-Little-Schenck, Toric Varieties, 1.2.13): a ∩ b lies in m⊥,
-    and a ∩ m⊥ and b ∩ m⊥ are the faces on G.  A face of a pointed cone has
-    the cone's generators in it as its canonical generators.  The candidates
-    are m_s, the sum of s's normals whose zero set holds G, then -m_t, then
-    x*m_s - y*m_t for x, y in 1..3.  m_s is >= 0 on s, so on a, and vanishes
-    on a's generators in the smallest face of s through G, which is the
-    smallest face of a through G, as a's own normals through G would.  Only
-    dot products are taken, and no face needs a table of its own.  All
-    cones must be pointed and of one ambient rank, as every member is once
-    `validate_coloured_fan` reaches the meets.
+    G is the set of canonical generators the two pointed cones a and b
+    share.  If some m is >= 0 on a, <= 0 on b, and vanishes on exactly G
+    among the generators of each, then a ∩ b = cone(G), a face of both (the
+    separation lemma, Cox-Little-Schenck, Toric Varieties, 1.2.13): a ∩ b
+    lies in m⊥, and a ∩ m⊥ and b ∩ m⊥ are the faces on G.  A face of a
+    pointed cone has the cone's generators in it as its canonical
+    generators.  The candidates are m_a, the sum of a's normals whose zero
+    set holds G, then -m_b, then x*m_a - y*m_b for x, y in 1..3.  m_a is
+    >= 0 on a and vanishes on exactly a's generators in the smallest face
+    of a through G.  Both cones must be pointed and of one ambient rank, as
+    every member is once `validate_coloured_fan` reaches the meets.
     """
     shared = frozenset(a.generators).intersection(b.generators)
-    m_s, m_t = _normal_sum_through(s, shared), _normal_sum_through(t, shared)
+    m_a, m_b = _normal_sum_through(a, shared), _normal_sum_through(b, shared)
     candidates = itertools.chain(
-        [m_s, tuple(-y for y in m_t)],
-        (tuple(p * x - q * y for x, y in zip(m_s, m_t)) for p, q in itertools.product((1, 2, 3), repeat=2)),
+        [m_a, tuple(-y for y in m_b)],
+        (tuple(p * x - q * y for x, y in zip(m_a, m_b)) for p, q in itertools.product((1, 2, 3), repeat=2)),
     )
     for m in candidates:
         if _separates(m, a.generators, shared, 1) and _separates(m, b.generators, shared, -1):
@@ -637,26 +634,17 @@ def _separated_meet(a: Cone, b: Cone, s: Cone, t: Cone) -> Optional[Cone]:
     return None
 
 
-def _face_normals(a: Cone, s: Cone) -> list[Vector]:
-    """Inequalities cutting out the face a of s: s's normals, and the negated normals of s through a."""
-    normals = list(s.facet_normals())
-    if a is not s:
-        normals += [tuple(-x for x in h) for h, z in s.incidences if z.issuperset(a.generators)]
-    return normals
-
-
-def _meet_in_coloured_face(faces_of: dict, a: ColouredCone, b: ColouredCone, s: Cone, t: Cone) -> bool:
+def _meet_in_coloured_face(faces_of: dict, a: ColouredCone, b: ColouredCone) -> bool:
     """Whether a ∩ b is a coloured face of both members, read off their lists of coloured faces in the face table.
 
-    a's cone is a face of s and b's one of t.  The meet's cone comes from
-    `_separated_meet` when a separating functional certifies it, else from
-    one double description of the inequalities of both (`_face_normals`),
-    read off the tables of s and t; its colours are the colours both members
-    carry.
+    The meet's cone comes from `_separated_meet` when a separating
+    functional certifies it, else from one double description of the
+    normals of both, each read off the member's own table; its colours are
+    the colours both members carry.
     """
-    cone = _separated_meet(a.cone, b.cone, s, t)
+    cone = _separated_meet(a.cone, b.cone)
     if cone is None:
-        cone = Cone.from_inequalities(s.ambient_rank, _face_normals(a.cone, s) + _face_normals(b.cone, t))
+        cone = Cone.from_inequalities(a.cone.ambient_rank, a.cone.facet_normals() + b.cone.facet_normals())
     meet = ColouredCone(cone, a.colours & b.colours)
     return meet in faces_of[a] and meet in faces_of[b]
 
@@ -755,16 +743,17 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     wall and one containment test per anchor.
 
     Otherwise the anchor table is filled: C(k, 2) meets for k anchors.  A
-    meet is certified by a separating functional read off the two incidence
-    tables (`_separated_meet`) and computed by a double description only
-    when no candidate certifies it; a certificate fixes the meet exactly,
-    so every answer is the same either way.  Missing coloured facets decide
-    closure; the face lists are read down the covers of `_face_table` only
-    when validation reaches the meets.  If an anchor pair fails or anything
-    else is wrong, validation walks the pairs, and an invalid fan reports
-    the same violations, in the same order, as testing every pair.  There a
-    member's normals are read off the table of an anchor above it, so no
-    face takes a double description of its own.
+    meet is certified by a separating functional read off the two members'
+    own incidence tables (`_separated_meet`) and computed by a double
+    description of both members' normals only when no candidate certifies
+    it; a certificate fixes the meet exactly, so every answer is the same
+    either way.  Missing coloured facets decide closure; the face lists are
+    read down the covers of `_face_table` only when validation reaches the
+    meets.  If an anchor pair fails or anything else is wrong, validation
+    walks the pairs, and an invalid fan reports the same violations, in the
+    same order, as testing every pair.  Each member there reads its own
+    table: a parsed member keeps the one its `Cone.from_generators` pass
+    made, and any other cone makes its own on first use.
     """
     return fan._validation
 
@@ -821,22 +810,18 @@ def _check_axioms(fan: ColouredFan) -> ValidationReport:
     met = [[True] * len(anchors) for _ in anchors]
     for (p, s), (q, t) in itertools.combinations(enumerate(anchors), 2):
         a, b = fan.cones[s], fan.cones[t]
-        met[p][q] = met[q][p] = _meet_in_coloured_face(faces_of, a, b, a.cone, b.cone)
+        met[p][q] = met[q][p] = _meet_in_coloured_face(faces_of, a, b)
     if not violations and all(map(all, met)):
         return ValidationReport(True, ())
     first, n = fan._face_table[0], len(fan.cones)
     tops = {k: [slot[s] for s in fan._above(k) if s in slot] for k in dict.fromkeys(first)}
-    # the cone whose table gives a member's normals: an anchor above it, else its own
-    table_of = {k: fan.cones[anchors[above[0]]].cone if above else fan.cones[k].cone for k, above in tops.items()}
     for i, a in enumerate(fan.cones):
         for j in range(i + 1, n):
             b = fan.cones[j]
             if any(met[s][t] for s in tops[first[i]] for t in tops[first[j]]):
                 continue
             # two anchors that get here failed in the table already
-            if (first[i] in slot and first[j] in slot) or not _meet_in_coloured_face(
-                faces_of, a, b, table_of[first[i]], table_of[first[j]]
-            ):
+            if (first[i] in slot and first[j] in slot) or not _meet_in_coloured_face(faces_of, a, b):
                 violations.append(
                     f"intersection of {fan.describe(a)} and {fan.describe(b)} "
                     "is not a coloured face of both"
@@ -897,38 +882,31 @@ def _quotient_by_projection(
 ) -> QuotientResult:
     """The quotient of N by the saturated N' whose annihilator has the basis `projection_rows`, N read off the datum.
 
-    The projected colour points and the new character matrix, whose row i
-    is the projection of the old row i, are dot products over tuples, with
-    no matrix product.
+    The new character matrix, whose row i is the projection of the old row
+    i, is made once, as dot products over tuples with no matrix product;
+    its row a is the projected colour point of a, which is how the new
+    lattice's colour points are built, so they are not compared again.
     """
-    roots = datum.colour_roots()
     removed = frozenset(removed_colours)
-    if not removed.issubset(roots):
+    if not removed.issubset(datum.colour_roots()):
         raise ValueError("removed colours must be universal colours of N")
     projection = IntMatrix.from_rows(projection_rows, cols=datum.lattice_rank)
     characters = datum.characters
-    points = {a: tuple(dot(characters.row(a), p) for p in projection_rows) for a in roots}
+    # rows read off the entries, so a rank-0 lattice walks none, however large the torus
+    rows = zip(*[iter(characters.entries)] * characters.cols)
+    projected = [tuple(dot(row, p) for p in projection_rows) for row in rows]
     # N' is saturated, so a point lies in N' exactly when the projection kills it
     for r in sorted(removed):
-        if any(points[r]):
+        if any(projected[r]):
             raise ColourOutsideSublatticeError(
                 f"colour point of {datum.group.label(r)} lies outside the sublattice"
             )
-    # rows read off the entries, so a rank-0 lattice walks none, however large the torus
-    rows = zip(*[iter(characters.entries)] * characters.cols)
     new_datum = HorosphericalDatum(
         group=datum.group,
         parabolic=frozenset(datum.parabolic | removed),
-        characters=IntMatrix(
-            characters.rows, len(projection_rows), tuple(dot(row, p) for row in rows for p in projection_rows)
-        ),
+        characters=IntMatrix(characters.rows, len(projection_rows), tuple(x for row in projected for x in row)),
     )
-    new_lattice = build_coloured_lattice(new_datum)
-    # the construction must reproduce the projected colour points exactly
-    for c in new_lattice.colours:
-        if c.point != points[c.root]:
-            raise ColourPointMismatchError(f"quotient colour point of {c.label} is not the projected one")
-    return QuotientResult(new_lattice, new_datum, projection)
+    return QuotientResult(build_coloured_lattice(new_datum), new_datum, projection)
 
 
 def coloured_lattice_map(

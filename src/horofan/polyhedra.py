@@ -20,8 +20,8 @@ ambient rank and canonical generators; what they determine is a
 `_keep`.  So each cone has one incidence table, `Cone.incidences`: each
 normal with its zero set over the canonical generators, read off the masks
 of a double-description pass, the canonicalising one for a pointed cone and
-one on the canonical generators on first use for any other (a `dual_cone`
-transposes its cone's on first use); and one echelon,
+one on its own canonical generators on first use for any other, a
+`dual_cone` included, so no cone borrows another's table; and one echelon,
 `Cone.generator_echelon`: the `intlin.echelon_triple` of its generator
 rows, kept from the pass when every input is extreme, so that the pass ran
 on the canonical generators, and made on first use otherwise.  Orbit
@@ -277,13 +277,13 @@ class Cone:
     Equal cones (as subsets of R^n) have equal generator tuples; equality and
     hashing are therefore structural.  The dimension, one incidence table and
     one echelon are `cached_property`s outside both, so `dataclasses.replace`
-    derives them afresh; `from_generators`, `faces` and `dual_cone` store
-    what they know through `_keep`.  The table `incidences` pairs each
-    normal with its zero set over the generators and is the only copy of the
-    normals.  A normal whose zero set holds every generator is a span
-    equality, any other cuts out a proper facet.  It is read off a
-    double-description pass, `from_generators`'s own on a pointed cone, or
-    transposed from the cone's by `dual_cone` on first use.  The echelon
+    derives them afresh; `from_generators` and `faces` store what they know
+    through `_keep`.  The table `incidences` pairs each normal with its
+    zero set over the generators and is the only copy of the normals.  A
+    normal whose zero set holds every generator is a span equality, any
+    other cuts out a proper facet.  It is read off a double-description
+    pass on the cone's own generators: `from_generators`'s on a pointed
+    cone, else one on first use.  The echelon
     `generator_echelon` is the `intlin.echelon_triple` of the generator
     rows, which answers the lattice questions on the span: its kernel is
     the annihilator of the span (orbit quotients), it solves for pieces on
@@ -361,14 +361,23 @@ class Cone:
         _keep(self, _dim=len(data[0]), _echelon=data)
         return tuple((h, frozenset(g for i, g in enumerate(gens) if z >> i & 1)) for h, z in zip(normals, masks))
 
+    def _check_point(self, p: Sequence[int]) -> None:
+        if len(p) != self.ambient_rank:
+            raise ValueError(f"point of length {len(p)} for a cone of ambient rank {self.ambient_rank}")
+
     def contains(self, v: Sequence[int]) -> bool:
+        """Whether v lies in the cone; a ValueError when v's length is not the ambient rank."""
+        self._check_point(v)
         return all(dot(h, v) >= 0 for h, _ in self.incidences)
 
     def smallest_face(self, p: Sequence[int]) -> Optional[tuple[Vector, ...]]:
         """The generators of the smallest face through p, in order, or None when p lies outside the cone.
 
-        The normals vanishing at p cut it out: its generators are those in all their zero sets.
+        The normals vanishing at p cut it out: its generators are those in
+        all their zero sets.  A p whose length is not the ambient rank is a
+        ValueError.
         """
+        self._check_point(p)
         values = [(dot(h, p), z) for h, z in self.incidences]
         if any(v < 0 for v, _ in values):
             return None
@@ -394,22 +403,14 @@ class Cone:
         return echelon_triple(self.generators, self.ambient_rank)
 
     @cached_property
-    def _dual_of(self) -> Optional["Cone"]:
-        """The cone this one is the `dual_cone` of, which `dual_cone` keeps; None for any other cone."""
-        return None
-
-    @cached_property
     def incidences(self) -> tuple[tuple[Vector, frozenset[Vector]], ...]:
         """Each normal, in order, with its zero set over the generators: the cone's incidence table, once per cone.
 
-        `from_generators` keeps it on a pointed cone from its pass, and a
-        `dual_cone` transposes its cone's on first use; any other cone reads it
-        off one pass on its generators on first use (`_describe`).
+        `from_generators` keeps it on a pointed cone from its pass; any other
+        cone reads it off one pass on its own generators on first use
+        (`_describe`).
         """
-        sigma = self._dual_of
-        if sigma is None:
-            return self._describe()
-        return tuple((g, frozenset(h for h, z in sigma.incidences if g in z)) for g in sigma.generators)
+        return self._describe()
 
     def is_strongly_convex(self) -> bool:
         """Whether the cone is pointed: no generator's negative is also a generator.
@@ -438,15 +439,13 @@ class Cone:
 def dual_cone(sigma: Cone) -> Cone:
     """The dual cone {m : <m, u> >= 0 for all u in sigma}.
 
-    Its canonical generators are sigma's normals and its normals are sigma's
-    generators: both descriptions are `dual_generators` of the other.  Its
-    incidence table, the normals included, is sigma's transposed: generator
-    g of sigma vanishes on the normals h whose zero set holds g.  The dual
-    keeps sigma (`_dual_of`, through `_keep`) and transposes sigma's table,
-    which reading sigma's normals made, on its first `incidences` read, so
-    no read runs a double-description pass.
+    Its canonical generators are sigma's normals, already sorted and
+    distinct, and its normals are sigma's generators: both descriptions are
+    `dual_generators` of the other.  Like any cone not built by
+    `from_generators`, it reads its incidence table off one pass on its own
+    generators on first use.
     """
-    return _keep(Cone(sigma.ambient_rank, sigma.facet_normals()), _dual_of=sigma)
+    return Cone(sigma.ambient_rank, sigma.facet_normals())
 
 
 def _facet_cuts(sigma: Cone, bits: Sequence[int]) -> list[int]:

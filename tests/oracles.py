@@ -106,7 +106,6 @@ from horofan.divisors import (
     CartierData,
     ExactSequenceReport,
     PicardResult,
-    _maximal_indices,
     _principal_matrix,
     cartier_data,
     invariant_ray_generators,
@@ -940,7 +939,7 @@ def solve_per_member_cartier_data(delta, fan):
     ray_at = {g: t for t, g in enumerate(gens)}
     colour_at = {c.root: len(gens) + t for t, c in enumerate(fan.lattice.colours)}
     pieces = []
-    for idx in _maximal_indices(fan):
+    for idx in fan._anchors:
         cc = fan.cones[idx]
         pairs = [(ray_at[g], g) for g in uncoloured_rays(fan.lattice, cc)]
         pairs += [(colour_at[root], fan.lattice.point(root)) for root in sorted(cc.colours)]

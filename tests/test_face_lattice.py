@@ -181,10 +181,10 @@ def test_seeded_incidences_and_bit_mask_faces_match_the_oracles():
     assert kinds["seeded"] >= 350 and kinds["lineality"] >= 60
 
 
-def test_seeded_dual_cone_tables_are_the_transposed_tables(monkeypatch):
-    """On 600 seeded cones, the dual cone's incidence table, empty until read and then transposed
-    from sigma's with no double-description pass, is the dot-product rule and the table a
-    double-description pass on its generators reads."""
+def test_seeded_dual_cone_tables_are_read_off_one_pass_on_first_use(monkeypatch):
+    """On 600 seeded cones, the dual cone's incidence table, empty until read and then read off
+    one double-description pass on the dual's own generators, is the dot-product rule and the
+    table a fresh cone on those generators reads."""
     kinds, passes = Counter(), Counter()
     count(monkeypatch, passes, polyhedra, "_dual_description")
     for n, gens in seeded_cones(37, 600):
@@ -193,7 +193,8 @@ def test_seeded_dual_cone_tables_are_the_transposed_tables(monkeypatch):
         assert "incidences" not in vars(dual)
         before = passes["_dual_description"]
         table = dual.incidences
-        assert passes["_dual_description"] == before
+        assert passes["_dual_description"] == before + 1
+        assert dual.incidences is table and passes["_dual_description"] == before + 1
         assert table == dot_product_incidences(dual)
         assert dual.incidences == Cone(n, dual.generators).incidences
         kinds["pointed" if sigma.is_strongly_convex() else "lineality"] += 1
@@ -231,31 +232,31 @@ def test_building_a_rank3_fan_runs_no_meet_and_no_double_description(monkeypatch
 
 
 def test_weight_monoid_makes_one_double_description(monkeypatch):
-    """Counts, not timers: the weight monoid of a README member canonicalises the cone in its
-    span, one pass, and reads the dual's incidence table off that cone's, with no second pass."""
+    """Counts, not timers: one double description per cone, so two for the weight monoid of a
+    README member: one canonicalises the cone in its span, and one on the dual's own generators
+    gives the dual's incidence table."""
     doc = cold_parse((GOLDEN / "readme.json").read_text(encoding="utf-8"))
     member = next(cc for cc in doc.fan.cones if cc.dim() == 2)
     calls = Counter()
     count(monkeypatch, calls, polyhedra, "_dual_description")
     generators = dictionary.weight_monoid_generators(member, doc.datum)
     monkeypatch.undo()
-    assert calls == Counter(_dual_description=1) and len(generators) >= 2
+    assert calls == Counter(_dual_description=2) and len(generators) >= 2
 
 
-def test_parse_runs_one_double_description_per_maximal_listed_member(monkeypatch):
-    """Counts, not timers: the README document lists 3 maximal cones and 3 rays; the rays take
-    their cones from the maximal cones' faces, equal to the cones `from_generators` makes, and
-    the fan's walk down from the 3 maximal members finds the listed members, so parsing and
-    validating list 3 face lattices and walk 3.  Parsing the text again does none of it: it
-    returns the same fan, whose validation report is kept."""
+def test_parse_runs_one_double_description_per_nonzero_listed_member(monkeypatch):
+    """Counts, not timers: the README document lists 3 maximal cones and 3 rays, and each is
+    built by `Cone.from_generators` with one pass on its own generators, which keeps the
+    cone's table; the fan's walk down from the 3 maximal members finds the listed members, so
+    parsing and validating run 6 passes and walk 3.  Parsing the text again does none of it:
+    it returns the same fan, whose validation report is kept."""
     text = (GOLDEN / "readme.json").read_text(encoding="utf-8")
     calls = Counter()
     count(monkeypatch, calls, polyhedra, "_dual_description")
-    count(monkeypatch, calls, cli, "faces")
     count(monkeypatch, calls, horo, "_walk_down")
     doc = cold_parse(text)
     assert validate_coloured_fan(doc.fan).valid
-    assert calls == Counter(_dual_description=3, faces=3, _walk_down=3)
+    assert calls == Counter(_dual_description=6, _walk_down=3)
     count(monkeypatch, calls, horo, "_check_axioms")
     calls.clear()
     again = cli.parse_input(text)
@@ -264,3 +265,21 @@ def test_parse_runs_one_double_description_per_maximal_listed_member(monkeypatch
     assert calls == Counter() and again.fan is doc.fan
     for cc, raw in zip(doc.fan.cones, cli._load_json(text)["fan"]):
         assert cc.cone == Cone.from_generators(2, [tuple(g) for g in raw["generators"]])
+
+
+@pytest.mark.parametrize("name", ["readme.json", "invalid.json", "incomplete.json"])
+def test_parsed_members_hold_their_own_tables_and_validation_makes_none(monkeypatch, name):
+    """Every nonzero listed member of a parsed golden document holds the incidence table of its
+    own `Cone.from_generators` pass, equal to the dot-product rule, and validating the fan reads
+    those tables with no `Cone._describe`."""
+    text = (GOLDEN / name).read_text(encoding="utf-8")
+    doc = cold_parse(text)
+    listed = [cc for cc in doc.fan.cones if cc.cone.generators]
+    assert len(listed) == len(cli._load_json(text)["fan"])
+    for cc in listed:
+        assert "incidences" in vars(cc.cone) and cc.cone.incidences == dot_product_incidences(cc.cone)
+    calls = Counter()
+    count(monkeypatch, calls, Cone, "_describe")
+    validate_coloured_fan(doc.fan)
+    monkeypatch.undo()
+    assert calls == Counter()

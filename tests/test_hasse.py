@@ -139,11 +139,11 @@ def test_closure_orders_key_ties_as_the_input_order_walks_reach_them():
         zero,
         b,
         # the point of a2 is zero, so a2 colours every face
-        ColouredCone(Cone.zero(2), frozenset({1})),
+        ColouredCone(Cone.zero(3), frozenset({1})),
         ColouredCone(Cone.from_generators(3, [(0, 0, 1)]), frozenset({1})),
         # strays: the point of a1 lies outside the cone
         ColouredCone(Cone.zero(3), frozenset({0})),
-        ColouredCone(Cone.from_generators(2, [(0, 1)]), frozenset({0})),
+        ColouredCone(Cone.from_generators(3, [(0, 1, 0)]), frozenset({0})),
     ]
     ties = 0
     for cones in itertools.permutations(inputs, 4):

@@ -127,6 +127,15 @@ class TestIntersectAndFaceOf:
             if ray not in fs:
                 assert not is_face_of(ray, c)
 
+    @pytest.mark.parametrize("point", [(1,), (1, 0, 0), (0, 0, 0), ()])
+    def test_point_of_another_length_is_an_error(self, point):
+        """A point is read on every coordinate or not at all: (1, 0, 0) is not (1, 0) in a rank-2 cone."""
+        for c in (cone2(E1, E2), cone2((1, 1)), Cone.zero(2), Cone.from_generators(2, [E1, (-1, 0)])):
+            with pytest.raises(ValueError, match="ambient rank 2"):
+                c.contains(point)
+            with pytest.raises(ValueError, match="ambient rank 2"):
+                c.smallest_face(point)
+
 
 class TestHilbertBasis:
     def test_quadrant(self):

@@ -115,25 +115,17 @@ def test_anchor_validation_matches_all_pairs_oracle():
     assert invalid > len(broken) // 2
 
 
-def table_cones(fan: ColouredFan) -> dict:
-    """For each member, the cone of the first maximal member above it, else its own: the cone whose
-    incidence table the pair walk of validation reads for the member's normals."""
-    maximal = set(fan.maximal())
-    return {cc: next((m.cone for m in fan.star(cc) if m in maximal), cc.cone) for cc in fan.cones}
-
-
 def test_meets_read_off_the_face_table_match_the_face_tests():
     """A meet is a coloured face of both members iff it is in both members' lists
     of coloured faces, on every pair of members of valid and broken fans, with the
-    normals read off the maximal members above the two."""
+    normals read off the two members' own tables."""
     outcomes = Counter()
     for fan in valid_fans() + broken_fans():
         faces_of = fan._faces_of()
-        tables = table_cones(fan)
         for a, b in itertools.combinations(fan.cones, 2):
             meet = ColouredCone(intersect(a.cone, b.cone), a.colours & b.colours)
             expected = all(contains_rule_is_coloured_face(fan.lattice, meet, c) for c in (a, b))
-            assert horo._meet_in_coloured_face(faces_of, a, b, tables[a], tables[b]) == expected
+            assert horo._meet_in_coloured_face(faces_of, a, b) == expected
             outcomes[expected] += 1
     assert outcomes[True] > 1000 and outcomes[False] > 50
 
@@ -328,18 +320,16 @@ def test_face_table_read_off_the_closure_matches_one_coloured_faces_pass_per_mem
 def test_certified_meets_equal_the_double_description():
     """Wherever a separating functional certifies a meet, it is the meet `intersect` computes,
     on every pair of members of valid, broken and seeded rank-3 fans, with the candidates read
-    off the members' own tables and off those of the maximal members above them."""
+    off the members' own tables."""
     fans = valid_fans() + broken_fans() + [fan for fan, _ in random_rank3_coloured_fans(random.Random(13), 8)]
     outcomes = Counter()
     for fan in fans:
-        tables = table_cones(fan)
         for a, b in itertools.combinations(fan.cones, 2):
-            for s, t in ((a.cone, b.cone), (tables[a], tables[b])):
-                certified = horo._separated_meet(a.cone, b.cone, s, t)
-                if certified is not None:
-                    assert certified == intersect(a.cone, b.cone)
-                outcomes[s is a.cone and t is b.cone, certified is not None] += 1
-    assert min(outcomes[True, True], outcomes[False, True]) > 5000 and outcomes[True, False] > 100
+            certified = horo._separated_meet(a.cone, b.cone)
+            if certified is not None:
+                assert certified == intersect(a.cone, b.cone)
+            outcomes[certified is not None] += 1
+    assert outcomes[True] > 5000 and outcomes[False] > 100
 
 
 @st.composite

@@ -133,7 +133,12 @@ def _first_repeated_key(document) -> Optional[tuple[str, str]]:
 
 
 def _load_json(text: str):
-    """`json.loads`, raising a ParseError for bad JSON (at its line), too deep nesting, and a repeated key (at its path)."""
+    """`json.loads`, raising a ParseError for bad JSON (at its line), too deep nesting, too long an integer, and a repeated key (at its path).
+
+    An integer longer than Python's int-string conversion limit (4300 digits
+    by default) makes `json.loads` raise a plain ValueError, whose message
+    differs between Python versions, so the ParseError's message is fixed.
+    """
     marked: list[_RepeatedKeys] = []
 
     def object_pairs(pairs: list[tuple[str, object]]) -> dict:
@@ -150,6 +155,8 @@ def _load_json(text: str):
         raise ParseError(f"line {exc.lineno}, column {exc.colno}", exc.msg) from exc
     except RecursionError:
         raise ParseError("document", "nested too deeply") from None
+    except ValueError:
+        raise ParseError("document", "an integer has too many digits") from None
     if marked:
         path, key = _first_repeated_key(raw)
         raise ParseError(path, f"repeated key {key!r}")

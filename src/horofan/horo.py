@@ -35,7 +35,8 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import and_
 from typing import Iterable, Optional, Sequence
 
 from .intlin import (
@@ -51,6 +52,7 @@ from .polyhedra import (
     Cone,
     Echelon,
     NotPointedError,
+    _dual_description,
     _facet_cuts,
     _facet_masks,
     _keep,
@@ -592,61 +594,49 @@ def coloured_fan(lattice: ColouredLattice, cones: Iterable[ColouredCone]) -> Col
     return fan
 
 
-def _normal_sum_through(sigma: Cone, shared: frozenset[Vector]) -> Vector:
-    """The sum of sigma's normals whose zero set holds `shared`, read off its incidence table."""
-    through = [h for h, z in sigma.incidences if z >= shared]
-    return tuple(sum(h[i] for h in through) for i in range(sigma.ambient_rank))
-
-
-def _separates(m: Vector, generators: Sequence[Vector], shared: frozenset[Vector], sign: int) -> bool:
-    """Whether sign * m is >= 0 on the generators and vanishes on exactly the shared ones."""
-    for g in generators:
-        value = sign * dot(m, g)
-        if value < 0 or (value == 0) != (g in shared):
-            return False
-    return True
-
-
-def _separated_meet(a: Cone, b: Cone) -> Optional[Cone]:
-    """a ∩ b, certified by a separating functional from the tables of a and b; None when no candidate certifies it.
-
-    G is the set of canonical generators the two pointed cones a and b
-    share.  If some m is >= 0 on a, <= 0 on b, and vanishes on exactly G
-    among the generators of each, then a ∩ b = cone(G), a face of both (the
-    separation lemma, Cox-Little-Schenck, Toric Varieties, 1.2.13): a ∩ b
-    lies in m⊥, and a ∩ m⊥ and b ∩ m⊥ are the faces on G.  A face of a
-    pointed cone has the cone's generators in it as its canonical
-    generators.  The candidates are m_a, the sum of a's normals whose zero
-    set holds G, then -m_b, then x*m_a - y*m_b for x, y in 1..3.  m_a is
-    >= 0 on a and vanishes on exactly a's generators in the smallest face
-    of a through G.  Both cones must be pointed and of one ambient rank, as
-    every member is once `validate_coloured_fan` reaches the meets.
-    """
-    shared = frozenset(a.generators).intersection(b.generators)
-    m_a, m_b = _normal_sum_through(a, shared), _normal_sum_through(b, shared)
-    candidates = itertools.chain(
-        [m_a, tuple(-y for y in m_b)],
-        (tuple(p * x - q * y for x, y in zip(m_a, m_b)) for p, q in itertools.product((1, 2, 3), repeat=2)),
-    )
-    for m in candidates:
-        if _separates(m, a.generators, shared, 1) and _separates(m, b.generators, shared, -1):
-            return Cone(a.ambient_rank, tuple(sorted(shared)))
-    return None
-
-
 def _meet_in_coloured_face(faces_of: dict, a: ColouredCone, b: ColouredCone) -> bool:
-    """Whether a ∩ b is a coloured face of both members, read off their lists of coloured faces in the face table.
+    """Whether a ∩ b, with the colours both carry, is a coloured face of both members: one exact rule in three steps.
 
-    The meet's cone comes from `_separated_meet` when a separating
-    functional certifies it, else from one double description of the
-    normals of both, each read off the member's own table; its colours are
-    the colours both members carry.
+    a and b are pointed and of one ambient rank, as every member is once
+    `validate_coloured_fan` reaches the meets; G is the set of canonical
+    generators they share.  (1) A common face of a and b is cone(G): a face
+    of a pointed cone has the cone's generators in it as its canonical
+    generators, so those of a common face are shared, and every shared one
+    lies in it.  So if (cone(G), the colours of both) is missing from either
+    list of coloured faces, the answer is no.  (2) Otherwise cone(G) is a
+    face of both, the meet of the facets through it, so m_a, the sum of a's
+    normals whose zero set holds G (read off a's own incidence table; the
+    +/- span equalities cancel), is >= 0 on a and a ∩ m_a⊥ = cone(G).  If
+    m_a is <= 0 on every generator of b, then a ∩ b lies in a ∩ m_a⊥, and
+    the answer is yes.  m_b is tried on a's generators the same way.  (3)
+    Otherwise one double-description pass (`polyhedra._dual_description`)
+    runs on the distinct vectors of a's generators and the negatives of
+    b's, which generate C = a - b.  The inputs on every facet of C span its
+    lineality L, and ±G are 2|G| of them; the answer is whether no other
+    input is.  If a ∩ b = cone(G) is a face of both, the separation lemma
+    (Cox-Little-Schenck, Toric Varieties, 1.2.13) gives an m >= 0 on a and
+    <= 0 on b with a ∩ m⊥ = cone(G) = b ∩ m⊥.  m lies in the dual of C, so
+    it vanishes on L, and an input in L is ± a generator in cone(G), which
+    is in G.  Conversely, a point m of the relative interior of C's dual
+    vanishes on C exactly on L (Gordan's theorem, Schrijver, Theory of
+    Linear and Integer Programming, 7.8).  If only ±G lie in L, m is > 0 on
+    a's generators outside G and < 0 on b's, so a ∩ b lies in m⊥, which
+    meets a in cone(G).  Each step is exact, so every answer is the same
+    whichever step gives it.
     """
-    cone = _separated_meet(a.cone, b.cone)
-    if cone is None:
-        cone = Cone.from_inequalities(a.cone.ambient_rank, a.cone.facet_normals() + b.cone.facet_normals())
-    meet = ColouredCone(cone, a.colours & b.colours)
-    return meet in faces_of[a] and meet in faces_of[b]
+    sigma, tau = a.cone, b.cone
+    shared = frozenset(sigma.generators).intersection(tau.generators)
+    meet = ColouredCone(Cone(sigma.ambient_rank, tuple(sorted(shared))), a.colours & b.colours)
+    if meet not in faces_of[a] or meet not in faces_of[b]:
+        return False
+    for one, other in ((sigma, tau), (tau, sigma)):
+        through = [h for h, z in one.incidences if z >= shared]
+        m = tuple(sum(h[i] for h in through) for i in range(one.ambient_rank))
+        if all(dot(m, g) <= 0 for g in other.generators):
+            return True
+    vecs = list(dict.fromkeys(sigma.generators + tuple(tuple(-x for x in g) for g in tau.generators)))
+    masks = _dual_description(vecs, sigma.ambient_rank)[1]
+    return reduce(and_, masks, (1 << len(vecs)) - 1).bit_count() == 2 * len(shared)
 
 
 def _walls_decide(fan: ColouredFan) -> bool:
@@ -742,18 +732,17 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     `positivity_check` read, so the route costs one dot-product check per
     wall and one containment test per anchor.
 
-    Otherwise the anchor table is filled: C(k, 2) meets for k anchors.  A
-    meet is certified by a separating functional read off the two members'
-    own incidence tables (`_separated_meet`) and computed by a double
-    description of both members' normals only when no candidate certifies
-    it; a certificate fixes the meet exactly, so every answer is the same
-    either way.  Missing coloured facets decide closure; the face lists are
-    read down the covers of `_face_table` only when validation reaches the
-    meets.  If an anchor pair fails or anything else is wrong, validation
-    walks the pairs, and an invalid fan reports the same violations, in the
-    same order, as testing every pair.  Each member there reads its own
-    table: a parsed member keeps the one its `Cone.from_generators` pass
-    made, and any other cone makes its own on first use.
+    Otherwise the anchor table is filled: C(k, 2) meets for k anchors, each
+    decided by `_meet_in_coloured_face`, one exact rule: the two face lists
+    reject, a normal sum read off a member's own incidence table accepts,
+    and one double-description pass settles the rest.  Missing coloured
+    facets decide closure; the face lists are read down the covers of
+    `_face_table` only when validation reaches the meets.  If an anchor
+    pair fails or anything else is wrong, validation walks the pairs, and
+    an invalid fan reports the same violations, in the same order, as
+    testing every pair.  Each member there reads its own table: a parsed
+    member keeps the one its `Cone.from_generators` pass made, and any
+    other cone makes its own on first use.
     """
     return fan._validation
 

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import sys
 import time
 
 import pytest
@@ -215,6 +216,17 @@ class TestParseInput:
         assert main(["validate", str(document)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"parse error: {path}: ") and "Traceback" not in err
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-string conversion limit"
+    )
+    def test_integer_past_the_conversion_limit_is_a_parse_error(self, tmp_path, capsys):
+        """Python's limit raises a plain ValueError in `json.loads`; it is a parse error, exit 2."""
+        entry = "1" + "0" * sys.get_int_max_str_digits()
+        document = tmp_path / "doc.json"
+        document.write_text(CLASS_GROUP_DOC.replace('"M": [[1, 0]', f'"M": [[{entry}, 0]', 1))
+        assert main(["validate", str(document)]) == 2
+        assert capsys.readouterr().err == "parse error: document: an integer has too many digits\n"
 
     def test_round_trip_idempotent(self):
         once = serialize(parse_input(CLASS_GROUP_DOC))

@@ -2,8 +2,9 @@
 
 `cli_golden/cases.json` holds the recorded result of every case: all
 commands on the README document and on an invalid fan, the argument errors,
-`--help`, argparse's invalid-choice error, and `execute` on an unknown
-command.  Arguments naming a `.json` file refer to the documents in
+`--help`, argparse's invalid-choice error, `execute` on an unknown command,
+and `validate` on the README document with an integer past Python's
+int-string conversion limit.  Arguments naming a `.json` file refer to the documents in
 `cli_golden/`.
 """
 

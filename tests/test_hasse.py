@@ -234,8 +234,9 @@ def invalid_documents() -> dict[str, str]:
 
 def test_invalid_fan_pair_walk_reads_its_normals_off_the_maximal_members(monkeypatch):
     """Counts, not timers: parsing and validating two invalid documents walks the pairs of
-    members, with every meet's candidates and inequalities read off the incidence tables of
-    the maximal members above, so no member cone takes a double-description pass of its own."""
+    members, with each meet decided by the face lists, a normal sum read off a member's own
+    incidence table or one pass on the pair's generators, so no member cone takes a
+    double-description pass of its own."""
     for name, text in invalid_documents().items():
         calls = Counter()
         describe, meet = Cone._describe, horo._meet_in_coloured_face

@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horofan import horo, polyhedra
@@ -25,7 +25,7 @@ from horofan.horo import (
     coloured_faces,
     validate_coloured_fan,
 )
-from horofan.polyhedra import Cone, intersect
+from horofan.polyhedra import Cone, faces, intersect
 
 from .factories import (
     RANK3_BASES,
@@ -150,7 +150,7 @@ def test_validation_makes_no_face_test(monkeypatch):
 def test_pair_count_is_one_per_pair_of_maximal_cones(monkeypatch):
     """Counts, not timers: the walls decide the complete (P1)^3, with no meet and no double
     description; without one of its maximal cones it is incomplete, and validation tests
-    one meet per pair of maximal cones, each settled by a separating functional."""
+    one meet per pair of maximal cones, each accepted by a normal sum with no pass."""
     fan = rank3_fan(RANK3_BASES["P1^3"], torus3())
     incomplete = ColouredFan(fan.lattice, close_under_coloured_faces(fan.lattice, fan.maximal()[1:]))
     calls = Counter()
@@ -168,6 +168,8 @@ def test_pair_count_is_one_per_pair_of_maximal_cones(monkeypatch):
     counted(polyhedra, "intersect")
     counted(Cone, "from_inequalities", staticmethod)
     counted(polyhedra, "_dual_description")
+    # the meet rule's own pass, on the generators of a pair, goes through the name `horo` imports
+    counted(horo, "_dual_description")
     assert validate_coloured_fan(ColouredFan(fan.lattice, fan.cones)).valid
     assert len(fan.cones) == 27 and fan.walls() is not None
     assert calls == Counter()
@@ -317,19 +319,66 @@ def test_face_table_read_off_the_closure_matches_one_coloured_faces_pass_per_mem
     assert invalid >= 10
 
 
-def test_certified_meets_equal_the_double_description():
-    """Wherever a separating functional certifies a meet, it is the meet `intersect` computes,
-    on every pair of members of valid, broken and seeded rank-3 fans, with the candidates read
-    off the members' own tables."""
+def test_meet_rule_matches_intersect_and_the_face_lists(monkeypatch):
+    """`_meet_in_coloured_face` gives the answer of `intersect` and the two lists of coloured faces
+    on every pair of members, all pointed, of valid, broken and seeded rank-3 fans, and each step of the
+    rule decides enough pairs to be tested: the face lists reject, a normal sum accepts with no
+    double-description pass, and one pass answers true or false."""
     fans = valid_fans() + broken_fans() + [fan for fan, _ in random_rank3_coloured_fans(random.Random(13), 8)]
-    outcomes = Counter()
+    passes = []
+    function = horo._dual_description
+
+    def counted(*args):
+        passes.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(horo, "_dual_description", counted)
+    steps = Counter()
     for fan in fans:
+        faces_of = fan._faces_of()
         for a, b in itertools.combinations(fan.cones, 2):
-            certified = horo._separated_meet(a.cone, b.cone)
-            if certified is not None:
-                assert certified == intersect(a.cone, b.cone)
-            outcomes[certified is not None] += 1
-    assert outcomes[True] > 5000 and outcomes[False] > 100
+            colours = a.colours & b.colours
+            meet = ColouredCone(intersect(a.cone, b.cone), colours)
+            expected = meet in faces_of[a] and meet in faces_of[b]
+            shared = tuple(sorted(set(a.cone.generators) & set(b.cone.generators)))
+            listed = ColouredCone(Cone(a.cone.ambient_rank, shared), colours)
+            before = len(passes)
+            answer = horo._meet_in_coloured_face(faces_of, a, b)
+            assert answer == expected and len(passes) - before <= 1
+            if listed not in faces_of[a] or listed not in faces_of[b]:
+                assert not answer and len(passes) == before
+                steps["face lists reject"] += 1
+            elif len(passes) == before:
+                assert answer
+                steps["normal sum accepts"] += 1
+            else:
+                steps[f"pass answers {answer}"] += 1
+    assert steps["face lists reject"] >= 50 and steps["normal sum accepts"] >= 5000
+    assert steps["pass answers True"] >= 1000 and steps["pass answers False"] >= 20
+
+
+@st.composite
+def pooled_cone_pairs(draw):
+    """Two pointed cones of one rank 2-4 on generators from one pool of at most six small vectors,
+    so that they often share generators and overlap."""
+    n = draw(st.integers(2, 4))
+    pool = draw(st.lists(st.tuples(*[st.integers(-1, 1)] * n).filter(any), min_size=n, max_size=6, unique=True))
+    pair = []
+    for _ in range(2):
+        cone = Cone.from_generators(n, draw(st.lists(st.sampled_from(pool), min_size=2, max_size=n + 2)))
+        assume(cone.is_strongly_convex())
+        pair.append(cone)
+    return pair
+
+
+@settings(max_examples=250, deadline=None, database=None, derandomize=True)
+@given(pooled_cone_pairs())
+def test_meet_rule_matches_intersect_on_pooled_pairs(pair):
+    """Uncoloured pairs get the answer of `intersect` and `polyhedra.faces`, whichever step decides."""
+    a, b = (ColouredCone(cone, frozenset()) for cone in pair)
+    faces_of = {cc: frozenset(ColouredCone(f, frozenset()) for f in faces(cc.cone)) for cc in (a, b)}
+    meet = intersect(a.cone, b.cone)
+    assert horo._meet_in_coloured_face(faces_of, a, b) == all(meet in faces(cone) for cone in pair)
 
 
 @st.composite

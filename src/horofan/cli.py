@@ -6,7 +6,8 @@ implied member), and optionally named divisors.  Every command prints a human
 summary, a sentinel line, and a machine-readable JSON block, in that order,
 with deterministic ordering throughout.  Exit codes: 0 success; 1 an invalid
 fan, `positivity` on an incomplete fan, or an error raised by the library;
-2 a parse error, an unreadable file, or a missing or bad command argument.
+2 a parse error, an unreadable file or one that is not UTF-8 text, or a
+missing or bad command argument.
 
 One process parses and validates a document text once while calls on it
 come back to back.  `parse_input` keeps the parsed document of the last text
@@ -586,11 +587,16 @@ def execute(command: str, doc: InputDocument, *, divisor: Optional[str] = None,
     return handler(doc)
 
 
-def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+def _read(path: str, field: str) -> str:
+    """The text of a document file, or of stdin for -; bytes that are not UTF-8 are a ParseError at `field`."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(field, f"not UTF-8 text: byte 0x{byte:02x} at position {exc.start} ({exc.reason})") from None
 
 
 _PARSER = argparse.ArgumentParser(
@@ -607,8 +613,8 @@ _PARSER.add_argument("--target", help="target document for morphism checks")
 def main(argv: Optional[list[str]] = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        doc = parse_input(_read(args.file))
-        target = parse_input(_read(args.target)) if args.target else None
+        doc = parse_input(_read(args.file, "document"))
+        target = parse_input(_read(args.target, "--target")) if args.target else None
         code, text = execute(args.command, doc, divisor=args.divisor, cone=args.cone, target=target)
     except (ParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)

@@ -31,6 +31,7 @@ from .horo import (
     ColourPointMismatchError,
     HorosphericalDatum,
     LatticeMismatchError,
+    _quotient_datum,
     _require_lattice,
     build_coloured_lattice,
     coloured_cone_key,
@@ -76,17 +77,25 @@ def orbit_table(fan: ColouredFan, datum: HorosphericalDatum) -> list[OrbitRecord
     """One record per coloured cone; dimension by the orbit formula.
 
     dim O(sigma^c) = rank(N) - dim(sigma) + dim(G/P_{I + F(sigma^c)}).
-    Members share few colour sets, so each distinct F(sigma^c) takes one
-    `flag_dimension`.
+    The orbit's datum is that of N / span(sigma) with sigma's colours
+    removed, so it depends on the span's annihilator, the kernel of the
+    cone's `generator_echelon`, and on F(sigma^c) alone: orbits share one
+    quotient datum per distinct pair, built with no lattice, projection
+    matrix or rank check (`horo._quotient_datum`).  Members share few colour
+    sets, so each distinct F(sigma^c) takes one `flag_dimension`.
     """
     _require_lattice(fan, datum)
     flags: dict[frozenset[int], int] = {}
+    quotients: dict[tuple, HorosphericalDatum] = {}
     records = []
     for idx, cc in enumerate(fan.cones):
         if cc.colours not in flags:
             flags[cc.colours] = flag_dimension(datum.group, datum.parabolic | cc.colours)
+        key = (cc.cone.generator_echelon()[2], cc.colours)
+        if key not in quotients:
+            quotients[key] = _quotient_datum(datum, *key)
         dim = fan.lattice.rank - cc.dim() + flags[cc.colours]
-        records.append(OrbitRecord(idx, dim, quotient_by_cone(datum, cc).datum))
+        records.append(OrbitRecord(idx, dim, quotients[key]))
     return records
 
 

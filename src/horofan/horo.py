@@ -855,8 +855,10 @@ def quotient_by_cone(datum: HorosphericalDatum, cc: ColouredCone) -> QuotientRes
     column Hermite form, which is what `quotient_coloured_lattice` takes from
     the saturated span.  So the span is never saturated, and the saturation
     check, which guards outside input, is not needed.  The cone's echelon is
-    made once per cone, so `orbit_table` and `orbit_closure` echelonise no
-    cone twice.  A cone of another ambient rank than the datum's lattice is
+    made once per cone.  The quotient datum depends on the annihilator and
+    cc's colours alone: `orbit_table` builds one per distinct pair, shared by
+    its members, and this route gives that datum with its lattice and
+    projection.  A cone of another ambient rank than the datum's lattice is
     a ValueError.
     """
     if cc.cone.ambient_rank != datum.lattice_rank:
@@ -871,31 +873,51 @@ def _quotient_by_projection(
 ) -> QuotientResult:
     """The quotient of N by the saturated N' whose annihilator has the basis `projection_rows`, N read off the datum.
 
-    The new character matrix, whose row i is the projection of the old row
-    i, is made once, as dot products over tuples with no matrix product;
-    its row a is the projected colour point of a, which is how the new
-    lattice's colour points are built, so they are not compared again.
+    The datum is `_quotient_datum`'s; the lattice is the new datum's, whose
+    colour points are the projected ones, so they are not compared again.
+    """
+    new_datum = _quotient_datum(datum, projection_rows, removed_colours)
+    projection = IntMatrix.from_rows(projection_rows, cols=datum.lattice_rank)
+    return QuotientResult(build_coloured_lattice(new_datum), new_datum, projection)
+
+
+def _quotient_datum(
+    datum: HorosphericalDatum,
+    projection_rows: Sequence[Vector],
+    removed_colours: Iterable[int],
+) -> HorosphericalDatum:
+    """The datum (I + C', M') of N / N' with the colours C' removed, N' saturated with annihilator basis `projection_rows`.
+
+    Row i of the new character matrix is the projection of the old row i,
+    dot products over tuples with no matrix product; its row a is the
+    projected colour point of a.  The datum skips
+    `HorosphericalDatum.__post_init__`: once C' is checked to be colours of
+    N, every check there holds by construction.  I + C' lies in the simple
+    roots, the row count is the old one, the rows of I stay zero, and the
+    columns are independent, an injective character matrix times the
+    transpose of the independent rows of a kernel basis.
     """
     removed = frozenset(removed_colours)
     if not removed.issubset(datum.colour_roots()):
         raise ValueError("removed colours must be universal colours of N")
-    projection = IntMatrix.from_rows(projection_rows, cols=datum.lattice_rank)
     characters = datum.characters
     # rows read off the entries, so a rank-0 lattice walks none, however large the torus
     rows = zip(*[iter(characters.entries)] * characters.cols)
     projected = [tuple(dot(row, p) for p in projection_rows) for row in rows]
-    # N' is saturated, so a point lies in N' exactly when the projection kills it
+    # N' is saturated, so a point lies in N' exactly when the projection kills it;
+    # on a rank-0 lattice no row was walked, and every colour point is zero
     for r in sorted(removed):
-        if any(projected[r]):
+        if projected and any(projected[r]):
             raise ColourOutsideSublatticeError(
                 f"colour point of {datum.group.label(r)} lies outside the sublattice"
             )
-    new_datum = HorosphericalDatum(
+    quotient = object.__new__(HorosphericalDatum)
+    vars(quotient).update(
         group=datum.group,
         parabolic=frozenset(datum.parabolic | removed),
         characters=IntMatrix(characters.rows, len(projection_rows), tuple(x for row in projected for x in row)),
     )
-    return QuotientResult(build_coloured_lattice(new_datum), new_datum, projection)
+    return quotient
 
 
 def coloured_lattice_map(

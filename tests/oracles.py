@@ -94,6 +94,13 @@ of all k maximal cones, solved with one global Smith form (Cartier data),
 the projection of the kernel of [B | -A] (the Cartier lattice), and the
 integer kernel of the gluing rows over all r*k piece coordinates, reduced by
 the gauge tuples sigma-perp and the linear functions (PLF/LF).
+
+`per_member_quotient_data` is the package's earlier orbit route: for every
+member, a fresh kernel of its generator rows, the projected characters as a
+matrix product, and the quotient datum through the checked public
+constructor `HorosphericalDatum(...)`, where `dictionary.orbit_table` builds
+one unchecked datum per distinct (annihilator, colour set) and lets members
+share it.
 """
 
 from __future__ import annotations
@@ -111,7 +118,14 @@ from horofan.divisors import (
     invariant_ray_generators,
     principal_divisor,
 )
-from horofan.horo import ColouredCone, ValidationReport, _require_lattice, coloured_faces, uncoloured_rays
+from horofan.horo import (
+    ColouredCone,
+    HorosphericalDatum,
+    ValidationReport,
+    _require_lattice,
+    coloured_faces,
+    uncoloured_rays,
+)
 from horofan.intlin import (
     IntMatrix,
     cokernel,
@@ -990,3 +1004,14 @@ def all_members_compatible(phi, source_fan, target_fan) -> bool:
         ):
             return False
     return True
+
+
+def per_member_quotient_data(fan, datum) -> list:
+    """The homogeneous datum of each member's orbit, N / span(sigma) with sigma's colours removed, one checked datum per member."""
+    r = datum.lattice_rank
+    out = []
+    for cc in fan.cones:
+        projection = IntMatrix.from_rows(kernel_basis(IntMatrix.from_rows(list(cc.cone.generators), cols=r)), cols=r)
+        characters = datum.characters @ projection.transpose()
+        out.append(HorosphericalDatum(datum.group, frozenset(datum.parabolic | cc.colours), characters))
+    return out

@@ -1,11 +1,19 @@
 """CLI parsing, command output, exit codes, and serialization round-trips."""
 
 import argparse
+import contextlib
+import copy
+import io
 import json
+import os
+import pathlib
 import sys
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from horofan.cli import COMMANDS, InputDocument, ParseError, execute, main, parse_input, serialize
 
@@ -501,3 +509,78 @@ class TestMain:
         monkeypatch.setattr(argparse, "ArgumentParser", refuse)
         assert main(["validate", str(doc)]) == 0
         capsys.readouterr()
+
+
+GOLDEN_DOCUMENTS = [
+    json.loads((pathlib.Path(__file__).resolve().parent / "cli_golden" / name).read_text(encoding="utf-8"))
+    for name in ("readme.json", "invalid.json", "incomplete.json")
+]
+# groups of rank at most 8, so that no mutated document is slow, and two descriptors that do not parse
+GROUPS = ["", "A1", "A2", "A3", "B2", "C3", "G2", "A1xA1", "A2xA1", "B3xA1", "D4", "F4", "A8", "E8", "Z2", "A0"]
+LABELS = ["a1", "a2", "a3", "2.a1", "1.a2", "b1", "", "1,0", "-1,0", "0,1", "1,1", "x", "delta", "rays", "colours"]
+
+
+def entries(node):
+    """(container, key, value) of every entry of a JSON tree, depth first."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in list(items):
+        yield node, key, value
+        yield from entries(value)
+
+
+@st.composite
+def mutated_documents(draw):
+    """A golden document with 1-4 mutations: an integer changed, an entry dropped or duplicated,
+    a label (a string value or key) or the group replaced; entries stay within -3..3."""
+    doc = copy.deepcopy(draw(st.sampled_from(GOLDEN_DOCUMENTS)))
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["integer", "drop", "duplicate", "label", "key", "group"]))
+        slots = list(entries(doc))
+        if kind == "group":
+            doc["group"] = draw(st.sampled_from(GROUPS))
+            continue
+        if kind in ("integer", "label"):
+            leaves = [(c, k) for c, k, value in slots if type(value) is (int if kind == "integer" else str)]
+            if leaves:
+                container, key = draw(st.sampled_from(leaves))
+                container[key] = draw(st.integers(-3, 3) if kind == "integer" else st.sampled_from(LABELS))
+            continue
+        wanted = {"key": dict, "drop": (dict, list), "duplicate": list}[kind]
+        holders = [c for c in [doc] + [value for _, _, value in slots] if isinstance(c, wanted) and c]
+        if not holders:
+            continue
+        holder = draw(st.sampled_from(holders))
+        key = draw(st.sampled_from(sorted(holder)) if isinstance(holder, dict) else st.integers(0, len(holder) - 1))
+        if kind == "key":
+            holder[draw(st.sampled_from(LABELS))] = holder.pop(key)
+        elif kind == "drop":
+            del holder[key]
+        else:
+            holder.insert(key, copy.deepcopy(holder[key]))
+    return doc
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(mutated_documents(), mutated_documents(), st.sampled_from(["delta", "flat", "nope"]), st.integers(-1, 8))
+def test_mutated_golden_documents_never_crash_main(source, target, divisor, cone):
+    """Every command through `main` on mutated golden documents: exit 0, 1 or 2, no exception
+    past `main`, a 2 says `parse error:`, and a source that `parse_input` refuses exits 2."""
+    texts = [json.dumps(doc) for doc in (source, target)]
+    try:
+        parse_input(texts[0])
+        refused = False
+    except ParseError:
+        refused = True
+    with tempfile.TemporaryDirectory() as folder:
+        paths = [os.path.join(folder, name) for name in ("source.json", "target.json")]
+        for path, text in zip(paths, texts):
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        extra = {"divisor": ["--divisor", divisor], "cone": ["--cone", str(cone)], "target": ["--target", paths[1]]}
+        for command, (_, argument) in COMMANDS.items():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main([command, paths[0], *extra.get(argument, [])])
+            assert code in (0, 1, 2), command
+            assert code != 2 or err.getvalue().startswith("parse error:"), (command, err.getvalue())
+            assert code == 2 or not refused, (command, err.getvalue())

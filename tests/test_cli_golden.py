@@ -3,9 +3,10 @@
 `cli_golden/cases.json` holds the recorded result of every case: all
 commands on the README document and on an invalid fan, the argument errors,
 `--help`, argparse's invalid-choice error, `execute` on an unknown command,
-and `validate` on the README document with an integer past Python's
-int-string conversion limit.  Arguments naming a `.json` file refer to the documents in
-`cli_golden/`.
+`validate` on the README document with an integer past Python's
+int-string conversion limit, and a document that is not UTF-8 text, as the
+source and as the `--target`.  Arguments naming a `.json` file refer to the
+documents in `cli_golden/`.
 """
 
 import contextlib

@@ -243,6 +243,13 @@ class TestQuotient:
         assert res.lattice.colours == ()
         assert res.datum.parabolic == frozenset({0, 1})
 
+    def test_rank_0_quotient_removes_colours_of_zero_point(self):
+        # every colour point of a rank-0 lattice is zero, so it lies in the zero sublattice
+        datum = HorosphericalDatum(RootDatum.parse("A1"), frozenset(), IntMatrix(1, 0, ()))
+        res = quotient_coloured_lattice(datum, IntMatrix(0, 0, ()), {0})
+        assert res.lattice.rank == 0 and res.lattice.colours == ()
+        assert res.datum == HorosphericalDatum(datum.group, frozenset({0}), IntMatrix(1, 0, ()))
+
     def test_kill_e1_with_its_colour(self):
         datum = sl_datum(3)
         res = quotient_coloured_lattice(datum, IntMatrix.from_columns([(1, 0)], rows=2), {0})

@@ -94,13 +94,28 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise ParseError(path, message)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fields(raw, path: str, keys: set[str], message: str) -> None:
+    """Check that `raw` is a JSON object (else `message`) whose keys are all in `keys`."""
+    _expect(isinstance(raw, dict), path, message)
+    unknown = set(raw) - keys
+    _expect(not unknown, path, f"unknown keys: {sorted(unknown)}")
+
+
+def _roots(raw, path: str, known: dict[str, int], message: str, suffix: str) -> frozenset[int]:
+    """The roots named by `raw`, which must be a JSON list (else `message`) of labels in `known`."""
+    _expect(isinstance(raw, list), path, message)
+    for i, label in enumerate(raw):
+        _expect(isinstance(label, str) and label in known, f"{path}[{i}]", f"no such simple root {label!r}{suffix}")
+    return frozenset(known[label] for label in raw)
+
+
 def _int_vector(value, path: str, length: int) -> tuple[int, ...]:
     _expect(isinstance(value, list), path, "expected a list of integers")
-    _expect(
-        all(isinstance(x, int) and not isinstance(x, bool) for x in value),
-        path,
-        "entries must be integers",
-    )
+    _expect(all(map(_is_int, value)), path, "entries must be integers")
     _expect(len(value) == length, path, f"expected {length} entries, got {len(value)}")
     return tuple(value)
 
@@ -181,39 +196,23 @@ def parse_input(text: str) -> InputDocument:
 def _parsed(text: str) -> InputDocument:
     """The document `parse_input` returns for this text, parsed afresh; a ParseError is raised, never kept."""
     raw = _load_json(text)
-    _expect(isinstance(raw, dict), "document", "top level must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    _expect(not unknown, "document", f"unknown keys: {sorted(unknown)}")
+    _fields(raw, "document", _TOP_KEYS, "top level must be a JSON object")
     _expect("group" in raw, "group", "missing required key")
     _expect(isinstance(raw["group"], str), "group", "expected a Dynkin descriptor string")
     torus_rank = raw.get("torus_rank", 0)
-    _expect(
-        isinstance(torus_rank, int) and not isinstance(torus_rank, bool) and torus_rank >= 0,
-        "torus_rank",
-        "expected a nonnegative integer",
-    )
+    _expect(_is_int(torus_rank) and torus_rank >= 0, "torus_rank", "expected a nonnegative integer")
     try:
         group = RootDatum.parse(raw["group"], central_torus_rank=torus_rank)
     except ValueError as exc:
         raise ParseError("group", str(exc)) from exc
 
     labels = {group.label(i): i for i in range(group.simple_count)}
-    parabolic = set()
-    raw_parabolic = raw.get("I", [])
-    _expect(isinstance(raw_parabolic, list), "I", "expected a list of simple-root labels")
-    for pos, label in enumerate(raw_parabolic):
-        _expect(isinstance(label, str) and label in labels, f"I[{pos}]", f"no such simple root {label!r}")
-        parabolic.add(labels[label])
-
+    parabolic = _roots(raw.get("I", []), "I", labels, "expected a list of simple-root labels", "")
     raw_m = raw.get("M")
     _expect(isinstance(raw_m, list), "M", "expected a list of character basis vectors")
-    columns = [
-        _int_vector(col, f"M[{i}]", group.character_rank) for i, col in enumerate(raw_m)
-    ]
+    columns = [_int_vector(col, f"M[{i}]", group.character_rank) for i, col in enumerate(raw_m)]
     try:
-        datum = HorosphericalDatum(
-            group, frozenset(parabolic), IntMatrix.from_columns(columns, rows=group.character_rank)
-        )
+        datum = HorosphericalDatum(group, parabolic, IntMatrix.from_columns(columns, rows=group.character_rank))
     except InvalidDatumError as exc:
         raise ParseError("M", str(exc)) from exc
     lattice = build_coloured_lattice(datum)
@@ -222,28 +221,15 @@ def _parsed(text: str) -> InputDocument:
     raw_fan = raw.get("fan", [])
     _expect(isinstance(raw_fan, list), "fan", "expected a list of coloured cones")
     specs = []
+    # every shape error is raised before the first cone is built
     for i, raw_cone in enumerate(raw_fan):
         path = f"fan[{i}]"
-        _expect(isinstance(raw_cone, dict), path, "expected an object")
-        unknown = set(raw_cone) - _CONE_KEYS
-        _expect(not unknown, path, f"unknown keys: {sorted(unknown)}")
+        _fields(raw_cone, path, _CONE_KEYS, "expected an object")
         gens_raw = raw_cone.get("generators", [])
         _expect(isinstance(gens_raw, list), f"{path}.generators", "expected a list of vectors")
-        gens = [
-            _int_vector(g, f"{path}.generators[{j}]", lattice.rank)
-            for j, g in enumerate(gens_raw)
-        ]
-        roots = set()
-        raw_colours = raw_cone.get("colours", [])
-        _expect(isinstance(raw_colours, list), f"{path}.colours", "expected a list of labels")
-        for j, label in enumerate(raw_colours):
-            _expect(
-                isinstance(label, str) and label in colour_labels,
-                f"{path}.colours[{j}]",
-                f"no such simple root {label!r} in S minus I",
-            )
-            roots.add(colour_labels[label])
-        specs.append((gens, frozenset(roots)))
+        gens = [_int_vector(g, f"{path}.generators[{j}]", lattice.rank) for j, g in enumerate(gens_raw)]
+        roots = _roots(raw_cone.get("colours", []), f"{path}.colours", colour_labels, "expected a list of labels", " in S minus I")
+        specs.append((gens, roots))
     cones = [ColouredCone(Cone.from_generators(lattice.rank, gens), roots) for gens, roots in specs]
     trivial = trivial_coloured_cone(lattice)
     if trivial not in cones:
@@ -256,23 +242,18 @@ def _parsed(text: str) -> InputDocument:
     ray_gens = set(invariant_ray_generators(fan))
     for name, raw_div in sorted(raw_divisors.items()):
         path = f"divisors.{name}"
-        _expect(isinstance(raw_div, dict), path, "expected an object")
-        unknown = set(raw_div) - _DIVISOR_KEYS
-        _expect(not unknown, path, f"unknown keys: {sorted(unknown)}")
+        _fields(raw_div, path, _DIVISOR_KEYS, "expected an object")
         raw_rays = raw_div.get("rays", {})
         _expect(isinstance(raw_rays, dict), f"{path}.rays", "expected an object of coefficients")
+        # each entry's checks run in turn, so an entry with several faults reports the first
         rays = {}
         for key, value in raw_rays.items():
             try:
                 gen = tuple(int(part) for part in key.split(","))
             except ValueError:
                 raise ParseError(f"{path}.rays", f"bad ray key {key!r}") from None
-            _expect(
-                gen in ray_gens,
-                f"{path}.rays",
-                f"{key!r} is not a non-coloured ray of the fan",
-            )
-            _expect(isinstance(value, int) and not isinstance(value, bool), f"{path}.rays", "coefficients must be integers")
+            _expect(gen in ray_gens, f"{path}.rays", f"{key!r} is not a non-coloured ray of the fan")
+            _expect(_is_int(value), f"{path}.rays", "coefficients must be integers")
             _expect(gen not in rays, f"{path}.rays", f"{key!r} repeats the ray {list(gen)}")
             canonical = ",".join(map(str, gen))
             _expect(key == canonical, f"{path}.rays", f"bad ray key {key!r}: the ray {list(gen)} is written {canonical!r}")
@@ -281,12 +262,8 @@ def _parsed(text: str) -> InputDocument:
         _expect(isinstance(raw_colours, dict), f"{path}.colours", "expected an object of coefficients")
         colours = {}
         for key, value in raw_colours.items():
-            _expect(
-                isinstance(key, str) and key in colour_labels,
-                f"{path}.colours",
-                f"no such simple root {key!r} in S minus I",
-            )
-            _expect(isinstance(value, int) and not isinstance(value, bool), f"{path}.colours", "coefficients must be integers")
+            _expect(key in colour_labels, f"{path}.colours", f"no such simple root {key!r} in S minus I")
+            _expect(_is_int(value), f"{path}.colours", "coefficients must be integers")
             colours[colour_labels[key]] = value
         divisors[name] = make_divisor(fan, rays=rays, colours=colours)
     return InputDocument(datum, fan, divisors)

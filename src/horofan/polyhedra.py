@@ -703,27 +703,38 @@ def plf_lattice(maximal: Sequence[Cone]) -> tuple[list[Vector], IntMatrix]:
 
 
 def covered_by(target: Cone, covers: Sequence[Cone], cancelled=None) -> bool:
-    """Exact test for target ⊆ union(covers), by recursive facet splitting."""
-    if cancelled is not None and cancelled():
-        raise InterruptedError("polyhedral covering check cancelled")
-    if not target.generators:
-        # the zero cone lies in every cone
-        return bool(covers)
-    for c in covers:
-        if c.contains_cone(target):
-            return True
-    if not covers:
-        return False
-    first, rest = covers[0], covers[1:]
-    if intersect(target, first).dim() < target.dim():
-        return covered_by(target, rest, cancelled)
-    pieces = []
-    region = target
-    for h in first.facet_normals():
-        if all(dot(h, g) >= 0 for g in region.generators):
+    """Exact test for target ⊆ union(covers), by facet splitting.
+
+    A work list holds pieces of the target, each with the index k of the
+    next cover to try.  A piece inside one of covers[k:] is done; with no
+    cover left it is not covered.  Otherwise the part of the piece outside
+    covers[k] is split off along that cover's facets, and its full-dimensional
+    pieces go on with k + 1.  A cover that meets the piece in lower
+    dimension is passed over, since splitting along it would only fragment
+    the piece.  The list is kept on the heap, so no number of covers
+    exhausts the interpreter's stack.
+    """
+    work = [(target, 0)]
+    while work:
+        if cancelled is not None and cancelled():
+            raise InterruptedError("polyhedral covering check cancelled")
+        piece, k = work.pop()
+        if any(c.contains_cone(piece) for c in covers[k:]):
             continue
-        outside = Cone.from_inequalities(target.ambient_rank, [*region.facet_normals(), tuple(-x for x in h)])
-        if outside.dim() == target.dim():
-            pieces.append(outside)
-        region = Cone.from_inequalities(target.ambient_rank, [*region.facet_normals(), h])
-    return all(covered_by(p, rest, cancelled) for p in pieces)
+        if k == len(covers):
+            return False
+        cover = covers[k]
+        if intersect(piece, cover).dim() < piece.dim():
+            work.append((piece, k + 1))
+            continue
+        pieces = []
+        region = piece
+        for h in cover.facet_normals():
+            if all(dot(h, g) >= 0 for g in region.generators):
+                continue
+            outside = Cone.from_inequalities(piece.ambient_rank, [*region.facet_normals(), tuple(-x for x in h)])
+            if outside.dim() == piece.dim():
+                pieces.append((outside, k + 1))
+            region = Cone.from_inequalities(piece.ambient_rank, [*region.facet_normals(), h])
+        work.extend(reversed(pieces))  # popped in splitting order
+    return True

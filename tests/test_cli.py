@@ -57,6 +57,49 @@ ORBITS_DOC = json.dumps(
 )
 
 
+def _a1(**fields) -> dict:
+    """A valid A1 document with one ray, with `fields` replacing or adding top-level keys."""
+    return {"group": "A1", "M": [[1]], "fan": [{"generators": [[1]], "colours": []}], **fields}
+
+
+# (document, "path: message") for every check of `parse_input`'s reader, in reading order;
+# the last three give a divisor ray entry several faults, and the first check in the loop wins
+READER_MESSAGES = [
+    ([1], "document: top level must be a JSON object"),
+    (_a1(fans=[]), "document: unknown keys: ['fans']"),
+    ({"M": [[1]]}, "group: missing required key"),
+    ({"group": 1}, "group: expected a Dynkin descriptor string"),
+    ({"group": "A1", "torus_rank": True}, "torus_rank: expected a nonnegative integer"),
+    ({"group": "A1", "I": "a1"}, "I: expected a list of simple-root labels"),
+    ({"group": "A1", "I": ["a2"]}, "I[0]: no such simple root 'a2'"),
+    ({"group": "A1"}, "M: expected a list of character basis vectors"),
+    (_a1(M=[1]), "M[0]: expected a list of integers"),
+    (_a1(M=[[True]]), "M[0]: entries must be integers"),
+    (_a1(M=[[1, 2]]), "M[0]: expected 1 entries, got 2"),
+    (_a1(fan={}), "fan: expected a list of coloured cones"),
+    (_a1(fan=[[1]]), "fan[0]: expected an object"),
+    (_a1(fan=[{"rays": [[1]]}]), "fan[0]: unknown keys: ['rays']"),
+    (_a1(fan=[{"generators": 1}]), "fan[0].generators: expected a list of vectors"),
+    (_a1(fan=[{"colours": "a1"}]), "fan[0].colours: expected a list of labels"),
+    (_a1(fan=[{"colours": ["a2"]}]), "fan[0].colours[0]: no such simple root 'a2' in S minus I"),
+    (_a1(divisors=[]), "divisors: expected an object of named divisors"),
+    (_a1(divisors={"d": []}), "divisors.d: expected an object"),
+    (_a1(divisors={"d": {"x": {}}}), "divisors.d: unknown keys: ['x']"),
+    (_a1(divisors={"d": {"rays": [[1]]}}), "divisors.d.rays: expected an object of coefficients"),
+    (_a1(divisors={"d": {"rays": {"x": 1}}}), "divisors.d.rays: bad ray key 'x'"),
+    (_a1(divisors={"d": {"rays": {"7": 1}}}), "divisors.d.rays: '7' is not a non-coloured ray of the fan"),
+    (_a1(divisors={"d": {"rays": {"1": 1.5}}}), "divisors.d.rays: coefficients must be integers"),
+    (_a1(divisors={"d": {"rays": {"1": 1, " 1": 2}}}), "divisors.d.rays: ' 1' repeats the ray [1]"),
+    (_a1(divisors={"d": {"rays": {"+1": 1}}}), "divisors.d.rays: bad ray key '+1': the ray [1] is written '1'"),
+    (_a1(divisors={"d": {"colours": ["a1"]}}), "divisors.d.colours: expected an object of coefficients"),
+    (_a1(divisors={"d": {"colours": {"a2": 1}}}), "divisors.d.colours: no such simple root 'a2' in S minus I"),
+    (_a1(divisors={"d": {"colours": {"a1": False}}}), "divisors.d.colours: coefficients must be integers"),
+    (_a1(divisors={"d": {"rays": {"7": "x"}}}), "divisors.d.rays: '7' is not a non-coloured ray of the fan"),
+    (_a1(divisors={"d": {"rays": {"1": 1, " 1": "x"}}}), "divisors.d.rays: coefficients must be integers"),
+    (_a1(divisors={"d": {"rays": {"1": 1, "+1": 2}}}), "divisors.d.rays: '+1' repeats the ray [1]"),
+]
+
+
 def json_block(text: str) -> dict:
     _, _, tail = text.partition("---JSON---\n")
     return json.loads(tail)
@@ -240,6 +283,14 @@ class TestParseInput:
         once = serialize(parse_input(CLASS_GROUP_DOC))
         twice = serialize(parse_input(once))
         assert once == twice
+
+    @pytest.mark.parametrize("document, message", READER_MESSAGES, ids=[m for _, m in READER_MESSAGES])
+    def test_every_reader_message_in_full(self, document, message, tmp_path, capsys):
+        """One minimal malformed document per check of the reader: exit 2 and the whole stderr line."""
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(document))
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"parse error: {message}\n")
 
 
 class TestCommands:

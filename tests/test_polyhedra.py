@@ -1,7 +1,10 @@
 """Cone and fan geometry, checked against brute-force oracles."""
 
+import inspect
 import itertools
+import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -386,6 +389,22 @@ class TestCoveredBy:
         wedges = [cone2(E1, E2), cone2(E2, (-1, -1)), cone2(E1, (-1, -1))]
         assert covered_by(plane, wedges)
         assert not covered_by(plane, wedges[:2])
+
+    def test_many_covers_need_no_deep_stack(self):
+        """A half-plane against the 120 maximal cones of a complete rank-2 fan, with a stack only
+        60 frames deeper than the test's: one frame per cover tried would exhaust it."""
+        n = 120
+        points = [(round(10**6 * math.cos(2 * math.pi * t / n)), round(10**6 * math.sin(2 * math.pi * t / n))) for t in range(n)]
+        rays = [primitive(p) for p in points]
+        cones = [cone2(rays[i], rays[(i + 1) % n]) for i in range(n)]
+        half_plane = Cone.from_inequalities(2, [E1])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+        try:
+            outcomes = covered_by(half_plane, cones), covered_by(half_plane, cones[: n // 2])
+        finally:
+            sys.setrecursionlimit(limit)
+        assert outcomes == (True, False)
 
 
 def test_primitive():

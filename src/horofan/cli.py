@@ -18,6 +18,14 @@ them.  A command run as a process of its own parses its document once either
 way; there only a `morphism` whose target holds the source's text gains.
 `main` reads its files on every call, so a changed file is new text and is
 parsed afresh; a text that fails to parse fails every time.
+
+`main` reads the documented argv itself: the command, then one FILE (`-` or
+a token not starting with `-`) and each of --divisor, --cone and --target
+at most once, in any order, each with a value not starting with `-`.  Any
+other argv (`--help`, `--cone=3`, an abbreviated or repeated flag, a
+negative number) goes to argparse, whose help, usage and error text are
+unchanged.  Every JSON block is written by `_dumps`, byte for byte
+`json.dumps(value, indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
@@ -25,8 +33,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .dictionary import (
@@ -189,7 +198,7 @@ def parse_input(text: str) -> InputDocument:
     they have cached, and the divisors in a fresh dict.
     """
     doc = _parsed(text)
-    return replace(doc, divisors=dict(doc.divisors))
+    return InputDocument(doc.datum, doc.fan, dict(doc.divisors))
 
 
 @lru_cache(maxsize=_PARSE_MEMO_SIZE)
@@ -302,13 +311,45 @@ def _document_body(datum: HorosphericalDatum, fan: ColouredFan, divisors: dict[s
     return body
 
 
+def _dumps(value, indent: str = "\n") -> str:
+    """`json.dumps(value, indent=2, sort_keys=True)` for dicts with str keys, lists, tuples, str, int, bool and None.
+
+    Any other type, a float included, raises TypeError.  json's C encoder
+    does not indent, so `json.dumps` with an indent runs its pure-Python
+    encoder; this writer gives the same bytes.  `indent` is the newline and
+    indentation that precede the value's closing bracket.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError on a key that is not a str
+        items = [encode_basestring_ascii(key) + ": " + _dumps(value[key], inner) for key in sorted(value)]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_dumps(item, inner) for item in value]) + indent + "]"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def serialize(doc: InputDocument) -> str:
     """Canonical JSON for a document (deterministic member ordering)."""
-    return json.dumps(_document_body(doc.datum, doc.fan, doc.divisors), indent=2, sort_keys=True)
+    return _dumps(_document_body(doc.datum, doc.fan, doc.divisors))
 
 
 def _report(lines: list[str], payload: dict) -> str:
-    return "\n".join(lines + [SENTINEL, json.dumps(payload, indent=2, sort_keys=True)]) + "\n"
+    return "\n".join(lines + [SENTINEL, _dumps(payload)]) + "\n"
 
 
 def _require_valid(fan: ColouredFan) -> Optional[str]:
@@ -587,8 +628,51 @@ _PARSER.add_argument("--cone", type=int, help="index of a fan member")
 _PARSER.add_argument("--target", help="target document for morphism checks")
 
 
+_FLAGS = ("--divisor", "--cone", "--target")
+
+
+def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
+    """The Namespace `_PARSER.parse_args(argv)` returns, if `argv` has the documented shape; else None.
+
+    The shape is a command, then exactly one FILE (`-` or a token not
+    starting with `-`) and each of --divisor, --cone and --target at most
+    once, in any order, each followed by a value not starting with `-`; the
+    value of --cone is an int.
+    """
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    file = None
+    values: dict[str, str] = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in _FLAGS:
+            value = next(tokens, "-")  # a flag with no value is read as one starting with -
+            if token in values or value.startswith("-"):
+                return None
+            values[token] = value
+        elif file is None and (token == "-" or not token.startswith("-")):
+            file = token
+        else:
+            return None
+    if file is None:
+        return None
+    cone = values.get("--cone")
+    if cone is not None:
+        try:
+            cone = int(cone)
+        except ValueError:
+            return None
+    return argparse.Namespace(command=argv[0], file=file, divisor=values.get("--divisor"), cone=cone,
+                              target=values.get("--target"))
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _PARSER.parse_args(argv)
+    """Run one command; argv in the documented shape is read directly, any other goes to argparse."""
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = _PARSER.parse_args(argv)
     try:
         doc = parse_input(_read(args.file, "document"))
         target = parse_input(_read(args.target, "--target")) if args.target else None

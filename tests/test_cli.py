@@ -12,10 +12,21 @@ import tempfile
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from horofan.cli import COMMANDS, InputDocument, ParseError, execute, main, parse_input, serialize
+from horofan.cli import (
+    _PARSER,
+    COMMANDS,
+    InputDocument,
+    ParseError,
+    _dumps,
+    _read_argv,
+    execute,
+    main,
+    parse_input,
+    serialize,
+)
 
 from .factories import cold_parse
 
@@ -561,6 +572,29 @@ class TestMain:
         assert main(["validate", str(doc)]) == 0
         capsys.readouterr()
 
+    def test_documented_argv_skips_argparse(self, tmp_path, monkeypatch, capsys):
+        """Every command in the benchmark's order (FILE, then its flag) and the README's (flag, then
+        FILE) is read without `_PARSER.parse_args`; `--help` still goes through it."""
+        doc = tmp_path / "doc.json"
+        doc.write_text(CLASS_GROUP_DOC)
+        calls = []
+        parse_args = _PARSER.parse_args
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return parse_args(*args, **kwargs)
+
+        monkeypatch.setattr(_PARSER, "parse_args", counted)
+        extra = {"divisor": ["--divisor", "delta"], "cone": ["--cone", "0"], "target": ["--target", str(doc)]}
+        for command, (_, argument) in COMMANDS.items():
+            flag = extra.get(argument, [])
+            assert main([command, str(doc), *flag]) == main([command, *flag, str(doc)])
+        assert calls == []
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0 and len(calls) == 1
+        capsys.readouterr()
+
 
 GOLDEN_DOCUMENTS = [
     json.loads((pathlib.Path(__file__).resolve().parent / "cli_golden" / name).read_text(encoding="utf-8"))
@@ -635,3 +669,70 @@ def test_mutated_golden_documents_never_crash_main(source, target, divisor, cone
             assert code in (0, 1, 2), command
             assert code != 2 or err.getvalue().startswith("parse error:"), (command, err.getvalue())
             assert code == 2 or not refused, (command, err.getvalue())
+
+
+# leaves of JSON trees: text with quotes, backslashes, control characters, non-ASCII and lone surrogates
+JSON_TEXT = st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\té€\u2028\ud800\udfff😀'), max_size=6)
+JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(10**999, 10**1000 - 1)
+    | st.integers(-(10**1000) + 1, -(10**999))
+    | JSON_TEXT
+)
+JSON_TREES = st.recursive(
+    JSON_LEAVES,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(JSON_TEXT, children, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(JSON_TREES)
+def test_json_writer_is_json_dumps(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("value", [1.5, {"a": [0.0]}, {1, 2}, {1: "a"}, {"a": {"b": 1, 2: 3}}, [frozenset()]])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _dumps(value)
+
+
+ARGV_FILES = ["doc.json", "-", "", "-x", "--"]
+ARGV_FLAGS = ["--divisor", "--cone", "--target", "--div", "--co", "--tar", "--cone=3", "--divisor=d", "-h"]
+ARGV_VALUES = ["3", "-1", " 3", "\u0663", "x"]
+ARGV_TOKEN = st.sampled_from([*COMMANDS, "bogus", *ARGV_FILES, *ARGV_FLAGS, *ARGV_VALUES])
+
+
+@st.composite
+def argvs(draw):
+    """0-6 tokens: mostly a command, then in any order single tokens and flags each with the token
+    after it, drawn so that a good share of them have the documented shape."""
+    head = [draw(st.sampled_from([*COMMANDS, "bogus"]))] if draw(st.integers(0, 3)) else []
+    flag = st.sampled_from(["--divisor", "--cone", "--target"]) | st.sampled_from(ARGV_FLAGS)
+    singles = [(token,) for token in draw(st.lists(ARGV_TOKEN, min_size=1, max_size=2))]
+    pairs = draw(st.lists(st.tuples(flag, st.sampled_from(ARGV_VALUES) | ARGV_TOKEN), max_size=2))
+    units = draw(st.permutations(singles + pairs))
+    return (head + [token for unit in units for token in unit])[:6]
+
+
+@settings(max_examples=1000, deadline=None, database=None, derandomize=True)
+@given(argvs())
+@example(["orbit-closure", "doc.json", "--cone", "x", "--cone", "3"])  # argparse converts every --cone it reads
+@example(["cartier", "--divisor", "-x", "doc.json"])
+def test_argv_reader_agrees_with_argparse(argv):
+    """Wherever `main` reads argv itself, argparse reads it to an equal Namespace without an error."""
+    args = _read_argv(argv)
+    if args is None:
+        return
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            expected = _PARSER.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"argparse refuses {argv!r}: {err.getvalue()}")
+    assert args == expected

@@ -4,8 +4,10 @@
 commands on the README document and on an invalid fan, the argument errors,
 `--help`, argparse's invalid-choice error, `execute` on an unknown command,
 `validate` on the README document with an integer past Python's
-int-string conversion limit, and a document that is not UTF-8 text, as the
-source and as the `--target`.  Arguments naming a `.json` file refer to the
+int-string conversion limit, a document that is not UTF-8 text, as the
+source and as the `--target`, a flag before FILE as the README writes it,
+and argv that only argparse reads (`--cone=3`, an abbreviated or repeated
+flag, two FILEs, no FILE).  Arguments naming a `.json` file refer to the
 documents in `cli_golden/`.
 """
 

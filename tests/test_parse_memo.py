@@ -19,7 +19,8 @@ from .test_cli_golden import CASES, GOLDEN, run_case
 ARGV_CASES = [case for case in CASES if "argv" in case]
 README_TEXT = (GOLDEN / "readme.json").read_text(encoding="utf-8")
 INVALID_TEXT = (GOLDEN / "invalid.json").read_text(encoding="utf-8")
-VALIDATE = {case["argv"][1]: case["expect"] for case in ARGV_CASES if case["argv"][0] == "validate"}
+# the expected output of `validate FILE` for each golden FILE
+VALIDATE = {case["argv"][1]: case["expect"] for case in ARGV_CASES if case["argv"][0] == "validate" and len(case["argv"]) == 2}
 
 
 @pytest.fixture(autouse=True)
@@ -32,7 +33,10 @@ def cold_memo():
 def run_main(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -58,6 +62,7 @@ def test_commands_on_one_text_parse_and_validate_it_once(tmp_path, monkeypatch):
         return check_axioms(fan)
 
     monkeypatch.setattr(horo, "_check_axioms", counted)
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage to the terminal width
     cases = [
         c for c in ARGV_CASES
         if c["argv"][0] in cli.COMMANDS and {a for a in c["argv"] if a.endswith(".json")} == {"readme.json"}

@@ -291,7 +291,7 @@ def morphism_check(
     tau is a coloured face of a maximal sigma, so tau ⊆ sigma and
     colours(tau) ⊆ colours(sigma).  Proper: the preimage of the target
     support equals the source support, decided by exact polyhedral covering
-    both ways.
+    both ways; a compatible map already puts the source in the preimage.
     """
     if phi.source != source_fan.lattice or phi.target != target_fan.lattice:
         raise LatticeMismatchError("map endpoints do not match the fans' lattices")
@@ -310,8 +310,9 @@ def morphism_check(
     for cc in target_max:
         pulled = [pullback.apply(h) for h in cc.cone.facet_normals()]
         preimages.append(Cone.from_inequalities(source_fan.lattice.rank, pulled))
-    proper = all(covered_by(p, source_max, token) for p in preimages) and all(
-        covered_by(s, preimages, token) for s in source_max
+    # a compatible map sends each source maximal cone into some target maximal t, so into phi^-1(t)
+    proper = all(covered_by(p, source_max, token) for p in preimages) and (
+        compatible or all(covered_by(s, preimages, token) for s in source_max)
     )
     return compatible, proper
 

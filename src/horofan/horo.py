@@ -992,14 +992,22 @@ def product_coloured_lattice(a: ColouredLattice, b: ColouredLattice) -> Coloured
 
 
 def product_coloured_fan(a: ColouredFan, b: ColouredFan) -> ColouredFan:
-    """Componentwise product: cones sigma_1 x sigma_2 with colours F_1 + F_2."""
+    """Componentwise product of two coloured fans: cones sigma_1 x sigma_2 with colours F_1 + F_2.
+
+    Only the products of maximal members are formed; `coloured_fan` closes
+    them under coloured faces and validates, so the members come in its
+    canonical order (`coloured_cone_key`), not in pair order, and the fan
+    keeps the face table of its closure.  Each factor must be a coloured fan,
+    as its maximal members then determine it; a product that fails
+    validation raises ValueError.
+    """
     lattice = product_coloured_lattice(a.lattice, b.lattice)
     cones = []
-    for ca in a.cones:
-        for cb in b.cones:
+    for ca in a.maximal():
+        for cb in b.maximal():
             gens = [g + (0,) * b.lattice.rank for g in ca.cone.generators] + [
                 (0,) * a.lattice.rank + g for g in cb.cone.generators
             ]
             colours = frozenset(ca.colours) | frozenset(r + a.lattice.simple_count for r in cb.colours)
             cones.append(ColouredCone(Cone.from_generators(lattice.rank, gens), colours))
-    return ColouredFan(lattice, tuple(cones))
+    return coloured_fan(lattice, cones)

@@ -41,7 +41,10 @@ coloured-fan validation that intersects every pair of members by double
 description (`intersect`) and reads each face's colours with the face's
 own inequalities.  `all_members_compatible` is the earlier compatibility
 loop of `dictionary.morphism_check`, which tries every target member where
-the package tries the maximal ones.  The old maximal-cone
+the package tries the maximal ones.  `all_pairs_product` is the earlier
+`horo.product_coloured_fan`: one canonicalised cone per pair of members,
+faces included, in pair order and unvalidated, where the package closes
+the products of maximal members by `coloured_fan`.  The old maximal-cone
 rule scans every pair of members with `contains_cone`, and the anchor
 oracle tests every pair with `contains_rule_is_coloured_face`; both check
 the one coloured-face table of `ColouredFan`.
@@ -120,10 +123,12 @@ from horofan.divisors import (
 )
 from horofan.horo import (
     ColouredCone,
+    ColouredFan,
     HorosphericalDatum,
     ValidationReport,
     _require_lattice,
     coloured_faces,
+    product_coloured_lattice,
     uncoloured_rays,
 )
 from horofan.intlin import (
@@ -1015,3 +1020,17 @@ def per_member_quotient_data(fan, datum) -> list:
         characters = datum.characters @ projection.transpose()
         out.append(HorosphericalDatum(datum.group, frozenset(datum.parabolic | cc.colours), characters))
     return out
+
+
+def all_pairs_product(a, b) -> ColouredFan:
+    """Componentwise product: cones sigma_1 x sigma_2 with colours F_1 + F_2."""
+    lattice = product_coloured_lattice(a.lattice, b.lattice)
+    cones = []
+    for ca in a.cones:
+        for cb in b.cones:
+            gens = [g + (0,) * b.lattice.rank for g in ca.cone.generators] + [
+                (0,) * a.lattice.rank + g for g in cb.cone.generators
+            ]
+            colours = frozenset(ca.colours) | frozenset(r + a.lattice.simple_count for r in cb.colours)
+            cones.append(ColouredCone(Cone.from_generators(lattice.rank, gens), colours))
+    return ColouredFan(lattice, tuple(cones))

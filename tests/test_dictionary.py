@@ -35,10 +35,20 @@ from horofan.horo import (
     validate_coloured_fan,
 )
 from horofan.intlin import IntMatrix, invariant_factors, saturate
-from horofan.polyhedra import Cone
+from horofan.polyhedra import Cone, covered_by
 from horofan.rootsys import RootDatum
 
-from .factories import RANK3_BASES, p1_power, prism_maximal, random_valid_fan, rank3_fan, record_row_cones, torus3
+from .factories import (
+    RANK3_BASES,
+    p1_power,
+    prism_maximal,
+    random_valid_fan,
+    rank3_fan,
+    record_row_cones,
+    torus,
+    torus3,
+    torus_fan,
+)
 from .oracles import containment_maximal, quotient_weight_monoid
 
 
@@ -408,6 +418,28 @@ class TestMorphisms:
         monkeypatch.setattr(Cone, "contains", recording)
         assert morphism_check(phi, fan, fan) == (True, True)
         assert tested and set(tested) <= {cc.cone for cc in fan.maximal()}
+
+    def test_incompatible_map_runs_the_source_covering(self):
+        """The identity from the complete P1 fan to the fan of the ray (1): the ray (-1) maps into no
+        target cone, and the preimage of the target support misses it, so neither holds."""
+        datum = torus(1)
+        lattice = build_coloured_lattice(datum)
+        source = torus_fan([((1,),), ((-1,),)])
+        target = coloured_fan(lattice, [cc(1, [(1,)])])
+        assert morphism_check(coloured_lattice_map(datum, datum), source, target) == (False, False)
+
+    def test_compatible_map_covers_each_preimage_once(self, monkeypatch):
+        """Compatibility puts every source maximal cone in a preimage, so only the preimages are covered."""
+        fan, datum = projective_sl3_fan()
+        calls = []
+
+        def counted(target, covers, cancelled=None):
+            calls.append(target)
+            return covered_by(target, covers, cancelled)
+
+        monkeypatch.setattr(dictionary, "covered_by", counted)
+        assert morphism_check(coloured_lattice_map(datum, datum), fan, fan) == (True, True)
+        assert len(calls) == len(fan.maximal())
 
     def test_decolouration_map_compatible_and_proper(self):
         fan, datum = sl2_u2_plane_fan()

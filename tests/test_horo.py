@@ -407,25 +407,33 @@ class TestUniqueness:
                         assert homogeneous_spaces_isomorphic(a, c)
 
 
+def a2_fan():
+    lattice = sl2_u2_lattice()
+    return ColouredFan(lattice, close_under_coloured_faces(lattice, [cc(1, [(1,)], {0})]))
+
+
+def trivial_rank_zero_fan():
+    group = RootDatum.parse("", central_torus_rank=0)
+    datum = HorosphericalDatum(group, frozenset(), IntMatrix.zero(0, 0))
+    lattice = build_coloured_lattice(datum)
+    return ColouredFan(lattice, (trivial_coloured_cone(lattice),))
+
+
+def product_factors() -> list[tuple[ColouredFan, ColouredFan]]:
+    """The factor pairs of `TestProduct`: the affine plane's fan with the rank-0 fan, itself and each `sl2_u2_fans`."""
+    fan = a2_fan()
+    return [(fan, trivial_rank_zero_fan()), (fan, fan)] + [(fan, other) for other in sl2_u2_fans()[1]]
+
+
 class TestProduct:
-    def a2_fan(self):
-        lattice = sl2_u2_lattice()
-        return ColouredFan(lattice, close_under_coloured_faces(lattice, [cc(1, [(1,)], {0})]))
-
-    def trivial_rank_zero_fan(self):
-        group = RootDatum.parse("", central_torus_rank=0)
-        datum = HorosphericalDatum(group, frozenset(), IntMatrix.zero(0, 0))
-        lattice = build_coloured_lattice(datum)
-        return ColouredFan(lattice, (trivial_coloured_cone(lattice),))
-
     def test_unit_law(self):
-        fan = self.a2_fan()
-        prod = product_coloured_fan(fan, self.trivial_rank_zero_fan())
+        fan = a2_fan()
+        prod = product_coloured_fan(fan, trivial_rank_zero_fan())
         assert prod.lattice == fan.lattice
         assert set(prod.cones) == set(fan.cones)
 
     def test_two_affine_planes(self):
-        fan = self.a2_fan()
+        fan = a2_fan()
         prod = product_coloured_fan(fan, fan)
         assert prod.lattice.rank == 2
         assert [c.label for c in prod.lattice.colours] == ["1.a1", "2.a1"]
@@ -436,7 +444,7 @@ class TestProduct:
         assert validate_coloured_fan(prod).valid
 
     def test_cone_counts_multiply(self):
-        fan = self.a2_fan()
+        fan = a2_fan()
         _, fans = sl2_u2_fans()
         for other in fans:
             prod = product_coloured_fan(fan, other)

@@ -60,14 +60,21 @@ def complete_fans():
     rank3 += [fan for fan, _ in random_rank3_coloured_fans(random.Random(7), 60) if fan.walls() is not None]
     rng = random.Random(3)
     small = [fan for fan in (random_valid_fan(rng)[0] for _ in range(300)) if fan.walls() is not None]
+    rank2 = complete_rank2_fans(random.Random(5), 6)
+    products = [product_coloured_fan(a, b) for a, b in product_factors()]
+    return rank3 + small + rank2 + [p1_power(n)[0] for n in range(2, 6)] + products
+
+
+def product_factors() -> list[tuple]:
+    """The factor pairs of the products in `complete_fans`: P1, P2 and the first three complete rank-2
+    fans with each other, the eight prisms and Fulton's fan with P1, and two prisms, one cyclic, with P2."""
     p1 = torus_fan([((1,),), ((-1,),)])
     p2 = torus_fan(list(itertools.combinations([(1, 0), (0, 1), (-1, -1)], 2)))
-    rank2 = complete_rank2_fans(random.Random(5), 6)
-    products = [product_coloured_fan(a, b) for a, b in itertools.combinations([p1, p2] + rank2[:3], 2)]
-    # the eight prisms and Fulton's fan times P1, and two prisms, one cyclic, times P2
-    products += [product_coloured_fan(fan, p1) for fan in rank3[:8] + rank3[11:12]]
-    products += [product_coloured_fan(fan, p2) for fan in rank3[:2]]
-    return rank3 + small + rank2 + [p1_power(n)[0] for n in range(2, 6)] + products
+    rank2 = complete_rank2_fans(random.Random(5), 3)
+    prisms = [torus_fan(prism_maximal(d)) for d in itertools.product((0, 1), repeat=3)]
+    pairs = list(itertools.combinations([p1, p2] + rank2, 2))
+    pairs += [(fan, p1) for fan in prisms + [torus_fan(FULTON)]]
+    return pairs + [(fan, p2) for fan in prisms[:2]]
 
 
 def test_projectivity_equals_the_wall_row_lp(complete_fans):

@@ -353,8 +353,8 @@ def readme_fan() -> tuple[horo.ColouredFan, horo.HorosphericalDatum]:
     return horo.coloured_fan(horo.build_coloured_lattice(datum), cones), datum
 
 
-def rank4_product_fans() -> list[tuple[str, horo.ColouredFan, horo.HorosphericalDatum]]:
-    """P2 x P2 and P3 x P1 over the torus, and the README fan squared over A2 x A2, coloured on both factors."""
+def rank4_product_factors() -> list[tuple[str, horo.ColouredFan, horo.ColouredFan, horo.HorosphericalDatum]]:
+    """(name, factor, factor, datum) of P2 x P2 and P3 x P1 over the torus, and the README fan squared over A2 x A2."""
     p1 = torus_fan([((1,),), ((-1,),)])
     p2 = torus_fan(list(itertools.combinations([(1, 0), (0, 1), (-1, -1)], 2)))
     p3 = torus_fan(RANK3_BASES["P3"])
@@ -363,8 +363,12 @@ def rank4_product_fans() -> list[tuple[str, horo.ColouredFan, horo.Horospherical
         rootsys.RootDatum.parse("A2xA2"), frozenset(), intlin.IntMatrix.identity(4)
     )
     cases = [("P2xP2", p2, p2, torus(4)), ("P3xP1", p3, p1, torus(4))]
-    cases += [("README^2", readme, readme, a2_squared)]
-    return [(name, horo.product_coloured_fan(a, b), datum) for name, a, b, datum in cases]
+    return cases + [("README^2", readme, readme, a2_squared)]
+
+
+def rank4_product_fans() -> list[tuple[str, horo.ColouredFan, horo.HorosphericalDatum]]:
+    """P2 x P2 and P3 x P1 over the torus, and the README fan squared over A2 x A2, coloured on both factors."""
+    return [(name, horo.product_coloured_fan(a, b), datum) for name, a, b, datum in rank4_product_factors()]
 
 
 RANK4_PRODUCTS = rank4_product_fans()

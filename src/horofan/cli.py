@@ -9,6 +9,9 @@ fan, `positivity` on an incomplete fan, or an error raised by the library;
 2 a parse error, an unreadable file or one that is not UTF-8 text, or a
 missing or bad command argument.
 
+FILE, and stdin for `-`, are read as bytes and decoded as UTF-8, with CR LF
+and a lone CR read as newlines, as text mode reads them.
+
 One process parses and validates a document text once while calls on it
 come back to back.  `parse_input` keeps the parsed document of the last text
 it parsed, and the fan keeps its validation report with everything else it
@@ -606,15 +609,27 @@ def execute(command: str, doc: InputDocument, *, divisor: Optional[str] = None,
 
 
 def _read(path: str, field: str) -> str:
-    """The text of a document file, or of stdin for -; bytes that are not UTF-8 are a ParseError at `field`."""
-    try:
-        if path == "-":
+    """The text of a document file, or of stdin for -; bytes that are not UTF-8 are a ParseError at `field`.
+
+    The bytes come in one binary read and are decoded once; CR LF and a lone
+    CR then read as LF, as in text mode's universal newlines, so a JSON
+    error's line and column do not depend on the line endings.  A stdin
+    with no byte buffer (an `io.StringIO`) is read as the text it holds.
+    """
+    if path == "-":
+        stdin = getattr(sys.stdin, "buffer", None)
+        if stdin is None:
             return sys.stdin.read()
-        with open(path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        data = stdin.read()
+    else:
+        with open(path, "rb", buffering=0) as handle:
+            data = handle.readall()
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         byte = exc.object[exc.start]
         raise ParseError(field, f"not UTF-8 text: byte 0x{byte:02x} at position {exc.start} ({exc.reason})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 _PARSER = argparse.ArgumentParser(

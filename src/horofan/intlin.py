@@ -204,8 +204,9 @@ def _echelonise(a: list[list[int]], cols: int) -> int:
             g, x, y = _xgcd(top, b)
             r, s = -(b // g), top // g
             ri, rj = a[piv_row], a[i]
-            a[piv_row] = [x * e + y * f for e, f in zip(ri, rj)]
-            a[i] = [r * e + s * f for e, f in zip(ri, rj)]
+            if (x, y) != (1, 0):
+                a[piv_row] = [x * e + y * f for e, f in zip(ri, rj)]
+            a[i] = [r * e + f for e, f in zip(ri, rj)] if s == 1 else [r * e + s * f for e, f in zip(ri, rj)]
         if a[piv_row][col] < 0:
             a[piv_row] = [-e for e in a[piv_row]]
         d = a[piv_row][col]

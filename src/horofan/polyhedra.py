@@ -97,7 +97,7 @@ def primitive(v: Sequence[int]) -> Vector:
     g = gcd(*v)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
-    return tuple(x // g for x in v)
+    return tuple(v) if g == 1 else tuple(x // g for x in v)
 
 
 def dot(a: Sequence[int], b: Sequence[int]) -> int:
@@ -135,7 +135,7 @@ def _triangular_solve(rows: Sequence[Sequence[int]], j: int) -> Vector:
     scale = 1
     for i in range(j, len(rows)):
         row = rows[i]
-        rest = scale * (i == j) - sum(row[k] * x[k] for k in range(j, i))
+        rest = scale * (i == j) - sum(map(mul, row, x))  # x[k] = 0 for k < j
         f = row[i] // gcd(row[i], rest)
         if f > 1:
             x = [f * y for y in x]
@@ -316,7 +316,7 @@ class Cone:
         generators, in order, so its echelon is the cone's
         `generator_echelon` and is kept.
         """
-        gens = [tuple(int(x) for x in g) for g in generators]
+        gens = [tuple(map(int, g)) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
             raise ValueError("generator has wrong dimension")
         vecs = sorted({primitive(g) for g in gens if any(g)})
@@ -521,11 +521,9 @@ def faces(sigma: Cone) -> list[Cone]:
                     dims[t] = d - 1
                     below.append(t)
         level, d = below, d - 1
-    out = [
-        sigma if s == full else _keep(Cone(sigma.ambient_rank, tuple(g for g, b in zip(gens, bits) if b & s)), _dim=d)
-        for s, d in dims.items()
-    ]
-    return sorted(out, key=lambda c: (c.dim(), c.generators))
+    # sigma is the one face of its dimension, so it sorts last
+    keyed = sorted((d, tuple(itertools.compress(gens, map(s.__and__, bits)))) for s, d in dims.items())
+    return [_keep(Cone(sigma.ambient_rank, g), _dim=d) for d, g in keyed[:-1]] + [sigma]
 
 
 def is_face_of(tau: Cone, sigma: Cone) -> bool:

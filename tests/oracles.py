@@ -104,13 +104,22 @@ matrix product, and the quotient datum through the checked public
 constructor `HorosphericalDatum(...)`, where `dictionary.orbit_table` builds
 one unchecked datum per distinct (annihilator, colour set) and lets members
 share it.
+
+`text_mode_read` is the package's earlier `cli._read`, which opens the file
+in text mode with universal newlines, where `_read` makes one binary read,
+one UTF-8 decode and then reads CR LF and a lone CR as LF.
+`full_combination_echelonise` is the earlier `intlin._echelonise`, which
+rebuilds both rows of every gcd step, where `_echelonise` keeps the pivot
+row when the step leaves it unchanged and skips the multiplication by 1.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 
+from horofan.cli import ParseError
 from horofan.dictionary import ConeRegularity
 from horofan.divisors import (
     CartierData,
@@ -133,6 +142,7 @@ from horofan.horo import (
 )
 from horofan.intlin import (
     IntMatrix,
+    _xgcd,
     cokernel,
     column_hermite,
     kernel_basis,
@@ -1034,3 +1044,55 @@ def all_pairs_product(a, b) -> ColouredFan:
             colours = frozenset(ca.colours) | frozenset(r + a.lattice.simple_count for r in cb.colours)
             cones.append(ColouredCone(Cone.from_generators(lattice.rank, gens), colours))
     return ColouredFan(lattice, tuple(cones))
+
+
+def text_mode_read(path: str, field: str) -> str:
+    """The text of a document file, or of stdin for -; bytes that are not UTF-8 are a ParseError at `field`."""
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ParseError(field, f"not UTF-8 text: byte 0x{byte:02x} at position {exc.start} ({exc.reason})") from None
+
+
+def full_combination_echelonise(a: list[list[int]], cols: int) -> int:
+    """Bring the row list `a` to row Hermite form in its first `cols` columns.
+
+    Works in place and returns the pivot count.  Rows are combined whole, so
+    any columns past `cols` carry the row transform along.
+    """
+    piv_row = 0
+    for col in range(cols):
+        if piv_row == len(a):
+            break
+        # gcd out the entries of this column at and below piv_row
+        for first in range(piv_row, len(a)):
+            if a[first][col]:
+                break
+        else:
+            continue
+        if first != piv_row:
+            a[piv_row], a[first] = a[first], a[piv_row]
+        for i in range(piv_row + 1, len(a)):
+            b = a[i][col]
+            if b == 0:
+                continue
+            top = a[piv_row][col]
+            g, x, y = _xgcd(top, b)
+            r, s = -(b // g), top // g
+            ri, rj = a[piv_row], a[i]
+            a[piv_row] = [x * e + y * f for e, f in zip(ri, rj)]
+            a[i] = [r * e + s * f for e, f in zip(ri, rj)]
+        if a[piv_row][col] < 0:
+            a[piv_row] = [-e for e in a[piv_row]]
+        d = a[piv_row][col]
+        pivot = a[piv_row]
+        for i in range(piv_row):
+            q = a[i][col] // d
+            if q:
+                a[i] = [e - q * f for e, f in zip(a[i], pivot)]
+        piv_row += 1
+    return piv_row

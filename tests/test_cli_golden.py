@@ -6,9 +6,11 @@ commands on the README document and on an invalid fan, the argument errors,
 `validate` on the README document with an integer past Python's
 int-string conversion limit, a document that is not UTF-8 text, as the
 source and as the `--target`, a flag before FILE as the README writes it,
-and argv that only argparse reads (`--cone=3`, an abbreviated or repeated
-flag, two FILEs, no FILE).  Arguments naming a `.json` file refer to the
-documents in `cli_golden/`.
+argv that only argparse reads (`--cone=3`, an abbreviated or repeated
+flag, two FILEs, no FILE), and the README document with CR LF and with
+lone CR line ends, valid and with a syntax error on its third line.
+Arguments naming a `.json` file refer to the documents in `cli_golden/`;
+`.gitattributes` keeps the bytes of those with CR line ends.
 """
 
 import contextlib
@@ -49,6 +51,13 @@ def run_case(case: dict) -> dict:
 def test_golden_output(case, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
     assert run_case(case) == case["expect"]
+
+
+@pytest.mark.parametrize("name", ["crlf-validate", "cr-only-validate"])
+def test_line_ends_do_not_change_the_output(name):
+    by_name = {case["name"]: case for case in CASES}
+    assert (GOLDEN / by_name[name]["argv"][1]).read_bytes().count(b"\r") == 15
+    assert by_name[name]["expect"] == by_name["readme-validate"]["expect"]
 
 
 def test_parser_choices_are_the_command_table():

@@ -7,6 +7,8 @@ import pytest
 from horofan.intlin import (
     AbelianGroup,
     IntMatrix,
+    _beside_identity,
+    _echelonise,
     cokernel,
     column_hermite,
     hermite_normal_form,
@@ -22,7 +24,7 @@ from horofan.intlin import (
     solve_integer_affine,
 )
 
-from .oracles import determinant, is_unimodular, smith_solutions
+from .oracles import determinant, full_combination_echelonise, is_unimodular, smith_solutions
 
 
 def random_matrix(rng, rows, cols, lo=-6, hi=6):
@@ -384,3 +386,18 @@ def test_determinant_matches_cofactor_expansion_small():
         n = rng.randint(0, 4)
         m = random_matrix(rng, n, n)
         assert determinant(m) == cof(m.row_list())
+
+
+def test_echelonise_is_the_full_combination_echelonise_on_seeded_matrices():
+    """Same rows, so the same H and transform U of `hermite_normal_form` (U is not canonical), and the same pivot count.
+
+    Entries are drawn mostly from -1..1, so gcd steps that leave the pivot
+    row as it is, or multiply the other row by 1, are common.
+    """
+    rng = random.Random(38)
+    for _ in range(20000):
+        bound = rng.choice([1, 1, 3, 9])
+        m = random_matrix(rng, rng.randint(0, 7), rng.randint(0, 7), -bound, bound)
+        a, b = _beside_identity(m), _beside_identity(m)
+        assert _echelonise(a, m.cols) == full_combination_echelonise(b, m.cols)
+        assert a == b

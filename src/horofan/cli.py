@@ -6,8 +6,8 @@ implied member), and optionally named divisors.  Every command prints a human
 summary, a sentinel line, and a machine-readable JSON block, in that order,
 with deterministic ordering throughout.  Exit codes: 0 success; 1 an invalid
 fan, `positivity` on an incomplete fan, or an error raised by the library;
-2 a parse error, an unreadable file or one that is not UTF-8 text, or a
-missing or bad command argument.
+2 a parse error, an unreadable file or one that is not UTF-8 text, `-` with
+stdin closed, or a missing or bad command argument.
 
 FILE, and stdin for `-`, are read as bytes and decoded as UTF-8, with CR LF
 and a lone CR read as newlines, as text mode reads them.
@@ -22,13 +22,17 @@ way; there only a `morphism` whose target holds the source's text gains.
 `main` reads its files on every call, so a changed file is new text and is
 parsed afresh; a text that fails to parse fails every time.
 
-`main` reads the documented argv itself: the command, then one FILE (`-` or
-a token not starting with `-`) and each of --divisor, --cone and --target
-at most once, in any order, each with a value not starting with `-`.  Any
-other argv (`--help`, `--cone=3`, an abbreviated or repeated flag, a
-negative number) goes to argparse, whose help, usage and error text are
-unchanged.  Every JSON block is written by `_dumps`, byte for byte
-`json.dumps(value, indent=2, sort_keys=True)`.
+Each command argument is stated once, in `_ARGUMENTS`: its name, the
+metavar of its "this command needs" message and its argparse options.
+`_PARSER` adds its flags from the table, `main` reads them off it, and
+`execute` checks the one argument a command takes (`COMMANDS`).  `main`
+reads the documented argv itself: the command, then one FILE (`-` or a
+token not starting with `-`) and each flag at most once, in any order,
+each with a value not starting with `-` that converts as argparse would
+convert it.  Any other argv (`--help`, `--cone=3`, an abbreviated or
+repeated flag, a negative number) goes to argparse, whose help, usage and
+error text are unchanged.  Every JSON block is written by `_dumps`, byte
+for byte `json.dumps(value, indent=2, sort_keys=True)`.
 """
 
 from __future__ import annotations
@@ -36,12 +40,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Optional
 
 from .dictionary import (
+    PropertyReport,
     classify_variety,
     decolouration,
     morphism_check,
@@ -130,6 +135,11 @@ def _int_vector(value, path: str, length: int) -> tuple[int, ...]:
     _expect(all(map(_is_int, value)), path, "entries must be integers")
     _expect(len(value) == length, path, f"expected {length} entries, got {len(value)}")
     return tuple(value)
+
+
+def _ray_key(g) -> str:
+    """A ray's spelling as a divisor key and in output: its entries joined by commas."""
+    return ",".join(map(str, g))
 
 
 class _RepeatedKeys(dict):
@@ -267,7 +277,7 @@ def _parsed(text: str) -> InputDocument:
             _expect(gen in ray_gens, f"{path}.rays", f"{key!r} is not a non-coloured ray of the fan")
             _expect(_is_int(value), f"{path}.rays", "coefficients must be integers")
             _expect(gen not in rays, f"{path}.rays", f"{key!r} repeats the ray {list(gen)}")
-            canonical = ",".join(map(str, gen))
+            canonical = _ray_key(gen)
             _expect(key == canonical, f"{path}.rays", f"bad ray key {key!r}: the ray {list(gen)} is written {canonical!r}")
             rays[gen] = value
         raw_colours = raw_div.get("colours", {})
@@ -306,7 +316,7 @@ def _document_body(datum: HorosphericalDatum, fan: ColouredFan, divisors: dict[s
     if divisors:
         body["divisors"] = {
             name: {
-                "rays": {",".join(map(str, g)): a for g, a in div.ray_coeffs if a},
+                "rays": {_ray_key(g): a for g, a in div.ray_coeffs if a},
                 "colours": {labels[r]: a for r, a in div.colour_coeffs if a},
             }
             for name, div in sorted(divisors.items())
@@ -367,22 +377,6 @@ def _group_payload(g) -> dict:
     return {"free_rank": g.free_rank, "torsion": list(g.torsion), "name": str(g)}
 
 
-def _divisor_arg(doc: InputDocument, name: Optional[str]) -> str:
-    if name is None:
-        raise ParseError("--divisor", "this command needs --divisor NAME")
-    if name not in doc.divisors:
-        raise ParseError("--divisor", f"document has no divisor named {name!r}")
-    return name
-
-
-def _cone_arg(doc: InputDocument, index: Optional[int]) -> int:
-    if index is None:
-        raise ParseError("--cone", "this command needs --cone INDEX")
-    if not 0 <= index < len(doc.fan.cones):
-        raise ParseError("--cone", f"cone index {index} out of range (fan has {len(doc.fan.cones)} members)")
-    return index
-
-
 def _validate(doc: InputDocument) -> tuple[int, str]:
     lines = [f"coloured fan with {len(doc.fan.cones)} members: valid"]
     return 0, _report(lines, {"valid": True, "violations": []})
@@ -393,17 +387,15 @@ def _orbits(doc: InputDocument) -> tuple[int, str]:
     table = orbit_table(fan, doc.datum)
     maximal = set(fan.maximal())
     labels = fan.lattice.labels()
-    # each member's first index, so that one star per member answers closure_contains for every pair
-    first: dict = {}
-    members = [first.setdefault(cc, i) for i, cc in enumerate(fan.cones)]
+    # a valid fan lists each member once, so a row's closure_contains is its star, in member order, by index
+    index = {cc: i for i, cc in enumerate(fan.cones)}
     lines = [f"{'cone':>4}  {'dim':>3}  {'closed':>6}  cone description"]
     rows = []
     for rec in table:
         cc = fan.cones[rec.cone_index]
-        above = {first[x] for x in fan.star(cc)}
         closed = cc in maximal
         colours = [labels[r] for r in sorted(cc.colours)]
-        gens = " ".join("(" + ",".join(map(str, g)) + ")" for g in cc.cone.generators) or "0"
+        gens = " ".join("(" + _ray_key(g) + ")" for g in cc.cone.generators) or "0"
         description = f"{gens} | colours {','.join(colours) or '-'}"
         lines.append(f"{rec.cone_index:>4}  {rec.dimension:>3}  {str(closed).lower():>6}  {description}")
         rows.append(
@@ -413,29 +405,22 @@ def _orbits(doc: InputDocument) -> tuple[int, str]:
                 "colours": colours,
                 "dimension": rec.dimension,
                 "closed": closed,
-                "closure_contains": [j for j, k in enumerate(members) if k in above],
+                "closure_contains": [index[x] for x in fan.star(cc)],
             }
         )
     return 0, _report(lines, {"orbits": rows})
 
 
+# (field, payload key) of each flag `classify` reports: PropertyReport's is_* fields, in field order
+_CLASSIFY_FLAGS = tuple((f.name, f.name[3:]) for f in fields(PropertyReport) if f.name.startswith("is_"))
+
+
 def _classify(doc: InputDocument) -> tuple[int, str]:
     rep = classify_variety(doc.fan, doc.datum)
-    payload = {
-        "simple": rep.is_simple,
-        "affine": rep.is_affine,
-        "complete": rep.is_complete,
-        "toroidal": rep.is_toroidal,
-        "projective": rep.is_projective,
-        "simplicial": rep.is_simplicial,
-        "regular": rep.is_regular,
-        "factorial": rep.is_factorial,
-        "q_factorial": rep.is_q_factorial,
-        "smooth": rep.is_smooth,
-        "notes": list(rep.diagnostics),
-    }
-    lines = [f"{key:>12}: {str(value).lower()}" for key, value in payload.items() if key != "notes"]
+    payload = {key: getattr(rep, field) for field, key in _CLASSIFY_FLAGS}
+    lines = [f"{key:>12}: {str(value).lower()}" for key, value in payload.items()]
     lines += [f"note: {note}" for note in rep.diagnostics]
+    payload["notes"] = list(rep.diagnostics)
     return 0, _report(lines, payload)
 
 
@@ -499,11 +484,11 @@ def _anticanonical(doc: InputDocument) -> tuple[int, str]:
     labels = doc.fan.lattice.labels()
     lines = ["-K ="]
     for g, a in k.ray_coeffs:
-        lines.append(f"  {a} * D[{','.join(map(str, g))}]")
+        lines.append(f"  {a} * D[{_ray_key(g)}]")
     for r, a in k.colour_coeffs:
         lines.append(f"  {a} * D_{labels[r]}")
     payload = {
-        "rays": {",".join(map(str, g)): a for g, a in k.ray_coeffs},
+        "rays": {_ray_key(g): a for g, a in k.ray_coeffs},
         "colours": {labels[r]: a for r, a in k.colour_coeffs},
     }
     return 0, _report(lines, payload)
@@ -566,7 +551,7 @@ def _morphism(doc: InputDocument, target: InputDocument) -> tuple[int, str]:
     return 0, _report(lines, payload)
 
 
-# name -> (handler, its one argument: None, "divisor", "cone" or "target"), in --help order
+# name -> (handler, its one argument: None or a name in _ARGUMENTS), in --help order
 COMMANDS: dict[str, tuple[Callable[..., tuple[int, str]], Optional[str]]] = {
     "validate": (_validate, None),
     "orbits": (_orbits, None),
@@ -583,6 +568,13 @@ COMMANDS: dict[str, tuple[Callable[..., tuple[int, str]], Optional[str]]] = {
     "weight-monoid": (_weight_monoid, "cone"),
 }
 
+# each command argument: name -> (metavar in messages, argparse options of --name), in --help order
+_ARGUMENTS: dict[str, tuple[str, dict]] = {
+    "divisor": ("NAME", {"help": "named divisor from the document"}),
+    "cone": ("INDEX", {"type": int, "help": "index of a fan member"}),
+    "target": ("FILE", {"help": "target document for morphism checks"}),
+}
+
 
 def execute(command: str, doc: InputDocument, *, divisor: Optional[str] = None,
             cone: Optional[int] = None, target: Optional[InputDocument] = None) -> tuple[int, str]:
@@ -596,16 +588,20 @@ def execute(command: str, doc: InputDocument, *, divisor: Optional[str] = None,
     if command not in COMMANDS:
         raise ParseError("command", f"unknown command {command!r}")
     handler, argument = COMMANDS[command]
-    if argument == "divisor":
-        return handler(doc, _divisor_arg(doc, divisor))
-    if argument == "cone":
-        return handler(doc, _cone_arg(doc, cone))
+    if argument is None:
+        return handler(doc)
+    value = {"divisor": divisor, "cone": cone, "target": target}[argument]
+    if value is None:
+        raise ParseError(f"--{argument}", f"this command needs --{argument} {_ARGUMENTS[argument][0]}")
+    if argument == "divisor" and value not in doc.divisors:
+        raise ParseError("--divisor", f"document has no divisor named {value!r}")
+    if argument == "cone" and not 0 <= value < len(doc.fan.cones):
+        raise ParseError("--cone", f"cone index {value} out of range (fan has {len(doc.fan.cones)} members)")
     if argument == "target":
-        if target is None:
-            raise ParseError("--target", "this command needs --target FILE")
-        invalid = _require_valid(target.fan)
-        return (1, invalid) if invalid is not None else handler(doc, target)
-    return handler(doc)
+        invalid = _require_valid(value.fan)
+        if invalid is not None:
+            return 1, invalid
+    return handler(doc, value)
 
 
 def _read(path: str, field: str) -> str:
@@ -617,6 +613,8 @@ def _read(path: str, field: str) -> str:
     with no byte buffer (an `io.StringIO`) is read as the text it holds.
     """
     if path == "-":
+        if sys.stdin is None:  # the process started with fd 0 closed
+            raise ParseError(field, "stdin is closed")
         stdin = getattr(sys.stdin, "buffer", None)
         if stdin is None:
             return sys.stdin.read()
@@ -638,47 +636,38 @@ _PARSER = argparse.ArgumentParser(
 )
 _PARSER.add_argument("command", choices=list(COMMANDS))
 _PARSER.add_argument("file", help="input JSON document, or - for stdin")
-_PARSER.add_argument("--divisor", help="named divisor from the document")
-_PARSER.add_argument("--cone", type=int, help="index of a fan member")
-_PARSER.add_argument("--target", help="target document for morphism checks")
-
-
-_FLAGS = ("--divisor", "--cone", "--target")
+for _name, (_, _options) in _ARGUMENTS.items():
+    _PARSER.add_argument(f"--{_name}", **_options)
 
 
 def _read_argv(argv: list[str]) -> Optional[argparse.Namespace]:
     """The Namespace `_PARSER.parse_args(argv)` returns, if `argv` has the documented shape; else None.
 
     The shape is a command, then exactly one FILE (`-` or a token not
-    starting with `-`) and each of --divisor, --cone and --target at most
-    once, in any order, each followed by a value not starting with `-`; the
-    value of --cone is an int.
+    starting with `-`) and each flag of `_ARGUMENTS` at most once, in any
+    order, each followed by a value not starting with `-` that its `type`,
+    if any, converts.
     """
     if not argv or argv[0] not in COMMANDS:
         return None
     file = None
-    values: dict[str, str] = {}
+    values = dict.fromkeys(_ARGUMENTS)
     tokens = iter(argv[1:])
     for token in tokens:
-        if token in _FLAGS:
+        name = token[2:] if token[:2] == "--" else None
+        if name in _ARGUMENTS:
             value = next(tokens, "-")  # a flag with no value is read as one starting with -
-            if token in values or value.startswith("-"):
+            if values[name] is not None or value.startswith("-"):
                 return None
-            values[token] = value
+            try:
+                values[name] = _ARGUMENTS[name][1].get("type", str)(value)
+            except ValueError:
+                return None
         elif file is None and (token == "-" or not token.startswith("-")):
             file = token
         else:
             return None
-    if file is None:
-        return None
-    cone = values.get("--cone")
-    if cone is not None:
-        try:
-            cone = int(cone)
-        except ValueError:
-            return None
-    return argparse.Namespace(command=argv[0], file=file, divisor=values.get("--divisor"), cone=cone,
-                              target=values.get("--target"))
+    return None if file is None else argparse.Namespace(command=argv[0], file=file, **values)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

@@ -286,12 +286,15 @@ def morphism_check(
     """(compatible, proper) for a coloured lattice map between two fans.
 
     Compatible: every source coloured cone maps into some maximal target
-    coloured cone with its non-dominantly-mapped colours.  On a valid target
-    (`cli.execute` validates it first) that is some target member: a member
-    tau is a coloured face of a maximal sigma, so tau ⊆ sigma and
-    colours(tau) ⊆ colours(sigma).  Proper: the preimage of the target
-    support equals the source support, decided by exact polyhedral covering
-    both ways; a compatible map already puts the source in the preimage.
+    coloured cone with its non-dominantly-mapped colours.  On valid fans
+    (`cli.execute` validates both first) it is enough to test the maximal
+    source members against the maximal target members: a member tau is a
+    coloured face of a maximal sigma, so tau ⊆ sigma and colours(tau) ⊆
+    colours(sigma), and the image and colours of tau lie in those of sigma;
+    on the target side, any member sigma maps into lies in a maximal one.
+    Proper: the preimage of the target support equals the source support,
+    decided by exact polyhedral covering both ways; a compatible map
+    already puts the source in the preimage.
     """
     if phi.source != source_fan.lattice or phi.target != target_fan.lattice:
         raise LatticeMismatchError("map endpoints do not match the fans' lattices")
@@ -302,7 +305,7 @@ def morphism_check(
         needed = cc.colours - phi.dominantly_mapped
         return any(needed <= t.colours and all(t.cone.contains(v) for v in images) for t in target_max)
 
-    compatible = all(map(hit, source_fan.cones))
+    compatible = all(map(hit, source_fan.maximal()))
     token = cancel.cancelled if cancel is not None else None
     source_max = [cc.cone for cc in source_fan.maximal()]
     preimages = []

@@ -15,6 +15,7 @@ cone uses.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence
 
 from .intlin import (
@@ -80,6 +81,11 @@ def make_divisor(
     rays: Optional[dict[Vector, int]] = None,
     colours: Optional[dict[int, int]] = None,
 ) -> BInvariantDivisor:
+    """The divisor with these coefficients, 0 elsewhere.
+
+    A coefficient must be an int (a bool reads as 0 or 1); any other type
+    raises TypeError, as a float would reach `cartier_data`'s floor divisions.
+    """
     rays = dict(rays or {})
     colours = dict(colours or {})
     gens = invariant_ray_generators(fan)
@@ -91,8 +97,8 @@ def make_divisor(
     if unknown_colours:
         raise KeyError(f"not universal colours: {sorted(unknown_colours)}")
     return BInvariantDivisor(
-        ray_coeffs=tuple((g, rays.get(g, 0)) for g in gens),
-        colour_coeffs=tuple((r, colours.get(r, 0)) for r in roots),
+        ray_coeffs=tuple((g, index(rays.get(g, 0))) for g in gens),
+        colour_coeffs=tuple((r, index(colours.get(r, 0))) for r in roots),
     )
 
 

@@ -30,6 +30,7 @@ of Z^n / B*Z^d that gives Hilbert basis candidates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 from typing import Optional, Sequence
 
 Vector = tuple[int, ...]
@@ -37,7 +38,12 @@ Vector = tuple[int, ...]
 
 @dataclass(frozen=True)
 class IntMatrix:
-    """Immutable integer matrix, entries in row-major order."""
+    """Immutable integer matrix, entries in row-major order.
+
+    `from_rows` and `from_columns` take entries through `operator.index`:
+    ints and bools are read exactly, and a float, Fraction or str raises
+    TypeError rather than being truncated.
+    """
 
     rows: int
     cols: int
@@ -59,7 +65,7 @@ class IntMatrix:
             raise ValueError("ragged rows")
         if cols is not None and cols != c:
             raise ValueError(f"rows have {c} entries, not cols={cols}")
-        return IntMatrix(r, c, tuple(int(x) for row in rows for x in row))
+        return IntMatrix(r, c, tuple(index(x) for row in rows for x in row))
 
     @staticmethod
     def from_columns(columns: Sequence[Sequence[int]], rows: Optional[int] = None) -> "IntMatrix":
@@ -70,7 +76,7 @@ class IntMatrix:
             raise ValueError("ragged columns")
         if rows is not None and rows != r:
             raise ValueError(f"columns have {r} entries, not rows={rows}")
-        return IntMatrix(r, len(columns), tuple(int(columns[j][i]) for i in range(r) for j in range(len(columns))))
+        return IntMatrix(r, len(columns), tuple(index(columns[j][i]) for i in range(r) for j in range(len(columns))))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":

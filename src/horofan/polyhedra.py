@@ -65,7 +65,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
-from operator import mul
+from operator import index, mul
 from typing import Iterable, Optional, Sequence, TypeVar
 
 from .intlin import (
@@ -291,7 +291,9 @@ class Cone:
     the generators extend to a basis (unimodular cones).  The cone is
     pointed iff no generator's negative is also a generator: with lineality
     L the generators hold +/- a basis of L, and a pointed cone cannot hold
-    both g and -g.
+    both g and -g.  `from_generators` and `from_inequalities` take entries
+    through `operator.index`, so a float, Fraction or str entry raises
+    TypeError rather than being truncated.
     """
 
     ambient_rank: int
@@ -316,7 +318,7 @@ class Cone:
         generators, in order, so its echelon is the cone's
         `generator_echelon` and is kept.
         """
-        gens = [tuple(map(int, g)) for g in generators]
+        gens = [tuple(map(index, g)) for g in generators]
         if any(len(g) != ambient_rank for g in gens):
             raise ValueError("generator has wrong dimension")
         vecs = sorted({primitive(g) for g in gens if any(g)})
@@ -336,7 +338,7 @@ class Cone:
     @staticmethod
     def from_inequalities(ambient_rank: int, normals: Iterable[Sequence[int]]) -> "Cone":
         # dual_generators already returns the canonical generator tuple
-        hs = [tuple(int(x) for x in h) for h in normals]
+        hs = [tuple(map(index, h)) for h in normals]
         if any(len(h) != ambient_rank for h in hs):
             raise ValueError("normal has wrong dimension")
         return Cone(ambient_rank, tuple(dual_generators(hs, ambient_rank)))

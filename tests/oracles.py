@@ -40,11 +40,12 @@ owners of each wall, gluing rows from `intersect` on every pair, and
 coloured-fan validation that intersects every pair of members by double
 description (`intersect`) and reads each face's colours with the face's
 own inequalities.  `all_members_compatible` is the earlier compatibility
-loop of `dictionary.morphism_check`, which tries every target member where
-the package tries the maximal ones.  `all_pairs_product` is the earlier
-`horo.product_coloured_fan`: one canonicalised cone per pair of members,
-faces included, in pair order and unvalidated, where the package closes
-the products of maximal members by `coloured_fan`.  The old maximal-cone
+loop of `dictionary.morphism_check`, which tries every source member
+against every target member where the package tries the maximal ones of
+each.  `all_pairs_product` is the earlier `horo.product_coloured_fan`:
+one canonicalised cone per pair of members, faces included, in pair order
+and unvalidated, where the package closes the products of maximal members
+by `coloured_fan`.  The old maximal-cone
 rule scans every pair of members with `contains_cone`, and the anchor
 oracle tests every pair with `contains_rule_is_coloured_face`; both check
 the one coloured-face table of `ColouredFan`.
@@ -1010,7 +1011,7 @@ def is_unimodular(m: IntMatrix) -> bool:
 
 
 def all_members_compatible(phi, source_fan, target_fan) -> bool:
-    """The compatibility half of `dictionary.morphism_check`, trying every target member, not only the maximal ones."""
+    """The compatibility half of `dictionary.morphism_check`, trying every source member against every target member."""
     for cc in source_fan.cones:
         images = [phi.apply(g) for g in cc.cone.generators]
         needed = cc.colours - phi.dominantly_mapped

@@ -27,8 +27,9 @@ from horofan.cli import (
     parse_input,
     serialize,
 )
+from horofan.dictionary import closure_contains
 
-from .factories import cold_parse
+from .factories import cold_parse, p1_power, torus
 
 CLASS_GROUP_DOC = json.dumps(
     {
@@ -66,6 +67,17 @@ ORBITS_DOC = json.dumps(
         ],
     }
 )
+
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "cli_golden"
+# the valid golden documents (the others do not parse or are invalid fans), and the (P1)^4
+# document, which lists its 80 nonzero members
+ORBIT_DOCUMENTS = {
+    "readme": (GOLDEN / "readme.json").read_text(encoding="utf-8"),
+    "incomplete": (GOLDEN / "incomplete.json").read_text(encoding="utf-8"),
+    "orbits": ORBITS_DOC,
+    "p1^4": serialize(InputDocument(torus(4), p1_power(4)[0], {})),
+}
 
 
 def _a1(**fields) -> dict:
@@ -325,6 +337,16 @@ class TestCommands:
         assert closed == {2, 3}
         for row in payload["orbits"]:
             assert row["cone"] in row["closure_contains"]
+
+    @pytest.mark.parametrize("name", list(ORBIT_DOCUMENTS))
+    def test_closure_lists_are_the_closure_relation(self, name):
+        """Each orbits row lists, in order, every member index whose orbit the row's closure contains."""
+        doc = parse_input(ORBIT_DOCUMENTS[name])
+        n = len(doc.fan.cones)
+        code, text = execute("orbits", doc)
+        assert code == 0
+        rows = {row["cone"]: row["closure_contains"] for row in json_block(text)["orbits"]}
+        assert rows == {i: [j for j in range(n) if closure_contains(doc.fan, i, j)] for i in range(n)}
 
     def test_validate_valid(self):
         doc = parse_input(ORBITS_DOC)

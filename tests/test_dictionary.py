@@ -31,6 +31,7 @@ from horofan.horo import (
     close_under_coloured_faces,
     coloured_fan,
     coloured_lattice_map,
+    product_coloured_fan,
     trivial_coloured_cone,
     validate_coloured_fan,
 )
@@ -49,7 +50,8 @@ from .factories import (
     torus3,
     torus_fan,
 )
-from .oracles import containment_maximal, quotient_weight_monoid
+from .oracles import all_members_compatible, containment_maximal, quotient_weight_monoid
+from .test_rank4_products import FACTORS, LINE, rank4_datum
 
 
 def sl3_u3():
@@ -440,6 +442,30 @@ class TestMorphisms:
         monkeypatch.setattr(dictionary, "covered_by", counted)
         assert morphism_check(coloured_lattice_map(datum, datum), fan, fan) == (True, True)
         assert len(calls) == len(fan.maximal())
+
+    @pytest.mark.parametrize("name", ["sl3", "sl2 plane", "(P1)^3", "A1^3 factor x P1"])
+    def test_compatibility_over_maximal_members_matches_all_members(self, name):
+        """The identity between every ordered pair of five fans on one lattice: the fan, its
+        decolouration, its open toroidal subfan, the fan of its first maximal member and the
+        fan of the others (the trivial fan for the plane); the all-member oracle tries every source member."""
+        fan, datum = {
+            "sl3": projective_sl3_fan,
+            "sl2 plane": sl2_u2_plane_fan,
+            "(P1)^3": lambda: (product_coloured_fan(p1_power(2)[0], LINE), torus(3)),
+            "A1^3 factor x P1": lambda: (product_coloured_fan(FACTORS[1][1], LINE), rank4_datum(True)),
+        }[name]()
+        lattice, maximal = fan.lattice, fan.maximal()
+        fans = [fan, decolouration(fan), open_toroidal_subfan(fan)]
+        parts = (maximal[:1], maximal[1:] + [trivial_coloured_cone(lattice)])
+        fans += [ColouredFan(lattice, close_under_coloured_faces(lattice, part)) for part in parts]
+        assert all(validate_coloured_fan(f).valid for f in fans)
+        phi = coloured_lattice_map(datum, datum)
+        outcomes = []
+        for source, target in itertools.product(fans, repeat=2):
+            compatible, _ = morphism_check(phi, source, target)
+            assert compatible == all_members_compatible(phi, source, target)
+            outcomes.append(compatible)
+        assert True in outcomes and False in outcomes
 
     def test_decolouration_map_compatible_and_proper(self):
         fan, datum = sl2_u2_plane_fan()

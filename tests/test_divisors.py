@@ -196,6 +196,16 @@ class TestCartierData:
         assert data is not None
         assert all(m == (0, 0) for _, m in data.pieces)
 
+    @pytest.mark.parametrize("coefficient", [1.5, 1.0, "1"])
+    def test_coefficients_must_be_integers(self, coefficient):
+        """A float coefficient would reach the floor divisions of the Cartier data, so it is refused."""
+        fan, _ = class_group_fan()
+        with pytest.raises(TypeError):
+            make_divisor(fan, rays={(-1, 0): coefficient})
+        with pytest.raises(TypeError):
+            make_divisor(fan, colours={1: coefficient})
+        assert make_divisor(fan, rays={(-1, 0): True}) == make_divisor(fan, rays={(-1, 0): 1})
+
     def test_principal_divisors_have_constant_data(self):
         rng = random.Random(29)
         for _ in range(25):

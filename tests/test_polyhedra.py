@@ -414,6 +414,31 @@ def test_primitive():
         primitive((0, 0))
 
 
+# the constructors that take entries from callers, each on a 2 x 2 table of entries
+EXACT_CONSTRUCTORS = [
+    IntMatrix.from_rows,
+    IntMatrix.from_columns,
+    lambda vectors: Cone.from_generators(2, vectors),
+    lambda vectors: Cone.from_inequalities(2, vectors),
+]
+
+
+@pytest.mark.parametrize("build", EXACT_CONSTRUCTORS, ids=["from_rows", "from_columns", "from_generators", "from_inequalities"])
+@pytest.mark.parametrize("entry", [Fraction(3, 2), Fraction(2, 1), 1.0, 1.5, "3"])
+def test_constructors_refuse_entries_that_are_not_integers(build, entry):
+    """An entry is never truncated or parsed: float, Fraction and str raise TypeError, even when integral."""
+    with pytest.raises(TypeError):
+        build([(entry, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("build", EXACT_CONSTRUCTORS, ids=["from_rows", "from_columns", "from_generators", "from_inequalities"])
+def test_constructors_read_ints_and_bools_exactly(build):
+    built = build([(True, 1), (0, False)])
+    assert built == build([(1, 1), (0, 0)])
+    entries = built.entries if isinstance(built, IntMatrix) else [x for g in built.generators for x in g]
+    assert all(type(x) is int for x in entries)
+
+
 def test_dual_generators_rejects_vectors_of_the_wrong_length():
     # the matrix of (1, 2) with cols=3 used to be read as 1 x 2, an answer in Z^2
     with pytest.raises(ValueError):

@@ -97,3 +97,21 @@ def test_piped_document_fails_as_the_file_does(old, new, stderr, tmp_path):
         piped = subprocess.run([*command, "-"], stdin=stdin, capture_output=True, env=env, timeout=60)
     assert (from_file.returncode, from_file.stdout, from_file.stderr) == (2, b"", stderr)
     assert (piped.returncode, piped.stdout, piped.stderr) == (from_file.returncode, from_file.stdout, from_file.stderr)
+
+
+@pytest.mark.parametrize("flags,field", [([], "document"), (["--target", "-"], "--target")])
+def test_closed_stdin_is_a_parse_error(flags, field, monkeypatch, capsys):
+    """Python sets `sys.stdin` to None when the process starts with fd 0 closed; reading `-` then exits 2."""
+    document = "-" if not flags else str(GOLDEN / "readme.json")
+    monkeypatch.setattr(sys, "stdin", None)
+    assert cli.main(["morphism" if flags else "validate", document, *flags]) == 2
+    assert capsys.readouterr() == ("", f"parse error: {field}: stdin is closed\n")
+
+
+def test_closed_stdin_in_a_process_of_its_own():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    run = subprocess.run(
+        [sys.executable, "-m", "horofan.cli", "validate", "-"],
+        capture_output=True, env=env, timeout=60, preexec_fn=lambda: os.close(0),
+    )
+    assert (run.returncode, run.stdout, run.stderr) == (2, b"", b"parse error: document: stdin is closed\n")

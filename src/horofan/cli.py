@@ -58,6 +58,7 @@ from .dictionary import (
 from .divisors import (
     BInvariantDivisor,
     NotCompleteError,
+    _ray_key,
     anticanonical,
     cartier_data,
     class_group,
@@ -137,30 +138,17 @@ def _int_vector(value, path: str, length: int) -> tuple[int, ...]:
     return tuple(value)
 
 
-def _ray_key(g) -> str:
-    """A ray's spelling as a divisor key and in output: its entries joined by commas."""
-    return ",".join(map(str, g))
-
-
-class _RepeatedKeys(dict):
-    """A JSON object whose source repeats the key `repeated`; the last value is kept."""
-
-    def __init__(self, pairs: list[tuple[str, object]], repeated: str):
-        super().__init__(pairs)
-        self.repeated = repeated
-
-
-def _first_repeated_key(document) -> Optional[tuple[str, str]]:
-    """The field path of the first object, depth first, whose source repeats a key, and that key.
+def _first_repeated_key(document, repeated: dict[int, tuple[dict, str]]) -> Optional[tuple[str, str]]:
+    """The field path of the first object, depth first, that `repeated` marks by id, and its repeated key.
 
     The walk keeps its own stack, so no nesting depth exhausts the interpreter's.
     """
     stack = [("document", document)]
     while stack:
         path, value = stack.pop()
-        if isinstance(value, _RepeatedKeys):
-            return path, value.repeated
         if isinstance(value, dict):
+            if id(value) in repeated:
+                return path, repeated[id(value)][1]
             children = [(key if path == "document" else f"{path}.{key}", v) for key, v in value.items()]
         elif isinstance(value, list):
             children = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
@@ -176,16 +164,18 @@ def _load_json(text: str):
     An integer longer than Python's int-string conversion limit (4300 digits
     by default) makes `json.loads` raise a plain ValueError, whose message
     differs between Python versions, so the ParseError's message is fixed.
+    Each object whose source repeats a key is marked by its id, with the
+    first key repeated; the mark holds the object, so no id is reused while
+    the marks are read, not even that of an object a repeated key dropped.
     """
-    marked: list[_RepeatedKeys] = []
+    repeated: dict[int, tuple[dict, str]] = {}
 
     def object_pairs(pairs: list[tuple[str, object]]) -> dict:
         out = dict(pairs)
-        if len(out) == len(pairs):
-            return out
-        keys = [key for key, _ in pairs]
-        marked.append(_RepeatedKeys(pairs, next(key for i, key in enumerate(keys) if key in keys[:i])))
-        return marked[-1]
+        if len(out) < len(pairs):
+            keys = [key for key, _ in pairs]
+            repeated[id(out)] = out, next(key for i, key in enumerate(keys) if key in keys[:i])
+        return out
 
     try:
         raw = json.loads(text, object_pairs_hook=object_pairs)
@@ -195,8 +185,8 @@ def _load_json(text: str):
         raise ParseError("document", "nested too deeply") from None
     except ValueError:
         raise ParseError("document", "an integer has too many digits") from None
-    if marked:
-        path, key = _first_repeated_key(raw)
+    if repeated:
+        path, key = _first_repeated_key(raw, repeated)
         raise ParseError(path, f"repeated key {key!r}")
     return raw
 
@@ -385,15 +375,14 @@ def _validate(doc: InputDocument) -> tuple[int, str]:
 def _orbits(doc: InputDocument) -> tuple[int, str]:
     fan = doc.fan
     table = orbit_table(fan, doc.datum)
-    maximal = set(fan.maximal())
+    # `execute` validated the fan, so each member is its own first occurrence: the covers answer by index
+    maximal = set(fan._anchors)
     labels = fan.lattice.labels()
-    # a valid fan lists each member once, so a row's closure_contains is its star, in member order, by index
-    index = {cc: i for i, cc in enumerate(fan.cones)}
     lines = [f"{'cone':>4}  {'dim':>3}  {'closed':>6}  cone description"]
     rows = []
     for rec in table:
         cc = fan.cones[rec.cone_index]
-        closed = cc in maximal
+        closed = rec.cone_index in maximal
         colours = [labels[r] for r in sorted(cc.colours)]
         gens = " ".join("(" + _ray_key(g) + ")" for g in cc.cone.generators) or "0"
         description = f"{gens} | colours {','.join(colours) or '-'}"
@@ -405,7 +394,7 @@ def _orbits(doc: InputDocument) -> tuple[int, str]:
                 "colours": colours,
                 "dimension": rec.dimension,
                 "closed": closed,
-                "closure_contains": [index[x] for x in fan.star(cc)],
+                "closure_contains": fan._above(rec.cone_index),
             }
         )
     return 0, _report(lines, {"orbits": rows})

@@ -137,8 +137,13 @@ def _principal_matrix(fan: ColouredFan) -> IntMatrix:
     return IntMatrix.from_rows(points, cols=fan.lattice.rank)
 
 
+def _ray_key(g: Vector) -> str:
+    """A ray's spelling as a divisor key and in output: its entries joined by commas."""
+    return ",".join(map(str, g))
+
+
 def _divisor_names(fan: ColouredFan) -> list[str]:
-    names = [f"D[{','.join(map(str, g))}]" for g in invariant_ray_generators(fan)]
+    names = [f"D[{_ray_key(g)}]" for g in invariant_ray_generators(fan)]
     names += [f"D_{c.label}" for c in fan.lattice.colours]
     return names
 
@@ -205,17 +210,17 @@ def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[Cartier
     returns its canonical representative, the one `solve_integer_affine`
     gives, from the member's kept echelon.  So each maximal member is
     echelonised once per fan, however many divisors are solved on it.
+    delta's coefficients are read by ray and by colour, not by position, so
+    a ray of the fan that delta has no coefficient on raises KeyError
+    naming it.
     """
-    d = delta.coordinates()
-    gens = invariant_ray_generators(fan)
-    ray_at = {g: t for t, g in enumerate(gens)}
-    colour_at = {c.root: len(gens) + t for t, c in enumerate(fan.lattice.colours)}
+    ray_at, colour_at = dict(delta.ray_coeffs), dict(delta.colour_coeffs)
     pieces = []
     for idx in fan._anchors:
         colours = sorted(fan.cones[idx].colours)
         multiset, data = fan.member_echelon(idx)
         rays = multiset[: len(multiset) - len(colours)]
-        values = [d[ray_at[g]] for g in rays] + [d[colour_at[root]] for root in colours]
+        values = [ray_at[g] for g in rays] + [colour_at[root] for root in colours]
         (solution,) = echelon_solutions(data, len(multiset), [values])
         if solution is None:
             return None

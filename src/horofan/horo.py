@@ -687,8 +687,8 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     its cone, each member a lies under an anchor, a member s of largest
     dimension in a's star: s's star lies in a's (a coloured face of a
     coloured face is one), and a member of it as large as s has s's cone,
-    so it is s.  So when every anchor pair meets and nothing else is wrong,
-    every pair is settled.
+    so it is s.  So when every anchor pair meets, every pair is settled,
+    whatever else is wrong.
 
     Wall route.  When nothing else is wrong and `_walls_decide` holds, every
     anchor pair meets in a coloured face of both, and validation returns
@@ -732,17 +732,21 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     `positivity_check` read, so the route costs one dot-product check per
     wall and one containment test per anchor.
 
-    Otherwise the anchor table is filled: C(k, 2) meets for k anchors, each
+    Otherwise C(k, 2) meets are tested, one per pair of the k anchors, each
     decided by `_meet_in_coloured_face`, one exact rule: the two face lists
     reject, a normal sum read off a member's own incidence table accepts,
     and one double-description pass settles the rest.  Missing coloured
     facets decide closure; the face lists are read down the covers of
-    `_face_table` only when validation reaches the meets.  If an anchor
-    pair fails or anything else is wrong, validation walks the pairs, and
-    an invalid fan reports the same violations, in the same order, as
-    testing every pair.  Each member there reads its own table: a parsed
-    member keeps the one its `Cone.from_generators` pass made, and any
-    other cone makes its own on first use.
+    `_face_table` only when validation reaches the meets.  If no anchor
+    pair fails, no pair of members fails.  Otherwise each member goes to
+    its first anchor, the first in member order of the anchors above its
+    first occurrence, and the pairs drawn from the two groups of a failed
+    anchor pair are tested, in pair order.  A failing pair is unsettled,
+    so its two first anchors differ and their pair failed: an invalid fan
+    reports the same violations, in the same order, as testing every pair.
+    Each member there reads its own table: a parsed member keeps the one
+    its `Cone.from_generators` pass made, and any other cone makes its own
+    on first use.
     """
     return fan._validation
 
@@ -793,26 +797,19 @@ def _check_axioms(fan: ColouredFan) -> ValidationReport:
         violations.append(f"{fan.describe(cc)}: coloured face {fan.describe(f)} is missing from the fan")
     if not violations and _walls_decide(fan):
         return ValidationReport(True, ())
-    faces_of = fan._faces_of()
-    anchors = fan._anchors
-    slot = {k: p for p, k in enumerate(anchors)}
-    met = [[True] * len(anchors) for _ in anchors]
-    for (p, s), (q, t) in itertools.combinations(enumerate(anchors), 2):
-        a, b = fan.cones[s], fan.cones[t]
-        met[p][q] = met[q][p] = _meet_in_coloured_face(faces_of, a, b)
-    if not violations and all(map(all, met)):
-        return ValidationReport(True, ())
-    first, n = fan._face_table[0], len(fan.cones)
-    tops = {k: [slot[s] for s in fan._above(k) if s in slot] for k in dict.fromkeys(first)}
-    for i, a in enumerate(fan.cones):
-        for j in range(i + 1, n):
-            b = fan.cones[j]
-            if any(met[s][t] for s in tops[first[i]] for t in tops[first[j]]):
-                continue
-            # two anchors that get here failed in the table already
-            if (first[i] in slot and first[j] in slot) or not _meet_in_coloured_face(faces_of, a, b):
+    faces_of, cones = fan._faces_of(), fan.cones
+    pairs = itertools.combinations(fan._anchors, 2)
+    failed = [(s, t) for s, t in pairs if not _meet_in_coloured_face(faces_of, cones[s], cones[t])]
+    if failed:
+        # each member under its first anchor: an unsettled pair lies under two anchors of a failed pair
+        anchors, group = set(fan._anchors), {}
+        for i, k in enumerate(fan._face_table[0]):
+            group.setdefault(next(s for s in fan._above(k) if s in anchors), []).append(i)
+        candidates = sorted((min(i, j), max(i, j)) for s, t in failed for i in group[s] for j in group[t])
+        for i, j in candidates:
+            if not _meet_in_coloured_face(faces_of, cones[i], cones[j]):
                 violations.append(
-                    f"intersection of {fan.describe(a)} and {fan.describe(b)} "
+                    f"intersection of {fan.describe(cones[i])} and {fan.describe(cones[j])} "
                     "is not a coloured face of both"
                 )
     return ValidationReport(not violations, tuple(violations))

@@ -28,6 +28,7 @@ from horofan.cli import (
     serialize,
 )
 from horofan.dictionary import closure_contains
+from horofan.horo import ColouredFan
 
 from .factories import cold_parse, p1_power, torus
 
@@ -273,6 +274,14 @@ class TestParseInput:
             parse_input(text)
         assert info.value.path == "fan[0]"
 
+    def test_repeat_inside_a_dropped_value_is_not_reported(self):
+        """A value that a repeated key drops is not in the document, nor is any repeat inside it:
+        the object repeating the key is reported, under every enclosing object."""
+        text = '{"w": [{"k": {"x": 1, "x": 2}, "k": 3}], "v": {}}'
+        with pytest.raises(ParseError, match="repeated key 'k'") as info:
+            parse_input(text)
+        assert info.value.path == "w[0]"
+
     @pytest.mark.parametrize(
         "text, path",
         [
@@ -347,6 +356,15 @@ class TestCommands:
         assert code == 0
         rows = {row["cone"]: row["closure_contains"] for row in json_block(text)["orbits"]}
         assert rows == {i: [j for j in range(n) if closure_contains(doc.fan, i, j)] for i in range(n)}
+
+    def test_orbits_reads_the_covers_by_index(self, monkeypatch):
+        """The closure lists and closed flags come off the fan's covers by member index: no star is made."""
+        doc = cold_parse(ORBIT_DOCUMENTS["p1^4"])
+        monkeypatch.setattr(ColouredFan, "star", lambda *args: pytest.fail("a star was made"))
+        code, text = execute("orbits", doc)
+        assert code == 0
+        rows = json_block(text)["orbits"]
+        assert len(rows) == 81 and sum(row["closed"] for row in rows) == 16
 
     def test_validate_valid(self):
         doc = parse_input(ORBITS_DOC)

@@ -30,7 +30,15 @@ from horofan.intlin import AbelianGroup, IntMatrix, column_hermite, rank
 from horofan.polyhedra import Cone, LatticeLiftError, fan_is_complete
 from horofan.rootsys import RootDatum
 
-from .factories import RANK3_BASES, a1_cubed, random_rank3_coloured_fans, random_valid_fan, rank3_fan
+from .factories import (
+    RANK3_BASES,
+    a1_cubed,
+    random_rank3_coloured_fans,
+    random_valid_fan,
+    rank3_fan,
+    torus,
+    torus_fan,
+)
 from .oracles import determinant, stacked_picard_group
 
 
@@ -221,6 +229,22 @@ class TestCartierData:
                     assert sum(a * b for a, b in zip(piece, g)) == sum(
                         a * b for a, b in zip(m, g)
                     )
+
+    def test_a_divisor_of_another_fan_is_read_by_ray(self):
+        """The coefficients are read by ray, not by position in this fan's ray list: a ray the divisor
+        has no coefficient on raises KeyError naming it, and the rays it has read their own coefficients."""
+        a = torus_fan([((1, 0), (0, 1)), ((0, 1), (-1, -1)), ((-1, -1), (1, 0))])
+        b = torus_fan([((1, 0), (-1, 1)), ((-1, 1), (0, -1)), ((0, -1), (1, 0))])
+        delta = make_divisor(a, rays={(1, 0): 5, (0, 1): 7, (-1, -1): 11})
+        with pytest.raises(KeyError, match=r"\(-1, 1\)"):
+            cartier_data(delta, b)
+        with pytest.raises(KeyError, match=r"\(-1, 1\)"):
+            positivity_check(delta, b, torus(2))
+        # a's rays with (-1, 0) between them: the subdivided fan's ray list puts (-1, 0) second
+        finer = torus_fan([((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (-1, -1)), ((-1, -1), (1, 0))])
+        wider = make_divisor(finer, rays={(1, 0): 5, (0, 1): 7, (-1, 0): 3, (-1, -1): 11})
+        assert cartier_data(wider, a) == cartier_data(delta, a)
+        assert positivity_check(wider, a, torus(2)) == positivity_check(delta, a, torus(2))
 
 
 class TestPicardGroup:

@@ -115,6 +115,72 @@ def test_anchor_validation_matches_all_pairs_oracle():
     assert invalid > len(broken) // 2
 
 
+def candidate_walk_fans() -> dict[str, ColouredFan]:
+    """Invalid fans whose faults reach, or just miss, the walk over the pairs of failed anchor pairs:
+    (P1)^4 without a ray, with a ray inside a square cone, with a cone inside an orthant, and with a
+    member listed twice; a coloured P2 x P1 with a maximal member repeated on other colours, and with
+    an overlapping maximal cone.  The inner cone's new ray comes before the orthant in member order
+    but its anchor after it, so a pair of a failed anchor pair is tested in both orientations."""
+    p1, _ = p1_power(4)
+    lattice, cones = p1.lattice, list(p1.cones)
+    ray = ColouredCone(Cone.from_generators(4, [(1, 0, 0, 0)]), frozenset())
+    inside = ColouredCone(Cone.from_generators(4, [(1, 1, 0, 0)]), frozenset())
+    square = next(cc for cc in cones if cc.dim() == 2)
+    # a cone inside the positive orthant, on three of its rays and the new ray
+    wedge = [(1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+    wedge = ColouredCone(Cone.from_generators(4, wedge), frozenset())
+    fans = {
+        "p1^4-without-a-ray": ColouredFan(lattice, tuple(cc for cc in cones if cc != ray)),
+        "p1^4-plus-a-ray": ColouredFan(lattice, close_under_coloured_faces(lattice, cones + [inside])),
+        "p1^4-plus-an-inner-cone": ColouredFan(lattice, close_under_coloured_faces(lattice, cones + [wedge])),
+        "p1^4-member-twice": ColouredFan(lattice, tuple(cones + [square])),
+    }
+    coloured = rank3_fan(RANK3_BASES["P2xP1"], a1_cubed(), (0, 2))
+    lattice, cones = coloured.lattice, list(coloured.cones)
+    member = next(cc for cc in coloured.maximal() if cc.colours)
+    fans["p2xp1-twin-colours"] = ColouredFan(lattice, tuple(cones + [ColouredCone(member.cone, frozenset())]))
+    ray = next(cc for cc in cones if cc.dim() == 1 and not cc.cone.contains_cone(member.cone))
+    interior = member.cone.relative_interior_point()
+    overlapping = ColouredCone(Cone.from_generators(3, list(ray.cone.generators) + [interior]), frozenset())
+    fans["p2xp1-overlapping"] = ColouredFan(lattice, close_under_coloured_faces(lattice, cones + [overlapping]))
+    return fans
+
+
+@pytest.mark.parametrize("name", list(candidate_walk_fans()))
+def test_candidate_walk_matches_all_pairs_oracle(name):
+    fan = candidate_walk_fans()[name]
+    report = validate_coloured_fan(fan)
+    assert report == all_pairs_validation(fan)
+    assert not report.valid
+    meets = [v for v in report.violations if v.startswith("intersection of")]
+    assert bool(meets) == (name not in ("p1^4-without-a-ray", "p1^4-member-twice"))
+
+
+def test_missing_faces_alone_make_one_meet_per_anchor_pair_and_no_walk_up(monkeypatch):
+    """Counts, not timers: (P1)^3 without a ray misses faces but every pair of its 8 maximal
+    members meets, so validation tests C(8, 2) meets and groups no member under an anchor."""
+    fan, _ = p1_power(3)
+    ray = ColouredCone(Cone.from_generators(3, [(1, 0, 0)]), frozenset())
+    broken = ColouredFan(fan.lattice, tuple(cc for cc in fan.cones if cc != ray))
+    calls = Counter()
+
+    def counted(owner, name):
+        function = getattr(owner, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(horo, "_meet_in_coloured_face")
+    counted(ColouredFan, "_above")
+    report = validate_coloured_fan(broken)
+    assert not report.valid and all("is missing from the fan" in v for v in report.violations)
+    assert len(broken.maximal()) == 8
+    assert calls == Counter(_meet_in_coloured_face=28)
+
+
 def test_meets_read_off_the_face_table_match_the_face_tests():
     """A meet is a coloured face of both members iff it is in both members' lists
     of coloured faces, on every pair of members of valid and broken fans, with the

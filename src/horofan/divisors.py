@@ -210,11 +210,14 @@ def cartier_data(delta: BInvariantDivisor, fan: ColouredFan) -> Optional[Cartier
     returns its canonical representative, the one `solve_integer_affine`
     gives, from the member's kept echelon.  So each maximal member is
     echelonised once per fan, however many divisors are solved on it.
-    delta's coefficients are read by ray and by colour, not by position, so
-    a ray of the fan that delta has no coefficient on raises KeyError
-    naming it.
+    delta's coefficients are read by ray and by colour, not by position,
+    and a delta whose rays or colours are not exactly the fan's raises
+    KeyError naming those on one of the two only.
     """
     ray_at, colour_at = dict(delta.ray_coeffs), dict(delta.colour_coeffs)
+    odd = ray_at.keys() ^ set(invariant_ray_generators(fan)), colour_at.keys() ^ fan.lattice.colour_roots()
+    if any(odd):
+        raise KeyError(f"rays {sorted(odd[0])} and colours {sorted(odd[1])} are on one of delta and the fan only")
     pieces = []
     for idx in fan._anchors:
         colours = sorted(fan.cones[idx].colours)

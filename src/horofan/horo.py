@@ -741,7 +741,9 @@ def validate_coloured_fan(fan: ColouredFan) -> ValidationReport:
     pair fails, no pair of members fails.  Otherwise each member goes to
     its first anchor, the first in member order of the anchors above its
     first occurrence, and the pairs drawn from the two groups of a failed
-    anchor pair are tested, in pair order.  A failing pair is unsettled,
+    anchor pair are walked, in pair order.  A pair under one anchor, or
+    under two that meet, is settled and skipped; a failed anchor pair is
+    reported without a second test, and any other pair is tested.  A failing pair is unsettled,
     so its two first anchors differ and their pair failed: an invalid fan
     reports the same violations, in the same order, as testing every pair.
     Each member there reads its own table: a parsed member keeps the one
@@ -799,19 +801,20 @@ def _check_axioms(fan: ColouredFan) -> ValidationReport:
         return ValidationReport(True, ())
     faces_of, cones = fan._faces_of(), fan.cones
     pairs = itertools.combinations(fan._anchors, 2)
-    failed = [(s, t) for s, t in pairs if not _meet_in_coloured_face(faces_of, cones[s], cones[t])]
+    failed = {(s, t) for s, t in pairs if not _meet_in_coloured_face(faces_of, cones[s], cones[t])}
     if failed:
         # each member under its first anchor: an unsettled pair lies under two anchors of a failed pair
         anchors, group = set(fan._anchors), {}
-        for i, k in enumerate(fan._face_table[0]):
-            group.setdefault(next(s for s in fan._above(k) if s in anchors), []).append(i)
+        tops = [[s for s in fan._above(k) if s in anchors] for k in fan._face_table[0]]
+        for i, above in enumerate(tops):
+            group.setdefault(above[0], []).append(i)
         candidates = sorted((min(i, j), max(i, j)) for s, t in failed for i in group[s] for j in group[t])
         for i, j in candidates:
-            if not _meet_in_coloured_face(faces_of, cones[i], cones[j]):
-                violations.append(
-                    f"intersection of {fan.describe(cones[i])} and {fan.describe(cones[j])} "
-                    "is not a coloured face of both"
-                )
+            # settled: under one anchor, or under two that meet; a failed anchor pair is not tested again
+            settled = any((a, b) not in failed and (b, a) not in failed for a in tops[i] for b in tops[j])
+            if not settled and ((i, j) in failed or not _meet_in_coloured_face(faces_of, cones[i], cones[j])):
+                a, b = fan.describe(cones[i]), fan.describe(cones[j])
+                violations.append(f"intersection of {a} and {b} is not a coloured face of both")
     return ValidationReport(not violations, tuple(violations))
 
 

@@ -8,6 +8,7 @@ import pytest
 from horofan import divisors, horo, polyhedra
 from horofan.dictionary import classify_variety
 from horofan.divisors import (
+    BInvariantDivisor,
     NotCompleteError,
     anticanonical,
     cartier_data,
@@ -231,8 +232,8 @@ class TestCartierData:
                     )
 
     def test_a_divisor_of_another_fan_is_read_by_ray(self):
-        """The coefficients are read by ray, not by position in this fan's ray list: a ray the divisor
-        has no coefficient on raises KeyError naming it, and the rays it has read their own coefficients."""
+        """The coefficients are read by ray, not by position in this fan's ray list, and a divisor
+        whose rays are not exactly the fan's raises KeyError naming the rays on one side only."""
         a = torus_fan([((1, 0), (0, 1)), ((0, 1), (-1, -1)), ((-1, -1), (1, 0))])
         b = torus_fan([((1, 0), (-1, 1)), ((-1, 1), (0, -1)), ((0, -1), (1, 0))])
         delta = make_divisor(a, rays={(1, 0): 5, (0, 1): 7, (-1, -1): 11})
@@ -243,8 +244,14 @@ class TestCartierData:
         # a's rays with (-1, 0) between them: the subdivided fan's ray list puts (-1, 0) second
         finer = torus_fan([((1, 0), (0, 1)), ((0, 1), (-1, 0)), ((-1, 0), (-1, -1)), ((-1, -1), (1, 0))])
         wider = make_divisor(finer, rays={(1, 0): 5, (0, 1): 7, (-1, 0): 3, (-1, -1): 11})
-        assert cartier_data(wider, a) == cartier_data(delta, a)
-        assert positivity_check(wider, a, torus(2)) == positivity_check(delta, a, torus(2))
+        with pytest.raises(KeyError, match=r"rays \[\(-1, 0\)\]"):
+            cartier_data(wider, a)
+        with pytest.raises(KeyError, match=r"rays \[\(-1, 0\)\]"):
+            positivity_check(wider, a, torus(2))
+        # the same coefficients in another order read the same
+        shuffled = BInvariantDivisor(delta.ray_coeffs[::-1], delta.colour_coeffs)
+        assert cartier_data(delta, a) is not None
+        assert cartier_data(shuffled, a) == cartier_data(delta, a)
 
 
 class TestPicardGroup:

@@ -146,10 +146,26 @@ def candidate_walk_fans() -> dict[str, ColouredFan]:
     return fans
 
 
+# meets tested: one per anchor pair, C(16, 2) = 120 for (P1)^4, then one per walked pair that is no
+# anchor pair and lies under no anchor, nor under two anchors that meet
+CANDIDATE_WALK_MEETS = {
+    "p1^4-without-a-ray": 120,
+    "p1^4-plus-a-ray": 141,
+    "p1^4-plus-an-inner-cone": 204,
+    "p1^4-member-twice": 120,
+    "p2xp1-twin-colours": 26,
+    "p2xp1-overlapping": 22,
+}
+
+
 @pytest.mark.parametrize("name", list(candidate_walk_fans()))
-def test_candidate_walk_matches_all_pairs_oracle(name):
+def test_candidate_walk_matches_all_pairs_oracle(name, monkeypatch):
     fan = candidate_walk_fans()[name]
+    meet, tested = horo._meet_in_coloured_face, []
+    monkeypatch.setattr(horo, "_meet_in_coloured_face", lambda *args: tested.append(args) or meet(*args))
     report = validate_coloured_fan(fan)
+    monkeypatch.undo()
+    assert len(tested) == CANDIDATE_WALK_MEETS[name]
     assert report == all_pairs_validation(fan)
     assert not report.valid
     meets = [v for v in report.violations if v.startswith("intersection of")]

@@ -1,12 +1,11 @@
 #!/usr/bin/env python3
 """Replay the golden CLI cases through a command line, each in a process of its own.
 
-    python3 tools/replay_golden.py [--command COMMAND] [--golden DIR]
+    python3 tools/replay_golden.py [--command COMMAND]
 
-Every case of `DIR/cases.json` that has an argv (DIR defaults to this
-checkout's `tests/cli_golden`) is run as `COMMAND ARGV...` with
-`COLUMNS=80`, an argument ending in `.json` naming a document in DIR, and
-its exit code, stdout and stderr must be the recorded ones.  Each case but
+Every case of this checkout's `tests/cli_golden/cases.json` that has an
+argv is run as `COMMAND ARGV...` with `COLUMNS=80`, an argument ending in
+`.json` naming a document in that directory, and its exit code, stdout and stderr must be the recorded ones.  Each case but
 the not-UTF-8 ones runs again on CR LF copies of the documents, where the
 exit code and stdout must stay the same; the byte positions in the not-UTF-8
 messages move when CRs are put in.  Then `validate -` runs twice: with the
@@ -38,7 +37,6 @@ GOLDEN = pathlib.Path(__file__).resolve().parents[1] / "tests" / "cli_golden"
 def main() -> int:
     parser = argparse.ArgumentParser(description="replay the golden CLI cases through a command line")
     parser.add_argument("--command", help="the CLI to run (default: this interpreter with -m horofan.cli)")
-    parser.add_argument("--golden", type=pathlib.Path, default=GOLDEN, help="the directory of cases.json")
     args = parser.parse_args()
     command = shlex.split(args.command) if args.command else [sys.executable, "-m", "horofan.cli"]
     env = dict(os.environ, COLUMNS="80")  # argparse wraps --help to the terminal width
@@ -46,15 +44,14 @@ def main() -> int:
     def run(argv: list[str], **options) -> subprocess.CompletedProcess:
         return subprocess.run(command + argv, capture_output=True, encoding="utf-8", env=env, **options)
 
-    golden = args.golden.resolve()
-    cases = [c for c in json.loads((golden / "cases.json").read_text(encoding="utf-8")) if "argv" in c]
+    cases = [c for c in json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8")) if "argv" in c]
     failed = []
     with tempfile.TemporaryDirectory() as tmp:
         crlf = pathlib.Path(tmp)
-        for document in golden.glob("*.json"):
+        for document in GOLDEN.glob("*.json"):
             (crlf / document.name).write_bytes(document.read_bytes().replace(b"\r\n", b"\n").replace(b"\n", b"\r\n"))
         for case in cases:
-            done = run([str(golden / a) if a.endswith(".json") else a for a in case["argv"]])
+            done = run([str(GOLDEN / a) if a.endswith(".json") else a for a in case["argv"]])
             if {"code": done.returncode, "stdout": done.stdout, "stderr": done.stderr} != case["expect"]:
                 failed.append(case["name"])
             if not case["name"].startswith("not-utf8-"):
@@ -62,7 +59,7 @@ def main() -> int:
                 if (done.returncode, done.stdout) != (case["expect"]["code"], case["expect"]["stdout"]):
                     failed.append(f"{case['name']} (CRLF)")
     readme = next(case for case in cases if case["name"] == "readme-validate")["expect"]
-    done = run(["validate", "-"], input=(golden / "readme.json").read_text(encoding="utf-8"))
+    done = run(["validate", "-"], input=(GOLDEN / "readme.json").read_text(encoding="utf-8"))
     if (done.returncode, done.stdout, done.stderr) != (0, readme["stdout"], ""):
         failed.append("readme-validate (piped)")
     done = run(["validate", "-"], preexec_fn=lambda: os.close(0))
